@@ -25,8 +25,8 @@ def test_ilp_solve_time(benchmark, benchmarks, name):
     # Every ILP terminated at the root: the first LP relaxation of an
     # IPET system is already integral (network-flow structure).
     assert report.all_first_relaxations_integral
-    # Two LP calls (worst + best) per feasible constraint set, and no
-    # branching nodes beyond the roots.
+    # Two LP calls (worst + best, sharing one simplex phase 1) per
+    # feasible constraint set, and no branching nodes beyond the roots.
     assert all(r.stats.nodes == r.stats.lp_calls
                for r in report.set_results)
     # "less than 2 seconds on an SGI Indigo" — generously, per ILP on

@@ -9,6 +9,12 @@ boundary, so the serial path in :meth:`repro.Analysis.estimate`, its
 run the exact same function and produce bit-identical
 :class:`~repro.analysis.report.SetResult` objects.
 
+Both ILPs range over one polyhedron, so a set is lowered to arrays
+once and runs simplex phase 1 once (:class:`~repro.ilp.model.Polyhedron`);
+the worst and best root relaxations each run phase 2 from a copy of
+the feasible tableau, and branch & bound goes on from there.  The
+``scipy`` backend, an independent oracle, solves each direction whole.
+
 Timeout semantics (engine "graceful degradation"): a task with a
 ``timeout`` gets a wall-clock deadline for its two ILPs together.  If
 an ILP trips the deadline, the task falls back to the LP relaxation,
@@ -25,8 +31,13 @@ from dataclasses import dataclass, field
 
 from ..errors import ILPTimeoutError, UnboundedError
 from ..ilp import Constraint, LinExpr, Problem, Status
+from ..ilp.branch_bound import solve_ilp
 from ..ilp.lpformat import write_lp
+from ..ilp.model import Polyhedron
 from .report import SetResult
+
+#: LP engine behind each branch & bound backend.
+_ENGINES = {"simplex": "float", "exact": "exact"}
 
 _UNBOUNDED_MESSAGE = (
     "the worst-case objective is unbounded; a loop bound or "
@@ -57,6 +68,9 @@ class SetTask:
     trace: object = False
 
     def problems(self) -> tuple[Problem, Problem]:
+        """(worst maximize, best minimize) over the same constraints
+        and variables: each also knows the other objective's variables,
+        so both lower to one polyhedron."""
         worst = Problem(f"set{self.index}:worst")
         worst.add_all(self.base)
         worst.add_all(self.resolved)
@@ -65,6 +79,10 @@ class SetTask:
         best.add_all(self.base)
         best.add_all(self.resolved)
         best.minimize(self.best_obj)
+        for name in self.best_obj.variables():
+            worst.add_var(name)
+        for name in self.worst_obj.variables():
+            best.add_var(name)
         return worst, best
 
     def signature(self) -> str:
@@ -108,11 +126,14 @@ def solve_set(task: SetTask) -> SetResult:
     deadline = None if task.timeout is None else started + task.timeout
     result = SetResult(task.index, Status.OPTIMAL)
     worst_problem, best_problem = task.problems()
+    engine = _ENGINES.get(task.backend)
+    polyhedron = (None if engine is None
+                  else Polyhedron(worst_problem, engine))
 
     with tracer.span("set.worst", cat="solver", set=task.index,
                      backend=task.backend) as span:
-        worst = _solve_direction(worst_problem, task, deadline, result,
-                                 "worst", tracer)
+        worst = _solve_direction(worst_problem, polyhedron, task, deadline,
+                                 result, "worst", tracer)
         counters_from_stats(span, worst.stats)
         span.set("status", worst.status.value)
     if worst.status is Status.UNBOUNDED:
@@ -129,8 +150,8 @@ def solve_set(task: SetTask) -> SetResult:
 
     with tracer.span("set.best", cat="solver", set=task.index,
                      backend=task.backend) as span:
-        best = _solve_direction(best_problem, task, deadline, result,
-                                "best", tracer)
+        best = _solve_direction(best_problem, polyhedron, task, deadline,
+                                result, "best", tracer)
         counters_from_stats(span, best.stats)
         span.set("status", best.status.value)
     if best.status is Status.UNBOUNDED:  # pragma: no cover - defensive
@@ -167,36 +188,38 @@ def _zero_stats():
     return SolveStats()
 
 
-def _solve_direction(problem: Problem, task: SetTask,
-                     deadline: float | None,
+def _solve_direction(problem: Problem, polyhedron: Polyhedron | None,
+                     task: SetTask, deadline: float | None,
                      result: SetResult, direction: str,
                      tracer=None) -> _DirectionOutcome:
     """Solve one ILP, falling back to its LP relaxation on timeout.
 
+    `polyhedron` holds the set's lowered constraints and shared
+    phase 1 (None for the scipy oracle, which solves `problem` whole).
     ``direction`` ("worst" | "best") labels which bound this is so the
     degradation flag lands on the right :class:`SetResult` field.
     """
-    timeout = None
-    if deadline is not None:
-        # 0 means "already expired" — the solver raises on its first
-        # deadline check rather than burning the other set's budget.
-        timeout = max(deadline - time.monotonic(), 0.0)
-    try:
-        ilp = problem.solve(backend=task.backend, timeout=timeout,
+    if polyhedron is None:
+        ilp = problem.solve(backend=task.backend)
+    else:
+        try:
+            # An expired deadline makes the solver raise on its first
+            # check rather than burn the other set's budget.
+            ilp = solve_ilp(problem, engine=_ENGINES[task.backend],
                             max_iterations=task.max_iterations,
-                            tracer=tracer)
-    except ILPTimeoutError as error:
-        result.timed_out = True
-        setattr(result, f"{direction}_relaxed", True)
-        result.stats.lp_calls += 1
-        result.stats.simplex_iterations += error.iterations
-        result.stats.nodes += error.nodes
-        engine = "exact" if task.backend == "exact" else "float"
-        relax = problem.solve_relaxation(engine=engine, tracer=tracer)
-        result.stats.lp_calls += 1
-        result.stats.simplex_iterations += relax.iterations
-        return _DirectionOutcome(relax.status, relax.objective,
-                                 dict(relax.values))
+                            deadline=deadline, tracer=tracer,
+                            root=polyhedron)
+        except ILPTimeoutError as error:
+            result.timed_out = True
+            setattr(result, f"{direction}_relaxed", True)
+            result.stats.lp_calls += 1
+            result.stats.simplex_iterations += error.iterations
+            result.stats.nodes += error.nodes
+            relax = polyhedron.relaxation(problem, tracer=tracer)
+            result.stats.lp_calls += 1
+            result.stats.simplex_iterations += relax.iterations
+            return _DirectionOutcome(relax.status, relax.objective,
+                                     dict(relax.values))
     result.stats.lp_calls += ilp.stats.lp_calls
     result.stats.nodes += ilp.stats.nodes
     result.stats.simplex_iterations += ilp.stats.simplex_iterations

@@ -15,7 +15,7 @@ import time
 
 from ..errors import ILPTimeoutError
 from .expr import Constraint, LinExpr
-from .model import Problem
+from .model import Polyhedron, Problem
 from .solution import ILPResult, SolveStats, Status
 
 #: A value within this distance of an integer is treated as integral.
@@ -52,7 +52,7 @@ def solve_ilp(problem: Problem, max_nodes: int = 100_000,
               engine: str = "float",
               max_iterations: int | None = None,
               deadline: float | None = None,
-              tracer=None) -> ILPResult:
+              tracer=None, root: Polyhedron | None = None) -> ILPResult:
     """Solve `problem` to integer optimality by branch & bound (DFS).
 
     ``engine`` selects the LP core ("float" or "exact").
@@ -62,17 +62,22 @@ def solve_ilp(problem: Problem, max_nodes: int = 100_000,
     :class:`~repro.errors.ILPTimeoutError` instead of running on
     indefinitely.  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
     search in a span carrying node/pivot counters; the root relaxation
-    additionally gets its own phase-level simplex spans."""
+    additionally gets its own phase-level simplex spans.  ``root``, a
+    :class:`~repro.ilp.model.Polyhedron` of `problem`'s constraints,
+    solves the root relaxation; pass one shared with another problem
+    over the same constraints to run their phase 1 once."""
     from ..obs.trace import NULL_TRACER
 
     tracer = NULL_TRACER if tracer is None else tracer
+    if root is None:
+        root = Polyhedron(problem, engine)
     stats = SolveStats()
     with tracer.span("bnb", cat="solver", problem=problem.name,
                      engine=engine) as span:
         try:
             result = _branch_and_bound(problem, max_nodes, engine,
                                        max_iterations, deadline, stats,
-                                       tracer)
+                                       tracer, root)
         finally:
             span.set("status", "done")
             span.inc("nodes", stats.nodes)
@@ -85,7 +90,7 @@ def solve_ilp(problem: Problem, max_nodes: int = 100_000,
 def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
                       max_iterations: int | None,
                       deadline: float | None, stats: SolveStats,
-                      tracer) -> ILPResult:
+                      tracer, root: Polyhedron) -> ILPResult:
     maximize = problem.sense == "max"
 
     incumbent_obj: float | None = None
@@ -106,6 +111,9 @@ def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
     # Each stack entry is a list of extra bound constraints.
     stack: list[list[Constraint]] = [[]]
     first = True
+    # Pivots charged against max_iterations: stats.simplex_iterations
+    # plus a phase 1 the root reused from another solve.
+    spent = 0
     while stack:
         extra = stack.pop()
         stats.nodes += 1
@@ -119,17 +127,21 @@ def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
                 iterations=stats.simplex_iterations, nodes=stats.nodes)
         budget = None
         if max_iterations is not None:
-            budget = max_iterations - stats.simplex_iterations
+            budget = max_iterations - spent
             if budget <= 0:
                 raise ILPTimeoutError(
                     f"branch & bound exceeded {max_iterations} simplex "
                     "iterations",
                     iterations=stats.simplex_iterations, nodes=stats.nodes)
-        relax = problem.solve_relaxation(
-            extra, engine=engine, max_iter=budget, deadline=deadline,
-            tracer=tracer if first else None)
+        if first:
+            relax = root.relaxation(problem, max_iter=budget,
+                                    deadline=deadline, tracer=tracer)
+        else:
+            relax = problem.solve_relaxation(
+                extra, engine=engine, max_iter=budget, deadline=deadline)
         stats.lp_calls += 1
         stats.simplex_iterations += relax.iterations
+        spent += relax.iterations + relax.reused
         if relax.status is Status.INFEASIBLE:
             if first:
                 first = False

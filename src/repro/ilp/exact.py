@@ -1,9 +1,10 @@
 """Exact rational simplex (Fraction arithmetic).
 
 A second, independent LP engine: the same two-phase algorithm as
-:mod:`repro.ilp.simplex` but over :class:`fractions.Fraction`, with
-Bland's rule throughout.  No tolerances, no rounding — useful both as
-a verification backend (``Problem.solve(backend="exact")``) and for
+:mod:`repro.ilp.simplex`, split the same way into :func:`phase1` and
+:func:`phase2`, but over :class:`fractions.Fraction`, with Bland's rule
+throughout.  No tolerances, no rounding — useful both as a
+verification backend (``Problem.solve(backend="exact")``) and for
 pathological instances where floating point would need care.  Slower
 (pure Python rationals), fine at IPET sizes.
 """
@@ -13,55 +14,52 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from ..errors import ILPTimeoutError
-from .solution import LPResult, Status
+from .solution import LPResult, Phase1Result, Status
+
+#: Default pivot budget of one LP.
+MAX_ITER = 100_000
 
 
 def solve_lp_exact(costs, matrix, senses, rhs,
                    maximize: bool = False,
-                   max_iter: int = 100_000,
+                   max_iter: int = MAX_ITER,
                    deadline: float | None = None,
                    tracer=None) -> LPResult:
-    """Exact counterpart of :func:`repro.ilp.simplex.solve_lp`.
+    """Exact counterpart of :func:`repro.ilp.simplex.solve_lp`:
+    :func:`phase1`, then :func:`phase2` from the tableau it leaves.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) wraps the solve in a
-    ``simplex.exact`` span recording its pivot count.
+    ``tracer`` (a :class:`repro.obs.Tracer`) gets one span per phase
+    recording its pivot count.
     """
-    if tracer is not None and tracer.enabled:
-        with tracer.span("simplex.exact", cat="solver",
-                         rows=len(rhs), cols=len(costs)) as span:
-            result = solve_lp_exact(costs, matrix, senses, rhs,
-                                    maximize=maximize, max_iter=max_iter,
-                                    deadline=deadline)
-            span.inc("pivots", result.iterations)
-            return result
-    costs = [Fraction(c).limit_denominator(10**12) if isinstance(c, float)
-             else Fraction(c) for c in costs]
-    matrix = [[_frac(v) for v in row] for row in matrix]
+    if len(matrix) == 0:
+        # No row carries the column count.
+        matrix = np.zeros((0, len(costs)))
+    start = phase1(matrix, senses, rhs, max_iter=max_iter,
+                   deadline=deadline, tracer=tracer)
+    return phase2(start, costs, maximize=maximize, max_iter=max_iter,
+                  deadline=deadline, tracer=tracer)
+
+
+def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
+           deadline: float | None = None, tracer=None) -> Phase1Result:
+    """Exact counterpart of :func:`repro.ilp.simplex.phase1`."""
+    if tracer is None:
+        from ..obs.trace import NULL_TRACER as tracer
+    rows = [[_frac(v) for v in row] for row in matrix]
     rhs = [_frac(v) for v in rhs]
     senses = list(senses)
-    m, n = len(matrix), len(costs)
-    if any(len(row) != n for row in matrix) or len(rhs) != m \
+    m = len(rows)
+    n = len(rows[0]) if rows else np.shape(matrix)[1]
+    if any(len(row) != n for row in rows) or len(rhs) != m \
             or len(senses) != m:
         raise ValueError("inconsistent LP dimensions")
 
-    if maximize:
-        inner = solve_lp_exact([-c for c in costs], matrix, senses, rhs,
-                               maximize=False, max_iter=max_iter,
-                               deadline=deadline)
-        if inner.objective is not None:
-            inner.objective = -inner.objective
-        return inner
-
-    if m == 0:
-        if any(c < 0 for c in costs):
-            return LPResult(Status.UNBOUNDED)
-        return LPResult(Status.OPTIMAL, 0.0,
-                        {str(j): 0.0 for j in range(n)})
-
     for i in range(m):
         if rhs[i] < 0:
-            matrix[i] = [-v for v in matrix[i]]
+            rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
             senses[i] = {"<=": ">=", ">=": "<=", "==": "=="}[senses[i]]
 
@@ -70,7 +68,7 @@ def solve_lp_exact(costs, matrix, senses, rhs,
     total = n + slack_count + len(art_rows)
     zero = Fraction(0)
     one = Fraction(1)
-    body = [row + [zero] * (total - n) for row in matrix]
+    body = [row + [zero] * (total - n) for row in rows]
     basis = [-1] * m
     col = n
     for i, sense in enumerate(senses):
@@ -87,31 +85,60 @@ def solve_lp_exact(costs, matrix, senses, rhs,
         basis[i] = col
         col += 1
 
-    state = _Tableau(body, rhs, basis, max_iter, deadline)
-    allowed = [True] * total
-
+    state = _Tableau(body, rhs, basis, total)
     if art_rows:
-        phase1 = [zero] * total
-        for j in range(art_start, total):
-            phase1[j] = one
-        state.optimize(phase1, allowed)
-        if state.objective(phase1) > 0:
-            return LPResult(Status.INFEASIBLE, iterations=state.iterations)
-        state.expel_artificials(art_start)
-        for j in range(art_start, total):
-            allowed[j] = False
+        costs = [zero] * art_start + [one] * (total - art_start)
+        with tracer.span("simplex.phase1", cat="solver",
+                         rows=m, cols=total) as span:
+            try:
+                state.optimize(costs, [True] * total, max_iter, deadline)
+            finally:
+                span.inc("pivots", state.iterations)
+        if state.objective(costs) > 0:
+            return Phase1Result(Status.INFEASIBLE, state.iterations,
+                                state.iterations, columns=n)
+    search = state.iterations
+    state.expel_artificials(art_start)
+    return Phase1Result(Status.OPTIMAL, state.iterations, search, state,
+                        columns=n, artificials=art_start)
 
-    phase2 = list(costs) + [zero] * (total - n)
-    outcome = state.optimize(phase2, allowed)
+
+def phase2(start: Phase1Result, costs, maximize: bool = False,
+           max_iter: int = MAX_ITER, deadline: float | None = None,
+           tracer=None) -> LPResult:
+    """Exact counterpart of :func:`repro.ilp.simplex.phase2`."""
+    costs = [_frac(c) for c in costs]
+    if len(costs) != start.columns:
+        raise ValueError("inconsistent LP dimensions")
+    if start.status is not Status.OPTIMAL:
+        return LPResult(start.status, iterations=start.iterations)
+    if tracer is None:
+        from ..obs.trace import NULL_TRACER as tracer
+    if maximize:
+        costs = [-c for c in costs]
+
+    state = start.tableau.copy()
+    total = state.ncols
+    allowed = [j < start.artificials for j in range(total)]
+    objective = costs + [Fraction(0)] * (total - start.columns)
+    pivots_before = state.iterations
+    with tracer.span("simplex.phase2", cat="solver",
+                     rows=len(state.body), cols=total) as span:
+        try:
+            outcome = state.optimize(objective, allowed, max_iter, deadline)
+        finally:
+            span.inc("pivots", state.iterations - pivots_before)
     if outcome == "unbounded":
         return LPResult(Status.UNBOUNDED, iterations=state.iterations)
 
-    values = {str(j): 0.0 for j in range(n)}
+    values = {str(j): 0.0 for j in range(start.columns)}
     for row, column in enumerate(state.basis):
-        if column < n:
+        if column < start.columns:
             values[str(column)] = float(state.rhs[row])
-    return LPResult(Status.OPTIMAL, float(state.objective(phase2)),
-                    values, state.iterations)
+    value = float(state.objective(objective))
+    if maximize:
+        value = -value
+    return LPResult(Status.OPTIMAL, value, values, state.iterations)
 
 
 def _frac(value) -> Fraction:
@@ -121,13 +148,19 @@ def _frac(value) -> Fraction:
 
 
 class _Tableau:
-    def __init__(self, body, rhs, basis, max_iter, deadline=None):
+    def __init__(self, body, rhs, basis, ncols):
         self.body = body
         self.rhs = rhs
         self.basis = basis
-        self.max_iter = max_iter
-        self.deadline = deadline
+        self.ncols = ncols
         self.iterations = 0
+
+    def copy(self) -> "_Tableau":
+        """An independent tableau in the same state, pivot count included."""
+        twin = _Tableau([list(row) for row in self.body], list(self.rhs),
+                        list(self.basis), self.ncols)
+        twin.iterations = self.iterations
+        return twin
 
     def reduced(self, costs):
         out = list(costs)
@@ -159,13 +192,12 @@ class _Tableau:
         self.basis[row] = col
         self.iterations += 1
 
-    def optimize(self, costs, allowed):
+    def optimize(self, costs, allowed, max_iter, deadline=None):
         while True:
-            if self.iterations > self.max_iter:
+            if self.iterations > max_iter:
                 raise ILPTimeoutError("exact simplex iteration limit",
                                       iterations=self.iterations)
-            if (self.deadline is not None
-                    and time.monotonic() > self.deadline):
+            if deadline is not None and time.monotonic() > deadline:
                 raise ILPTimeoutError(
                     "exact simplex exceeded its wall-clock deadline",
                     iterations=self.iterations)

@@ -6,7 +6,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..errors import ILPError
+from ..errors import ILPError, ILPTimeoutError
+from . import exact, simplex
 from .expr import Constraint, LinExpr, Var
 from .solution import ILPResult, LPResult, Status
 
@@ -81,13 +82,20 @@ class Problem:
     # Standard-form export
     # ------------------------------------------------------------------
     def to_arrays(self, extra: Iterable[Constraint] = ()):
-        """Lower the problem to (costs, matrix, senses, rhs, order).
+        """Lower the problem to (costs, matrix, senses, rhs, order,
+        shift, objective_shift).
 
         Variable lower bounds are shifted to zero and upper bounds
         become explicit rows, so the simplex core only ever sees
         ``x >= 0``.  ``extra`` constraints (used by branch & bound) are
         appended without mutating the problem.
         """
+        matrix, senses, rhs, order, shift = self._lower_constraints(extra)
+        costs, objective_shift = self._lower_objective(order, shift)
+        return costs, matrix, senses, rhs, order, shift, objective_shift
+
+    def _lower_constraints(self, extra: Iterable[Constraint] = ()):
+        """(matrix, senses, rhs, order, shift) of :meth:`to_arrays`."""
         order = sorted(self.variables)
         index = {name: j for j, name in enumerate(order)}
         shift = np.array([self.variables[name].lower for name in order])
@@ -119,11 +127,16 @@ class Problem:
                 rhs.append(var.upper - var.lower)
 
         matrix = np.vstack(rows) if rows else np.zeros((0, len(order)))
+        return matrix, senses, np.array(rhs), order, shift
+
+    def _lower_objective(self, order: list[str], shift: np.ndarray):
+        """(costs, objective_shift) of :meth:`to_arrays` over `order`."""
+        index = {name: j for j, name in enumerate(order)}
         costs = np.zeros(len(order))
         for name, coef in self.objective.coefs.items():
             costs[index[name]] = coef
         objective_shift = self.objective.const + float(costs @ shift)
-        return costs, matrix, senses, np.array(rhs), order, shift, objective_shift
+        return costs, objective_shift
 
     # ------------------------------------------------------------------
     # Solving
@@ -143,30 +156,8 @@ class Problem:
         :class:`repro.obs.Tracer`) makes the LP core emit phase-level
         spans with pivot counters.
         """
-        (costs, matrix, senses, rhs,
-         order, shift, objective_shift) = self.to_arrays(extra)
-        if engine == "exact":
-            from .exact import solve_lp_exact
-
-            kwargs = {} if max_iter is None else {"max_iter": max_iter}
-            result = solve_lp_exact(costs, matrix, senses, rhs,
-                                    maximize=(self.sense == "max"),
-                                    deadline=deadline, tracer=tracer,
-                                    **kwargs)
-        else:
-            from . import simplex
-
-            kwargs = {} if max_iter is None else {"max_iter": max_iter}
-            result = simplex.solve_lp(costs, matrix, senses, rhs,
-                                      maximize=(self.sense == "max"),
-                                      deadline=deadline, tracer=tracer,
-                                      **kwargs)
-        if result.status is not Status.OPTIMAL:
-            return LPResult(result.status, iterations=result.iterations)
-        values = {name: result.values[str(j)] + shift[j]
-                  for j, name in enumerate(order)}
-        return LPResult(Status.OPTIMAL, result.objective + objective_shift,
-                        values, result.iterations)
+        return Polyhedron(self, engine, extra).relaxation(
+            self, max_iter=max_iter, deadline=deadline, tracer=tracer)
 
     def solve(self, backend: str = "simplex",
               max_iterations: int | None = None,
@@ -226,3 +217,64 @@ class Problem:
     def __repr__(self) -> str:
         return (f"Problem({self.name!r}, vars={len(self.variables)}, "
                 f"constraints={len(self.constraints)}, sense={self.sense})")
+
+
+class Polyhedron:
+    """A problem's constraints lowered to arrays once, with one simplex
+    phase 1 shared by every objective over them.
+
+    IPET solves a maximize (worst case) and a minimize (best case)
+    over the same constraints.  Phase 1 never reads the objective, so
+    both root relaxations run phase 2 from copies of one feasible
+    tableau.  :meth:`relaxation` accepts any problem with the
+    constraints and variables of the one lowered here.
+
+    Budgets behave as if every solve had run its own phase 1: a solve
+    whose ``max_iter`` the shared phase 1 exceeds trips as its own
+    phase 1 would have, and a reusing solve's pivots continue from the
+    shared phase 1's count.  Its result reports only the pivots it
+    made in ``iterations`` and the shared ones in ``reused``.
+    """
+
+    def __init__(self, problem: Problem, engine: str = "float",
+                 extra: Iterable[Constraint] = ()):
+        (self.matrix, self.senses, self.rhs,
+         self.order, self.shift) = problem._lower_constraints(extra)
+        self._lp = exact if engine == "exact" else simplex
+        self._start = None
+
+    def relaxation(self, problem: Problem, max_iter: int | None = None,
+                   deadline: float | None = None,
+                   tracer=None) -> LPResult:
+        """`problem`'s LP relaxation, as :meth:`Problem.solve_relaxation`
+        computes it, from the shared phase 1 (run now if no earlier
+        solve completed it)."""
+        lp = self._lp
+        budget = lp.MAX_ITER if max_iter is None else max_iter
+        reused = 0 if self._start is None else self._start.iterations
+        if self._start is None:
+            self._start = lp.phase1(self.matrix, self.senses, self.rhs,
+                                    max_iter=budget, deadline=deadline,
+                                    tracer=tracer)
+        elif self._start.search_iterations > budget:
+            # This solve's own phase 1 would have stopped there.
+            raise ILPTimeoutError(
+                f"simplex phase 1 exceeded {budget} iterations")
+        costs, objective_shift = problem._lower_objective(self.order,
+                                                          self.shift)
+        try:
+            result = lp.phase2(self._start, costs,
+                               maximize=(problem.sense == "max"),
+                               max_iter=budget, deadline=deadline,
+                               tracer=tracer)
+        except ILPTimeoutError as error:
+            error.iterations -= reused
+            raise
+        iterations = result.iterations - reused
+        if result.status is not Status.OPTIMAL:
+            return LPResult(result.status, iterations=iterations,
+                            reused=reused)
+        values = {name: result.values[str(j)] + self.shift[j]
+                  for j, name in enumerate(self.order)}
+        return LPResult(Status.OPTIMAL, result.objective + objective_shift,
+                        values, iterations, reused)

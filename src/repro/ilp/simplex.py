@@ -5,15 +5,23 @@ This is the LP engine under the branch & bound ILP solver.  It solves
     minimize    c . x
     subject to  A x (<= | >= | ==) b,   x >= 0
 
-with the classic tableau method: phase 1 drives artificial variables to
-zero (detecting infeasibility), phase 2 optimizes the real objective
-(detecting unboundedness).  Pivot selection uses Dantzig's rule and
-falls back to Bland's rule after a stall threshold, which guarantees
-termination on the highly degenerate flow-conservation systems IPET
-produces.
+with the classic tableau method, in two steps.  :func:`phase1` drives
+artificial variables to zero (detecting infeasibility); it never reads
+the objective, so the feasible tableau it leaves serves every
+objective over the same constraints.  :func:`phase2` optimizes one
+objective from a copy of that tableau (detecting unboundedness).
+:func:`solve_lp` is the two composed.  IPET maximizes and minimizes
+over one polyhedron per constraint set, so
+:class:`repro.ilp.model.Polyhedron` runs phase 1 once for both.
 
-The implementation is dense NumPy; IPET problems are at most a few
-thousand rows/columns, far below where sparsity would matter.
+Pivot selection uses Dantzig's rule and falls back to Bland's rule
+after a stall threshold, which guarantees termination on the highly
+degenerate flow-conservation systems IPET produces.
+
+The tableau is dense NumPy, but IPET constraint matrices are sparse:
+a flow-conservation row names one block and its edges, so a pivot
+column is nonzero in about one row in seven.  :meth:`_Tableau.pivot`
+eliminates the pivot column only from those rows.
 """
 
 from __future__ import annotations
@@ -23,11 +31,14 @@ import time
 import numpy as np
 
 from ..errors import ILPTimeoutError
-from .solution import LPResult, Status
+from .solution import LPResult, Phase1Result, Status
 
 #: Pivot/feasibility tolerance.  IPET coefficient magnitudes are modest
 #: (unit flow coefficients and loop bounds), so a fixed tolerance works.
 TOL = 1e-9
+
+#: Default pivot budget of one LP.
+MAX_ITER = 200_000
 
 
 class _Tableau:
@@ -54,18 +65,25 @@ class _Tableau:
         objective = float(cb @ self.rhs)
         return reduced, objective
 
+    def copy(self) -> "_Tableau":
+        """An independent tableau in the same state, pivot count included."""
+        twin = _Tableau(self.body.copy(), self.rhs.copy(), list(self.basis))
+        twin.iterations = self.iterations
+        return twin
+
     def pivot(self, row: int, col: int) -> None:
         """Make `col` basic in `row` by Gaussian elimination."""
         body, rhs = self.body, self.rhs
         pivot_value = body[row, col]
         body[row] /= pivot_value
         rhs[row] /= pivot_value
-        # Eliminate the pivot column from every other row in one
-        # vectorized rank-1 update.
-        factors = body[:, col].copy()
-        factors[row] = 0.0
-        body -= np.outer(factors, body[row])
-        rhs -= factors * rhs[row]
+        # Eliminate the pivot column with a rank-1 update of the rows
+        # that have it; a row with a zero there would subtract zeros.
+        rows = np.flatnonzero(body[:, col])
+        rows = rows[rows != row]
+        factors = body[rows, col]
+        body[rows] -= np.outer(factors, body[row])
+        rhs[rows] -= factors * rhs[row]
         body[:, col] = 0.0
         body[row, col] = 1.0
         self.basis[row] = col
@@ -119,10 +137,11 @@ class _Tableau:
 
 
 def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
-             max_iter: int = 200_000,
+             max_iter: int = MAX_ITER,
              deadline: float | None = None,
              tracer=None) -> LPResult:
-    """Solve an LP with nonnegative variables.
+    """Solve an LP with nonnegative variables: :func:`phase1`, then
+    :func:`phase2` from the tableau it leaves.
 
     Parameters
     ----------
@@ -150,32 +169,31 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
         the :mod:`repro.ilp.model` layer maps these back to variable
         names.
     """
-    costs = np.asarray(costs, dtype=float)
+    start = phase1(matrix, senses, rhs, max_iter=max_iter,
+                   deadline=deadline, tracer=tracer)
+    return phase2(start, costs, maximize=maximize, max_iter=max_iter,
+                  deadline=deadline, tracer=tracer)
+
+
+def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
+           deadline: float | None = None, tracer=None) -> Phase1Result:
+    """Find a feasible basis of ``A x (senses) b, x >= 0``.
+
+    Drives the artificial variables to zero and pivots the ones left
+    basic out of the basis.  The objective is never read, so the
+    feasible tableau serves :func:`phase2` for any cost vector; it is
+    returned in the :class:`~repro.ilp.solution.Phase1Result`
+    (``status`` INFEASIBLE when the artificials cannot reach zero).
+    """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if matrix.ndim != 2:
         matrix = matrix.reshape(len(rhs), -1)
     m, n = matrix.shape
-    if costs.shape != (n,) or rhs.shape != (m,) or len(senses) != m:
+    if rhs.shape != (m,) or len(senses) != m:
         raise ValueError("inconsistent LP dimensions")
-
-    if maximize:
-        inner = solve_lp(-costs, matrix, senses, rhs, maximize=False,
-                         max_iter=max_iter, deadline=deadline,
-                         tracer=tracer)
-        if inner.objective is not None:
-            inner.objective = -inner.objective
-        return inner
     if tracer is None:
         from ..obs.trace import NULL_TRACER as tracer
-
-    if m == 0:
-        # No constraints: optimum is 0 on x=0 unless some cost is
-        # negative, in which case the LP is unbounded below.
-        if np.any(costs < -TOL):
-            return LPResult(Status.UNBOUNDED)
-        return LPResult(Status.OPTIMAL, 0.0,
-                        {str(j): 0.0 for j in range(n)})
 
     # Normalize to b >= 0.
     senses = list(senses)
@@ -211,32 +229,59 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
     assert col == total and all(b >= 0 for b in basis)
 
     tab = _Tableau(body, rhs, basis)
-    allowed = np.ones(total, dtype=bool)
-
     if art_rows:
-        phase1 = np.zeros(total)
-        phase1[art_start:] = 1.0
+        costs = np.zeros(total)
+        costs[art_start:] = 1.0
         with tracer.span("simplex.phase1", cat="solver",
                          rows=m, cols=total) as span:
             try:
-                outcome = tab.optimize(phase1, allowed, max_iter, deadline)
+                outcome = tab.optimize(costs, np.ones(total, dtype=bool),
+                                       max_iter, deadline)
             finally:
                 span.inc("pivots", tab.iterations)
         # Phase 1 is bounded below by 0, so "unbounded" cannot happen.
         assert outcome == "optimal"
-        _, artificial_sum = tab.reduced_costs(phase1)
+        _, artificial_sum = tab.reduced_costs(costs)
         if artificial_sum > 1e-7:
-            return LPResult(Status.INFEASIBLE, iterations=tab.iterations)
-        _expel_artificials(tab, art_start)
-        allowed[art_start:] = False
+            return Phase1Result(Status.INFEASIBLE, tab.iterations,
+                                tab.iterations, columns=n)
+    search = tab.iterations
+    _expel_artificials(tab, art_start)
+    return Phase1Result(Status.OPTIMAL, tab.iterations, search, tab,
+                        columns=n, artificials=art_start)
 
-    phase2 = np.zeros(total)
-    phase2[:n] = costs
+
+def phase2(start: Phase1Result, costs, maximize: bool = False,
+           max_iter: int = MAX_ITER, deadline: float | None = None,
+           tracer=None) -> LPResult:
+    """Optimize `costs` from a copy of phase 1's feasible tableau.
+
+    `start` is left untouched, so one phase 1 serves any number of
+    objectives.  The copy carries phase 1's pivot count: `max_iter`
+    trips at the same pivot as a solve that ran its own phase 1, and
+    the result's ``iterations`` include phase 1's.
+    """
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (start.columns,):
+        raise ValueError("inconsistent LP dimensions")
+    if start.status is not Status.OPTIMAL:
+        return LPResult(start.status, iterations=start.iterations)
+    if tracer is None:
+        from ..obs.trace import NULL_TRACER as tracer
+    if maximize:
+        costs = -costs
+
+    tab = start.tableau.copy()
+    n, total = start.columns, tab.ncols
+    allowed = np.ones(total, dtype=bool)
+    allowed[start.artificials:] = False
+    objective = np.zeros(total)
+    objective[:n] = costs
     pivots_before = tab.iterations
     with tracer.span("simplex.phase2", cat="solver",
-                     rows=m, cols=total) as span:
+                     rows=tab.nrows, cols=total) as span:
         try:
-            outcome = tab.optimize(phase2, allowed, max_iter, deadline)
+            outcome = tab.optimize(objective, allowed, max_iter, deadline)
         finally:
             span.inc("pivots", tab.iterations - pivots_before)
     if outcome == "unbounded":
@@ -246,8 +291,10 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
     for row, column in enumerate(tab.basis):
         if column < n:
             values[str(column)] = float(tab.rhs[row])
-    _, objective = tab.reduced_costs(phase2)
-    return LPResult(Status.OPTIMAL, objective, values, tab.iterations)
+    _, value = tab.reduced_costs(objective)
+    if maximize:
+        value = -value
+    return LPResult(Status.OPTIMAL, value, values, tab.iterations)
 
 
 def _expel_artificials(tab: _Tableau, art_start: int) -> None:

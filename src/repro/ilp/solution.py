@@ -25,11 +25,39 @@ class LPResult:
     status: Status
     objective: float | None = None
     values: Mapping[str, float] = field(default_factory=dict)
+    #: Simplex pivots this solve made.
     iterations: int = 0
+    #: Pivots of a phase 1 this solve started from but another solve
+    #: made (see :class:`repro.ilp.model.Polyhedron`).  Pivot budgets
+    #: count them, as if this solve had run its own phase 1.
+    reused: int = 0
 
     @property
     def optimal(self) -> bool:
         return self.status is Status.OPTIMAL
+
+
+@dataclass
+class Phase1Result:
+    """Outcome of simplex phase 1 over one constraint system.
+
+    Phase 1 never reads the objective, so the feasible ``tableau``
+    serves phase 2 for any cost vector over the same constraints;
+    phase 2 works on a copy.  ``tableau`` is the LP engine's own type
+    and is None when ``status`` is INFEASIBLE.
+    """
+
+    status: Status
+    #: Pivots made, expelling leftover basic artificials included.
+    iterations: int
+    #: Pivots of the optimization loop alone.  Only these count against
+    #: a pivot budget inside phase 1: a budget below this trips there.
+    search_iterations: int
+    tableau: object = None
+    #: Structural columns (the LP's variables).
+    columns: int = 0
+    #: First artificial column; phase 2 never lets these re-enter.
+    artificials: int = 0
 
 
 @dataclass

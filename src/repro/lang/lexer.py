@@ -44,9 +44,14 @@ def tokenize(source: str) -> list[Token]:
             end = source.find("*/", i + 2)
             if end == -1:
                 raise error("unterminated /* comment")
-            line += source.count("\n", i, end)
+            newlines = source.count("\n", i, end)
+            if newlines:
+                line += newlines
+                # The column restarts after the comment's last newline.
+                col = end + 2 - source.rfind("\n", i, end)
+            else:
+                col += end + 2 - i
             i = end + 2
-            col = 1
             continue
         # Numbers -----------------------------------------------------
         if source.startswith(("0x", "0X"), i):

@@ -112,3 +112,86 @@ class TestAgainstScipy:
             assert ref.status == 0
             assert ours.status is Status.OPTIMAL
             assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def _dense_pivot(body, rhs, basis, row, col):
+    """The reference pivot: a rank-1 update of every row."""
+    pivot_value = body[row, col]
+    body[row] /= pivot_value
+    rhs[row] /= pivot_value
+    factors = body[:, col].copy()
+    factors[row] = 0.0
+    body -= np.outer(factors, body[row])
+    rhs -= factors * rhs[row]
+    body[:, col] = 0.0
+    body[row, col] = 1.0
+    basis[row] = col
+
+
+class TestRowRestrictedPivot:
+    """_Tableau.pivot updates only rows nonzero in the pivot column.
+
+    Rows with a zero there subtract zeros in the dense update, so every
+    entry must equal the dense reference's (zeros compare equal
+    whatever their sign)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_update(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 40))
+        density = rng.uniform(0.05, 0.4)
+        body = (rng.integers(-4, 5, size=(m, n))
+                * (rng.random((m, n)) < density)).astype(float)
+        rhs = rng.integers(0, 20, size=m).astype(float)
+        basis = list(range(m))
+        tab = simplex._Tableau(body.copy(), rhs.copy(), list(basis))
+        zero_rows_seen = 0
+        for _ in range(8):
+            rows, cols = np.nonzero(tab.body)
+            if rows.size == 0:
+                break
+            pick = int(rng.integers(rows.size))
+            row, col = int(rows[pick]), int(cols[pick])
+            zero_rows_seen += int(np.sum(tab.body[:, col] == 0.0))
+            _dense_pivot(body, rhs, basis, row, col)
+            tab.pivot(row, col)
+            assert np.array_equal(tab.body, body)
+            assert np.array_equal(tab.rhs, rhs)
+            assert tab.basis == basis
+        assert zero_rows_seen > 0
+
+    def test_column_nonzero_only_in_pivot_row(self):
+        body = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 5.0]])
+        rhs = np.array([4.0, 6.0, 5.0])
+        tab = simplex._Tableau(body.copy(), rhs.copy(), [0, 1, 2])
+        reference = body.copy(), rhs.copy(), [0, 1, 2]
+        _dense_pivot(*reference, 0, 0)
+        tab.pivot(0, 0)
+        assert np.array_equal(tab.body, reference[0])
+        assert np.array_equal(tab.rhs, reference[1])
+        assert tab.basis == reference[2]
+        # The other rows are untouched.
+        assert np.array_equal(tab.body[1:], body[1:])
+
+
+class TestPhases:
+    def test_one_phase1_serves_both_objectives(self):
+        # x0 + x1 = 4, x0 - x1 <= 2: max x0 is 3, min x0 is 0.
+        matrix, senses, rhs = [[1, 1], [1, -1]], ["==", "<="], [4, 2]
+        start = simplex.phase1(matrix, senses, rhs)
+        worst = simplex.phase2(start, [1, 0], maximize=True)
+        best = simplex.phase2(start, [1, 0])
+        assert worst.objective == pytest.approx(3.0)
+        assert best.objective == pytest.approx(0.0)
+        for costs, maximize, result in (([1, 0], True, worst),
+                                        ([1, 0], False, best)):
+            alone = lp(costs, matrix, senses, rhs, maximize=maximize)
+            assert (result.objective, result.values, result.iterations) \
+                == (alone.objective, alone.values, alone.iterations)
+
+    def test_infeasible_start(self):
+        start = simplex.phase1([[1, 1], [1, 1]], ["<=", ">="], [1, 3])
+        assert start.status is Status.INFEASIBLE
+        result = simplex.phase2(start, [1, 0])
+        assert result.status is Status.INFEASIBLE
+        assert result.iterations == start.iterations

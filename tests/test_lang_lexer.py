@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import LexError
-from repro.lang import tokenize
+from repro.errors import LexError, ParseError
+from repro.lang import parse_program, tokenize
 
 
 def kinds(src):
@@ -40,6 +40,21 @@ class TestTokens:
         assert [(t.kind, t.value) for t in tokens[:-1]] == [
             ("id", "a"), ("id", "b")]
         assert tokens[1].line == 2
+
+    def test_column_after_block_comment(self):
+        tokens = tokenize("a /* x */ b")
+        assert (tokens[1].value, tokens[1].line, tokens[1].col) == ("b", 1, 11)
+
+    def test_column_after_multiline_comment(self):
+        # The column counts from the comment's last newline.
+        tokens = tokenize("a /* x\n  y */ bc d")
+        assert [(t.value, t.line, t.col) for t in tokens[1:3]] == [
+            ("bc", 2, 8), ("d", 2, 11)]
+
+    def test_parse_error_column_after_comment(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("int f() {\n  int x;\n  x = /* c */ ;\n}")
+        assert (info.value.line, info.value.col) == (3, 15)
 
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "eof"
