@@ -12,16 +12,20 @@ objective over the same constraints.  :func:`phase2` optimizes one
 objective from a copy of that tableau (detecting unboundedness).
 :func:`solve_lp` is the two composed.  IPET maximizes and minimizes
 over one polyhedron per constraint set, so
-:class:`repro.ilp.model.Polyhedron` runs phase 1 once for both.
+:class:`repro.ilp.model.Polyhedron` runs phase 1 once for both, on
+the LP left after presolving the flow-conservation equalities away.
 
 Pivot selection uses Dantzig's rule and falls back to Bland's rule
 after a stall threshold, which guarantees termination on the highly
 degenerate flow-conservation systems IPET produces.
 
-The tableau is dense NumPy, but IPET constraint matrices are sparse:
-a flow-conservation row names one block and its edges, so a pivot
-column is nonzero in about one row in seven.  :meth:`_Tableau.pivot`
-eliminates the pivot column only from those rows.
+The tableau is dense NumPy, but IPET constraint matrices are sparse.
+In the unreduced system a flow-conservation row names one block and
+its edges, and a pivot column is nonzero in about one row in seven.
+The presolved tableaux the solver actually sees are about six times
+smaller and still sparse, at about one row in six.
+:meth:`_Tableau.pivot` eliminates the pivot column only from the
+rows where it is nonzero.
 """
 
 from __future__ import annotations

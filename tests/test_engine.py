@@ -68,6 +68,27 @@ class TestCacheKeys:
         assert (cache.set_key(signature, machine.fingerprint(), "simplex")
                 != cache.set_key(signature, machine.fingerprint(), "exact"))
 
+    def test_set_key_keeps_every_digit(self, tmp_path):
+        # Loop bounds 1000000 and 1000001 print alike with six
+        # significant digits; sharing a key would serve the first
+        # analysis's (unsound) bound to the second.
+        source = """
+        int f() {
+            int i; int s; s = 0;
+            for (i = 0; i < 5; i++) s += i;
+            return s;
+        }
+        """
+        cache = ResultCache(tmp_path)
+        worst = {}
+        for hi in (1000000, 1000001):
+            analysis = Analysis(source, entry="f")
+            analysis.bound_loop(0, hi)
+            worst[hi] = analysis.estimate(cache=cache).worst
+        alone = Analysis(source, entry="f")
+        alone.bound_loop(0, 1000001)
+        assert worst[1000001] == alone.estimate().worst > worst[1000000]
+
     def test_job_key_stable_and_machine_sensitive(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert (cache.job_key(_job().fingerprint())
@@ -245,9 +266,22 @@ class TestEngineRuns:
 
 class TestTimeouts:
     def test_problem_solve_raises_typed_timeout(self):
-        worst, _best = _analysis().set_tasks()[0].problems()
+        # Without the functionality constraint the presolved LP keeps
+        # the branch choice and the loop bounds, which take pivots.
+        analysis = Analysis(SOURCE, entry="tally")
+        analysis.auto_bound_loops()
+        _worst, best = analysis.set_tasks()[0].problems()
+        assert best.solve().stats.simplex_iterations >= 2
         with pytest.raises(ILPTimeoutError):
-            worst.solve(max_iterations=1)
+            best.solve(max_iterations=1)
+
+    def test_fully_presolved_problem_needs_no_pivot(self):
+        # (x4 = 8 & x5 = 0) fixes every count: presolve leaves an
+        # empty LP, so a budget of one pivot cannot trip.
+        worst, _best = _analysis().set_tasks()[0].problems()
+        result = worst.solve(max_iterations=1)
+        assert result.optimal
+        assert result.stats.simplex_iterations == 0
 
     def test_deadline_timeout(self):
         worst, _best = _analysis().set_tasks()[0].problems()

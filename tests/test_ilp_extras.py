@@ -158,6 +158,25 @@ class TestLPFormat:
         assert parsed.solve().objective == pytest.approx(
             p.solve().objective)
 
+    def test_roundtrip_keeps_every_digit(self):
+        p = Problem()
+        x = p.add_var("f::x1", upper=2345678.5)
+        y = p.add_var("f::d2")
+        p.add(1234567 * x + (1 / 3) * y <= 1000001)
+        p.add(0.1 * x - y >= -7654321)
+        p.maximize(1000001 * x + 0.7 * y)
+        text = write_lp(p)
+        parsed = read_lp(text)
+        assert [(c.sense, dict(c.coefficients()), c.rhs)
+                for c in parsed.constraints] == \
+            [(c.sense, dict(c.coefficients()), c.rhs)
+             for c in p.constraints]
+        assert parsed.objective.coefs == p.objective.coefs
+        assert parsed.variables["f::x1"].upper == 2345678.5
+        # Numbers that six significant digits keep exact print as
+        # before, so existing cache keys do not change.
+        assert " c0: 3 f.d2 + 2 f.x1 <= 12\n" in write_lp(self.sample())
+
     def test_empty_objective(self):
         p = Problem()
         x = p.add_var("x", upper=3)

@@ -1,9 +1,12 @@
-"""Tests for the expression layer, Problem container and branch & bound."""
+"""Tests for the expression layer, Problem container, presolve and
+branch & bound."""
 
 import numpy as np
 import pytest
 
-from repro.ilp import Constraint, LinExpr, Problem, Status, Var
+from repro.analysis import Analysis
+from repro.ilp import Constraint, LinExpr, Problem, Status, Var, simplex
+from repro.ilp.model import Polyhedron
 
 
 class TestExpr:
@@ -207,3 +210,165 @@ class TestAgainstScipyMilp:
         if ours.status is Status.OPTIMAL:
             assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
             assert p.check(ours.values)
+
+
+class TestPresolve:
+    """:class:`Polyhedron` presolve against the unreduced LP."""
+
+    @staticmethod
+    def reference(problem):
+        """(status, objective) of the unreduced LP, solved whole."""
+        (costs, matrix, senses, rhs,
+         _, _, objective_shift) = problem.to_arrays()
+        result = simplex.solve_lp(costs, matrix, senses, rhs,
+                                  maximize=problem.sense == "max")
+        if result.status is not Status.OPTIMAL:
+            return result.status, None
+        return result.status, result.objective + objective_shift
+
+    @staticmethod
+    def random_problem(seed):
+        """A small integral LP: flow-like unit equalities, a few random
+        ``<=``/``>=``/``==`` rows and some upper bounds."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        p = Problem(f"random{seed}")
+        xs = [p.add_var(f"v{j}", integer=False,
+                        upper=(None if rng.random() < 0.6
+                               else int(rng.integers(1, 9))))
+              for j in range(n)]
+        for _ in range(int(rng.integers(1, n))):
+            # Acyclic, like flow: a column equals later columns' sum.
+            head = int(rng.integers(0, n - 1))
+            rest = rng.permutation(np.arange(head + 1, n))[
+                :int(rng.integers(0, 3))]
+            flow = LinExpr({xs[k].name: 1.0 for k in rest},
+                           float(rng.integers(-1, 2)))
+            p.add(xs[head] + 0 == flow)
+        for _ in range(int(rng.integers(1, 4))):
+            coefs = rng.integers(-3, 4, size=n)
+            expr = LinExpr({xs[j].name: float(coefs[j]) for j in range(n)})
+            sense = str(rng.choice(["<=", "<=", ">=", "=="]))
+            bound = float(rng.integers(0, 12) if sense == "<="
+                          else rng.integers(-4, 4))
+            p.add(Constraint(expr - bound, sense))
+        objective = LinExpr({x.name: float(rng.integers(-4, 6))
+                             for x in xs})
+        if rng.random() < 0.5:
+            p.maximize(objective)
+        else:
+            p.minimize(objective)
+        return p
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_lp_matches_unreduced(self, seed):
+        problem = self.random_problem(seed)
+        polyhedron = Polyhedron(problem)
+        relax = polyhedron.relaxation(problem)
+        status, objective = self.reference(problem)
+        assert relax.status is status
+        if status is Status.OPTIMAL:
+            assert relax.objective == pytest.approx(objective, abs=1e-7)
+            assert set(relax.values) == set(problem.variables)
+            assert all(c.satisfied_by(relax.values, 1e-7)
+                       for c in problem.constraints)
+            for name, var in problem.variables.items():
+                assert relax.values[name] >= -1e-7
+                if var.upper is not None:
+                    assert relax.values[name] <= var.upper + 1e-7
+
+    def test_random_lps_exercise_presolve(self):
+        eliminated = [len(Polyhedron(self.random_problem(seed))
+                          .substitutions) for seed in range(60)]
+        assert sum(1 for count in eliminated if count) >= 45
+
+    def test_infeasible_only_after_substitution(self):
+        p = Problem()
+        d1, x1 = p.add_var("d1"), p.add_var("x1")
+        p.add(d1 + 0 == 1)
+        p.add(x1 + 0 == d1)
+        p.add(x1 + 0 == 0)
+        p.maximize(x1)
+        polyhedron = Polyhedron(p)
+        # d1 and x1 are substituted out; x1 = 0 is left as 0 = -1.
+        assert polyhedron.matrix.shape == (1, 0)
+        assert polyhedron.relaxation(p).status is Status.INFEASIBLE
+        assert p.solve().status is Status.INFEASIBLE
+
+    def test_unbounded_without_a_loop_bound(self):
+        # Loop header x1: in-edges d1 (entry) and d2 (back), out-edges
+        # d2 (body) and d3 (exit); nothing bounds d2.
+        p = Problem()
+        d1, d2, d3, x1 = (p.add_var(name)
+                          for name in ("d1", "d2", "d3", "x1"))
+        p.add(d1 + 0 == 1)
+        p.add(x1 + 0 == d1 + d2)
+        p.add(x1 + 0 == d2 + d3)
+        p.maximize(x1)
+        polyhedron = Polyhedron(p)
+        assert polyhedron.matrix.shape == (0, 1)
+        assert polyhedron.relaxation(p).status is Status.UNBOUNDED
+        assert p.solve().status is Status.UNBOUNDED
+
+    def test_non_integral_system_is_solved_whole(self):
+        p = Problem()
+        x1, x2, x3 = (p.add_var(f"x{i}") for i in (1, 2, 3))
+        p.add(x1 + 0 == 1)
+        p.add(x2 + 0 == x1 + x3)
+        p.add(0.5 * x3 <= 2)
+        p.maximize(x2 + x3)
+        polyhedron = Polyhedron(p)
+        assert polyhedron.substitutions == []
+        assert polyhedron.matrix.shape == p.to_arrays()[1].shape
+        relax = polyhedron.relaxation(p)
+        assert (relax.status, relax.objective) == self.reference(p)
+        assert relax.objective == pytest.approx(9.0)
+
+    FIGURES = {
+        "fig2": ("""
+            int f(int p) {
+                int q;
+                if (p) q = 1; else q = 2;
+                return q;
+            }""", (9, 10), (1, 2)),
+        "fig3": ("""
+            int f(int p) {
+                int q;
+                q = p;
+                while (q < 10) q++;
+                return q;
+            }""", (11, 10), (2, 1)),
+        "fig4": ("""
+            int total;
+            void store(int i) { total = total + i; }
+            void f() {
+                int i; int n;
+                i = 10;
+                store(i);
+                n = 2 * i;
+                store(n);
+            }""", (10, 10), (0, 0)),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_paper_figures_reduce(self, figure):
+        """The paper's Figs. 2-4: Fig. 2 keeps only the branch choice,
+        Fig. 3 the loop count and its bounds, Fig. 4 nothing."""
+        source, whole, reduced = self.FIGURES[figure]
+        analysis = Analysis(source, entry="f")
+        if analysis.loops_needing_bounds():
+            analysis.bound_loop(0, 10)
+        worst, best = analysis.set_tasks()[0].problems()
+        polyhedron = Polyhedron(worst)
+        assert worst.to_arrays()[1].shape == whole
+        assert polyhedron.matrix.shape == reduced
+        if figure == "fig2":
+            assert polyhedron.senses == ["=="]
+            assert polyhedron.matrix.tolist() == [[1.0, 1.0]]
+            assert polyhedron.rhs.tolist() == [1.0]
+        for problem in (worst, best):
+            relax = polyhedron.relaxation(problem)
+            status, objective = self.reference(problem)
+            assert relax.status is status is Status.OPTIMAL
+            assert relax.objective == pytest.approx(objective)
+            assert problem.check(relax.values)

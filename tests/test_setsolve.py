@@ -19,6 +19,7 @@ from repro.analysis.setsolve import solve_set
 from repro.cfg import find_loops
 from repro.errors import ILPTimeoutError
 from repro.ilp import Status, exact, simplex
+from repro.ilp.model import Polyhedron
 from repro.programs import all_benchmarks
 from repro.synth import generate
 
@@ -31,14 +32,8 @@ BUDGETS = (1, 10, 50, 100, 250, None)
 #: to 8 sets: most infeasible, a few that branch.
 SYNTH = (("small", 3), ("small", 11), ("medium", 0), ("medium", 5))
 
-#: The exact backend (pure-Python rationals) gets the cases it solves
-#: in well under a second; the simplex cases above cover branching.
-EXACT_CASES = ("check_data", "piksrt", "circle", "jpeg_fdct_islow",
-               ("small", 3))
-
-PROGRAMS = ([("simplex", name) for name in all_benchmarks()]
-            + [("simplex", synth) for synth in SYNTH]
-            + [("exact", program) for program in EXACT_CASES])
+PROGRAMS = [(backend, program) for backend in ("simplex", "exact")
+            for program in (*all_benchmarks(), *SYNTH)]
 
 
 def _disjunctive(grade: str, seed: int, backend: str):
@@ -143,6 +138,7 @@ def test_phase1_pivots_are_counted_once(case):
     """A feasible set's pivots are both directions' minus one phase 1."""
     backend, _ = case
     lp = exact if backend == "exact" else simplex
+    engine = "exact" if backend == "exact" else "float"
     for task in _tasks(*case):
         result = solve_set(task)
         if not result.feasible:
@@ -150,9 +146,33 @@ def test_phase1_pivots_are_counted_once(case):
         worst, best = task.problems()
         alone = sum(problem.solve(backend=backend).stats.simplex_iterations
                     for problem in (worst, best))
-        _, matrix, senses, rhs, *_ = worst.to_arrays()
-        shared = lp.phase1(matrix, senses, rhs).iterations
+        polyhedron = Polyhedron(worst, engine)
+        shared = lp.phase1(polyhedron.matrix, polyhedron.senses,
+                           polyhedron.rhs).iterations
         assert result.stats.simplex_iterations == alone - shared
+
+
+@pytest.mark.parametrize("program", [*all_benchmarks(), *(
+    ("large", seed) for seed in range(10))], ids=lambda p: (
+        p if isinstance(p, str) else "%s%d" % p))
+def test_simplex_and_exact_agree_bit_for_bit(program):
+    """Float and rational simplex share the presolve and land on the
+    same bounds and the same witnesses."""
+    def solved(backend):
+        if isinstance(program, tuple):
+            analysis = generate(program[1], program[0]).analysis(
+                backend=backend)
+        else:
+            analysis = all_benchmarks()[program].make_analysis(
+                backend=backend)
+        report = analysis.estimate()
+        return (report.interval, [
+            (r.status, *(None if bound is None else round(bound)
+                         for bound in (r.worst, r.best)),
+             list(r.worst_counts.items()), list(r.best_counts.items()))
+            for r in report.set_results])
+
+    assert solved("simplex") == solved("exact")
 
 
 def test_cases_include_infeasible_and_branching_sets():
