@@ -1,95 +1,14 @@
-"""Batch engine — solver-pool speedup and warm-cache re-runs.
+"""Batch engine — warm-cache re-runs.
 
-Two headline claims:
-
-* on a workload of >= 8 disjunctive constraint sets, fanning the ILPs
-  across 4 pool workers beats the serial solve by >= 2x (needs >= 4
-  usable CPUs — skipped on smaller machines, the bounds equality is
-  asserted regardless);
-* re-running the Table I suite against a warm result cache is >= 5x
-  faster than the cold run, with identical bounds.
+Headline claim: re-running the Table I suite against a warm result
+cache is >= 5x faster than the cold run, with identical bounds.
 """
 
-import os
 import time
 
-import pytest
 from conftest import one_shot
 
-from repro.analysis import Analysis
 from repro.engine import AnalysisEngine, AnalysisJob
-
-#: 30 branch blocks inside a 50-iteration loop makes each constraint
-#: set's ILP take >= 100 ms — big enough that pool dispatch is noise.
-_HEAVY_BLOCKS = 30
-_DISJUNCTIONS = 3           # 2**3 = 8 constraint sets
-
-
-def _heavy_source(blocks: int = _HEAVY_BLOCKS) -> str:
-    lines = [f"int mode[{blocks}];",
-             "int heavy(int n) {",
-             "  int i; int j; int acc; acc = 0;",
-             "  for (i = 0; i < 50; i++) {"]
-    for b in range(blocks):
-        lines.append(f"    if (mode[{b}] > 0) "
-                     f"{{ acc += {b}; }} else {{ acc -= {b}; }}")
-    lines.append("    for (j = 0; j < 10; j++) { acc += j; }")
-    lines.append("  }")
-    lines.append("  return acc;")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _heavy_constraints() -> list[str]:
-    # The k-th if's then/else blocks are x(4+3k) / x(5+3k); forcing
-    # all-or-nothing on each of the first three doubles the set count
-    # per constraint: 8 sets total.
-    return [f"(x{4 + 3 * k} = 50 & x{5 + 3 * k} = 0) | "
-            f"(x{4 + 3 * k} = 0 & x{5 + 3 * k} = 50)"
-            for k in range(_DISJUNCTIONS)]
-
-
-def _heavy_analysis() -> Analysis:
-    analysis = Analysis(_heavy_source(), entry="heavy")
-    analysis.auto_bound_loops()
-    for text in _heavy_constraints():
-        analysis.add_constraint(text)
-    return analysis
-
-
-def _heavy_job() -> AnalysisJob:
-    return AnalysisJob(
-        name="heavy", source=_heavy_source(), entry="heavy",
-        auto_bounds=True,
-        constraints=tuple((text, None) for text in _heavy_constraints()))
-
-
-def test_parallel_speedup(benchmark):
-    serial = _heavy_analysis()
-    clock = time.perf_counter()
-    serial_report = serial.estimate()
-    serial_seconds = time.perf_counter() - clock
-    assert serial_report.sets_solved >= 8
-
-    engine = AnalysisEngine(workers=4)
-    clock = time.perf_counter()
-    results = one_shot(benchmark, engine.run, [_heavy_job()], grain="set")
-    parallel_seconds = time.perf_counter() - clock
-
-    # Parallel and serial must agree exactly, set by set.
-    report = results[0].report
-    assert results[0].ok
-    assert report.interval == serial_report.interval
-    assert ([(s.index, s.worst, s.best) for s in report.set_results]
-            == [(s.index, s.worst, s.best)
-                for s in serial_report.set_results])
-
-    speedup = serial_seconds / parallel_seconds
-    print(f"\nserial {serial_seconds:.2f}s, 4 workers "
-          f"{parallel_seconds:.2f}s -> {speedup:.2f}x")
-    if len(os.sched_getaffinity(0)) < 4:
-        pytest.skip("speedup claim needs >= 4 usable CPUs")
-    assert speedup >= 2.0
 
 
 def test_warm_cache_table1(benchmark, tmp_path, benchmarks):

@@ -374,11 +374,10 @@ class Analysis:
         return combine(self._formulas)
 
     def set_tasks(self, set_timeout: float | None = None,
-                  max_iterations: int | None = None,
-                  trace: bool = False) -> list[SetTask]:
-        """The expansion lowered to self-contained, picklable solver
-        tasks — one per surviving constraint set, in the expansion's
-        canonical order.  Raises when every set is null."""
+                  max_iterations: int | None = None) -> list[SetTask]:
+        """The expansion lowered to self-contained solver tasks — one
+        per surviving constraint set, in the expansion's canonical
+        order.  Raises when every set is null."""
         with self.tracer.span("constraints", cat="pipeline") as span:
             base = self._structural() + self._loop_constraints()
             worst_obj, best_obj = self._objectives()
@@ -395,23 +394,16 @@ class Analysis:
             SetTask(index, base,
                     [r.resolve(self._resolve) for r in relations],
                     worst_obj, best_obj, backend=self.backend,
-                    timeout=set_timeout, max_iterations=max_iterations,
-                    trace=trace)
+                    timeout=set_timeout, max_iterations=max_iterations)
             for index, relations in enumerate(expansion.sets)]
 
-    def estimate(self, parallel: int | None = None,
-                 set_timeout: float | None = None,
+    def estimate(self, set_timeout: float | None = None,
                  cache=None,
                  max_iterations: int | None = None) -> BoundReport:
         """Run the full IPET procedure (§III-D) and return the bound.
 
         Parameters
         ----------
-        parallel:
-            Fan the per-set ILPs out over this many worker processes
-            (None/0/1 solves serially in-process).  The expansion order
-            is canonical, so parallel and serial runs return identical
-            ``set_results``.
         set_timeout:
             Wall-clock budget in seconds per constraint set; a set that
             exceeds it reports its LP-relaxation bound (still sound)
@@ -427,35 +419,26 @@ class Analysis:
             degrades that direction to its LP relaxation, like a
             timeout.
         """
-        context = getattr(self.tracer, "context", None)
-        tracing = (context.to_dict() if context is not None
-                   else self.tracer.enabled)
         clock = time.perf_counter()
-        tasks = self.set_tasks(set_timeout, max_iterations,
-                               trace=tracing)
+        tasks = self.set_tasks(set_timeout, max_iterations)
         expansion = self._last_expansion
         timings = dict(self.timings)
         timings["constraints"] = time.perf_counter() - clock
 
         clock = time.perf_counter()
-        with self.tracer.span("solve", cat="pipeline",
-                              sets=len(tasks)) as span:
-            results = self._solve_tasks(tasks, parallel, cache)
-            span.set("cached", sum(1 for r in results if not r.spans)
-                     if tracing else 0)
+        with self.tracer.span("solve", cat="pipeline", sets=len(tasks),
+                              cached=0) as span:
+            results = self._solve_tasks(tasks, cache, span)
         timings["solve"] = time.perf_counter() - clock
         report = self.assemble_report(results, expansion, timings)
-        if tracing:
+        if self.tracer.enabled:
             report.trace = self.tracer.records()
         return report
 
     def assemble_report(self, results: list[SetResult], expansion,
                         timings: dict | None = None) -> BoundReport:
-        """Fold per-set results into the max/min :class:`BoundReport`.
-
-        Shared by :meth:`estimate` and the batch engine (which solves
-        the tasks itself, possibly out of process, and hands the
-        ordered results back)."""
+        """Fold per-set results, in task order, into the max/min
+        :class:`BoundReport`."""
         overall_worst: SetResult | None = None
         overall_best: SetResult | None = None
         for result in results:
@@ -484,9 +467,10 @@ class Analysis:
             timings=timings or {},
         )
 
-    def _solve_tasks(self, tasks: list[SetTask], parallel: int | None,
-                     cache) -> list[SetResult]:
-        """Solve every task, via the cache and/or a process pool."""
+    def _solve_tasks(self, tasks: list[SetTask], cache,
+                     span) -> list[SetResult]:
+        """Solve every task in this process, serving what it can from
+        `cache` (counted on the ``solve`` `span` as ``cached``)."""
         results: dict[int, SetResult] = {}
         pending: list[SetTask] = []
         keys: dict[int, str] = {}
@@ -499,27 +483,16 @@ class Analysis:
                 hit = cache.get_set(keys[task.index])
                 if hit is not None:
                     results[task.index] = hit
+                    span.inc("cached")
                 else:
                     pending.append(task)
         else:
             pending = list(tasks)
 
-        if parallel and parallel > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(parallel, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                solved = list(pool.map(solve_set, pending, chunksize=1))
-        else:
-            solved = [solve_set(task) for task in pending]
-
-        for result in solved:
-            results[result.index] = result
-            # Worker spans ride home inside the result; merge them into
-            # this process's trace so one export shows everything.
-            self.tracer.absorb(result.spans)
+        for task in pending:
+            result = results[task.index] = solve_set(task, self.tracer)
             if cache is not None and not result.timed_out:
-                cache.put_set(keys[result.index], result)
+                cache.put_set(keys[task.index], result)
         return [results[task.index] for task in tasks]
 
 

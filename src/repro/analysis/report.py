@@ -31,10 +31,6 @@ class SetResult:
     best_relaxed: bool = False
     #: Wall-clock seconds spent solving this set (worst + best ILPs).
     wall_time: float = 0.0
-    #: Span records captured while solving this set (see
-    #: :mod:`repro.obs.trace`); empty unless tracing was requested.
-    #: Excluded from cache payloads — timings are run-specific.
-    spans: list = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:

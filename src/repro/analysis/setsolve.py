@@ -1,13 +1,13 @@
-"""Solving one DNF constraint set as a self-contained, picklable task.
+"""Solving one DNF constraint set as a self-contained task.
 
 The IPET procedure solves two ILPs (worst-case maximize, best-case
 minimize) per functionality constraint set and takes the max/min over
-sets — an embarrassingly parallel workload.  This module packages one
-set's worth of work as a :class:`SetTask` that can cross a process
-boundary, so the serial path in :meth:`repro.Analysis.estimate`, its
-``parallel=`` fan-out, and the batch engine in :mod:`repro.engine` all
-run the exact same function and produce bit-identical
-:class:`~repro.analysis.report.SetResult` objects.
+sets.  This module packages one set's worth of work as a plain-data
+:class:`SetTask` whose canonical LP text keys the result cache.
+:meth:`repro.Analysis.estimate` solves every set with
+:func:`solve_set` in the process that built the analysis; the batch
+engine and the service dispatch whole jobs, so every path produces
+bit-identical :class:`~repro.analysis.report.SetResult` objects.
 
 Both ILPs range over one polyhedron, so a set is lowered to arrays
 once and runs simplex phase 1 once (:class:`~repro.ilp.model.Polyhedron`);
@@ -27,7 +27,7 @@ reports can flag the bound as conservative rather than tight.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ILPTimeoutError, UnboundedError
 from ..ilp import Constraint, LinExpr, Problem, Status
@@ -46,7 +46,7 @@ _UNBOUNDED_MESSAGE = (
 
 @dataclass
 class SetTask:
-    """One constraint set's ILP work, ready to ship to a worker."""
+    """One constraint set's ILP work."""
 
     index: int
     base: list[Constraint]
@@ -59,13 +59,6 @@ class SetTask:
     timeout: float | None = None
     #: Cumulative simplex-pivot budget per ILP, or None for no limit.
     max_iterations: int | None = None
-    #: Capture solver spans while solving; they come back in
-    #: :attr:`SetResult.spans` (picklable, so this survives the trip
-    #: through a process-pool worker).  Polymorphic like the engine
-    #: payload: falsy disables tracing, ``True`` traces anonymously,
-    #: and a :class:`~repro.obs.context.TraceContext` dict stamps
-    #: every span with the job's distributed trace id.
-    trace: object = False
 
     def problems(self) -> tuple[Problem, Problem]:
         """(worst maximize, best minimize) over the same constraints
@@ -106,22 +99,15 @@ class SetTask:
                 f"max_iterations={self.max_iterations!r}")
 
 
-def solve_set(task: SetTask) -> SetResult:
+def solve_set(task: SetTask, tracer=None) -> SetResult:
     """Solve one constraint set to a :class:`SetResult`.
 
-    Runs in the calling process or a pool worker; everything it needs
-    travels inside `task`.
+    The ``set.worst`` / ``set.best`` spans and the solver spans under
+    them go into `tracer` (a :class:`repro.obs.Tracer`; default: none).
     """
-    from ..obs.trace import NULL_TRACER, Tracer, counters_from_stats
+    from ..obs.trace import NULL_TRACER, counters_from_stats
 
-    tracer = NULL_TRACER
-    if task.trace:
-        context = None
-        if isinstance(task.trace, dict):
-            from ..obs.context import TraceContext
-
-            context = TraceContext.from_dict(task.trace)
-        tracer = Tracer(context=context)
+    tracer = NULL_TRACER if tracer is None else tracer
     started = time.monotonic()
     deadline = None if task.timeout is None else started + task.timeout
     result = SetResult(task.index, Status.OPTIMAL)
@@ -141,7 +127,6 @@ def solve_set(task: SetTask) -> SetResult:
     if worst.status is Status.INFEASIBLE:
         result.status = Status.INFEASIBLE
         result.wall_time = time.monotonic() - started
-        result.spans = tracer.records()
         return result
     result.worst = worst.objective
     result.worst_counts = worst.values
@@ -166,7 +151,6 @@ def solve_set(task: SetTask) -> SetResult:
         result.stats.first_relaxation_integral
         and best.stats.first_relaxation_integral)
     result.wall_time = time.monotonic() - started
-    result.spans = tracer.records()
     return result
 
 

@@ -281,7 +281,6 @@ def _check_bounds(job_id, job_data, report, cache) -> None:
     serial = cache.get(key)
     if serial is None:
         serial = analysis.estimate(
-            parallel=None,
             set_timeout=spec_data.get("set_timeout"),
             max_iterations=spec_data.get("max_iterations"))
         cache[key] = serial

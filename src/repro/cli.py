@@ -191,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="i960kb")
     erun.add_argument("--backend", choices=("simplex", "exact"),
                       default="simplex")
-    erun.add_argument("--grain", choices=("auto", "job", "set"),
-                      default="auto",
-                      help="fan out whole jobs or individual "
-                           "constraint sets")
     erun.add_argument("--set-timeout", type=float, metavar="SECONDS",
                       help="per-constraint-set budget; a set that "
                            "exceeds it reports its (sound) LP "
@@ -868,9 +864,9 @@ def _cmd_engine(args) -> int:
         from .obs import LiveDashboard
 
         with LiveDashboard(bus):
-            results = engine.run(jobs, grain=args.grain)
+            results = engine.run(jobs)
     else:
-        results = engine.run(jobs, grain=args.grain)
+        results = engine.run(jobs)
     for result in results:
         print(result)
     print()

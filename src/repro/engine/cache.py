@@ -116,6 +116,12 @@ class ResultCache:
         #: (lifetime total lives in the meta file).
         self.quarantined = 0
 
+    def reopen_args(self) -> tuple:
+        """``(root, max_entries, max_bytes)``: picklable arguments that
+        reopen this store under the same caps in another process (the
+        engine's job payloads carry them)."""
+        return (str(self.root), self.max_entries, self.max_bytes)
+
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------
@@ -406,8 +412,6 @@ def set_result_to_dict(result: SetResult) -> dict:
         "worst_relaxed": result.worst_relaxed,
         "best_relaxed": result.best_relaxed,
         "wall_time": result.wall_time,
-        # Spans are deliberately not serialized: timings are specific
-        # to the run that produced them, not to the cached value.
         "stats": {
             "lp_calls": result.stats.lp_calls,
             "nodes": result.stats.nodes,

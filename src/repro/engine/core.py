@@ -1,18 +1,14 @@
-"""The batch analysis engine: fan jobs and constraint-set ILPs out
-over a process pool, with caching, timeouts and retry.
+"""The batch analysis engine: fan jobs out over a process pool, with
+caching, timeouts and retry.
 
-Dispatch grains
----------------
-``AnalysisEngine.run`` picks (or is told) a *grain*:
-
-* ``"job"`` — one pool task per :class:`~repro.engine.jobs.AnalysisJob`;
-  compilation, CFG construction and every ILP of a job run in one
-  worker.  The right grain for batches of many routines (Tables I-III).
-* ``"set"`` — the parent builds each job's analysis and fans the
-  individual constraint-set ILPs out across one shared pool.  The
-  right grain for a few jobs with many DNF sets.
-* ``"auto"`` (default) — ``"job"`` when more than one job needs
-  solving, else ``"set"``.
+Dispatch
+--------
+A job is the unit of dispatch: :func:`execute_job` compiles, builds
+the CFGs and solves every constraint-set ILP of one
+:class:`~repro.engine.jobs.AnalysisJob` in one process, through
+:meth:`repro.Analysis.estimate`.  ``AnalysisEngine.run`` calls it in
+the caller when one job needs solving or the engine has one worker,
+and otherwise gives each job its own pool task.
 
 Failure semantics
 -----------------
@@ -27,8 +23,7 @@ Failure semantics
 
 Results always come back in submission order, and — because the DNF
 expansion is canonically ordered — a job's ``set_results`` are
-identical whether it ran serially, in a worker, or set-by-set across
-the pool.
+identical whether it ran serially, in the caller or in a worker.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from ..analysis.setsolve import solve_set
 from ..errors import ReproError
 from .cache import ResultCache
 from .jobs import AnalysisJob, JobResult
@@ -52,9 +46,12 @@ def _default_workers() -> int:
 def execute_job(payload) -> JobResult:
     """Pool worker: run one job end to end (module-level, picklable).
 
-    ``payload`` is ``(job, cache_dir, set_timeout, max_iterations,
-    trace)``.  Also the unit of work the analysis service dispatches —
-    one HTTP job request becomes exactly one of these payloads.
+    ``payload`` is ``(job, cache_args, set_timeout, max_iterations,
+    trace)``, where ``cache_args`` is None or the
+    :meth:`ResultCache.reopen_args` of the caller's cache, so the job's
+    set entries count toward the same LRU caps.  Also the unit of work
+    the analysis service dispatches — one HTTP job request becomes
+    exactly one of these payloads.
 
     ``trace`` is polymorphic: falsy disables tracing, ``True`` traces
     anonymously, and a :class:`~repro.obs.context.TraceContext` dict
@@ -63,9 +60,9 @@ def execute_job(payload) -> JobResult:
     reassemble under the job's trace id (see
     :mod:`repro.obs.flight`).
     """
-    job, cache_dir, set_timeout, max_iterations, trace = payload
+    job, cache_args, set_timeout, max_iterations, trace = payload
     started = time.monotonic()
-    cache = ResultCache(cache_dir) if cache_dir else None
+    cache = ResultCache(*cache_args) if cache_args else None
     tracer = None
     if trace:
         from ..obs.trace import Tracer
@@ -115,13 +112,14 @@ class AnalysisEngine:
         Optional ``(max_entries, max_bytes)`` LRU caps for the cache
         (None in either slot: unlimited on that axis).
     retries, backoff:
-        Transient-failure policy: each job (or set task) is retried up
-        to `retries` extra times, sleeping ``backoff * 2**attempt``
+        Transient-failure policy: each pooled job is retried up to
+        `retries` extra times, sleeping ``backoff * 2**attempt``
         seconds between tries.
     tracer:
         A :class:`repro.obs.Tracer`; the run and every job's pipeline
-        and solver work emit spans into it, including spans captured
-        inside pool workers (shipped home in the result objects).
+        and solver work emit spans into it.  Each job traces into its
+        own tracer, in the caller or a pool worker, and its records
+        come home in :attr:`JobResult.spans`.
     bus:
         An optional :class:`repro.obs.EventBus`; the engine publishes
         run/job lifecycle events into it (``run_start``,
@@ -163,18 +161,15 @@ class AnalysisEngine:
                 f"max_iterations={self.max_iterations!r}")
 
     # ------------------------------------------------------------------
-    def run(self, jobs: list[AnalysisJob],
-            grain: str = "auto") -> list[JobResult]:
+    def run(self, jobs: list[AnalysisJob]) -> list[JobResult]:
         """Run every job; results in submission order."""
-        if grain not in ("auto", "job", "set"):
-            raise ValueError(f"unknown dispatch grain {grain!r}")
         started = time.monotonic()
         results: dict[int, JobResult] = {}
         keys: dict[int, str] = {}
         pending: list[tuple[int, AnalysisJob]] = []
         bus = self.bus
         if bus is not None:
-            bus.publish("run_start", jobs=len(jobs), grain=grain)
+            bus.publish("run_start", jobs=len(jobs))
 
         for index, job in enumerate(jobs):
             if self.cache is not None:
@@ -192,14 +187,9 @@ class AnalysisEngine:
             pending.append((index, job))
 
         if pending:
-            if grain == "auto":
-                grain = "job" if len(pending) > 1 else "set"
-            runner = (self._run_job_grain if grain == "job"
-                      else self._run_set_grain)
             with self.tracer.span("engine.run", cat="engine",
-                                  grain=grain, jobs=len(jobs),
-                                  pending=len(pending)):
-                for index, result in runner(pending):
+                                  jobs=len(jobs), pending=len(pending)):
+                for index, result in self._dispatch(pending):
                     results[index] = result
                     self.tracer.absorb(result.spans)
                     if bus is not None:
@@ -231,14 +221,17 @@ class AnalysisEngine:
         self.bus.publish(kind, **payload)
 
     # ------------------------------------------------------------------
-    # Job-grain dispatch
+    # Dispatch, with retry + backoff over the pool
     # ------------------------------------------------------------------
-    def _run_job_grain(self, pending):
-        cache_dir = str(self.cache.root) if self.cache is not None else None
+    def _dispatch(self, pending):
+        """Yield ``(index, JobResult)`` for every pending job: in the
+        caller for one job or one worker, else over the pool."""
+        cache_args = self.cache.reopen_args() \
+            if self.cache is not None else None
         context = getattr(self.tracer, "context", None)
         trace = context.to_dict() if context is not None \
             else self.tracer.enabled
-        payloads = {index: (job, cache_dir, self.set_timeout,
+        payloads = {index: (job, cache_args, self.set_timeout,
                             self.max_iterations, trace)
                     for index, job in pending}
         if self.workers <= 1 or len(pending) == 1:
@@ -250,162 +243,43 @@ class AnalysisEngine:
         if self.bus is not None:
             for _, job in pending:
                 self.bus.publish("job_start", name=job.name)
-        yield from self._pooled(payloads, execute_job)
+        yield from self._pooled(payloads)
 
-    # ------------------------------------------------------------------
-    # Set-grain dispatch
-    # ------------------------------------------------------------------
-    def _run_set_grain(self, pending):
-        prepared = {}          # index -> (job, analysis, tasks, timings)
-        failed = {}
-        set_cache = self.cache
-        task_keys = {}
-        cached_sets = {}
-        todo = []              # (index, task)
-        for index, job in pending:
-            clock = time.perf_counter()
-            if self.bus is not None:
-                self.bus.publish("job_start", name=job.name)
-            try:
-                analysis = job.build_analysis(tracer=self.tracer)
-                context = getattr(self.tracer, "context", None)
-                tasks = analysis.set_tasks(
-                    self.set_timeout, self.max_iterations,
-                    trace=(context.to_dict() if context is not None
-                           else self.tracer.enabled))
-            except ReproError as error:
-                failed[index] = JobResult(job.name, "failed",
-                                          error=str(error))
-                continue
-            if self.bus is not None:
-                self.bus.publish("job_sets", name=job.name,
-                                 sets=len(tasks))
-            timings = dict(analysis.timings)
-            timings["constraints"] = time.perf_counter() - clock
-            prepared[index] = (job, analysis, tasks, timings)
-            fingerprint = analysis.machine.fingerprint()
-            for task in tasks:
-                if set_cache is not None:
-                    key = set_cache.set_key(task.signature(), fingerprint,
-                                            job.backend,
-                                            budget=task.budget_key())
-                    task_keys[(index, task.index)] = key
-                    hit = set_cache.get_set(key)
-                    if hit is not None:
-                        cached_sets[(index, task.index)] = hit
-                        continue
-                todo.append((index, task))
+    def _pooled(self, payloads: dict):
+        """Run :func:`execute_job` on every payload over a pool.
 
-        solved, errors = self._solve_tasks(todo)
-        for index, (job, analysis, tasks, timings) in prepared.items():
-            if index in errors:
-                failed[index] = JobResult(job.name, "failed",
-                                          error=errors[index])
-                continue
-            ordered = []
-            for task in tasks:
-                result = cached_sets.get((index, task.index))
-                if result is None:
-                    result = solved[(index, task.index)]
-                    self.tracer.absorb(result.spans)
-                    if set_cache is not None:
-                        set_cache.put_set(task_keys[(index, task.index)],
-                                          result)
-                ordered.append(result)
-            timings["solve"] = sum(r.wall_time for r in ordered)
-            try:
-                report = analysis.assemble_report(
-                    ordered, analysis._last_expansion, timings)
-            except ReproError as error:
-                failed[index] = JobResult(job.name, "failed",
-                                          error=str(error))
-                continue
-            status = "partial" if report.partial else "ok"
-            wall = sum(timings.values())
-            yield index, JobResult(job.name, status, report,
-                                   wall_time=wall)
-        yield from failed.items()
-
-    def _solve_tasks(self, todo):
-        """Solve (job index, SetTask) pairs, pooled when worthwhile.
-
-        Returns ({(job index, set index): SetResult}, {job index: error
-        text}); one set's failure poisons only its own job.
+        Yields ``(key, JobResult)``.  Transient failures (crashed
+        worker, broken pool, OSError) are retried with exponential
+        backoff in a fresh pool; once retries are exhausted the job
+        comes back failed.  ``attempts`` counts the tries made.
         """
-        solved, errors = {}, {}
-
-        def finish(index, task, outcome, error):
-            if error is not None:
-                errors.setdefault(index, error)
-            else:
-                solved[(index, task.index)] = outcome
-
-        if self.workers <= 1 or len(todo) <= 1:
-            for index, task in todo:
-                try:
-                    finish(index, task, solve_set(task), None)
-                except ReproError as exc:
-                    finish(index, task, None, str(exc))
-            return solved, errors
-
-        payloads = {n: (index, task)
-                    for n, (index, task) in enumerate(todo)}
-        for _, outcome in self._pooled(payloads, _solve_one_set,
-                                       as_exceptions=True):
-            if len(outcome) == 3:
-                index, task, result = outcome
-                finish(index, task, result, None)
-            else:                     # (job index, error text)
-                errors.setdefault(outcome[0], outcome[1])
-        return solved, errors
-
-    # ------------------------------------------------------------------
-    # Pool plumbing with retry + backoff
-    # ------------------------------------------------------------------
-    def _pooled(self, payloads: dict, fn, as_exceptions: bool = False):
-        """Run ``fn(payload)`` for every payload over a pool.
-
-        Yields ``(key, outcome)``.  Transient failures (crashed worker,
-        broken pool, OSError) are retried with exponential backoff in a
-        fresh pool; once retries are exhausted the outcome is a failed
-        :class:`JobResult` — or, with ``as_exceptions``, the raw
-        ``(job index, error text)`` pair for the set grain to absorb.
-        """
-        attempts = {key: 0 for key in payloads}
+        tries = {key: 0 for key in payloads}
         remaining = dict(payloads)
-        workers = min(self.workers, max(len(remaining), 1))
+        workers = min(self.workers, len(remaining))
         while remaining:
             retry = {}
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {key: pool.submit(fn, payload)
+                futures = {key: pool.submit(execute_job, payload)
                            for key, payload in remaining.items()}
                 for key, future in futures.items():
+                    tries[key] += 1
                     try:
-                        yield key, future.result()
-                    except ReproError as error:
-                        # Deterministic analysis failure: don't retry.
-                        yield key, self._failure(key, payloads, error,
-                                                 attempts, as_exceptions)
+                        result = future.result()
                     except Exception as error:
-                        attempts[key] += 1
-                        if attempts[key] > self.retries:
-                            yield key, self._failure(key, payloads, error,
-                                                     attempts, as_exceptions)
+                        # A deterministic analysis failure (ReproError)
+                        # is never retried.
+                        if (isinstance(error, ReproError)
+                                or tries[key] > self.retries):
+                            yield key, _failure(payloads[key][0], error,
+                                                tries[key])
                         else:
                             retry[key] = remaining[key]
+                    else:
+                        result.attempts = tries[key]
+                        yield key, result
             remaining = retry
             if remaining:
-                time.sleep(self.backoff
-                           * (2 ** (max(attempts.values()) - 1)))
-
-    def _failure(self, key, payloads, error, attempts, as_exceptions):
-        detail = "".join(traceback.format_exception_only(error)).strip()
-        if as_exceptions:
-            index, _task = payloads[key]
-            return (index, detail)
-        job = payloads[key][0]
-        return JobResult(job.name, "failed", error=detail,
-                         attempts=attempts[key] + 1)
+                time.sleep(self.backoff * (2 ** (max(tries.values()) - 1)))
 
     # ------------------------------------------------------------------
     def _record(self, results: list[JobResult], elapsed: float) -> None:
@@ -418,20 +292,13 @@ class AnalysisEngine:
                 self.metrics.record_cache("job", False)
             if result.report is not None and not result.cache_hit:
                 self.metrics.record_report(result.report)
-            for _ in range(getattr(result, "set_cache_hits", 0)):
+            for _ in range(result.set_cache_hits):
                 self.metrics.record_cache("set", True)
-            for _ in range(getattr(result, "set_cache_misses", 0)):
+            for _ in range(result.set_cache_misses):
                 self.metrics.record_cache("set", False)
-        if self.cache is not None:
-            # Set-grain lookups hit the parent-side cache object.
-            for _ in range(self.cache.hits["set"]):
-                self.metrics.record_cache("set", True)
-            for _ in range(self.cache.misses["set"]):
-                self.metrics.record_cache("set", False)
-            self.cache.hits["set"] = self.cache.misses["set"] = 0
 
 
-def _solve_one_set(payload):
-    """Pool worker for the set grain (module-level, picklable)."""
-    index, task = payload
-    return index, task, solve_set(task)
+def _failure(job: AnalysisJob, error, attempts: int) -> JobResult:
+    """The failed :class:`JobResult` of a pooled job that raised."""
+    detail = "".join(traceback.format_exception_only(error)).strip()
+    return JobResult(job.name, "failed", error=detail, attempts=attempts)

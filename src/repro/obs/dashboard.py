@@ -170,10 +170,6 @@ class LiveDashboard:
                     if state.bound is not None else ""
                 self._line(f"job {name}: {state.status}"
                            f" {state.sets_done} sets{bound}")
-        elif kind == "job_sets":
-            name = event.get("name")
-            if name:
-                self._job(name).sets_total = event.get("sets", 0)
         elif kind == "set_done":
             name = event.get("job") or event.get("name") or self._active
             if name:

@@ -397,12 +397,12 @@ class Scheduler:
         set_timeout = inject.budget("solver.budget", set_timeout)
         max_iterations = spec.max_iterations \
             if spec.max_iterations is not None else self.max_iterations
-        cache_dir = str(self.cache.root) if self.cache is not None \
-            else None
+        cache_args = self.cache.reopen_args() \
+            if self.cache is not None else None
         # Ship the submitter's trace context across the pickle
         # boundary so pool-worker spans carry the job's trace id.
         trace = spec.trace.to_dict() if spec.trace is not None else False
-        payload = (job, cache_dir, set_timeout, max_iterations, trace)
+        payload = (job, cache_args, set_timeout, max_iterations, trace)
 
         result = await self._dispatch(loop, payload, record)
         if result is None:           # retries exhausted; record failed

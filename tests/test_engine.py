@@ -1,6 +1,8 @@
 """Batch analysis engine: cache keys, caching, pool dispatch, timeouts."""
 
+import collections
 import dataclasses
+import os
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.engine import (AnalysisEngine, AnalysisJob, EngineMetrics,
                           ResultCache)
 from repro.errors import ILPTimeoutError
 from repro.hw import i960kb
+from repro.obs import Tracer
 from repro.programs import get_benchmark
 
 SOURCE = """
@@ -30,12 +33,68 @@ def _analysis(machine=None):
     return analysis
 
 
-def _job(name="tally", machine=None):
+def _job(name="tally", machine=None, trips=8):
+    """The tally job; `trips` other than 8 makes every set infeasible."""
     return AnalysisJob(name=name, source=SOURCE, entry="tally",
                        machine=machine, auto_bounds=True,
                        constraints=(
-                           ("(x4 = 8 & x5 = 0) | (x4 = 0 & x5 = 8)",
-                            None),))
+                           (f"(x4 = {trips} & x5 = 0) | "
+                            f"(x4 = 0 & x5 = {trips})", None),))
+
+
+#: 30 branch blocks inside a 50-iteration loop, three of them forced
+#: all-or-nothing: 2**3 = 8 constraint sets of a few ms each.
+_HEAVY_BLOCKS = 30
+_DISJUNCTIONS = 3
+
+
+def _heavy_job() -> AnalysisJob:
+    lines = [f"int mode[{_HEAVY_BLOCKS}];",
+             "int heavy(int n) {",
+             "  int i; int j; int acc; acc = 0;",
+             "  for (i = 0; i < 50; i++) {"]
+    for b in range(_HEAVY_BLOCKS):
+        lines.append(f"    if (mode[{b}] > 0) "
+                     f"{{ acc += {b}; }} else {{ acc -= {b}; }}")
+    lines += ["    for (j = 0; j < 10; j++) { acc += j; }",
+              "  }",
+              "  return acc;",
+              "}"]
+    # The k-th if's then/else blocks are x(4+3k) / x(5+3k).
+    constraints = tuple(
+        (f"(x{4 + 3 * k} = 50 & x{5 + 3 * k} = 0) | "
+         f"(x{4 + 3 * k} = 0 & x{5 + 3 * k} = 50)", None)
+        for k in range(_DISJUNCTIONS))
+    return AnalysisJob(name="heavy", source="\n".join(lines),
+                       entry="heavy", auto_bounds=True,
+                       constraints=constraints)
+
+
+#: The test process; a pool worker forked from it sees the same value
+#: but a different ``os.getpid()``.
+_TEST_PID = os.getpid()
+
+
+@dataclasses.dataclass(frozen=True)
+class _DyingJob(AnalysisJob):
+    """A job whose pool worker dies: once if `marker` names a file it
+    can still create, else on every try."""
+
+    marker: str | None = None
+
+    def build_analysis(self, tracer=None):
+        if os.getpid() != _TEST_PID and self._claim():
+            os._exit(1)
+        return super().build_analysis(tracer=tracer)
+
+    def _claim(self) -> bool:
+        if self.marker is None:
+            return True
+        try:
+            open(self.marker, "x").close()
+        except FileExistsError:
+            return False
+        return True
 
 
 class TestCacheKeys:
@@ -232,17 +291,40 @@ class TestEngineRuns:
         assert warm_engine.metrics.hit_rate("job") == 1.0
 
     def test_engine_matches_serial_estimate(self, tmp_path):
-        serial = get_benchmark("check_data").make_analysis().estimate()
-        for grain in ("job", "set"):
-            engine = AnalysisEngine(workers=2)
-            result = engine.run(
-                [AnalysisJob.from_benchmark("check_data")], grain=grain)[0]
-            assert result.ok
-            assert result.report.interval == serial.interval
-            assert ([(s.index, s.worst, s.best)
-                     for s in result.report.set_results]
-                    == [(s.index, s.worst, s.best)
-                        for s in serial.set_results])
+        jobs = [AnalysisJob.from_benchmark("check_data"), _heavy_job()]
+        serial = [job.build_analysis().estimate() for job in jobs]
+        assert serial[1].sets_solved == 8
+        # One job runs in the caller; two go over the pool.
+        for batch in ([jobs[0]], [jobs[1]], jobs):
+            results = AnalysisEngine(workers=2).run(batch)
+            for job, result in zip(batch, results):
+                expected = serial[jobs.index(job)]
+                assert result.ok
+                assert result.report.interval == expected.interval
+                assert ([(s.index, s.worst, s.best)
+                         for s in result.report.set_results]
+                        == [(s.index, s.worst, s.best)
+                            for s in expected.set_results])
+
+    def test_single_job_trace_matches_serial(self):
+        tracer = Tracer()
+        get_benchmark("check_data").make_analysis(tracer=tracer).estimate()
+        serial = collections.Counter(r["name"] for r in tracer.records())
+        engine_tracer = Tracer()
+        engine = AnalysisEngine(workers=2, tracer=engine_tracer)
+        assert engine.run([AnalysisJob.from_benchmark("check_data")])[0].ok
+        names = collections.Counter(r["name"]
+                                    for r in engine_tracer.records())
+        assert names.pop("engine.run") == 1
+        assert names == serial
+        assert names["solve"] == 1 and names["set.worst"] == 2
+
+    def test_failed_single_job_reports_wall_time(self):
+        bad = AnalysisJob(name="bad", source="int f() { return 1; }",
+                          entry="missing")
+        result = AnalysisEngine(workers=2).run([bad])[0]
+        assert result.status == "failed"
+        assert result.wall_time > 0
 
     def test_failed_job_does_not_poison_batch(self):
         bad = AnalysisJob(name="bad", source="int f() { return 1; }",
@@ -256,12 +338,39 @@ class TestEngineRuns:
         assert results[1].ok
         assert engine.metrics.jobs == {"ok": 1, "partial": 0, "failed": 1}
 
-    def test_parallel_estimate_matches_serial(self):
-        serial = _analysis().estimate()
-        parallel = _analysis().estimate(parallel=2)
-        assert parallel.interval == serial.interval
-        assert ([(s.index, s.worst) for s in parallel.set_results]
-                == [(s.index, s.worst) for s in serial.set_results])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_job_workers_honour_cache_caps(self, tmp_path, jobs):
+        # Every set is infeasible, so each job fails and only its
+        # worker's set entries reach the store.
+        batch = [_job(f"t{trips}", trips=trips)
+                 for trips in (9, 10)][:jobs]
+        engine = AnalysisEngine(workers=2, cache_dir=tmp_path,
+                                cache_limits=(1, None))
+        results = engine.run(batch)
+        assert [r.status for r in results] == ["failed"] * jobs
+        assert ResultCache(tmp_path).stats().entries <= 1
+
+
+class TestPoolRetry:
+    def test_dead_worker_is_retried(self, tmp_path):
+        dying = _DyingJob(name="dying", source=SOURCE, entry="tally",
+                          auto_bounds=True,
+                          marker=str(tmp_path / "died"))
+        engine = AnalysisEngine(workers=2, retries=2, backoff=0.0)
+        results = engine.run([dying, _job()])
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert results[0].attempts == 2
+        assert (tmp_path / "died").exists()
+
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_attempts_count_tries_when_retries_run_out(self, retries):
+        jobs = [_DyingJob(name=f"dying{n}", source=SOURCE, entry="tally",
+                          auto_bounds=True) for n in range(2)]
+        engine = AnalysisEngine(workers=2, retries=retries, backoff=0.0)
+        results = engine.run(jobs)
+        assert [r.status for r in results] == ["failed", "failed"]
+        assert [r.attempts for r in results] == [retries + 1] * 2
+        assert "BrokenProcessPool" in results[0].error
 
 
 class TestTimeouts:

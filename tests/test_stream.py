@@ -373,7 +373,6 @@ class TestLiveDashboard:
     def test_line_mode_logs_lifecycle(self):
         text = self._run([
             ("job_start", {"name": "des"}),
-            ("job_sets", {"name": "des", "sets": 2}),
             ("set_done", {"job": "j1", "name": "des", "set": 0,
                           "pivots": 40, "nodes": 2}),
             ("set_done", {"job": "j1", "name": "des", "set": 1,
