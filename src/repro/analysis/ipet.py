@@ -39,7 +39,7 @@ from ..hw import Machine, cost_table, i960kb, lines_touched
 from ..ilp import Constraint, LinExpr
 from ..constraints.structural import flow_constraints, structural_system
 from .report import BoundReport, SetResult
-from .setsolve import SetTask, solve_set
+from .setsolve import SetTask, presolve_base, solve_set
 
 
 class Analysis:
@@ -377,10 +377,14 @@ class Analysis:
                   max_iterations: int | None = None) -> list[SetTask]:
         """The expansion lowered to self-contained solver tasks — one
         per surviving constraint set, in the expansion's canonical
-        order.  Raises when every set is null."""
+        order.  Raises when every set is null.  The base system every
+        set shares is lowered and presolved here, once
+        (:class:`~repro.analysis.setsolve.PresolvedBase`)."""
         with self.tracer.span("constraints", cat="pipeline") as span:
             base = self._structural() + self._loop_constraints()
             worst_obj, best_obj = self._objectives()
+            presolved = presolve_base(base, worst_obj, best_obj,
+                                      self.backend)
             span.set("base", len(base))
         with self.tracer.span("expand", cat="pipeline") as span:
             expansion = self.expansion()
@@ -394,7 +398,8 @@ class Analysis:
             SetTask(index, base,
                     [r.resolve(self._resolve) for r in relations],
                     worst_obj, best_obj, backend=self.backend,
-                    timeout=set_timeout, max_iterations=max_iterations)
+                    timeout=set_timeout, max_iterations=max_iterations,
+                    presolved=presolved)
             for index, relations in enumerate(expansion.sets)]
 
     def estimate(self, set_timeout: float | None = None,

@@ -9,11 +9,19 @@ sets.  This module packages one set's worth of work as a plain-data
 engine and the service dispatch whole jobs, so every path produces
 bit-identical :class:`~repro.analysis.report.SetResult` objects.
 
-Both ILPs range over one polyhedron, so a set is lowered to arrays
-once and runs simplex phase 1 once (:class:`~repro.ilp.model.Polyhedron`);
-the worst and best root relaxations each run phase 2 from a copy of
-the feasible tableau, and branch & bound goes on from there.  The
-``scipy`` backend, an independent oracle, solves each direction whole.
+Every set of an analysis shares its base system: the structural
+constraints and the loop bounds.  :class:`PresolvedBase` lowers that
+system over the columns of both objectives and presolves it once, and
+lowers both objectives once.  A set's polyhedron extends it by the
+set's own rows (:meth:`~repro.ilp.model.Polyhedron.extend`), which
+gives exactly the presolve of the whole set, so :func:`solve_set`
+builds no :class:`~repro.ilp.Problem`.  Both ILPs range over that
+polyhedron: it runs simplex phase 1 once, the worst and best root
+relaxations each run phase 2 from a copy of the feasible tableau, and
+branch & bound extends it by each node's branching rows.  A set whose
+rows name a variable outside the base is solved whole, from
+:meth:`SetTask.problems`, as is every set of the ``scipy`` backend, an
+independent oracle that solves each direction whole.
 
 Timeout semantics (engine "graceful degradation"): a task with a
 ``timeout`` gets a wall-clock deadline for its two ILPs together.  If
@@ -33,7 +41,7 @@ from ..errors import ILPTimeoutError, UnboundedError
 from ..ilp import Constraint, LinExpr, Problem, Status
 from ..ilp.branch_bound import solve_ilp
 from ..ilp.lpformat import write_lp
-from ..ilp.model import Polyhedron
+from ..ilp.model import Objective, Polyhedron
 from .report import SetResult
 
 #: LP engine behind each branch & bound backend.
@@ -42,6 +50,49 @@ _ENGINES = {"simplex": "float", "exact": "exact"}
 _UNBOUNDED_MESSAGE = (
     "the worst-case objective is unbounded; a loop bound or "
     "functionality constraint fails to limit some count")
+
+
+class PresolvedBase:
+    """An analysis's base system (structural constraints and loop
+    bounds) lowered over the columns of both objectives, presolved
+    once, and both objectives lowered over the same columns.  Plain
+    rows and arrays, so it pickles with each :class:`SetTask`."""
+
+    def __init__(self, base: list[Constraint], worst_obj: LinExpr,
+                 best_obj: LinExpr, engine: str):
+        # Variables register as in SetTask.problems(): base rows, then
+        # the objectives, whose every block count a flow row already
+        # names.  Branch & bound breaks ties in that order.
+        problem = Problem("base")
+        problem.add_all(base)
+        problem.maximize(worst_obj)
+        for name in best_obj.variables():
+            problem.add_var(name)
+        self.polyhedron = Polyhedron(problem, engine)
+        self.worst = Objective(worst_obj, "max", self.polyhedron.index,
+                               self.polyhedron.shift, "worst")
+        self.best = Objective(best_obj, "min", self.polyhedron.index,
+                              self.polyhedron.shift, "best")
+
+    def extend(self, rows: list[Constraint]) -> Polyhedron | None:
+        """The polyhedron of a set with `rows`, or None when a row names
+        a variable outside the base, such as a block of a function the
+        entry does not reach: that set has other columns, so it is
+        solved whole."""
+        index = self.polyhedron.index
+        if any(name not in index for row in rows for name in row.expr.coefs):
+            return None
+        return self.polyhedron.extend(rows)
+
+
+def presolve_base(base: list[Constraint], worst_obj: LinExpr,
+                  best_obj: LinExpr, backend: str) -> PresolvedBase | None:
+    """The :class:`PresolvedBase` every set of an analysis solving on
+    `backend` extends; None for the scipy oracle, which solves every
+    set whole."""
+    engine = _ENGINES.get(backend)
+    return (None if engine is None
+            else PresolvedBase(base, worst_obj, best_obj, engine))
 
 
 @dataclass
@@ -59,6 +110,9 @@ class SetTask:
     timeout: float | None = None
     #: Cumulative simplex-pivot budget per ILP, or None for no limit.
     max_iterations: int | None = None
+    #: The base system presolved once for every set of the analysis
+    #: (None: solve the set whole).
+    presolved: PresolvedBase | None = None
 
     def problems(self) -> tuple[Problem, Problem]:
         """(worst maximize, best minimize) over the same constraints
@@ -111,10 +165,17 @@ def solve_set(task: SetTask, tracer=None) -> SetResult:
     started = time.monotonic()
     deadline = None if task.timeout is None else started + task.timeout
     result = SetResult(task.index, Status.OPTIMAL)
-    worst_problem, best_problem = task.problems()
     engine = _ENGINES.get(task.backend)
-    polyhedron = (None if engine is None
-                  else Polyhedron(worst_problem, engine))
+    base = task.presolved
+    polyhedron = None
+    if base is not None and base.polyhedron.engine == engine:
+        polyhedron = base.extend(task.resolved)
+    if polyhedron is not None:
+        worst_problem, best_problem = base.worst, base.best
+    else:
+        worst_problem, best_problem = task.problems()
+        if engine is not None:
+            polyhedron = Polyhedron(worst_problem, engine)
 
     with tracer.span("set.worst", cat="solver", set=task.index,
                      backend=task.backend) as span:
@@ -172,14 +233,16 @@ def _zero_stats():
     return SolveStats()
 
 
-def _solve_direction(problem: Problem, polyhedron: Polyhedron | None,
+def _solve_direction(problem: Problem | Objective,
+                     polyhedron: Polyhedron | None,
                      task: SetTask, deadline: float | None,
                      result: SetResult, direction: str,
                      tracer=None) -> _DirectionOutcome:
     """Solve one ILP, falling back to its LP relaxation on timeout.
 
-    `polyhedron` holds the set's lowered constraints and shared
-    phase 1 (None for the scipy oracle, which solves `problem` whole).
+    `polyhedron` holds the set's presolved constraints and shared
+    phase 1, and `problem` is a Problem or an Objective over it; the
+    scipy oracle has no polyhedron and solves the Problem whole.
     ``direction`` ("worst" | "best") labels which bound this is so the
     degradation flag lands on the right :class:`SetResult` field.
     """
@@ -206,6 +269,7 @@ def _solve_direction(problem: Problem, polyhedron: Polyhedron | None,
                                      dict(relax.values))
     result.stats.lp_calls += ilp.stats.lp_calls
     result.stats.nodes += ilp.stats.nodes
+    result.stats.nodes_pruned += ilp.stats.nodes_pruned
     result.stats.simplex_iterations += ilp.stats.simplex_iterations
     return _DirectionOutcome(ilp.status, ilp.objective, dict(ilp.values),
                              ilp.stats)

@@ -48,9 +48,12 @@ from ..chaos import inject
 from ..ilp import SolveStats, Status
 
 #: Bump when solver semantics change in a way that invalidates cached
-#: objective values (kept separate from the package version so doc-only
-#: releases don't cold-start every cache).
-SOLVER_VERSION = 1
+#: results: objective values, witnesses or solver statistics (kept
+#: separate from the package version so doc-only releases don't
+#: cold-start every cache).  2: lowest-index presolve order (pivot
+#: counts, witnesses at ties, last-ulp objectives) and counted
+#: ``nodes_pruned``.
+SOLVER_VERSION = 2
 
 
 def default_cache_dir() -> Path:

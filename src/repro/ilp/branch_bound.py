@@ -15,20 +15,19 @@ import time
 
 from ..errors import ILPTimeoutError
 from .expr import Constraint, LinExpr
-from .model import Polyhedron, Problem
+from .model import Objective, Polyhedron, Problem
 from .solution import ILPResult, SolveStats, Status
 
 #: A value within this distance of an integer is treated as integral.
 INT_TOL = 1e-6
 
 
-def _fractional_var(problem: Problem, values) -> str | None:
-    """Most fractional integer variable, or None if all are integral."""
+def _fractional_var(integers: list[str], values) -> str | None:
+    """Most fractional of the `integers` variables, or None if all are
+    integral; ties go to the first in `integers`."""
     worst_name = None
     worst_frac = INT_TOL
-    for name, var in problem.variables.items():
-        if not var.integer:
-            continue
+    for name in integers:
         value = values.get(name, 0.0)
         frac = abs(value - round(value))
         if frac > worst_frac:
@@ -37,18 +36,12 @@ def _fractional_var(problem: Problem, values) -> str | None:
     return worst_name
 
 
-def _rounded(problem: Problem, values) -> dict[str, float]:
-    out = {}
-    for name, value in values.items():
-        var = problem.variables.get(name)
-        if var is not None and var.integer:
-            out[name] = float(round(value))
-        else:
-            out[name] = float(value)
-    return out
+def _rounded(integers: set[str], values) -> dict[str, float]:
+    return {name: float(round(value)) if name in integers else float(value)
+            for name, value in values.items()}
 
 
-def solve_ilp(problem: Problem, max_nodes: int = 100_000,
+def solve_ilp(problem: Problem | Objective, max_nodes: int = 100_000,
               engine: str = "float",
               max_iterations: int | None = None,
               deadline: float | None = None,
@@ -62,22 +55,31 @@ def solve_ilp(problem: Problem, max_nodes: int = 100_000,
     :class:`~repro.errors.ILPTimeoutError` instead of running on
     indefinitely.  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
     search in a span carrying node/pivot counters; the root relaxation
-    additionally gets its own phase-level simplex spans.  ``root``, a
-    :class:`~repro.ilp.model.Polyhedron` of `problem`'s constraints,
-    solves the root relaxation; pass one shared with another problem
-    over the same constraints to run their phase 1 once."""
+    additionally gets its own phase-level simplex spans.
+
+    ``root``, a :class:`~repro.ilp.model.Polyhedron` over `problem`'s
+    variables, is the root node; it defaults to ``Polyhedron(problem,
+    engine)`` and its engine is the one used.  Pass one shared with
+    another objective over the same constraints to run their phase 1
+    once.  Every other node extends the root by its branching rows
+    (:meth:`~repro.ilp.model.Polyhedron.extend`), so its presolve goes
+    on from the root's, and ties between equally fractional variables
+    go to the first of ``root.integers``.  With a root, `problem` may
+    be just an :class:`~repro.ilp.model.Objective` over its columns."""
     from ..obs.trace import NULL_TRACER
 
     tracer = NULL_TRACER if tracer is None else tracer
     if root is None:
         root = Polyhedron(problem, engine)
+    objective = (Objective.of(problem, root) if isinstance(problem, Problem)
+                 else problem)
     stats = SolveStats()
-    with tracer.span("bnb", cat="solver", problem=problem.name,
-                     engine=engine) as span:
+    with tracer.span("bnb", cat="solver", problem=objective.name,
+                     engine=root.engine) as span:
         try:
-            result = _branch_and_bound(problem, max_nodes, engine,
+            result = _branch_and_bound(root, objective, max_nodes,
                                        max_iterations, deadline, stats,
-                                       tracer, root)
+                                       tracer)
         finally:
             span.set("status", "done")
             span.inc("nodes", stats.nodes)
@@ -87,11 +89,12 @@ def solve_ilp(problem: Problem, max_nodes: int = 100_000,
     return result
 
 
-def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
-                      max_iterations: int | None,
+def _branch_and_bound(root: Polyhedron, objective: Objective,
+                      max_nodes: int, max_iterations: int | None,
                       deadline: float | None, stats: SolveStats,
-                      tracer, root: Polyhedron) -> ILPResult:
-    maximize = problem.sense == "max"
+                      tracer) -> ILPResult:
+    maximize = objective.sense == "max"
+    integers = set(root.integers)
 
     incumbent_obj: float | None = None
     incumbent_values: dict[str, float] | None = None
@@ -134,11 +137,11 @@ def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
                     "iterations",
                     iterations=stats.simplex_iterations, nodes=stats.nodes)
         if first:
-            relax = root.relaxation(problem, max_iter=budget,
+            relax = root.relaxation(objective, max_iter=budget,
                                     deadline=deadline, tracer=tracer)
         else:
-            relax = problem.solve_relaxation(
-                extra, engine=engine, max_iter=budget, deadline=deadline)
+            relax = root.extend(extra).relaxation(
+                objective, max_iter=budget, deadline=deadline)
         stats.lp_calls += 1
         stats.simplex_iterations += relax.iterations
         spent += relax.iterations + relax.reused
@@ -153,7 +156,7 @@ def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
             # unbounded too; IPET hits this when a loop bound is missing.
             return ILPResult(Status.UNBOUNDED, stats=stats)
 
-        branch_var = _fractional_var(problem, relax.values)
+        branch_var = _fractional_var(root.integers, relax.values)
         if first:
             stats.first_relaxation_integral = branch_var is None
             first = False
@@ -163,7 +166,7 @@ def _branch_and_bound(problem: Problem, max_nodes: int, engine: str,
         if branch_var is None:
             if better(relax.objective):
                 incumbent_obj = relax.objective
-                incumbent_values = _rounded(problem, relax.values)
+                incumbent_values = _rounded(integers, relax.values)
             continue
 
         value = relax.values[branch_var]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import chain
+import copy
+import heapq
+from collections import defaultdict
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -88,48 +90,34 @@ class Problem:
     # ------------------------------------------------------------------
     # Standard-form export
     # ------------------------------------------------------------------
-    def to_arrays(self, extra: Iterable[Constraint] = ()):
+    def to_arrays(self):
         """Lower the problem to (costs, matrix, senses, rhs, order,
         shift, objective_shift).
 
         Variable lower bounds are shifted to zero and upper bounds
         become explicit rows, so the simplex core only ever sees
-        ``x >= 0``.  ``extra`` constraints (used by branch & bound) are
-        appended without mutating the problem.  This is the whole
-        model, densified from the rows of :meth:`_lower_rows` without
-        the presolve :class:`Polyhedron` applies.
+        ``x >= 0``.  This is the whole model, densified from the rows
+        of :meth:`_lower_rows` without the presolve
+        :class:`Polyhedron` applies.
         """
-        rows, senses, rhs, index, shift = self._lower_rows(extra)
-        objective, objective_shift = self._lower_objective(index, shift)
+        rows, senses, rhs, index, shift = self._lower_rows()
+        objective = Objective(self.objective, self.sense, index, shift)
         costs = np.zeros(len(index))
-        for j, coef in objective.items():
+        for j, coef in objective.costs.items():
             costs[j] = coef
         return (costs, _densify(rows, range(len(index))), senses,
                 np.array(rhs), list(index), np.array(shift),
-                objective_shift)
+                objective.constant)
 
-    def _lower_rows(self, extra: Iterable[Constraint] = ()):
-        """(rows, senses, rhs, index, shift): the constraints, then
-        `extra`, then one ``<=`` row per upper-bounded variable, as
-        sparse ``{column: coefficient}`` rows.  ``index`` numbers the
-        variables in sorted name order and ``shift`` lists their lower
-        bounds, which the rows have already subtracted."""
+    def _lower_rows(self):
+        """(rows, senses, rhs, index, shift): the constraints, then one
+        ``<=`` row per upper-bounded variable, as sparse ``{column:
+        coefficient}`` rows.  ``index`` numbers the variables in sorted
+        name order and ``shift`` lists their lower bounds, which the
+        rows have already subtracted."""
         index = {name: j for j, name in enumerate(sorted(self.variables))}
         shift = [self.variables[name].lower for name in index]
-        shifted = any(shift)
-        rows: list[dict[int, float]] = []
-        senses: list[str] = []
-        rhs: list[float] = []
-        for constraint in chain(self.constraints, extra):
-            row = {index[name]: coef
-                   for name, coef in constraint.coefficients().items()}
-            bound = constraint.rhs
-            if shifted:
-                # A constraint on x is one on y = x - lower.
-                bound -= sum(coef * shift[j] for j, coef in row.items())
-            rows.append(row)
-            senses.append(constraint.sense)
-            rhs.append(bound)
+        rows, senses, rhs = _lower(self.constraints, index, shift)
         for name, j in index.items():
             var = self.variables[name]
             if var.upper is not None:
@@ -138,19 +126,10 @@ class Problem:
                 rhs.append(var.upper - var.lower)
         return rows, senses, rhs, index, shift
 
-    def _lower_objective(self, index: Mapping[str, int], shift):
-        """({column: cost}, objective_shift) over the columns of
-        :meth:`_lower_rows`."""
-        costs = {index[name]: coef
-                 for name, coef in self.objective.coefs.items()}
-        return costs, self.objective.const + sum(
-            coef * shift[j] for j, coef in costs.items())
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve_relaxation(self, extra: Iterable[Constraint] = (),
-                         engine: str = "float",
+    def solve_relaxation(self, engine: str = "float",
                          max_iter: int | None = None,
                          deadline: float | None = None,
                          tracer=None) -> LPResult:
@@ -166,7 +145,7 @@ class Problem:
         :class:`repro.obs.Tracer`) makes the LP core emit phase-level
         spans with pivot counters.
         """
-        return Polyhedron(self, engine, extra).relaxation(
+        return Polyhedron(self, engine).relaxation(
             self, max_iter=max_iter, deadline=deadline, tracer=tracer)
 
     def solve(self, backend: str = "simplex",
@@ -229,15 +208,45 @@ class Problem:
                 f"constraints={len(self.constraints)}, sense={self.sense})")
 
 
+class Objective:
+    """A linear objective lowered over a polyhedron's columns.
+
+    ``costs`` maps column to coefficient and ``constant`` is the
+    expression's constant plus what the lower-bound shift moves out of
+    the columns, as :meth:`Problem.to_arrays` lowers them.  A
+    :class:`Polyhedron` substitutes its eliminated columns out when it
+    solves, so one objective serves every polyhedron over the same
+    columns: IPET lowers its worst and best objectives once per
+    analysis and solves every constraint set with them.
+    """
+
+    __slots__ = ("name", "sense", "costs", "constant")
+
+    def __init__(self, expr: LinExpr, sense: str, index: Mapping[str, int],
+                 shift, name: str = ""):
+        self.name = name
+        self.sense = sense
+        self.costs = {index[var]: coef for var, coef in expr.coefs.items()}
+        self.constant = expr.const + sum(
+            coef * shift[j] for j, coef in self.costs.items())
+
+    @classmethod
+    def of(cls, problem: Problem, polyhedron: "Polyhedron") -> "Objective":
+        """`problem`'s objective over `polyhedron`'s columns."""
+        return cls(problem.objective, problem.sense, polyhedron.index,
+                   polyhedron.shift, problem.name)
+
+
 class Polyhedron:
-    """A problem's constraints lowered and presolved once, with one
-    simplex phase 1 shared by every objective over them.
+    """A problem's constraints lowered and presolved, with one simplex
+    phase 1 shared by every objective over them.
 
     IPET solves a maximize (worst case) and a minimize (best case)
     over the same constraints.  Phase 1 never reads the objective, so
     both root relaxations run phase 2 from copies of one feasible
-    tableau.  :meth:`relaxation` accepts any problem with the
-    constraints and variables of the one lowered here.
+    tableau.  :meth:`relaxation` takes a :class:`Problem` with the
+    constraints and variables of the one lowered here, or an
+    :class:`Objective` over its columns.
 
     Presolve.  Most IPET rows are flow-conservation equalities
     (``d1 = 1``, ``x_i = d_a + d_b``, ``d_a = d_b``, ``d1 = f_1 +
@@ -246,18 +255,32 @@ class Polyhedron:
     reads ``x_j = b + sum a_k x_k`` with ``b >= 0`` and every
     ``a_k >= 0`` keeps x_j nonnegative wherever the other columns
     are.  x_j is then substituted out of every other row and out of
-    the objective, and the row and the column are dropped.  Rows are
-    scanned in lowering order, ties go to the lowest column index, and
-    scans repeat until one eliminates nothing, so a problem presolves
-    the same way in every process.  Rows emptied by substitution are
-    dropped when they hold (and kept, for phase 1 to report
-    infeasibility, when they do not).  The reduced LP is the original
-    feasible set in fewer coordinates: feasibility, unboundedness and
-    optimal values are unchanged, and solutions map back to every
-    variable in reverse elimination order.  Presolve runs only when
-    every coefficient and right-hand side is an integer below
-    :data:`EXACT_INTEGER`, which makes it exact in float and in
-    Fraction arithmetic; any other system is solved whole.
+    the objective, and the row and the column are dropped.  A
+    worklist always eliminates through the lowest-index such row,
+    through its lowest such column, and rows re-enter the worklist
+    when a substitution changes them, so a problem presolves the same
+    way in every process.  Rows emptied by substitution are dropped
+    when they hold (and kept, for phase 1 to report infeasibility,
+    when they do not).  The reduced LP is the original feasible set in
+    fewer coordinates: feasibility, unboundedness and optimal values
+    are unchanged, and solutions map back to every variable in reverse
+    elimination order.  Presolve runs only when every coefficient and
+    right-hand side is an integer below :data:`EXACT_INTEGER`, which
+    makes it exact in float and in Fraction arithmetic; any other
+    system is solved whole.
+
+    Extension.  :meth:`extend` adds rows to a presolved polyhedron and
+    presolves on from its state: the new rows first take every
+    substitution already made, in order, and then the worklist goes
+    on over all rows.  Eliminating through the lowest-index row makes
+    that the same as presolving all the rows at once: while a prefix
+    row is eligible it is the one taken, whether or not later rows
+    are present.  ``Polyhedron(problem)`` is the extension of an empty
+    prefix by the problem's rows; IPET presolves an analysis's shared
+    rows once and extends them by each constraint set's rows, and
+    branch & bound extends a set by each node's branching rows.
+    Extending by a row that is not an exact integer gives the
+    unreduced system, as presolving all the rows at once would.
 
     Budgets count pivots of the presolved LP, and behave as if every
     solve had run its own phase 1: a solve whose ``max_iter`` the
@@ -267,31 +290,126 @@ class Polyhedron:
     the shared ones in ``reused``.
     """
 
-    def __init__(self, problem: Problem, engine: str = "float",
-                 extra: Iterable[Constraint] = ()):
-        rows, senses, rhs, self.index, self.shift = \
-            problem._lower_rows(extra)
+    def __init__(self, problem: Problem, engine: str = "float"):
+        rows, senses, rhs, self.index, self.shift = problem._lower_rows()
+        #: Integer variables in branch & bound's tie-break order.
+        self.integers = [name for name, var in problem.variables.items()
+                         if var.integer]
+        self.engine = engine
+        # The empty prefix: no rows, nothing eliminated.
+        self._lowered: tuple[list, list, list] = ([], [], [])
+        self._reducing = True
+        self._parent = None
         #: (column, constant, {column: coefficient}) per eliminated
         #: column, in elimination order.
-        self.substitutions = _presolve(rows, senses, rhs, len(self.index))
+        self.substitutions: list = []
+        #: The rows the LP keeps, sparse over the original columns.
+        self.rows: list[dict[int, float]] = []
+        self.senses: list[str] = []
+        self._rhs: list[float] = []
+        self._presolve(rows, senses, rhs)
+
+    def extend(self, constraints: Iterable[Constraint]) -> "Polyhedron":
+        """A new polyhedron: this one cut by `constraints` over its
+        variables, presolved on from this one's state (raises KeyError
+        for a constraint naming a variable it does not have)."""
+        rows, senses, rhs = _lower(constraints, self.index, self.shift)
+        twin = copy.copy(self)
+        twin._parent = self
+        twin._presolve(rows, senses, rhs)
+        return twin
+
+    def _presolve(self, new_rows, new_senses, new_rhs) -> None:
+        """Append lowered rows to the rows kept so far and presolve on
+        (see the class docstring).  Never mutates state an earlier
+        polyhedron shares."""
+        lowered_rows, lowered_senses, lowered_rhs = self._lowered
+        self._lowered = (lowered_rows + new_rows,
+                         lowered_senses + new_senses,
+                         lowered_rhs + new_rhs)
+        if not (self._reducing and _exact_integers(new_rows, new_rhs)):
+            self._reducing, self._parent = False, None
+            self.substitutions = []
+            # Unreduced rows are never mutated, so they are shared.
+            self.rows, self.senses, self._rhs = self._lowered
+        else:
+            first = len(self.rows)
+            rows = ([dict(row) for row in self.rows]
+                    + [dict(row) for row in new_rows])
+            senses = self.senses + new_senses
+            rhs = self._rhs + new_rhs
+            holders = defaultdict(set)   # column -> rows naming it
+            for r, row in enumerate(rows):
+                for j in row:
+                    holders[j].add(r)
+            # No kept row is eligible, so only the new ones can be.
+            queue = [r for r in range(first, len(rows))
+                     if senses[r] == "=="]
+            queued = set(queue)
+
+            def substitute(j, constant, terms):
+                """x_j = constant + sum(terms[k] x_k) in every row."""
+                for q in holders.pop(j, ()):
+                    row = rows[q]
+                    scale = row.pop(j)
+                    rhs[q] -= scale * constant
+                    for k, coef in terms.items():
+                        value = row.get(k, 0.0) + scale * coef
+                        if value:
+                            row[k] = value
+                            holders[k].add(q)
+                        else:
+                            del row[k]
+                            holders[k].discard(q)
+                    if senses[q] == "==" and q not in queued:
+                        heapq.heappush(queue, q)
+                        queued.add(q)
+
+            # Kept rows name no eliminated column, so this gives the new
+            # rows the substitutions made so far, in order, exactly as
+            # if they had been present.
+            for j, constant, terms in self.substitutions:
+                if j in holders:
+                    substitute(j, constant, terms)
+            substitutions = list(self.substitutions)
+            while queue:
+                r = heapq.heappop(queue)
+                queued.discard(r)
+                row = rows[r]
+                j = _unit_column(row, rhs[r])
+                if j is None:
+                    continue
+                sign = row.pop(j)
+                constant = int(sign * rhs[r])
+                terms = {k: int(-sign * coef) for k, coef in row.items()}
+                rows[r] = None
+                for k in (*row, j):
+                    holders[k].discard(r)
+                substitute(j, constant, terms)
+                substitutions.append((j, constant, terms))
+            kept = [r for r, row in enumerate(rows) if row is not None
+                    and not (row == {} and _holds(senses[r], rhs[r]))]
+            self.rows = [rows[r] for r in kept]
+            self.senses = [senses[r] for r in kept]
+            self._rhs = [rhs[r] for r in kept]
+            self.substitutions = substitutions
         eliminated = {j for j, _, _ in self.substitutions}
         #: Original indices of the columns the LP keeps, in order.
         self.columns = [j for j in range(len(self.index))
                         if j not in eliminated]
-        kept = [r for r, row in enumerate(rows) if row is not None]
-        self.matrix = _densify([rows[r] for r in kept], self.columns)
-        self.senses = [senses[r] for r in kept]
-        self.rhs = np.array([rhs[r] for r in kept])
-        self._lp = exact if engine == "exact" else simplex
+        self.matrix = _densify(self.rows, self.columns)
+        self.rhs = np.array(self._rhs)
         self._start = None
+        self._folded: dict = {}
 
-    def relaxation(self, problem: Problem, max_iter: int | None = None,
+    def relaxation(self, problem: "Problem | Objective",
+                   max_iter: int | None = None,
                    deadline: float | None = None,
                    tracer=None) -> LPResult:
         """`problem`'s LP relaxation, as :meth:`Problem.solve_relaxation`
         computes it, from the shared phase 1 (run now if no earlier
         solve completed it)."""
-        lp = self._lp
+        lp = exact if self.engine == "exact" else simplex
         budget = lp.MAX_ITER if max_iter is None else max_iter
         reused = 0 if self._start is None else self._start.iterations
         if self._start is None:
@@ -302,9 +420,12 @@ class Polyhedron:
             # This solve's own phase 1 would have stopped there.
             raise ILPTimeoutError(
                 f"simplex phase 1 exceeded {budget} iterations")
-        costs, objective_shift = self._objective(problem)
+        if isinstance(problem, Problem):
+            problem = Objective.of(problem, self)
+        costs, objective_shift = self._fold(problem)
         try:
-            result = lp.phase2(self._start, costs,
+            result = lp.phase2(self._start,
+                               [costs.get(j, 0.0) for j in self.columns],
                                maximize=(problem.sense == "max"),
                                max_iter=budget, deadline=deadline,
                                tracer=tracer)
@@ -318,21 +439,33 @@ class Polyhedron:
         return LPResult(Status.OPTIMAL, result.objective + objective_shift,
                         self._postsolve(result.values), iterations, reused)
 
-    def _objective(self, problem: Problem):
-        """(costs over :attr:`columns`, objective_shift) of `problem`,
-        with every eliminated column substituted out."""
-        costs, objective_shift = problem._lower_objective(self.index,
-                                                          self.shift)
-        if self._lp is exact:
-            # Fold in Fraction: a non-integral cost stays exact.
-            costs = {j: exact._frac(cost) for j, cost in costs.items()}
-        for j, constant, terms in self.substitutions:
-            cost = costs.pop(j, 0)
-            if cost:
-                objective_shift += cost * constant
-                for k, coef in terms.items():
-                    costs[k] = costs.get(k, 0) + cost * coef
-        return [costs.get(j, 0.0) for j in self.columns], objective_shift
+    def _fold(self, objective: Objective):
+        """({column: cost}, constant) of `objective` with every
+        eliminated column substituted out.  Cached per objective, and
+        continued from the polyhedron this one extends, so an objective
+        takes each substitution once however many polyhedra share it."""
+        folded = self._folded.get(objective)
+        if folded is not None:
+            return folded
+        if self._parent is None:
+            costs, constant = objective.costs, objective.constant
+            if self.engine == "exact":
+                # Fold in Fraction: a non-integral cost stays exact.
+                costs = {j: exact._frac(cost) for j, cost in costs.items()}
+            done = 0
+        else:
+            costs, constant = self._parent._fold(objective)
+            done = len(self._parent.substitutions)
+        if done < len(self.substitutions):
+            costs = dict(costs)
+            for j, value, terms in self.substitutions[done:]:
+                cost = costs.pop(j, 0)
+                if cost:
+                    constant += cost * value
+                    for k, coef in terms.items():
+                        costs[k] = costs.get(k, 0) + cost * coef
+        folded = self._folded[objective] = (costs, constant)
+        return folded
 
     def _postsolve(self, lp_values: Mapping[str, float]) -> dict:
         """Every variable's value, by name, from the LP's values."""
@@ -342,6 +475,27 @@ class Polyhedron:
                                        for k, coef in terms.items())
         return {name: values[j] + self.shift[j]
                 for name, j in self.index.items()}
+
+
+def _lower(constraints: Iterable[Constraint], index: Mapping[str, int],
+           shift) -> tuple[list, list, list]:
+    """(rows, senses, rhs) of `constraints` as sparse ``{column:
+    coefficient}`` rows over `index`, less the lower bounds `shift`."""
+    shifted = any(shift)
+    rows: list[dict[int, float]] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    for constraint in constraints:
+        row = {index[name]: coef
+               for name, coef in constraint.coefficients().items()}
+        bound = constraint.rhs
+        if shifted:
+            # A constraint on x is one on y = x - lower.
+            bound -= sum(coef * shift[j] for j, coef in row.items())
+        rows.append(row)
+        senses.append(constraint.sense)
+        rhs.append(bound)
+    return rows, senses, rhs
 
 
 def _densify(rows: list[dict[int, float]], columns) -> np.ndarray:
@@ -355,63 +509,19 @@ def _densify(rows: list[dict[int, float]], columns) -> np.ndarray:
     return matrix
 
 
-def _presolve(rows: list, senses: list[str], rhs: list[float],
-              columns: int) -> list:
-    """Eliminate columns through unit-coefficient equality rows (see
-    :class:`Polyhedron`), in place: dropped rows become None.
-
-    Returns the substitutions ``(j, constant, terms)``, each meaning
-    ``x_j = constant + sum(terms[k] * x_k)`` with integer ``constant
-    >= 0`` and ``terms > 0``, in elimination order; a later one never
-    names an earlier one's column.
-    """
+def _exact_integers(rows: list[dict[int, float]], rhs: list[float]) -> bool:
+    """Every coefficient and right-hand side is an integer below
+    :data:`EXACT_INTEGER`: the presolve may run."""
     numbers = set(rhs)
     for row in rows:
         numbers.update(row.values())
-    if not all(float(v).is_integer() and abs(v) < EXACT_INTEGER
-               for v in numbers):
-        return []
-    holders = [set() for _ in range(columns)]   # column -> rows naming it
-    for r, row in enumerate(rows):
-        for j in row:
-            holders[j].add(r)
-    equalities = [r for r, sense in enumerate(senses) if sense == "=="]
-    substitutions = []
-    progress = True
-    while progress:
-        progress = False
-        for r in equalities:
-            row = rows[r]
-            if row is None:
-                continue
-            j = _unit_column(row, rhs[r])
-            if j is None:
-                continue
-            sign = row.pop(j)
-            constant = int(sign * rhs[r])
-            terms = {k: int(-sign * coef) for k, coef in row.items()}
-            rows[r] = None
-            for k in row:
-                holders[k].discard(r)
-            for q in holders[j] - {r}:
-                target = rows[q]
-                scale = target.pop(j)
-                rhs[q] -= scale * constant
-                for k, coef in terms.items():
-                    value = target.get(k, 0.0) + scale * coef
-                    if value:
-                        target[k] = value
-                        holders[k].add(q)
-                    else:
-                        del target[k]
-                        holders[k].discard(q)
-            substitutions.append((j, constant, terms))
-            progress = True
-    for r, row in enumerate(rows):
-        if row == {} and {"<=": rhs[r] >= 0, ">=": rhs[r] <= 0,
-                          "==": rhs[r] == 0}[senses[r]]:
-            rows[r] = None   # 0 (sense) rhs holds
-    return substitutions
+    return all(float(v).is_integer() and abs(v) < EXACT_INTEGER
+               for v in numbers)
+
+
+def _holds(sense: str, rhs: float) -> bool:
+    """``0 (sense) rhs``: an emptied row that constrains nothing."""
+    return {"<=": rhs >= 0, ">=": rhs <= 0, "==": rhs == 0}[sense]
 
 
 def _unit_column(row: dict[int, float], rhs: float) -> int | None:
@@ -419,11 +529,14 @@ def _unit_column(row: dict[int, float], rhs: float) -> int | None:
     be eliminated, if any: its coefficient is +-1, every other
     coefficient has the opposite sign, and `rhs` is 0 or has its
     sign."""
-    positive = [j for j, coef in row.items() if coef > 0]
-    negative = [j for j, coef in row.items() if coef < 0]
-    candidates = []
-    if len(positive) == 1 and row[positive[0]] == 1 and rhs >= 0:
-        candidates.append(positive[0])
-    if len(negative) == 1 and row[negative[0]] == -1 and rhs <= 0:
-        candidates.append(negative[0])
-    return min(candidates, default=None)
+    plus = minus = None     # the one column of each sign; -1: none fits
+    for j, coef in row.items():
+        if coef > 0:
+            plus = j if plus is None and coef == 1 else -1
+        elif coef < 0:
+            minus = j if minus is None and coef == -1 else -1
+    if plus is None or plus < 0 or rhs < 0:
+        plus = None
+    if minus is None or minus < 0 or rhs > 0:
+        return plus
+    return minus if plus is None else min(plus, minus)

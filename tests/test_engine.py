@@ -148,6 +148,26 @@ class TestCacheKeys:
         alone.bound_loop(0, 1000001)
         assert worst[1000001] == alone.estimate().worst > worst[1000000]
 
+    def test_solver_version_changes_both_keys(self, tmp_path, monkeypatch):
+        # A cache filled by another solver version must not serve
+        # results the current solver would not produce.
+        from repro.engine import cache as cache_module
+
+        cache = ResultCache(tmp_path)
+        signature = _analysis().set_tasks()[0].signature()
+        fingerprint = _job().fingerprint()
+
+        def keys():
+            return (cache.set_key(signature, "m", "simplex"),
+                    cache.job_key(fingerprint))
+
+        current = keys()
+        monkeypatch.setattr(cache_module, "SOLVER_VERSION",
+                            cache_module.SOLVER_VERSION + 1)
+        bumped = keys()
+        assert current[0] != bumped[0]
+        assert current[1] != bumped[1]
+
     def test_job_key_stable_and_machine_sensitive(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert (cache.job_key(_job().fingerprint())

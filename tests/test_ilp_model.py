@@ -372,3 +372,56 @@ class TestPresolve:
             assert relax.status is status is Status.OPTIMAL
             assert relax.objective == pytest.approx(objective)
             assert problem.check(relax.values)
+
+
+class TestExtension:
+    """Presolving a prefix of the rows and extending by the rest gives
+    the presolve of all the rows (:meth:`Polyhedron.extend`)."""
+
+    @staticmethod
+    def state(polyhedron):
+        return (polyhedron.substitutions, polyhedron.rows,
+                polyhedron.columns, polyhedron.matrix.tolist(),
+                polyhedron.senses, polyhedron.rhs.tolist())
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_prefix_then_rest_is_whole(self, seed):
+        problem = TestPresolve.random_problem(seed)
+        whole = Polyhedron(problem)
+        # The rows in lowering order: the constraints, then one upper
+        # bound per variable in name order (lower bounds are all 0).
+        rows = list(problem.constraints) + [
+            LinExpr({name: 1.0}) <= problem.variables[name].upper
+            for name in sorted(problem.variables)
+            if problem.variables[name].upper is not None]
+        assert len(rows) == len(problem._lower_rows()[0])
+        for split in range(len(rows) + 1):
+            start = Problem()
+            for name in problem.variables:
+                start.add_var(name)
+            start.add_all(rows[:split])
+            prefix = Polyhedron(start)
+            before = self.state(prefix)
+            staged = prefix.extend(rows[split:])
+            assert self.state(staged) == self.state(whole), split
+            assert self.state(prefix) == before, split
+
+    def test_fractional_row_gives_the_unreduced_system(self):
+        p = Problem()
+        x1, x2, x3 = (p.add_var(f"x{i}") for i in (1, 2, 3))
+        p.add(x1 + 0 == 1)
+        p.add(x2 + 0 == x1 + x3)
+        prefix = Polyhedron(p)
+        assert len(prefix.substitutions) == 2
+        staged = prefix.extend([0.5 * x3 <= 2])
+        p.add(0.5 * x3 <= 2)
+        assert staged.substitutions == []
+        assert staged.matrix.tolist() == p.to_arrays()[1].tolist()
+        assert self.state(staged) == self.state(Polyhedron(p))
+
+    def test_extension_names_only_known_variables(self):
+        p = Problem()
+        x = p.add_var("x")
+        p.add(x <= 3)
+        with pytest.raises(KeyError):
+            Polyhedron(p).extend([Var("y") <= 1])

@@ -6,19 +6,23 @@ best directions each run phase 2 from a copy of the feasible tableau
 direction by itself with :meth:`Problem.solve`, the way a standalone
 ILP is solved, and every field of the :class:`SetResult` must match it
 exactly: objectives, witnesses, degradation flags, the first-relaxation
-statistic, LP calls and branch & bound nodes.  Pivot budgets from 1 to
-unlimited pin where each direction trips.
+statistic, LP calls and branch & bound nodes explored and pruned.
+Pivot budgets from 1 to unlimited pin where each direction trips.
 """
 
+import collections
+import pickle
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from repro.analysis import Analysis
 from repro.analysis.setsolve import solve_set
 from repro.cfg import find_loops
 from repro.errors import ILPTimeoutError
-from repro.ilp import Status, exact, simplex
+from repro.ilp import Problem, Status, exact, simplex
 from repro.ilp.model import Polyhedron
 from repro.programs import all_benchmarks
 from repro.synth import generate
@@ -29,8 +33,10 @@ from repro.synth import generate
 BUDGETS = (1, 10, 50, 100, 250, None)
 
 #: (grade, seed) of generated programs whose three disjunctions expand
-#: to 8 sets: most infeasible, a few that branch.
-SYNTH = (("small", 3), ("small", 11), ("medium", 0), ("medium", 5))
+#: to 8 sets: most infeasible, a few that branch.  In small137 a set's
+#: branch & bound prunes a node.
+SYNTH = (("small", 3), ("small", 11), ("medium", 0), ("medium", 5),
+         ("small", 137))
 
 PROGRAMS = [(backend, program) for backend in ("simplex", "exact")
             for program in (*all_benchmarks(), *SYNTH)]
@@ -65,21 +71,23 @@ def _tasks(backend: str, program) -> tuple:
 
 
 def _fields(status, worst, worst_counts, best, best_counts, timed_out,
-            worst_relaxed, best_relaxed, integral, lp_calls, nodes):
+            worst_relaxed, best_relaxed, integral, lp_calls, nodes,
+            nodes_pruned):
     return {"status": status, "worst": worst,
             "worst_counts": list(worst_counts.items()),
             "best": best, "best_counts": list(best_counts.items()),
             "timed_out": timed_out, "worst_relaxed": worst_relaxed,
             "best_relaxed": best_relaxed,
             "first_relaxation_integral": integral,
-            "lp_calls": lp_calls, "nodes": nodes}
+            "lp_calls": lp_calls, "nodes": nodes,
+            "nodes_pruned": nodes_pruned}
 
 
 def _reference(task) -> dict:
     """The SetResult fields from each direction solved alone."""
     engine = "exact" if task.backend == "exact" else "float"
     relaxed = {"worst": False, "best": False}
-    lp_calls = nodes = 0
+    lp_calls = nodes = nodes_pruned = 0
     outcomes = {}
     for direction, problem in zip(("worst", "best"), task.problems()):
         try:
@@ -95,20 +103,21 @@ def _reference(task) -> dict:
         else:
             lp_calls += ilp.stats.lp_calls
             nodes += ilp.stats.nodes
+            nodes_pruned += ilp.stats.nodes_pruned
             outcome = (ilp.status, ilp.objective, dict(ilp.values),
                        ilp.stats.first_relaxation_integral)
         outcomes[direction] = outcome
         if outcome[0] is Status.INFEASIBLE:
             return _fields(Status.INFEASIBLE, None, {}, None, {},
                            relaxed["worst"], relaxed["worst"], False, False,
-                           lp_calls, nodes)
+                           lp_calls, nodes, nodes_pruned)
     (_, worst, worst_counts, worst_integral) = outcomes["worst"]
     (status, best, best_counts, best_integral) = outcomes["best"]
     assert status is Status.OPTIMAL
     return _fields(Status.OPTIMAL, worst, worst_counts, best, best_counts,
                    relaxed["worst"] or relaxed["best"], relaxed["worst"],
                    relaxed["best"], worst_integral and best_integral,
-                   lp_calls, nodes)
+                   lp_calls, nodes, nodes_pruned)
 
 
 def _observed(result) -> dict:
@@ -116,7 +125,8 @@ def _observed(result) -> dict:
                    result.best, result.best_counts, result.timed_out,
                    result.worst_relaxed, result.best_relaxed,
                    result.stats.first_relaxation_integral,
-                   result.stats.lp_calls, result.stats.nodes)
+                   result.stats.lp_calls, result.stats.nodes,
+                   result.stats.nodes_pruned)
 
 
 def _program_id(case) -> str:
@@ -182,3 +192,117 @@ def test_cases_include_infeasible_and_branching_sets():
     assert any(not result.feasible for result in results)
     # One node per direction unless branch & bound branched.
     assert any(result.stats.nodes > 2 for result in results)
+
+
+def test_pickled_task_solves_identically():
+    # A task carries its analysis's presolved base with it.
+    for task in _tasks("simplex", ("small", 137)):
+        clone = pickle.loads(pickle.dumps(task))
+        assert _observed(solve_set(clone)) == _observed(solve_set(task))
+
+
+def test_cases_include_a_set_that_prunes():
+    results = [solve_set(task) for task in _tasks("simplex", ("small", 137))]
+    assert any(result.stats.nodes_pruned for result in results)
+
+
+def _exact(expr, values) -> Fraction:
+    return Fraction(expr.const) + sum(
+        Fraction(coef) * values[name] for name, coef in expr.coefs.items())
+
+
+@pytest.mark.parametrize("case", PROGRAMS, ids=_program_id)
+def test_witnesses_are_exact(case):
+    """Every witness is an integral point of its set's unreduced
+    problem, checked in Fraction, and attains the reported bound."""
+    for task in _tasks(*case):
+        result = solve_set(task)
+        if not result.feasible:
+            continue
+        for problem, counts, bound in zip(
+                task.problems(), (result.worst_counts, result.best_counts),
+                (result.worst, result.best)):
+            values = {name: Fraction(counts[name])
+                      for name in problem.variables}
+            assert all(value >= 0 and value.denominator == 1
+                       for value in values.values())
+            for constraint in problem.constraints:
+                lhs = _exact(constraint.expr, values)
+                assert {"<=": lhs <= 0, ">=": lhs >= 0,
+                        "==": lhs == 0}[constraint.sense], constraint
+            assert _exact(problem.objective, values) == round(bound)
+            assert bound == pytest.approx(round(bound), abs=1e-6)
+
+
+def _sixteen_sets(backend: str = "simplex"):
+    analysis = _disjunctive("small", 137, backend)
+    analysis.add_constraint("x1 + d1 <= 2 | x1 + d1 >= 3")
+    return analysis
+
+
+def test_base_is_lowered_and_presolved_once(monkeypatch):
+    calls = collections.Counter()
+    lower_rows, init = Problem._lower_rows, Polyhedron.__init__
+
+    def counted_lower_rows(self, *args, **kwargs):
+        calls["lower"] += 1
+        return lower_rows(self, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["presolve"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Problem, "_lower_rows", counted_lower_rows)
+    monkeypatch.setattr(Polyhedron, "__init__", counted_init)
+    report = _sixteen_sets().estimate()
+    assert len(report.set_results) == 16
+    # Sets and branch & bound nodes extend the base; only the base is
+    # lowered and presolved from an empty prefix.
+    assert calls == {"lower": 1, "presolve": 1}
+
+
+@pytest.mark.parametrize("backend", ["simplex", "exact"])
+def test_integral_sets_build_no_problem(monkeypatch, backend):
+    tasks = [*_sixteen_sets(backend).set_tasks(),
+             *all_benchmarks()["dhry"].make_analysis(
+                 backend=backend).set_tasks()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_set built or lowered a Problem")
+
+    monkeypatch.setattr(Problem, "add", refuse)
+    monkeypatch.setattr(Problem, "_lower_rows", refuse)
+    results = [solve_set(task) for task in tasks]
+    assert any(result.stats.nodes > 2 for result in results)
+
+
+FALLBACK_SOURCE = """
+int g(int n) { if (n) return 1; return 2; }
+int f(int p) {
+    int q;
+    if (p) q = 1; else q = 2;
+    return q;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["simplex", "exact"])
+@pytest.mark.parametrize("text", ["2.5 x3 <= 7", "2.5 x3 <= 2"])
+def test_non_integral_set_is_solved_unreduced(backend, text):
+    analysis = Analysis(FALLBACK_SOURCE, entry="f", backend=backend)
+    analysis.add_constraint(text)
+    [task] = analysis.set_tasks()
+    # Presolving the whole set reduces nothing; neither does extending
+    # the presolved base by its row.
+    assert task.presolved.extend(task.resolved).substitutions == []
+    assert _observed(solve_set(task)) == _reference(task)
+
+
+@pytest.mark.parametrize("backend", ["simplex", "exact"])
+def test_set_naming_an_unreachable_function_is_solved_whole(backend):
+    # g() is not reachable from f(), so no base row names its blocks.
+    analysis = Analysis(FALLBACK_SOURCE, entry="f", backend=backend)
+    analysis.add_constraint("x1 <= 1", function="g")
+    [task] = analysis.set_tasks()
+    assert task.presolved.extend(task.resolved) is None
+    assert _observed(solve_set(task)) == _reference(task)
