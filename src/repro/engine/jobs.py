@@ -23,6 +23,12 @@ from ..errors import AnalysisError
 from ..hw import Machine, i960kb
 
 
+def _none_first(row: tuple) -> tuple:
+    """Sort key for bound and constraint rows: a null function or line
+    sorts before any value, where plain tuple order would raise."""
+    return tuple((field is not None, field) for field in row)
+
+
 @dataclass(frozen=True)
 class AnalysisJob:
     """One unit of batch-analysis work (picklable, hashable)."""
@@ -122,8 +128,8 @@ class AnalysisJob:
             f"context={self.context_sensitive}",
             f"cache_split={self.cache_split}",
             f"auto_bounds={self.auto_bounds}",
-            f"bounds={sorted(self.bounds)!r}",
-            f"constraints={sorted(self.constraints)!r}",
+            f"bounds={sorted(self.bounds, key=_none_first)!r}",
+            f"constraints={sorted(self.constraints, key=_none_first)!r}",
         ]
         return "\n".join(parts)
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for MiniC.
+"""Recursive-descent parser for MiniC, precedence climbing for operators.
 
 Produces the :mod:`repro.lang.ast_nodes` tree.  Array dimensions and
 ``const`` initializers are constant-folded during parsing (constants
@@ -7,6 +7,8 @@ dimensions by the time semantic analysis runs.
 """
 
 from __future__ import annotations
+
+import operator
 
 from ..errors import ParseError
 from . import ast_nodes as ast
@@ -28,6 +30,12 @@ _BINARY_TIERS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+
+#: Binary operator -> its index in ``_BINARY_TIERS``.
+_TIER = {op: tier for tier, ops in enumerate(_BINARY_TIERS) for op in ops}
+
+#: Operators constant folding evaluates exactly (``/`` is special-cased).
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def parse_program(source: str) -> ast.Program:
@@ -51,23 +59,27 @@ class _Parser:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
-        token = self.tok
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
     def at(self, kind: str, value=None) -> bool:
-        return self.tok.matches(kind, value)
+        token = self.tokens[self.pos]
+        return token.kind == kind and (value is None or token.value == value)
 
     def accept(self, kind: str, value=None) -> Token | None:
-        if self.at(kind, value):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.kind == kind and (value is None or token.value == value):
+            self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, value=None) -> Token:
-        if not self.at(kind, value):
+        token = self.accept(kind, value)
+        if token is None:
             want = value if value is not None else kind
             raise self.error(f"expected {want!r}, found {self.tok.value!r}")
-        return self.advance()
+        return token
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.tok.line, col=self.tok.col)
@@ -151,8 +163,7 @@ class _Parser:
         return value
 
     def _const_value(self):
-        expr = self._ternary()
-        return self._const_eval(expr)
+        return self._const_eval(self._ternary())
 
     def _const_eval(self, expr: ast.Expr):
         if isinstance(expr, ast.IntLit):
@@ -175,13 +186,8 @@ class _Parser:
         if isinstance(expr, ast.Binary):
             left = self._const_eval(expr.left)
             right = self._const_eval(expr.right)
-            ops = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-            }
-            if expr.op in ops:
-                return ops[expr.op](left, right)
+            if expr.op in _FOLD:
+                return _FOLD[expr.op](left, right)
             if expr.op == "/" and right != 0:
                 if isinstance(left, int) and isinstance(right, int):
                     return int(left / right)
@@ -289,14 +295,11 @@ class _Parser:
     def _for(self, tok: Token) -> ast.For:
         self.expect("op", "(")
         init: ast.Stmt | None = None
-        if not self.at("op", ";"):
-            if self.at("kw", "int") or self.at("kw", "float"):
-                init = self._local_decl()
-                # _local_decl consumed the ';'.
-            else:
-                init = ast.ExprStmt(self._expression(), line=self.tok.line)
-                self.expect("op", ";")
+        if self.at("kw", "int") or self.at("kw", "float"):
+            init = self._local_decl()       # consumes the ';'
         else:
+            if not self.at("op", ";"):
+                init = ast.ExprStmt(self._expression(), line=self.tok.line)
             self.expect("op", ";")
         cond = None if self.at("op", ";") else self._expression()
         self.expect("op", ";")
@@ -306,16 +309,14 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
     def _expression(self) -> ast.Expr:
-        return self._assignment()
-
-    def _assignment(self) -> ast.Expr:
         expr = self._ternary()
-        if self.tok.kind == "op" and self.tok.value in _ASSIGN_OPS:
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value in _ASSIGN_OPS:
             if not isinstance(expr, (ast.Name, ast.Index)):
                 raise self.error("assignment target must be a variable "
                                  "or array element")
             op = self.advance().value
-            value = self._assignment()
+            value = self._expression()
             return ast.Assign(expr, op, value, line=expr.line)
         return expr
 
@@ -328,19 +329,20 @@ class _Parser:
             return ast.Ternary(cond, then, other, line=cond.line)
         return cond
 
-    def _binary(self, tier: int) -> ast.Expr:
-        if tier >= len(_BINARY_TIERS):
-            return self._unary()
-        ops = _BINARY_TIERS[tier]
-        left = self._binary(tier + 1)
-        while self.tok.kind == "op" and self.tok.value in ops:
-            op = self.advance().value
+    def _binary(self, min_tier: int) -> ast.Expr:
+        """Operands bind to operators of tier ``min_tier`` or stronger."""
+        left = self._unary()
+        while True:
+            tok = self.tokens[self.pos]
+            tier = _TIER.get(tok.value) if tok.kind == "op" else None
+            if tier is None or tier < min_tier:
+                return left
+            self.pos += 1
             right = self._binary(tier + 1)
-            left = ast.Binary(op, left, right, line=left.line)
-        return left
+            left = ast.Binary(tok.value, left, right, line=left.line)
 
     def _unary(self) -> ast.Expr:
-        tok = self.tok
+        tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.value in ("-", "!", "~", "+"):
             self.advance()
             return ast.Unary(tok.value, self._unary(), line=tok.line)
@@ -354,15 +356,17 @@ class _Parser:
 
     def _postfix(self) -> ast.Expr:
         expr = self._primary()
-        while self.tok.kind == "op" and self.tok.value in ("++", "--"):
+        tok = self.tokens[self.pos]
+        while tok.kind == "op" and tok.value in ("++", "--"):
             if not isinstance(expr, (ast.Name, ast.Index)):
-                raise self.error(f"{self.tok.value} needs a variable operand")
-            op = self.advance().value
-            expr = ast.IncDec(expr, op, prefix=False, line=expr.line)
+                raise self.error(f"{tok.value} needs a variable operand")
+            self.pos += 1
+            expr = ast.IncDec(expr, tok.value, prefix=False, line=expr.line)
+            tok = self.tokens[self.pos]
         return expr
 
     def _primary(self) -> ast.Expr:
-        tok = self.tok
+        tok = self.tokens[self.pos]
         if tok.kind == "int":
             self.advance()
             return ast.IntLit(tok.value, line=tok.line)

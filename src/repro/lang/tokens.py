@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 KEYWORDS = frozenset({
     "int", "float", "void", "const",
     "if", "else", "while", "for", "do",
@@ -21,24 +19,30 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexical token.
+    """A single lexical token; tokens with equal fields are equal.
 
     ``kind`` is one of: ``"id"``, ``"int"``, ``"float"``, ``"kw"``,
     ``"op"``, ``"eof"``.  ``value`` holds the identifier text, the
     numeric value, the keyword, or the operator string.
     """
 
-    kind: str
-    value: object
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: object, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
     def matches(self, kind: str, value=None) -> bool:
-        if self.kind != kind:
-            return False
-        return value is None or self.value == value
+        return self.kind == kind and (value is None or self.value == value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.value, self.line, self.col) \
+            == (other.kind, other.value, other.line, other.col)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind}, {self.value!r}, line={self.line})"

@@ -17,6 +17,7 @@ finished — the full serialized :class:`~repro.analysis.BoundReport`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -76,6 +77,10 @@ class JobSpec:
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise BadRequest(f"unknown job fields: {sorted(unknown)}")
+        for text in ("benchmark", "source", "entry", "name", "machine",
+                     "backend"):
+            if not isinstance(data.get(text, ""), (str, type(None))):
+                raise BadRequest(f"{text} must be a string")
         benchmark = data.get("benchmark")
         source = data.get("source")
         if benchmark is None and source is None:
@@ -85,6 +90,12 @@ class JobSpec:
             raise BadRequest("'benchmark' and 'source' are exclusive")
         if source is not None and not data.get("entry"):
             raise BadRequest("source jobs need an 'entry' routine")
+        if benchmark is not None:
+            from ..programs import all_benchmarks
+
+            if benchmark not in all_benchmarks():
+                raise BadRequest(f"unknown benchmark {benchmark!r}; known: "
+                                 f"{', '.join(all_benchmarks())}")
         machine = data.get("machine", "i960kb")
         if machine not in MACHINES:
             raise BadRequest(f"unknown machine {machine!r}; known: "
@@ -100,9 +111,11 @@ class JobSpec:
             if value is None:
                 continue
             if not isinstance(value, (int, float)) \
+                    or not math.isfinite(value) \
                     or (not negatable and value < 0):
-                raise BadRequest(f"{numeric} must be a non-negative "
-                                 "number")
+                raise BadRequest(f"{numeric} must be a finite "
+                                 + ("number" if negatable
+                                    else "non-negative number"))
         try:
             bounds = tuple(
                 (b[0], b[1], int(b[2]), int(b[3]))
@@ -110,10 +123,18 @@ class JobSpec:
             constraints = tuple(
                 (str(c[0]), c[1]) for c in (data.get("constraints")
                                             or ()))
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, OverflowError, IndexError):
             raise BadRequest(
                 "bounds must be [function, line, lo, hi] rows and "
                 "constraints [text, function] rows")
+        if not all(isinstance(function, (str, type(None)))
+                   and isinstance(line, (int, type(None)))
+                   for function, line, _, _ in bounds) \
+                or not all(isinstance(function, (str, type(None)))
+                           for _, function in constraints):
+            raise BadRequest("a bound's function and a constraint's "
+                             "function must be strings or null, and a "
+                             "bound's line an integer or null")
         name = data.get("name") or benchmark \
             or f"{data.get('entry')}@source"
         max_iterations = data.get("max_iterations")

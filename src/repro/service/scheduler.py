@@ -36,6 +36,7 @@ import math
 import os
 import threading
 import time
+import traceback
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -242,7 +243,13 @@ class Scheduler:
         span_ts = time.time()
         span_clock = time.perf_counter()
         try:
-            await self._execute(loop, record)
+            try:
+                await self._execute(loop, record)
+            except Exception as error:
+                # A defect fails its own job, not the worker coroutine
+                # that serves this share of the queue.
+                traceback.print_exc()
+                record.fail(f"internal error: {error!r}")
             self._finish_spans(record, span_ts,
                                time.perf_counter() - span_clock)
             self._journal_terminal(record)

@@ -91,3 +91,30 @@ class TestTokens:
     def test_hex_in_expression(self):
         assert kinds("a & 0x0f") == [
             ("id", "a"), ("op", "&"), ("int", 15)]
+
+    def test_unicode_identifiers_and_decimal_digits(self):
+        # str.isalpha starts an identifier, str.isalnum continues it;
+        # numbers take any decimal digit int() accepts.
+        assert kinds("café x² ٣٤ ١.٥") == [
+            ("id", "café"), ("id", "x²"), ("int", 34), ("float", 1.5)]
+
+    @pytest.mark.parametrize("source, col", [
+        # int() rejects a superscript two, which str.isdigit accepts.
+        pytest.param("int x = 2²;", 9, id="after-digit"),
+        pytest.param("int x = ²;", 9, id="alone"),
+        pytest.param("int x = 0x1²;", 9, id="after-hex"),
+        pytest.param("float y = .²;", 11, id="after-dot"),
+        pytest.param("int ½;", 5, id="numeral"),
+        pytest.param("int x = " + "9" * 5000 + ";", 9, id="digit-limit"),
+    ])
+    def test_unconvertible_numbers_are_lex_errors(self, source, col):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert (info.value.line, info.value.col) == (1, col)
+
+    def test_eof_column_after_trailing_line_comment(self):
+        source = "int main(void) { return 0; // end"
+        assert tokenize(source)[-1].col == len(source) + 1
+        with pytest.raises(ParseError) as info:
+            parse_program(source)
+        assert (info.value.line, info.value.col) == (1, 34)

@@ -8,6 +8,7 @@ bounds against serial ``Analysis.estimate``.
 """
 
 import asyncio
+import math
 import threading
 import time
 
@@ -77,6 +78,16 @@ class TestJobSpec:
         assert (job.fingerprint()
                 == AnalysisJob.from_benchmark("check_data").fingerprint())
 
+    def test_fingerprint_sorts_rows_with_nulls(self):
+        spec = JobSpec.from_dict({
+            "source": "int f() { return 1; }", "entry": "f",
+            "bounds": [["g", 4, 0, 2], [None, 3, 0, 8]],
+            "constraints": [["x1 = 1", "g"], ["x1 = 1", None]]})
+        fingerprint = spec.to_analysis_job().fingerprint()
+        assert "bounds=[(None, 3, 0, 8), ('g', 4, 0, 2)]" in fingerprint
+        assert "constraints=[('x1 = 1', None), ('x1 = 1', 'g')]" \
+            in fingerprint
+
     @pytest.mark.parametrize("body", [
         "not a dict",
         {},                                        # no target
@@ -88,6 +99,18 @@ class TestJobSpec:
         {"benchmark": "check_data", "set_timeout": "soon"},
         {"benchmark": "check_data", "bounds": [[1]]},
         {"benchmark": "check_data", "frobnicate": True},
+        {"benchmark": ["check_data"]},
+        {"benchmark": "no_such_routine"},
+        {"benchmark": "check_data", "machine": []},
+        {"benchmark": "check_data", "max_iterations": math.inf},
+        {"benchmark": "check_data", "priority": math.nan},
+        {"source": 123, "entry": "f"},
+        {"source": "int f(){}", "entry": ["main"]},
+        {"source": "int f(){}", "entry": "f", "name": 7},
+        {"source": "int f(){}", "entry": "f",
+         "bounds": [["f", None, 1, math.inf]]},
+        {"source": "int f(){}", "entry": "f", "bounds": [[["f"], 3, 1, 2]]},
+        {"source": "int f(){}", "entry": "f", "constraints": [["x1=1", 5]]},
     ])
     def test_rejects_bad_specs(self, body):
         with pytest.raises(BadRequest):
@@ -271,6 +294,29 @@ class TestDrain:
 
 
 class TestEndToEnd:
+    def test_malformed_fields_are_400_and_workers_survive(self):
+        bodies = (
+            {"benchmark": ["check_data"]},
+            {"benchmark": ["check_data"]},
+            {"benchmark": "check_data", "machine": []},
+            {"benchmark": "check_data", "max_iterations": math.inf},
+            {"source": 123, "entry": "f"},
+            {"source": "int f() { return 1; }", "entry": ["main"]},
+        )
+        with ServiceThread(workers=2, executor="process") as handle:
+            client = ServiceClient(port=handle.port)
+            for body in bodies:
+                with pytest.raises(ClientError, match="HTTP 400"):
+                    client.submit(body)
+            done = client.wait(client.submit({"benchmark": "piksrt"})["id"],
+                               timeout=60)
+            health = client.healthz()
+            snapshot = client.metricz()
+        serial = get_benchmark("piksrt").make_analysis().estimate()
+        assert (done["best"], done["worst"]) == serial.interval
+        assert health["status"] == "ok"
+        assert snapshot["service.retries"]["value"] == 0
+
     def test_bounds_match_serial_and_cache_reuses(self, tmp_path):
         serial = get_benchmark("check_data").make_analysis().estimate()
         with _thread_service(workers=2, cache_dir=tmp_path) as handle:
@@ -306,10 +352,32 @@ class TestEndToEnd:
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
 
+    def test_unexpected_error_fails_the_job_not_the_worker(
+            self, monkeypatch):
+        lower = JobSpec.to_analysis_job
+
+        def defective(spec):
+            if spec.name == "defective":
+                raise RuntimeError("defect")
+            return lower(spec)
+
+        monkeypatch.setattr(JobSpec, "to_analysis_job", defective)
+        with _thread_service(workers=2) as handle:
+            client = ServiceClient(port=handle.port)
+            for _ in range(2):
+                ticket = client.submit(_src("defective"))
+                with pytest.raises(JobFailed, match="internal error"):
+                    client.wait(ticket["id"], timeout=30)
+            done = client.wait(
+                client.submit({"benchmark": "check_data"})["id"],
+                timeout=60)
+        assert (done["best"], done["worst"]) == (34, 722)
+
     def test_failed_job_surfaces_as_job_failed(self):
         with _thread_service(workers=1) as handle:
             client = ServiceClient(port=handle.port)
-            ticket = client.submit({"benchmark": "no_such_routine"})
+            ticket = client.submit({"source": "int f() { return 1; }",
+                                    "entry": "no_such_routine"})
             with pytest.raises(JobFailed):
                 client.wait(ticket["id"], timeout=30)
             with pytest.raises(ClientError, match="HTTP 409"):
