@@ -188,7 +188,7 @@ def test_chaos_seams_overhead_under_five_percent(benchmark, tmp_path):
     with the null injector against the same loop with an idle plan
     installed, interleaved round by round (the NULL_TRACER guard
     pattern) so CPU drift hits both arms equally."""
-    from repro.analysis.report import SetResult
+    from repro.analysis.report import BoundReport, SetResult
     from repro.chaos import FaultPlan, inject
     from repro.engine.cache import ResultCache
     from repro.ilp import Status
@@ -198,8 +198,11 @@ def test_chaos_seams_overhead_under_five_percent(benchmark, tmp_path):
         .to_dict()
     cache = ResultCache(tmp_path / "cache")
     for n in range(8):
-        cache.put_set(f"k{n}", SetResult(index=n, status=Status.OPTIMAL,
-                                         worst=10.0, best=2.0))
+        result = SetResult(index=0, status=Status.OPTIMAL,
+                           worst=10.0, best=2.0)
+        cache.put_report(f"k{n}", BoundReport(
+            entry="guard", machine="m", best=2, worst=10,
+            set_results=[result], sets_total=1, sets_pruned=0))
     journal = JobJournal(tmp_path / "journal", fsync_interval=3600.0)
     journal.open()
 
@@ -208,7 +211,7 @@ def test_chaos_seams_overhead_under_five_percent(benchmark, tmp_path):
         for n in range(_CHAOS_OPS):
             journal.append("set_done", id="j000001", set=n,
                            worst=10, best=2, feasible=True)
-            cache.get_set(f"k{n % 8}")
+            cache.get_report(f"k{n % 8}")
         return time.perf_counter() - clock
 
     one_round()                       # warm file handles and imports

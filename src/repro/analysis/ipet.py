@@ -5,7 +5,9 @@ program, build CFGs and the call graph, extract structural constraints,
 take loop bounds and functionality constraints from the user, expand
 disjunctions into constraint sets, and solve one ILP per set for the
 worst case (maximize) and the best case (minimize).  The estimated
-bound is the max/min over all sets.
+bound is the max/min over all sets.  :meth:`Analysis.estimate` solves
+every set in this process and keeps nothing on disk; the batch engine
+and the service cache whole reports (:mod:`repro.engine.cache`).
 
 Example
 -------
@@ -403,7 +405,6 @@ class Analysis:
             for index, relations in enumerate(expansion.sets)]
 
     def estimate(self, set_timeout: float | None = None,
-                 cache=None,
                  max_iterations: int | None = None) -> BoundReport:
         """Run the full IPET procedure (§III-D) and return the bound.
 
@@ -413,12 +414,6 @@ class Analysis:
             Wall-clock budget in seconds per constraint set; a set that
             exceeds it reports its LP-relaxation bound (still sound)
             and the report is marked ``partial``.
-        cache:
-            A :class:`repro.engine.ResultCache` (or anything with its
-            ``get_set``/``put_set`` interface); solved sets are stored
-            under a content hash of their canonical LP text plus the
-            machine fingerprint, backend and solver budgets, and
-            re-runs are served from disk.
         max_iterations:
             Cumulative simplex-pivot budget per ILP; exceeding it
             degrades that direction to its LP relaxation, like a
@@ -431,9 +426,8 @@ class Analysis:
         timings["constraints"] = time.perf_counter() - clock
 
         clock = time.perf_counter()
-        with self.tracer.span("solve", cat="pipeline", sets=len(tasks),
-                              cached=0) as span:
-            results = self._solve_tasks(tasks, cache, span)
+        with self.tracer.span("solve", cat="pipeline", sets=len(tasks)):
+            results = [solve_set(task, self.tracer) for task in tasks]
         timings["solve"] = time.perf_counter() - clock
         report = self.assemble_report(results, expansion, timings)
         if self.tracer.enabled:
@@ -471,34 +465,6 @@ class Analysis:
             partial=any(r.timed_out for r in results),
             timings=timings or {},
         )
-
-    def _solve_tasks(self, tasks: list[SetTask], cache,
-                     span) -> list[SetResult]:
-        """Solve every task in this process, serving what it can from
-        `cache` (counted on the ``solve`` `span` as ``cached``)."""
-        results: dict[int, SetResult] = {}
-        pending: list[SetTask] = []
-        keys: dict[int, str] = {}
-        if cache is not None:
-            fingerprint = self.machine.fingerprint()
-            for task in tasks:
-                keys[task.index] = cache.set_key(task.signature(),
-                                                 fingerprint, self.backend,
-                                                 budget=task.budget_key())
-                hit = cache.get_set(keys[task.index])
-                if hit is not None:
-                    results[task.index] = hit
-                    span.inc("cached")
-                else:
-                    pending.append(task)
-        else:
-            pending = list(tasks)
-
-        for task in pending:
-            result = results[task.index] = solve_set(task, self.tracer)
-            if cache is not None and not result.timed_out:
-                cache.put_set(keys[task.index], result)
-        return [results[task.index] for task in tasks]
 
 
 def _normalize_scope(formula: Formula, scope: str) -> Formula:

@@ -3,11 +3,11 @@
 The IPET procedure solves two ILPs (worst-case maximize, best-case
 minimize) per functionality constraint set and takes the max/min over
 sets.  This module packages one set's worth of work as a plain-data
-:class:`SetTask` whose canonical LP text keys the result cache.
-:meth:`repro.Analysis.estimate` solves every set with
-:func:`solve_set` in the process that built the analysis; the batch
-engine and the service dispatch whole jobs, so every path produces
-bit-identical :class:`~repro.analysis.report.SetResult` objects.
+:class:`SetTask`.  :meth:`repro.Analysis.estimate` solves every set
+with :func:`solve_set` in the process that built the analysis; the
+batch engine and the service dispatch whole jobs, so every path
+produces bit-identical :class:`~repro.analysis.report.SetResult`
+objects.  Nothing here reads or writes a cache.
 
 Every set of an analysis shares its base system: the structural
 constraints and the loop bounds.  :class:`PresolvedBase` lowers that
@@ -133,24 +133,14 @@ class SetTask:
         return worst, best
 
     def signature(self) -> str:
-        """Canonical LP text of both problems — the content-addressed
-        part of the engine's cache key.  Variables and bounds are
-        emitted in sorted order by :func:`~repro.ilp.lpformat.write_lp`
-        and constraint order is deterministic, so two tasks denoting
-        the same mathematical problem share a signature."""
+        """Canonical LP text of both problems.  Variables and bounds
+        are emitted in sorted order by
+        :func:`~repro.ilp.lpformat.write_lp` and constraint order is
+        deterministic, so two tasks denoting the same mathematical
+        problem share a signature.  No solve path calls it; it exports
+        a set for inspection and benchmarking."""
         worst, best = self.problems()
         return write_lp(worst) + "\n" + write_lp(best)
-
-    def budget_key(self) -> str:
-        """The solver-budget part of the cache key.
-
-        Two runs of the same mathematical problem under different
-        timeout / pivot budgets can produce different (still sound)
-        bounds — a timed-out run degrades to its LP relaxation — so
-        budgets must participate in content addressing alongside the
-        LP text."""
-        return (f"timeout={self.timeout!r}|"
-                f"max_iterations={self.max_iterations!r}")
 
 
 def solve_set(task: SetTask, tracer=None) -> SetResult:

@@ -824,7 +824,7 @@ def _cmd_engine(args) -> int:
         stats = cache.stats()
         print(f"cache: {stats.root}")
         print(f"entries: {stats.entries} "
-              f"({stats.set_entries} sets, {stats.job_entries} jobs), "
+              f"({stats.job_entries} jobs), "
               f"{stats.total_bytes:,} bytes")
         print(f"evictions: {stats.evictions} (lifetime)")
         print(f"quarantined: {stats.quarantined} (lifetime, "

@@ -1,23 +1,23 @@
 """Content-addressed on-disk result cache for the analysis engine.
 
-Two layers share one store:
-
-* **set layer** — one entry per solved constraint set, keyed by the
-  SHA-256 of the set's canonical LP text (worst + best problems, as
-  written by :func:`repro.ilp.lpformat.write_lp`), the machine
-  fingerprint, the solver backend, and the solver version.  Any change
-  to the program, the constraint system, the machine timing parameters
-  or the solver invalidates the key by construction.
-* **job layer** — one entry per completed analysis job, keyed by the
-  job's own fingerprint (source text, entry, machine, bounds,
-  constraints, flags, backend, version).  A warm job hit skips even
-  compilation.
+One entry per completed analysis job, keyed by the SHA-256 of the
+job's own fingerprint (source text, entry, machine, bounds,
+constraints, flags, backend), its solver budgets and the solver
+version.  A hit skips even compilation.  Only the process that
+dispatches jobs touches the store: the engine parent and the service
+scheduler look a job up before dispatch and store its report after,
+so job workers only compute.
 
 Entries are JSON files under ``root/<k[:2]>/<k>.json``, written
-atomically (temp file + :func:`os.replace`) so concurrent pool workers
+atomically (temp file + :func:`os.replace`) so concurrent processes
 can share one cache directory without locking: the worst race is two
-workers computing the same value and one overwrite winning, which is
+writers storing the same value and one overwrite winning, which is
 harmless for a content-addressed store.
+
+A store written by an older version may also hold ``"kind": "set"``
+entries, one per solved constraint set.  Nothing reads them again;
+they count as entries, the LRU caps evict them first (nothing touches
+them), and ``repro engine stats --clear`` removes them.
 
 Timed-out (``partial``) results are never cached — a re-run with a
 longer budget should get the chance to do better.
@@ -27,7 +27,7 @@ Size caps (LRU eviction)
 A cache constructed with ``max_entries`` and/or ``max_bytes`` evicts
 least-recently-used entries after every write until it fits again.
 Recency is the entry file's mtime: reads touch it, writes set it, so
-the file system itself is the LRU bookkeeping and concurrent workers
+the file system itself is the LRU bookkeeping and concurrent processes
 need no shared state.  Lifetime eviction totals persist in
 ``root/_meta.json`` (best effort under races; the counter may
 undercount, never overcount) and surface in ``repro engine stats``.
@@ -84,8 +84,8 @@ class CacheStats:
     """What ``repro engine stats`` reports about a cache directory."""
 
     root: str
+    #: Every entry file, including set entries an older version left.
     entries: int
-    set_entries: int
     job_entries: int
     total_bytes: int
     #: Lifetime LRU evictions recorded in the cache's meta file.
@@ -97,7 +97,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """A content-addressed store of solved sets and finished reports.
+    """A content-addressed store of finished reports.
 
     ``max_entries`` / ``max_bytes`` cap the store; ``None`` means
     unlimited.  Eviction is LRU (see the module docstring).
@@ -110,20 +110,12 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.hits = {"set": 0, "job": 0}
-        self.misses = {"set": 0, "job": 0}
         #: Evictions performed by *this* cache object (the meta file
         #: keeps the lifetime total across processes).
         self.evictions = 0
         #: Corrupt entries this cache object quarantined on read
         #: (lifetime total lives in the meta file).
         self.quarantined = 0
-
-    def reopen_args(self) -> tuple:
-        """``(root, max_entries, max_bytes)``: picklable arguments that
-        reopen this store under the same caps in another process (the
-        engine's job payloads carry them)."""
-        return (str(self.root), self.max_entries, self.max_bytes)
 
     # ------------------------------------------------------------------
     # Keys
@@ -132,32 +124,12 @@ class ResultCache:
     def _digest(material: str) -> str:
         return hashlib.sha256(material.encode()).hexdigest()
 
-    def set_key(self, signature: str, machine_fingerprint: str,
-                backend: str, *, budget: str = "") -> str:
-        """Key for one constraint set's solve.
-
-        `signature` is the canonical LP text from
-        :meth:`repro.analysis.setsolve.SetTask.signature`; `budget` is
-        the solver-budget summary from
-        :meth:`~repro.analysis.setsolve.SetTask.budget_key`.  Budgets
-        join the key material because a tighter timeout or pivot cap
-        can legitimately produce a different (looser, relaxation-based)
-        bound for the same LP text.
-        """
-        material = "\n".join([
-            "kind=set",
-            f"solver={backend}/{SOLVER_VERSION}/{__version__}",
-            f"machine={machine_fingerprint}",
-            f"budget={budget}",
-            signature,
-        ])
-        return self._digest(material)
-
     def job_key(self, fingerprint: str, *, budget: str = "") -> str:
         """Key for a whole analysis job (see
         :meth:`repro.engine.jobs.AnalysisJob.fingerprint`).  `budget`
-        carries the job's solver budgets (set timeout, pivot cap) for
-        the same reason they join :meth:`set_key`."""
+        carries the job's solver budgets (set timeout, pivot cap): a
+        tighter budget can legitimately degrade a set to its (looser,
+        still sound) LP relaxation."""
         material = "\n".join([
             "kind=job",
             f"solver_version={SOLVER_VERSION}/{__version__}",
@@ -222,7 +194,7 @@ class ResultCache:
         # Seal the entry with its own content hash; _read verifies it
         # so on-disk corruption surfaces as a quarantined miss, never
         # as a wrong bound.  "kind" still sorts first, which the
-        # _read_kind() head sniff relies on.
+        # _is_job() head sniff relies on.
         payload = dict(payload, sha256=self._digest(
             json.dumps(payload, sort_keys=True)))
         text = json.dumps(payload, sort_keys=True)
@@ -319,31 +291,12 @@ class ResultCache:
             raise
 
     # ------------------------------------------------------------------
-    # Set layer (the interface Analysis.estimate duck-types against)
-    # ------------------------------------------------------------------
-    def get_set(self, key: str) -> SetResult | None:
-        payload = self._read(key)
-        if payload is None or payload.get("kind") != "set":
-            self.misses["set"] += 1
-            return None
-        self.hits["set"] += 1
-        return set_result_from_dict(payload["result"])
-
-    def put_set(self, key: str, result: SetResult) -> None:
-        if result.timed_out:
-            return
-        self._write(key, {"kind": "set",
-                          "result": set_result_to_dict(result)})
-
-    # ------------------------------------------------------------------
     # Job layer
     # ------------------------------------------------------------------
     def get_report(self, key: str) -> BoundReport | None:
         payload = self._read(key)
         if payload is None or payload.get("kind") != "job":
-            self.misses["job"] += 1
             return None
-        self.hits["job"] += 1
         return report_from_dict(payload["report"])
 
     def put_report(self, key: str, report: BoundReport) -> None:
@@ -356,37 +309,29 @@ class ResultCache:
     # Maintenance
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
-        entries = set_entries = job_entries = 0
+        entries = job_entries = 0
         total_bytes = 0
         for path in self.root.glob("??/*.json"):
             entries += 1
             total_bytes += path.stat().st_size
-            payload = self._read_kind(path)
-            if payload == "set":
-                set_entries += 1
-            elif payload == "job":
-                job_entries += 1
+            job_entries += self._is_job(path)
         meta = self._load_meta()
-        return CacheStats(str(self.root), entries, set_entries,
-                          job_entries, total_bytes,
+        return CacheStats(str(self.root), entries, job_entries,
+                          total_bytes,
                           evictions=meta.get("evictions", 0),
                           quarantined=meta.get("quarantined", 0),
                           max_entries=self.max_entries,
                           max_bytes=self.max_bytes)
 
     @staticmethod
-    def _read_kind(path: Path) -> str | None:
+    def _is_job(path: Path) -> bool:
         try:
             with open(path) as handle:
                 head = handle.read(32)
         except OSError:  # pragma: no cover - racing eviction
-            return None
+            return False
         # Keys are sorted in the JSON, so "kind" leads the object.
-        if '"kind": "set"' in head:
-            return "set"
-        if '"kind": "job"' in head:
-            return "job"
-        return None  # pragma: no cover - foreign file
+        return '"kind": "job"' in head
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""

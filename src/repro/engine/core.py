@@ -8,7 +8,9 @@ the CFGs and solves every constraint-set ILP of one
 :class:`~repro.engine.jobs.AnalysisJob` in one process, through
 :meth:`repro.Analysis.estimate`.  ``AnalysisEngine.run`` calls it in
 the caller when one job needs solving or the engine has one worker,
-and otherwise gives each job its own pool task.
+and otherwise gives each job its own pool task.  Workers only compute:
+the engine looks each job up in the :class:`ResultCache` before
+dispatch and stores its report after, in the calling process.
 
 Failure semantics
 -----------------
@@ -46,12 +48,11 @@ def _default_workers() -> int:
 def execute_job(payload) -> JobResult:
     """Pool worker: run one job end to end (module-level, picklable).
 
-    ``payload`` is ``(job, cache_args, set_timeout, max_iterations,
-    trace)``, where ``cache_args`` is None or the
-    :meth:`ResultCache.reopen_args` of the caller's cache, so the job's
-    set entries count toward the same LRU caps.  Also the unit of work
-    the analysis service dispatches — one HTTP job request becomes
-    exactly one of these payloads.
+    ``payload`` is ``(job, set_timeout, max_iterations, trace)``.  It
+    touches no cache: the caller looks the job up before dispatch and
+    stores the report after.  Also the unit of work the analysis
+    service dispatches — one HTTP job request becomes exactly one of
+    these payloads.
 
     ``trace`` is polymorphic: falsy disables tracing, ``True`` traces
     anonymously, and a :class:`~repro.obs.context.TraceContext` dict
@@ -60,9 +61,8 @@ def execute_job(payload) -> JobResult:
     reassemble under the job's trace id (see
     :mod:`repro.obs.flight`).
     """
-    job, cache_args, set_timeout, max_iterations, trace = payload
+    job, set_timeout, max_iterations, trace = payload
     started = time.monotonic()
-    cache = ResultCache(*cache_args) if cache_args else None
     tracer = None
     if trace:
         from ..obs.trace import Tracer
@@ -75,7 +75,7 @@ def execute_job(payload) -> JobResult:
         tracer = Tracer(context=context)
     try:
         analysis = job.build_analysis(tracer=tracer)
-        report = analysis.estimate(set_timeout=set_timeout, cache=cache,
+        report = analysis.estimate(set_timeout=set_timeout,
                                    max_iterations=max_iterations)
     except ReproError as error:
         failed = JobResult(job.name, "failed", error=str(error),
@@ -88,9 +88,6 @@ def execute_job(payload) -> JobResult:
                        report, wall_time=time.monotonic() - started)
     if tracer is not None:
         result.spans = tracer.records()
-    if cache is not None:
-        result.set_cache_hits = cache.hits["set"]
-        result.set_cache_misses = cache.misses["set"]
     return result
 
 
@@ -226,13 +223,11 @@ class AnalysisEngine:
     def _dispatch(self, pending):
         """Yield ``(index, JobResult)`` for every pending job: in the
         caller for one job or one worker, else over the pool."""
-        cache_args = self.cache.reopen_args() \
-            if self.cache is not None else None
         context = getattr(self.tracer, "context", None)
         trace = context.to_dict() if context is not None \
             else self.tracer.enabled
-        payloads = {index: (job, cache_args, self.set_timeout,
-                            self.max_iterations, trace)
+        payloads = {index: (job, self.set_timeout, self.max_iterations,
+                            trace)
                     for index, job in pending}
         if self.workers <= 1 or len(pending) == 1:
             for index, job in pending:
@@ -292,10 +287,6 @@ class AnalysisEngine:
                 self.metrics.record_cache("job", False)
             if result.report is not None and not result.cache_hit:
                 self.metrics.record_report(result.report)
-            for _ in range(result.set_cache_hits):
-                self.metrics.record_cache("set", True)
-            for _ in range(result.set_cache_misses):
-                self.metrics.record_cache("set", False)
 
 
 def _failure(job: AnalysisJob, error, attempts: int) -> JobResult:

@@ -151,9 +151,6 @@ class JobResult:
     wall_time: float = 0.0
     cache_hit: bool = False
     attempts: int = 1
-    #: Set-layer cache traffic of this job's analysis.
-    set_cache_hits: int = 0
-    set_cache_misses: int = 0
     #: Span records captured in the worker when the engine ran with a
     #: tracer (picklable; merged by the parent).
     spans: list = field(default_factory=list)

@@ -9,7 +9,7 @@ touches:
 * solver effort: LP calls, cumulative simplex iterations, branch &
   bound nodes explored and pruned, and how many constraint sets were
   solved vs timed out vs degraded to an LP relaxation;
-* cache traffic: hits and misses at the per-set and per-job layers;
+* job-cache traffic: hits and misses;
 * job outcomes: ``ok`` / ``partial`` / ``failed``.
 
 Since the observability layer landed, the figures live in a
@@ -56,9 +56,8 @@ class EngineMetrics:
             else MetricsRegistry()
         # Pre-create the fixed-key families so the dict views always
         # carry every expected key, even at zero.
-        for layer in ("set", "job"):
-            self.registry.counter(_HITS + layer)
-            self.registry.counter(_MISSES + layer)
+        self.registry.counter(_HITS + "job")
+        self.registry.counter(_MISSES + "job")
         for status in ("ok", "partial", "failed"):
             self.registry.counter(_JOBS + status)
         self.registry.gauge("engine.total_seconds")
@@ -267,13 +266,11 @@ class EngineMetrics:
                 f"p99 {histogram.percentile(0.99):.4g} "
                 f"(mean {histogram.mean:.4g} over "
                 f"{histogram.count} sets)")
-        for layer in ("set", "job"):
-            rate = self.hit_rate(layer)
-            if rate is not None:
-                hits = self.cache_hits.get(layer, 0)
-                total = hits + self.cache_misses.get(layer, 0)
-                lines.append(f"cache[{layer}]: {hits}/{total} hits "
-                             f"({rate:.1%})")
+        rate = self.hit_rate("job")
+        if rate is not None:
+            hits = self.cache_hits.get("job", 0)
+            total = hits + self.cache_misses.get("job", 0)
+            lines.append(f"cache[job]: {hits}/{total} hits ({rate:.1%})")
         jobs = self.jobs
         lines.append(f"jobs: {jobs.get('ok', 0)} ok, "
                      f"{jobs.get('partial', 0)} partial, "

@@ -5,9 +5,10 @@ batch of ILPs — a request/response workload.  This package serves it:
 a dependency-free asyncio HTTP server (:mod:`~repro.service.server`)
 in front of a bounded priority queue (:mod:`~repro.service.queue`) and
 a scheduler (:mod:`~repro.service.scheduler`) that dispatches jobs to
-:func:`repro.engine.execute_job` workers, reusing the content-addressed
-:class:`repro.engine.ResultCache` so parsing, CFG construction and
-solved sets amortize across requests.
+:func:`repro.engine.execute_job` workers.  The scheduler answers exact
+repeats from the content-addressed :class:`repro.engine.ResultCache`
+before dispatch, so a repeated request skips parsing, CFG construction
+and every solve.
 
 >>> from repro.service import ServiceThread, ServiceClient
 >>> with ServiceThread(workers=2, executor="thread") as handle:

@@ -40,7 +40,11 @@ Compaction folds the journal into ``snapshot.json`` (written to a temp
 file, fsynced, atomically renamed) and then truncates the WAL.  A
 crash between the rename and the truncate leaves a snapshot *plus* a
 WAL whose records are already folded in — harmless, because replay
-applies the WAL on top of the snapshot idempotently.
+applies the WAL on top of the snapshot idempotently.  The snapshot
+holds every job, so a compaction waits until the WAL is at least as
+large as the last snapshot: each one is paid for by as many new WAL
+bytes as it writes, which keeps total compaction work linear in the
+jobs served.
 """
 
 from __future__ import annotations
@@ -218,6 +222,9 @@ class JobJournal:
         self.appended = 0
         self.synced = 0
         self.compactions = 0
+        #: Size of the current snapshot file; the WAL must reach it
+        #: before the next compaction.
+        self._snapshot_bytes = 0
         #: Wall seconds spent writing/syncing frames, for the
         #: bench_service overhead guard (journal share of throughput).
         self.write_seconds = 0.0
@@ -255,6 +262,10 @@ class JobJournal:
             missing_ok=True)
         state = JournalState()
         self._load_snapshot(state)
+        try:
+            self._snapshot_bytes = self.snapshot_path.stat().st_size
+        except FileNotFoundError:
+            self._snapshot_bytes = 0
         good_offset = self._replay_wal(state)
         if state.tail_dropped:
             # Repair the torn tail now: frames appended below must
@@ -471,8 +482,12 @@ class JobJournal:
     # Compaction
     # ------------------------------------------------------------------
     def should_compact(self) -> bool:
-        return (self._since_compact >= self.compact_records
-                or self.wal_bytes >= self.compact_bytes)
+        """True once a frame or byte threshold is met and the WAL has
+        grown at least as large as the last snapshot."""
+        wal_bytes = self.wal_bytes
+        return ((self._since_compact >= self.compact_records
+                 or wal_bytes >= self.compact_bytes)
+                and wal_bytes >= self._snapshot_bytes)
 
     def compact(self, jobs: dict) -> None:
         """Fold ``jobs`` into the snapshot and reset the WAL.
@@ -490,10 +505,19 @@ class JobJournal:
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
             with open(tmp, "w") as handle:
-                json.dump({"schema": SNAPSHOT_SCHEMA, "jobs": jobs},
-                          handle, separators=(",", ":"))
+                # The bytes of one compact json.dump of the whole
+                # table, written record by record with the C encoder
+                # (json.dump to a file runs the pure-Python one).
+                handle.write(f'{{"schema":{SNAPSHOT_SCHEMA},"jobs":{{')
+                separator = ""
+                for job_id, job in jobs.items():
+                    handle.write(separator + json.dumps(job_id) + ":"
+                                 + json.dumps(job, separators=(",", ":")))
+                    separator = ","
+                handle.write("}}")
                 handle.flush()
                 os.fsync(handle.fileno())
+                size = os.fstat(handle.fileno()).st_size
             os.replace(tmp, self.snapshot_path)
         except OSError:
             # Don't leave a stale tmp behind a failed compaction
@@ -503,6 +527,7 @@ class JobJournal:
             except OSError:
                 pass
             raise
+        self._snapshot_bytes = size
 
     def _reset_wal(self) -> None:
         if self._file is not None:

@@ -64,8 +64,9 @@ class Scheduler:
     workers:
         Executor width and number of concurrent dispatch tasks.
     cache:
-        A :class:`repro.engine.ResultCache` shared with the workers
-        (None disables caching).
+        A :class:`repro.engine.ResultCache` (None disables caching).
+        The scheduler looks each job up before dispatch and stores its
+        report after; workers never touch it.
     executor:
         ``"process"`` (default) or ``"thread"``.
     runner:
@@ -404,12 +405,10 @@ class Scheduler:
         set_timeout = inject.budget("solver.budget", set_timeout)
         max_iterations = spec.max_iterations \
             if spec.max_iterations is not None else self.max_iterations
-        cache_args = self.cache.reopen_args() \
-            if self.cache is not None else None
         # Ship the submitter's trace context across the pickle
         # boundary so pool-worker spans carry the job's trace id.
         trace = spec.trace.to_dict() if spec.trace is not None else False
-        payload = (job, cache_args, set_timeout, max_iterations, trace)
+        payload = (job, set_timeout, max_iterations, trace)
 
         result = await self._dispatch(loop, payload, record)
         if result is None:           # retries exhausted; record failed
@@ -418,10 +417,6 @@ class Scheduler:
         record.spans = list(getattr(result, "spans", []) or [])
         if result.report is not None:
             self.engine_metrics.record_report(result.report)
-            for _ in range(result.set_cache_hits):
-                self.engine_metrics.record_cache("set", True)
-            for _ in range(result.set_cache_misses):
-                self.engine_metrics.record_cache("set", False)
             if self.cache is not None and result.ok:
                 self.cache.put_report(key, result.report)
 

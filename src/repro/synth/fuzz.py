@@ -150,8 +150,7 @@ def check_program(prog: GeneratedProgram, *,
 
     if engine:
         result = execute_job(
-            (prog.analysis_job(machine=machine), None, None, None,
-             False))
+            (prog.analysis_job(machine=machine), None, None, False))
         if registry is not None:
             registry.counter("synth.fuzz.analyses").inc()
         if not result.ok or result.report is None:

@@ -156,59 +156,61 @@ class TestInjector:
 # ======================================================================
 # Cache integrity: hash verification and quarantine
 # ======================================================================
-def _set_result(index=0, worst=10.0, best=2.0):
-    from repro.analysis.report import SetResult
+def _report(worst=10, best=2):
+    from repro.analysis.report import BoundReport, SetResult
     from repro.ilp import Status
 
-    return SetResult(index=index, status=Status.OPTIMAL,
-                     worst=worst, best=best)
+    result = SetResult(index=0, status=Status.OPTIMAL,
+                       worst=float(worst), best=float(best))
+    return BoundReport(entry="f", machine="m", best=best, worst=worst,
+                       set_results=[result], sets_total=1, sets_pruned=0)
 
 
 class TestCacheQuarantine:
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_set("k1", _set_result())
+        cache.put_report("k1", _report())
         # Flip one byte on disk, as a bad sector would.
         (entry,) = list(tmp_path.glob("??/*.json"))
         data = bytearray(entry.read_bytes())
         data[len(data) // 2] ^= 0xFF
         entry.write_bytes(bytes(data))
 
-        assert cache.get_set("k1") is None
+        assert cache.get_report("k1") is None
         assert cache.quarantined == 1
         assert not entry.exists()
         assert list((tmp_path / "quarantine").iterdir())
         # The slot is free again: a recompute repopulates it.
-        cache.put_set("k1", _set_result())
-        loaded = cache.get_set("k1")
-        assert (loaded.worst, loaded.best) == (10.0, 2.0)
+        cache.put_report("k1", _report())
+        loaded = cache.get_report("k1")
+        assert loaded.interval == (2, 10)
 
     def test_injected_bitflip_is_caught_by_the_digest(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_set("k1", _set_result())
+        cache.put_report("k1", _report())
         inject.install("seed=1,cache.read=1")
-        assert cache.get_set("k1") is None          # corrupted read
+        assert cache.get_report("k1") is None       # corrupted read
         assert cache.quarantined == 1
-        cache.put_set("k2", _set_result(worst=3.0, best=1.0))
-        loaded = cache.get_set("k2")                # charge spent
-        assert (loaded.worst, loaded.best) == (3.0, 1.0)
+        cache.put_report("k2", _report(worst=3, best=1))
+        loaded = cache.get_report("k2")             # charge spent
+        assert loaded.interval == (1, 3)
 
     def test_legacy_unsealed_entries_still_read(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_set("k1", _set_result())
+        cache.put_report("k1", _report())
         (entry,) = list(tmp_path.glob("??/*.json"))
         payload = json.loads(entry.read_text())
         del payload["sha256"]                       # pre-digest format
         entry.write_text(json.dumps(payload))
-        loaded = cache.get_set("k1")
-        assert (loaded.worst, loaded.best) == (10.0, 2.0)
+        loaded = cache.get_report("k1")
+        assert loaded.interval == (2, 10)
 
     def test_quarantine_is_excluded_from_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_set("k1", _set_result())
-        cache.put_set("k2", _set_result(index=1))
+        cache.put_report("k1", _report())
+        cache.put_report("k2", _report(worst=3, best=1))
         inject.install("seed=1,cache.read=1")
-        cache.get_set("k1")
+        cache.get_report("k1")
         stats = cache.stats()
         assert stats.entries == 1
         assert stats.quarantined == 1

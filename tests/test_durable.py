@@ -211,6 +211,40 @@ class TestJournalReplay:
         assert replayed.jobs["j000000"]["state"] == "done"
         assert replayed.jobs["j000005"]["state"] == "queued"
 
+    def test_compaction_work_is_linear_in_jobs(self, tmp_path):
+        # Every snapshot rewrites every job, so compacting on a fixed
+        # frame count alone would rewrite the table once per 2 jobs
+        # here (200 compactions); waiting for the WAL to reach the
+        # snapshot's size makes the snapshots grow geometrically.
+        journal = JobJournal(tmp_path, compact_records=4)
+        journal.open()
+        jobs = {}
+        report = {"entry": "f", "best": 1, "worst": 2, "set_results": [
+            {"index": n, "best": 1.0, "worst": 2.0} for n in range(4)]}
+        for n in range(400):
+            job_id = f"j{n:06d}"
+            apply_record(jobs, journal.append(
+                "submit", durable=True, id=job_id,
+                spec=_spec_dict(f"job{n}"), tenant=None))
+            apply_record(jobs, journal.append(
+                "complete", id=job_id, status="ok", cache_hit=False,
+                report=report))
+            if journal.should_compact():
+                journal.compact(jobs)
+        assert 1 <= journal.compactions <= 12
+        journal.compact(jobs)
+        journal.close()
+        assert (tmp_path / "snapshot.json").read_text() == json.dumps(
+            {"schema": 1, "jobs": jobs}, separators=(",", ":"))
+        # A reopened journal knows the snapshot's size: 400 more
+        # frames stay below it.
+        reopened = JobJournal(tmp_path, compact_records=4)
+        assert len(reopened.open().jobs) == 400
+        for _ in range(400):
+            reopened.append("noop", durable=True)
+        assert not reopened.should_compact()
+        reopened.close()
+
     def test_foreign_magic_is_rejected(self, tmp_path):
         (tmp_path / "journal.wal").write_bytes(b"NOTAJRNL" + b"x" * 32)
         with pytest.raises(JournalError, match="magic"):

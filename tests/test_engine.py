@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import os
 
 import pytest
@@ -26,20 +27,19 @@ int tally(int n) {
 """
 
 
-def _analysis(machine=None):
-    analysis = Analysis(SOURCE, entry="tally", machine=machine)
+def _analysis():
+    analysis = Analysis(SOURCE, entry="tally")
     analysis.auto_bound_loops()
     analysis.add_constraint("(x4 = 8 & x5 = 0) | (x4 = 0 & x5 = 8)")
     return analysis
 
 
-def _job(name="tally", machine=None, trips=8):
-    """The tally job; `trips` other than 8 makes every set infeasible."""
-    return AnalysisJob(name=name, source=SOURCE, entry="tally",
+def _job(machine=None):
+    return AnalysisJob(name="tally", source=SOURCE, entry="tally",
                        machine=machine, auto_bounds=True,
                        constraints=(
-                           (f"(x4 = {trips} & x5 = 0) | "
-                            f"(x4 = 0 & x5 = {trips})", None),))
+                           ("(x4 = 8 & x5 = 0) | (x4 = 0 & x5 = 8)",
+                            None),))
 
 
 #: 30 branch blocks inside a 50-iteration loop, three of them forced
@@ -98,75 +98,17 @@ class _DyingJob(AnalysisJob):
 
 
 class TestCacheKeys:
-    def test_set_key_stable_across_rebuilds(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        machine = i960kb()
-        keys = []
-        for _ in range(2):
-            tasks = _analysis(machine).set_tasks()
-            keys.append([cache.set_key(task.signature(),
-                                       machine.fingerprint(), "simplex")
-                         for task in tasks])
-        assert keys[0] == keys[1]
-        assert len(set(keys[0])) == len(keys[0])
-
-    def test_machine_parameter_changes_set_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        base = i960kb()
-        slower = dataclasses.replace(base, miss_penalty=base.miss_penalty + 1)
-        task = _analysis(base).set_tasks()[0]
-        assert (cache.set_key(task.signature(), base.fingerprint(), "simplex")
-                != cache.set_key(task.signature(), slower.fingerprint(),
-                                 "simplex"))
-
-    def test_backend_changes_set_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        machine = i960kb()
-        task = _analysis(machine).set_tasks()[0]
-        signature = task.signature()
-        assert (cache.set_key(signature, machine.fingerprint(), "simplex")
-                != cache.set_key(signature, machine.fingerprint(), "exact"))
-
-    def test_set_key_keeps_every_digit(self, tmp_path):
-        # Loop bounds 1000000 and 1000001 print alike with six
-        # significant digits; sharing a key would serve the first
-        # analysis's (unsound) bound to the second.
-        source = """
-        int f() {
-            int i; int s; s = 0;
-            for (i = 0; i < 5; i++) s += i;
-            return s;
-        }
-        """
-        cache = ResultCache(tmp_path)
-        worst = {}
-        for hi in (1000000, 1000001):
-            analysis = Analysis(source, entry="f")
-            analysis.bound_loop(0, hi)
-            worst[hi] = analysis.estimate(cache=cache).worst
-        alone = Analysis(source, entry="f")
-        alone.bound_loop(0, 1000001)
-        assert worst[1000001] == alone.estimate().worst > worst[1000000]
-
-    def test_solver_version_changes_both_keys(self, tmp_path, monkeypatch):
+    def test_solver_version_changes_job_key(self, tmp_path, monkeypatch):
         # A cache filled by another solver version must not serve
         # results the current solver would not produce.
         from repro.engine import cache as cache_module
 
         cache = ResultCache(tmp_path)
-        signature = _analysis().set_tasks()[0].signature()
         fingerprint = _job().fingerprint()
-
-        def keys():
-            return (cache.set_key(signature, "m", "simplex"),
-                    cache.job_key(fingerprint))
-
-        current = keys()
+        current = cache.job_key(fingerprint)
         monkeypatch.setattr(cache_module, "SOLVER_VERSION",
                             cache_module.SOLVER_VERSION + 1)
-        bumped = keys()
-        assert current[0] != bumped[0]
-        assert current[1] != bumped[1]
+        assert cache.job_key(fingerprint) != current
 
     def test_job_key_stable_and_machine_sensitive(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -184,23 +126,6 @@ class TestCacheKeys:
 
 
 class TestResultCache:
-    def test_set_layer_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        machine = i960kb()
-        analysis = _analysis(machine)
-        task = analysis.set_tasks()[0]
-        from repro.analysis.setsolve import solve_set
-
-        result = solve_set(task)
-        key = cache.set_key(task.signature(), machine.fingerprint(),
-                            "simplex")
-        assert cache.get_set(key) is None
-        cache.put_set(key, result)
-        loaded = cache.get_set(key)
-        assert (loaded.worst, loaded.best) == (result.worst, result.best)
-        assert loaded.worst_counts == result.worst_counts
-        assert loaded.stats.lp_calls == result.stats.lp_calls
-
     def test_job_layer_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         report = _analysis().estimate()
@@ -216,11 +141,15 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         report = _analysis().estimate()
         cache.put_report(cache.job_key("a"), report)
-        cache.put_set(cache.set_key("sig", "m", "simplex"),
-                      report.set_results[0])
+        # A set entry an older version wrote: never read again, but
+        # counted and cleared like any other entry.
+        legacy = tmp_path / "ab" / f"ab{'0' * 62}.json"
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps({"kind": "set", "result": {}},
+                                     sort_keys=True))
         stats = cache.stats()
         assert stats.entries == 2
-        assert stats.set_entries == 1 and stats.job_entries == 1
+        assert stats.job_entries == 1
         assert stats.total_bytes > 0
         assert cache.clear() == 2
         assert cache.stats().entries == 0
@@ -358,17 +287,38 @@ class TestEngineRuns:
         assert results[1].ok
         assert engine.metrics.jobs == {"ok": 1, "partial": 0, "failed": 1}
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_job_workers_honour_cache_caps(self, tmp_path, jobs):
-        # Every set is infeasible, so each job fails and only its
-        # worker's set entries reach the store.
-        batch = [_job(f"t{trips}", trips=trips)
-                 for trips in (9, 10)][:jobs]
-        engine = AnalysisEngine(workers=2, cache_dir=tmp_path,
-                                cache_limits=(1, None))
-        results = engine.run(batch)
-        assert [r.status for r in results] == ["failed"] * jobs
-        assert ResultCache(tmp_path).stats().entries <= 1
+    def test_pooled_workers_never_write_the_cache(self, tmp_path):
+        engine = AnalysisEngine(workers=2, cache_dir=tmp_path)
+        results = engine.run([AnalysisJob.from_benchmark("check_data"),
+                              _job()])
+        assert all(result.ok for result in results)
+        entries = sorted(tmp_path.glob("??/*.json"))
+        assert len(entries) == 2
+        assert [json.loads(path.read_text())["kind"]
+                for path in entries] == ["job", "job"]
+
+    def test_job_cache_keeps_every_digit(self, tmp_path):
+        # Loop bounds 1000000 and 1000001 print alike with six
+        # significant digits; sharing a cache entry would serve the
+        # first job's (unsound) bound to the second.
+        source = """
+        int f() {
+            int i; int s; s = 0;
+            for (i = 0; i < 5; i++) s += i;
+            return s;
+        }
+        """
+        worst = {}
+        for hi in (1000000, 1000001):
+            job = AnalysisJob(name=f"f{hi}", source=source, entry="f",
+                              bounds=((None, None, 0, hi),))
+            result = AnalysisEngine(workers=1, cache_dir=tmp_path) \
+                .run([job])[0]
+            assert not result.cache_hit
+            worst[hi] = result.report.worst
+        alone = Analysis(source, entry="f")
+        alone.bound_loop(0, 1000001)
+        assert worst[1000001] == alone.estimate().worst > worst[1000000]
 
 
 class TestPoolRetry:

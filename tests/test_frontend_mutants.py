@@ -347,7 +347,7 @@ def test_job_spec_mutants_raise_only_repro_errors():
             continue
         executed += 1
         try:
-            execute_job((job, None, 5.0, 100000, False))
+            execute_job((job, 5.0, 100000, False))
         except Exception as error:
             failures.append(f"seed {seed}: {error!r} running {body!r}")
     assert not failures, "\n".join(failures)

@@ -697,8 +697,17 @@ class TestServiceSeries:
 
     def test_follow_surfaces_alert_events(self, capsys, tmp_path):
         from repro.cli import _follow_job
+        from repro.engine import execute_job
 
-        with ServiceThread(workers=1, executor="thread",
+        release = threading.Event()
+
+        def held(payload):
+            # The job cannot finish before the alert is out: a follower
+            # stops reading at the job's terminal event.
+            release.wait(timeout=30)
+            return execute_job(payload)
+
+        with ServiceThread(workers=1, executor="thread", runner=held,
                            cache_dir=tmp_path / "cache",
                            series_interval=0.2) as handle:
             client = ServiceClient(port=handle.port)
@@ -710,6 +719,7 @@ class TestServiceSeries:
                 slo="degraded-mode", state="firing",
                 description="journal sick", burn_fast=9.9,
                 burn_slow=9.9)
+            release.set()
             _follow_job(client, "a", ticket["id"])
             err = capsys.readouterr().err
             assert "ALERT FIRING: degraded-mode" in err

@@ -8,6 +8,7 @@ bounds against serial ``Analysis.estimate``.
 """
 
 import asyncio
+import json
 import math
 import threading
 import time
@@ -236,10 +237,10 @@ class TestDeadlines:
                                     "set_timeout": 2.0})
             client.wait(ticket["id"], timeout=30)
         # Deadline remainder propagates as the per-set solver timeout…
-        _job, _cache, set_timeout, _iters, _trace = runner.payloads[0]
+        _job, set_timeout, _iters, _trace = runner.payloads[0]
         assert set_timeout is not None and 50.0 < set_timeout <= 60.0
         # …and min-combines with an explicit set_timeout.
-        _job, _cache, set_timeout, _iters, _trace = runner.payloads[1]
+        _job, set_timeout, _iters, _trace = runner.payloads[1]
         assert set_timeout == 2.0
 
     def test_expired_deadline_fails_without_running(self):
@@ -351,6 +352,17 @@ class TestEndToEnd:
         assert merged.value("service.jobs.submitted") == 4
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
+
+    def test_process_workers_never_write_the_cache(self, tmp_path):
+        with ServiceThread(workers=1, executor="process",
+                           cache_dir=tmp_path) as handle:
+            client = ServiceClient(port=handle.port)
+            done = client.wait(
+                client.submit({"benchmark": "check_data"})["id"],
+                timeout=60)
+        assert not done["cache_hit"]
+        (entry,) = tmp_path.glob("??/*.json")
+        assert json.loads(entry.read_text())["kind"] == "job"
 
     def test_unexpected_error_fails_the_job_not_the_worker(
             self, monkeypatch):
