@@ -18,10 +18,21 @@ gives exactly the presolve of the whole set, so :func:`solve_set`
 builds no :class:`~repro.ilp.Problem`.  Both ILPs range over that
 polyhedron: it runs simplex phase 1 once, the worst and best root
 relaxations each run phase 2 from a copy of the feasible tableau, and
-branch & bound extends it by each node's branching rows.  A set whose
+branch & bound extends it by each node's branching rows.  Phase 1
+extends too.  Unless a set's presolve eliminates a column the base
+keeps, the set's phase 1 appends only its own rows to the feasible
+tableau of the base's, which the first such set runs, and each node's
+phase 1 appends only its branching rows to its set's.  A set whose
 rows name a variable outside the base is solved whole, from
 :meth:`SetTask.problems`, as is every set of the ``scipy`` backend, an
 independent oracle that solves each direction whole.
+
+Pivot accounting: a :class:`SetResult`'s ``simplex_iterations`` are
+the pivots its solves made, so the base's phase 1 counts once, in the
+set that ran it.  Pivot budgets charge every solve the phase 1 runs it
+started from as well, so where a budget trips does not depend on which
+set ran the base's phase 1.  Every field but ``wall_time`` depends
+only on the analysis and the order its tasks are solved in.
 
 Timeout semantics (engine "graceful degradation"): a task with a
 ``timeout`` gets a wall-clock deadline for its two ILPs together.  If

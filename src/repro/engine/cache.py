@@ -52,8 +52,9 @@ from ..ilp import SolveStats, Status
 #: separate from the package version so doc-only releases don't
 #: cold-start every cache).  2: lowest-index presolve order (pivot
 #: counts, witnesses at ties, last-ulp objectives) and counted
-#: ``nodes_pruned``.
-SOLVER_VERSION = 2
+#: ``nodes_pruned``.  3: phase 1 extends the base's tableau (pivot
+#: counts, last-ulp objectives).
+SOLVER_VERSION = 3
 
 
 def default_cache_dir() -> Path:

@@ -63,9 +63,10 @@ def solve_ilp(problem: Problem | Objective, max_nodes: int = 100_000,
     another objective over the same constraints to run their phase 1
     once.  Every other node extends the root by its branching rows
     (:meth:`~repro.ilp.model.Polyhedron.extend`), so its presolve goes
-    on from the root's, and ties between equally fractional variables
-    go to the first of ``root.integers``.  With a root, `problem` may
-    be just an :class:`~repro.ilp.model.Objective` over its columns."""
+    on from the root's and its phase 1 from the root's feasible
+    tableau, and ties between equally fractional variables go to the
+    first of ``root.integers``.  With a root, `problem` may be just an
+    :class:`~repro.ilp.model.Objective` over its columns."""
     from ..obs.trace import NULL_TRACER
 
     tracer = NULL_TRACER if tracer is None else tracer
@@ -114,8 +115,8 @@ def _branch_and_bound(root: Polyhedron, objective: Objective,
     # Each stack entry is a list of extra bound constraints.
     stack: list[list[Constraint]] = [[]]
     first = True
-    # Pivots charged against max_iterations: stats.simplex_iterations
-    # plus a phase 1 the root reused from another solve.
+    # Pivots charged against max_iterations: each LP's own pivots
+    # plus the phase 1 runs it reused, the root's included.
     spent = 0
     while stack:
         extra = stack.pop()

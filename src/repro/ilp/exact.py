@@ -1,12 +1,14 @@
 """Exact rational simplex (Fraction arithmetic).
 
 A second, independent LP engine: the same two-phase algorithm as
-:mod:`repro.ilp.simplex`, split the same way into :func:`phase1` and
-:func:`phase2`, but over :class:`fractions.Fraction`, with Bland's rule
-throughout.  No tolerances, no rounding — useful both as a
-verification backend (``Problem.solve(backend="exact")``) and for
-pathological instances where floating point would need care.  Slower
-(pure Python rationals), fine at IPET sizes.
+:mod:`repro.ilp.simplex`, split the same way into a phase 1 that
+extends a feasible tableau by new rows (:func:`extend`, from the
+:func:`empty` start for a whole system) and :func:`phase2`, but over
+:class:`fractions.Fraction`, with Bland's rule throughout.  No
+tolerances, no rounding — useful both as a verification backend
+(``Problem.solve(backend="exact")``) and for pathological instances
+where floating point would need care.  Slower (pure Python
+rationals), fine at IPET sizes.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import ILPTimeoutError
 from .solution import LPResult, Phase1Result, Status
 
 #: Default pivot budget of one LP.
 MAX_ITER = 100_000
+
+#: A row's sense once it is multiplied by -1.
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 def solve_lp_exact(costs, matrix, senses, rhs,
@@ -28,50 +31,70 @@ def solve_lp_exact(costs, matrix, senses, rhs,
                    max_iter: int = MAX_ITER,
                    deadline: float | None = None,
                    tracer=None) -> LPResult:
-    """Exact counterpart of :func:`repro.ilp.simplex.solve_lp`:
-    :func:`phase1`, then :func:`phase2` from the tableau it leaves.
+    """Exact counterpart of :func:`repro.ilp.simplex.solve_lp`: phase 1
+    extends the empty start by every row, then :func:`phase2` runs
+    from the tableau it leaves.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) gets one span per phase
     recording its pivot count.
     """
-    if len(matrix) == 0:
-        # No row carries the column count.
-        matrix = np.zeros((0, len(costs)))
-    start = phase1(matrix, senses, rhs, max_iter=max_iter,
-                   deadline=deadline, tracer=tracer)
+    start = extend(empty(len(costs)), matrix, senses, rhs,
+                   max_iter=max_iter, deadline=deadline, tracer=tracer)
     return phase2(start, costs, maximize=maximize, max_iter=max_iter,
                   deadline=deadline, tracer=tracer)
 
 
-def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
-           deadline: float | None = None, tracer=None) -> Phase1Result:
-    """Exact counterpart of :func:`repro.ilp.simplex.phase1`."""
-    if tracer is None:
-        from ..obs.trace import NULL_TRACER as tracer
+def empty(columns: int) -> Phase1Result:
+    """Exact counterpart of :func:`repro.ilp.simplex.empty`."""
+    return Phase1Result(Status.OPTIMAL, 0, 0, _Tableau([], [], [], columns),
+                        columns=columns, artificials=columns)
+
+
+def extend(start: Phase1Result, matrix, senses, rhs,
+           max_iter: int = MAX_ITER, deadline: float | None = None,
+           tracer=None) -> Phase1Result:
+    """Exact counterpart of :func:`repro.ilp.simplex.extend`."""
     rows = [[_frac(v) for v in row] for row in matrix]
     rhs = [_frac(v) for v in rhs]
-    senses = list(senses)
-    m = len(rows)
-    n = len(rows[0]) if rows else np.shape(matrix)[1]
-    if any(len(row) != n for row in rows) or len(rhs) != m \
-            or len(senses) != m:
+    k, n = len(rows), start.columns
+    if any(len(row) != n for row in rows) or len(rhs) != k \
+            or len(senses) != k:
         raise ValueError("inconsistent LP dimensions")
-
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "==": "=="}[senses[i]]
-
-    slack_count = sum(1 for s in senses if s in ("<=", ">="))
-    art_rows = [i for i, s in enumerate(senses) if s in (">=", "==")]
-    total = n + slack_count + len(art_rows)
+    if k == 0 or start.status is not Status.OPTIMAL:
+        return start
+    if tracer is None:
+        from ..obs.trace import NULL_TRACER as tracer
+    old = start.tableau
+    m, width = len(old.body), old.ncols
+    art = start.artificials
     zero = Fraction(0)
     one = Fraction(1)
-    body = [row + [zero] * (total - n) for row in rows]
-    basis = [-1] * m
-    col = n
-    for i, sense in enumerate(senses):
+
+    # Canonical form: no new row names a basic column.
+    senses = list(senses)
+    for i in range(k):
+        row = rows[i] + [zero] * (width - n)
+        for r, b in enumerate(old.basis):
+            factor = row[b]
+            if factor:
+                row = [a - factor * v for a, v in zip(row, old.body[r])]
+                rhs[i] -= factor * old.rhs[r]
+        if rhs[i] < 0:
+            row = [-v for v in row]
+            rhs[i] = -rhs[i]
+            senses[i] = _FLIPPED[senses[i]]
+        rows[i] = row
+
+    slacks = sum(1 for s in senses if s != "==")
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    art_start = art + slacks
+    new_art = art_start + width - art
+    total = new_art + len(art_rows)
+    body = [row[:art] + [zero] * slacks + row[art:]
+            + [zero] * len(art_rows) for row in (*old.body, *rows)]
+    basis = [b if b < art else b + slacks for b in old.basis] + [-1] * k
+    col = art
+    for i, sense in enumerate(senses, start=m):
         if sense == "<=":
             body[i][col] = one
             basis[i] = col
@@ -79,25 +102,27 @@ def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
         elif sense == ">=":
             body[i][col] = -one
             col += 1
-    art_start = col
-    for i in art_rows:
-        body[i][col] = one
-        basis[i] = col
-        col += 1
+    for col, i in enumerate(art_rows, start=new_art):
+        body[m + i][col] = one
+        basis[m + i] = col
 
-    state = _Tableau(body, rhs, basis, total)
+    state = _Tableau(body, [*old.rhs, *rhs], basis, total)
+    state.iterations = start.iterations
+    search = start.search_iterations
     if art_rows:
-        costs = [zero] * art_start + [one] * (total - art_start)
+        costs = [zero] * new_art + [one] * (total - new_art)
+        allowed = [not art_start <= j < new_art for j in range(total)]
         with tracer.span("simplex.phase1", cat="solver",
-                         rows=m, cols=total) as span:
+                         rows=m + k, cols=total) as span:
             try:
-                state.optimize(costs, [True] * total, max_iter, deadline)
+                state.optimize(costs, allowed, max_iter, deadline)
             finally:
-                span.inc("pivots", state.iterations)
+                span.inc("pivots", state.iterations - start.iterations)
+        if state.iterations > start.iterations:
+            search = state.iterations
         if state.objective(costs) > 0:
-            return Phase1Result(Status.INFEASIBLE, state.iterations,
-                                state.iterations, columns=n)
-    search = state.iterations
+            return Phase1Result(Status.INFEASIBLE, state.iterations, search,
+                                columns=n)
     state.expel_artificials(art_start)
     return Phase1Result(Status.OPTIMAL, state.iterations, search, state,
                         columns=n, artificials=art_start)

@@ -281,13 +281,27 @@ class Polyhedron:
     branch & bound extends a set by each node's branching rows.
     Extending by a row that is not an exact integer gives the
     unreduced system, as presolving all the rows at once would.
+    Phase 1 extends too.  An extension whose presolve eliminated no
+    new column keeps the columns of the polyhedron it extends and
+    begins with its rows (that polyhedron is then its
+    :attr:`prefix`), so its phase 1 appends just its own rows to the
+    prefix's feasible tableau
+    (:func:`repro.ilp.simplex.extend`); an extension by no rows
+    shares the prefix's phase 1.  Any other polyhedron runs phase 1
+    from the empty tableau, reading its whole matrix.  Phase 1 runs
+    lazily, the prefix's first: an analysis's base runs its phase 1
+    inside the first set that extends it, and never if every set
+    eliminates a column of its own.
 
     Budgets count pivots of the presolved LP, and behave as if every
-    solve had run its own phase 1: a solve whose ``max_iter`` the
-    shared phase 1 exceeds trips as its own phase 1 would have, and a
-    reusing solve's pivots continue from the shared phase 1's count.
-    Its result reports only the pivots it made in ``iterations`` and
-    the shared ones in ``reused``.
+    solve had run its own phase 1, its prefixes' included: a phase
+    1's pivot count continues from its prefix's, a solve whose
+    ``max_iter`` a shared phase 1 exceeds trips where its own would
+    have, and phase 2 continues from the count of the phase 1 it
+    starts from.  Trip points therefore do not depend on which solve
+    ran a shared phase 1.  A result reports the pivots its solve made
+    in ``iterations`` and those of the phase 1 runs it reused in
+    ``reused``.
     """
 
     def __init__(self, problem: Problem, engine: str = "float"):
@@ -312,7 +326,9 @@ class Polyhedron:
     def extend(self, constraints: Iterable[Constraint]) -> "Polyhedron":
         """A new polyhedron: this one cut by `constraints` over its
         variables, presolved on from this one's state (raises KeyError
-        for a constraint naming a variable it does not have)."""
+        for a constraint naming a variable it does not have).  Unless
+        its presolve eliminates a new column, its phase 1 extends this
+        one's (see the class docstring)."""
         rows, senses, rhs = _lower(constraints, self.index, self.shift)
         twin = copy.copy(self)
         twin._parent = self
@@ -323,6 +339,7 @@ class Polyhedron:
         """Append lowered rows to the rows kept so far and presolve on
         (see the class docstring).  Never mutates state an earlier
         polyhedron shares."""
+        parent = self._parent
         lowered_rows, lowered_senses, lowered_rhs = self._lowered
         self._lowered = (lowered_rows + new_rows,
                          lowered_senses + new_senses,
@@ -397,8 +414,11 @@ class Polyhedron:
         #: Original indices of the columns the LP keeps, in order.
         self.columns = [j for j in range(len(self.index))
                         if j not in eliminated]
-        self.matrix = _densify(self.rows, self.columns)
-        self.rhs = np.array(self._rhs)
+        #: The polyhedron whose phase 1 this one's extends: the one it
+        #: extends, if this one kept its columns and its rows are a
+        #: prefix of this one's (None: phase 1 starts from empty).
+        self.prefix = parent if parent is not None and _is_prefix(
+            parent, self) else None
         self._start = None
         self._folded: dict = {}
 
@@ -411,20 +431,12 @@ class Polyhedron:
         solve completed it)."""
         lp = exact if self.engine == "exact" else simplex
         budget = lp.MAX_ITER if max_iter is None else max_iter
-        reused = 0 if self._start is None else self._start.iterations
-        if self._start is None:
-            self._start = lp.phase1(self.matrix, self.senses, self.rhs,
-                                    max_iter=budget, deadline=deadline,
-                                    tracer=tracer)
-        elif self._start.search_iterations > budget:
-            # This solve's own phase 1 would have stopped there.
-            raise ILPTimeoutError(
-                f"simplex phase 1 exceeded {budget} iterations")
+        start, reused = self._phase1(lp, budget, deadline, tracer)
         if isinstance(problem, Problem):
             problem = Objective.of(problem, self)
         costs, objective_shift = self._fold(problem)
         try:
-            result = lp.phase2(self._start,
+            result = lp.phase2(start,
                                [costs.get(j, 0.0) for j in self.columns],
                                maximize=(problem.sense == "max"),
                                max_iter=budget, deadline=deadline,
@@ -438,6 +450,37 @@ class Polyhedron:
                             reused=reused)
         return LPResult(Status.OPTIMAL, result.objective + objective_shift,
                         self._postsolve(result.values), iterations, reused)
+
+    def _phase1(self, lp, budget: int, deadline: float | None, tracer):
+        """(start, reused): this polyhedron's phase 1, and how many of
+        its pivots earlier solves made.  Unless an earlier solve
+        completed it, it runs now, extending :attr:`prefix`'s (run
+        first if need be) by this polyhedron's own rows, or the empty
+        start by all of them."""
+        start = self._start
+        if start is not None:
+            if start.search_iterations > budget:
+                # This solve's own phase 1 would have stopped there.
+                raise ILPTimeoutError(
+                    f"simplex phase 1 exceeded {budget} iterations")
+            return start, start.iterations
+        if self.prefix is None:
+            parent, reused, first = lp.empty(len(self.columns)), 0, 0
+        else:
+            parent, reused = self.prefix._phase1(lp, budget, deadline,
+                                                 tracer)
+            first = len(self.prefix.rows)
+        try:
+            start = lp.extend(parent, _densify(self.rows[first:],
+                                               self.columns),
+                              self.senses[first:], self._rhs[first:],
+                              max_iter=budget, deadline=deadline,
+                              tracer=tracer)
+        except ILPTimeoutError as error:
+            error.iterations -= reused
+            raise
+        self._start = start
+        return start, reused
 
     def _fold(self, objective: Objective):
         """({column: cost}, constant) of `objective` with every
@@ -507,6 +550,15 @@ def _densify(rows: list[dict[int, float]], columns) -> np.ndarray:
         for j, coef in row.items():
             matrix[i, position[j]] = coef
     return matrix
+
+
+def _is_prefix(parent: Polyhedron, child: Polyhedron) -> bool:
+    """`child` keeps `parent`'s columns and begins with its rows."""
+    k = len(parent.rows)
+    return (child.columns == parent.columns
+            and child.rows[:k] == parent.rows
+            and child.senses[:k] == parent.senses
+            and child._rhs[:k] == parent._rhs)
 
 
 def _exact_integers(rows: list[dict[int, float]], rhs: list[float]) -> bool:

@@ -5,15 +5,24 @@ This is the LP engine under the branch & bound ILP solver.  It solves
     minimize    c . x
     subject to  A x (<= | >= | ==) b,   x >= 0
 
-with the classic tableau method, in two steps.  :func:`phase1` drives
-artificial variables to zero (detecting infeasibility); it never reads
-the objective, so the feasible tableau it leaves serves every
-objective over the same constraints.  :func:`phase2` optimizes one
-objective from a copy of that tableau (detecting unboundedness).
-:func:`solve_lp` is the two composed.  IPET maximizes and minimizes
-over one polyhedron per constraint set, so
-:class:`repro.ilp.model.Polyhedron` runs phase 1 once for both, on
-the LP left after presolving the flow-conservation equalities away.
+with the classic tableau method, in two steps.  Phase 1 finds a
+feasible basis (detecting infeasibility); it never reads the
+objective, so the feasible tableau it leaves serves every objective
+over the same constraints.  :func:`phase2` optimizes one objective
+from a copy of that tableau (detecting unboundedness).
+
+Phase 1 is an extension.  :func:`extend` appends rows to a feasible
+tableau in canonical form: only a row that its basic solution
+violates, or a ``>=`` or ``==`` row that it meets with equality, gets
+an artificial variable, and phase 1 drives those to zero while the
+start's own artificials may not enter.  Phase 1 of a whole
+system is the extension of the :func:`empty` start by all its rows,
+and :func:`solve_lp` composes that with phase 2.  IPET solves many
+systems that share most of their rows, so
+:class:`repro.ilp.model.Polyhedron` extends the phase 1 of an
+analysis's base system by each constraint set's rows, and each set's
+by each branch & bound node's branching rows, on the LP left after
+presolving the flow-conservation equalities away.
 
 Pivot selection uses Dantzig's rule and falls back to Bland's rule
 after a stall threshold, which guarantees termination on the highly
@@ -43,6 +52,9 @@ TOL = 1e-9
 
 #: Default pivot budget of one LP.
 MAX_ITER = 200_000
+
+#: A row's sense once it is multiplied by -1.
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 class _Tableau:
@@ -144,8 +156,9 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
              max_iter: int = MAX_ITER,
              deadline: float | None = None,
              tracer=None) -> LPResult:
-    """Solve an LP with nonnegative variables: :func:`phase1`, then
-    :func:`phase2` from the tableau it leaves.
+    """Solve an LP with nonnegative variables: phase 1 extends the
+    empty start over ``len(costs)`` columns by every row, then
+    :func:`phase2` runs from the tableau it leaves.
 
     Parameters
     ----------
@@ -173,51 +186,83 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
         the :mod:`repro.ilp.model` layer maps these back to variable
         names.
     """
-    start = phase1(matrix, senses, rhs, max_iter=max_iter,
-                   deadline=deadline, tracer=tracer)
+    start = extend(empty(len(costs)), matrix, senses, rhs,
+                   max_iter=max_iter, deadline=deadline, tracer=tracer)
     return phase2(start, costs, maximize=maximize, max_iter=max_iter,
                   deadline=deadline, tracer=tracer)
 
 
-def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
-           deadline: float | None = None, tracer=None) -> Phase1Result:
-    """Find a feasible basis of ``A x (senses) b, x >= 0``.
+def empty(columns: int) -> Phase1Result:
+    """The feasible start of a system of no rows over `columns`
+    variables; phase 1 of any system extends it."""
+    tableau = _Tableau(np.zeros((0, columns)), np.zeros(0), [])
+    return Phase1Result(Status.OPTIMAL, 0, 0, tableau, columns=columns,
+                        artificials=columns)
 
-    Drives the artificial variables to zero and pivots the ones left
-    basic out of the basis.  The objective is never read, so the
-    feasible tableau serves :func:`phase2` for any cost vector; it is
-    returned in the :class:`~repro.ilp.solution.Phase1Result`
-    (``status`` INFEASIBLE when the artificials cannot reach zero).
+
+def extend(start: Phase1Result, matrix, senses, rhs,
+           max_iter: int = MAX_ITER, deadline: float | None = None,
+           tracer=None) -> Phase1Result:
+    """Phase 1 of `start`'s system cut by ``matrix x (senses) rhs``.
+
+    The new rows are put in canonical form against `start`'s basis and
+    then normalized to ``b >= 0``, flipping a row whose right-hand side
+    is negative.  A ``<=`` row starts with its slack basic; a ``>=`` or
+    ``==`` row, which the basic solution violates or meets with
+    equality, gets an artificial.  Phase 1 drives those artificials to zero while
+    `start`'s own may not re-enter, and pivots the ones left basic
+    out.  The objective is never read, so the result serves
+    :func:`phase2` for any cost vector (``status`` INFEASIBLE when the
+    artificials cannot reach zero).  `start` is left untouched, and its
+    pivot count carries on: ``max_iter`` trips where a phase 1 that had
+    made `start`'s pivots itself would.  No rows, or an infeasible
+    `start`, give `start` back.
     """
     matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.ndim != 2:
-        matrix = matrix.reshape(len(rhs), -1)
-    m, n = matrix.shape
-    if rhs.shape != (m,) or len(senses) != m:
+    rhs = np.array(rhs, dtype=float)
+    k, n = len(rhs), start.columns
+    if matrix.size == 0:
+        matrix = matrix.reshape(k, n)
+    if matrix.shape != (k, n) or len(senses) != k:
         raise ValueError("inconsistent LP dimensions")
+    if k == 0 or start.status is not Status.OPTIMAL:
+        return start
     if tracer is None:
         from ..obs.trace import NULL_TRACER as tracer
+    old = start.tableau
+    m, width = old.body.shape
+    art = start.artificials
 
+    # Canonical form: no new row names a basic column.
+    rows = np.zeros((k, width))
+    rows[:, :n] = matrix
+    if m:
+        factors = rows[:, old.basis]
+        rows -= factors @ old.body
+        rhs -= factors @ old.rhs
+        rows[:, old.basis] = 0.0
     # Normalize to b >= 0.
     senses = list(senses)
-    matrix = matrix.copy()
-    rhs = rhs.copy()
-    for i in range(m):
-        if rhs[i] < 0:
-            matrix[i] *= -1
-            rhs[i] *= -1
-            senses[i] = {"<=": ">=", ">=": "<=", "==": "=="}[senses[i]]
+    for i in np.flatnonzero(rhs < 0):
+        rows[i] *= -1
+        rhs[i] *= -1
+        senses[i] = _FLIPPED[senses[i]]
 
-    # Build the extended matrix: original | slacks/surplus | artificials.
-    slack_cols = sum(1 for s in senses if s in ("<=", ">="))
-    art_rows = [i for i, s in enumerate(senses) if s in (">=", "==")]
-    total = n + slack_cols + len(art_rows)
-    body = np.zeros((m, total))
-    body[:, :n] = matrix
-    basis = [-1] * m
-    col = n
-    for i, sense in enumerate(senses):
+    # Columns: structural | slacks/surplus | artificials, each block
+    # the start's then the new rows'.
+    slacks = sum(1 for s in senses if s != "==")
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    art_start = art + slacks
+    new_art = art_start + width - art
+    total = new_art + len(art_rows)
+    body = np.zeros((m + k, total))
+    body[:m, :art] = old.body[:, :art]
+    body[:m, art_start:new_art] = old.body[:, art:]
+    body[m:, :art] = rows[:, :art]
+    body[m:, art_start:new_art] = rows[:, art:]
+    basis = [b if b < art else b + slacks for b in old.basis] + [-1] * k
+    col = art
+    for i, sense in enumerate(senses, start=m):
         if sense == "<=":
             body[i, col] = 1.0
             basis[i] = col
@@ -225,31 +270,33 @@ def phase1(matrix, senses, rhs, max_iter: int = MAX_ITER,
         elif sense == ">=":
             body[i, col] = -1.0
             col += 1
-    art_start = col
-    for i in art_rows:
-        body[i, col] = 1.0
-        basis[i] = col
-        col += 1
-    assert col == total and all(b >= 0 for b in basis)
+    for col, i in enumerate(art_rows, start=new_art):
+        body[m + i, col] = 1.0
+        basis[m + i] = col
+    assert all(b >= 0 for b in basis)
 
-    tab = _Tableau(body, rhs, basis)
+    tab = _Tableau(body, np.concatenate([old.rhs, rhs]), basis)
+    tab.iterations = start.iterations
+    search = start.search_iterations
     if art_rows:
         costs = np.zeros(total)
-        costs[art_start:] = 1.0
+        costs[new_art:] = 1.0
+        allowed = np.ones(total, dtype=bool)
+        allowed[art_start:new_art] = False
         with tracer.span("simplex.phase1", cat="solver",
-                         rows=m, cols=total) as span:
+                         rows=m + k, cols=total) as span:
             try:
-                outcome = tab.optimize(costs, np.ones(total, dtype=bool),
-                                       max_iter, deadline)
+                outcome = tab.optimize(costs, allowed, max_iter, deadline)
             finally:
-                span.inc("pivots", tab.iterations)
+                span.inc("pivots", tab.iterations - start.iterations)
         # Phase 1 is bounded below by 0, so "unbounded" cannot happen.
         assert outcome == "optimal"
+        if tab.iterations > start.iterations:
+            search = tab.iterations
         _, artificial_sum = tab.reduced_costs(costs)
         if artificial_sum > 1e-7:
-            return Phase1Result(Status.INFEASIBLE, tab.iterations,
-                                tab.iterations, columns=n)
-    search = tab.iterations
+            return Phase1Result(Status.INFEASIBLE, tab.iterations, search,
+                                columns=n)
     _expel_artificials(tab, art_start)
     return Phase1Result(Status.OPTIMAL, tab.iterations, search, tab,
                         columns=n, artificials=art_start)

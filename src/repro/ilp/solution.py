@@ -27,9 +27,10 @@ class LPResult:
     values: Mapping[str, float] = field(default_factory=dict)
     #: Simplex pivots this solve made.
     iterations: int = 0
-    #: Pivots of a phase 1 this solve started from but another solve
-    #: made (see :class:`repro.ilp.model.Polyhedron`).  Pivot budgets
-    #: count them, as if this solve had run its own phase 1.
+    #: Pivots of the phase 1 this solve started from that earlier
+    #: solves made: the phase 1 of a polyhedron, or of the one it
+    #: extends (see :class:`repro.ilp.model.Polyhedron`).  Pivot
+    #: budgets count them, as if this solve had run its own phase 1.
     reused: int = 0
 
     @property
@@ -43,15 +44,19 @@ class Phase1Result:
 
     Phase 1 never reads the objective, so the feasible ``tableau``
     serves phase 2 for any cost vector over the same constraints;
-    phase 2 works on a copy.  ``tableau`` is the LP engine's own type
-    and is None when ``status`` is INFEASIBLE.
+    phase 2 works on a copy, and a phase 1 that extends the system by
+    more rows on a larger one.  ``tableau`` is the LP engine's own
+    type and is None when ``status`` is INFEASIBLE.  Pivot counts
+    include those of the phase 1 runs this one extends.
     """
 
     status: Status
     #: Pivots made, expelling leftover basic artificials included.
     iterations: int
-    #: Pivots of the optimization loop alone.  Only these count against
-    #: a pivot budget inside phase 1: a budget below this trips there.
+    #: The pivot count after the last pivot an optimization loop made,
+    #: here or in a phase 1 this one extends.  Only those pivots count
+    #: against a pivot budget inside phase 1: a budget below this
+    #: trips there.
     search_iterations: int
     tableau: object = None
     #: Structural columns (the LP's variables).

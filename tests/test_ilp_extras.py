@@ -35,6 +35,17 @@ class TestExactSimplex:
                                 maximize=True)
         assert result.objective == 7.0
 
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_no_rows_agree_with_float_simplex(self, maximize):
+        # No row carries the column count; both engines take it from
+        # the costs.
+        exact = solve_lp_exact([1.0, 2.0], [], [], [], maximize=maximize)
+        approx = solve_lp([1.0, 2.0], [], [], [], maximize=maximize)
+        assert exact.status is (Status.UNBOUNDED if maximize
+                                else Status.OPTIMAL)
+        assert (approx.status, approx.objective, approx.values) == (
+            exact.status, exact.objective, exact.values)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_float_simplex(self, seed):
         rng = np.random.default_rng(seed)

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import Analysis
-from repro.ilp import Constraint, LinExpr, Problem, Status, Var, simplex
-from repro.ilp.model import Polyhedron
+from repro.ilp import Constraint, LinExpr, Problem, Status, Var, exact, simplex
+from repro.ilp.model import Polyhedron, _densify
+
+#: Each LP engine by its name in Polyhedron.
+ENGINES = {"float": simplex, "exact": exact}
+
+
+def dense(polyhedron):
+    """`polyhedron`'s kept rows as a dense matrix over its columns."""
+    return _densify(polyhedron.rows, polyhedron.columns)
 
 
 class TestExpr:
@@ -291,7 +299,7 @@ class TestPresolve:
         p.maximize(x1)
         polyhedron = Polyhedron(p)
         # d1 and x1 are substituted out; x1 = 0 is left as 0 = -1.
-        assert polyhedron.matrix.shape == (1, 0)
+        assert dense(polyhedron).shape == (1, 0)
         assert polyhedron.relaxation(p).status is Status.INFEASIBLE
         assert p.solve().status is Status.INFEASIBLE
 
@@ -306,7 +314,7 @@ class TestPresolve:
         p.add(x1 + 0 == d2 + d3)
         p.maximize(x1)
         polyhedron = Polyhedron(p)
-        assert polyhedron.matrix.shape == (0, 1)
+        assert dense(polyhedron).shape == (0, 1)
         assert polyhedron.relaxation(p).status is Status.UNBOUNDED
         assert p.solve().status is Status.UNBOUNDED
 
@@ -319,7 +327,7 @@ class TestPresolve:
         p.maximize(x2 + x3)
         polyhedron = Polyhedron(p)
         assert polyhedron.substitutions == []
-        assert polyhedron.matrix.shape == p.to_arrays()[1].shape
+        assert dense(polyhedron).shape == p.to_arrays()[1].shape
         relax = polyhedron.relaxation(p)
         assert (relax.status, relax.objective) == self.reference(p)
         assert relax.objective == pytest.approx(9.0)
@@ -361,11 +369,11 @@ class TestPresolve:
         worst, best = analysis.set_tasks()[0].problems()
         polyhedron = Polyhedron(worst)
         assert worst.to_arrays()[1].shape == whole
-        assert polyhedron.matrix.shape == reduced
+        assert dense(polyhedron).shape == reduced
         if figure == "fig2":
             assert polyhedron.senses == ["=="]
-            assert polyhedron.matrix.tolist() == [[1.0, 1.0]]
-            assert polyhedron.rhs.tolist() == [1.0]
+            assert dense(polyhedron).tolist() == [[1.0, 1.0]]
+            assert polyhedron._rhs == [1.0]
         for problem in (worst, best):
             relax = polyhedron.relaxation(problem)
             status, objective = self.reference(problem)
@@ -381,8 +389,8 @@ class TestExtension:
     @staticmethod
     def state(polyhedron):
         return (polyhedron.substitutions, polyhedron.rows,
-                polyhedron.columns, polyhedron.matrix.tolist(),
-                polyhedron.senses, polyhedron.rhs.tolist())
+                polyhedron.columns, dense(polyhedron).tolist(),
+                polyhedron.senses, polyhedron._rhs)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_prefix_then_rest_is_whole(self, seed):
@@ -416,7 +424,7 @@ class TestExtension:
         staged = prefix.extend([0.5 * x3 <= 2])
         p.add(0.5 * x3 <= 2)
         assert staged.substitutions == []
-        assert staged.matrix.tolist() == p.to_arrays()[1].tolist()
+        assert dense(staged).tolist() == p.to_arrays()[1].tolist()
         assert self.state(staged) == self.state(Polyhedron(p))
 
     def test_extension_names_only_known_variables(self):
@@ -425,3 +433,98 @@ class TestExtension:
         p.add(x <= 3)
         with pytest.raises(KeyError):
             Polyhedron(p).extend([Var("y") <= 1])
+
+
+class TestPhaseOneExtension:
+    """Phase 1 extends a feasible tableau by new rows, in both LP
+    engines: from the phase 1 of a prefix of the rows it reaches what a
+    phase 1 of all the rows reaches."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_prefix_then_rest_is_whole(self, engine, seed):
+        lp = ENGINES[engine]
+        problem = TestPresolve.random_problem(seed)
+        costs, matrix, senses, rhs, _, _, _ = problem.to_arrays()
+        maximize = problem.sense == "max"
+        whole = lp.extend(lp.empty(len(costs)), matrix, senses, rhs)
+        optimum = lp.phase2(whole, costs, maximize=maximize)
+        for split in range(len(rhs) + 1):
+            prefix = lp.extend(lp.empty(len(costs)), matrix[:split],
+                               senses[:split], rhs[:split])
+            staged = lp.extend(prefix, matrix[split:], senses[split:],
+                               rhs[split:])
+            assert staged.status is whole.status, split
+            result = lp.phase2(staged, costs, maximize=maximize)
+            assert result.status is optimum.status, split
+            if engine == "exact":
+                assert result.objective == optimum.objective, split
+            elif optimum.status is Status.OPTIMAL:
+                assert result.objective == pytest.approx(
+                    optimum.objective, abs=1e-7), split
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_emptied_row_that_fails_is_infeasible_without_a_pivot(
+            self, engine):
+        p = Problem()
+        d1, x1, x2 = (p.add_var(name) for name in ("d1", "x1", "x2"))
+        p.add(d1 + 0 == 1)
+        p.add(x1 + 0 == d1)
+        p.add(x1 + x2 >= 2)
+        p.minimize(x1 + x2)
+        prefix = Polyhedron(p, engine)
+        assert prefix.relaxation(p).status is Status.OPTIMAL
+        # A second solve reuses the prefix's whole phase 1.
+        shared = prefix.relaxation(p).reused
+        assert shared > 0
+        # x1 is substituted out (x1 = 1), which empties x1 <= 0.
+        staged = prefix.extend([x1 <= 0])
+        assert staged.prefix is prefix and staged.rows[-1] == {}
+        relax = staged.relaxation(p)
+        assert relax.status is Status.INFEASIBLE
+        assert (relax.iterations, relax.reused) == (0, shared)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_infeasible_start_stays_infeasible_without_a_pivot(self, engine):
+        lp = ENGINES[engine]
+        start = lp.extend(lp.empty(2), [[1, 1], [1, 1]], ["<=", ">="],
+                          [1, 3])
+        assert start.status is Status.INFEASIBLE
+        staged = lp.extend(start, [[1, 0]], [">="], [1])
+        assert staged.status is Status.INFEASIBLE
+        assert staged.iterations == start.iterations
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_redundant_equality_artificial_never_reenters(self, engine):
+        lp = ENGINES[engine]
+        # x0 = x1, x1 = x2 and the redundant x0 = x2: phase 1 leaves the
+        # last row's artificial basic at zero, its row zeroed.
+        start = lp.extend(lp.empty(3), [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+                          ["==", "==", "=="], [0, 0, 0])
+
+        def artificials(result, first, count):
+            return [(row, col - first)
+                    for row, col in enumerate(result.tableau.basis)
+                    if first <= col < first + count]
+
+        count = start.tableau.ncols - start.artificials
+        left = artificials(start, start.artificials, count)
+        assert left == [(2, 2)]
+        staged = lp.extend(start, [[1, 0, 0], [0, 0, 1]], [">=", "<="],
+                           [2, 5])
+        assert staged.iterations > start.iterations
+        # The start's artificials follow the new slacks; only the one
+        # left basic is basic, in its row.
+        assert artificials(staged, staged.artificials, count) == left
+        assert lp.phase2(staged, [1, 0, 0], maximize=True).objective == 5.0
+        assert lp.phase2(staged, [0, 1, 0]).objective == 2.0
+        # x2 = x0 + 1 contradicts x0 = x2; a start's artificial that
+        # entered again would absorb the difference.
+        assert lp.extend(start, [[-1, 0, 1]], ["=="], [1]).status \
+            is Status.INFEASIBLE
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_no_rows_return_the_start(self, engine):
+        lp = ENGINES[engine]
+        start = lp.extend(lp.empty(2), [[1, 1]], [">="], [4])
+        assert lp.extend(start, np.zeros((0, 2)), [], []) is start

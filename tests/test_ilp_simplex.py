@@ -178,7 +178,7 @@ class TestPhases:
     def test_one_phase1_serves_both_objectives(self):
         # x0 + x1 = 4, x0 - x1 <= 2: max x0 is 3, min x0 is 0.
         matrix, senses, rhs = [[1, 1], [1, -1]], ["==", "<="], [4, 2]
-        start = simplex.phase1(matrix, senses, rhs)
+        start = simplex.extend(simplex.empty(2), matrix, senses, rhs)
         worst = simplex.phase2(start, [1, 0], maximize=True)
         best = simplex.phase2(start, [1, 0])
         assert worst.objective == pytest.approx(3.0)
@@ -190,7 +190,8 @@ class TestPhases:
                 == (alone.objective, alone.values, alone.iterations)
 
     def test_infeasible_start(self):
-        start = simplex.phase1([[1, 1], [1, 1]], ["<=", ">="], [1, 3])
+        start = simplex.extend(simplex.empty(2), [[1, 1], [1, 1]],
+                               ["<=", ">="], [1, 3])
         assert start.status is Status.INFEASIBLE
         result = simplex.phase2(start, [1, 0])
         assert result.status is Status.INFEASIBLE

@@ -2,12 +2,17 @@
 
 A set is lowered once and runs simplex phase 1 once; the worst and
 best directions each run phase 2 from a copy of the feasible tableau
-(:class:`repro.ilp.model.Polyhedron`).  The reference here solves each
-direction by itself with :meth:`Problem.solve`, the way a standalone
-ILP is solved, and every field of the :class:`SetResult` must match it
-exactly: objectives, witnesses, degradation flags, the first-relaxation
-statistic, LP calls and branch & bound nodes explored and pruned.
-Pivot budgets from 1 to unlimited pin where each direction trips.
+(:class:`repro.ilp.model.Polyhedron`).  That phase 1 extends the
+phase 1 of the analysis's presolved base by the set's own rows unless
+the set's presolve eliminates a column the base keeps.  The reference
+here solves each direction by itself, from its own fresh extension of
+the presolved base, and every field of the :class:`SetResult` must
+match it exactly: objectives, witnesses, degradation flags, the
+first-relaxation statistic, LP calls and branch & bound nodes explored
+and pruned.  Pivot budgets from 1 to unlimited pin where each
+direction trips.  Solving every direction cold, with
+:meth:`Problem.solve`, must reach the same bounds, witnesses and
+search.
 """
 
 import collections
@@ -19,18 +24,21 @@ from functools import lru_cache
 import pytest
 
 from repro.analysis import Analysis
-from repro.analysis.setsolve import solve_set
+from repro.analysis.setsolve import _ENGINES, solve_set
 from repro.cfg import find_loops
 from repro.errors import ILPTimeoutError
 from repro.ilp import Problem, Status, exact, simplex
-from repro.ilp.model import Polyhedron
+from repro.ilp.branch_bound import solve_ilp
+from repro.ilp.model import Polyhedron, _densify
+from repro.obs import Tracer
 from repro.programs import all_benchmarks
 from repro.synth import generate
 
-#: Pivot budgets per ILP.  At 250 the best direction of a branching
-#: set in small11 finishes its root and trips at a later node, which
-#: its budget reaches only if it counts the phase 1 it reused.
-BUDGETS = (1, 10, 50, 100, 250, None)
+#: Pivot budgets per ILP.  At 58 the best direction of a branching set
+#: in small11 finishes its root and trips at its third node, which its
+#: budget reaches only if it charges each node the phase 1 runs the
+#: node extends.
+BUDGETS = (1, 10, 50, 58, 100, 250, None)
 
 #: (grade, seed) of generated programs whose three disjunctions expand
 #: to 8 sets: most infeasible, a few that branch.  In small137 a set's
@@ -61,13 +69,16 @@ def _disjunctive(grade: str, seed: int, backend: str):
     return analysis
 
 
-@lru_cache(maxsize=None)
-def _tasks(backend: str, program) -> tuple:
+def _fresh_tasks(backend: str, program) -> tuple:
+    """The program's set tasks, over a base whose phase 1 has not run."""
     if isinstance(program, tuple):
         analysis = _disjunctive(*program, backend)
     else:
         analysis = all_benchmarks()[program].make_analysis(backend=backend)
     return tuple(analysis.set_tasks())
+
+
+_tasks = lru_cache(maxsize=None)(_fresh_tasks)
 
 
 def _fields(status, worst, worst_counts, best, best_counts, timed_out,
@@ -83,21 +94,32 @@ def _fields(status, worst, worst_counts, best, best_counts, timed_out,
             "nodes_pruned": nodes_pruned}
 
 
+def _alone(task, direction: str):
+    """(root, objective) of one direction solved by itself: a fresh
+    extension of the presolved base by the set's rows, or the whole
+    problem when the set names a column outside the base."""
+    root = task.presolved.extend(task.resolved)
+    if root is not None:
+        return root, getattr(task.presolved, direction)
+    problem = dict(zip(("worst", "best"), task.problems()))[direction]
+    return Polyhedron(problem, _ENGINES[task.backend]), problem
+
+
 def _reference(task) -> dict:
     """The SetResult fields from each direction solved alone."""
-    engine = "exact" if task.backend == "exact" else "float"
     relaxed = {"worst": False, "best": False}
     lp_calls = nodes = nodes_pruned = 0
     outcomes = {}
-    for direction, problem in zip(("worst", "best"), task.problems()):
+    for direction in ("worst", "best"):
+        root, objective = _alone(task, direction)
         try:
-            ilp = problem.solve(backend=task.backend,
-                                max_iterations=task.max_iterations)
+            ilp = solve_ilp(objective, engine=root.engine,
+                            max_iterations=task.max_iterations, root=root)
         except ILPTimeoutError as error:
             relaxed[direction] = True
             lp_calls += 2
             nodes += error.nodes
-            relax = problem.solve_relaxation(engine=engine)
+            relax = root.relaxation(objective)
             outcome = (relax.status, relax.objective, dict(relax.values),
                        False)
         else:
@@ -143,23 +165,102 @@ def test_set_solve_matches_directions_solved_alone(case, budget):
         assert _observed(solve_set(task)) == _reference(task), task.index
 
 
+def _phase1_pivots(polyhedron, lp) -> tuple:
+    """(start, pivots): `polyhedron`'s phase 1 as it runs from scratch,
+    and the pivots of it that `polyhedron` makes itself rather than
+    its prefix."""
+    if polyhedron.prefix is None:
+        start, first = lp.empty(len(polyhedron.columns)), 0
+    else:
+        start, _ = _phase1_pivots(polyhedron.prefix, lp)
+        first = len(polyhedron.prefix.rows)
+    own = lp.extend(start, _densify(polyhedron.rows[first:],
+                                    polyhedron.columns),
+                    polyhedron.senses[first:], polyhedron._rhs[first:])
+    return own, own.iterations - start.iterations
+
+
 @pytest.mark.parametrize("case", PROGRAMS, ids=_program_id)
 def test_phase1_pivots_are_counted_once(case):
-    """A feasible set's pivots are both directions' minus one phase 1."""
+    """A set's pivots are those of its directions solved alone, less
+    the phase 1 they share; the first set to extend the base also
+    makes the base's phase 1, and no other set counts it."""
     backend, _ = case
     lp = exact if backend == "exact" else simplex
-    engine = "exact" if backend == "exact" else "float"
+    # Fresh tasks: the first solve over a base runs the base's phase 1.
+    tasks = _fresh_tasks(*case)
+    base = tasks[0].presolved.polyhedron
+    _, base_pivots = _phase1_pivots(base, lp)
+    uncounted = True
+    for task in tasks:
+        result = solve_set(task)
+        directions = ("worst", "best") if result.feasible else ("worst",)
+        roots = [_alone(task, direction) for direction in directions]
+        alone = sum(solve_ilp(objective, engine=root.engine, root=root)
+                    .stats.simplex_iterations for root, objective in roots)
+        root = roots[0][0]
+        shared = _phase1_pivots(root, lp)[1] * (len(directions) - 1)
+        expected = alone - shared
+        if root.prefix is base and uncounted:
+            expected += base_pivots
+            uncounted = False
+        assert result.stats.simplex_iterations == expected, task.index
+
+
+@pytest.mark.parametrize("case", PROGRAMS, ids=_program_id)
+def test_warm_start_matches_cold_solves(case):
+    """Extending the base's phase 1 reaches what solving each direction
+    whole and cold reaches: the same statuses, rounded bounds,
+    witnesses and search, and in rational arithmetic the same
+    objectives."""
+    backend, _ = case
     for task in _tasks(*case):
         result = solve_set(task)
-        if not result.feasible:
-            continue
-        worst, best = task.problems()
-        alone = sum(problem.solve(backend=backend).stats.simplex_iterations
-                    for problem in (worst, best))
-        polyhedron = Polyhedron(worst, engine)
-        shared = lp.phase1(polyhedron.matrix, polyhedron.senses,
-                           polyhedron.rhs).iterations
-        assert result.stats.simplex_iterations == alone - shared
+        worst, best = (problem.solve(backend=backend)
+                       for problem in task.problems())
+        assert worst.status is result.status, task.index
+        lp_calls, nodes = worst.stats.lp_calls, worst.stats.nodes
+        pruned = worst.stats.nodes_pruned
+        if result.feasible:
+            cold = [(round(ilp.objective), dict(ilp.values))
+                    for ilp in (worst, best)]
+            warm = [(round(result.worst), result.worst_counts),
+                    (round(result.best), result.best_counts)]
+            assert warm == cold, task.index
+            assert result.stats.first_relaxation_integral == (
+                worst.stats.first_relaxation_integral
+                and best.stats.first_relaxation_integral)
+            if backend == "exact":
+                assert (result.worst, result.best) == (worst.objective,
+                                                       best.objective)
+            lp_calls += best.stats.lp_calls
+            nodes += best.stats.nodes
+            pruned += best.stats.nodes_pruned
+        assert (result.stats.lp_calls, result.stats.nodes,
+                result.stats.nodes_pruned) == (lp_calls, nodes, pruned)
+
+
+#: Per-set pivots of routines whose every set eliminates a column the
+#: base keeps, as solved before phase 1 extended the base's.
+COLD = {("simplex", "check_data"): [2, 2], ("exact", "check_data"): [2, 2],
+        ("simplex", "dhry"): [15, 7, 7], ("exact", "dhry"): [15, 7, 7],
+        ("simplex", "recon"): [20, 24, 25, 20],
+        ("exact", "recon"): [24, 25, 25, 23]}
+
+
+@pytest.mark.parametrize("case", sorted(COLD), ids=_program_id)
+def test_sets_that_eliminate_a_column_run_cold(case):
+    """Their phase 1 starts from the empty tableau and makes the pivots
+    it made before; the base's phase 1 never runs."""
+    tasks = _fresh_tasks(*case)
+    assert all(task.presolved.extend(task.resolved).prefix is None
+               for task in tasks)
+    tracer = Tracer()
+    results = [solve_set(task, tracer) for task in tasks]
+    assert [result.stats.simplex_iterations for result in results] \
+        == COLD[case]
+    phase1 = [r for r in tracer.records() if r["name"] == "simplex.phase1"]
+    assert len(phase1) == len(tasks)
 
 
 @pytest.mark.parametrize("program", [*all_benchmarks(), *(
