@@ -25,7 +25,9 @@ def test_warm_cache_table1(benchmark, tmp_path, benchmarks):
     warm = one_shot(benchmark, warm_engine.run, jobs)
     warm_seconds = time.perf_counter() - clock
     assert all(result.cache_hit for result in warm)
-    assert warm_engine.metrics.hit_rate("job") == 1.0
+    registry = warm_engine.registry
+    assert registry.value("engine.cache.hits.job") == len(jobs)
+    assert "engine.cache.misses.job" not in registry
 
     for before, after in zip(cold, warm):
         assert after.report.interval == before.report.interval

@@ -3,16 +3,11 @@
 The benchmarks double as experiment drivers: each one regenerates a
 table or ablation from the paper and asserts its qualitative shape
 (who wins, whether bounds enclose), while pytest-benchmark records how
-long the reproduced pipeline takes.  Each session also appends one
-perf-trajectory point per ``bench_*`` module to ``BENCH_<name>.json``
-(see ``trajectory.py``; disable with ``REPRO_TRAJECTORY=0``).
+long the reproduced pipeline takes.
 """
-
-import time
 
 import pytest
 
-import trajectory
 from repro.experiments import Experiments
 from repro.programs import all_benchmarks
 
@@ -32,28 +27,3 @@ def one_shot(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
 
-
-# ----------------------------------------------------------------------
-# Perf-trajectory recording (flight recorder, PR 7)
-# ----------------------------------------------------------------------
-_recorder = trajectory.SessionRecorder()
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_protocol(item, nextitem):
-    clock = time.perf_counter()
-    yield
-    module = getattr(item, "module", None)
-    name = getattr(module, "__name__", "") if module else ""
-    if name.startswith("bench_"):
-        _recorder.add(name, time.perf_counter() - clock)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if exitstatus != 0:          # a failed run is not a data point
-        return
-    recorded = _recorder.flush()
-    if recorded:
-        root = trajectory.store().root
-        print(f"\n[trajectory] recorded {len(recorded)} module walls "
-              f"under {root}: {', '.join(recorded)}")

@@ -28,8 +28,6 @@ True
 
 from __future__ import annotations
 
-import time
-
 from ..cfg import (CFG, CallGraph, Loop, build_cfgs, expand_contexts,
                    find_loops, instances_of)
 from ..codegen import Program, compile_source
@@ -82,13 +80,10 @@ class Analysis:
         from ..obs.trace import NULL_TRACER
 
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.timings: dict[str, float] = {}
         if isinstance(program, str):
-            clock = time.perf_counter()
             with self.tracer.span("compile", cat="pipeline") as span:
                 program = compile_source(program)
                 span.set("functions", len(program.functions))
-            self.timings["compile"] = time.perf_counter() - clock
         if entry not in program.functions:
             raise AnalysisError(f"no function named {entry!r}")
         if cache_split and context_sensitive:
@@ -102,7 +97,6 @@ class Analysis:
         self.cache_split = cache_split
         self.backend = backend
 
-        clock = time.perf_counter()
         with self.tracer.span("cfg", cat="pipeline", entry=entry) as span:
             self.cfgs: dict[str, CFG] = build_cfgs(program)
             self.callgraph = CallGraph(self.cfgs)
@@ -111,7 +105,6 @@ class Analysis:
                               if context_sensitive else None)
             span.set("cfgs", len(self.cfgs))
             span.set("reachable", len(self.reachable))
-        self.timings["cfg"] = time.perf_counter() - clock
 
         self._loops: dict[tuple[str, int], Loop] = {}
         for name in self.reachable:
@@ -392,17 +385,19 @@ class Analysis:
             expansion = self.expansion()
             span.set("sets", len(expansion.sets))
             span.set("pruned", expansion.pruned)
-        if not expansion.sets:
+            tasks = [
+                SetTask(index, base,
+                        [r.resolve(self._resolve) for r in relations],
+                        worst_obj, best_obj, backend=self.backend,
+                        timeout=set_timeout,
+                        max_iterations=max_iterations,
+                        presolved=presolved)
+                for index, relations in enumerate(expansion.sets)]
+        if not tasks:
             raise InfeasibleError(
                 "all functionality constraint sets are null")
         self._last_expansion = expansion
-        return [
-            SetTask(index, base,
-                    [r.resolve(self._resolve) for r in relations],
-                    worst_obj, best_obj, backend=self.backend,
-                    timeout=set_timeout, max_iterations=max_iterations,
-                    presolved=presolved)
-            for index, relations in enumerate(expansion.sets)]
+        return tasks
 
     def estimate(self, set_timeout: float | None = None,
                  max_iterations: int | None = None) -> BoundReport:
@@ -419,23 +414,16 @@ class Analysis:
             degrades that direction to its LP relaxation, like a
             timeout.
         """
-        clock = time.perf_counter()
         tasks = self.set_tasks(set_timeout, max_iterations)
-        expansion = self._last_expansion
-        timings = dict(self.timings)
-        timings["constraints"] = time.perf_counter() - clock
-
-        clock = time.perf_counter()
         with self.tracer.span("solve", cat="pipeline", sets=len(tasks)):
             results = [solve_set(task, self.tracer) for task in tasks]
-        timings["solve"] = time.perf_counter() - clock
-        report = self.assemble_report(results, expansion, timings)
+        report = self.assemble_report(results, self._last_expansion)
         if self.tracer.enabled:
             report.trace = self.tracer.records()
         return report
 
-    def assemble_report(self, results: list[SetResult], expansion,
-                        timings: dict | None = None) -> BoundReport:
+    def assemble_report(self, results: list[SetResult],
+                        expansion) -> BoundReport:
         """Fold per-set results, in task order, into the max/min
         :class:`BoundReport`."""
         overall_worst: SetResult | None = None
@@ -463,7 +451,6 @@ class Analysis:
             worst_counts=overall_worst.worst_counts,
             best_counts=overall_best.best_counts,
             partial=any(r.timed_out for r in results),
-            timings=timings or {},
         )
 
 

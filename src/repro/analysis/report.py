@@ -60,10 +60,6 @@ class BoundReport:
     #: a relaxation bound instead of an integer optimum.  The interval
     #: is still sound, just possibly looser.
     partial: bool = False
-    #: Per-stage wall times in seconds (``compile``, ``cfg``,
-    #: ``constraints``, ``expand``, ``solve``), filled in by
-    #: :meth:`repro.Analysis.estimate` for the engine's metrics layer.
-    timings: dict = field(default_factory=dict)
     #: Merged span records for the whole analysis (pipeline stages plus
     #: every set's solver spans) when tracing was requested; export
     #: with :func:`repro.obs.write_chrome_trace`.

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", help="metrics snapshots: dump, diff or diff-trace")
     osub = obs.add_subparsers(dest="obs_command", required=True)
     odump = osub.add_parser(
-        "dump", help="render a metrics snapshot (engine run --metrics)")
+        "dump", help="render a metrics snapshot (any --metrics file)")
     odump.add_argument("snapshot", metavar="PATH")
     odiff = osub.add_parser(
         "diff", help="per-metric delta between two snapshots")
@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     erun.add_argument("--no-cache", action="store_true",
                       help="disable the result cache")
     erun.add_argument("--metrics", metavar="PATH",
-                      help="write the run's metrics as JSON")
+                      help="write the run's metrics registry snapshot "
+                           "as JSON")
     erun.add_argument("--trace", metavar="PATH",
                       help="write a Chrome trace_event JSON of the "
                            "whole run (pipeline + per-set solver "
@@ -221,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="inspect the result cache / a saved metrics file")
     estats.add_argument("--cache-dir", metavar="DIR")
     estats.add_argument("--metrics", metavar="PATH",
-                        help="render a metrics JSON from engine run")
+                        help="render the engine.* summary of a metrics "
+                             "file (engine run, serve or synth fuzz "
+                             "--metrics)")
     estats.add_argument("--clear", action="store_true",
                         help="empty the cache")
     estats.add_argument("--journal", metavar="DIR",
@@ -371,48 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the speedscope JSON there, without it "
                              "print the hottest collapsed stacks "
                              "(needs serve --profile-sample-hz)")
-
-    bench = sub.add_parser(
-        "bench", help="record benchmark perf trajectories and gate "
-                      "regressions against them")
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
-    brecord = bsub.add_parser(
-        "record", help="run Table-I benchmarks serially and append "
-                       "one trajectory point to BENCH_<name>.json")
-    brecord.add_argument("benchmarks", nargs="*", metavar="NAME",
-                         help="Table-I benchmark names (default: the "
-                              "whole suite)")
-    brecord.add_argument("--dir", default=".", metavar="DIR",
-                         help="trajectory directory (default: .)")
-    brecord.add_argument("--name", default="table1", metavar="NAME",
-                         help="trajectory name: BENCH_<name>.json "
-                              "(default: table1)")
-    brecord.add_argument("--machine", choices=sorted(MACHINES),
-                         default="i960kb")
-    brecord.add_argument("--rounds", type=int, default=3, metavar="N",
-                         help="timed rounds; the minimum wall is "
-                              "recorded (default 3)")
-    brecord.add_argument("--handicap", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="sleep this long inside the timed "
-                              "region (CI uses it to seed a known "
-                              "regression the gate must catch)")
-    bgate = bsub.add_parser(
-        "gate", help="fail (exit 1) when the latest recorded run "
-                     "regressed: wall beyond --max-regress, or any "
-                     "bounds differing bit-wise")
-    bgate.add_argument("--dir", default=".", metavar="DIR",
-                       help="trajectory directory (default: .)")
-    bgate.add_argument("--name", default="table1", metavar="NAME",
-                       help="trajectory name (default: table1)")
-    bgate.add_argument("--baseline", metavar="PATH",
-                       help="gate against the latest run of this "
-                            "trajectory file instead of the previous "
-                            "run in the same file")
-    bgate.add_argument("--max-regress", type=float, default=None,
-                       metavar="FRACTION",
-                       help="allowed fractional wall-time regression "
-                            "(default 0.5 = +50%%)")
 
     chaos = sub.add_parser(
         "chaos", help="deterministic fault injection: inspect "
@@ -603,29 +564,10 @@ def _make_profiler(path: str | None):
 def _cmd_obs(args) -> int:
     import json
 
-    from .errors import SchemaMismatchError
-    from .obs import SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMAS, MetricsRegistry
-
-    def load_snapshot(path: str) -> dict:
-        with open(path) as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise SchemaMismatchError(
-                f"{path} is not a metrics snapshot (expected a JSON "
-                "object)")
-        schema = data.get("schema", SNAPSHOT_SCHEMA)
-        if schema not in SNAPSHOT_SCHEMAS:
-            raise SchemaMismatchError(
-                f"{path} has snapshot schema {schema!r}; this build "
-                f"reads schema {SNAPSHOT_SCHEMA} — re-export it with "
-                "a matching build")
-        # Accept both a bare registry snapshot and a full
-        # EngineMetrics dump (which nests one under "registry").
-        return data.get("registry", data)
+    from .obs import MetricsRegistry, load_snapshot
 
     if args.obs_command == "dump":
-        snapshot = load_snapshot(args.snapshot)
-        print(MetricsRegistry.from_snapshot(snapshot).render())
+        print(MetricsRegistry.load(args.snapshot).render())
         return 0
     if args.obs_command == "series":
         if args.target:
@@ -808,14 +750,17 @@ def _cache_limits(args) -> tuple:
 
 
 def _cmd_engine(args) -> int:
-    from .engine import (AnalysisEngine, AnalysisJob, EngineMetrics,
-                         ResultCache, default_cache_dir)
+    from .engine import (AnalysisEngine, AnalysisJob, ResultCache,
+                         default_cache_dir)
+    from .engine.metrics import render
+    from .obs import (EventBus, LiveDashboard, MetricsRegistry, Tracer,
+                      write_chrome_trace)
 
     if args.engine_command == "stats":
         if args.journal:
             return _journal_stats(args.journal)
         if args.metrics:
-            print(EngineMetrics.load(args.metrics).render())
+            print(render(MetricsRegistry.load(args.metrics)))
             return 0
         cache = ResultCache(args.cache_dir or default_cache_dir())
         if args.clear:
@@ -844,25 +789,18 @@ def _cmd_engine(args) -> int:
         raise ReproError(str(error.args[0]))
     cache_dir = None if args.no_cache \
         else (args.cache_dir or default_cache_dir())
-    tracer, finish_trace = _make_tracer(args.trace)
+    # Always traced: the stage rows are the jobs' pipeline spans;
+    # --trace only decides whether they are also written out.
+    tracer = Tracer()
     bus = None
     if args.live:
-        from .obs import EventBus, Tracer
-
         bus = EventBus()
-        if tracer is None:
-            # No --trace requested; spin up a tracer anyway so the
-            # dashboard sees per-set solver spans (records are
-            # discarded at exit).
-            tracer = Tracer()
         tracer.attach_stream(bus)
     engine = AnalysisEngine(workers=args.workers, cache_dir=cache_dir,
                             set_timeout=args.set_timeout,
                             cache_limits=_cache_limits(args),
                             tracer=tracer, bus=bus)
     if bus is not None:
-        from .obs import LiveDashboard
-
         with LiveDashboard(bus):
             results = engine.run(jobs)
     else:
@@ -870,11 +808,13 @@ def _cmd_engine(args) -> int:
     for result in results:
         print(result)
     print()
-    print(engine.metrics.render())
+    print(render(engine.registry))
     if args.metrics:
-        engine.metrics.dump(args.metrics)
+        engine.registry.dump(args.metrics)
         print(f"metrics written to {args.metrics}")
-    finish_trace()
+    if args.trace:
+        write_chrome_trace(tracer.records(), args.trace)
+        print(f"trace written to {args.trace}")
     return 0 if all(result.ok for result in results) else 1
 
 
@@ -1262,89 +1202,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-    import time
-
-    from .obs.flight import (DEFAULT_MAX_REGRESS, TrajectoryStore,
-                             gate_runs)
-
-    store = TrajectoryStore(args.dir)
-    if args.bench_command == "record":
-        from .programs import all_benchmarks, get_benchmark
-
-        names = args.benchmarks or list(all_benchmarks())
-        try:
-            benches = [get_benchmark(name) for name in names]
-        except KeyError as error:
-            raise ReproError(str(error.args[0]))
-        wall = None
-        bounds = {}
-        for _ in range(max(1, args.rounds)):
-            start = time.perf_counter()
-            for name, bench in zip(names, benches):
-                analysis = bench.make_analysis(
-                    machine=MACHINES[args.machine]())
-                report = analysis.estimate()
-                bounds[name] = [report.best, report.worst]
-            if args.handicap > 0:
-                # CI's seeded regression: sleeping inside the timed
-                # region must trip the gate on the next comparison.
-                time.sleep(args.handicap)
-            elapsed = time.perf_counter() - start
-            wall = elapsed if wall is None else min(wall, elapsed)
-        meta = {"benchmarks": names, "rounds": args.rounds,
-                "machine": args.machine}
-        if args.handicap:
-            meta["handicap"] = args.handicap
-        store.append(args.name, wall, bounds=bounds, meta=meta)
-        print(f"recorded {args.name}: wall {wall:.3f}s over "
-              f"{len(names)} benchmarks -> {store.path(args.name)}")
-        return 0
-
-    assert args.bench_command == "gate"
-    runs = store.runs(args.name)
-    if not runs:
-        raise ReproError(
-            f"no runs recorded in {store.path(args.name)}; run "
-            "`repro bench record` first")
-    current = runs[-1]
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise ReproError(f"unreadable baseline {args.baseline}: "
-                             f"{error}")
-        base_runs = doc.get("runs") if isinstance(doc, dict) else None
-        if not base_runs:
-            raise ReproError(f"{args.baseline} holds no recorded runs")
-        baseline = base_runs[-1]
-    elif len(runs) < 2:
-        raise ReproError(
-            f"{store.path(args.name)} holds a single run; record a "
-            "second or pass --baseline")
-    else:
-        baseline = runs[-2]
-    max_regress = (args.max_regress if args.max_regress is not None
-                   else DEFAULT_MAX_REGRESS)
-    problems, notes = gate_runs(baseline, current,
-                                max_regress=max_regress)
-    for note in notes:
-        print(f"note: {note}")
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"gate ok: {args.name} "
-          f"(wall {current['wall_seconds']:.3f}s, "
-          f"{len(current.get('bounds') or {})} bounds bit-identical)")
-    return 0
-
-
 def _dispatch(args) -> int:
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "engine":
         return _cmd_engine(args)
     if args.command == "serve":

@@ -16,7 +16,7 @@ from .cache import (CacheStats, ResultCache, SOLVER_VERSION,
                     cache_limits_from_env, default_cache_dir)
 from .core import AnalysisEngine, execute_job
 from .jobs import AnalysisJob, JobResult
-from .metrics import STAGES, EngineMetrics
+from .metrics import STAGES
 
 __all__ = [
     "AnalysisEngine",
@@ -28,6 +28,5 @@ __all__ = [
     "cache_limits_from_env",
     "execute_job",
     "SOLVER_VERSION",
-    "EngineMetrics",
     "STAGES",
 ]

@@ -400,11 +400,13 @@ def report_to_dict(report: BoundReport) -> dict:
         "worst_counts": dict(report.worst_counts),
         "best_counts": dict(report.best_counts),
         "partial": report.partial,
-        "timings": dict(report.timings),
     }
 
 
 def report_from_dict(data: dict) -> BoundReport:
+    """Inverse of :func:`report_to_dict`.  Keys it does not read, such
+    as the ``timings`` that older cache entries and journal frames
+    carry, are ignored."""
     return BoundReport(
         entry=data["entry"],
         machine=data["machine"],
@@ -416,5 +418,4 @@ def report_from_dict(data: dict) -> BoundReport:
         worst_counts=data["worst_counts"],
         best_counts=data["best_counts"],
         partial=data.get("partial", False),
-        timings=data.get("timings", {}),
     )

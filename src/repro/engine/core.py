@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from ..errors import ReproError
 from .cache import ResultCache
 from .jobs import AnalysisJob, JobResult
-from .metrics import EngineMetrics
+from .metrics import record
 
 
 def _default_workers() -> int:
@@ -116,7 +116,8 @@ class AnalysisEngine:
         A :class:`repro.obs.Tracer`; the run and every job's pipeline
         and solver work emit spans into it.  Each job traces into its
         own tracer, in the caller or a pool worker, and its records
-        come home in :attr:`JobResult.spans`.
+        come home in :attr:`JobResult.spans`.  Without one, the
+        engine records no stage times.
     bus:
         An optional :class:`repro.obs.EventBus`; the engine publishes
         run/job lifecycle events into it (``run_start``,
@@ -133,9 +134,9 @@ class AnalysisEngine:
                  cache_limits: tuple | None = None,
                  retries: int = 2,
                  backoff: float = 0.25,
-                 metrics: EngineMetrics | None = None,
                  tracer=None,
                  bus=None):
+        from ..obs.registry import MetricsRegistry
         from ..obs.trace import NULL_TRACER
 
         self.workers = workers or _default_workers()
@@ -147,7 +148,9 @@ class AnalysisEngine:
         self.max_iterations = max_iterations
         self.retries = retries
         self.backoff = backoff
-        self.metrics = metrics or EngineMetrics()
+        #: Every run's ``engine.*`` metrics (see
+        #: :mod:`repro.engine.metrics`).
+        self.registry = MetricsRegistry()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.bus = bus
 
@@ -278,15 +281,9 @@ class AnalysisEngine:
 
     # ------------------------------------------------------------------
     def _record(self, results: list[JobResult], elapsed: float) -> None:
-        self.metrics.total_seconds += elapsed
+        self.registry.gauge("engine.total_seconds").inc(elapsed)
         for result in results:
-            self.metrics.record_job(result.status)
-            if result.cache_hit:
-                self.metrics.record_cache("job", True)
-            elif self.cache is not None:
-                self.metrics.record_cache("job", False)
-            if result.report is not None and not result.cache_hit:
-                self.metrics.record_report(result.report)
+            record(self.registry, result, cache=self.cache is not None)
 
 
 def _failure(job: AnalysisJob, error, attempts: int) -> JobResult:

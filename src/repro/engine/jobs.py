@@ -15,7 +15,6 @@ job-level cache.  Jobs come in two flavors:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..analysis import Analysis, BoundReport
@@ -72,20 +71,19 @@ class AnalysisJob:
         Analysis for the solve stages.
         """
         if self.benchmark is not None:
+            from ..obs.trace import NULL_TRACER
             from ..programs import get_benchmark
 
             bench = get_benchmark(self.benchmark)
-            # Analysis only times compilation when handed raw source;
-            # a Benchmark hands it a compiled Program, so time the
-            # (per-process, cached) compile here instead.
-            clock = time.perf_counter()
-            bench.program
-            compile_seconds = time.perf_counter() - clock
-            analysis = bench.make_analysis(machine=self.machine,
-                                           backend=self.backend,
-                                           tracer=tracer)
-            analysis.timings["compile"] = compile_seconds
-            return analysis
+            # Analysis only spans compilation when handed raw source;
+            # a Benchmark hands it a compiled Program (cached per
+            # process), so the compile span opens here instead.
+            with (tracer or NULL_TRACER).span("compile",
+                                              cat="pipeline") as span:
+                span.set("functions", len(bench.program.functions))
+            return bench.make_analysis(machine=self.machine,
+                                       backend=self.backend,
+                                       tracer=tracer)
         if self.source is None or self.entry is None:
             raise AnalysisError(
                 f"job {self.name!r} needs either a benchmark name or "

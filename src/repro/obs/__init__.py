@@ -7,8 +7,8 @@ Three cooperating layers, all dependency-free:
   workers for the engine to merge.  :data:`NULL_TRACER` makes the
   disabled path effectively free.
 * :mod:`repro.obs.registry` — counter/gauge/histogram metrics with
-  snapshot, diff and merge; backs
-  :class:`~repro.engine.metrics.EngineMetrics`.
+  snapshot, diff and merge; the engine and the service record into
+  one, and :func:`load_snapshot` reads every metrics file.
 * :mod:`repro.obs.explain` — turns a solved
   :class:`~repro.analysis.BoundReport` into provenance: winning
   constraint set, execution-count witness, binding constraints and a
@@ -39,14 +39,14 @@ from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       render_explanation, render_explanation_delta)
 from .export import (to_chrome, to_json, trace_skeleton,
                      write_chrome_trace)
-from .flight import (SpanNode, TrajectoryStore, assemble_trees,
-                     build_tree, gate_runs, group_by_trace,
-                     host_fingerprint, orphan_spans, render_tree)
+from .flight import (SpanNode, assemble_trees, build_tree,
+                     group_by_trace, orphan_spans, render_tree)
 from .profile import (DEFAULT_HZ, PROFILE_SCHEMA, SamplingProfiler,
                       collapse_frame, frame_label)
 from .console import CONSOLE_VERSION, render_console
 from .registry import (DEFAULT_BUCKETS, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMAS,
-                       Counter, Gauge, Histogram, MetricsRegistry)
+                       Counter, Gauge, Histogram, MetricsRegistry,
+                       load_snapshot)
 from .series import (DEFAULT_INTERVAL, DEFAULT_RETENTION, SERIES_SCHEMA,
                      RegistrySampler, Series, SeriesStore)
 from .slo import (ALERTS_SCHEMA, SLO, Alert, SLOConfigError, SLOEngine,
@@ -65,8 +65,7 @@ __all__ = [
     "PROFILE_SCHEMA", "DEFAULT_HZ",
     "SpanNode", "group_by_trace", "build_tree", "assemble_trees",
     "orphan_spans", "render_tree",
-    "TrajectoryStore", "host_fingerprint", "gate_runs",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "Counter", "Gauge", "Histogram", "load_snapshot",
     "DEFAULT_BUCKETS", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMAS",
     "Series", "SeriesStore", "RegistrySampler", "SERIES_SCHEMA",
     "DEFAULT_INTERVAL", "DEFAULT_RETENTION",

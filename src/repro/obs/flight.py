@@ -1,56 +1,22 @@
-"""The cluster flight recorder: trace reassembly and perf trajectories.
+"""The cluster flight recorder: trace reassembly.
 
-Two halves, both about keeping performance evidence *durable and
-joinable* across the cluster the service became in PR 5/6:
-
-**Trace reassembly.**  Span records stamped with a
-:class:`~repro.obs.context.TraceContext` (``record["trace"]``) may
-come from the submitting client, the owning replica's scheduler, a
-peer replica that stole the job, and that peer's pool workers — four
-processes on up to two hosts.  :func:`assemble_trees` groups any mix
-of raw tracer records and Chrome ``"X"`` events by trace id and nests
-each (pid, tid) lane's spans by interval containment, yielding **one
-tree per job** no matter where its pieces ran.  :func:`orphan_spans`
-is the test hook for the invariant that stealing must not break:
-every span of a job carries the submitter's trace id.
-
-**Perf trajectories.**  A :class:`TrajectoryStore` appends one point
-per benchmark run to ``BENCH_<name>.json`` — schema-versioned,
-host-fingerprinted (:func:`host_fingerprint`, the
-``Machine.fingerprint()`` idea applied to the machine running the
-benchmarks), carrying wall seconds and the computed ``[best, worst]``
-bounds.  :func:`gate_runs` compares a fresh run against a recorded
-baseline: wall-time regressions beyond a threshold fail, and *any*
-bit-wise bound difference fails — bounds are deterministic, so a
-changed bound is a correctness regression, not noise.  ``repro bench
-record`` / ``repro bench gate`` are the CLI around it; CI runs the
-gate on every push.
+Span records stamped with a :class:`~repro.obs.context.TraceContext`
+(``record["trace"]``) may come from the submitting client, the owning
+replica's scheduler, a peer replica that stole the job, and that
+peer's pool workers — four processes on up to two hosts.
+:func:`assemble_trees` groups any mix of raw tracer records and Chrome
+``"X"`` events by trace id and nests each (pid, tid) lane's spans by
+interval containment, yielding **one tree per job** no matter where
+its pieces ran.  :func:`orphan_spans` is the test hook for the
+invariant that stealing must not break: every span of a job carries
+the submitter's trace id.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import re
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from ..errors import ReproError, SchemaMismatchError
-
-#: Schema tag of ``BENCH_<name>.json`` trajectory files.
-TRAJECTORY_SCHEMA = 1
-
-#: Default wall-time regression threshold for the gate (fraction).
-DEFAULT_MAX_REGRESS = 0.5
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
-# ----------------------------------------------------------------------
-# Trace reassembly
-# ----------------------------------------------------------------------
 @dataclass
 class SpanNode:
     """One span in a reassembled tree."""
@@ -164,150 +130,3 @@ def render_tree(roots: list[SpanNode], indent: int = 0) -> list[str]:
                      f"(pid {node.pid})")
         lines.extend(render_tree(node.children, indent + 1))
     return lines
-
-
-# ----------------------------------------------------------------------
-# Perf-trajectory store
-# ----------------------------------------------------------------------
-def host_fingerprint() -> str:
-    """A content-only stamp of the benchmarking host.
-
-    The same idea as :meth:`repro.hw.Machine.fingerprint`: two runs on
-    interchangeable machines get the same string, and any change that
-    invalidates wall-time comparison (interpreter, architecture, core
-    count) changes it.  Deliberately excludes the hostname.
-    """
-    return (f"py={platform.python_version()}"
-            f"|impl={platform.python_implementation()}"
-            f"|os={platform.system()}"
-            f"|arch={platform.machine()}"
-            f"|cpus={os.cpu_count() or 1}")
-
-
-class TrajectoryError(ReproError):
-    """A trajectory file cannot be read, or the gate has no baseline."""
-
-
-class TrajectoryStore:
-    """Append-only ``BENCH_<name>.json`` files under one directory.
-
-    Each file is ``{"schema": 1, "name": ..., "runs": [...]}``; a run
-    is ``{"t", "host", "wall_seconds", "bounds", "meta"}``.  Appends
-    rewrite the file atomically (temp + replace) but never drop or
-    edit prior runs — the history *is* the product.
-    """
-
-    def __init__(self, root="."):
-        self.root = Path(root).expanduser()
-
-    def path(self, name: str) -> Path:
-        if not _NAME_RE.match(name):
-            raise TrajectoryError(
-                f"bad trajectory name {name!r} (want letters, digits, "
-                "., _, -)")
-        return self.root / f"BENCH_{name}.json"
-
-    # ------------------------------------------------------------------
-    def load(self, name: str) -> dict:
-        """The full trajectory document (empty skeleton if absent)."""
-        path = self.path(name)
-        if not path.exists():
-            return {"schema": TRAJECTORY_SCHEMA, "name": name,
-                    "runs": []}
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise TrajectoryError(f"unreadable trajectory {path}: "
-                                  f"{error}")
-        if not isinstance(data, dict) \
-                or data.get("schema") != TRAJECTORY_SCHEMA:
-            raise SchemaMismatchError(
-                f"{path} has trajectory schema "
-                f"{data.get('schema') if isinstance(data, dict) else '?'!r};"
-                f" this build reads schema {TRAJECTORY_SCHEMA}")
-        data.setdefault("runs", [])
-        return data
-
-    def runs(self, name: str) -> list[dict]:
-        return self.load(name)["runs"]
-
-    def latest(self, name: str, host: str | None = None) -> dict | None:
-        """Most recent run, preferring an exact host-fingerprint match
-        when `host` is given (falls back to the overall latest)."""
-        runs = self.runs(name)
-        if host is not None:
-            matching = [run for run in runs if run.get("host") == host]
-            if matching:
-                return matching[-1]
-        return runs[-1] if runs else None
-
-    def append(self, name: str, wall_seconds: float,
-               bounds: dict | None = None,
-               meta: dict | None = None) -> dict:
-        """Record one run; returns the stored run dict."""
-        doc = self.load(name)
-        run = {
-            "t": time.time(),
-            "host": host_fingerprint(),
-            "wall_seconds": float(wall_seconds),
-        }
-        if bounds:
-            run["bounds"] = {str(k): [int(v[0]), int(v[1])]
-                             for k, v in bounds.items()}
-        if meta:
-            run["meta"] = meta
-        doc["runs"].append(run)
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(name)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
-        os.replace(tmp, path)
-        return run
-
-
-def gate_runs(baseline: dict, current: dict,
-              max_regress: float = DEFAULT_MAX_REGRESS):
-    """Compare a fresh run against a baseline run.
-
-    Returns ``(problems, notes)`` — both lists of strings.  A
-    non-empty ``problems`` fails the gate:
-
-    * wall time regressed beyond ``max_regress`` (fractional), or
-    * any benchmark's ``[best, worst]`` bounds differ **bit-wise**
-      (bounds are deterministic; a moved bound is a bug, not noise).
-
-    Host-fingerprint mismatches and coverage differences land in
-    ``notes`` — worth reading, not worth failing CI over.
-    """
-    problems, notes = [], []
-    base_wall = float(baseline.get("wall_seconds", 0.0))
-    cur_wall = float(current.get("wall_seconds", 0.0))
-    if baseline.get("host") != current.get("host"):
-        notes.append(f"host fingerprint changed: "
-                     f"{baseline.get('host')!r} -> "
-                     f"{current.get('host')!r}; wall comparison is "
-                     "approximate")
-    if base_wall > 0:
-        ratio = cur_wall / base_wall
-        if ratio > 1.0 + max_regress:
-            problems.append(
-                f"wall time regressed {ratio:.2f}x "
-                f"({base_wall:.3f}s -> {cur_wall:.3f}s; allowed "
-                f"+{max_regress:.0%})")
-        else:
-            notes.append(f"wall {base_wall:.3f}s -> {cur_wall:.3f}s "
-                         f"({ratio:.2f}x, within +{max_regress:.0%})")
-    base_bounds = baseline.get("bounds") or {}
-    cur_bounds = current.get("bounds") or {}
-    for name in sorted(set(base_bounds) & set(cur_bounds)):
-        if list(base_bounds[name]) != list(cur_bounds[name]):
-            problems.append(
-                f"{name}: bounds changed {base_bounds[name]} -> "
-                f"{cur_bounds[name]} (must be bit-identical)")
-    only_base = sorted(set(base_bounds) - set(cur_bounds))
-    only_cur = sorted(set(cur_bounds) - set(base_bounds))
-    if only_base:
-        notes.append(f"baseline-only benchmarks: {only_base}")
-    if only_cur:
-        notes.append(f"new benchmarks (no baseline): {only_cur}")
-    return problems, notes

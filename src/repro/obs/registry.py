@@ -11,9 +11,10 @@ holds named metrics of three kinds:
 
 A registry serializes to a *snapshot* (plain dict, JSON-safe) and two
 snapshots diff into the per-metric deltas, which is what the
-``repro obs diff`` CLI prints to compare runs.  The engine's
-:class:`~repro.engine.metrics.EngineMetrics` is a facade over one of
-these registries.
+``repro obs diff`` CLI prints to compare runs.  Every metrics file
+(``serve``, ``engine run`` and ``synth fuzz --metrics``) is a
+:meth:`MetricsRegistry.dump`, and :func:`load_snapshot` is the one
+reader of them.
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("lp_calls").inc(3)
@@ -28,6 +29,8 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+
+from ..errors import ReproError, SchemaMismatchError
 
 #: Default histogram buckets: log-ish spread that covers both per-set
 #: wall seconds and iteration counts.
@@ -44,6 +47,9 @@ SNAPSHOT_SCHEMAS = (1, 2)
 
 #: Reserved snapshot key carrying capture timestamps, not a metric.
 TS_KEY = "_ts"
+
+#: Entry types a snapshot may hold; ``meta`` is the ``_ts`` stamp.
+_ENTRY_TYPES = ("counter", "gauge", "histogram", "meta")
 
 
 class Counter:
@@ -235,11 +241,9 @@ class MetricsRegistry:
     def from_snapshot(cls, data: dict) -> "MetricsRegistry":
         registry = cls()
         for name, payload in data.items():
-            if not isinstance(payload, dict):
-                continue            # top-level "schema" marker etc.
-            kind = payload.get("type", "counter")
-            if kind == "meta":
-                continue            # the _ts capture-time stamp
+            # Skips the top-level "schema" marker and the _ts stamp.
+            kind = payload.get("type") if isinstance(payload, dict) \
+                else None
             if kind == "histogram":
                 metric = Histogram(name, payload.get("buckets",
                                                      DEFAULT_BUCKETS))
@@ -249,7 +253,7 @@ class MetricsRegistry:
                 registry._metrics[name] = metric
             elif kind == "gauge":
                 registry.gauge(name).set(payload.get("value", 0))
-            else:
+            elif kind == "counter":
                 registry.counter(name).value = payload.get("value", 0)
         return registry
 
@@ -260,7 +264,7 @@ class MetricsRegistry:
 
     @classmethod
     def load(cls, path) -> "MetricsRegistry":
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
+        return cls.from_snapshot(load_snapshot(path))
 
     # -- diff ----------------------------------------------------------
     @staticmethod
@@ -389,3 +393,43 @@ class MetricsRegistry:
                 self.gauge(name).inc(metric.value)
             else:
                 self.counter(name).inc(metric.value)
+
+
+def load_snapshot(path) -> dict:
+    """The registry snapshot a metrics file holds, checked.
+
+    A metrics file is a :meth:`MetricsRegistry.dump`; the dump older
+    builds' ``engine run --metrics`` wrote nests one under
+    ``"registry"`` and loads too.  A missing or unreadable file or
+    text that is not JSON raises :class:`~repro.errors.ReproError`;
+    a JSON value that is not an object, an unknown schema, or an
+    entry that is not a typed metric raises
+    :class:`~repro.errors.SchemaMismatchError`.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise ReproError(f"cannot read metrics file: {error}")
+    except ValueError as error:
+        raise ReproError(f"{path} is not JSON: {error}")
+    if not isinstance(data, dict):
+        raise SchemaMismatchError(
+            f"{path} is not a metrics snapshot (expected a JSON object)")
+    schema = data.get("schema", SNAPSHOT_SCHEMA)
+    if schema not in SNAPSHOT_SCHEMAS:
+        raise SchemaMismatchError(
+            f"{path} has snapshot schema {schema!r}; this build reads "
+            f"schema {SNAPSHOT_SCHEMA} — re-export it with a matching "
+            "build")
+    snapshot = data.get("registry", data)
+    if not isinstance(snapshot, dict):
+        raise SchemaMismatchError(
+            f"{path}: \"registry\" is not a metrics snapshot")
+    for name, payload in snapshot.items():
+        kind = payload.get("type") if isinstance(payload, dict) else None
+        if name != "schema" and kind not in _ENTRY_TYPES:
+            raise SchemaMismatchError(
+                f"{path}: entry {name!r} is not a metric (type "
+                f"{kind!r}); expected a registry snapshot as written "
+                "by --metrics")
+    return snapshot

@@ -41,8 +41,9 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..chaos import inject
+from ..engine import metrics
 from ..engine.core import execute_job
-from ..engine.metrics import EngineMetrics
+from ..engine.jobs import JobResult
 from ..errors import ReproError
 from ..obs.registry import MetricsRegistry
 
@@ -73,9 +74,10 @@ class Scheduler:
         The payload function run in the executor; defaults to
         :func:`repro.engine.execute_job`.  Injectable for tests.
     registry:
-        The service's :class:`~repro.obs.MetricsRegistry`; engine
-        evidence (stage timings, solver effort, cache traffic) is
-        folded into the same registry under ``engine.*`` names.
+        The service's :class:`~repro.obs.MetricsRegistry`; every job
+        is folded into it under ``engine.*`` names by
+        :func:`repro.engine.metrics.record` (job status, cache
+        traffic, solver effort, stage seconds from its spans).
     bus:
         An optional :class:`repro.obs.EventBus`; job lifecycle
         (``job_running``, per-set ``set_done``, ``job_done`` /
@@ -119,7 +121,6 @@ class Scheduler:
         #: back from a peer) are absorbed into it, which also streams
         #: them over SSE when the tracer's bus is attached.
         self.tracer = tracer
-        self.engine_metrics = EngineMetrics(self.registry)
         for status in ("ok", "partial", "failed"):
             self.registry.counter(f"service.jobs.done.{status}")
         self.registry.counter("service.jobs.deadline_expired")
@@ -386,12 +387,14 @@ class Scheduler:
             key = self.cache.job_key(job.fingerprint(),
                                      budget=self._budget_key(spec))
             report = self.cache.get_report(key)
-            self.engine_metrics.record_cache("job", report is not None)
             if report is not None:
                 record.cache_hit = True
                 record.state = "done"
                 record.status = "ok"
                 record.report = report
+                metrics.record(self.registry,
+                               JobResult(job.name, "ok", report,
+                                         cache_hit=True), cache=True)
                 return
 
         set_timeout = spec.set_timeout if spec.set_timeout is not None \
@@ -412,13 +415,18 @@ class Scheduler:
 
         result = await self._dispatch(loop, payload, record)
         if result is None:           # retries exhausted; record failed
+            metrics.record(self.registry,
+                           JobResult(job.name, "failed",
+                                     error=record.error),
+                           cache=self.cache is not None)
             return
         record.finish(result)
-        record.spans = list(getattr(result, "spans", []) or [])
-        if result.report is not None:
-            self.engine_metrics.record_report(result.report)
-            if self.cache is not None and result.ok:
-                self.cache.put_report(key, result.report)
+        record.spans = list(result.spans)
+        metrics.record(self.registry, result,
+                       cache=self.cache is not None)
+        if (result.report is not None and self.cache is not None
+                and result.ok):
+            self.cache.put_report(key, result.report)
 
     async def _dispatch(self, loop, payload, record):
         """Run the payload in the executor with retry + backoff."""

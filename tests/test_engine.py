@@ -8,11 +8,12 @@ import os
 import pytest
 
 from repro.analysis import Analysis
-from repro.engine import (AnalysisEngine, AnalysisJob, EngineMetrics,
-                          ResultCache)
+from repro.engine import AnalysisEngine, AnalysisJob, ResultCache
+from repro.engine.cache import report_from_dict, report_to_dict
+from repro.engine.metrics import STAGES, render
 from repro.errors import ILPTimeoutError
 from repro.hw import i960kb
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.programs import get_benchmark
 
 SOURCE = """
@@ -137,6 +138,20 @@ class TestResultCache:
         assert len(loaded.set_results) == len(report.set_results)
         assert loaded.sets_pruned == report.sets_pruned
 
+    def test_report_with_timings_still_loads(self, tmp_path):
+        # Older builds stored stage stopwatch times with each report,
+        # in cache entries and journal "complete" frames alike.
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        key = cache.job_key(_job().fingerprint())
+        older = dict(report_to_dict(report),
+                     timings={"compile": 0.004, "solve": 0.002})
+        assert "timings" not in report_to_dict(report)
+        cache._write(key, {"kind": "job", "report": older})
+        for loaded in (cache.get_report(key), report_from_dict(older)):
+            assert loaded.interval == report.interval
+            assert loaded.set_results == report.set_results
+
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         report = _analysis().estimate()
@@ -237,7 +252,8 @@ class TestEngineRuns:
         assert all(r.cache_hit for r in warm)
         for before, after in zip(cold, warm):
             assert after.report.interval == before.report.interval
-        assert warm_engine.metrics.hit_rate("job") == 1.0
+        assert warm_engine.registry.value("engine.cache.hits.job") == 2
+        assert "engine.cache.misses.job" not in warm_engine.registry
 
     def test_engine_matches_serial_estimate(self, tmp_path):
         jobs = [AnalysisJob.from_benchmark("check_data"), _heavy_job()]
@@ -265,6 +281,9 @@ class TestEngineRuns:
         names = collections.Counter(r["name"]
                                     for r in engine_tracer.records())
         assert names.pop("engine.run") == 1
+        # The engine spans the benchmark's compile, which a serial
+        # Analysis handed the compiled program does not.
+        assert names.pop("compile") == 1
         assert names == serial
         assert names["solve"] == 1 and names["set.worst"] == 2
 
@@ -285,7 +304,8 @@ class TestEngineRuns:
         assert not results[0].ok and results[0].report is None
         assert "missing" in results[0].error
         assert results[1].ok
-        assert engine.metrics.jobs == {"ok": 1, "partial": 0, "failed": 1}
+        assert [engine.registry.value(f"engine.jobs.{status}")
+                for status in ("ok", "partial", "failed")] == [1, 0, 1]
 
     def test_pooled_workers_never_write_the_cache(self, tmp_path):
         engine = AnalysisEngine(workers=2, cache_dir=tmp_path)
@@ -389,20 +409,42 @@ class TestTimeouts:
 
 class TestMetrics:
     def test_json_round_trip(self, tmp_path):
-        engine = AnalysisEngine(workers=1, cache_dir=tmp_path)
+        engine = AnalysisEngine(workers=1, cache_dir=tmp_path,
+                                tracer=Tracer())
         engine.run([_job()])
         path = tmp_path / "metrics.json"
-        engine.metrics.dump(path)
-        loaded = EngineMetrics.load(path)
-        redump, original = loaded.to_dict(), engine.metrics.to_dict()
-        redump["registry"].pop("_ts", None)    # fresh capture stamp
-        original["registry"].pop("_ts", None)
+        engine.registry.dump(path)
+        loaded = MetricsRegistry.load(path)
+        redump, original = loaded.snapshot(), engine.registry.snapshot()
+        redump.pop("_ts")                      # fresh capture stamp
+        original.pop("_ts")
         assert redump == original
-        assert loaded.sets_solved >= 1
-        assert "solve" in loaded.stage_seconds
+        assert loaded.value("engine.sets.solved") >= 1
+        assert "engine.stage_seconds.solve" in loaded
 
     def test_render_mentions_stages_and_jobs(self):
-        engine = AnalysisEngine(workers=1)
+        engine = AnalysisEngine(workers=1, tracer=Tracer())
         engine.run([_job()])
-        text = engine.metrics.render()
-        assert "solve" in text and "jobs: 1 ok" in text
+        rows = [line.split()[0] for line in
+                render(engine.registry).splitlines()[2:7]]
+        assert rows == list(STAGES)
+        assert "jobs: 1 ok" in render(engine.registry)
+
+    def test_stage_seconds_are_the_pipeline_spans(self):
+        engine = AnalysisEngine(workers=1, tracer=Tracer())
+        result, = engine.run([AnalysisJob.from_benchmark("check_data")])
+        spans: dict = {}
+        for span in result.spans:
+            if span["cat"] == "pipeline":
+                spans[span["name"]] = spans.get(span["name"], 0) \
+                    + span["dur"]
+        assert sorted(spans) == sorted(STAGES)     # compile included
+        prefix = "engine.stage_seconds."
+        assert {name[len(prefix):]: engine.registry.value(name)
+                for name in engine.registry.names(prefix)} == spans
+
+    def test_untraced_engine_records_no_stage_seconds(self):
+        engine = AnalysisEngine(workers=1)
+        assert engine.run([_job()])[0].ok
+        assert engine.registry.names("engine.stage_seconds.") == []
+        assert engine.registry.value("engine.sets.solved") == 2

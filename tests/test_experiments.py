@@ -25,6 +25,10 @@ class TestTables:
         rows = experiments.table1()
         assert [r.function for r in rows] == ["check_data", "piksrt"]
         assert rows[0].sets == 2
+        for row in rows:
+            report = experiments.report(row.function)
+            assert row.solve_seconds == sum(r.wall_time
+                                            for r in report.set_results)
         text = render_table1(rows)
         assert "Lines" in text and "check_data" in text
 

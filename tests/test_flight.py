@@ -1,4 +1,4 @@
-"""Cluster flight recorder: trace propagation, profiling, trajectories.
+"""Cluster flight recorder: trace propagation and profiling.
 
 The tentpole invariants of the flight-recorder layer:
 
@@ -6,9 +6,7 @@ The tentpole invariants of the flight-recorder layer:
   journal frame, pickle boundary — and stamps every span of a job,
   including spans produced by a *peer replica* that stole the job;
 * the statistical profiler aggregates deterministically, is idempotent
-  to start/stop, and measures its own overhead;
-* the perf-trajectory store is append-only and its gate fails on wall
-  regressions and on any bit-wise bound difference.
+  to start/stop, and measures its own overhead.
 
 The end-to-end half reuses the deterministic gated-runner embedding of
 ``tests/test_durable.py``: the owner's worker is held hostage so the
@@ -25,9 +23,8 @@ import pytest
 from repro.engine.jobs import JobResult
 from repro.obs import (EventBus, MetricsRegistry, SamplingProfiler,
                        TraceContext, Tracer, assemble_trees, build_tree,
-                       collapse_frame, gate_runs, group_by_trace,
-                       host_fingerprint, orphan_spans, render_tree)
-from repro.obs.flight import TrajectoryError, TrajectoryStore
+                       collapse_frame, group_by_trace, orphan_spans,
+                       render_tree)
 from repro.obs.tracediff import diff_traces
 from repro.service import (ClientError, JobSpec, ServiceClient,
                            ServiceThread)
@@ -226,65 +223,6 @@ class TestReassembly:
         assert [n.name for n in orphans] == ["stray"]
         lines = render_tree(trees["aa11"]["roots"])
         assert lines and "t:mine" in lines[0]
-
-
-# ======================================================================
-# Trajectory store and gate
-# ======================================================================
-class TestTrajectory:
-    def test_append_only_and_latest(self, tmp_path):
-        store = TrajectoryStore(tmp_path)
-        store.append("suite", 1.0, bounds={"des": (10, 20)})
-        store.append("suite", 2.0, bounds={"des": (10, 20)})
-        runs = store.runs("suite")
-        assert [run["wall_seconds"] for run in runs] == [1.0, 2.0]
-        assert all(run["host"] == host_fingerprint() for run in runs)
-        assert store.latest("suite")["wall_seconds"] == 2.0
-        assert store.latest("suite",
-                            host="py=?|other")["wall_seconds"] == 2.0
-        doc = json.loads(store.path("suite").read_text())
-        assert doc["schema"] == 1 and doc["name"] == "suite"
-
-    def test_bad_names_and_files_rejected(self, tmp_path):
-        store = TrajectoryStore(tmp_path)
-        with pytest.raises(TrajectoryError):
-            store.path("../escape")
-        store.path("ok").write_text("not json{")
-        with pytest.raises(TrajectoryError):
-            store.load("ok")
-
-    def test_gate_passes_identical_runs(self, tmp_path):
-        store = TrajectoryStore(tmp_path)
-        base = store.append("s", 1.0, bounds={"des": (10, 20)})
-        cur = store.append("s", 1.1, bounds={"des": (10, 20)})
-        problems, notes = gate_runs(base, cur)
-        assert problems == []
-        assert any("within" in note for note in notes)
-
-    def test_gate_fails_on_wall_regression(self):
-        problems, _ = gate_runs(
-            {"host": "h", "wall_seconds": 1.0},
-            {"host": "h", "wall_seconds": 1.6}, max_regress=0.5)
-        assert any("regressed" in p for p in problems)
-
-    def test_gate_fails_on_bound_drift(self):
-        problems, _ = gate_runs(
-            {"host": "h", "wall_seconds": 1.0,
-             "bounds": {"des": [10, 20]}},
-            {"host": "h", "wall_seconds": 1.0,
-             "bounds": {"des": [10, 21]}})
-        assert any("bit-identical" in p for p in problems)
-
-    def test_gate_notes_host_and_coverage_changes(self):
-        problems, notes = gate_runs(
-            {"host": "a", "wall_seconds": 1.0,
-             "bounds": {"des": [1, 2]}},
-            {"host": "b", "wall_seconds": 1.0,
-             "bounds": {"fft": [3, 4]}})
-        assert problems == []
-        assert any("host fingerprint changed" in n for n in notes)
-        assert any("baseline-only" in n for n in notes)
-        assert any("no baseline" in n for n in notes)
 
 
 # ======================================================================

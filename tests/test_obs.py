@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.engine.cache import ResultCache
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import SET_SECONDS_BUCKETS, render
 from repro.errors import AnalysisError
 from repro.obs import (NULL_TRACER, Counter, Gauge, Histogram,
                        MetricsRegistry, Tracer, diff_explanations,
@@ -225,19 +226,17 @@ class TestHistogramPercentiles:
                 histogram.percentile(q)
 
     def test_engine_report_prints_percentiles(self):
-        metrics = EngineMetrics()
-        from repro.engine.metrics import SET_SECONDS_BUCKETS
-
-        histogram = metrics.registry.histogram(
+        registry = MetricsRegistry()
+        histogram = registry.histogram(
             "engine.set_wall_seconds", buckets=SET_SECONDS_BUCKETS)
         for value in (0.01, 0.02, 0.4):
             histogram.observe(value)
-        text = metrics.render()
+        text = render(registry)
         assert "set solve seconds: p50" in text
         assert "p95" in text and "p99" in text and "over 3 sets" in text
 
     def test_engine_report_omits_percentiles_when_empty(self):
-        assert "set solve seconds" not in EngineMetrics().render()
+        assert "set solve seconds" not in render(MetricsRegistry())
 
 
 class TestExplanationDelta:
@@ -295,25 +294,71 @@ class TestExplanationDelta:
         assert "**" in render_explanation_delta(delta)
 
 
-class TestEngineMetricsFacade:
-    def test_backed_by_registry(self):
-        metrics = EngineMetrics()
-        metrics.registry.counter("engine.lp_calls").inc(3)
-        assert metrics.lp_calls == 3
-        dump = metrics.to_dict()
-        assert "registry" in dump
-        clone = EngineMetrics.from_dict(dump)
-        redump = clone.to_dict()
-        redump["registry"].pop("_ts", None)    # fresh capture stamp
-        dump["registry"].pop("_ts", None)
-        assert redump == dump
+class TestEngineSummary:
+    def test_backed_by_registry(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("engine.lp_calls").inc(3)
+        assert "solver: 3 LP calls" in render(registry)
+        path = tmp_path / "metrics.json"
+        registry.dump(path)
+        clone = MetricsRegistry.load(path).snapshot()
+        snapshot = registry.snapshot()
+        clone.pop("_ts")                       # fresh capture stamp
+        snapshot.pop("_ts")
+        assert clone == snapshot
 
-    def test_legacy_flat_dict_still_loads(self):
-        metrics = EngineMetrics()
-        flat = {k: v for k, v in metrics.to_dict().items()
-                if k != "registry"}
-        flat["lp_calls"] = 9
-        assert EngineMetrics.from_dict(flat).lp_calls == 9
+
+class TestMetricsFiles:
+    """Every metrics file goes through one loader, and what it cannot
+    read is an ``error:`` line and exit 1, never zeros or a traceback.
+    """
+
+    BAD = {
+        "malformed": "{not json",
+        "list": "[1, 2]",
+        "flat": '{"stage_seconds": {"solve": 1.0}, "lp_calls": 3}',
+        "unknown type": '{"engine.lp_calls": {"type": "summary"}}',
+    }
+
+    @staticmethod
+    def _commands(path):
+        return (["engine", "stats", "--metrics", path],
+                ["obs", "dump", path], ["obs", "diff", path, path])
+
+    @pytest.mark.parametrize("case", ["missing", *BAD])
+    def test_unreadable_file_is_an_error(self, tmp_path, capsys, case):
+        path = tmp_path / "metrics.json"
+        if case != "missing":
+            path.write_text(self.BAD[case])
+        for argv in self._commands(str(path)):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_service_snapshot_renders_its_engine_counters(self, tmp_path,
+                                                          capsys):
+        registry = MetricsRegistry()
+        registry.counter("engine.lp_calls").inc(7)
+        registry.counter("engine.jobs.ok").inc(2)
+        registry.counter("engine.stage_seconds.expand").inc(0.25)
+        path = tmp_path / "service-metrics.json"
+        registry.dump(path)
+        assert main(["engine", "stats", "--metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "7 LP calls" in out and "jobs: 2 ok" in out
+        assert "expand" in out
+
+    def test_older_engine_dump_loads_its_registry(self, tmp_path, capsys):
+        # Older builds' engine run --metrics nested the snapshot under
+        # "registry" beside flat copies of the same figures.
+        registry = MetricsRegistry()
+        registry.counter("engine.lp_calls").inc(5)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"lp_calls": 5, "stage_seconds": {},
+                                    "registry": registry.snapshot()}))
+        assert MetricsRegistry.load(path).value("engine.lp_calls") == 5
+        assert main(["engine", "stats", "--metrics", str(path)]) == 0
+        assert "5 LP calls" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.engine.jobs import JobResult
+from repro.engine.metrics import STAGES
 from repro.obs import MetricsRegistry
 from repro.programs import get_benchmark
 from repro.service import (BadRequest, ClientError, JobFailed, JobQueue,
@@ -352,6 +353,27 @@ class TestEndToEnd:
         assert merged.value("service.jobs.submitted") == 4
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
+
+    def test_engine_counters_track_finished_jobs(self):
+        with _thread_service(workers=1) as handle:
+            client = ServiceClient(port=handle.port)
+            for _ in range(2):
+                client.wait(client.submit({"benchmark": "check_data"})["id"],
+                            timeout=120)
+            snapshot = client.metricz()
+        assert snapshot["service.jobs.done.ok"]["value"] == 2
+        engine = {name: entry for name, entry in snapshot.items()
+                  if name.startswith("engine.")}
+        assert engine["engine.jobs.ok"]["value"] == 2
+        # Every engine.* name was recorded by a job; none sits at 0,
+        # and a whole-run gauge has no meaning for a service.
+        assert [name for name, entry in engine.items()
+                if not entry.get("value", entry.get("count"))] == []
+        assert "engine.total_seconds" not in engine
+        # Every HTTP job is traced, so its stages come from its spans.
+        prefix = "engine.stage_seconds."
+        assert sorted(name[len(prefix):] for name in engine
+                      if name.startswith(prefix)) == sorted(STAGES)
 
     def test_process_workers_never_write_the_cache(self, tmp_path):
         with ServiceThread(workers=1, executor="process",

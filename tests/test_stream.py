@@ -474,10 +474,12 @@ class TestSchemaMismatchExits:
 
     def test_obs_diff_accepts_v1_and_v2_snapshots(self, tmp_path,
                                                   capsys):
+        counter = {"type": "counter", "value": 1}
         v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps({"schema": 1, "counters": {}}))
+        v1.write_text(json.dumps({"schema": 1, "engine.lp_calls": counter}))
         v2 = tmp_path / "v2.json"
-        v2.write_text(json.dumps({"schema": 2, "counters": {}}))
+        v2.write_text(json.dumps({"schema": 2, "engine.lp_calls": counter,
+                                  "_ts": {"type": "meta", "wall": 1.0}}))
         assert main(["obs", "diff", str(v1), str(v2)]) == 0
 
     def test_obs_dump_rejects_future_snapshot(self, tmp_path, capsys):
