@@ -31,7 +31,8 @@ def markdown_report(analysis: Analysis,
         f"* machine: **{report.machine}**",
         f"* estimated bound: **[{report.best:,}, {report.worst:,}]** "
         "cycles",
-        f"* constraint sets: {report.sets_solved} solved, "
+        f"* constraint sets: {report.sets_solved} solved "
+        f"({len(report.refuted_sets)} refuted before the LP), "
         f"{report.sets_pruned} pruned as null "
         f"(of {report.sets_total} expanded)",
         f"* LP calls: {report.lp_calls}; every first relaxation "

@@ -81,6 +81,12 @@ class BoundReport:
         return len(self.set_results)
 
     @property
+    def refuted_sets(self) -> list[int]:
+        """Indices of the sets bound propagation proved infeasible
+        before any LP (:attr:`repro.ilp.SolveStats.refuted`)."""
+        return [r.index for r in self.set_results if r.stats.refuted]
+
+    @property
     def lp_calls(self) -> int:
         return sum(r.stats.lp_calls for r in self.set_results)
 

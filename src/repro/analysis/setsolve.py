@@ -27,15 +27,27 @@ rows name a variable outside the base is solved whole, from
 :meth:`SetTask.problems`, as is every set of the ``scipy`` backend, an
 independent oracle that solves each direction whole.
 
+Refutation: extending the base by a set's rows propagates exact
+integer bounds first (:attr:`~repro.ilp.model.Polyhedron.refuted`).
+A set whose bounds empty has no integer point, so it is INFEASIBLE
+with no LP call, no node and no pivot: its ``set.worst`` span carries
+``refuted=1`` and no ``bnb`` child, and its :class:`SetResult` has
+``stats.refuted``.  This is the paper's null-set pruning (§III-D)
+carried past the set's own relations, to the structural constraints
+and loop bounds.  The scipy oracle never refutes.
+
 Pivot accounting: a :class:`SetResult`'s ``simplex_iterations`` are
 the pivots its solves made, so the base's phase 1 counts once, in the
-set that ran it.  Pivot budgets charge every solve the phase 1 runs it
-started from as well, so where a budget trips does not depend on which
-set ran the base's phase 1.  Every field but ``wall_time`` depends
+set that ran it: the first set that is not refuted and extends it.
+Pivot budgets charge every solve the phase 1 runs it started from as
+well, so where a budget trips does not depend on which set ran the
+base's phase 1, and they never trip on a refuted set, which pivots
+and waits on nothing.  Every field but ``wall_time`` depends
 only on the analysis and the order its tasks are solved in.
 
 Timeout semantics (engine "graceful degradation"): a task with a
-``timeout`` gets a wall-clock deadline for its two ILPs together.  If
+``timeout`` gets a wall-clock deadline for its two ILPs together (a
+refuted set runs neither, so it never times out).  If
 an ILP trips the deadline, the task falls back to the LP relaxation,
 which is fast and still *sound* — the relaxation maximum is an upper
 bound on the integer maximum and the relaxation minimum a lower bound
@@ -178,16 +190,22 @@ def solve_set(task: SetTask, tracer=None) -> SetResult:
         if engine is not None:
             polyhedron = Polyhedron(worst_problem, engine)
 
+    refuted = polyhedron is not None and polyhedron.refuted
     with tracer.span("set.worst", cat="solver", set=task.index,
                      backend=task.backend) as span:
-        worst = _solve_direction(worst_problem, polyhedron, task, deadline,
-                                 result, "worst", tracer)
+        if refuted:
+            worst = _DirectionOutcome(Status.INFEASIBLE)
+            span.set("refuted", 1)
+        else:
+            worst = _solve_direction(worst_problem, polyhedron, task,
+                                     deadline, result, "worst", tracer)
         counters_from_stats(span, worst.stats)
         span.set("status", worst.status.value)
     if worst.status is Status.UNBOUNDED:
         raise UnboundedError(_UNBOUNDED_MESSAGE)
     if worst.status is Status.INFEASIBLE:
         result.status = Status.INFEASIBLE
+        result.stats.refuted = refuted
         result.wall_time = time.monotonic() - started
         return result
     result.worst = worst.objective

@@ -1300,7 +1300,8 @@ def _dispatch(args) -> int:
 
     report = analysis.estimate()
     print(report)
-    print(f"constraint sets: {report.sets_solved} solved, "
+    print(f"constraint sets: {report.sets_solved} solved "
+          f"({len(report.refuted_sets)} refuted before the LP), "
           f"{report.sets_pruned} pruned of {report.sets_total}")
     print(f"LP calls: {report.lp_calls}; first relaxation integral: "
           f"{report.all_first_relaxations_integral}")

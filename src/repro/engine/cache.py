@@ -53,8 +53,9 @@ from ..ilp import SolveStats, Status
 #: cold-start every cache).  2: lowest-index presolve order (pivot
 #: counts, witnesses at ties, last-ulp objectives) and counted
 #: ``nodes_pruned``.  3: phase 1 extends the base's tableau (pivot
-#: counts, last-ulp objectives).
-SOLVER_VERSION = 3
+#: counts, last-ulp objectives).  4: bound propagation refutes sets and
+#: nodes before any LP (LP calls, nodes, pivots, ``stats.refuted``).
+SOLVER_VERSION = 4
 
 
 def default_cache_dir() -> Path:
@@ -368,6 +369,7 @@ def set_result_to_dict(result: SetResult) -> dict:
             "simplex_iterations": result.stats.simplex_iterations,
             "first_relaxation_integral":
                 result.stats.first_relaxation_integral,
+            "refuted": result.stats.refuted,
         },
     }
 

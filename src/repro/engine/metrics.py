@@ -46,6 +46,7 @@ def record(registry, result, cache: bool = False) -> None:
                                        buckets=SET_SECONDS_BUCKETS)
         for solved in result.report.set_results:
             _add(registry, "engine.sets.solved", 1)
+            _add(registry, "engine.sets.refuted", int(solved.stats.refuted))
             _add(registry, "engine.sets.timed_out", int(solved.timed_out))
             _add(registry, "engine.sets.relaxed", int(solved.relaxed))
             _add(registry, "engine.lp_calls", solved.stats.lp_calls)
@@ -79,6 +80,8 @@ def render(registry) -> str:
         lines.append(f"{'total':<14} {total:>9.3f} {'':>7}")
     lines.append("")
     qualifiers = []
+    if value("engine.sets.refuted"):
+        qualifiers.append(f"{value('engine.sets.refuted')} refuted")
     if value("engine.sets.timed_out"):
         qualifiers.append(f"{value('engine.sets.timed_out')} timed out")
     if value("engine.sets.relaxed"):

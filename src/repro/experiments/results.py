@@ -16,7 +16,7 @@ def collect_results(experiments: Experiments) -> dict:
     """All tables as plain dictionaries."""
     table1 = [
         {"function": r.function, "description": r.description,
-         "lines": r.lines, "sets": r.sets,
+         "lines": r.lines, "sets": r.sets, "refuted": r.refuted,
          "lp_calls": r.lp_calls,
          "simplex_iterations": r.simplex_iterations,
          "solve_seconds": round(r.solve_seconds, 6)}
@@ -48,6 +48,7 @@ def collect_results(experiments: Experiments) -> dict:
             "nodes_pruned": sum(
                 r.stats.nodes_pruned for r in report.set_results),
             "relaxed_sets": report.relaxed_sets,
+            "refuted_sets": report.refuted_sets,
             "first_relaxations_integral":
                 report.all_first_relaxations_integral,
         })

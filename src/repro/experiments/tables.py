@@ -29,6 +29,8 @@ class Table1Row:
     description: str
     lines: int
     sets: int
+    #: Of `sets`, those bound propagation refuted before any LP.
+    refuted: int = 0
     #: Solver-effort columns (not in the paper's Table I, but they
     #: substantiate its §VI-A discussion of ILP cost).
     lp_calls: int = 0
@@ -153,6 +155,7 @@ class Experiments:
             rows.append(Table1Row(
                 name, bench.description, bench.lines,
                 report.sets_solved,
+                refuted=len(report.refuted_sets),
                 lp_calls=report.lp_calls,
                 simplex_iterations=sum(
                     r.stats.simplex_iterations for r in report.set_results),
@@ -215,11 +218,13 @@ class Experiments:
 # ----------------------------------------------------------------------
 def render_table1(rows: list[Table1Row]) -> str:
     header = (f"{'Function':<18} {'Description':<42} {'Lines':>5} "
-              f"{'Sets':>4} {'LPs':>4} {'Pivots':>7} {'Solve s':>8}")
+              f"{'Sets':>4} {'Refuted':>7} {'LPs':>4} {'Pivots':>7} "
+              f"{'Solve s':>8}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(f"{row.function:<18} {row.description:<42} "
-                     f"{row.lines:>5} {row.sets:>4} {row.lp_calls:>4} "
+                     f"{row.lines:>5} {row.sets:>4} {row.refuted:>7} "
+                     f"{row.lp_calls:>4} "
                      f"{row.simplex_iterations:>7,} "
                      f"{row.solve_seconds:>8.3f}")
     return "\n".join(lines)

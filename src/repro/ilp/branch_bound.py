@@ -137,13 +137,12 @@ def _branch_and_bound(root: Polyhedron, objective: Objective,
                     f"branch & bound exceeded {max_iterations} simplex "
                     "iterations",
                     iterations=stats.simplex_iterations, nodes=stats.nodes)
-        if first:
-            relax = root.relaxation(objective, max_iter=budget,
-                                    deadline=deadline, tracer=tracer)
-        else:
-            relax = root.extend(extra).relaxation(
-                objective, max_iter=budget, deadline=deadline)
-        stats.lp_calls += 1
+        node = root if first else root.extend(extra)
+        relax = node.relaxation(objective, max_iter=budget,
+                                deadline=deadline,
+                                tracer=tracer if first else None)
+        # A node propagation refutes reports INFEASIBLE without an LP.
+        stats.lp_calls += not node.refuted
         stats.simplex_iterations += relax.iterations
         spent += relax.iterations + relax.reused
         if relax.status is Status.INFEASIBLE:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import heapq
 from collections import defaultdict
 from typing import Iterable, Mapping
@@ -12,13 +11,19 @@ import numpy as np
 from ..errors import ILPError, ILPTimeoutError
 from . import exact, simplex
 from .expr import Constraint, LinExpr, Var
-from .solution import ILPResult, LPResult, Status
+from .propagate import EXACT_INTEGER, FREE, inequalities, propagate
+from .solution import ILPResult, LPResult, Phase1Result, Status
 
-#: Presolve needs every coefficient and right-hand side to be an
-#: integer below this magnitude: substituting through unit
-#: coefficients is then integer arithmetic, exact in float and in
-#: Fraction alike.
-EXACT_INTEGER = 2.0 ** 53
+
+class _Unset:
+    """A lazily computed attribute not computed yet; pickles as the
+    one :data:`_UNSET`, so a pickled polyhedron computes it anew."""
+
+    def __reduce__(self):
+        return "_UNSET"
+
+
+_UNSET = _Unset()
 
 
 class Problem:
@@ -290,8 +295,29 @@ class Polyhedron:
     shares the prefix's phase 1.  Any other polyhedron runs phase 1
     from the empty tableau, reading its whole matrix.  Phase 1 runs
     lazily, the prefix's first: an analysis's base runs its phase 1
-    inside the first set that extends it, and never if every set
-    eliminates a column of its own.
+    inside the first set that extends it and is not refuted, and never
+    if every such set eliminates a column of its own.
+
+    Refutation.  When every column is an integer (every variable an
+    integer with an integer lower bound), an extension by one or more
+    rows first propagates integer bounds
+    (:mod:`repro.ilp.propagate`): its new rows, once they have taken
+    the substitutions already made, tighten the integer ``[lo, hi]``
+    of each kept column that the polyhedron it extends implies, and
+    so does every kept row naming a column they tighten.  Those
+    parent bounds are computed the first time an extension with rows
+    asks for them, from the parent's own rows, or taken from the
+    polyhedron it extends if it added none; an extension that
+    propagated keeps the bounds it derived.  A domain that empties
+    proves the extension has no integer point: it is :attr:`refuted`
+    and skips the rest of its presolve, its phase 1 reports
+    INFEASIBLE with zero pivots and runs no prefix's phase 1, and so
+    its relaxation is INFEASIBLE even where the LP alone is not,
+    which is what branch & bound needs of it.  A problem's own
+    polyhedron is never refuted, so :meth:`Problem.solve_relaxation`
+    stays the LP relaxation.  Propagation runs only while the presolve
+    does (every row an exact integer), in Python ``int``; a visit cap
+    ends it unrefuted.
 
     Budgets count pivots of the presolved LP, and behave as if every
     solve had run its own phase 1, its prefixes' included: a phase
@@ -301,7 +327,8 @@ class Polyhedron:
     starts from.  Trip points therefore do not depend on which solve
     ran a shared phase 1.  A result reports the pivots its solve made
     in ``iterations`` and those of the phase 1 runs it reused in
-    ``reused``.
+    ``reused``.  A refuted polyhedron makes and reuses none, so no
+    budget trips on it.
     """
 
     def __init__(self, problem: Problem, engine: str = "float"):
@@ -314,6 +341,13 @@ class Polyhedron:
         self._lowered: tuple[list, list, list] = ([], [], [])
         self._reducing = True
         self._parent = None
+        #: Propagation proved the rows have no integer point (see the
+        #: class docstring); never set on a problem's own polyhedron.
+        self.refuted = False
+        # Integer bounds propagate only when every column is an integer:
+        # an integer variable less an integer lower bound.
+        self._integral = (len(self.integers) == len(self.index) and all(
+            float(lower).is_integer() for lower in self.shift))
         #: (column, constant, {column: coefficient}) per eliminated
         #: column, in elimination order.
         self.substitutions: list = []
@@ -328,9 +362,13 @@ class Polyhedron:
         variables, presolved on from this one's state (raises KeyError
         for a constraint naming a variable it does not have).  Unless
         its presolve eliminates a new column, its phase 1 extends this
-        one's (see the class docstring)."""
+        one's (see the class docstring).  A refuted polyhedron is its
+        own extension."""
         rows, senses, rhs = _lower(constraints, self.index, self.shift)
-        twin = copy.copy(self)
+        if self.refuted:
+            return self     # no integer point, however cut
+        twin = Polyhedron.__new__(Polyhedron)
+        twin.__dict__.update(self.__dict__)
         twin._parent = self
         twin._presolve(rows, senses, rhs)
         return twin
@@ -340,6 +378,7 @@ class Polyhedron:
         (see the class docstring).  Never mutates state an earlier
         polyhedron shares."""
         parent = self._parent
+        self._domains = self._system = _UNSET
         lowered_rows, lowered_senses, lowered_rhs = self._lowered
         self._lowered = (lowered_rows + new_rows,
                          lowered_senses + new_senses,
@@ -350,77 +389,140 @@ class Polyhedron:
             # Unreduced rows are never mutated, so they are shared.
             self.rows, self.senses, self._rhs = self._lowered
         else:
-            first = len(self.rows)
-            rows = ([dict(row) for row in self.rows]
-                    + [dict(row) for row in new_rows])
-            senses = self.senses + new_senses
-            rhs = self._rhs + new_rhs
-            holders = defaultdict(set)   # column -> rows naming it
-            for r, row in enumerate(rows):
-                for j in row:
-                    holders[j].add(r)
-            # No kept row is eligible, so only the new ones can be.
-            queue = [r for r in range(first, len(rows))
-                     if senses[r] == "=="]
-            queued = set(queue)
-
-            def substitute(j, constant, terms):
-                """x_j = constant + sum(terms[k] x_k) in every row."""
-                for q in holders.pop(j, ()):
-                    row = rows[q]
-                    scale = row.pop(j)
-                    rhs[q] -= scale * constant
-                    for k, coef in terms.items():
-                        value = row.get(k, 0.0) + scale * coef
-                        if value:
-                            row[k] = value
-                            holders[k].add(q)
-                        else:
-                            del row[k]
-                            holders[k].discard(q)
-                    if senses[q] == "==" and q not in queued:
-                        heapq.heappush(queue, q)
-                        queued.add(q)
-
             # Kept rows name no eliminated column, so this gives the new
             # rows the substitutions made so far, in order, exactly as
             # if they had been present.
+            new_rows = [dict(row) for row in new_rows]
+            new_rhs = list(new_rhs)
+            named = set().union(*new_rows)
             for j, constant, terms in self.substitutions:
-                if j in holders:
-                    substitute(j, constant, terms)
-            substitutions = list(self.substitutions)
-            while queue:
-                r = heapq.heappop(queue)
-                queued.discard(r)
-                row = rows[r]
-                j = _unit_column(row, rhs[r])
-                if j is None:
-                    continue
-                sign = row.pop(j)
-                constant = int(sign * rhs[r])
-                terms = {k: int(-sign * coef) for k, coef in row.items()}
-                rows[r] = None
-                for k in (*row, j):
-                    holders[k].discard(r)
-                substitute(j, constant, terms)
-                substitutions.append((j, constant, terms))
-            kept = [r for r, row in enumerate(rows) if row is not None
-                    and not (row == {} and _holds(senses[r], rhs[r]))]
-            self.rows = [rows[r] for r in kept]
-            self.senses = [senses[r] for r in kept]
-            self._rhs = [rhs[r] for r in kept]
-            self.substitutions = substitutions
-        eliminated = {j for j, _, _ in self.substitutions}
-        #: Original indices of the columns the LP keeps, in order.
-        self.columns = [j for j in range(len(self.index))
-                        if j not in eliminated]
+                if j in named:
+                    named.update(terms)
+                    for q, row in enumerate(new_rows):
+                        if j in row:
+                            new_rhs[q] -= _substitute(row, j, constant,
+                                                      terms)
+            if parent is not None and new_rows and self._integral:
+                self._propagate(parent, new_rows, new_senses, new_rhs)
+            if self.refuted:
+                # No integer point: the rest of the presolve is moot.
+                self.rows = self.rows + new_rows
+                self.senses = self.senses + new_senses
+                self._rhs = self._rhs + new_rhs
+            else:
+                self._eliminate(new_rows, new_senses, new_rhs)
+        if parent is None or self.substitutions is not parent.substitutions:
+            eliminated = {j for j, _, _ in self.substitutions}
+            #: Original indices of the columns the LP keeps, in order.
+            self.columns = [j for j in range(len(self.index))
+                            if j not in eliminated]
         #: The polyhedron whose phase 1 this one's extends: the one it
         #: extends, if this one kept its columns and its rows are a
         #: prefix of this one's (None: phase 1 starts from empty).
-        self.prefix = parent if parent is not None and _is_prefix(
-            parent, self) else None
+        self.prefix = parent if parent is not None and not self.refuted \
+            and _is_prefix(parent, self) else None
         self._start = None
         self._folded: dict = {}
+
+    def _propagate(self, parent, new_rows, new_senses, new_rhs) -> None:
+        """Propagate `parent`'s integer bounds through the new rows
+        (substituted, not yet appended), and through every kept row
+        naming a column they tighten; no others can move the parent's
+        fixpoint.  Sets :attr:`refuted` if a domain empties."""
+        domains = parent._bounds()
+        system = parent._rows_as_integers()
+        new = inequalities(new_rows, new_senses, new_rhs)
+        if domains is not None and system is not None and new is not None:
+            rows, holders = system
+            first = len(rows)
+            holders = dict(holders)
+            for r, row in enumerate(new_rows, start=first):
+                for k in row:
+                    holders[k] = holders.get(k, ()) + (r,)
+            domains = propagate(rows + new, holders, domains,
+                                range(first, first + len(new)))
+        self._domains = domains
+        self.refuted = domains is None
+
+    def _eliminate(self, new_rows, new_senses, new_rhs) -> None:
+        """The presolve worklist over the kept rows and the new ones
+        (see the class docstring)."""
+        first = len(self.rows)
+        rows = [dict(row) for row in self.rows] + new_rows
+        senses = self.senses + new_senses
+        rhs = self._rhs + new_rhs
+        holders = defaultdict(set)   # column -> rows naming it
+        for r, row in enumerate(rows):
+            for j in row:
+                holders[j].add(r)
+        # No kept row is eligible, so only the new ones can be.
+        queue = [r for r in range(first, len(rows)) if senses[r] == "=="]
+        queued = set(queue)
+        substitutions = list(self.substitutions)
+        while queue:
+            r = heapq.heappop(queue)
+            queued.discard(r)
+            row = rows[r]
+            j = _unit_column(row, rhs[r])
+            if j is None:
+                continue
+            sign = row.pop(j)
+            constant = int(sign * rhs[r])
+            terms = {k: int(-sign * coef) for k, coef in row.items()}
+            rows[r] = None
+            for k in (*row, j):
+                holders[k].discard(r)
+            # x_j = constant + sum(terms[k] x_k) in every other row.
+            for q in holders.pop(j, ()):
+                other = rows[q]
+                rhs[q] -= _substitute(other, j, constant, terms)
+                for k in terms:
+                    if k in other:
+                        holders[k].add(q)
+                    else:
+                        holders[k].discard(q)
+                if senses[q] == "==" and q not in queued:
+                    heapq.heappush(queue, q)
+                    queued.add(q)
+            substitutions.append((j, constant, terms))
+        kept = [r for r, row in enumerate(rows) if row is not None
+                and not (row == {} and _holds(senses[r], rhs[r]))]
+        self.rows = [rows[r] for r in kept]
+        self.senses = [senses[r] for r in kept]
+        self._rhs = [rhs[r] for r in kept]
+        if len(substitutions) > len(self.substitutions):
+            self.substitutions = substitutions
+
+    def _rows_as_integers(self):
+        """(inequalities, {column: rows naming it}) of the kept rows, as
+        :func:`repro.ilp.propagate.propagate` reads them, or None when
+        an entry is not an exact integer.  Built once."""
+        if self._system is _UNSET:
+            rows = inequalities(self.rows, self.senses, self._rhs)
+            holders: dict = {}
+            for r, row in enumerate(self.rows):
+                for k in row:
+                    holders[k] = holders.get(k, ()) + (r,)
+            self._system = None if rows is None else (rows, holders)
+        return self._system
+
+    def _bounds(self):
+        """(lo, hi): integer bounds of this polyhedron's columns that
+        its rows imply (see :func:`repro.ilp.propagate.propagate`), or
+        None when they prove it has no integer point.  An extension
+        that propagated keeps what it derived; any other polyhedron
+        computes them the first time an extension asks: from its
+        parent's, if it added no rows, else from its own rows."""
+        if self._domains is _UNSET:
+            parent = self._parent
+            if parent is not None and (len(self._lowered[0])
+                                       == len(parent._lowered[0])):
+                self._domains = parent._bounds()
+            else:
+                system = self._rows_as_integers()
+                self._domains = FREE if system is None else propagate(
+                    *system, FREE, range(len(self.rows)))
+        return self._domains
 
     def relaxation(self, problem: "Problem | Objective",
                    max_iter: int | None = None,
@@ -457,6 +559,9 @@ class Polyhedron:
         completed it, it runs now, extending :attr:`prefix`'s (run
         first if need be) by this polyhedron's own rows, or the empty
         start by all of them."""
+        if self.refuted:
+            return Phase1Result(Status.INFEASIBLE, 0, 0,
+                                columns=len(self.columns)), 0
         start = self._start
         if start is not None:
             if start.search_iterations > budget:
@@ -569,6 +674,19 @@ def _exact_integers(rows: list[dict[int, float]], rhs: list[float]) -> bool:
         numbers.update(row.values())
     return all(float(v).is_integer() and abs(v) < EXACT_INTEGER
                for v in numbers)
+
+
+def _substitute(row: dict, j: int, constant, terms: dict):
+    """Put x_j = constant + sum(terms[k] x_k) into `row`, in place;
+    returns what the row's right-hand side loses."""
+    scale = row.pop(j)
+    for k, coef in terms.items():
+        value = row.get(k, 0.0) + scale * coef
+        if value:
+            row[k] = value
+        else:
+            del row[k]
+    return scale * constant
 
 
 def _holds(sense: str, rhs: float) -> bool:

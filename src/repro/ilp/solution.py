@@ -81,6 +81,9 @@ class SolveStats:
     nodes_pruned: int = 0
     simplex_iterations: int = 0
     first_relaxation_integral: bool = False
+    #: Bound propagation proved the set has no integer point before
+    #: any LP (:attr:`repro.ilp.model.Polyhedron.refuted`).
+    refuted: bool = False
 
 
 @dataclass

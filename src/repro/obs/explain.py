@@ -19,7 +19,9 @@ this reason).  :func:`explain_bound` augments a
 
 Sets that timed out and degraded to their LP relaxation are flagged:
 their bound is sound but possibly not tight, and an explanation built
-on one says so.
+on one says so.  Sets that bound propagation refuted before any LP
+are named too: they hold no integer point, so no bound comes from
+them.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class Explanation:
     #: Indices of every set in the report that degraded to a
     #: relaxation bound.
     relaxed_sets: list[int] = field(default_factory=list)
+    #: Indices of every set in the report that propagation refuted.
+    refuted_sets: list[int] = field(default_factory=list)
 
     @property
     def binding(self) -> list[ConstraintLine]:
@@ -111,7 +115,7 @@ def _numeric_key(name: str):
 
 def explain_set(task, result, direction: str = "worst",
                 relaxed_sets=(), entry: str = "", machine: str = "",
-                sets_solved: int = 0) -> Explanation:
+                sets_solved: int = 0, refuted_sets=()) -> Explanation:
     """Build the explanation for one solved constraint set."""
     if direction not in ("worst", "best"):
         raise AnalysisError(f"unknown direction {direction!r}")
@@ -163,7 +167,8 @@ def explain_set(task, result, direction: str = "worst",
         sets_solved=sets_solved, set_constraints=texts,
         witness=witness, constraints=lines,
         structural_equalities=structural, breakdown=rows, total=total,
-        tight=not relaxed, relaxed_sets=list(relaxed_sets))
+        tight=not relaxed, relaxed_sets=list(relaxed_sets),
+        refuted_sets=list(refuted_sets))
 
 
 def explain_bound(analysis, report=None,
@@ -193,7 +198,8 @@ def explain_bound(analysis, report=None,
     return explain_set(tasks[winner.index], winner, direction,
                        relaxed_sets=report.relaxed_sets,
                        entry=report.entry, machine=report.machine,
-                       sets_solved=report.sets_solved)
+                       sets_solved=report.sets_solved,
+                       refuted_sets=report.refuted_sets)
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +267,10 @@ def render_explanation(expl: Explanation, max_rows: int = 30) -> str:
         lines.append("")
         lines.append(f"relaxation-bound (not-tight) sets in this run: "
                      f"{expl.relaxed_sets}")
+    if expl.refuted_sets:
+        lines.append("")
+        lines.append(f"sets refuted before the LP (no integer point): "
+                     f"{expl.refuted_sets}")
     return "\n".join(lines)
 
 
@@ -503,5 +513,6 @@ def explanation_to_dict(expl: Explanation) -> dict:
         "total": expl.total,
         "tight": expl.tight,
         "relaxed_sets": list(expl.relaxed_sets),
+        "refuted_sets": list(expl.refuted_sets),
         "consistent": expl.consistent,
     }

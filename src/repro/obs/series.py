@@ -32,6 +32,8 @@ directly with a synthetic clock.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import threading
 import time
 from collections import deque
@@ -59,28 +61,78 @@ class Series:
 
     ``kind`` is advisory metadata for consumers (the console labels
     rates differently from levels): ``rate``, ``gauge`` or ``quantile``.
+
+    Beside the ring run its timestamps and ``integral``: at each
+    point, the sum of ``value * dt`` over every point recorded so far,
+    ``dt`` being the spacing to the previous point.  While the ring's
+    timestamps never decrease, a window's cutoff is found by bisection
+    and its :meth:`total` is a difference of two integrals, so neither
+    costs a pass over the ring.
     """
 
-    __slots__ = ("name", "kind", "points")
+    __slots__ = ("name", "kind", "points", "times", "integral",
+                 "_descents")
 
     def __init__(self, name: str, kind: str = "gauge",
                  retention: int = DEFAULT_RETENTION):
         self.name = name
         self.kind = kind
         self.points: deque[tuple[float, float]] = deque(maxlen=retention)
+        self.times: deque[float] = deque(maxlen=retention)
+        self.integral: deque[float] = deque(maxlen=retention)
+        # Adjacent points in the ring whose timestamps decrease.
+        self._descents = 0
 
     def add(self, ts: float, value: float) -> None:
+        times = self.times
+        area = 0.0
+        if times:
+            if len(times) == times.maxlen > 1 and times[1] < times[0]:
+                self._descents -= 1     # that pair leaves the ring
+            last = times[-1]
+            self._descents += ts < last
+            area = self.integral[-1] + value * (ts - last)
         self.points.append((ts, value))
+        times.append(ts)
+        self.integral.append(area)
 
     def latest(self):
         return self.points[-1][1] if self.points else None
+
+    def _first(self, cutoff: float) -> int:
+        """Index of the first point with ``ts > cutoff`` (sorted ring)."""
+        return bisect.bisect_right(self.times, cutoff)
 
     def window(self, seconds: float, now=None) -> list[tuple[float, float]]:
         """Points with ``ts > now - seconds``, oldest first."""
         if now is None:
             now = self.points[-1][0] if self.points else 0.0
         cutoff = now - seconds
-        return [p for p in self.points if p[0] > cutoff]
+        if self._descents:
+            return [p for p in self.points if p[0] > cutoff]
+        return list(itertools.islice(self.points, self._first(cutoff),
+                                     None))
+
+    def total(self, seconds: float, now=None) -> float:
+        """``value * dt`` summed over the points with ``ts > now -
+        seconds`` (see :meth:`SeriesStore.window_total`)."""
+        points = self.points
+        if len(points) < 2:
+            return 0.0
+        if now is None:
+            now = points[-1][0]
+        cutoff = now - seconds
+        if self._descents:
+            return _scanned_total(list(points), cutoff)
+        first = self._first(cutoff)
+        if first == len(points):
+            return 0.0
+        ts, value = points[first]
+        # The first point has no predecessor in the ring: the following
+        # interval stands in for its own.
+        dt = (ts - points[first - 1][0] if first
+              else points[1][0] - ts)
+        return value * dt + (self.integral[-1] - self.integral[first])
 
     def to_dict(self, since: float = 0.0) -> dict:
         return {"kind": self.kind,
@@ -167,20 +219,7 @@ class SeriesStore:
         """
         with self._lock:
             series = self._series.get(name)
-            if series is None or len(series.points) < 2:
-                return 0.0
-            points = list(series.points)
-        if now is None:
-            now = points[-1][0]
-        cutoff = now - seconds
-        total = 0.0
-        for i, (ts, value) in enumerate(points):
-            if ts <= cutoff:
-                continue
-            dt = points[i][0] - points[i - 1][0] if i else \
-                points[1][0] - points[0][0]
-            total += value * dt
-        return total
+            return 0.0 if series is None else series.total(seconds, now)
 
     # -- export / merge ------------------------------------------------
     def to_dict(self, prefix: str = "", since: float = 0.0) -> dict:
@@ -209,6 +248,19 @@ class SeriesStore:
                 self.record(prefix + name, value, ts=ts, kind=kind)
                 added += 1
         return added
+
+
+def _scanned_total(points: list, cutoff: float) -> float:
+    """:meth:`Series.total` by one pass over `points`, for a ring whose
+    timestamps are out of order."""
+    total = 0.0
+    for i, (ts, value) in enumerate(points):
+        if ts <= cutoff:
+            continue
+        dt = points[i][0] - points[i - 1][0] if i else \
+            points[1][0] - points[0][0]
+        total += value * dt
+    return total
 
 
 class RegistrySampler:

@@ -58,6 +58,14 @@ class TestAnalyze:
         assert code == 0
         assert "sets: 1 solved" in capsys.readouterr().out
 
+    def test_refuted_sets_are_counted(self, source_file, capsys):
+        # The entry block runs once, so propagation refutes x1 = 0.
+        code = main(["analyze", source_file, "--entry", "total",
+                     "--bound", "0:8", "--constraint", "x1 = 0 | x1 = 1"])
+        assert code == 0
+        assert ("constraint sets: 2 solved (1 refuted before the LP), "
+                "0 pruned of 2") in capsys.readouterr().out
+
     def test_show_counts(self, source_file, capsys):
         code = main(["analyze", source_file, "--entry", "total",
                      "--bound", "8:8", "--show-counts"])

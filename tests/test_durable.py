@@ -93,6 +93,28 @@ class TestJournalReplay:
         assert jobs["j000002"]["tenant"] == "ci"
         assert jobs["j000003"]["state"] == "queued"
 
+    def test_complete_frame_without_refuted_flags_replays(self, tmp_path):
+        # A report journaled before propagation could refute a set has
+        # no "refuted" key in its sets' stats.
+        from repro.engine.cache import report_to_dict
+        from repro.programs import get_benchmark
+
+        report = get_benchmark("dhry").make_analysis().estimate()
+        older = report_to_dict(report)
+        for entry in older["set_results"]:
+            del entry["stats"]["refuted"]
+        journal = JobJournal(tmp_path)
+        journal.open()
+        journal.append("submit", id="j000001", spec=_spec_dict("a"),
+                       tenant=None)
+        journal.append("complete", id="j000001", status="ok",
+                       cache_hit=False, report=older)
+        journal.close()
+        state = JobJournal(tmp_path).open()
+        record = JobRecord.from_journal("j000001", state.jobs["j000001"])
+        assert record.report.interval == report.interval
+        assert not any(r.stats.refuted for r in record.report.set_results)
+
     def test_truncated_tail_frame_drops_only_the_tail(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.open()

@@ -152,6 +152,23 @@ class TestResultCache:
             assert loaded.interval == report.interval
             assert loaded.set_results == report.set_results
 
+    def test_report_without_refuted_flags_still_loads(self, tmp_path):
+        # Entries written before propagation could refute a set carry
+        # no "refuted" key in a set's stats.
+        cache = ResultCache(tmp_path)
+        report = get_benchmark("dhry").make_analysis().estimate()
+        assert report.refuted_sets == [1, 2]
+        older = report_to_dict(report)
+        for entry in older["set_results"]:
+            del entry["stats"]["refuted"]
+        key = cache.job_key("older")
+        cache._write(key, {"kind": "job", "report": older})
+        loaded = cache.get_report(key)
+        assert loaded.interval == report.interval
+        assert [r.status for r in loaded.set_results] == \
+            [r.status for r in report.set_results]
+        assert loaded.refuted_sets == []
+
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         report = _analysis().estimate()
@@ -442,6 +459,13 @@ class TestMetrics:
         prefix = "engine.stage_seconds."
         assert {name[len(prefix):]: engine.registry.value(name)
                 for name in engine.registry.names(prefix)} == spans
+
+    def test_refuted_sets_are_counted(self):
+        engine = AnalysisEngine(workers=1)
+        assert engine.run([AnalysisJob.from_benchmark("dhry")])[0].ok
+        assert engine.registry.value("engine.sets.solved") == 3
+        assert engine.registry.value("engine.sets.refuted") == 2
+        assert "over 3 sets (2 refuted)" in render(engine.registry)
 
     def test_untraced_engine_records_no_stage_seconds(self):
         engine = AnalysisEngine(workers=1)

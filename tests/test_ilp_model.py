@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import Analysis
-from repro.ilp import Constraint, LinExpr, Problem, Status, Var, exact, simplex
+from repro.ilp import (Constraint, LinExpr, Problem, Status, Var, exact,
+                       model, propagate, simplex)
 from repro.ilp.model import Polyhedron, _densify
 
 #: Each LP engine by its name in Polyhedron.
@@ -404,9 +405,11 @@ class TestExtension:
             if problem.variables[name].upper is not None]
         assert len(rows) == len(problem._lower_rows()[0])
         for split in range(len(rows) + 1):
+            # The problem's continuous variables: nothing propagates
+            # (TestPropagation extends integer ones).
             start = Problem()
             for name in problem.variables:
-                start.add_var(name)
+                start.add_var(name, integer=False)
             start.add_all(rows[:split])
             prefix = Polyhedron(start)
             before = self.state(prefix)
@@ -466,8 +469,10 @@ class TestPhaseOneExtension:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_emptied_row_that_fails_is_infeasible_without_a_pivot(
             self, engine):
+        # Continuous, so no propagation refutes the extension first.
         p = Problem()
-        d1, x1, x2 = (p.add_var(name) for name in ("d1", "x1", "x2"))
+        d1, x1, x2 = (p.add_var(name, integer=False)
+                      for name in ("d1", "x1", "x2"))
         p.add(d1 + 0 == 1)
         p.add(x1 + 0 == d1)
         p.add(x1 + x2 >= 2)
@@ -528,3 +533,179 @@ class TestPhaseOneExtension:
         lp = ENGINES[engine]
         start = lp.extend(lp.empty(2), [[1, 1]], [">="], [4])
         assert lp.extend(start, np.zeros((0, 2)), [], []) is start
+
+
+def _no_propagation(rows, holders, domains, queue):
+    """A propagator that derives nothing, so branch & bound decides by
+    its LPs alone: an oracle independent of propagation."""
+    return domains
+
+
+class TestPropagation:
+    """Integer bound propagation refutes an extension only when no
+    integer point satisfies its rows (:mod:`repro.ilp.propagate`)."""
+
+    @staticmethod
+    def boxed(seed):
+        """TestPresolve's random problem over integers, each at most 12
+        unless it has a tighter bound: branch & bound decides it."""
+        problem = TestPresolve.random_problem(seed)
+        for var in problem.variables.values():
+            var.integer = True
+            if var.upper is None:
+                var.upper = 12
+        return problem
+
+    @staticmethod
+    def extensions(problem):
+        """(split, extension) per split of the problem's rows: the rows
+        before it presolved, extended by the rest."""
+        rows = list(problem.constraints) + [
+            LinExpr({name: 1.0}) <= problem.variables[name].upper
+            for name in sorted(problem.variables)]
+        for split in range(len(rows) + 1):
+            start = Problem()
+            for name in problem.variables:
+                start.add_var(name)
+            start.add_all(rows[:split])
+            yield split, Polyhedron(start).extend(rows[split:])
+
+    def refutations(self, monkeypatch, seeds=range(60)):
+        """(refuted, unsound): how many extensions propagation refutes,
+        and the (seed, split) of each whose problem an exact branch &
+        bound without propagation finds feasible.  An extension it does
+        not refute presolves as its whole problem does."""
+        refuted, unsound = 0, []
+        for seed in seeds:
+            problem = self.boxed(seed)
+            whole = TestExtension.state(Polyhedron(problem))
+            staged = list(self.extensions(problem))
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "propagate", _no_propagation)
+                status = problem.solve(backend="exact").status
+            for split, extension in staged:
+                if not extension.refuted:
+                    assert TestExtension.state(extension) == whole
+                    continue
+                refuted += 1
+                if status is not Status.INFEASIBLE:
+                    unsound.append((seed, split))
+        return refuted, unsound
+
+    def test_refutations_are_integer_infeasible(self, monkeypatch):
+        refuted, unsound = self.refutations(monkeypatch)
+        assert unsound == []
+        assert refuted >= 200
+
+    def test_branch_and_bound_agrees_without_propagation(self,
+                                                        monkeypatch):
+        # Nodes propagate as sets do; refuting one never moves a result.
+        refuted = []
+        extend = Polyhedron.extend
+
+        def counted(polyhedron, constraints):
+            node = extend(polyhedron, constraints)
+            refuted.append(node.refuted and node is not polyhedron)
+            return node
+
+        for seed in range(60):
+            problem = self.boxed(seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(Polyhedron, "extend", counted)
+                solved = problem.solve(backend="exact")
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "propagate", _no_propagation)
+                oracle = problem.solve(backend="exact")
+            assert (solved.status, solved.objective, solved.values) == (
+                oracle.status, oracle.objective, oracle.values), seed
+        assert sum(refuted) >= 20
+
+    def test_a_bound_rounded_the_wrong_way_is_caught(self, monkeypatch):
+        tighten = propagate._tighten
+
+        def off_by_one(terms, bound, lo, hi, changed):
+            # Round the first upper bound a row derives down once more.
+            first = len(changed)
+            feasible = tighten(terms, bound, lo, hi, changed)
+            for k in changed[first:]:
+                if k in hi:
+                    hi[k] -= 1
+                    break
+            return feasible
+
+        monkeypatch.setattr(propagate, "_tighten", off_by_one)
+        _, unsound = self.refutations(monkeypatch)
+        assert unsound
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_refuted_extension_runs_no_phase_1(self, engine):
+        p = Problem()
+        d1, x1, x2 = (p.add_var(name) for name in ("d1", "x1", "x2"))
+        p.add(d1 + 0 == 1)
+        p.add(x1 + 0 == d1)
+        p.add(x1 + x2 >= 2)
+        p.minimize(x1 + x2)
+        prefix = Polyhedron(p, engine)
+        # x1 is substituted out (x1 = 1), which empties x1 <= 0.
+        staged = prefix.extend([x1 <= 0])
+        assert staged.refuted and staged.prefix is None
+        relax = staged.relaxation(p)
+        assert relax.status is Status.INFEASIBLE
+        assert (relax.iterations, relax.reused) == (0, 0)
+        assert prefix._start is None
+        # No cut gives it an integer point back.
+        assert staged.extend([x2 <= 5]) is staged
+        result = p.solve(backend="simplex" if engine == "float" else engine)
+        assert result.status is Status.OPTIMAL
+
+    def test_bounds_propagate_only_for_extensions_with_rows(
+            self, monkeypatch):
+        queues = []
+
+        def counted(rows, holders, domains, queue):
+            queues.append(len(queue))
+            return propagate.propagate(rows, holders, domains, queue)
+
+        monkeypatch.setattr(model, "propagate", counted)
+        p = Problem()
+        x, y = p.add_var("x"), p.add_var("y")
+        p.add(x + y <= 4)
+        p.add(x - y <= 1)
+        base = Polyhedron(p)
+        assert base.extend([]).extend([]).refuted is False
+        assert queues == []
+        # The base's bounds, from its rows, then the one new row's.
+        assert base.extend([x >= 2]).refuted is False
+        assert queues == [2, 1]
+        assert base.extend([x >= 2, y >= 3]).refuted is True
+        assert queues == [2, 1, 2]
+        # An extension by no rows has its parent's bounds.
+        empty = base.extend([])
+        assert empty.extend([y >= 5]).refuted is True
+        assert queues == [2, 1, 2, 1]
+
+    def test_fractional_lower_bound_propagates_nothing(self):
+        # x >= 0.5 shifts x's column by 0.5, so the column is not an
+        # integer: 2x = 2 reads 2y = 1, which no integer y meets, yet
+        # x = 1 does.
+        p = Problem()
+        x, y = p.add_var("x", lower=0.5), p.add_var("y")
+        p.add(2 * x <= 3)
+        p.add(LinExpr({"x": 1.0, "y": 1.0}) <= 4.5)
+        p.maximize(x + y)
+        assert not Polyhedron(p).extend([2 * x == 2]).refuted
+        p.add(2 * x == 2)
+        result = p.solve(backend="exact")
+        assert result.status is Status.OPTIMAL
+        assert (result.objective, result.values["x"]) == (4, 1)
+
+    def test_visit_cap_ends_unrefuted(self):
+        # x <= y - 1 and y <= x - 1 have no point, but propagation
+        # lowers each bound by one per visit from a million.
+        p = Problem()
+        x, y = p.add_var("x", upper=10 ** 6), p.add_var("y", upper=10 ** 6)
+        p.add(x - y <= -1)
+        p.maximize(x + y)
+        staged = Polyhedron(p).extend([y - x <= -1])
+        assert not staged.refuted
+        assert staged.relaxation(p).status is Status.INFEASIBLE

@@ -11,6 +11,8 @@ import pytest
 from repro import (Analysis, Dataset, MissingLoopBoundError, calculated_bound,
                    compile_source, enumerate_paths, measure_bounds, pessimism)
 from repro.errors import AnalysisError, InfeasibleError
+from repro.ilp import Status
+from repro.programs import get_benchmark
 
 CHECK_DATA = """
 const int DATASIZE = 10;
@@ -456,6 +458,20 @@ class TestFunctionalityEdgeCases:
         assert expansion.count == 1
         report = analysis.estimate()
         assert report.sets_pruned == 3
+
+    def test_null_sets_are_pruned_in_two_stages(self):
+        # Table I's dhry: the expansion prunes 5 of 8 sets by their own
+        # relations; propagation through the structural constraints
+        # and loop bounds refutes 2 of the 3 left before any LP.
+        report = get_benchmark("dhry").make_analysis().estimate()
+        assert (report.sets_total, report.sets_pruned,
+                report.sets_solved) == (8, 5, 3)
+        assert report.refuted_sets == [1, 2]
+        assert report.interval == (6298, 18126)
+        for result in report.set_results[1:]:
+            assert result.status is Status.INFEASIBLE
+            assert (result.stats.lp_calls, result.stats.nodes,
+                    result.stats.simplex_iterations) == (0, 0, 0)
 
     def test_unknown_variable_rejected(self):
         analysis = Analysis(SUM_LOOP, entry="f")

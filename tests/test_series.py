@@ -10,6 +10,7 @@ series endpoints rendering from stdlib only.
 """
 
 import json
+import random
 import threading
 import time
 
@@ -37,6 +38,24 @@ def _src(name, **extra):
 # ======================================================================
 # SeriesStore
 # ======================================================================
+def _scanned_total(points, seconds, now=None):
+    """``SeriesStore.window_total`` as one pass over the ring: the
+    formula before the running integral."""
+    if len(points) < 2:
+        return 0.0
+    if now is None:
+        now = points[-1][0]
+    cutoff = now - seconds
+    total = 0.0
+    for i, (ts, value) in enumerate(points):
+        if ts <= cutoff:
+            continue
+        dt = points[i][0] - points[i - 1][0] if i else \
+            points[1][0] - points[0][0]
+        total += value * dt
+    return total
+
+
 class TestSeriesStore:
     def test_ring_respects_retention(self):
         store = SeriesStore(retention=4)
@@ -62,6 +81,30 @@ class TestSeriesStore:
         # 4 full intervals + the first point estimated at one interval.
         assert store.window_total("r", 100.0, now=18.0) \
             == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_window_math_matches_a_scan_of_the_ring(self, seed):
+        """Bisection and the running integral give what one pass over
+        the ring gives, as the ring wraps; odd seeds also step the
+        clock back, which a scan still handles."""
+        rng = random.Random(seed)
+        store = SeriesStore(retention=rng.randint(2, 40))
+        ts = rng.uniform(0.0, 100.0)
+        for _ in range(rng.randint(1, 4 * store.retention)):
+            ts += rng.choice((0.0, rng.uniform(0.001, 3.0)))
+            if seed % 2 and rng.random() < 0.1:
+                ts -= rng.uniform(0.0, 5.0)
+            store.record("r", rng.uniform(0.0, 50.0), ts=ts, kind="rate")
+            points = list(store._series["r"].points)
+            for seconds in (0.0, 0.5, 2.0, 10.0, 1e9):
+                for now in (None, ts, ts + 1.0, ts - 3.0):
+                    assert store.window_total("r", seconds, now=now) == \
+                        pytest.approx(_scanned_total(points, seconds, now),
+                                      rel=1e-9, abs=1e-9)
+                    cutoff = (points[-1][0] if now is None
+                              else now) - seconds
+                    assert store.window("r", seconds, now=now) == \
+                        [p for p in points if p[0] > cutoff]
 
     def test_to_dict_since_and_prefix(self):
         store = SeriesStore()

@@ -9,10 +9,12 @@ here solves each direction by itself, from its own fresh extension of
 the presolved base, and every field of the :class:`SetResult` must
 match it exactly: objectives, witnesses, degradation flags, the
 first-relaxation statistic, LP calls and branch & bound nodes explored
-and pruned.  Pivot budgets from 1 to unlimited pin where each
-direction trips.  Solving every direction cold, with
-:meth:`Problem.solve`, must reach the same bounds, witnesses and
-search.
+and pruned.  An extension that bound propagation refutes is an
+infeasible set with no LP call, no node and no pivot.  Pivot budgets
+from 1 to unlimited pin where each direction trips.  Solving every
+direction cold, with :meth:`Problem.solve`, must reach the same
+statuses, bounds, witnesses and, for every set propagation does not
+refute, the same search.
 """
 
 import collections
@@ -42,9 +44,10 @@ BUDGETS = (1, 10, 50, 58, 100, 250, None)
 
 #: (grade, seed) of generated programs whose three disjunctions expand
 #: to 8 sets: most infeasible, a few that branch.  In small137 a set's
-#: branch & bound prunes a node.
+#: branch & bound prunes a node.  Propagation refutes most infeasible
+#: sets; in small9 phase 1 proves one that it misses.
 SYNTH = (("small", 3), ("small", 11), ("medium", 0), ("medium", 5),
-         ("small", 137))
+         ("small", 137), ("small", 9))
 
 PROGRAMS = [(backend, program) for backend in ("simplex", "exact")
             for program in (*all_benchmarks(), *SYNTH)]
@@ -83,7 +86,7 @@ _tasks = lru_cache(maxsize=None)(_fresh_tasks)
 
 def _fields(status, worst, worst_counts, best, best_counts, timed_out,
             worst_relaxed, best_relaxed, integral, lp_calls, nodes,
-            nodes_pruned):
+            nodes_pruned, refuted=False):
     return {"status": status, "worst": worst,
             "worst_counts": list(worst_counts.items()),
             "best": best, "best_counts": list(best_counts.items()),
@@ -91,7 +94,7 @@ def _fields(status, worst, worst_counts, best, best_counts, timed_out,
             "best_relaxed": best_relaxed,
             "first_relaxation_integral": integral,
             "lp_calls": lp_calls, "nodes": nodes,
-            "nodes_pruned": nodes_pruned}
+            "nodes_pruned": nodes_pruned, "refuted": refuted}
 
 
 def _alone(task, direction: str):
@@ -112,6 +115,11 @@ def _reference(task) -> dict:
     outcomes = {}
     for direction in ("worst", "best"):
         root, objective = _alone(task, direction)
+        if root.refuted:
+            # Propagation proved the set has no integer point: it is
+            # infeasible before any LP, node or pivot.
+            return _fields(Status.INFEASIBLE, None, {}, None, {}, False,
+                           False, False, False, 0, 0, 0, refuted=True)
         try:
             ilp = solve_ilp(objective, engine=root.engine,
                             max_iterations=task.max_iterations, root=root)
@@ -148,7 +156,7 @@ def _observed(result) -> dict:
                    result.worst_relaxed, result.best_relaxed,
                    result.stats.first_relaxation_integral,
                    result.stats.lp_calls, result.stats.nodes,
-                   result.stats.nodes_pruned)
+                   result.stats.nodes_pruned, result.stats.refuted)
 
 
 def _program_id(case) -> str:
@@ -194,6 +202,10 @@ def test_phase1_pivots_are_counted_once(case):
     uncounted = True
     for task in tasks:
         result = solve_set(task)
+        if result.stats.refuted:
+            # No phase 1 runs, the base's included.
+            assert result.stats.simplex_iterations == 0, task.index
+            continue
         directions = ("worst", "best") if result.feasible else ("worst",)
         roots = [_alone(task, direction) for direction in directions]
         alone = sum(solve_ilp(objective, engine=root.engine, root=root)
@@ -212,13 +224,19 @@ def test_warm_start_matches_cold_solves(case):
     """Extending the base's phase 1 reaches what solving each direction
     whole and cold reaches: the same statuses, rounded bounds,
     witnesses and search, and in rational arithmetic the same
-    objectives."""
+    objectives.  A set that propagation refutes is one the cold solve
+    finds infeasible, and costs no search at all."""
     backend, _ = case
     for task in _tasks(*case):
         result = solve_set(task)
         worst, best = (problem.solve(backend=backend)
                        for problem in task.problems())
         assert worst.status is result.status, task.index
+        if result.stats.refuted:
+            stats = result.stats
+            assert (stats.lp_calls, stats.nodes, stats.nodes_pruned,
+                    stats.simplex_iterations) == (0, 0, 0, 0), task.index
+            continue
         lp_calls, nodes = worst.stats.lp_calls, worst.stats.nodes
         pruned = worst.stats.nodes_pruned
         if result.feasible:
@@ -241,9 +259,10 @@ def test_warm_start_matches_cold_solves(case):
 
 
 #: Per-set pivots of routines whose every set eliminates a column the
-#: base keeps, as solved before phase 1 extended the base's.
+#: base keeps, as solved before phase 1 extended the base's.  dhry's
+#: two infeasible sets are refuted by propagation and make none.
 COLD = {("simplex", "check_data"): [2, 2], ("exact", "check_data"): [2, 2],
-        ("simplex", "dhry"): [15, 7, 7], ("exact", "dhry"): [15, 7, 7],
+        ("simplex", "dhry"): [15, 0, 0], ("exact", "dhry"): [15, 0, 0],
         ("simplex", "recon"): [20, 24, 25, 20],
         ("exact", "recon"): [24, 25, 25, 23]}
 
@@ -251,7 +270,8 @@ COLD = {("simplex", "check_data"): [2, 2], ("exact", "check_data"): [2, 2],
 @pytest.mark.parametrize("case", sorted(COLD), ids=_program_id)
 def test_sets_that_eliminate_a_column_run_cold(case):
     """Their phase 1 starts from the empty tableau and makes the pivots
-    it made before; the base's phase 1 never runs."""
+    it made before, unless propagation refutes the set and no phase 1
+    runs; the base's phase 1 never runs."""
     tasks = _fresh_tasks(*case)
     assert all(task.presolved.extend(task.resolved).prefix is None
                for task in tasks)
@@ -260,7 +280,7 @@ def test_sets_that_eliminate_a_column_run_cold(case):
     assert [result.stats.simplex_iterations for result in results] \
         == COLD[case]
     phase1 = [r for r in tracer.records() if r["name"] == "simplex.phase1"]
-    assert len(phase1) == len(tasks)
+    assert len(phase1) == sum(not r.stats.refuted for r in results)
 
 
 @pytest.mark.parametrize("program", [*all_benchmarks(), *(
@@ -290,14 +310,41 @@ def test_cases_include_infeasible_and_branching_sets():
     results = [solve_set(task) for case in PROGRAMS
                if case[0] == "simplex" and isinstance(case[1], tuple)
                for task in _tasks(*case)]
-    assert any(not result.feasible for result in results)
+    assert any(result.stats.refuted for result in results)
+    # Phase 1 still proves some infeasible sets: propagation misses them.
+    assert any(not result.feasible and not result.stats.refuted
+               for result in results)
     # One node per direction unless branch & bound branched.
     assert any(result.stats.nodes > 2 for result in results)
 
 
+def test_refuted_set_span_has_no_solver_children():
+    tracer = Tracer()
+    report = all_benchmarks()["dhry"].make_analysis(
+        tracer=tracer).estimate()
+    records = tracer.records()
+    worst = [r for r in records if r["name"] == "set.worst"]
+    refuted = [r for r in worst if r["args"].get("refuted")]
+    assert [r["args"]["set"] for r in refuted] == report.refuted_sets \
+        == [1, 2]
+    for span in refuted:
+        assert span["args"]["status"] == "infeasible"
+        assert (span["args"]["lp_calls"], span["args"]["pivots"],
+                span["args"]["nodes"]) == (0, 0, 0)
+        end = span["ts"] + span["dur"]
+        assert not [r for r in records if r["depth"] > span["depth"]
+                    and span["ts"] <= r["ts"] <= end]
+    assert not any(r["name"] == "set.best" and r["args"]["set"] in (1, 2)
+                   for r in records)
+
+
 def test_pickled_task_solves_identically():
-    # A task carries its analysis's presolved base with it.
-    for task in _tasks("simplex", ("small", 137)):
+    # A task carries its analysis's presolved base with it, pickled
+    # before any set extends it (its bounds not yet computed) or after.
+    fresh = _fresh_tasks("simplex", ("small", 137))
+    clones = pickle.loads(pickle.dumps(fresh))
+    for task, clone in zip(_tasks("simplex", ("small", 137)), clones):
+        assert _observed(solve_set(clone)) == _observed(solve_set(task))
         clone = pickle.loads(pickle.dumps(task))
         assert _observed(solve_set(clone)) == _observed(solve_set(task))
 

@@ -98,6 +98,14 @@ class TestMarkdownReport:
         assert "## Loops and bounds" in text
         assert "[6, 6]" in text
 
+    def test_counts_refuted_sets(self):
+        analysis = Analysis(LOOPY, entry="f")
+        analysis.bound_loop(lo=6, hi=6)
+        analysis.add_constraint("x1 = 0 | x1 = 1")
+        assert ("* constraint sets: 2 solved (1 refuted before the LP), "
+                "0 pruned as null (of 2 expanded)") in markdown_report(
+                    analysis)
+
     def test_block_table_truncation(self):
         analysis = Analysis(LOOPY, entry="f")
         analysis.bound_loop(lo=6, hi=6)
