@@ -45,9 +45,7 @@ def test_context_ilp_size_cost():
     merged.bound_loop(lo=0, hi=64, function="work")
     ctx = Analysis(MULTI_SITE, entry="driver", context_sensitive=True)
     ctx.bound_loop(lo=0, hi=64, function="work")
-    merged_vars = {v for c in merged._structural()
-                   for v in c.expr.variables()}
-    ctx_vars = {v for c in ctx._structural()
-                for v in c.expr.variables()}
+    merged_vars = {v for row in merged._base_system().rows for v in row}
+    ctx_vars = {v for row in ctx._base_system().rows for v in row}
     # Three call sites -> three instances of work() instead of one.
     assert len(ctx_vars) > len(merged_vars)

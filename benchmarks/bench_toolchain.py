@@ -12,7 +12,7 @@ from conftest import one_shot
 
 from repro.cfg import CallGraph, build_cfgs
 from repro.codegen import compile_source
-from repro.constraints import structural_system
+from repro.constraints import base_system
 from repro.programs import all_benchmarks
 
 NAMES = list(all_benchmarks())
@@ -33,7 +33,7 @@ def test_cfg_and_constraints_time(benchmark, benchmarks, name):
     def pipeline():
         cfgs = build_cfgs(program)
         graph = CallGraph(cfgs)
-        return structural_system(graph, bench.entry)
+        return base_system(graph, bench.entry)
 
     system = one_shot(benchmark, pipeline)
     # Two equalities per block plus the linking rows.

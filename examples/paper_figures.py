@@ -9,10 +9,9 @@ visually.
 Run with:  python examples/paper_figures.py
 """
 
-from repro.cfg import CallGraph, build_cfg, build_cfgs
+from repro.cfg import CallGraph, build_cfgs
 from repro.codegen import compile_source
-from repro.constraints import (entry_constraint, flow_constraints,
-                               linking_constraints)
+from repro.constraints import base_system
 
 FIG2 = ("""
 int f(int p) {
@@ -52,19 +51,20 @@ def show(source: str, title: str) -> None:
     print("=" * 60)
     print(title)
     program = compile_source(source)
-    cfg = build_cfg(program, program.functions["f"])
+    cfgs = build_cfgs(program)
+    cfg = cfgs["f"]
     print(f"blocks: {sorted(cfg.blocks)}")
     print("edges:  " + ", ".join(str(e) for e in cfg.edges))
+    system = base_system(CallGraph(cfgs), "f").constraints()
     print("structural constraints:")
-    for constraint in flow_constraints(cfg):
-        print(f"  {constraint}")
-    if cfg.call_edges():
-        graph = CallGraph(build_cfgs(program))
-        print("inter-procedural (eqs. 12-13):")
-        for constraint in linking_constraints(graph, "f"):
+    for constraint in system:
+        if constraint.name.startswith("flow f:"):
             print(f"  {constraint}")
-    else:
-        print(f"entry (eq. 13): {entry_constraint(cfg)}")
+    print("inter-procedural (eqs. 12-13):" if cfg.call_edges()
+          else "entry (eq. 13):")
+    for constraint in system:
+        if not constraint.name.startswith("flow"):
+            print(f"  {constraint}")
     print()
     print("Graphviz (save and render with `dot -Tpng`):")
     print(cfg.to_dot())

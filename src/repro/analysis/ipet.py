@@ -29,15 +29,15 @@ True
 from __future__ import annotations
 
 from ..cfg import (CFG, CallGraph, Loop, build_cfgs, expand_contexts,
-                   find_loops, instances_of)
+                   find_loops, instances_of, loops_by_key)
 from ..codegen import Program, compile_source
-from ..constraints import (Formula, LoopBound, Relation, SymExpr, VarRef,
-                           combine, parse_constraint, qualified)
+from ..constraints import (BaseSystem, Formula, LoopBound, Relation,
+                           SymExpr, VarRef, base_system, combine,
+                           parse_constraint, qualified)
 from ..errors import (AnalysisError, InfeasibleError,
                       MissingLoopBoundError)
 from ..hw import Machine, cost_table, i960kb, lines_touched
-from ..ilp import Constraint, LinExpr
-from ..constraints.structural import flow_constraints, structural_system
+from ..ilp import LinExpr
 from .report import BoundReport, SetResult
 from .setsolve import SetTask, presolve_base, solve_set
 
@@ -106,13 +106,8 @@ class Analysis:
             span.set("cfgs", len(self.cfgs))
             span.set("reachable", len(self.reachable))
 
-        self._loops: dict[tuple[str, int], Loop] = {}
-        for name in self.reachable:
-            for loop in find_loops(self.cfgs[name]):
-                if loop.key in self._loops:
-                    raise AnalysisError(
-                        f"two loops share source location {loop.key}")
-                self._loops[loop.key] = loop
+        self._loops: dict[tuple[str, int], Loop] = loops_by_key(
+            {name: self.cfgs[name] for name in self.reachable})
 
         self._bounds: dict[tuple[str, int], LoopBound] = {}
         self._formulas: list[Formula] = []
@@ -248,45 +243,15 @@ class Analysis:
     # ------------------------------------------------------------------
     # Constraint-system assembly
     # ------------------------------------------------------------------
-    def _structural(self) -> list[Constraint]:
-        if not self.context_sensitive:
-            return structural_system(self.callgraph, self.entry)
-        constraints: list[Constraint] = []
-        for instance in self.instances.values():
-            cfg = self.cfgs[instance.function]
-            constraints.extend(flow_constraints(cfg, scope=instance.id))
-            d1 = LinExpr({qualified(instance.id, cfg.entry_edge.name): 1.0})
-            if instance.parent is None:
-                constraints.append(d1 == 1)
-            else:
-                parent_f = LinExpr(
-                    {qualified(instance.parent, instance.via.name): 1.0})
-                constraints.append(d1 == parent_f)
-        return constraints
-
-    def _loop_constraints(self) -> list[Constraint]:
+    def _base_system(self) -> BaseSystem:
+        """The structural constraints and loop bounds, as rows."""
         missing = self.loops_needing_bounds()
         if missing:
             raise MissingLoopBoundError(missing)
-        constraints: list[Constraint] = []
-        for key, loop in sorted(self._loops.items()):
-            bound = self._bounds[key]
-            scopes = ([loop.function] if not self.context_sensitive else
-                      [inst.id for inst in
-                       instances_of(self.instances, loop.function)])
-            for scope in scopes:
-                back = LinExpr({qualified(scope, e.name): 1.0
-                                for e in loop.back_edges})
-                entry = LinExpr({qualified(scope, e.name): 1.0
-                                 for e in loop.entry_edges})
-                where = f"{loop.function}:{loop.header_line}"
-                lo = back >= bound.lo * entry
-                lo.name = f"loop {where} lo"
-                hi = back <= bound.hi * entry
-                hi.name = f"loop {where} hi"
-                constraints.append(lo)
-                constraints.append(hi)
-        return constraints
+        loops = [(loop, self._bounds[key])
+                 for key, loop in sorted(self._loops.items())]
+        return base_system(self.callgraph, self.entry, self.instances,
+                           loops)
 
     def _scopes(self) -> list[tuple[str, str]]:
         """(variable scope, function) pairs carrying block costs."""
@@ -376,7 +341,7 @@ class Analysis:
         set shares is lowered and presolved here, once
         (:class:`~repro.analysis.setsolve.PresolvedBase`)."""
         with self.tracer.span("constraints", cat="pipeline") as span:
-            base = self._structural() + self._loop_constraints()
+            base = self._base_system()
             worst_obj, best_obj = self._objectives()
             presolved = presolve_base(base, worst_obj, best_obj,
                                       self.backend)

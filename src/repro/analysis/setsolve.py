@@ -10,8 +10,9 @@ produces bit-identical :class:`~repro.analysis.report.SetResult`
 objects.  Nothing here reads or writes a cache.
 
 Every set of an analysis shares its base system: the structural
-constraints and the loop bounds.  :class:`PresolvedBase` lowers that
-system over the columns of both objectives and presolves it once, and
+constraints and the loop bounds, emitted as rows by
+:func:`repro.constraints.base_system`.  :class:`PresolvedBase` lowers
+them over the columns of both objectives and presolves them once, and
 lowers both objectives once.  A set's polyhedron extends it by the
 set's own rows (:meth:`~repro.ilp.model.Polyhedron.extend`), which
 gives exactly the presolve of the whole set, so :func:`solve_set`
@@ -59,9 +60,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
+from ..constraints import BaseSystem
 from ..errors import ILPTimeoutError, UnboundedError
-from ..ilp import Constraint, LinExpr, Problem, Status
+from ..ilp import Constraint, LinExpr, Problem, SolveStats, Status
 from ..ilp.branch_bound import solve_ilp
 from ..ilp.lpformat import write_lp
 from ..ilp.model import Objective, Polyhedron
@@ -78,20 +81,21 @@ _UNBOUNDED_MESSAGE = (
 class PresolvedBase:
     """An analysis's base system (structural constraints and loop
     bounds) lowered over the columns of both objectives, presolved
-    once, and both objectives lowered over the same columns.  Plain
-    rows and arrays, so it pickles with each :class:`SetTask`."""
+    once, and both objectives lowered over the same columns.  The
+    emitted rows are presolved with no :class:`~repro.ilp.Problem`
+    (:meth:`~repro.ilp.model.Polyhedron.from_rows`), to the columns,
+    rows and tie-break order a Problem of them would have.  Plain rows
+    and arrays, so it pickles with each :class:`SetTask`."""
 
-    def __init__(self, base: list[Constraint], worst_obj: LinExpr,
+    def __init__(self, system: BaseSystem, worst_obj: LinExpr,
                  best_obj: LinExpr, engine: str):
         # Variables register as in SetTask.problems(): base rows, then
         # the objectives, whose every block count a flow row already
-        # names.  Branch & bound breaks ties in that order.
-        problem = Problem("base")
-        problem.add_all(base)
-        problem.maximize(worst_obj)
-        for name in best_obj.variables():
-            problem.add_var(name)
-        self.polyhedron = Polyhedron(problem, engine)
+        # names.
+        order = dict.fromkeys(chain(chain.from_iterable(system.rows),
+                                    worst_obj.coefs, best_obj.coefs))
+        self.polyhedron = Polyhedron.from_rows(
+            system.rows, system.senses, system.rhs, order, engine)
         self.worst = Objective(worst_obj, "max", self.polyhedron.index,
                                self.polyhedron.shift, "worst")
         self.best = Objective(best_obj, "min", self.polyhedron.index,
@@ -108,14 +112,14 @@ class PresolvedBase:
         return self.polyhedron.extend(rows)
 
 
-def presolve_base(base: list[Constraint], worst_obj: LinExpr,
+def presolve_base(system: BaseSystem, worst_obj: LinExpr,
                   best_obj: LinExpr, backend: str) -> PresolvedBase | None:
     """The :class:`PresolvedBase` every set of an analysis solving on
     `backend` extends; None for the scipy oracle, which solves every
     set whole."""
     engine = _ENGINES.get(backend)
     return (None if engine is None
-            else PresolvedBase(base, worst_obj, best_obj, engine))
+            else PresolvedBase(system, worst_obj, best_obj, engine))
 
 
 @dataclass
@@ -123,7 +127,8 @@ class SetTask:
     """One constraint set's ILP work."""
 
     index: int
-    base: list[Constraint]
+    #: The analysis's base system, shared by all its sets.
+    system: BaseSystem
     resolved: list[Constraint]
     worst_obj: LinExpr
     best_obj: LinExpr
@@ -136,6 +141,12 @@ class SetTask:
     #: The base system presolved once for every set of the analysis
     #: (None: solve the set whole).
     presolved: PresolvedBase | None = None
+
+    @property
+    def base(self) -> list[Constraint]:
+        """The base system as constraints (no simplex or exact solve
+        reads them)."""
+        return self.system.constraints()
 
     def problems(self) -> tuple[Problem, Problem]:
         """(worst maximize, best minimize) over the same constraints
@@ -243,13 +254,7 @@ class _DirectionOutcome:
         self.status = status
         self.objective = objective
         self.values = values or {}
-        self.stats = stats or _zero_stats()
-
-
-def _zero_stats():
-    from ..ilp import SolveStats
-
-    return SolveStats()
+        self.stats = stats or SolveStats()
 
 
 def _solve_direction(problem: Problem | Objective,

@@ -92,6 +92,11 @@ class CFG:
         self.blocks: dict[int, BasicBlock] = {}
         self.edges: list[Edge] = []
         self.entry_block = 1
+        # Each block's in- and out-edges, in the order add_edge got
+        # them (the entry edge is None's out-edge); queries return
+        # these lists, which callers must not mutate.
+        self._in: dict[int | None, list[Edge]] = {}
+        self._out: dict[int | None, list[Edge]] = {}
 
     # -- construction helpers (used by the builder) ---------------------
     def add_block(self, block: BasicBlock) -> None:
@@ -99,20 +104,22 @@ class CFG:
 
     def add_edge(self, edge: Edge) -> None:
         self.edges.append(edge)
+        self._out.setdefault(edge.src, []).append(edge)
+        self._in.setdefault(edge.dst, []).append(edge)
 
     # -- queries ----------------------------------------------------------
     @property
     def entry_edge(self) -> Edge:
-        for edge in self.edges:
-            if edge.is_entry:
-                return edge
-        raise KeyError("CFG has no entry edge")  # pragma: no cover
+        entry = self._out.get(None)
+        if not entry:
+            raise KeyError("CFG has no entry edge")  # pragma: no cover
+        return entry[0]
 
     def in_edges(self, block_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == block_id]
+        return self._in.get(block_id, [])
 
     def out_edges(self, block_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == block_id]
+        return self._out.get(block_id, [])
 
     def call_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.is_call]

@@ -4,18 +4,15 @@ from .dnf import (Expansion, canonical_relation_key, canonical_set_key,
                   combine, trivially_null)
 from .language import (DNF, ConstraintSet, Formula, Relation, SymExpr,
                        VarRef, parse_constraint)
-from .loopbounds import LoopBound, loop_bound_relations
 from .names import local_part, qualified, scope_part, split
-from .structural import (entry_constraint, flow_constraints,
-                         linking_constraints, structural_system)
+from .structural import BaseSystem, LoopBound, base_system
 
 __all__ = [
     "Expansion", "combine", "trivially_null",
     "canonical_relation_key", "canonical_set_key",
     "DNF", "ConstraintSet", "Formula", "Relation", "SymExpr", "VarRef",
     "parse_constraint",
-    "LoopBound", "loop_bound_relations",
+    "LoopBound",
     "qualified", "split", "local_part", "scope_part",
-    "entry_constraint", "flow_constraints", "linking_constraints",
-    "structural_system",
+    "BaseSystem", "base_system",
 ]

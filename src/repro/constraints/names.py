@@ -21,6 +21,12 @@ def qualified(scope: str, local: str) -> str:
     return f"{scope}{SEPARATOR}{local}"
 
 
+def prefix(scope: str) -> str:
+    """The start of every variable name in `scope`: ``qualified(scope,
+    local) == prefix(scope) + local``."""
+    return qualified(scope, "")
+
+
 def split(name: str) -> tuple[str, str]:
     scope, _, local = name.rpartition(SEPARATOR)
     return scope, local

@@ -16,7 +16,7 @@ import time
 from ..errors import ILPTimeoutError
 from .expr import Constraint, LinExpr
 from .model import Objective, Polyhedron, Problem
-from .solution import ILPResult, SolveStats, Status
+from .solution import ILPResult, LPResult, SolveStats, Status
 
 #: A value within this distance of an integer is treated as integral.
 INT_TOL = 1e-6
@@ -66,7 +66,14 @@ def solve_ilp(problem: Problem | Objective, max_nodes: int = 100_000,
     on from the root's and its phase 1 from the root's feasible
     tableau, and ties between equally fractional variables go to the
     first of ``root.integers``.  With a root, `problem` may be just an
-    :class:`~repro.ilp.model.Objective` over its columns."""
+    :class:`~repro.ilp.model.Objective` over its columns.
+
+    A node whose relaxation is unbounded makes the ILP UNBOUNDED only
+    if it holds an integer point, and counts as infeasible otherwise.
+    An equality row whose gcd does not divide its right-hand side rules
+    one out at once; else a search for one runs under the same limits,
+    and on an unbounded node with no integer point it runs until one
+    of them trips."""
     from ..obs.trace import NULL_TRACER
 
     tracer = NULL_TRACER if tracer is None else tracer
@@ -75,12 +82,11 @@ def solve_ilp(problem: Problem | Objective, max_nodes: int = 100_000,
     objective = (Objective.of(problem, root) if isinstance(problem, Problem)
                  else problem)
     stats = SolveStats()
+    budget = _Budget(max_nodes, max_iterations, deadline, stats)
     with tracer.span("bnb", cat="solver", problem=objective.name,
                      engine=root.engine) as span:
         try:
-            result = _branch_and_bound(root, objective, max_nodes,
-                                       max_iterations, deadline, stats,
-                                       tracer)
+            result = _branch_and_bound(root, objective, budget, tracer)
         finally:
             span.set("status", "done")
             span.inc("nodes", stats.nodes)
@@ -90,10 +96,51 @@ def solve_ilp(problem: Problem | Objective, max_nodes: int = 100_000,
     return result
 
 
+class _Budget:
+    """The node, pivot and wall-clock limits of one solve, shared by
+    every search it runs, and the statistics they add up to."""
+
+    def __init__(self, max_nodes: int, max_iterations: int | None,
+                 deadline: float | None, stats: SolveStats):
+        self.max_nodes, self.max_iterations = max_nodes, max_iterations
+        self.deadline, self.stats = deadline, stats
+        # Pivots charged against max_iterations: each LP's own pivots
+        # plus the phase 1 runs it reused, the root's included.
+        self.spent = 0
+
+    def relax(self, node: Polyhedron, objective: Objective, tracer):
+        """`node`'s LP relaxation, counted against the limits."""
+        stats = self.stats
+        stats.nodes += 1
+        budget = (None if self.max_iterations is None
+                  else self.max_iterations - self.spent)
+        limit = None
+        if stats.nodes > self.max_nodes:
+            limit = f"{self.max_nodes} nodes"
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            limit = "its wall-clock deadline"
+        elif budget is not None and budget <= 0:
+            limit = f"{self.max_iterations} simplex iterations"
+        if limit is not None:
+            raise ILPTimeoutError(f"branch & bound exceeded {limit}",
+                                  iterations=stats.simplex_iterations,
+                                  nodes=stats.nodes)
+        relax = node.relaxation(objective, max_iter=budget,
+                                deadline=self.deadline, tracer=tracer)
+        # A node propagation refutes reports INFEASIBLE without an LP.
+        stats.lp_calls += not node.refuted
+        stats.simplex_iterations += relax.iterations
+        self.spent += relax.iterations + relax.reused
+        return relax
+
+
 def _branch_and_bound(root: Polyhedron, objective: Objective,
-                      max_nodes: int, max_iterations: int | None,
-                      deadline: float | None, stats: SolveStats,
-                      tracer) -> ILPResult:
+                      budget: _Budget, tracer, top: bool = True
+                      ) -> ILPResult:
+    """DFS branch & bound from `root`.  `top` is False for the search
+    for an integer point in an unbounded node, which records no
+    first-relaxation statistic."""
+    stats = budget.stats
     maximize = objective.sense == "max"
     integers = set(root.integers)
 
@@ -115,50 +162,33 @@ def _branch_and_bound(root: Polyhedron, objective: Objective,
     # Each stack entry is a list of extra bound constraints.
     stack: list[list[Constraint]] = [[]]
     first = True
-    # Pivots charged against max_iterations: each LP's own pivots
-    # plus the phase 1 runs it reused, the root's included.
-    spent = 0
     while stack:
         extra = stack.pop()
-        stats.nodes += 1
-        if stats.nodes > max_nodes:
-            raise ILPTimeoutError(
-                f"branch & bound exceeded {max_nodes} nodes",
-                iterations=stats.simplex_iterations, nodes=stats.nodes)
-        if deadline is not None and time.monotonic() > deadline:
-            raise ILPTimeoutError(
-                "branch & bound exceeded its wall-clock deadline",
-                iterations=stats.simplex_iterations, nodes=stats.nodes)
-        budget = None
-        if max_iterations is not None:
-            budget = max_iterations - spent
-            if budget <= 0:
-                raise ILPTimeoutError(
-                    f"branch & bound exceeded {max_iterations} simplex "
-                    "iterations",
-                    iterations=stats.simplex_iterations, nodes=stats.nodes)
         node = root if first else root.extend(extra)
-        relax = node.relaxation(objective, max_iter=budget,
-                                deadline=deadline,
-                                tracer=tracer if first else None)
-        # A node propagation refutes reports INFEASIBLE without an LP.
-        stats.lp_calls += not node.refuted
-        stats.simplex_iterations += relax.iterations
-        spent += relax.iterations + relax.reused
+        relax = budget.relax(node, objective,
+                             tracer if first and top else None)
+        if relax.status is Status.UNBOUNDED:
+            # For rational data an unbounded relaxation makes the ILP
+            # unbounded exactly when the node holds an integer point
+            # (the recession directions of its integer hull are its
+            # own); IPET hits this when a loop bound is missing.  Look
+            # for one under a zero objective, within the same limits.
+            zero = Objective(LinExpr(), "max", root.index, root.shift,
+                             "integer point")
+            if not node.gcd_refutes() and _branch_and_bound(
+                    node, zero, budget, None, top=False
+                    ).status is Status.OPTIMAL:
+                return ILPResult(Status.UNBOUNDED, stats=stats)
+            relax = LPResult(Status.INFEASIBLE)
         if relax.status is Status.INFEASIBLE:
             if first:
-                first = False
                 return ILPResult(Status.INFEASIBLE, stats=stats)
             continue
-        if relax.status is Status.UNBOUNDED:
-            # With a feasible integer point inside an unbounded
-            # polyhedron of integral recession directions, the ILP is
-            # unbounded too; IPET hits this when a loop bound is missing.
-            return ILPResult(Status.UNBOUNDED, stats=stats)
 
         branch_var = _fractional_var(root.integers, relax.values)
         if first:
-            stats.first_relaxation_integral = branch_var is None
+            if top:
+                stats.first_relaxation_integral = branch_var is None
             first = False
         if not can_beat(relax.objective):
             stats.nodes_pruned += 1
@@ -167,6 +197,8 @@ def _branch_and_bound(root: Polyhedron, objective: Objective,
             if better(relax.objective):
                 incumbent_obj = relax.objective
                 incumbent_values = _rounded(integers, relax.values)
+                if not top:
+                    break       # any integer point will do
             continue
 
         value = relax.values[branch_var]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from collections import defaultdict
 from typing import Iterable, Mapping
 
@@ -105,7 +106,7 @@ class Problem:
         of :meth:`_lower_rows` without the presolve
         :class:`Polyhedron` applies.
         """
-        rows, senses, rhs, index, shift = self._lower_rows()
+        rows, senses, rhs, index, shift, _ = self._lower_rows()
         objective = Objective(self.objective, self.sense, index, shift)
         costs = np.zeros(len(index))
         for j, coef in objective.costs.items():
@@ -115,12 +116,13 @@ class Problem:
                 objective.constant)
 
     def _lower_rows(self):
-        """(rows, senses, rhs, index, shift): the constraints, then one
-        ``<=`` row per upper-bounded variable, as sparse ``{column:
-        coefficient}`` rows.  ``index`` numbers the variables in sorted
-        name order and ``shift`` lists their lower bounds, which the
-        rows have already subtracted."""
-        index = {name: j for j, name in enumerate(sorted(self.variables))}
+        """(rows, senses, rhs, index, shift, integers): the constraints,
+        then one ``<=`` row per upper-bounded variable, as sparse
+        ``{column: coefficient}`` rows over the columns and tie-break
+        order of :func:`_columns`.  ``shift`` lists the variables' lower
+        bounds, which the rows have already subtracted."""
+        index, integers = _columns({name: var.integer for name, var
+                                    in self.variables.items()})
         shift = [self.variables[name].lower for name in index]
         rows, senses, rhs = _lower(self.constraints, index, shift)
         for name, j in index.items():
@@ -129,7 +131,7 @@ class Problem:
                 rows.append({j: 1.0})
                 senses.append("<=")
                 rhs.append(var.upper - var.lower)
-        return rows, senses, rhs, index, shift
+        return rows, senses, rhs, index, shift, integers
 
     # ------------------------------------------------------------------
     # Solving
@@ -244,7 +246,11 @@ class Objective:
 
 class Polyhedron:
     """A problem's constraints lowered and presolved, with one simplex
-    phase 1 shared by every objective over them.
+    phase 1 shared by every objective over them.  ``Polyhedron(problem)``
+    lowers a :class:`Problem`; :meth:`from_rows` lowers ``{variable:
+    coefficient}`` rows emitted elsewhere, as IPET's base system is
+    emitted straight from the CFG, to the same columns and tie-break
+    order (:func:`_columns`), and both presolve through one constructor.
 
     IPET solves a maximize (worst case) and a minimize (best case)
     over the same constraints.  Phase 1 never reads the objective, so
@@ -332,11 +338,26 @@ class Polyhedron:
     """
 
     def __init__(self, problem: Problem, engine: str = "float"):
-        rows, senses, rhs, self.index, self.shift = problem._lower_rows()
+        self._build(*problem._lower_rows(), engine)
+
+    @classmethod
+    def from_rows(cls, rows: list[dict[str, float]], senses, rhs,
+                  variables: Iterable[str], engine: str = "float"):
+        """The polyhedron of ``{variable: coefficient}`` rows over the
+        integer `variables`, each ``>= 0`` with no upper bound, as
+        IPET's base system is: that of a :class:`Problem` registering
+        them in the order listed."""
+        index, integers = _columns(dict.fromkeys(variables, True))
+        polyhedron = cls.__new__(cls)
+        polyhedron._build([{index[name]: coef for name, coef in row.items()}
+                           for row in rows], senses, rhs, index,
+                          [0.0] * len(index), integers, engine)
+        return polyhedron
+
+    def _build(self, rows, senses, rhs, index, shift, integers, engine):
+        self.index, self.shift, self.engine = index, shift, engine
         #: Integer variables in branch & bound's tie-break order.
-        self.integers = [name for name, var in problem.variables.items()
-                         if var.integer]
-        self.engine = engine
+        self.integers = integers
         # The empty prefix: no rows, nothing eliminated.
         self._lowered: tuple[list, list, list] = ([], [], [])
         self._reducing = True
@@ -493,6 +514,19 @@ class Polyhedron:
         if len(substitutions) > len(self.substitutions):
             self.substitutions = substitutions
 
+    def gcd_refutes(self) -> bool:
+        """Is a kept row an equality over integer columns whose
+        coefficients' gcd does not divide its right-hand side?  Then the
+        rows have no integer point, bounded or not."""
+        if not self._integral:
+            return False
+        for row, sense, bound in zip(self.rows, self.senses, self._rhs):
+            if sense == "==" and _exact_integers([row], [bound]):
+                divisor = math.gcd(*map(int, row.values()))
+                if divisor and int(bound) % divisor:
+                    return True
+        return False
+
     def _rows_as_integers(self):
         """(inequalities, {column: rows naming it}) of the kept rows, as
         :func:`repro.ilp.propagate.propagate` reads them, or None when
@@ -623,6 +657,16 @@ class Polyhedron:
                                        for k, coef in terms.items())
         return {name: values[j] + self.shift[j]
                 for name, j in self.index.items()}
+
+
+def _columns(registered: Mapping[str, bool]
+             ) -> tuple[dict[str, int], list[str]]:
+    """(index, integers) of variables listed in registration order,
+    each mapped to whether it is an integer: columns go in sorted name
+    order, and branch & bound breaks ties over the integer variables in
+    registration order."""
+    index = {name: j for j, name in enumerate(sorted(registered))}
+    return index, [name for name, integer in registered.items() if integer]
 
 
 def _lower(constraints: Iterable[Constraint], index: Mapping[str, int],

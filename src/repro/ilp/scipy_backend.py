@@ -9,16 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Problem
+from .model import Problem, _densify, _lower
 from .solution import ILPResult, SolveStats, Status
 
 
 def solve_with_scipy(problem: Problem) -> ILPResult:
-    """Solve `problem` with :func:`scipy.optimize.milp`."""
+    """Solve `problem` with :func:`scipy.optimize.milp`.
+
+    HiGHS gets every variable's own bounds and integrality over the
+    unshifted columns, so an integer variable with a fractional lower
+    bound stays integral."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    (costs, matrix, senses, rhs,
-     order, shift, objective_shift) = problem.to_arrays()
+    order = sorted(problem.variables)
+    index = {name: j for j, name in enumerate(order)}
+    rows, senses, rhs = _lower(problem.constraints, index,
+                               [0.0] * len(order))
+    costs = np.zeros(len(order))
+    for name, coef in problem.objective.coefs.items():
+        costs[index[name]] = coef
     sign = -1.0 if problem.sense == "max" else 1.0
 
     lower = np.full(len(rhs), -np.inf)
@@ -29,15 +38,17 @@ def solve_with_scipy(problem: Problem) -> ILPResult:
         if sense in (">=", "=="):
             lower[i] = rhs[i]
 
-    integrality = np.array(
-        [1 if problem.variables[name].integer else 0 for name in order])
+    variables = [problem.variables[name] for name in order]
     kwargs = {}
     if len(rhs):
-        kwargs["constraints"] = LinearConstraint(matrix, lower, upper)
+        kwargs["constraints"] = LinearConstraint(
+            _densify(rows, range(len(order))), lower, upper)
     result = milp(
         sign * costs,
-        integrality=integrality,
-        bounds=Bounds(lb=np.zeros(len(order)), ub=np.inf),
+        integrality=np.array([int(var.integer) for var in variables]),
+        bounds=Bounds(lb=[var.lower for var in variables],
+                      ub=[np.inf if var.upper is None else var.upper
+                          for var in variables]),
         **kwargs,
     )
 
@@ -48,7 +59,6 @@ def solve_with_scipy(problem: Problem) -> ILPResult:
         return ILPResult(Status.UNBOUNDED, stats=stats)
     if result.status != 0:
         raise RuntimeError(f"scipy.milp failed: {result.message}")
-    values = {name: float(result.x[j]) + shift[j]
-              for j, name in enumerate(order)}
-    objective = sign * float(result.fun) + objective_shift
-    return ILPResult(Status.OPTIMAL, objective, values, stats)
+    values = {name: float(result.x[j]) for j, name in enumerate(order)}
+    return ILPResult(Status.OPTIMAL, sign * float(result.fun)
+                     + problem.objective.const, values, stats)

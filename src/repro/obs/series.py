@@ -141,7 +141,10 @@ class Series:
 
 
 class SeriesStore:
-    """Thread-safe collection of bounded series plus window math."""
+    """Thread-safe collection of bounded series plus window math.  A
+    series, once recorded, is never removed, so the store's size
+    changes only when it gains one (:class:`~repro.obs.slo.SLOEngine`
+    rebinds its SLOs' series names then)."""
 
     def __init__(self, retention: int = DEFAULT_RETENTION):
         if retention < 2:
@@ -153,14 +156,20 @@ class SeriesStore:
     # -- writing -------------------------------------------------------
     def record(self, name: str, value: float, ts=None,
                kind: str = "gauge") -> None:
+        self.record_many([(name, value, kind)], ts)
+
+    def record_many(self, points, ts=None) -> None:
+        """Record ``(name, value, kind)`` points at one timestamp, as
+        one sampler tick does, taking the lock once."""
         if ts is None:
             ts = time.time()
         with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = self._series[name] = Series(
-                    name, kind=kind, retention=self.retention)
-            series.add(ts, float(value))
+            for name, value, kind in points:
+                series = self._series.get(name)
+                if series is None:
+                    series = self._series[name] = Series(
+                        name, kind=kind, retention=self.retention)
+                series.add(ts, float(value))
 
     # -- reading -------------------------------------------------------
     def names(self, prefix: str = "") -> list[str]:
@@ -290,7 +299,7 @@ class RegistrySampler:
         if bus is not None:
             self._sub = bus.subscribe(maxlen=8192, name="series.sampler")
         # Baseline so the first real tick yields deltas, not totals.
-        self._ingest(registry.snapshot(), self._prev, "", None, 0.0)
+        self._ingest(registry.snapshot(), self._prev, "", None)
 
     def close(self) -> None:
         if self._sub is not None:
@@ -323,23 +332,18 @@ class RegistrySampler:
             dt = self.interval or 1.0
         self._last_ts = now
         points = self._ingest(self.registry.snapshot(), self._prev,
-                              "", now, dt)
-        points += self._sample_bus(now, dt)
+                              "", dt)
+        if self._sub is not None:
+            counts: dict[str, int] = {}
+            for event in self._sub.pop_all():
+                kind = event.get("type", "?")
+                counts[kind] = counts.get(kind, 0) + 1
+            points += [(f"bus.events.{kind}", count / dt, "rate")
+                       for kind, count in counts.items()]
+            points.append(("bus.dropped", self._sub.dropped, "gauge"))
+        self.store.record_many(points, now)
         self.samples += 1
-        return points
-
-    def _sample_bus(self, now: float, dt: float) -> int:
-        if self._sub is None:
-            return 0
-        counts: dict[str, int] = {}
-        for event in self._sub.pop_all():
-            kind = event.get("type", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-        for kind, count in counts.items():
-            self.store.record(f"bus.events.{kind}", count / dt,
-                              ts=now, kind="rate")
-        self.store.record("bus.dropped", self._sub.dropped, ts=now)
-        return len(counts) + 1
+        return len(points)
 
     # -- federation ----------------------------------------------------
     def ingest_peer(self, origin: str, snapshot, now=None) -> int:
@@ -361,19 +365,21 @@ class RegistrySampler:
         last = state.pop("_last_ts", None)
         dt = now - last if last is not None and now > last \
             else self.interval or 1.0
-        self.store.record(prefix + "up", 1.0, ts=now)
-        points = self._ingest(snapshot, state, prefix, now, dt)
+        points = self._ingest(snapshot, state, prefix, dt)
+        self.store.record_many([(prefix + "up", 1.0, "gauge"), *points],
+                               now)
         state["_last_ts"] = now
-        return points
+        return len(points)
 
     # -- transforms ----------------------------------------------------
     def _ingest(self, snapshot: dict, prev: dict, prefix: str,
-                now, dt: float) -> int:
-        """Apply counter->rate / gauge->level / histogram->quantile.
+                dt: float | None) -> list:
+        """Apply counter->rate / gauge->level / histogram->quantile;
+        returns the ``(name, value, kind)`` points of one tick.
 
-        With ``now=None`` only baselines are stored (construction).
+        With ``dt=None`` only baselines are stored (construction).
         """
-        points = 0
+        points = []
         for name, payload in snapshot.items():
             if not isinstance(payload, dict):
                 continue
@@ -382,41 +388,35 @@ class RegistrySampler:
                 continue
             full = prefix + name
             if kind == "gauge":
-                if now is not None:
-                    self.store.record(full, payload.get("value", 0),
-                                      ts=now, kind="gauge")
-                    points += 1
+                if dt is not None:
+                    points.append((full, payload.get("value", 0), "gauge"))
             elif kind == "histogram":
-                points += self._ingest_histogram(full, payload, prev,
-                                                 name, now, dt)
+                self._ingest_histogram(full, payload, prev, name, dt,
+                                       points)
             else:                   # counter
                 value = payload.get("value", 0)
                 last = prev.get(name)
                 prev[name] = value
-                if now is None or last is None:
+                if dt is None or last is None:
                     continue
-                delta = max(0.0, value - last)
-                self.store.record(full, delta / dt, ts=now, kind="rate")
-                points += 1
+                points.append((full, max(0.0, value - last) / dt, "rate"))
         return points
 
     def _ingest_histogram(self, full: str, payload: dict, prev: dict,
-                          name: str, now, dt: float) -> int:
+                          name: str, dt: float | None, points: list) -> None:
         counts = list(payload.get("counts", ()))
         last = prev.get(name)
         prev[name] = counts
-        if now is None or last is None or len(last) != len(counts):
-            return 0
+        if dt is None or last is None or len(last) != len(counts):
+            return
         delta = [max(0, b - a) for a, b in zip(last, counts)]
         observed = sum(delta)
-        self.store.record(full + ".rate", observed / dt, ts=now,
-                          kind="rate")
+        points.append((full + ".rate", observed / dt, "rate"))
         if not observed:
-            return 1                # no observations: no quantile point
+            return                  # no observations: no quantile point
         window = Histogram(name, payload.get("buckets", ()))
         window.counts = delta
         window.count = observed
         for label, q in QUANTILES:
-            self.store.record(f"{full}.{label}", window.percentile(q),
-                              ts=now, kind="quantile")
-        return 1 + len(QUANTILES)
+            points.append((f"{full}.{label}", window.percentile(q),
+                           "quantile"))

@@ -286,6 +286,11 @@ class SLOEngine:
         for slo in self.slos:
             if not self._wildcards(slo):
                 self._alerts[slo.name] = Alert(slo)
+        # Per SLO, (label, bad, good, series) per binding, for a store
+        # of _bound_for series: names change only when it gains one
+        # (a SeriesStore never removes a series).
+        self._bound: list = []
+        self._bound_for = -1
 
     # -- wildcard expansion --------------------------------------------
     @staticmethod
@@ -315,20 +320,20 @@ class SLOEngine:
         return tuple(name.replace("*", label) for name in names)
 
     # -- burn math -----------------------------------------------------
-    def _burn(self, slo: SLO, window: float, now: float,
-              label: str = "") -> float:
+    def _burn(self, slo: SLO, window: float, now: float, bad_names,
+              good_names, series) -> float:
         if slo.kind == "ratio":
             bad = sum(self.store.window_total(n, window, now=now)
-                      for n in self._bind(slo.bad, label))
+                      for n in bad_names)
             good = sum(self.store.window_total(n, window, now=now)
-                       for n in self._bind(slo.good, label))
+                       for n in good_names)
             total = bad + good
             if total <= 0:
                 return 0.0
             return (bad / total) / slo.budget
         if slo.kind == "level":
             worst = 0.0
-            for name in self._bind(slo.series, label):
+            for name in series:
                 points = self.store.window(name, window, now=now)
                 if not points:
                     continue
@@ -336,7 +341,7 @@ class SLOEngine:
                 worst = max(worst, over / len(points))
             return worst / slo.budget
         # zero: any positive point in the window is a violation.
-        for name in self._bind(slo.series, label):
+        for name in series:
             if self.store.window_max(name, window, now=now) > 0:
                 return ZERO_VIOLATION_BURN
         return 0.0
@@ -348,14 +353,21 @@ class SLOEngine:
             now = self.clock()
         self.evaluations += 1
         transitions = []
-        for slo in self.slos:
-            labels = self._bindings(slo) if self._wildcards(slo) else [""]
-            for label in labels:
+        size = len(self.store)
+        if size != self._bound_for:
+            self._bound_for, self._bound = size, [
+                [(label, *(self._bind(names, label) for names in
+                           (slo.bad, slo.good, slo.series)))
+                 for label in (self._bindings(slo) if self._wildcards(slo)
+                               else [""])]
+                for slo in self.slos]
+        for slo, bindings in zip(self.slos, self._bound):
+            for label, *names in bindings:
                 key = f"{slo.name}[{label}]" if label else slo.name
                 alert = self._alerts.get(key)
                 if alert is None:
                     alert = self._alerts[key] = Alert(slo, label)
-                transition = self._step(alert, now)
+                transition = self._step(alert, now, names)
                 if transition is not None:
                     transitions.append(transition)
         if self.registry is not None:
@@ -364,12 +376,10 @@ class SLOEngine:
             self.registry.gauge("slo.alerts.firing").set(firing)
         return transitions
 
-    def _step(self, alert: Alert, now: float):
+    def _step(self, alert: Alert, now: float, names):
         slo = alert.slo
-        alert.burn_fast = self._burn(slo, slo.fast_window, now,
-                                     alert.label)
-        alert.burn_slow = self._burn(slo, slo.slow_window, now,
-                                     alert.label)
+        alert.burn_fast = self._burn(slo, slo.fast_window, now, *names)
+        alert.burn_slow = self._burn(slo, slo.slow_window, now, *names)
         breach = (alert.burn_fast >= slo.fast_burn
                   and alert.burn_slow >= slo.slow_burn)
         state = alert.state

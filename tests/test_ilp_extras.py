@@ -130,7 +130,7 @@ class TestLPFormat:
     def test_roundtrip_on_real_ipet_problem(self):
         from repro.cfg import CallGraph, build_cfgs
         from repro.codegen import compile_source
-        from repro.constraints import structural_system
+        from repro.constraints import base_system
 
         src = """
         int g;
@@ -141,7 +141,8 @@ class TestLPFormat:
         }
         """
         program = compile_source(src)
-        system = structural_system(CallGraph(build_cfgs(program)), "f")
+        system = base_system(CallGraph(build_cfgs(program)),
+                             "f").constraints()
         problem = Problem("ipet")
         problem.add_all(system)
         objective = LinExpr({name: 1.0 for name in problem.variables

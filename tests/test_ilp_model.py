@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import Analysis
+from repro.errors import ILPTimeoutError
 from repro.ilp import (Constraint, LinExpr, Problem, Status, Var, exact,
                        model, propagate, simplex)
+from repro.ilp.branch_bound import solve_ilp
 from repro.ilp.model import Polyhedron, _densify
 
 #: Each LP engine by its name in Polyhedron.
@@ -219,6 +221,78 @@ class TestAgainstScipyMilp:
         if ours.status is Status.OPTIMAL:
             assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
             assert p.check(ours.values)
+
+
+class TestBackendsAgree:
+    """simplex, exact and the scipy oracle on corner cases of the
+    modeling layer."""
+
+    BACKENDS = ("simplex", "exact", "scipy")
+
+    def test_unbounded_relaxation_without_an_integer_point(self):
+        # The rows force 3 (v1 - v0) = 2 with v1 <= 1: the relaxation
+        # is unbounded (v6 is free), but no integer point exists.
+        problem = TestPresolve.random_problem(3)
+        for var in problem.variables.values():
+            var.integer = True
+        relax = Polyhedron(problem).relaxation(problem)
+        assert relax.status is Status.UNBOUNDED
+        assert {backend: problem.solve(backend=backend).status
+                for backend in self.BACKENDS} == dict.fromkeys(
+            self.BACKENDS, Status.INFEASIBLE)
+
+    @pytest.mark.parametrize("backend", ["simplex", "exact"])
+    def test_unbounded_relaxation_with_an_integer_point(self, backend):
+        # (HiGHS reports such a MIP only as "infeasible or unbounded".)
+        p = Problem()
+        x, y = p.add_var("x"), p.add_var("y")
+        p.add(2 * x - 2 * y == 0)
+        p.add(x + 0 >= 1)
+        p.maximize(x + y)
+        assert p.solve(backend=backend).status is Status.UNBOUNDED
+
+    def test_an_equality_gcd_rules_out_an_integer_point(self):
+        # max x with 3x - 3y = 1: the relaxation is unbounded, and 3
+        # does not divide 1, so the search for an integer point, which
+        # could not end here, is not run.
+        p = Problem()
+        x, y = p.add_var("x"), p.add_var("y")
+        p.add(3 * x - 3 * y == 1)
+        p.maximize(x + 0)
+        assert Polyhedron(p).gcd_refutes()
+        for backend in self.BACKENDS:
+            result = p.solve(backend=backend, timeout=10.0)
+            assert result.status is Status.INFEASIBLE, backend
+        assert p.solve(backend="simplex").stats.nodes == 1
+
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    def test_a_search_with_no_integer_point_ends_at_its_limits(self,
+                                                                engine):
+        # Each row's gcd is 1, but together they say 2x - 2y + 6w = 1:
+        # the relaxation is unbounded and holds no integer point, so
+        # the search for one can only end when a limit trips.
+        p = Problem()
+        x, y, z, w = (p.add_var(name) for name in "xyzw")
+        p.add(2 * x - 2 * y + 3 * z == 1)
+        p.add(3 * z - 6 * w == 0)
+        p.maximize(x + 0)
+        assert not Polyhedron(p).gcd_refutes()
+        with pytest.raises(ILPTimeoutError) as error:
+            solve_ilp(p, max_nodes=20, engine=engine)
+        assert error.value.nodes == 21
+
+    def test_integer_variable_with_a_fractional_lower_bound(self):
+        p = Problem()
+        x, y = p.add_var("x", lower=0.5), p.add_var("y")
+        p.add(2 * x <= 3)
+        p.add(x + y <= 4)
+        p.add(2 * x == 2)
+        p.maximize(x + y)
+        for backend in self.BACKENDS:
+            result = p.solve(backend=backend)
+            assert (result.status, result.objective) == (Status.OPTIMAL,
+                                                         4.0), backend
+            assert result.values == {"x": 1.0, "y": 3.0}, backend
 
 
 class TestPresolve:

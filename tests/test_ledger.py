@@ -12,7 +12,11 @@ infeasible, a few branch), a digest of the job's input, its
   pivots, branch & bound nodes and a digest of both witnesses.
 
 The serial path (:meth:`repro.Analysis.estimate`) must reproduce
-every field.  A change to the second group comes with a
+every field, and so must the engine's process pool, where each job
+crosses a process boundary as an :class:`~repro.engine.AnalysisJob`
+(CI runs this file under two ``PYTHONHASHSEED`` values, so output
+that follows the iteration order of a ``set`` of names fails there).
+A change to the second group comes with a
 ``SOLVER_VERSION`` bump and the regenerated file.  Regenerate with
 ``PYTHONPATH=src python tests/test_ledger.py --write COMMIT``; the file
 records COMMIT, the commit whose solver first wrote the never-changing
@@ -26,9 +30,11 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.cfg import build_cfgs, find_loops
+from repro.engine import AnalysisEngine, AnalysisJob
 from repro.engine.cache import SOLVER_VERSION
 from repro.programs import all_benchmarks
 from repro.synth import generate
@@ -70,11 +76,12 @@ def _disjunctions(top: list, k: int, rng: random.Random) -> list[str]:
 
 
 def corpus() -> dict:
-    """{job name: (input digest, analysis factory)}, in a fixed order."""
+    """{job name: (input digest, analysis factory, the same analysis
+    as an engine job)}, in a fixed order."""
     jobs = {}
     for name, bench in all_benchmarks().items():
         jobs[name] = (_digest(f"{bench.entry}\n{bench.source}"),
-                      bench.make_analysis)
+                      bench.make_analysis, AnalysisJob.from_benchmark(name))
     seed = 0
     while len(jobs) < len(all_benchmarks()) + SYNTH_PROGRAMS:
         program = generate(seed, SYNTH_GRADE)
@@ -94,7 +101,9 @@ def corpus() -> dict:
         material = json.dumps([program.entry, program.source,
                                [list(row) for row in program.loop_bounds],
                                texts])
-        jobs[f"{SYNTH_GRADE}{seed - 1}"] = (_digest(material), make)
+        job = replace(program.analysis_job(),
+                      constraints=tuple((text, None) for text in texts))
+        jobs[f"{SYNTH_GRADE}{seed - 1}"] = (_digest(material), make, job)
     return jobs
 
 
@@ -102,9 +111,8 @@ def _rounded(value):
     return None if value is None else round(value)
 
 
-def ledger_record(analysis) -> dict:
-    """One job's ledger entry, from the serial path."""
-    report = analysis.estimate()
+def ledger_record(report) -> dict:
+    """One job's ledger entry, from its :class:`BoundReport`."""
     sets, effort = [], []
     for result in report.set_results:
         stats = result.stats
@@ -122,26 +130,27 @@ def ledger_record(analysis) -> dict:
 def _write_ledger(commit: str) -> None:
     """Record the serial path's output as the ledger, one job a line."""
     jobs = [json.dumps(name) + ": " + json.dumps(
-                {"input": digest, **ledger_record(make())},
+                {"input": digest, **ledger_record(make().estimate())},
                 separators=(",", ":"))
-            for name, (digest, make) in corpus().items()]
+            for name, (digest, make, _) in corpus().items()]
     head = json.dumps({"commit": commit, "solver_version": SOLVER_VERSION})
     LEDGER.write_text(head[:-1] + ', "jobs": {\n' + ",\n".join(jobs)
                       + "\n}}\n")
 
 
-def test_serial_path_matches_ledger():
+def _check_against_ledger(jobs: dict, records: dict) -> None:
+    """Every field of `records` ({job name: ledger entry}) is the
+    ledger's, and the corpus is the one the ledger was written from."""
     ledger = json.loads(LEDGER.read_text())
     assert ledger["solver_version"] == SOLVER_VERSION, (
         "SOLVER_VERSION moved: regenerate the ledger's effort fields")
-    jobs = corpus()
-    changed = [name for name, (digest, _) in jobs.items()
+    changed = [name for name, (digest, *_) in jobs.items()
                if ledger["jobs"].get(name, {}).get("input") != digest]
     assert list(jobs) == list(ledger["jobs"]) and not changed, \
         f"the corpus changed, not the solver: {changed[:5]}"
     mismatches = []
-    for name, (_, make) in jobs.items():
-        want, got = ledger["jobs"][name], ledger_record(make())
+    for name in jobs:
+        want, got = ledger["jobs"][name], records[name]
         if got["interval"] != want["interval"]:
             mismatches.append(f"{name}: bound {got['interval']} != "
                               f"{want['interval']}")
@@ -156,6 +165,27 @@ def test_serial_path_matches_ledger():
                     mismatches.append(f"{name} set {index} {group}: "
                                       f"{mine} != {theirs}")
     assert not mismatches, "\n".join(mismatches[:20])
+
+
+def test_serial_path_matches_ledger():
+    jobs = corpus()
+    _check_against_ledger(jobs, {
+        name: ledger_record(make().estimate())
+        for name, (_, make, _) in jobs.items()})
+
+
+def test_engine_pool_matches_ledger():
+    """Each job as an AnalysisJob through a two-worker process pool,
+    cache off."""
+    jobs = corpus()
+    results = AnalysisEngine(workers=2).run([job for *_, job in
+                                             jobs.values()])
+    failed = [f"{result.name}: {result.error}" for result in results
+              if not result.ok]
+    assert not failed, failed[:5]
+    _check_against_ledger(jobs, {
+        name: ledger_record(result.report)
+        for name, result in zip(jobs, results)})
 
 
 def test_corpus_has_infeasible_and_branching_sets():

@@ -254,13 +254,13 @@ class TestPipelineSoundness:
     def test_observed_counts_satisfy_structural_constraints(self, case):
         from repro.cfg import CallGraph, build_cfgs
         from repro.codegen import compile_source
-        from repro.constraints import structural_system
+        from repro.constraints import base_system
         from repro.sim import Interpreter
 
         prog, inputs = case
         program = compile_source(prog.source)
         cfgs = build_cfgs(program)
-        system = structural_system(CallGraph(cfgs), prog.entry)
+        system = base_system(CallGraph(cfgs), prog.entry).constraints()
 
         interp = Interpreter(program)
         for name, value in inputs.items():

@@ -8,7 +8,7 @@ from repro.analysis import annotate_function, annotate_program, pessimism
 from repro.analysis.report import BoundReport, SetResult
 from repro.cfg import CallGraph, build_cfgs, expand_contexts, instances_of
 from repro.codegen import compile_source
-from repro.constraints import (LoopBound, local_part, loop_bound_relations,
+from repro.constraints import (LoopBound, base_system, local_part,
                                qualified, scope_part, split)
 from repro.errors import AnalysisError
 from repro.ilp import SolveStats, Status
@@ -158,15 +158,18 @@ class TestLoopBoundRelations:
                 return q;
             }
         """)
-        from repro.cfg import build_cfg, find_loops
+        from repro.cfg import find_loops
 
-        cfg = build_cfg(program, program.functions["f"])
-        loop = find_loops(cfg)[0]
-        low, high = loop_bound_relations(loop, LoopBound(1, 10))
+        cfgs = build_cfgs(program)
+        loop = find_loops(cfgs["f"])[0]
+        system = base_system(CallGraph(cfgs), "f",
+                             loops=[(loop, LoopBound(1, 10))])
+        low, high = system.constraints()[-2:]
+        assert low.name == f"loop f:{loop.header_line} lo"
         assert low.sense == ">=" and high.sense == "<="
         # back - lo*entry >= 0 and back - hi*entry <= 0.
-        assert set(low.expr.terms.values()) == {1.0, -1.0}
-        assert set(high.expr.terms.values()) == {1.0, -10.0}
+        assert set(low.expr.coefs.values()) == {1.0, -1.0}
+        assert set(high.expr.coefs.values()) == {1.0, -10.0}
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(AnalysisError):

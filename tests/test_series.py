@@ -128,6 +128,14 @@ class TestSeriesStore:
         name = f"{ORIGIN_PREFIX}10.0.0.1:8787.q"
         assert b.latest(name) == 7.0
 
+    def test_record_many_is_record_per_point(self):
+        one, many = SeriesStore(), SeriesStore()
+        points = [("a", 1, "rate"), ("b", 2.5, "gauge"), ("a", 3, "rate")]
+        for name, value, kind in points:
+            one.record(name, value, ts=7.0, kind=kind)
+        many.record_many(points, ts=7.0)
+        assert many.to_dict() == one.to_dict()
+
 
 # ======================================================================
 # RegistrySampler
@@ -504,6 +512,29 @@ class TestAlertStateMachine:
         by_key = {a["key"]: a for a in engine.alerts()}
         assert by_key["throttle[acme]"]["state"] == "firing"
         assert by_key["throttle[beta]"]["state"] == "ok"
+
+    def test_bindings_are_kept_until_a_series_appears(self, monkeypatch):
+        store = SeriesStore()
+        engine = SLOEngine(store, slos=[SLO(
+            name="throttle", kind="ratio",
+            bad=("tenant.*.throttled_429",),
+            good=("tenant.*.submitted",), objective=0.9)],
+            clock=lambda: 0.0)
+        expansions = []
+        bindings = engine._bindings
+        monkeypatch.setattr(engine, "_bindings", lambda slo: (
+            expansions.append(slo.name) or bindings(slo)))
+        store.record("tenant.acme.submitted", 1.0, ts=0.0, kind="rate")
+        for now in (1.0, 2.0):
+            store.record("tenant.acme.submitted", 1.0, ts=now, kind="rate")
+            engine.evaluate(now=now)
+        assert expansions == ["throttle"]
+        assert [a["key"] for a in engine.alerts()] == ["throttle[acme]"]
+        store.record("tenant.beta.submitted", 1.0, ts=3.0, kind="rate")
+        engine.evaluate(now=3.0)
+        assert expansions == ["throttle", "throttle"]
+        assert [a["key"] for a in engine.alerts()] == ["throttle[acme]",
+                                                       "throttle[beta]"]
 
     def test_transitions_publish_bus_events_and_webhook(self):
         store = SeriesStore()

@@ -28,8 +28,9 @@ import pytest
 from repro.analysis import Analysis
 from repro.analysis.setsolve import _ENGINES, solve_set
 from repro.cfg import find_loops
+from repro.constraints import BaseSystem
 from repro.errors import ILPTimeoutError
-from repro.ilp import Problem, Status, exact, simplex
+from repro.ilp import Constraint, LinExpr, Problem, Status, exact, simplex
 from repro.ilp.branch_bound import solve_ilp
 from repro.ilp.model import Polyhedron, _densify
 from repro.obs import Tracer
@@ -389,24 +390,42 @@ def _sixteen_sets(backend: str = "simplex"):
 
 
 def test_base_is_lowered_and_presolved_once(monkeypatch):
-    calls = collections.Counter()
-    lower_rows, init = Problem._lower_rows, Polyhedron.__init__
+    """The simplex and exact paths lower the base straight from the
+    emitted rows: no Problem, LinExpr or Constraint of it is built, and
+    only the base presolves from an empty prefix (sets and branch &
+    bound nodes extend it)."""
+    built = collections.Counter()
 
-    def counted_lower_rows(self, *args, **kwargs):
-        calls["lower"] += 1
-        return lower_rows(self, *args, **kwargs)
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            built[name] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
 
-    def counted_init(self, *args, **kwargs):
-        calls["presolve"] += 1
-        init(self, *args, **kwargs)
+    for cls in (Problem, LinExpr, Constraint):
+        monkeypatch.setattr(cls, "__init__",
+                            counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(Polyhedron, "_build",
+                        counted("presolve", Polyhedron._build))
 
-    monkeypatch.setattr(Problem, "_lower_rows", counted_lower_rows)
-    monkeypatch.setattr(Polyhedron, "__init__", counted_init)
-    report = _sixteen_sets().estimate()
-    assert len(report.set_results) == 16
-    # Sets and branch & bound nodes extend the base; only the base is
-    # lowered and presolved from an empty prefix.
-    assert calls == {"lower": 1, "presolve": 1}
+    def refuse(self):
+        raise AssertionError("the base was built as constraints")
+
+    monkeypatch.setattr(BaseSystem, "constraints", refuse)
+    for backend in ("simplex", "exact"):
+        # No functionality constraint: the only expressions are the two
+        # objectives, and no set branches.
+        for context in (False, True):
+            built.clear()
+            analysis = generate(5, "medium").analysis(
+                backend=backend, context_sensitive=context)
+            results = [solve_set(task) for task in analysis.set_tasks()]
+            assert all(result.stats.nodes == 2 for result in results)
+            assert built == {"LinExpr": 2, "presolve": 1}
+        built.clear()
+        report = _sixteen_sets(backend).estimate()
+        assert len(report.set_results) == 16
+        assert built["Problem"] == 0 and built["presolve"] == 1
 
 
 @pytest.mark.parametrize("backend", ["simplex", "exact"])

@@ -7,7 +7,7 @@ from repro import Analysis
 from repro.analysis import markdown_report, worst_case_path
 from repro.cfg import build_cfgs
 from repro.codegen import compile_source
-from repro.constraints import structural_system
+from repro.constraints import base_system
 from repro.cfg import CallGraph
 from repro.sim import record_block_trace
 
@@ -61,7 +61,7 @@ class TestBlockTrace:
         for block in cfgs["f"].blocks.values():
             assignment[f"f::{block.var}"] = \
                 trace.for_function("f").count(block.id)
-        for constraint in structural_system(CallGraph(cfgs), "f"):
+        for constraint in base_system(CallGraph(cfgs), "f").constraints():
             assert constraint.satisfied_by(assignment), str(constraint)
 
     def test_trace_block_counts_match_instruction_counters(self):
