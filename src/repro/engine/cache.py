@@ -55,7 +55,9 @@ from ..ilp import SolveStats, Status
 #: ``nodes_pruned``.  3: phase 1 extends the base's tableau (pivot
 #: counts, last-ulp objectives).  4: bound propagation refutes sets and
 #: nodes before any LP (LP calls, nodes, pivots, ``stats.refuted``).
-SOLVER_VERSION = 4
+#: 5: the sparse-row simplex sums ``c_B . b`` in row order (last-ulp
+#: objectives only).
+SOLVER_VERSION = 5
 
 
 def default_cache_dir() -> Path:

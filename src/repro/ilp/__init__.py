@@ -2,10 +2,12 @@
 
 Built from scratch for this reproduction: a modeling layer
 (:class:`Var`, :class:`LinExpr`, :class:`Constraint`,
-:class:`Problem`), a dense two-phase primal simplex
+:class:`Problem`), a two-phase primal simplex over sparse rows
 (:mod:`repro.ilp.simplex`), and a branch & bound integer solver
-(:mod:`repro.ilp.branch_bound`).  :mod:`scipy` is only used as an
-independent oracle in the test suite.
+(:mod:`repro.ilp.branch_bound`), in pure Python.  NumPy is imported
+only by :meth:`Problem.to_arrays` and the :mod:`scipy` oracle
+(:mod:`repro.ilp.scipy_backend`), which the test suite uses as an
+independent check.
 """
 
 from .expr import Constraint, LinExpr, Var

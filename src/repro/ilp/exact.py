@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from ..errors import ILPTimeoutError
+from .simplex import sparse_rows
 from .solution import LPResult, Phase1Result, Status
 
 #: Default pivot budget of one LP.
@@ -38,8 +39,9 @@ def solve_lp_exact(costs, matrix, senses, rhs,
     ``tracer`` (a :class:`repro.obs.Tracer`) gets one span per phase
     recording its pivot count.
     """
-    start = extend(empty(len(costs)), matrix, senses, rhs,
-                   max_iter=max_iter, deadline=deadline, tracer=tracer)
+    start = extend(empty(len(costs)), sparse_rows(matrix, len(costs)),
+                   senses, rhs, max_iter=max_iter, deadline=deadline,
+                   tracer=tracer)
     return phase2(start, costs, maximize=maximize, max_iter=max_iter,
                   deadline=deadline, tracer=tracer)
 
@@ -50,15 +52,15 @@ def empty(columns: int) -> Phase1Result:
                         columns=columns, artificials=columns)
 
 
-def extend(start: Phase1Result, matrix, senses, rhs,
+def extend(start: Phase1Result, rows, senses, rhs,
            max_iter: int = MAX_ITER, deadline: float | None = None,
            tracer=None) -> Phase1Result:
-    """Exact counterpart of :func:`repro.ilp.simplex.extend`."""
-    rows = [[_frac(v) for v in row] for row in matrix]
-    rhs = [_frac(v) for v in rhs]
+    """Exact counterpart of :func:`repro.ilp.simplex.extend`: `rows`
+    are ``{column: coefficient}`` dicts, made dense Fraction lists
+    here."""
     k, n = len(rows), start.columns
-    if any(len(row) != n for row in rows) or len(rhs) != k \
-            or len(senses) != k:
+    if (len(rhs) != k or len(senses) != k
+            or any(not 0 <= j < n for row in rows for j in row)):
         raise ValueError("inconsistent LP dimensions")
     if k == 0 or start.status is not Status.OPTIMAL:
         return start
@@ -69,6 +71,9 @@ def extend(start: Phase1Result, matrix, senses, rhs,
     art = start.artificials
     zero = Fraction(0)
     one = Fraction(1)
+    rows = [[_frac(row[j]) if j in row else zero for j in range(n)]
+            for row in rows]
+    rhs = [_frac(v) for v in rhs]
 
     # Canonical form: no new row names a basic column.
     senses = list(senses)

@@ -7,8 +7,6 @@ import math
 from collections import defaultdict
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from ..errors import ILPError, ILPTimeoutError
 from . import exact, simplex
 from .expr import Constraint, LinExpr, Var
@@ -104,8 +102,11 @@ class Problem:
         become explicit rows, so the simplex core only ever sees
         ``x >= 0``.  This is the whole model, densified from the rows
         of :meth:`_lower_rows` without the presolve
-        :class:`Polyhedron` applies.
+        :class:`Polyhedron` applies, as NumPy arrays; NumPy is imported
+        here, since no solve reads them.
         """
+        import numpy as np
+
         rows, senses, rhs, index, shift, _ = self._lower_rows()
         objective = Objective(self.objective, self.sense, index, shift)
         costs = np.zeros(len(index))
@@ -144,7 +145,7 @@ class Problem:
 
         The LP solved is the presolved one of :class:`Polyhedron`;
         the result carries a value for every variable.
-        ``engine`` chooses the numeric core: ``"float"`` (NumPy
+        ``engine`` chooses the numeric core: ``"float"`` (the sparse-row
         two-phase simplex) or ``"exact"`` (Fraction arithmetic).
         ``max_iter`` / ``deadline`` (absolute :func:`time.monotonic`
         time) bound the solve; exceeding either raises
@@ -609,12 +610,13 @@ class Polyhedron:
             parent, reused = self.prefix._phase1(lp, budget, deadline,
                                                  tracer)
             first = len(self.prefix.rows)
+        position = {j: i for i, j in enumerate(self.columns)}
+        rows = [{position[j]: coef for j, coef in row.items()}
+                for row in self.rows[first:]]
         try:
-            start = lp.extend(parent, _densify(self.rows[first:],
-                                               self.columns),
-                              self.senses[first:], self._rhs[first:],
-                              max_iter=budget, deadline=deadline,
-                              tracer=tracer)
+            start = lp.extend(parent, rows, self.senses[first:],
+                              self._rhs[first:], max_iter=budget,
+                              deadline=deadline, tracer=tracer)
         except ILPTimeoutError as error:
             error.iterations -= reused
             raise
@@ -690,9 +692,12 @@ def _lower(constraints: Iterable[Constraint], index: Mapping[str, int],
     return rows, senses, rhs
 
 
-def _densify(rows: list[dict[int, float]], columns) -> np.ndarray:
-    """The dense matrix of sparse `rows` over `columns` (original
-    column indices, in their dense order)."""
+def _densify(rows: list[dict[int, float]], columns):
+    """The dense NumPy matrix of sparse `rows` over `columns` (original
+    column indices, in their dense order), for :meth:`Problem.to_arrays`
+    and the scipy oracle; no solve reads it."""
+    import numpy as np
+
     position = {j: i for i, j in enumerate(columns)}
     matrix = np.zeros((len(rows), len(position)))
     for i, row in enumerate(rows):

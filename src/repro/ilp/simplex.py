@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex, written from scratch.
+"""Two-phase primal simplex over sparse rows, written from scratch.
 
 This is the LP engine under the branch & bound ILP solver.  It solves
 
@@ -28,20 +28,20 @@ Pivot selection uses Dantzig's rule and falls back to Bland's rule
 after a stall threshold, which guarantees termination on the highly
 degenerate flow-conservation systems IPET produces.
 
-The tableau is dense NumPy, but IPET constraint matrices are sparse.
-In the unreduced system a flow-conservation row names one block and
-its edges, and a pivot column is nonzero in about one row in seven.
-The presolved tableaux the solver actually sees are about six times
-smaller and still sparse, at about one row in six.
-:meth:`_Tableau.pivot` eliminates the pivot column only from the
-rows where it is nonzero.
+The tableau is sparse: a row is a ``{column: value}`` dict of its
+nonzero entries.  The presolved LPs IPET solves are small and sparse
+(at a pivot on perfbench's analyze inputs, a median of 16 rows by 37
+columns, 10% nonzero, with two nonzeros in the pivot column), so a
+pivot rewrites only the rows that name the pivot column and drops
+entries that become exactly zero.
+Once phase 1 is done its artificial columns can never enter again, so
+their entries are dropped too: no later pivot or ratio test reads
+them.  The engine needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from ..errors import ILPTimeoutError
 from .solution import LPResult, Phase1Result, Status
@@ -58,64 +58,76 @@ _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 class _Tableau:
-    """Mutable simplex tableau with a basis."""
+    """Mutable simplex tableau over sparse rows, with a basis.
 
-    def __init__(self, body: np.ndarray, rhs: np.ndarray, basis: list[int]):
-        self.body = body            # m x ncols
+    A pivot replaces the rows it changes by new dicts and never
+    mutates a row in place, so a copy shares its rows."""
+
+    __slots__ = ("rows", "rhs", "basis", "ncols", "iterations")
+
+    def __init__(self, rows: list[dict[int, float]], rhs: list[float],
+                 basis: list[int], ncols: int):
+        self.rows = rows            # m {column: nonzero value}
         self.rhs = rhs              # m
         self.basis = basis          # m basic column indices
+        self.ncols = ncols
         self.iterations = 0
 
     @property
     def nrows(self) -> int:
-        return self.body.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.body.shape[1]
-
-    def reduced_costs(self, costs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Reduced cost row and current objective for cost vector `costs`."""
-        cb = costs[self.basis]
-        reduced = costs - cb @ self.body
-        objective = float(cb @ self.rhs)
-        return reduced, objective
+        return len(self.rows)
 
     def copy(self) -> "_Tableau":
         """An independent tableau in the same state, pivot count included."""
-        twin = _Tableau(self.body.copy(), self.rhs.copy(), list(self.basis))
+        twin = _Tableau(list(self.rows), list(self.rhs), list(self.basis),
+                        self.ncols)
         twin.iterations = self.iterations
         return twin
 
+    def objective(self, costs: dict[int, float]) -> float:
+        """``c_B . b``: the objective of the basic solution."""
+        return float(sum(costs[column] * value for column, value
+                         in zip(self.basis, self.rhs) if column in costs))
+
     def pivot(self, row: int, col: int) -> None:
-        """Make `col` basic in `row` by Gaussian elimination."""
-        body, rhs = self.body, self.rhs
-        pivot_value = body[row, col]
-        body[row] /= pivot_value
-        rhs[row] /= pivot_value
-        # Eliminate the pivot column with a rank-1 update of the rows
-        # that have it; a row with a zero there would subtract zeros.
-        rows = np.flatnonzero(body[:, col])
-        rows = rows[rows != row]
-        factors = body[rows, col]
-        body[rows] -= np.outer(factors, body[row])
-        rhs[rows] -= factors * rhs[row]
-        body[:, col] = 0.0
-        body[row, col] = 1.0
+        """Make `col` basic in `row` by Gaussian elimination of the
+        rows that name it."""
+        rows, rhs = self.rows, self.rhs
+        pivot_value = rows[row][col]
+        top = {j: value / pivot_value for j, value in rows[row].items()}
+        top[col] = 1.0
+        bound = rhs[row] = rhs[row] / pivot_value
+        rows[row] = top
+        for r, other in enumerate(rows):
+            factor = other.get(col)
+            if factor is None or r == row:
+                continue
+            # The pivot column becomes factor - factor * 1.0 = 0 here.
+            new = dict(other)
+            for j, value in top.items():
+                value = new.get(j, 0.0) - factor * value
+                if value:
+                    new[j] = value
+                else:
+                    new.pop(j, None)
+            rows[r] = new
+            rhs[r] -= factor * bound
         self.basis[row] = col
         self.iterations += 1
 
-    def optimize(self, costs: np.ndarray, allowed: np.ndarray,
+    def optimize(self, costs: dict[int, float], banned: range,
                  max_iter: int, deadline: float | None = None) -> str:
-        """Pivot to optimality for `costs`.
+        """Pivot to optimality for sparse `costs`.
 
-        `allowed` masks columns that may enter the basis (used to keep
-        artificial variables out during phase 2).  Returns "optimal" or
+        Columns in `banned` may not enter the basis (the artificial
+        variables a phase keeps out).  Returns "optimal" or
         "unbounded".  `deadline` is an absolute :func:`time.monotonic`
         instant; exceeding it (checked every few pivots) raises
         :class:`~repro.errors.ILPTimeoutError`.
         """
-        bland_after = 4 * (self.nrows + self.ncols) + 64
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        price = costs.get
+        bland_after = 4 * (len(rows) + self.ncols) + 64
         stall = 0
         while True:
             if (deadline is not None and self.iterations % 16 == 0
@@ -123,33 +135,52 @@ class _Tableau:
                 raise ILPTimeoutError(
                     "simplex exceeded its wall-clock deadline",
                     iterations=self.iterations)
-            reduced, _ = self.reduced_costs(costs)
-            candidates = np.flatnonzero((reduced < -TOL) & allowed)
-            if candidates.size == 0:
+            # Reduced costs are costs - c_B . B, with c_B . B summed
+            # over the rows in order.  Dantzig: the most negative, ties
+            # to the lowest column; after the stall threshold, Bland:
+            # the smallest index, anti-cycling.
+            dot: dict[int, float] = {}
+            accumulated = dot.get
+            for entries, column in zip(rows, basis):
+                cost = price(column)
+                if cost:
+                    for j, value in entries.items():
+                        dot[j] = accumulated(j, 0.0) + cost * value
+            reduced = dict(costs)
+            for j, value in dot.items():
+                reduced[j] = price(j, 0.0) - value
+            candidates = [(value, j) for j, value in reduced.items()
+                          if value < -TOL and j not in banned]
+            if not candidates:
                 return "optimal"
-            if stall <= bland_after:
-                # Dantzig: most negative reduced cost.
-                col = int(candidates[np.argmin(reduced[candidates])])
-            else:
-                # Bland: smallest index, anti-cycling.
-                col = int(candidates[0])
-            column = self.body[:, col]
-            rows = np.flatnonzero(column > TOL)
-            if rows.size == 0:
+            col = (min(candidates)[1] if stall <= bland_after
+                   else min(j for _, j in candidates))
+            ratios = [(r, rhs[r] / entry) for r, row in enumerate(rows)
+                      if (entry := row.get(col, 0.0)) > TOL]
+            if not ratios:
                 return "unbounded"
-            ratios = self.rhs[rows] / column[rows]
-            best = ratios.min()
-            ties = rows[np.flatnonzero(ratios <= best + TOL)]
+            best = min(ratio for _, ratio in ratios)
+            limit = best + TOL
             # Tie-break by smallest basis index (part of Bland's rule).
-            row = int(min(ties, key=lambda r: self.basis[r]))
-            degenerate = best <= TOL
-            stall = stall + 1 if degenerate else 0
+            row = min((r for r, ratio in ratios if ratio <= limit),
+                      key=basis.__getitem__)
+            stall = stall + 1 if best <= TOL else 0
             self.pivot(row, col)
             if self.iterations > max_iter:
                 raise ILPTimeoutError(
                     f"simplex exceeded {max_iter} iterations; "
                     "the problem is likely numerically pathological",
                     iterations=self.iterations)
+
+
+def sparse_rows(matrix, columns: int) -> list[dict[int, object]]:
+    """The ``{column: value}`` rows of a dense `matrix` (any sequence
+    of rows) of `columns` columns; ValueError on a row of another
+    length."""
+    if any(len(row) != columns for row in matrix):
+        raise ValueError("inconsistent LP dimensions")
+    return [{j: value for j, value in enumerate(row) if value}
+            for row in matrix]
 
 
 def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
@@ -165,7 +196,7 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
     costs:
         Objective coefficients, length n.
     matrix:
-        Constraint matrix, shape (m, n).
+        Constraint matrix, shape (m, n): a sequence of dense rows.
     senses:
         One of ``"<="``, ``">="``, ``"=="`` per row.
     rhs:
@@ -186,8 +217,9 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
         the :mod:`repro.ilp.model` layer maps these back to variable
         names.
     """
-    start = extend(empty(len(costs)), matrix, senses, rhs,
-                   max_iter=max_iter, deadline=deadline, tracer=tracer)
+    start = extend(empty(len(costs)), sparse_rows(matrix, len(costs)),
+                   senses, rhs, max_iter=max_iter, deadline=deadline,
+                   tracer=tracer)
     return phase2(start, costs, maximize=maximize, max_iter=max_iter,
                   deadline=deadline, tracer=tracer)
 
@@ -195,15 +227,16 @@ def solve_lp(costs, matrix, senses, rhs, maximize: bool = False,
 def empty(columns: int) -> Phase1Result:
     """The feasible start of a system of no rows over `columns`
     variables; phase 1 of any system extends it."""
-    tableau = _Tableau(np.zeros((0, columns)), np.zeros(0), [])
-    return Phase1Result(Status.OPTIMAL, 0, 0, tableau, columns=columns,
-                        artificials=columns)
+    return Phase1Result(Status.OPTIMAL, 0, 0, _Tableau([], [], [], columns),
+                        columns=columns, artificials=columns)
 
 
-def extend(start: Phase1Result, matrix, senses, rhs,
+def extend(start: Phase1Result, rows, senses, rhs,
            max_iter: int = MAX_ITER, deadline: float | None = None,
            tracer=None) -> Phase1Result:
-    """Phase 1 of `start`'s system cut by ``matrix x (senses) rhs``.
+    """Phase 1 of `start`'s system cut by ``rows (senses) rhs``, where
+    each of `rows` is a ``{column: coefficient}`` dict over `start`'s
+    columns.
 
     The new rows are put in canonical form against `start`'s basis and
     then normalized to ``b >= 0``, flipping a row whose right-hand side
@@ -218,35 +251,50 @@ def extend(start: Phase1Result, matrix, senses, rhs,
     made `start`'s pivots itself would.  No rows, or an infeasible
     `start`, give `start` back.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.array(rhs, dtype=float)
-    k, n = len(rhs), start.columns
-    if matrix.size == 0:
-        matrix = matrix.reshape(k, n)
-    if matrix.shape != (k, n) or len(senses) != k:
+    k, n = len(rows), start.columns
+    if (len(rhs) != k or len(senses) != k
+            or any(not 0 <= j < n for row in rows for j in row)):
         raise ValueError("inconsistent LP dimensions")
     if k == 0 or start.status is not Status.OPTIMAL:
         return start
     if tracer is None:
         from ..obs.trace import NULL_TRACER as tracer
     old = start.tableau
-    m, width = old.body.shape
+    m, width = old.nrows, old.ncols
     art = start.artificials
+    # `start` holds no entry in its artificial columns (see _finish),
+    # so its rows keep their columns below `art` and are shared as is.
+    where = {column: r for r, column in enumerate(old.basis)}
 
-    # Canonical form: no new row names a basic column.
-    rows = np.zeros((k, width))
-    rows[:, :n] = matrix
-    if m:
-        factors = rows[:, old.basis]
-        rows -= factors @ old.body
-        rhs -= factors @ old.rhs
-        rows[:, old.basis] = 0.0
-    # Normalize to b >= 0.
-    senses = list(senses)
-    for i in np.flatnonzero(rhs < 0):
-        rows[i] *= -1
-        rhs[i] *= -1
-        senses[i] = _FLIPPED[senses[i]]
+    new_rows, new_rhs, senses = [], [], list(senses)
+    for i, row in enumerate(rows):
+        row = {j: float(value) for j, value in row.items() if value}
+        bound = float(rhs[i])
+        # Canonical form: no new row names a basic column.
+        hits = sorted(where[j] for j in row if j in where)
+        if hits:
+            dot: dict[int, float] = {}
+            shift = 0.0
+            for r in hits:
+                factor = row[old.basis[r]]
+                for j, value in old.rows[r].items():
+                    dot[j] = dot.get(j, 0.0) + factor * value
+                shift += factor * old.rhs[r]
+            # A basic column's entry becomes exactly 0 and is dropped.
+            for j, value in dot.items():
+                value = row.get(j, 0.0) - value
+                if value:
+                    row[j] = value
+                else:
+                    row.pop(j, None)
+            bound -= shift
+        # Normalize to b >= 0.
+        if bound < 0:
+            row = {j: -value for j, value in row.items()}
+            bound = -bound
+            senses[i] = _FLIPPED[senses[i]]
+        new_rows.append(row)
+        new_rhs.append(bound)
 
     # Columns: structural | slacks/surplus | artificials, each block
     # the start's then the new rows'.
@@ -255,49 +303,42 @@ def extend(start: Phase1Result, matrix, senses, rhs,
     art_start = art + slacks
     new_art = art_start + width - art
     total = new_art + len(art_rows)
-    body = np.zeros((m + k, total))
-    body[:m, :art] = old.body[:, :art]
-    body[:m, art_start:new_art] = old.body[:, art:]
-    body[m:, :art] = rows[:, :art]
-    body[m:, art_start:new_art] = rows[:, art:]
     basis = [b if b < art else b + slacks for b in old.basis] + [-1] * k
     col = art
-    for i, sense in enumerate(senses, start=m):
+    for i, sense in enumerate(senses):
         if sense == "<=":
-            body[i, col] = 1.0
-            basis[i] = col
+            new_rows[i][col] = 1.0
+            basis[m + i] = col
             col += 1
         elif sense == ">=":
-            body[i, col] = -1.0
+            new_rows[i][col] = -1.0
             col += 1
     for col, i in enumerate(art_rows, start=new_art):
-        body[m + i, col] = 1.0
+        new_rows[i][col] = 1.0
         basis[m + i] = col
-    assert all(b >= 0 for b in basis)
 
-    tab = _Tableau(body, np.concatenate([old.rhs, rhs]), basis)
+    tab = _Tableau(old.rows + new_rows, old.rhs + new_rhs, basis, total)
     tab.iterations = start.iterations
     search = start.search_iterations
     if art_rows:
-        costs = np.zeros(total)
-        costs[new_art:] = 1.0
-        allowed = np.ones(total, dtype=bool)
-        allowed[art_start:new_art] = False
+        costs = dict.fromkeys(range(new_art, total), 1.0)
         with tracer.span("simplex.phase1", cat="solver",
                          rows=m + k, cols=total) as span:
             try:
-                outcome = tab.optimize(costs, allowed, max_iter, deadline)
+                outcome = tab.optimize(costs, range(art_start, new_art),
+                                       max_iter, deadline)
             finally:
                 span.inc("pivots", tab.iterations - start.iterations)
         # Phase 1 is bounded below by 0, so "unbounded" cannot happen.
         assert outcome == "optimal"
         if tab.iterations > start.iterations:
             search = tab.iterations
-        _, artificial_sum = tab.reduced_costs(costs)
-        if artificial_sum > 1e-7:
+        if tab.objective(costs) > 1e-7:
             return Phase1Result(Status.INFEASIBLE, tab.iterations, search,
                                 columns=n)
     _expel_artificials(tab, art_start)
+    if art_rows:
+        _finish(tab, art_start)
     return Phase1Result(Status.OPTIMAL, tab.iterations, search, tab,
                         columns=n, artificials=art_start)
 
@@ -312,27 +353,25 @@ def phase2(start: Phase1Result, costs, maximize: bool = False,
     trips at the same pivot as a solve that ran its own phase 1, and
     the result's ``iterations`` include phase 1's.
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (start.columns,):
+    if len(costs) != start.columns:
         raise ValueError("inconsistent LP dimensions")
     if start.status is not Status.OPTIMAL:
         return LPResult(start.status, iterations=start.iterations)
     if tracer is None:
         from ..obs.trace import NULL_TRACER as tracer
-    if maximize:
-        costs = -costs
+    sign = -1.0 if maximize else 1.0
+    objective = {j: sign * float(cost) for j, cost in enumerate(costs)
+                 if cost}
 
     tab = start.tableau.copy()
     n, total = start.columns, tab.ncols
-    allowed = np.ones(total, dtype=bool)
-    allowed[start.artificials:] = False
-    objective = np.zeros(total)
-    objective[:n] = costs
     pivots_before = tab.iterations
     with tracer.span("simplex.phase2", cat="solver",
                      rows=tab.nrows, cols=total) as span:
         try:
-            outcome = tab.optimize(objective, allowed, max_iter, deadline)
+            outcome = tab.optimize(objective,
+                                   range(start.artificials, total),
+                                   max_iter, deadline)
         finally:
             span.inc("pivots", tab.iterations - pivots_before)
     if outcome == "unbounded":
@@ -342,7 +381,7 @@ def phase2(start: Phase1Result, costs, maximize: bool = False,
     for row, column in enumerate(tab.basis):
         if column < n:
             values[str(column)] = float(tab.rhs[row])
-    _, value = tab.reduced_costs(objective)
+    value = tab.objective(objective)
     if maximize:
         value = -value
     return LPResult(Status.OPTIMAL, value, values, tab.iterations)
@@ -352,18 +391,30 @@ def _expel_artificials(tab: _Tableau, art_start: int) -> None:
     """Pivot basic artificial variables out of the basis.
 
     After a feasible phase 1 every basic artificial sits at value 0.  If
-    its row has a nonzero coefficient on a real column we pivot there;
-    otherwise the row is a redundant constraint and is zeroed out (it
-    then never constrains anything again).
+    its row has a nonzero coefficient on a real column we pivot on the
+    first; otherwise the row is a redundant constraint and is emptied
+    (it then never constrains anything again).
     """
     for row in range(tab.nrows):
         if tab.basis[row] < art_start:
             continue
-        candidates = np.flatnonzero(np.abs(tab.body[row, :art_start]) > TOL)
-        if candidates.size:
-            tab.pivot(row, int(candidates[0]))
+        col = min((j for j, value in tab.rows[row].items()
+                   if j < art_start and abs(value) > TOL), default=None)
+        if col is not None:
+            tab.pivot(row, col)
         else:
-            tab.body[row, :] = 0.0
+            tab.rows[row] = {}
             tab.rhs[row] = 0.0
             # Leave the artificial basic at zero; its column is masked
             # off for phase 2 so it can never become positive.
+
+
+def _finish(tab: _Tableau, art_start: int) -> None:
+    """Drop the entries of the artificial columns, which may never
+    enter again.  A pivot moves a column's entries only through that
+    column's and the pivot column's, so no other entry changes."""
+    rows = tab.rows
+    for r, row in enumerate(rows):
+        if any(j >= art_start for j in row):
+            rows[r] = {j: value for j, value in row.items()
+                       if j < art_start}

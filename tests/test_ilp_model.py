@@ -241,15 +241,26 @@ class TestBackendsAgree:
                 for backend in self.BACKENDS} == dict.fromkeys(
             self.BACKENDS, Status.INFEASIBLE)
 
-    @pytest.mark.parametrize("backend", ["simplex", "exact"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_unbounded_relaxation_with_an_integer_point(self, backend):
-        # (HiGHS reports such a MIP only as "infeasible or unbounded".)
+        # HiGHS reports such a MIP only as "infeasible or unbounded"; the
+        # oracle then finds an integer point with a zero objective.
         p = Problem()
         x, y = p.add_var("x"), p.add_var("y")
         p.add(2 * x - 2 * y == 0)
         p.add(x + 0 >= 1)
         p.maximize(x + y)
         assert p.solve(backend=backend).status is Status.UNBOUNDED
+
+    def test_random_unbounded_integer_program(self):
+        # random_problem(12) made integer: v1, v3 and v4 grow together
+        # without bound, one unit at a time.
+        problem = TestPresolve.random_problem(12)
+        for var in problem.variables.values():
+            var.integer = True
+        assert {backend: problem.solve(backend=backend).status
+                for backend in self.BACKENDS} == dict.fromkeys(
+            self.BACKENDS, Status.UNBOUNDED)
 
     def test_an_equality_gcd_rules_out_an_integer_point(self):
         # max x with 3x - 3y = 1: the relaxation is unbounded, and 3
@@ -523,13 +534,14 @@ class TestPhaseOneExtension:
         lp = ENGINES[engine]
         problem = TestPresolve.random_problem(seed)
         costs, matrix, senses, rhs, _, _, _ = problem.to_arrays()
+        rows = simplex.sparse_rows(matrix, len(costs))
         maximize = problem.sense == "max"
-        whole = lp.extend(lp.empty(len(costs)), matrix, senses, rhs)
+        whole = lp.extend(lp.empty(len(costs)), rows, senses, rhs)
         optimum = lp.phase2(whole, costs, maximize=maximize)
         for split in range(len(rhs) + 1):
-            prefix = lp.extend(lp.empty(len(costs)), matrix[:split],
+            prefix = lp.extend(lp.empty(len(costs)), rows[:split],
                                senses[:split], rhs[:split])
-            staged = lp.extend(prefix, matrix[split:], senses[split:],
+            staged = lp.extend(prefix, rows[split:], senses[split:],
                                rhs[split:])
             assert staged.status is whole.status, split
             result = lp.phase2(staged, costs, maximize=maximize)
@@ -566,10 +578,10 @@ class TestPhaseOneExtension:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_infeasible_start_stays_infeasible_without_a_pivot(self, engine):
         lp = ENGINES[engine]
-        start = lp.extend(lp.empty(2), [[1, 1], [1, 1]], ["<=", ">="],
+        start = lp.extend(lp.empty(2), [{0: 1, 1: 1}] * 2, ["<=", ">="],
                           [1, 3])
         assert start.status is Status.INFEASIBLE
-        staged = lp.extend(start, [[1, 0]], [">="], [1])
+        staged = lp.extend(start, [{0: 1}], [">="], [1])
         assert staged.status is Status.INFEASIBLE
         assert staged.iterations == start.iterations
 
@@ -578,7 +590,8 @@ class TestPhaseOneExtension:
         lp = ENGINES[engine]
         # x0 = x1, x1 = x2 and the redundant x0 = x2: phase 1 leaves the
         # last row's artificial basic at zero, its row zeroed.
-        start = lp.extend(lp.empty(3), [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+        start = lp.extend(lp.empty(3),
+                          [{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}],
                           ["==", "==", "=="], [0, 0, 0])
 
         def artificials(result, first, count):
@@ -589,8 +602,7 @@ class TestPhaseOneExtension:
         count = start.tableau.ncols - start.artificials
         left = artificials(start, start.artificials, count)
         assert left == [(2, 2)]
-        staged = lp.extend(start, [[1, 0, 0], [0, 0, 1]], [">=", "<="],
-                           [2, 5])
+        staged = lp.extend(start, [{0: 1}, {2: 1}], [">=", "<="], [2, 5])
         assert staged.iterations > start.iterations
         # The start's artificials follow the new slacks; only the one
         # left basic is basic, in its row.
@@ -599,14 +611,14 @@ class TestPhaseOneExtension:
         assert lp.phase2(staged, [0, 1, 0]).objective == 2.0
         # x2 = x0 + 1 contradicts x0 = x2; a start's artificial that
         # entered again would absorb the difference.
-        assert lp.extend(start, [[-1, 0, 1]], ["=="], [1]).status \
+        assert lp.extend(start, [{0: -1, 2: 1}], ["=="], [1]).status \
             is Status.INFEASIBLE
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_no_rows_return_the_start(self, engine):
         lp = ENGINES[engine]
-        start = lp.extend(lp.empty(2), [[1, 1]], [">="], [4])
-        assert lp.extend(start, np.zeros((0, 2)), [], []) is start
+        start = lp.extend(lp.empty(2), [{0: 1, 1: 1}], [">="], [4])
+        assert lp.extend(start, [], [], []) is start
 
 
 def _no_propagation(rows, holders, domains, queue):

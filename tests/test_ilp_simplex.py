@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilp import simplex
+from repro.ilp.model import _densify
 from repro.ilp.solution import Status
 
 
@@ -128,12 +129,22 @@ def _dense_pivot(body, rhs, basis, row, col):
     basis[row] = col
 
 
+def _sparse_tableau(body, rhs, basis):
+    return simplex._Tableau(simplex.sparse_rows(body, body.shape[1]),
+                            [float(v) for v in rhs], list(basis),
+                            body.shape[1])
+
+
+def _dense_body(tab):
+    return _densify(tab.rows, range(tab.ncols))
+
+
 class TestRowRestrictedPivot:
-    """_Tableau.pivot updates only rows nonzero in the pivot column.
+    """_Tableau.pivot rewrites only rows that name the pivot column.
 
     Rows with a zero there subtract zeros in the dense update, so every
     entry must equal the dense reference's (zeros compare equal
-    whatever their sign)."""
+    whatever their sign, and the sparse rows store none)."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dense_update(self, seed):
@@ -144,41 +155,53 @@ class TestRowRestrictedPivot:
                 * (rng.random((m, n)) < density)).astype(float)
         rhs = rng.integers(0, 20, size=m).astype(float)
         basis = list(range(m))
-        tab = simplex._Tableau(body.copy(), rhs.copy(), list(basis))
+        tab = _sparse_tableau(body, rhs, basis)
         zero_rows_seen = 0
         for _ in range(8):
-            rows, cols = np.nonzero(tab.body)
+            rows, cols = np.nonzero(_dense_body(tab))
             if rows.size == 0:
                 break
             pick = int(rng.integers(rows.size))
             row, col = int(rows[pick]), int(cols[pick])
-            zero_rows_seen += int(np.sum(tab.body[:, col] == 0.0))
+            zero_rows_seen += sum(col not in entries for entries in tab.rows)
             _dense_pivot(body, rhs, basis, row, col)
             tab.pivot(row, col)
-            assert np.array_equal(tab.body, body)
-            assert np.array_equal(tab.rhs, rhs)
+            assert np.array_equal(_dense_body(tab), body)
+            assert tab.rhs == rhs.tolist()
             assert tab.basis == basis
+            assert all(0.0 not in entries.values() for entries in tab.rows)
         assert zero_rows_seen > 0
 
     def test_column_nonzero_only_in_pivot_row(self):
         body = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 5.0]])
         rhs = np.array([4.0, 6.0, 5.0])
-        tab = simplex._Tableau(body.copy(), rhs.copy(), [0, 1, 2])
+        tab = _sparse_tableau(body, rhs, [0, 1, 2])
+        untouched = tab.rows[1:]
         reference = body.copy(), rhs.copy(), [0, 1, 2]
         _dense_pivot(*reference, 0, 0)
         tab.pivot(0, 0)
-        assert np.array_equal(tab.body, reference[0])
-        assert np.array_equal(tab.rhs, reference[1])
+        assert np.array_equal(_dense_body(tab), reference[0])
+        assert tab.rhs == reference[1].tolist()
         assert tab.basis == reference[2]
-        # The other rows are untouched.
-        assert np.array_equal(tab.body[1:], body[1:])
+        # The other rows are the same objects, untouched.
+        assert all(a is b for a, b in zip(tab.rows[1:], untouched))
+
+    def test_a_copy_shares_rows_a_pivot_replaces(self):
+        body = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        tab = _sparse_tableau(body, np.array([4.0, 6.0]), [1, 2])
+        before = [dict(row) for row in tab.rows]
+        twin = tab.copy()
+        twin.pivot(0, 0)
+        assert tab.rows == before and tab.basis == [1, 2]
+        assert twin.basis == [0, 2] and twin.iterations == 1
 
 
 class TestPhases:
     def test_one_phase1_serves_both_objectives(self):
         # x0 + x1 = 4, x0 - x1 <= 2: max x0 is 3, min x0 is 0.
         matrix, senses, rhs = [[1, 1], [1, -1]], ["==", "<="], [4, 2]
-        start = simplex.extend(simplex.empty(2), matrix, senses, rhs)
+        start = simplex.extend(simplex.empty(2),
+                               simplex.sparse_rows(matrix, 2), senses, rhs)
         worst = simplex.phase2(start, [1, 0], maximize=True)
         best = simplex.phase2(start, [1, 0])
         assert worst.objective == pytest.approx(3.0)
@@ -190,9 +213,15 @@ class TestPhases:
                 == (alone.objective, alone.values, alone.iterations)
 
     def test_infeasible_start(self):
-        start = simplex.extend(simplex.empty(2), [[1, 1], [1, 1]],
+        start = simplex.extend(simplex.empty(2), [{0: 1, 1: 1}] * 2,
                                ["<=", ">="], [1, 3])
         assert start.status is Status.INFEASIBLE
         result = simplex.phase2(start, [1, 0])
         assert result.status is Status.INFEASIBLE
         assert result.iterations == start.iterations
+
+    def test_rows_outside_the_columns_are_rejected(self):
+        with pytest.raises(ValueError):
+            simplex.extend(simplex.empty(2), [{2: 1.0}], ["<="], [1])
+        with pytest.raises(ValueError):
+            simplex.extend(simplex.empty(2), [{0: 1.0}], ["<=", "<="], [1])

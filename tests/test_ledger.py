@@ -13,7 +13,10 @@ infeasible, a few branch), a digest of the job's input, its
 
 The serial path (:meth:`repro.Analysis.estimate`) must reproduce
 every field, and so must the engine's process pool, where each job
-crosses a process boundary as an :class:`~repro.engine.AnalysisJob`
+crosses a process boundary as an :class:`~repro.engine.AnalysisJob`,
+and the service, where each job is an HTTP-submitted
+:class:`~repro.service.JobSpec` run by process workers and journaled,
+and then served again by a second service recovering the journal
 (CI runs this file under two ``PYTHONHASHSEED`` values, so output
 that follows the iteration order of a ``set`` of names fails there).
 A change to the second group comes with a
@@ -35,8 +38,9 @@ from pathlib import Path
 
 from repro.cfg import build_cfgs, find_loops
 from repro.engine import AnalysisEngine, AnalysisJob
-from repro.engine.cache import SOLVER_VERSION
+from repro.engine.cache import SOLVER_VERSION, report_from_dict
 from repro.programs import all_benchmarks
+from repro.service import JobSpec, ServiceClient, ServiceThread
 from repro.synth import generate
 
 LEDGER = Path(__file__).parent / "golden" / "ledger.json"
@@ -186,6 +190,41 @@ def test_engine_pool_matches_ledger():
     _check_against_ledger(jobs, {
         name: ledger_record(result.report)
         for name, result in zip(jobs, results)})
+
+
+def _job_spec(job: AnalysisJob) -> JobSpec:
+    """A corpus job as a service submission."""
+    if job.benchmark is not None:
+        return JobSpec(name=job.name, benchmark=job.benchmark)
+    return JobSpec(name=job.name, source=job.source, entry=job.entry,
+                   bounds=job.bounds, constraints=job.constraints)
+
+
+def _served(client: ServiceClient, ids: dict) -> dict:
+    """{job name: ledger entry} of the reports the service serves."""
+    records = {name: client.wait(job_id, timeout=300)
+               for name, job_id in ids.items()}
+    return {name: ledger_record(report_from_dict(record["report"]))
+            for name, record in records.items()}
+
+
+def test_service_and_journal_recovery_match_ledger(tmp_path):
+    """Each job as a JobSpec through a two-worker process-pool service
+    with a journal and no cache, then the same jobs as a second
+    service recovers them from that journal."""
+    jobs = corpus()
+    with ServiceThread(workers=2, executor="process",
+                       journal_dir=tmp_path, series=False) as handle:
+        client = ServiceClient(port=handle.port)
+        ids = {name: client.submit(_job_spec(job))["id"]
+               for name, (*_, job) in jobs.items()}
+        _check_against_ledger(jobs, _served(client, ids))
+    with ServiceThread(workers=2, executor="process",
+                       journal_dir=tmp_path, series=False) as handle:
+        client = ServiceClient(port=handle.port)
+        assert all(client.job(job_id)["recovered"]
+                   for job_id in ids.values())
+        _check_against_ledger(jobs, _served(client, ids))
 
 
 def test_corpus_has_infeasible_and_branching_sets():

@@ -32,7 +32,7 @@ from repro.constraints import BaseSystem
 from repro.errors import ILPTimeoutError
 from repro.ilp import Constraint, LinExpr, Problem, Status, exact, simplex
 from repro.ilp.branch_bound import solve_ilp
-from repro.ilp.model import Polyhedron, _densify
+from repro.ilp.model import Polyhedron
 from repro.obs import Tracer
 from repro.programs import all_benchmarks
 from repro.synth import generate
@@ -183,8 +183,9 @@ def _phase1_pivots(polyhedron, lp) -> tuple:
     else:
         start, _ = _phase1_pivots(polyhedron.prefix, lp)
         first = len(polyhedron.prefix.rows)
-    own = lp.extend(start, _densify(polyhedron.rows[first:],
-                                    polyhedron.columns),
+    position = {j: i for i, j in enumerate(polyhedron.columns)}
+    own = lp.extend(start, [{position[j]: coef for j, coef in row.items()}
+                            for row in polyhedron.rows[first:]],
                     polyhedron.senses[first:], polyhedron._rhs[first:])
     return own, own.iterations - start.iterations
 
