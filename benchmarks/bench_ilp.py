@@ -4,7 +4,9 @@ solution of the very first linear program call it makes is integer
 valued."
 
 Benchmarks the raw ILP solve time per routine and asserts both claims
-on our from-scratch simplex + branch & bound.
+on our from-scratch simplex + branch & bound.  Each routine's
+``Analysis.estimate`` is timed over several warm rounds, so its median
+follows the code rather than one cold run's luck on a shared host.
 """
 
 import pytest
@@ -14,13 +16,17 @@ from repro.programs import all_benchmarks
 
 NAMES = list(all_benchmarks())
 
+#: Timed rounds per routine (after one untimed warm-up round).
+ROUNDS = 7
+
 
 @pytest.mark.parametrize("name", NAMES)
 def test_ilp_solve_time(benchmark, benchmarks, name):
     bench = benchmarks[name]
     analysis = bench.make_analysis()
 
-    report = one_shot(benchmark, analysis.estimate)
+    report = benchmark.pedantic(analysis.estimate, rounds=ROUNDS,
+                                iterations=1, warmup_rounds=1)
 
     # Every ILP terminated at the root: the first LP relaxation of an
     # IPET system is already integral (network-flow structure).

@@ -218,7 +218,7 @@ def test_chaos_seams_overhead_under_five_percent(benchmark, tmp_path):
 
     # An idle plan: armed points none of the exercised seams visit,
     # so every seam pays the full "installed" lookup yet never fires.
-    idle_plan = FaultPlan.parse("seed=1,peer.error=*,worker.hang=*")
+    idle_plan = FaultPlan.parse("seed=1,solver.budget=*,worker.hang=*")
 
     def interleaved() -> tuple[float, float]:
         null_arm = idle_arm = float("inf")

@@ -69,10 +69,6 @@ class Edge:
         return self.callee is not None
 
     @property
-    def is_entry(self) -> bool:
-        return self.src is None
-
-    @property
     def is_exit(self) -> bool:
         return self.dst is None
 
@@ -161,19 +157,6 @@ class CFG:
             lines.append(f'  {src} -> {dst} [label="{label}"{style}];')
         lines.append("}")
         return "\n".join(lines)
-
-    def to_networkx(self):
-        """Export to a networkx DiGraph (for visualization/debugging)."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for block in self.blocks.values():
-            graph.add_node(block.id, size=len(block))
-        for edge in self.edges:
-            if edge.src is not None and edge.dst is not None:
-                graph.add_edge(edge.src, edge.dst, name=edge.name,
-                               callee=edge.callee)
-        return graph
 
     def __repr__(self) -> str:
         return (f"CFG({self.name}, {len(self.blocks)} blocks, "

@@ -1,6 +1,6 @@
 """Deterministic, seeded fault injection for the serving stack.
 
-The cluster layer (journal, cache, scheduler, peers) earns its
+The serving stack (journal, cache, scheduler) earns its
 robustness claims only if failures can be *manufactured on demand and
 replayed exactly*.  This module is the single switchboard: named
 injection points are threaded through the production seams, and a
@@ -31,9 +31,6 @@ point                   kind     effect at the seam
 ``cache.read``          corrupt  one byte of the entry flips before parse
 ``worker.kill``         error    dispatch raises (exercises retry/reset)
 ``worker.hang``         delay    job stalls before dispatch (eats deadline)
-``peer.partition``      error    peer claim/complete raises
-``peer.latency``        delay    peer claim/complete stalls
-``peer.error``          flag     owner answers ``/v1/peer/claim`` with 500
 ``solver.budget``       budget   set timeout collapses (forces relaxation)
 ======================  =======  ==========================================
 
@@ -62,9 +59,6 @@ POINTS = {
     "cache.read": 0.0,
     "worker.kill": 0.0,
     "worker.hang": 1.0,
-    "peer.partition": 0.0,
-    "peer.latency": 0.25,
-    "peer.error": 0.0,
     "solver.budget": 0.001,
 }
 
@@ -77,9 +71,6 @@ POINT_HELP = {
     "cache.read": "one byte of the cache entry flips before parse",
     "worker.kill": "dispatch raises (exercises retry + pool reset)",
     "worker.hang": "job stalls before dispatch (eats its deadline)",
-    "peer.partition": "peer claim/complete raises ECONNREFUSED",
-    "peer.latency": "peer claim/complete stalls",
-    "peer.error": "owner answers /v1/peer/claim with a 500",
     "solver.budget": "set timeout collapses (forces LP relaxation)",
 }
 
@@ -89,7 +80,6 @@ _ERRNOS = {
     "journal.fsync": errno.EIO,
     "journal.torn": errno.EIO,
     "worker.kill": errno.EIO,
-    "peer.partition": errno.ECONNREFUSED,
 }
 
 
@@ -140,8 +130,8 @@ class FaultPlan:
     ``COUNT`` is an integer trigger budget or ``*`` for unlimited;
     ``@PROB`` (default 1.0) makes each arrival fault with that
     probability, decided by a PRNG seeded from ``(seed, point)``;
-    ``~SECONDS`` sets the delay magnitude for ``worker.hang`` /
-    ``peer.latency`` or the collapsed timeout for ``solver.budget``.
+    ``~SECONDS`` sets the delay magnitude for ``worker.hang`` or the
+    collapsed timeout for ``solver.budget``.
     Example: ``seed=7,journal.enospc=3,worker.kill=1,cache.read=2@0.5``.
     """
 
@@ -274,8 +264,8 @@ NULL_INJECTOR = NullInjector()
 class Injector(NullInjector):
     """A live injector executing one :class:`FaultPlan`.
 
-    Thread-safe: seams fire from the event loop, scheduler workers and
-    peer threads.  Each point draws from its own
+    Thread-safe: seams fire from the event loop and from threads the
+    loop hands work to.  Each point draws from its own
     ``random.Random(f"{seed}:{point}")``, so the decision sequence at
     one point is independent of traffic at every other — the property
     that makes a multi-point schedule replayable.
@@ -334,8 +324,8 @@ class Injector(NullInjector):
     # ------------------------------------------------------------------
     def trip(self, point: str) -> bool:
         """Consume a charge and report whether the point fired (for
-        seams that implement the fault themselves, e.g. torn frames
-        and the owner-side peer 500)."""
+        seams that implement the fault themselves, e.g. torn
+        frames)."""
         return self._arm(point) is not None
 
     def fire(self, point: str) -> None:

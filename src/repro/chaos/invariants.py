@@ -13,8 +13,8 @@ frame audit
 
 lost jobs
     Folding the journal leaves every job in a terminal state
-    (``done``/``failed``).  A job stuck ``queued``/``running``/
-    ``leased`` after a drained run was lost by the scheduler.  Pass
+    (``done``/``failed``).  A job stuck ``queued``/``running`` after a
+    drained run was lost by the scheduler.  Pass
     ``require_terminal=False`` to audit a live (undrained) journal.
 
 tenant quotas
@@ -164,8 +164,9 @@ def _audit_frames(records, snapshot_jobs, report) -> None:
                       if kind == "complete" else record.get("error"))
             previous = terminal.get(job_id)
             if previous is not None and previous != digest:
-                # Two terminal frames are legal (an expired lease run
-                # twice) — but only when they report the same outcome.
+                # Two terminal frames are legal (earlier versions ran a
+                # job whose peer lease expired twice) — but only when
+                # they report the same outcome.
                 report.violations.append(Violation(
                     "divergent", job_id,
                     f"terminal frames disagree: {previous[0]} vs "
@@ -231,8 +232,9 @@ def _audit_quotas(records, snapshot_jobs, registry, report) -> None:
             states[job_id] = ("running", tenant)
             check(tenant, frame_no)
         elif kind == "lease" and state == "queued":
-            # A leased job leaves the owner's queue and runs on the
-            # thief; it occupies neither owner cap.
+            # Earlier versions lent queued jobs to a peer replica
+            # (``lease``, taken back by ``release``); while lent, a
+            # job occupied neither cap here.
             queued[tenant] -= 1
             states[job_id] = ("leased", tenant)
         elif kind == "release" and state == "leased":
@@ -426,8 +428,7 @@ def verify_journal(root, tenants=None, serial: bool = True,
     state = journal.inspect()
     report.jobs = len(state.jobs)
     if require_terminal:
-        for job_id, job in state.by_state("queued", "running",
-                                          "leased"):
+        for job_id, job in state.by_state("queued", "running"):
             report.violations.append(Violation(
                 "lost", job_id,
                 f"still {job['state']!r} after replay — job lost "

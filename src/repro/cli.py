@@ -260,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--metrics", metavar="PATH",
                        help="flush the metrics registry snapshot here "
                             "on graceful drain")
-    serve.add_argument("--peers", metavar="HOST:PORT[,HOST:PORT...]",
-                       help="sibling replicas: /metricz?merge=peers "
-                            "federates their metrics, and (unless "
-                            "--no-share) this replica steals their "
-                            "queued jobs when idle")
     serve.add_argument("--journal", metavar="DIR",
                        help="append every job transition to a "
                             "write-ahead log under DIR; on restart, "
@@ -275,20 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission quotas, submit-rate limits and "
                             "fair-share weights (see "
                             "docs/durability.md)")
-    serve.add_argument("--no-share", action="store_true",
-                       help="disable job-level work sharing (serve no "
-                            "/v1/peer/claim leases, steal nothing)")
-    serve.add_argument("--cluster-key", metavar="KEY",
-                       default=os.environ.get("REPRO_CLUSTER_KEY"),
-                       help="shared secret replicas present on the "
-                            "peer endpoints (X-Cluster-Key; default "
-                            "$REPRO_CLUSTER_KEY); required for work "
-                            "sharing when --tenants is set")
-    serve.add_argument("--lease-seconds", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="peer lease duration; an unreturned "
-                            "stolen job re-queues here after this "
-                            "long (default 30)")
     serve.add_argument("--profile-sample-hz", type=float, default=None,
                        metavar="HZ",
                        help="run the continuous statistical profiler "
@@ -847,8 +828,6 @@ def _cmd_serve(args) -> int:
     cache_dir = None if args.no_cache \
         else (args.cache_dir or default_cache_dir())
     workers = args.workers or max(1, os.cpu_count() or 1)
-    peers = [peer.strip() for peer in (args.peers or "").split(",")
-             if peer.strip()]
     chaos = None
     if args.chaos:
         from .chaos import FaultPlan, FaultScheduleError
@@ -863,10 +842,8 @@ def _cmd_serve(args) -> int:
         cache_dir=cache_dir, cache_limits=_cache_limits(args),
         set_timeout=args.set_timeout,
         max_iterations=args.max_iterations,
-        metrics_path=args.metrics, peers=peers,
+        metrics_path=args.metrics,
         journal_dir=args.journal, tenants=args.tenants,
-        share=not args.no_share, cluster_key=args.cluster_key,
-        lease_seconds=args.lease_seconds,
         profile_hz=args.profile_sample_hz, chaos=chaos,
         slo=args.slo, series=not args.no_series,
         series_interval=args.series_interval,
@@ -995,8 +972,8 @@ def _cmd_submit(args) -> int:
     submitted = []
     for name, spec in jobs:
         # Mint the distributed trace identity client-side so every
-        # span — scheduler, pool worker, even a thief replica's — is
-        # joinable back to this submission.
+        # span — scheduler and pool worker — is joinable back to this
+        # submission.
         context = TraceContext.new(benchmark=name)
         response = client.submit_retry(spec, trace=context)
         submitted.append((name, response["id"],

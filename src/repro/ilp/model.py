@@ -63,9 +63,6 @@ class Problem:
         self.variables[name] = var
         return var
 
-    def var(self, name: str) -> Var:
-        return self.variables[name]
-
     def add(self, constraint: Constraint) -> None:
         if not isinstance(constraint, Constraint):
             raise TypeError(f"expected Constraint, got {constraint!r}")

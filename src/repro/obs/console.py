@@ -5,11 +5,10 @@ assets, no frameworks — that a browser pointed at a running
 ``repro serve`` turns into mission control:
 
 * polls ``/v1/series`` + ``/v1/alerts`` every couple of seconds and
-  renders SVG sparklines for every series (grouped: local first, then
-  per peer replica under its ``federation.origin.<addr>`` tag);
-* banners flip red when the replica is degraded (``service.degraded``)
-  or a peer circuit breaker is open, and every non-``ok`` alert gets a
-  card with its burn rates and error-budget remainder;
+  renders SVG sparklines for every series;
+* a banner flips red when the service is degraded
+  (``service.degraded``), and every non-``ok`` alert gets a card with
+  its burn rates and error-budget remainder;
 * tenant occupancy bars from the ``tenant.*.queue_occupancy`` /
   ``tenant.*.running`` gauges;
 * tails the existing ``/v1/events`` SSE firehose into a scrolling log.
@@ -78,7 +77,6 @@ _PAGE = """<!DOCTYPE html>
   <h1>repro mission control</h1>
   <span id="origin" class="pill">connecting&hellip;</span>
   <span id="degraded" class="pill">journal: &hellip;</span>
-  <span id="breakers" class="pill">breakers: &hellip;</span>
   <span id="firing" class="pill">alerts: &hellip;</span>
   <span class="pill" id="clock"></span>
   <input id="filter" placeholder="filter series&hellip;" size="18">
@@ -86,8 +84,7 @@ _PAGE = """<!DOCTYPE html>
 <main>
   <section><h2>Alerts</h2><div id="alerts" class="grid"></div></section>
   <section><h2>Tenants</h2><div id="tenants" class="grid"></div></section>
-  <section><h2>Local series</h2><div id="series" class="grid"></div></section>
-  <div id="peers"></div>
+  <section><h2>Series</h2><div id="series" class="grid"></div></section>
   <section><h2>Event firehose</h2><div id="log"></div></section>
 </main>
 <script>
@@ -95,7 +92,6 @@ _PAGE = """<!DOCTYPE html>
 const $ = id => document.getElementById(id);
 const esc = s => String(s).replace(/[&<>"]/g,
   c => ({"&":"&amp;","<":"&lt;",">":"&gt;",'"':"&quot;"}[c]));
-const FED = "federation.origin.";
 
 function spark(points, kind) {
   if (!points || points.length < 2) return "";
@@ -127,22 +123,10 @@ function card(name, s) {
 
 function renderSeries(doc) {
   const filter = $("filter").value.trim();
-  const local = [], peers = {};
-  for (const [name, s] of Object.entries(doc.series || {})) {
-    if (filter && !name.includes(filter)) continue;
-    if (name.startsWith(FED)) {
-      const rest = name.slice(FED.length);
-      const cut = rest.indexOf(".");
-      const origin = rest.slice(0, cut);
-      (peers[origin] = peers[origin] || []).push([rest.slice(cut + 1), s]);
-    } else if (!name.startsWith("tenant.")) {
-      local.push([name, s]);
-    }
-  }
-  $("series").innerHTML = local.map(([n, s]) => card(n, s)).join("");
-  $("peers").innerHTML = Object.entries(peers).map(([origin, rows]) =>
-    `<section><h2>Peer ${esc(origin)}</h2><div class="grid">` +
-    rows.map(([n, s]) => card(n, s)).join("") + `</div></section>`).join("");
+  $("series").innerHTML = Object.entries(doc.series || {})
+    .filter(([name]) => (!filter || name.includes(filter))
+                        && !name.startsWith("tenant."))
+    .map(([n, s]) => card(n, s)).join("");
 
   const tenants = {};
   for (const [name, s] of Object.entries(doc.series || {})) {
@@ -163,11 +147,8 @@ function renderSeries(doc) {
   const latest = n => { const s = (doc.series || {})[n];
     return s && s.points.length ? s.points[s.points.length - 1][1] : 0; };
   const degraded = latest("service.degraded") > 0;
-  const breakers = latest("service.peer.breakers_open");
   setPill("degraded", degraded ? "journal: DEGRADED (read-only)"
           : "journal: healthy", degraded ? "bad" : "ok");
-  setPill("breakers", `breakers: ${breakers} open`,
-          breakers > 0 ? "bad" : "ok");
 }
 
 function setPill(id, text, cls) {

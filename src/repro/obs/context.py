@@ -1,10 +1,12 @@
 """Distributed trace context: one identity per job, everywhere it runs.
 
-PR 6 made the service a work-stealing cluster, which broke the single
-most useful observability invariant: *all spans of one job live in one
-tracer*.  A job submitted to replica A can execute on replica B's
-process pool; without a shared identity, B's solver spans are orphans
-— they never connect back to the submission that caused them.
+One job's spans come from more than one process: the submitting
+client, the service's scheduler and the pool worker that solves it.
+Each process has its own tracer, so the single most useful
+observability invariant — *all spans of one job join into one tree* —
+needs an identity they share; without one, the worker's solver spans
+are orphans that never connect back to the submission that caused
+them.
 
 A :class:`TraceContext` is that identity.  It is deliberately tiny —
 ``(trace_id, parent_span_id, baggage)`` — and travels three ways:
@@ -13,9 +15,8 @@ A :class:`TraceContext` is that identity.  It is deliberately tiny —
   / :meth:`TraceContext.from_header`), W3C-traceparent-flavoured:
   ``<trace_id>-<parent_span_id>`` plus ``;key=value`` baggage pairs.
 * **Job specs**: :class:`~repro.service.protocol.JobSpec` carries the
-  context as a field, so peer claims (the spec is what a stealer
-  receives) and journal ``submit`` frames (the spec is what is logged)
-  propagate it with no extra plumbing.
+  context as a field, so journal ``submit`` frames (the spec is what
+  is logged) propagate it with no extra plumbing.
 * **Pickle**: the engine's ``execute_job`` payload ships the context
   dict to pool workers, whose tracers stamp every span record with
   ``trace`` (and roots with ``parent``) — see
@@ -56,7 +57,7 @@ def new_span_id() -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The identity a job's spans share across processes and replicas.
+    """The identity a job's spans share across processes.
 
     Hashable and picklable (baggage is a sorted tuple of pairs), so it
     can live inside the frozen :class:`~repro.service.protocol.JobSpec`
@@ -83,9 +84,6 @@ class TraceContext:
         return TraceContext(trace_id=self.trace_id,
                             parent_span_id=new_span_id(),
                             baggage=self.baggage)
-
-    def baggage_dict(self) -> dict:
-        return dict(self.baggage)
 
     # ------------------------------------------------------------------
     # Wire forms

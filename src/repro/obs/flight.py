@@ -1,15 +1,15 @@
-"""The cluster flight recorder: trace reassembly.
+"""The flight recorder: trace reassembly.
 
 Span records stamped with a :class:`~repro.obs.context.TraceContext`
-(``record["trace"]``) may come from the submitting client, the owning
-replica's scheduler, a peer replica that stole the job, and that
-peer's pool workers — four processes on up to two hosts.
-:func:`assemble_trees` groups any mix of raw tracer records and Chrome
-``"X"`` events by trace id and nests each (pid, tid) lane's spans by
-interval containment, yielding **one tree per job** no matter where
-its pieces ran.  :func:`orphan_spans` is the test hook for the
-invariant that stealing must not break: every span of a job carries
-the submitter's trace id.
+(``record["trace"]``) may come from the submitting client, the
+service's scheduler and its pool workers — several processes, each
+with its own tracer.  :func:`assemble_trees` groups any mix of raw
+tracer records and Chrome ``"X"`` events by trace id and nests each
+(pid, tid) lane's spans by interval containment, yielding **one tree
+per job** no matter which process ran which piece.
+:func:`orphan_spans` is the test hook for the invariant that crossing
+a process must not break: every span of a job carries the submitter's
+trace id.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def assemble_trees(events) -> dict:
 
     Returns ``{trace_id or None: {"roots": [...], "spans": N}}`` —
     the flight recorder's answer to "show me job X", regardless of
-    which replica or process ran which piece.
+    which process ran which piece.
     """
     return {trace: {"roots": build_tree(nodes), "spans": len(nodes)}
             for trace, nodes in group_by_trace(events).items()}
@@ -113,9 +113,9 @@ def assemble_trees(events) -> dict:
 def orphan_spans(events, trace_id: str) -> list[SpanNode]:
     """Spans that should belong to `trace_id` but don't carry it.
 
-    The stolen-job invariant: after a peer completes, *zero* of the
-    job's spans are orphans — they all journal home under the
-    submitter's trace id.
+    The reassembly invariant: once a job finishes, *zero* of its spans
+    are orphans — the scheduler's and the pool worker's alike carry
+    the submitter's trace id.
     """
     return [node for nodes in group_by_trace(events).values()
             for node in nodes if node.trace != trace_id]

@@ -13,9 +13,7 @@ pillar next to traces and point-in-time metrics.  Two pieces:
   (delta over the tick), gauges become **levels**, histograms become
   windowed **p50/p95/p99** over the observations of the tick plus an
   observation rate.  EventBus traffic is folded in as per-event-type
-  rates.  Peer ``/metricz`` snapshots feed the same transforms under
-  ``federation.origin.<addr>.*`` names so one store holds per-replica
-  history.
+  rates.
 
 Pull-based sampling is what makes the disabled path *exactly* zero
 cost: no sampler object, no hooks on the hot metric mutators, nothing
@@ -51,9 +49,6 @@ DEFAULT_INTERVAL = 1.0
 
 #: Histogram quantiles materialized as ``<name>.pNN`` series.
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-
-#: Prefix for series ingested from peer replicas.
-ORIGIN_PREFIX = "federation.origin."
 
 
 class Series:
@@ -230,7 +225,7 @@ class SeriesStore:
             series = self._series.get(name)
             return 0.0 if series is None else series.total(seconds, now)
 
-    # -- export / merge ------------------------------------------------
+    # -- export --------------------------------------------------------
     def to_dict(self, prefix: str = "", since: float = 0.0) -> dict:
         """JSON document for ``/v1/series`` (and file dumps)."""
         with self._lock:
@@ -239,24 +234,6 @@ class SeriesStore:
                       for name in names}
         return {"schema": SERIES_SCHEMA, "retention": self.retention,
                 "series": series}
-
-    def merge_snapshot(self, doc: dict, origin: str = "") -> int:
-        """Fold another store's :meth:`to_dict` export into this one.
-
-        Series names gain a ``federation.origin.<origin>.`` prefix so a
-        merged store keeps per-replica history apart.  Returns the
-        number of points added.  Points already present (same ts) are
-        re-appended — callers merging repeatedly should pass ``since``
-        to the exporter instead.
-        """
-        prefix = f"{ORIGIN_PREFIX}{origin}." if origin else ""
-        added = 0
-        for name, payload in doc.get("series", {}).items():
-            kind = payload.get("kind", "gauge")
-            for ts, value in payload.get("points", ()):
-                self.record(prefix + name, value, ts=ts, kind=kind)
-                added += 1
-        return added
 
 
 def _scanned_total(points: list, cutoff: float) -> float:
@@ -275,10 +252,10 @@ def _scanned_total(points: list, cutoff: float) -> float:
 class RegistrySampler:
     """Fixed-interval sampler: registry + EventBus -> :class:`SeriesStore`.
 
-    Counter state from the previous tick lives in ``_prev`` (and
-    per-origin in ``_peer_prev`` for federated snapshots), so the first
-    tick only establishes baselines — a freshly attached sampler never
-    reports a process's whole cumulative history as one rate spike.
+    Counter state from the previous tick lives in ``_prev``, so the
+    first tick only establishes baselines — a freshly attached sampler
+    never reports a process's whole cumulative history as one rate
+    spike.
     """
 
     def __init__(self, registry, store: SeriesStore,
@@ -291,15 +268,13 @@ class RegistrySampler:
         self.interval = interval
         self.clock = clock
         self.samples = 0
-        self.peers_unreachable = 0
         self._last_ts = None
         self._prev: dict[str, object] = {}
-        self._peer_prev: dict[str, dict] = {}
         self._sub = None
         if bus is not None:
             self._sub = bus.subscribe(maxlen=8192, name="series.sampler")
         # Baseline so the first real tick yields deltas, not totals.
-        self._ingest(registry.snapshot(), self._prev, "", None)
+        self._ingest(registry.snapshot(), None)
 
     def close(self) -> None:
         if self._sub is not None:
@@ -331,8 +306,7 @@ class RegistrySampler:
         if dt <= 0:
             dt = self.interval or 1.0
         self._last_ts = now
-        points = self._ingest(self.registry.snapshot(), self._prev,
-                              "", dt)
+        points = self._ingest(self.registry.snapshot(), dt)
         if self._sub is not None:
             counts: dict[str, int] = {}
             for event in self._sub.pop_all():
@@ -345,40 +319,14 @@ class RegistrySampler:
         self.samples += 1
         return len(points)
 
-    # -- federation ----------------------------------------------------
-    def ingest_peer(self, origin: str, snapshot, now=None) -> int:
-        """Feed one peer's ``/metricz`` snapshot through the sampler.
-
-        ``snapshot=None`` means the peer was unreachable: it is counted
-        (``peers_unreachable``, plus a 0 on the per-origin ``up``
-        series) rather than allowed to stall anything.  Rates use the
-        spacing between this origin's successive ingests.
-        """
-        if now is None:
-            now = self.clock()
-        prefix = f"{ORIGIN_PREFIX}{origin}."
-        if snapshot is None:
-            self.peers_unreachable += 1
-            self.store.record(prefix + "up", 0.0, ts=now)
-            return 0
-        state = self._peer_prev.setdefault(origin, {})
-        last = state.pop("_last_ts", None)
-        dt = now - last if last is not None and now > last \
-            else self.interval or 1.0
-        points = self._ingest(snapshot, state, prefix, dt)
-        self.store.record_many([(prefix + "up", 1.0, "gauge"), *points],
-                               now)
-        state["_last_ts"] = now
-        return len(points)
-
     # -- transforms ----------------------------------------------------
-    def _ingest(self, snapshot: dict, prev: dict, prefix: str,
-                dt: float | None) -> list:
+    def _ingest(self, snapshot: dict, dt: float | None) -> list:
         """Apply counter->rate / gauge->level / histogram->quantile;
         returns the ``(name, value, kind)`` points of one tick.
 
         With ``dt=None`` only baselines are stored (construction).
         """
+        prev = self._prev
         points = []
         for name, payload in snapshot.items():
             if not isinstance(payload, dict):
@@ -386,37 +334,35 @@ class RegistrySampler:
             kind = payload.get("type", "counter")
             if kind == "meta":
                 continue
-            full = prefix + name
             if kind == "gauge":
                 if dt is not None:
-                    points.append((full, payload.get("value", 0), "gauge"))
+                    points.append((name, payload.get("value", 0), "gauge"))
             elif kind == "histogram":
-                self._ingest_histogram(full, payload, prev, name, dt,
-                                       points)
+                self._ingest_histogram(name, payload, dt, points)
             else:                   # counter
                 value = payload.get("value", 0)
                 last = prev.get(name)
                 prev[name] = value
                 if dt is None or last is None:
                     continue
-                points.append((full, max(0.0, value - last) / dt, "rate"))
+                points.append((name, max(0.0, value - last) / dt, "rate"))
         return points
 
-    def _ingest_histogram(self, full: str, payload: dict, prev: dict,
-                          name: str, dt: float | None, points: list) -> None:
+    def _ingest_histogram(self, name: str, payload: dict,
+                          dt: float | None, points: list) -> None:
         counts = list(payload.get("counts", ()))
-        last = prev.get(name)
-        prev[name] = counts
+        last = self._prev.get(name)
+        self._prev[name] = counts
         if dt is None or last is None or len(last) != len(counts):
             return
         delta = [max(0, b - a) for a, b in zip(last, counts)]
         observed = sum(delta)
-        points.append((full + ".rate", observed / dt, "rate"))
+        points.append((name + ".rate", observed / dt, "rate"))
         if not observed:
             return                  # no observations: no quantile point
         window = Histogram(name, payload.get("buckets", ()))
         window.counts = delta
         window.count = observed
         for label, q in QUANTILES:
-            points.append((f"{full}.{label}", window.percentile(q),
+            points.append((f"{name}.{label}", window.percentile(q),
                            "quantile"))

@@ -155,10 +155,6 @@ def default_slos() -> list[SLO]:
             # catches ones shorter than a sample tick.
             series=("service.degraded", "service.degraded.entered"),
             fast_window=15.0, slow_window=15.0, resolve_after=20.0),
-        SLO(name="peer-breaker", kind="zero",
-            description="no peer circuit breaker is open",
-            series=("service.peer.breakers_open",),
-            fast_window=15.0, slow_window=15.0, resolve_after=15.0),
         SLO(name="soundness", kind="zero",
             description="zero invariant/fuzz soundness violations",
             series=("synth.fuzz.violations",

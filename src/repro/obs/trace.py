@@ -51,8 +51,8 @@ from collections import deque
 #: a :class:`~repro.obs.context.TraceContext` additionally stamp
 #: ``trace`` (the trace id) on every record and ``parent`` (the
 #: context's parent span id) on depth-0 records, which is how spans
-#: from different processes and replicas reassemble into one tree
-#: (see :mod:`repro.obs.flight`).
+#: from different processes reassemble into one tree (see
+#: :mod:`repro.obs.flight`).
 RECORD_KEYS = ("name", "cat", "ts", "dur", "pid", "tid", "depth", "args")
 
 

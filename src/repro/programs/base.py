@@ -90,17 +90,6 @@ class Benchmark:
             interp.set_global(name, value)
         return interp.run(self.entry, *dataset.args)
 
-    def block_var_at_line(self, analysis: Analysis, line: int,
-                          function: str | None = None) -> str:
-        """``x_i`` of the block starting at a source line (for writing
-        functionality constraints the way the paper's Fig. 5 does)."""
-        cfg = analysis.cfgs[function or self.entry]
-        for block in sorted(cfg.blocks.values(), key=lambda b: b.id):
-            if block.instrs[0].line == line:
-                return block.var
-        raise AnalysisError(
-            f"{self.name}: no block starts at line {line}")
-
     def block_var_at_text(self, analysis: Analysis, text: str,
                           function: str | None = None) -> str:
         """``x_i`` of the first block whose leading source line equals

@@ -24,8 +24,7 @@ CLI: ``repro serve`` / ``repro submit``.  See ``docs/service.md``.
 from .client import (ClientError, JobFailed, ServiceClient,
                      ServiceDegraded, ServiceSaturated,
                      ServiceTimeout, ServiceUnavailable)
-from .durable import (CircuitBreaker, JobJournal, JournalError,
-                      JournalState, PeerBalancer, Tenant,
+from .durable import (JobJournal, JournalError, JournalState, Tenant,
                       TenantConfigError, TenantRegistry)
 from .protocol import BadRequest, JobRecord, JobSpec, STATES
 from .queue import JobQueue, QueueClosed, QueueSaturated
@@ -36,7 +35,6 @@ __all__ = [
     "JobJournal",
     "JournalError",
     "JournalState",
-    "PeerBalancer",
     "Tenant",
     "TenantConfigError",
     "TenantRegistry",
@@ -56,7 +54,6 @@ __all__ = [
     "ServiceSaturated",
     "ServiceTimeout",
     "ServiceUnavailable",
-    "CircuitBreaker",
     "JobFailed",
     "LATENCY_BUCKETS",
     "MAX_BODY_BYTES",

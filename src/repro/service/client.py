@@ -52,7 +52,7 @@ class ServiceTimeout(ServiceUnavailable):
 
     Subclasses :class:`ServiceUnavailable` so existing handlers keep
     working; :meth:`ServiceClient.submit_retry` treats it as
-    retryable, so a hung replica costs a backoff, not a forever-block.
+    retryable, so a hung server costs a backoff, not a forever-block.
     """
 
     def __init__(self, message: str, retry_after: float = 0.1):
@@ -97,16 +97,12 @@ class ServiceClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 timeout: float = 30.0, api_key: str | None = None,
-                 cluster_key: str | None = None):
+                 timeout: float = 30.0, api_key: str | None = None):
         self.host = host
         self.port = port
         self.timeout = timeout
         #: Sent as ``X-API-Key`` when the service enforces tenancy.
         self.api_key = api_key
-        #: Sent as ``X-Cluster-Key`` on peer endpoints; required by
-        #: replicas started with ``serve --cluster-key``.
-        self.cluster_key = cluster_key
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -146,8 +142,6 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         if self.api_key:
             headers["X-API-Key"] = self.api_key
-        if self.cluster_key:
-            headers["X-Cluster-Key"] = self.cluster_key
         if extra_headers:
             headers.update(extra_headers)
         for attempt in (0, 1):
@@ -369,8 +363,7 @@ class ServiceClient:
         """GET a finished job's span tree as a Chrome trace document.
 
         The ``repro`` key of the response carries the job id, state,
-        span count and trace id; for a stolen job the spans include
-        the thief replica's records, all under the submitter's trace.
+        span count and trace id.
         """
         status, headers, data = self._request(
             "GET", f"/v1/jobs/{job_id}/trace")
@@ -398,33 +391,13 @@ class ServiceClient:
         self._raise_for(status, headers, data)
         return data
 
-    def peer_claim(self, limit: int = 1, peer: str = "") -> list[dict]:
-        """Steal up to `limit` queued jobs from this (peer) service.
-
-        Returns ``[{"id", "spec", "lease_seconds"}, ...]`` — possibly
-        empty.  Used by the work-sharing balancer; `peer` names the
-        claiming replica for the owner's lease bookkeeping.
-        """
-        status, headers, data = self._request(
-            "POST", "/v1/peer/claim", {"max": limit, "peer": peer})
-        self._raise_for(status, headers, data)
-        return data.get("jobs", [])
-
-    def peer_complete(self, payload: dict) -> dict:
-        """Hand a stolen job's result back to its owner."""
-        status, headers, data = self._request(
-            "POST", "/v1/peer/complete", payload)
-        self._raise_for(status, headers, data)
-        return data
-
     def healthz(self) -> dict:
         status, headers, data = self._request("GET", "/healthz")
         self._raise_for(status, headers, data)
         return data
 
-    def metricz(self, merge_peers: bool = False) -> dict:
-        path = "/metricz?merge=peers" if merge_peers else "/metricz"
-        status, headers, data = self._request("GET", path)
+    def metricz(self) -> dict:
+        status, headers, data = self._request("GET", "/metricz")
         self._raise_for(status, headers, data)
         return data
 

@@ -1,6 +1,6 @@
 """Durability layer of the analysis service.
 
-Three pieces, composing with the queue/scheduler/server stack:
+Two pieces, composing with the queue/scheduler/server stack:
 
 * :mod:`~repro.service.durable.journal` — the append-only job journal
   (WAL) behind ``repro serve --journal DIR``: crash recovery replays
@@ -8,16 +8,12 @@ Three pieces, composing with the queue/scheduler/server stack:
 * :mod:`~repro.service.durable.tenants` — API keys, per-tenant
   admission quotas (queue/running caps, token-bucket submit rate) and
   weighted fair scheduling (``repro serve --tenants FILE``).
-* :mod:`~repro.service.durable.peers` — job-level work sharing across
-  ``--peers`` replicas: idle replicas steal queued jobs under a lease
-  that expires back to the owner.
 
 See ``docs/durability.md``.
 """
 
 from .journal import (JobJournal, JournalError, JournalState,
                       apply_record, scan_wal)
-from .peers import CircuitBreaker, PeerBalancer
 from .tenants import (Admission, Tenant, TenantConfigError,
                       TenantRegistry)
 
@@ -27,8 +23,6 @@ __all__ = [
     "JournalState",
     "apply_record",
     "scan_wal",
-    "CircuitBreaker",
-    "PeerBalancer",
     "Admission",
     "Tenant",
     "TenantConfigError",

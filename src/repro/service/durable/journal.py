@@ -1,14 +1,19 @@
 """The job journal: an append-only write-ahead log for the service.
 
 Every admission-changing step of a job's life — ``submit``, ``start``,
-per-set ``set_done`` progress, ``complete``, ``fail``, and the peer
-lease handoffs ``lease``/``release`` — is appended as one framed JSON
-record before the service acts on it.  On startup the service replays
-the journal: terminal jobs come back queryable, queued jobs re-enter
-the queue in their original order, and jobs that were *running* when
-the process died are re-dispatched — re-execution is idempotent
-because the engine payload is pure and the content-addressed
-``ResultCache`` answers repeats with bit-identical reports.
+per-set ``set_done`` progress, ``complete`` and ``fail`` — is appended
+as one framed JSON record before the service acts on it.  On startup
+the service replays the journal: terminal jobs come back queryable,
+queued jobs re-enter the queue in job-id order, and jobs that were
+*running* when the process died are re-dispatched — re-execution is
+idempotent because the engine payload is pure and the
+content-addressed ``ResultCache`` answers repeats with bit-identical
+reports.
+
+Replay also reads ``lease``/``release`` frames and snapshot entries in
+state ``leased``, which earlier versions wrote when they lent queued
+jobs to a peer replica.  Nothing writes them any more; each folds to
+``queued``, so such a job goes back on the queue.
 
 Frame format (schema-versioned)
 -------------------------------
@@ -76,7 +81,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Record types replay understands.  ``set_done`` frames are progress
 #: breadcrumbs (counted, not state-changing); ``noop`` frames are
 #: write-probes appended while degraded (see :meth:`JobJournal.probe`)
-#: and fold to nothing.
+#: and fold to nothing; ``lease``/``release`` are read, never written.
 RECORD_TYPES = ("submit", "start", "set_done", "complete", "fail",
                 "lease", "release", "noop")
 
@@ -174,24 +179,18 @@ def apply_record(jobs: dict, record: dict) -> bool:
         return True
     if kind == "start":
         job["state"] = "running"
-    elif kind == "lease":
-        job["state"] = "leased"
-        job["lease_peer"] = record.get("peer")
-    elif kind == "release":
+    elif kind in ("lease", "release"):
         job["state"] = "queued"
-        job.pop("lease_peer", None)
     elif kind == "complete":
         job["state"] = "done"
         job["status"] = record.get("status", "ok")
         job["cache_hit"] = bool(record.get("cache_hit", False))
         if record.get("report") is not None:
             job["report"] = record["report"]
-        job.pop("lease_peer", None)
     elif kind == "fail":
         job["state"] = "failed"
         job["status"] = record.get("status", "failed")
         job["error"] = record.get("error")
-        job.pop("lease_peer", None)
     else:
         return False
     return True
@@ -308,7 +307,11 @@ class JobJournal:
                 f"snapshot schema {data.get('schema')!r} is not "
                 f"{SNAPSHOT_SCHEMA} (migrate or remove "
                 f"{self.snapshot_path})")
-        state.jobs.update(data.get("jobs", {}))
+        jobs = data.get("jobs", {})
+        for job in jobs.values():
+            if job.get("state") == "leased":
+                job["state"] = "queued"
+        state.jobs.update(jobs)
         state.records += len(state.jobs)
 
     def _replay_wal(self, state: JournalState) -> int:

@@ -32,9 +32,8 @@ class BadRequest(ReproError):
     """A job submission that cannot be parsed or validated (HTTP 400)."""
 
 
-#: Lifecycle states of a job record.  ``leased`` is a queued job
-#: currently claimed by a peer replica (see ``durable/peers.py``).
-STATES = ("queued", "running", "leased", "done", "failed")
+#: Lifecycle states of a job record.
+STATES = ("queued", "running", "done", "failed")
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ class JobSpec:
     max_iterations: int | None = None
     #: Distributed trace identity (:class:`~repro.obs.context
     #: .TraceContext`) — set by the submitter (or minted at admission)
-    #: and carried with the spec through the journal and peer claims,
-    #: so every span of this job reassembles under one trace id.
+    #: and carried with the spec through the journal and into the pool
+    #: worker, so every span of this job reassembles under one trace id.
     #: Deliberately excluded from cache keys and analysis fingerprints.
     trace: TraceContext | None = None
 
@@ -213,24 +212,14 @@ class JobRecord:
     report: object = field(default=None, repr=False)
     #: Owning tenant name (None when tenancy is disabled).
     tenant: str | None = None
-    #: Queue ordering state: the admission sequence number and the
-    #: tenant's fair-share pass, both preserved across re-queues (and
-    #: journal recovery) so a job never loses its place.
-    queue_seq: int | None = None
+    #: The tenant's fair-share pass: the queue orders by it within a
+    #: priority.
     fair_pass: float = 0.0
-    #: Peer lease while a replica works this job: (peer, expiry in
-    #: ``time.monotonic`` terms).
-    lease: dict | None = field(default=None, repr=False)
     #: True when this record was restored from the journal.
     recovered: bool = False
-    #: True for a record claimed from a peer and run here on its
-    #: behalf: excluded from the local journal, tenant accounting and
-    #: the local records map (the owner keeps all of those).
-    foreign: bool = False
     #: Flat span records of this job's execution (scheduler + pool
-    #: workers — and, for a stolen job, the thief's spans shipped back
-    #: in the peer-complete payload).  All stamped with the spec's
-    #: trace context; served by ``GET /v1/jobs/{id}/trace``.
+    #: workers), all stamped with the spec's trace context; served by
+    #: ``GET /v1/jobs/{id}/trace``.
     spans: list = field(default_factory=list, repr=False)
 
     def deadline_remaining(self) -> float | None:
@@ -271,8 +260,6 @@ class JobRecord:
             "tenant": self.tenant,
             "recovered": self.recovered,
         }
-        if self.lease is not None:
-            payload["leased_to"] = self.lease.get("peer")
         if self.spec.trace is not None:
             payload["trace_id"] = self.spec.trace.trace_id
         if self.report is not None:
@@ -304,7 +291,7 @@ class JobRecord:
     def from_journal(cls, job_id: str, data: dict) -> "JobRecord":
         """Rebuild a record from replayed journal state.
 
-        Non-terminal states (queued / running / leased) all come back
+        Non-terminal states (queued / running) both come back
         ``queued`` — a recovered job re-enters the queue and is
         re-dispatched; idempotent engine payloads plus the
         content-addressed cache make the re-execution yield the

@@ -11,12 +11,9 @@ workers continue popping until the queue is empty.
 Ordering: higher ``priority`` pops first; within a priority, records
 order by their tenant's fair-share *pass* (0.0 when tenancy is off —
 see ``durable/tenants.py``), and ties break on a monotonically
-increasing sequence number, so dispatch is FIFO-stable in submission
-order and the heap never compares records.  The sequence number is
-assigned once at first admission and stored on the record
-(``queue_seq``): a job re-queued later — an expired peer lease,
-journal recovery — keeps its original place instead of going to the
-back of its class.
+increasing push sequence number, so dispatch is FIFO-stable in push
+order and the heap never compares records.  Journal recovery pushes
+the restored jobs in job-id order, which is their admission order.
 """
 
 from __future__ import annotations
@@ -71,32 +68,22 @@ class JobQueue:
     def push(self, record, force: bool = False) -> None:
         """Admit a record or raise QueueSaturated/QueueClosed.
 
-        First admission stamps ``record.queue_seq``; a re-push (lease
-        expiry, journal recovery) reuses it, preserving the record's
-        original FIFO position within its priority/fair-share class.
         ``force`` bypasses the depth cap for records that were already
         admitted once — journal recovery can restore more jobs than
-        ``maxsize`` (a full queue plus whatever was running or leased
-        at crash time), and refusing them would turn every restart on
-        that journal into the same boot failure.
+        ``maxsize`` (a full queue plus whatever was running at crash
+        time), and refusing them would turn every restart on that
+        journal into the same boot failure.
         """
         if self._closed:
             raise QueueClosed()
         if not force and self.maxsize > 0 \
                 and len(self._heap) >= self.maxsize:
             raise QueueSaturated(len(self._heap), self.maxsize)
-        seq = getattr(record, "queue_seq", None)
-        if seq is None:
-            seq = self._seq
-            record.queue_seq = seq
-        else:
-            # Keep new admissions strictly after every restored seq.
-            self._seq = max(self._seq, seq)
         self._seq += 1
         heapq.heappush(self._heap,
                        (-record.spec.priority,
                         getattr(record, "fair_pass", 0.0),
-                        seq, record))
+                        self._seq, record))
         self._wake_one()
 
     async def pop(self):
@@ -112,7 +99,7 @@ class JobQueue:
             await waiter
 
     def pop_nowait(self):
-        """Next record if one is waiting, else None (peer claims)."""
+        """Next record if one is waiting, else None."""
         if self._heap:
             return heapq.heappop(self._heap)[3]
         return None

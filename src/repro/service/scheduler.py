@@ -117,9 +117,9 @@ class Scheduler:
         #: queued/running occupancy accounting.
         self.tenants = tenants
         #: Optional service-level :class:`repro.obs.Tracer`; every
-        #: finished job's spans (scheduler + workers, local or shipped
-        #: back from a peer) are absorbed into it, which also streams
-        #: them over SSE when the tracer's bus is attached.
+        #: finished job's spans (scheduler + workers) are absorbed into
+        #: it, which also streams them over SSE when the tracer's bus
+        #: is attached.
         self.tracer = tracer
         for status in ("ok", "partial", "failed"):
             self.registry.counter(f"service.jobs.done.{status}")
@@ -210,10 +210,6 @@ class Scheduler:
             if self.tenants is not None:
                 self.tenants.note_dequeued(record.tenant)
             self.note_depth()
-            if record.state in ("done", "failed"):
-                # A re-queued lease was completed by the peer after
-                # all; nothing left to run.
-                continue
             await self._run_record(record)
 
     async def _run_record(self, record) -> None:
@@ -224,9 +220,9 @@ class Scheduler:
         self.registry.histogram(
             "service.queue_seconds",
             buckets=LATENCY_BUCKETS).observe(record.queue_seconds)
-        if self.journal is not None and not record.foreign:
+        if self.journal is not None:
             self.journal.append("start", id=record.id)
-        if self.tenants is not None and not record.foreign:
+        if self.tenants is not None:
             self.tenants.note_running(record.tenant)
         if self.bus is not None:
             self.bus.publish("job_running", job=record.id,
@@ -257,7 +253,7 @@ class Scheduler:
             self._journal_terminal(record)
             self._publish_done(record)
         finally:
-            if self.tenants is not None and not record.foreign:
+            if self.tenants is not None:
                 self.tenants.note_done(record.tenant)
             record.run_seconds = time.monotonic() - started
             self.registry.histogram(
@@ -271,7 +267,7 @@ class Scheduler:
             self.completed += 1
             self.registry.counter(
                 f"service.jobs.done.{record.status or 'failed'}").inc()
-            if record.tenant and not record.foreign:
+            if record.tenant:
                 self.registry.counter(
                     f"tenant.{record.tenant}.completed").inc()
             self.note_depth()
@@ -314,7 +310,7 @@ class Scheduler:
         restarted service serves finished bounds straight from the
         journal without re-running anything.
         """
-        if self.journal is None or record.foreign:
+        if self.journal is None:
             return
         from ..engine.cache import report_to_dict
 

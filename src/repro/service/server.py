@@ -25,13 +25,10 @@ idle timeout lapses), JSON in and out.  Endpoints:
                                   while shutting down)
 ``GET /metricz``                  the service's ``repro.obs`` registry
                                   snapshot — mergeable JSON, same
-                                  schema as ``repro obs dump/diff``;
-                                  ``?merge=peers`` folds in configured
-                                  peers' snapshots
+                                  schema as ``repro obs dump/diff``
 ``GET /v1/series``                bounded time-series history sampled
                                   from the registry (rates, levels,
-                                  windowed percentiles; peers under
-                                  ``federation.origin.*``); takes
+                                  windowed percentiles); takes
                                   ``?prefix=`` and ``?since=ts``
 ``GET /v1/alerts``                SLO engine state: objectives, burn
                                   rates, alert state machines
@@ -65,7 +62,7 @@ import time
 from pathlib import Path
 
 from ..chaos import inject
-from ..engine.cache import ResultCache, report_from_dict
+from ..engine.cache import ResultCache
 from ..obs.console import render_console
 from ..obs.context import TraceContext
 from ..obs.profile import SamplingProfiler
@@ -75,7 +72,7 @@ from ..obs.series import (DEFAULT_INTERVAL, DEFAULT_RETENTION,
 from ..obs.slo import SLOEngine, load_slos
 from ..obs.stream import EventBus, sse_comment, sse_format
 from ..obs.trace import Tracer
-from .durable import JobJournal, PeerBalancer, TenantRegistry
+from .durable import JobJournal, TenantRegistry
 from .protocol import BadRequest, JobRecord, JobSpec
 from .queue import JobQueue, QueueClosed, QueueSaturated
 from .scheduler import Scheduler
@@ -90,8 +87,8 @@ KEEPALIVE_TIMEOUT = 5.0
 #: SSE comment-heartbeat period (seconds).
 HEARTBEAT_SECONDS = 15.0
 
-#: How often the housekeeping task sweeps expired peer leases and
-#: checks journal-compaction thresholds.
+#: How often the housekeeping task samples the series, syncs the
+#: journal and checks its compaction thresholds.
 HOUSEKEEPING_SECONDS = 0.25
 
 #: Retained span records on the service tracer (drop-oldest).
@@ -101,7 +98,7 @@ SERVICE_TRACE_MAXLEN = 16384
 FSYNC_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5)
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-            401: "Unauthorized", 403: "Forbidden", 404: "Not Found",
+            401: "Unauthorized", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
@@ -126,12 +123,8 @@ class AnalysisService:
                  metrics_path=None,
                  registry: MetricsRegistry | None = None,
                  keepalive_timeout: float = KEEPALIVE_TIMEOUT,
-                 peers: list | None = None,
                  bus: EventBus | None = None,
-                 journal_dir=None, tenants=None, share: bool = True,
-                 cluster_key: str | None = None,
-                 lease_seconds: float = 30.0,
-                 balance_interval: float = 0.5, max_claim: int = 2,
+                 journal_dir=None, tenants=None,
                  profile_hz: float | None = None,
                  chaos: object = None,
                  slo=None, series: bool = True,
@@ -152,33 +145,14 @@ class AnalysisService:
         self.degraded_reason: str | None = None
         self.metrics_path = metrics_path
         self.keepalive_timeout = keepalive_timeout
-        #: "host:port" strings of sibling replicas: their /metricz
-        #: snapshots feed ``/metricz?merge=peers``, and with ``share``
-        #: on, their queues are stolen from when this replica idles.
-        self.peers = list(peers or ())
-        #: Serve ``/v1/peer/claim`` (give work away) and steal from
-        #: ``peers`` when idle.
-        self.share = share
-        #: Shared secret authenticating the peer endpoints
-        #: (``X-Cluster-Key``).  Required on every replica when set;
-        #: with tenancy enforced it is mandatory — otherwise the peer
-        #: endpoints would let any client read tenant job specs or
-        #: forge completions around the API keys on ``/v1/jobs``.
-        self.cluster_key = cluster_key
-        self.lease_seconds = lease_seconds
-        self.balance_interval = balance_interval
-        self.max_claim = max_claim
-        #: This replica's address as peers should see it (rewritten
-        #: with the bound port at :meth:`start`).
-        self.advertise = f"{host}:{port}"
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.registry.attach_stream(self.bus)
         #: The flight recorder's span sink: every finished job's spans
-        #: (local or shipped home by a peer) are absorbed here, which
-        #: both retains them for ``GET /v1/jobs/{id}/trace`` and
-        #: republishes them as SSE ``span`` events.
+        #: are absorbed here, which both retains them for ``GET
+        #: /v1/jobs/{id}/trace`` and republishes them as SSE ``span``
+        #: events.
         self.tracer = Tracer(maxlen=SERVICE_TRACE_MAXLEN)
         self.tracer.attach_stream(self.bus)
         #: Continuous statistical profiler (``serve
@@ -186,9 +160,7 @@ class AnalysisService:
         self.profiler = SamplingProfiler(hz=profile_hz) \
             if profile_hz else None
         for name in ("service.jobs.submitted", "service.jobs.rejected",
-                     "service.jobs.throttled", "service.jobs.recovered",
-                     "service.peer.claimed", "service.peer.completed",
-                     "service.peer.lease_expired"):
+                     "service.jobs.throttled", "service.jobs.recovered"):
             self.registry.counter(name)
         #: The job journal (WAL); None runs the service ephemerally.
         self.journal = JobJournal(journal_dir) if journal_dir else None
@@ -229,11 +201,9 @@ class AnalysisService:
             self.slo = SLOEngine(self.series_store, slos=slos,
                                  bus=self.bus, registry=self.registry,
                                  webhook=alert_webhook)
-        self._peer_series_poll: asyncio.Task | None = None
         self.records: dict[str, JobRecord] = {}
         self._seq = 0
         self._server: asyncio.AbstractServer | None = None
-        self._balancer: PeerBalancer | None = None
         self._housekeeper: asyncio.Task | None = None
         self._draining = False
         self._drained: asyncio.Event | None = None
@@ -261,22 +231,16 @@ class AnalysisService:
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self.advertise = f"{self.host}:{self.port}"
-        if self.share and self.peers:
-            self._balancer = PeerBalancer(
-                self, self.peers, interval=self.balance_interval,
-                max_claim=self.max_claim)
-            self._balancer.start()
         self._housekeeper = asyncio.create_task(
             self._housekeeping(), name="service-housekeeping")
 
     def _recover(self, state) -> None:
         """Restore records from replayed journal state.
 
-        Terminal jobs come back queryable; queued / running / leased
-        jobs re-enter the queue in original admission order and are
-        re-dispatched (idempotent: the content-addressed cache answers
-        repeats with the bit-identical report).
+        Terminal jobs come back queryable; queued and running jobs
+        re-enter the queue in job-id order and are re-dispatched
+        (idempotent: the content-addressed cache answers repeats with
+        the bit-identical report).
         """
         requeue = []
         for job_id, data in sorted(state.jobs.items()):
@@ -300,9 +264,9 @@ class AnalysisService:
                     record.tenant)
                 self.tenants.note_queued(record.tenant)
             # force: recovered jobs were all admitted under the cap in
-            # their first life, but running/leased ones fold back to
-            # queued, so the restored set can exceed queue_depth — and
-            # a QueueSaturated here would fail *every* restart on this
+            # their first life, but running ones fold back to queued,
+            # so the restored set can exceed queue_depth — and a
+            # QueueSaturated here would fail *every* restart on this
             # journal.
             self.queue.push(record, force=True)
             self.registry.counter("service.jobs.recovered").inc()
@@ -316,19 +280,18 @@ class AnalysisService:
                   f"({len(requeue)} re-queued{torn})", flush=True)
 
     async def _housekeeping(self) -> None:
-        """Expire peer leases back to the queue; compact the journal;
-        run the degraded-mode state machine (enter on journal write
-        failure, probe, recover)."""
+        """Sample the series; sync and compact the journal; run the
+        degraded-mode state machine (enter on journal write failure,
+        probe, recover)."""
         while not self._draining:
             await asyncio.sleep(HOUSEKEEPING_SECONDS)
-            self._expire_leases()
             self._series_tick()
             journal = self.journal
             if journal is None:
                 continue
             if self.degraded_reason is None \
                     and journal.last_error is not None:
-                # A buffered frame (start/terminal/lease) failed since
+                # A buffered frame (start/terminal) failed since
                 # the last sweep; the submit path finds out here.
                 self._enter_degraded(
                     f"journal write failed: {journal.last_error}")
@@ -353,10 +316,7 @@ class AnalysisService:
         Driven by housekeeping sweeps; the sampler's own interval
         gating decides whether this sweep is a sample tick.  Gauges
         that are normally refreshed lazily on ``/metricz`` are
-        refreshed here first so the history sees them move.  Peer
-        ``/metricz`` snapshots are fetched by an at-most-one in-flight
-        background task — an unreachable peer (2s connect timeout) is
-        skipped and counted, never allowed to stall the 0.25s sweep.
+        refreshed here first so the history sees them move.
         """
         sampler = self.sampler
         if sampler is None or not sampler.due():
@@ -367,28 +327,16 @@ class AnalysisService:
         self.registry.gauge("service.degraded").set(
             0 if self.degraded_reason is None else 1)
         sampler.sample()
-        if self.peers and (self._peer_series_poll is None
-                           or self._peer_series_poll.done()):
-            self._peer_series_poll = asyncio.create_task(
-                self._poll_peer_series(), name="peer-series")
         if self.slo is not None:
             self.slo.evaluate()
-
-    async def _poll_peer_series(self) -> None:
-        """Feed every peer's current snapshot through the sampler."""
-        snapshots = await asyncio.gather(
-            *(asyncio.to_thread(self._fetch_peer, peer)
-              for peer in self.peers))
-        for peer, snapshot in zip(self.peers, snapshots):
-            self.sampler.ingest_peer(peer, snapshot)
 
     def _enter_degraded(self, reason: str) -> None:
         """Flip into read-only degraded mode.
 
-        Finished bounds keep being served with 200; submits and peer
-        claims answer 503 + Retry-After until a journal probe
-        round-trips, at which point :meth:`_exit_degraded` restores
-        normal admission automatically.
+        Finished bounds keep being served with 200; submits answer
+        503 + Retry-After until a journal probe round-trips, at which
+        point :meth:`_exit_degraded` restores normal admission
+        automatically.
         """
         self.degraded_reason = reason
         self.registry.counter("service.degraded.entered").inc()
@@ -403,33 +351,6 @@ class AnalysisService:
         print("service recovered: journal writes succeeding again",
               flush=True)
 
-    def _expire_leases(self) -> None:
-        now = time.monotonic()
-        for record in list(self.records.values()):
-            if record.state != "leased" or record.lease is None \
-                    or record.lease["expires"] > now:
-                continue
-            try:
-                # force: the job held a queue slot before it was
-                # leased out; reclaiming that slot must not depend on
-                # the current depth.
-                self.queue.push(record, force=True)
-            except QueueClosed:
-                continue                    # draining; scheduler owns it
-            peer = record.lease.get("peer")
-            record.lease = None
-            record.state = "queued"
-            if self.journal is not None:
-                self.journal.append("release", id=record.id,
-                                    peer=peer)
-            if self.tenants is not None:
-                self.tenants.note_done(record.tenant)
-                self.tenants.note_queued(record.tenant)
-            self.registry.counter("service.peer.lease_expired").inc()
-            self.bus.publish("job_requeued", job=record.id,
-                             name=record.spec.name, peer=peer)
-        self.scheduler.note_depth()
-
     def _journal_jobs(self) -> dict:
         """Every record's compaction-snapshot form."""
         return {job_id: record.to_journal_dict()
@@ -442,8 +363,6 @@ class AnalysisService:
             return
         self._draining = True
         self.queue.close()
-        if self._balancer is not None:
-            await self._balancer.stop()
         if self._housekeeper is not None:
             self._housekeeper.cancel()
             try:
@@ -736,51 +655,6 @@ class AnalysisService:
         return event.get("job") == job_id
 
     # ------------------------------------------------------------------
-    # Metrics federation
-    # ------------------------------------------------------------------
-    def _fetch_peer(self, peer: str):
-        """Blocking /metricz fetch from one peer (run off the loop)."""
-        import http.client
-
-        host, _, port_text = peer.rpartition(":")
-        try:
-            connection = http.client.HTTPConnection(
-                host or "127.0.0.1", int(port_text), timeout=2.0)
-            try:
-                connection.request("GET", "/metricz")
-                response = connection.getresponse()
-                if response.status != 200:
-                    return None
-                return json.loads(response.read())
-            finally:
-                connection.close()
-        except (OSError, ValueError, json.JSONDecodeError):
-            return None
-
-    async def _merged_metricz(self) -> dict:
-        """This registry's snapshot plus every reachable peer's.
-
-        Peers are fetched concurrently off the event loop and folded in
-        with :meth:`MetricsRegistry.merge`; a
-        ``federation.origin.{addr}`` gauge tags each origin with 1
-        (merged) or 0 (unreachable), so the merged snapshot says whose
-        numbers it contains.
-        """
-        merged = MetricsRegistry.from_snapshot(self.registry.snapshot())
-        merged.gauge(f"federation.origin.{self.host}:{self.port}").set(1)
-        snapshots = await asyncio.gather(
-            *(asyncio.to_thread(self._fetch_peer, peer)
-              for peer in self.peers))
-        for peer, snapshot in zip(self.peers, snapshots):
-            origin = merged.gauge(f"federation.origin.{peer}")
-            if snapshot is None:
-                origin.set(0)
-                continue
-            merged.merge(MetricsRegistry.from_snapshot(snapshot))
-            origin.set(1)
-        return merged.snapshot()
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     async def _route(self, method, path, query, body, headers):
@@ -817,10 +691,6 @@ class AnalysisService:
                     self.sampler.samples)
                 self.registry.gauge("series.points").set(
                     self.series_store.point_count())
-                self.registry.gauge("series.peers_unreachable").set(
-                    self.sampler.peers_unreachable)
-            if query.get("merge") == "peers":
-                return 200, await self._merged_metricz(), None
             return 200, self.registry.snapshot(), None
         if path == "/v1/series":
             if method != "GET":
@@ -835,10 +705,9 @@ class AnalysisService:
                 raise BadRequest(f"bad since={query.get('since')!r}")
             doc = self.series_store.to_dict(
                 prefix=query.get("prefix", ""), since=since)
-            doc.update(origin=self.advertise,
+            doc.update(origin=f"{self.host}:{self.port}",
                        interval=self.sampler.interval,
-                       samples=self.sampler.samples,
-                       peers_unreachable=self.sampler.peers_unreachable)
+                       samples=self.sampler.samples)
             return 200, doc, None
         if path == "/v1/alerts":
             if method != "GET":
@@ -848,7 +717,7 @@ class AnalysisService:
                                       "(serve without --no-series)"}, \
                     None
             return 200, {**self.slo.to_dict(),
-                         "origin": self.advertise}, None
+                         "origin": f"{self.host}:{self.port}"}, None
         if path in ("/dashboard", "/dashboard/"):
             if method != "GET":
                 return 405, {"error": "GET only"}, None
@@ -865,19 +734,12 @@ class AnalysisService:
             fmt = "collapsed" if query.get("format") == "collapsed" \
                 else "speedscope"
             return 200, self.profiler.to_dict(
-                name=f"repro serve {self.advertise}", format=fmt), None
+                name=f"repro serve {self.host}:{self.port}",
+                format=fmt), None
         if path == "/v1/jobs":
             if method != "POST":
                 return 405, {"error": "POST only"}, None
             return self._submit(body, headers)
-        if path == "/v1/peer/claim":
-            if method != "POST":
-                return 405, {"error": "POST only"}, None
-            return self._peer_claim(body, headers)
-        if path == "/v1/peer/complete":
-            if method != "POST":
-                return 405, {"error": "POST only"}, None
-            return self._peer_complete(body, headers)
         prefix = "/v1/jobs/"
         if path.startswith(prefix):
             rest = path[len(prefix):]
@@ -954,8 +816,6 @@ class AnalysisService:
             "running": self.scheduler.running,
             "completed": self.scheduler.completed,
             "workers": self.scheduler.workers,
-            "leased": sum(1 for record in self.records.values()
-                          if record.state == "leased"),
             "journal": self.journal is not None,
         }
         if self.slo is not None:
@@ -1097,170 +957,13 @@ class AnalysisService:
             context = TraceContext.new()
         return dataclasses.replace(spec, trace=context)
 
-    # ------------------------------------------------------------------
-    # Peer work sharing (owner side)
-    # ------------------------------------------------------------------
-    def _peer_auth(self, headers):
-        """Authorize a peer-endpoint request; an error triple or None.
-
-        With ``cluster_key`` set, the caller must present it in
-        ``X-Cluster-Key``.  Without one, the endpoints stay open only
-        on a replica that also runs without tenancy (the pre-tenancy
-        trusted-network posture): once ``--tenants`` guards
-        ``/v1/jobs`` with API keys, unauthenticated peer endpoints
-        would hand out tenant job specs and accept forged results, so
-        they refuse until a cluster key is configured.
-        """
-        import hmac
-
-        if self.cluster_key:
-            presented = headers.get("x-cluster-key", "")
-            if hmac.compare_digest(presented, self.cluster_key):
-                return None
-            return 401, {"error": "missing or bad cluster key"}, None
-        if self.tenants is not None:
-            return (401,
-                    {"error": "peer endpoints need a cluster key "
-                              "when tenancy is enforced (serve "
-                              "--cluster-key)"},
-                    None)
-        return None
-
-    def _peer_claim(self, body: bytes, headers: dict):
-        """Lease up to ``max`` queued jobs to an idle peer replica."""
-        error = self._peer_auth(headers)
-        if error is not None:
-            return error
-        if self._draining:
-            return 503, {"error": "service is draining"}, None
-        if self.degraded_reason is not None:
-            # Leases are journaled; while the journal is unwritable,
-            # keep the work here (the 503 also backs thieves off via
-            # their circuit breakers).
-            return self._degraded_response()
-        if inject.trip("peer.error"):
-            # Chaos seam: the owner answers a claim with a 5xx, which
-            # the thief's breaker must absorb.
-            return 500, {"error": "chaos: injected peer error"}, None
-        try:
-            data = json.loads(body or b"{}")
-        except json.JSONDecodeError as error:
-            raise BadRequest(f"body is not valid JSON: {error}")
-        if not self.share:
-            return 200, {"jobs": []}, None
-        peer = str(data.get("peer") or "unknown")
-        try:
-            limit = max(1, min(int(data.get("max", 1)), 16))
-        except (TypeError, ValueError):
-            raise BadRequest("'max' must be an integer")
-        jobs = []
-        while len(jobs) < limit:
-            record = self.queue.pop_nowait()
-            if record is None:
-                break
-            record.state = "leased"
-            record.lease = {"peer": peer,
-                            "expires": (time.monotonic()
-                                        + self.lease_seconds)}
-            if self.tenants is not None:
-                # A leased job occupies the owner tenant's running
-                # quota, wherever it executes; released on complete
-                # or lease expiry.
-                self.tenants.note_dequeued(record.tenant)
-                self.tenants.note_running(record.tenant)
-            if self.journal is not None:
-                self.journal.append("lease", id=record.id, peer=peer)
-            self.registry.counter("service.peer.claimed").inc()
-            self.bus.publish("job_leased", job=record.id,
-                             name=record.spec.name, peer=peer)
-            jobs.append({"id": record.id,
-                         "spec": record.spec.to_dict(),
-                         "lease_seconds": self.lease_seconds})
-        self.scheduler.note_depth()
-        return 200, {"jobs": jobs}, None
-
-    def _peer_complete(self, body: bytes, headers: dict):
-        """Fold a stolen job's result back into the owner's record.
-
-        Only an active leaseholder may complete a job: the record must
-        be in state ``leased`` and the reported ``peer`` must match
-        the lease — a complete for a job that is queued or running
-        here (the lease expired and the owner took it back) is a
-        ``409``, so the local execution stays the single source of the
-        terminal journal frame, events and counters.  A record already
-        terminal answers ``duplicate: true`` and changes nothing —
-        both executions of an engine payload produce the bit-identical
-        report, so there is no conflicting side effect to reconcile.
-        """
-        error = self._peer_auth(headers)
-        if error is not None:
-            return error
-        if not self.share:
-            return 403, {"error": "work sharing is disabled "
-                                  "(--no-share)"}, None
-        try:
-            data = json.loads(body or b"{}")
-        except json.JSONDecodeError as error:
-            raise BadRequest(f"body is not valid JSON: {error}")
-        job_id = data.get("id")
-        record = self.records.get(job_id)
-        if record is None:
-            return 404, {"error": f"unknown job {job_id!r}"}, None
-        if record.state in ("done", "failed"):
-            return 200, {"state": record.state, "duplicate": True}, \
-                None
-        if record.state != "leased" or record.lease is None:
-            return (409,
-                    {"error": f"job {job_id} is {record.state}, not "
-                              "leased; its lease expired and the "
-                              "owner reclaimed it"},
-                    None)
-        if data.get("peer") != record.lease.get("peer"):
-            return (409,
-                    {"error": f"job {job_id} is leased to "
-                              f"{record.lease.get('peer')!r}, not "
-                              f"{data.get('peer')!r}"},
-                    None)
-        record.lease = None
-        if self.tenants is not None:
-            self.tenants.note_done(record.tenant)
-        spans = data.get("spans")
-        if isinstance(spans, list) and spans:
-            # The thief's flight-recorder records come home with the
-            # result: retain them on the record (GET /v1/jobs/{id}/
-            # trace) and absorb into the service tracer, which
-            # republishes them as SSE span events — a follower of a
-            # stolen job sees the same span stream as a local run.
-            record.spans = [span for span in spans
-                            if isinstance(span, dict)]
-            self.tracer.absorb(record.spans)
-        if data.get("state") == "failed":
-            record.fail(data.get("error") or "peer execution failed",
-                        status=data.get("status") or "failed")
-        else:
-            record.state = "done"
-            record.status = data.get("status") or "ok"
-            record.cache_hit = bool(data.get("cache_hit", False))
-            if data.get("report") is not None:
-                record.report = report_from_dict(data["report"])
-        self.scheduler._journal_terminal(record)
-        self.registry.counter("service.peer.completed").inc()
-        self.registry.counter(
-            f"service.jobs.done.{record.status or 'failed'}").inc()
-        if record.tenant:
-            self.registry.counter(
-                f"tenant.{record.tenant}.completed").inc()
-        self.scheduler._publish_done(record)
-        return 200, {"state": record.state, "duplicate": False}, None
-
     def _job_trace(self, job_id: str):
         """``GET /v1/jobs/{id}/trace``: the job's reassembled spans.
 
         A Chrome trace document of the record's span records —
-        scheduler + pool workers, and for a stolen job the thief's
-        spans shipped home by peer-complete — plus a ``repro`` stanza
-        carrying the trace id so ``repro obs diff-trace`` and the
-        flight recorder can join files across replicas.
+        scheduler + pool workers — plus a ``repro`` stanza carrying
+        the trace id so ``repro obs diff-trace`` and the flight
+        recorder can join files.
         """
         record = self.records.get(job_id)
         if record is None:

@@ -75,11 +75,6 @@ class SearchResult:
     def exact(self) -> bool:
         return self.realized == self.estimated
 
-    @property
-    def improved(self) -> bool:
-        """Did climbing beat the best seed?"""
-        return self.realized > self.seeded
-
 
 # ----------------------------------------------------------------------
 # Witness comparison

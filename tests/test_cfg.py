@@ -107,12 +107,6 @@ class TestStructure:
         blocks = cfg.block_at_line(5)
         assert blocks, "while line must map to a block"
 
-    def test_to_networkx(self):
-        _, cfg = cfg_of(IF_ELSE)
-        graph = cfg.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.has_edge(1, 2) and graph.has_edge(3, 4)
-
     def test_flow_conservation_observed(self):
         # Simulated block counts satisfy in-flow = count = out-flow.
         program, cfg = cfg_of(WHILE_LOOP)

@@ -1,17 +1,15 @@
-"""Cluster flight recorder: trace propagation and profiling.
+"""Flight recorder: trace propagation and profiling.
 
-The tentpole invariants of the flight-recorder layer:
+The invariants of the flight-recorder layer:
 
 * a :class:`TraceContext` survives every hop — wire dict, HTTP header,
   journal frame, pickle boundary — and stamps every span of a job,
-  including spans produced by a *peer replica* that stole the job;
+  the scheduler's and the worker's alike;
 * the statistical profiler aggregates deterministically, is idempotent
   to start/stop, and measures its own overhead.
 
-The end-to-end half reuses the deterministic gated-runner embedding of
-``tests/test_durable.py``: the owner's worker is held hostage so the
-idle peer must steal, while the peer runs the *real* engine so genuine
-solver spans journal home.
+The end-to-end half runs the *real* engine in a thread-executor
+service, so genuine solver spans join the job's trace.
 """
 
 import json
@@ -25,7 +23,6 @@ from repro.obs import (EventBus, MetricsRegistry, SamplingProfiler,
                        TraceContext, Tracer, assemble_trees, build_tree,
                        collapse_frame, group_by_trace, orphan_spans,
                        render_tree)
-from repro.obs.tracediff import diff_traces
 from repro.service import (ClientError, JobSpec, ServiceClient,
                            ServiceThread)
 from repro.service.durable.journal import JobJournal
@@ -267,7 +264,7 @@ class TestBusDropAccounting:
 
 
 # ======================================================================
-# End to end: traced service, profiler endpoint, peer stealing
+# End to end: traced service, profiler endpoint
 # ======================================================================
 class GatedRunner:
     """A fake engine runner the test can hold and release."""
@@ -343,76 +340,6 @@ class TestServiceFlight:
             snapshot = client.metricz()
         registry = MetricsRegistry.from_snapshot(snapshot)
         assert registry.value("service.profiler.samples") > 0
-
-    def test_stolen_job_reassembles_under_submitter_trace(self):
-        owner_runner = GatedRunner()
-        context = TraceContext.new(suite="flight")
-        with _thread_service(workers=1, runner=owner_runner,
-                             cluster_key="fleet-secret",
-                             lease_seconds=30.0) as owner:
-            with _thread_service(workers=2,
-                                 peers=[f"127.0.0.1:{owner.port}"],
-                                 cluster_key="fleet-secret",
-                                 balance_interval=0.1) as stealer:
-                client = ServiceClient(port=owner.port)
-                blocker = client.submit(_src("blocker"))
-                assert owner_runner.started.wait(timeout=10)
-                # The owner's only worker is hostage; the idle peer
-                # must steal the traced job and run the real engine.
-                victim = client.submit(_src("victim"),
-                                       trace=context)
-                record = client.wait(victim["id"], timeout=60)
-                assert record["state"] == "done"
-                owner_runner.gate.set()
-                client.wait(blocker["id"], timeout=60)
-                doc = client.trace(victim["id"])
-                stealer_metrics = MetricsRegistry.from_snapshot(
-                    ServiceClient(port=stealer.port).metricz())
-
-        assert stealer_metrics.value("service.peer.stolen") >= 1
-        assert "victim" not in owner_runner.names
-        events = doc["traceEvents"]
-        spans = [e for e in events if e.get("ph") == "X"]
-        # The invariant: one tree, the submitter's trace id on every
-        # span, zero orphans — even though every span was produced on
-        # the thief replica.
-        assert doc["repro"]["trace_id"] == context.trace_id
-        assert orphan_spans(events, context.trace_id) == []
-        trees = assemble_trees(events)
-        assert set(trees) == {context.trace_id}
-        assert trees[context.trace_id]["spans"] == len(spans)
-        names = {e["name"] for e in spans}
-        assert {"service.job", "solve", "set.worst"} <= names
-
-    def test_stolen_trace_structurally_matches_local_run(self):
-        """``obs diff-trace`` of an owner-run vs a peer-stolen run of
-        the same job is structurally empty: same spans, same counts,
-        same solver effort — only wall time may differ."""
-        local_context = TraceContext.new()
-        with _thread_service(workers=1) as handle:
-            client = ServiceClient(port=handle.port)
-            local = _traced_run(client, _src("probe"), local_context)
-
-        owner_runner = GatedRunner()
-        stolen_context = TraceContext.new()
-        with _thread_service(workers=1, runner=owner_runner,
-                             cluster_key="fleet-secret") as owner:
-            with _thread_service(workers=2,
-                                 peers=[f"127.0.0.1:{owner.port}"],
-                                 cluster_key="fleet-secret",
-                                 balance_interval=0.1):
-                client = ServiceClient(port=owner.port)
-                client.submit(_src("blocker"))
-                assert owner_runner.started.wait(timeout=10)
-                stolen = _traced_run(client, _src("probe"),
-                                     stolen_context)
-                owner_runner.gate.set()
-        assert "probe" not in owner_runner.names
-
-        deltas = diff_traces(local["traceEvents"],
-                             stolen["traceEvents"])
-        changed = [d.key for d in deltas if d.changed]
-        assert changed == []
 
 
 class TestTenantMetrics:

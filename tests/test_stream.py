@@ -1,5 +1,5 @@
 """Telemetry streaming: event bus, SSE framing and endpoints, live
-dashboard, keep-alive, metrics federation and trace diffing.
+dashboard, keep-alive and trace diffing.
 
 Backpressure is the load-bearing property: a slow (or dead) subscriber
 may lose events — counted, never silently — but must not be able to
@@ -241,7 +241,7 @@ class TestSseFraming:
 
 
 # ----------------------------------------------------------------------
-# Service: SSE endpoints, keep-alive, federation
+# Service: SSE endpoints, keep-alive
 # ----------------------------------------------------------------------
 class TestServiceStreaming:
     def test_watch_streams_per_set_progress_before_bound(self):
@@ -296,8 +296,16 @@ class TestServiceStreaming:
                         done.set()
                         return
 
+            # The firehose tails live events only, so submit once the
+            # stream has subscribed to the bus.
+            bus = handle.service.bus
+            before = bus.subscribers
             tailer = threading.Thread(target=tail, daemon=True)
             tailer.start()
+            deadline = time.monotonic() + 10
+            while bus.subscribers == before \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])
             assert done.wait(timeout=30)
@@ -331,30 +339,6 @@ class TestServiceStreaming:
             snapshot = client.metricz()
         assert snapshot["stream.dropped"]["type"] == "gauge"
         assert snapshot["stream.subscribers"]["type"] == "gauge"
-
-    def test_metricz_merge_peers_tags_origins(self):
-        with _thread_service() as upstream:
-            peer = f"127.0.0.1:{upstream.port}"
-            with _thread_service(peers=[peer]) as handle:
-                client = ServiceClient(port=handle.port)
-                upstream_client = ServiceClient(port=upstream.port)
-                job = upstream_client.submit({"benchmark": "check_data"})
-                upstream_client.wait(job["id"])
-                merged = client.metricz(merge_peers=True)
-                plain = client.metricz()
-                own = f"127.0.0.1:{handle.port}"
-        assert merged[f"federation.origin.{peer}"]["value"] == 1
-        assert merged[f"federation.origin.{own}"]["value"] == 1
-        # The peer's engine counters were folded in.
-        merged_lp = merged["engine.lp_calls"]["value"]
-        plain_lp = plain.get("engine.lp_calls", {}).get("value", 0)
-        assert merged_lp > plain_lp
-
-    def test_merge_peers_marks_unreachable_peer_zero(self):
-        with _thread_service(peers=["127.0.0.1:1"]) as handle:
-            client = ServiceClient(port=handle.port)
-            merged = client.metricz(merge_peers=True)
-        assert merged["federation.origin.127.0.0.1:1"]["value"] == 0
 
 
 # ----------------------------------------------------------------------
