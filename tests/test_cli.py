@@ -197,6 +197,20 @@ class TestServiceCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        ["--peers", "127.0.0.1:8788"],
+        ["--no-share"],
+        ["--cluster-key", "secret"],
+        ["--lease-seconds", "5"],
+    ], ids=lambda option: option[0])
+    def test_serve_has_no_replica_options(self, option, capsys):
+        # Rejected while parsing, before any port is bound.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "1", *option])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" \
+            in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_annotate(self, source_file, capsys):
