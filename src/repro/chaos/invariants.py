@@ -17,11 +17,6 @@ lost jobs
     drained run was lost by the scheduler.  Pass
     ``require_terminal=False`` to audit a live (undrained) journal.
 
-tenant quotas
-    Replaying the frame sequence against the tenants file never pushes
-    a tenant past its ``max_queued``/``max_running`` caps — admission
-    control held even while faults were firing.
-
 bound determinism
     Each completed job's spec is re-solved serially, in process, from
     scratch.  A status-``ok`` journal bound must be **bit-identical**
@@ -53,15 +48,13 @@ from pathlib import Path
 #: absorbs representation noise from the JSON round-trip.
 TOLERANCE = 1e-6
 
-_TERMINAL = ("done", "failed")
-
 
 @dataclass
 class Violation:
     """One broken invariant; ``kind`` is the check that caught it."""
 
     kind: str               # duplicate | orphan | divergent | lost
-    #                       # | quota | bound | witness | spec
+    #                       # | bound | witness | spec
     job: str | None
     detail: str
 
@@ -111,8 +104,7 @@ class InvariantReport:
         for note in self.notes:
             lines.append(f"  note: {note}")
         if self.ok:
-            lines.append("  OK: no job lost, no bound diverged, "
-                         "no quota exceeded")
+            lines.append("  OK: no job lost, no bound diverged")
         else:
             lines.append(f"  {len(self.violations)} violation(s):")
             for violation in self.violations:
@@ -177,76 +169,6 @@ def _audit_frames(records, snapshot_jobs, report) -> None:
         report.notes.append(
             f"{overlap} snapshot/WAL submit overlap(s) "
             f"(compaction crash window; replay is idempotent)")
-
-
-def _audit_quotas(records, snapshot_jobs, registry, report) -> None:
-    """Replay admission accounting against the tenant caps."""
-    queued: dict = {}
-    running: dict = {}
-    states: dict = {}
-    for job_id, job in snapshot_jobs.items():
-        tenant = job.get("tenant")
-        state = job.get("state")
-        states[job_id] = (state, tenant)
-        if state == "queued":
-            queued[tenant] = queued.get(tenant, 0) + 1
-        elif state == "running":
-            running[tenant] = running.get(tenant, 0) + 1
-
-    def check(tenant, frame_no):
-        limits = registry.tenants.get(tenant)
-        if limits is None:
-            return
-        if limits.max_queued and \
-                queued.get(tenant, 0) > limits.max_queued:
-            report.violations.append(Violation(
-                "quota", None,
-                f"tenant {tenant!r} held {queued[tenant]} queued "
-                f"jobs (cap {limits.max_queued}) at frame "
-                f"{frame_no}"))
-        if limits.max_running and \
-                running.get(tenant, 0) > limits.max_running:
-            report.violations.append(Violation(
-                "quota", None,
-                f"tenant {tenant!r} held {running[tenant]} running "
-                f"jobs (cap {limits.max_running}) at frame "
-                f"{frame_no}"))
-
-    for frame_no, record in enumerate(records):
-        kind = record.get("type")
-        job_id = record.get("id")
-        if kind == "submit":
-            if states.get(job_id, (None, None))[0] is not None:
-                continue            # idempotent repeat
-            tenant = record.get("tenant")
-            states[job_id] = ("queued", tenant)
-            queued[tenant] = queued.get(tenant, 0) + 1
-            check(tenant, frame_no)
-            continue
-        if job_id not in states:
-            continue                # orphan; already reported
-        state, tenant = states[job_id]
-        if kind == "start" and state == "queued":
-            queued[tenant] -= 1
-            running[tenant] = running.get(tenant, 0) + 1
-            states[job_id] = ("running", tenant)
-            check(tenant, frame_no)
-        elif kind == "lease" and state == "queued":
-            # Earlier versions lent queued jobs to a peer replica
-            # (``lease``, taken back by ``release``); while lent, a
-            # job occupied neither cap here.
-            queued[tenant] -= 1
-            states[job_id] = ("leased", tenant)
-        elif kind == "release" and state == "leased":
-            queued[tenant] = queued.get(tenant, 0) + 1
-            states[job_id] = ("queued", tenant)
-            check(tenant, frame_no)
-        elif kind in ("complete", "fail") and state not in _TERMINAL:
-            if state == "running":
-                running[tenant] -= 1
-            elif state == "queued":
-                queued[tenant] -= 1
-            states[job_id] = ("done", tenant)
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +309,7 @@ def _check_witnesses(job_id, job_data, report) -> None:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def verify_journal(root, tenants=None, serial: bool = True,
-                   witnesses: bool = True,
+def verify_journal(root, serial: bool = True, witnesses: bool = True,
                    require_terminal: bool = True) -> InvariantReport:
     """Audit one journal directory; returns an :class:`InvariantReport`.
 
@@ -396,9 +317,6 @@ def verify_journal(root, tenants=None, serial: bool = True,
     ----------
     root:
         The journal directory (``--journal`` of the service run).
-    tenants:
-        A :class:`~repro.service.durable.TenantRegistry`, a tenants
-        file path, or None to skip the quota check.
     serial:
         Re-solve every completed job serially and compare bounds
         (the expensive check; disable for a quick structural audit).
@@ -434,13 +352,6 @@ def verify_journal(root, tenants=None, serial: bool = True,
                 f"still {job['state']!r} after replay — job lost "
                 f"(or journal from an undrained run; see "
                 f"--allow-pending)"))
-
-    if tenants is not None:
-        from ..service.durable.tenants import TenantRegistry
-
-        registry = tenants if isinstance(tenants, TenantRegistry) \
-            else TenantRegistry.load(tenants)
-        _audit_quotas(records, snapshot_jobs, registry, report)
 
     solve_cache: dict = {}
     for job_id, job in state.by_state("done"):

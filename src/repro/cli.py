@@ -265,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "write-ahead log under DIR; on restart, "
                             "queued and in-flight jobs are recovered "
                             "and re-dispatched")
-    serve.add_argument("--tenants", metavar="FILE",
-                       help="TOML/JSON tenant file: API keys, "
-                            "admission quotas, submit-rate limits and "
-                            "fair-share weights (see "
-                            "docs/durability.md)")
     serve.add_argument("--profile-sample-hz", type=float, default=None,
                        metavar="HZ",
                        help="run the continuous statistical profiler "
@@ -336,11 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "--corpus) instead of Table-I benchmarks")
     submit.add_argument("--limit", type=int, metavar="N",
                         help="with --corpus: submit at most N entries")
-    submit.add_argument("--api-key", metavar="KEY",
-                        default=os.environ.get("REPRO_API_KEY"),
-                        help="tenant API key (default: $REPRO_API_KEY)"
-                             "; required when the service enforces "
-                             "tenancy")
     submit.add_argument("--trace-out", metavar="PATH",
                         help="after the jobs finish, fetch each job's "
                              "reassembled span tree from GET "
@@ -368,14 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list the named injection points")
     cverify = csub.add_parser(
         "verify", help="audit a job journal: no job lost or "
-                       "duplicated, quotas held, bounds bit-identical "
-                       "to a serial re-solve, witnesses satisfy their "
-                       "ILP constraints")
+                       "duplicated, bounds bit-identical to a serial "
+                       "re-solve, witnesses satisfy their ILP "
+                       "constraints")
     cverify.add_argument("--journal", required=True, metavar="DIR",
                          help="journal directory of the run to audit")
-    cverify.add_argument("--tenants", metavar="FILE",
-                         help="tenants file to replay quota "
-                              "accounting against")
     cverify.add_argument("--no-serial", action="store_true",
                          help="skip the serial re-solve bound "
                               "comparison (structural audit only)")
@@ -640,7 +627,7 @@ def _render_alerts(doc: dict) -> str:
         burn = (f"{alert.get('burn_fast', 0):.2f}/"
                 f"{alert.get('burn_slow', 0):.2f}")
         budget = f"{alert.get('budget_remaining', 1.0):.0%}"
-        lines.append(f"{alert.get('key', '?'):<34} "
+        lines.append(f"{alert.get('name', '?'):<34} "
                      f"{alert.get('state', '?'):<9} {burn:>13} "
                      f"{budget:>7}  {alert.get('description', '')}")
     if len(lines) == 2:
@@ -843,7 +830,7 @@ def _cmd_serve(args) -> int:
         set_timeout=args.set_timeout,
         max_iterations=args.max_iterations,
         metrics_path=args.metrics,
-        journal_dir=args.journal, tenants=args.tenants,
+        journal_dir=args.journal,
         profile_hz=args.profile_sample_hz, chaos=chaos,
         slo=args.slo, series=not args.no_series,
         series_interval=args.series_interval,
@@ -877,8 +864,8 @@ def _cmd_chaos(args) -> int:
     from .chaos import verify_journal
 
     report = verify_journal(
-        args.journal, tenants=args.tenants,
-        serial=not args.no_serial, witnesses=not args.no_witness,
+        args.journal, serial=not args.no_serial,
+        witnesses=not args.no_witness,
         require_terminal=not args.allow_pending)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -967,8 +954,7 @@ def _cmd_submit(args) -> int:
                         "priority": args.priority,
                         "deadline_seconds": args.deadline})
                 for name in names]
-    client = ServiceClient(host=args.host, port=args.port,
-                           api_key=args.api_key)
+    client = ServiceClient(host=args.host, port=args.port)
     submitted = []
     for name, spec in jobs:
         # Mint the distributed trace identity client-side so every

@@ -9,8 +9,6 @@ assets, no frameworks — that a browser pointed at a running
 * a banner flips red when the service is degraded
   (``service.degraded``), and every non-``ok`` alert gets a card with
   its burn rates and error-budget remainder;
-* tenant occupancy bars from the ``tenant.*.queue_occupancy`` /
-  ``tenant.*.running`` gauges;
 * tails the existing ``/v1/events`` SSE firehose into a scrolling log.
 
 Served as ``text/html`` bytes by the server; kept here so the obs
@@ -60,10 +58,6 @@ _PAGE = """<!DOCTYPE html>
   svg.spark polyline { fill:none; stroke:var(--ok); stroke-width:1.4; }
   svg.spark.rate polyline { stroke:#58a6ff; }
   svg.spark.quantile polyline { stroke:var(--warn); }
-  .bar { background:var(--line); border-radius:3px; height:8px;
-         overflow:hidden; margin-top:3px; }
-  .bar i { display:block; height:100%; background:var(--ok); }
-  .bar i.hot { background:var(--bad); }
   #log { max-height:220px; overflow-y:auto; background:var(--panel);
          border:1px solid var(--line); border-radius:6px; padding:6px 9px;
          white-space:pre-wrap; color:var(--dim); }
@@ -83,7 +77,6 @@ _PAGE = """<!DOCTYPE html>
 </header>
 <main>
   <section><h2>Alerts</h2><div id="alerts" class="grid"></div></section>
-  <section><h2>Tenants</h2><div id="tenants" class="grid"></div></section>
   <section><h2>Series</h2><div id="series" class="grid"></div></section>
   <section><h2>Event firehose</h2><div id="log"></div></section>
 </main>
@@ -124,25 +117,8 @@ function card(name, s) {
 function renderSeries(doc) {
   const filter = $("filter").value.trim();
   $("series").innerHTML = Object.entries(doc.series || {})
-    .filter(([name]) => (!filter || name.includes(filter))
-                        && !name.startsWith("tenant."))
+    .filter(([name]) => !filter || name.includes(filter))
     .map(([n, s]) => card(n, s)).join("");
-
-  const tenants = {};
-  for (const [name, s] of Object.entries(doc.series || {})) {
-    const m = name.match(/^tenant\\.([^.]+)\\.(queue_occupancy|running)$/);
-    if (!m) continue;
-    const last = s.points.length ? s.points[s.points.length - 1][1] : 0;
-    (tenants[m[1]] = tenants[m[1]] || {})[m[2]] = last;
-  }
-  $("tenants").innerHTML = Object.entries(tenants).map(([t, v]) => {
-    const q = v.queue_occupancy || 0, r = v.running || 0;
-    const pct = Math.min(100, q * 4);
-    return `<div class="card"><div class="name">${esc(t)}</div>` +
-      `<div class="val">${q} queued &middot; ${r} running</div>` +
-      `<div class="bar"><i class="${pct > 75 ? "hot" : ""}"` +
-      ` style="width:${pct}%"></i></div></div>`;
-  }).join("") || `<span class="pill">no tenants</span>`;
 
   const latest = n => { const s = (doc.series || {})[n];
     return s && s.points.length ? s.points[s.points.length - 1][1] : 0; };
@@ -162,7 +138,7 @@ function renderAlerts(doc) {
           firing.length ? "bad" : "ok");
   const active = alerts.filter(a => a.state !== "ok");
   $("alerts").innerHTML = active.length ? active.map(a =>
-    `<div class="card ${a.state}"><div class="name">${esc(a.key)}</div>` +
+    `<div class="card ${a.state}"><div class="name">${esc(a.name)}</div>` +
     `<div class="val">${a.state.toUpperCase()}</div>` +
     `<div class="name">burn ${fmt(a.burn_fast)}&times; fast / ` +
     `${fmt(a.burn_slow)}&times; slow &middot; budget ` +

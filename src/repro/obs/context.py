@@ -23,8 +23,8 @@ A :class:`TraceContext` is that identity.  It is deliberately tiny —
   :class:`repro.obs.trace.Tracer`.
 
 Baggage is a small set of string pairs for cross-cutting labels
-(tenant, submitting host); it rides the context but is *not* stamped
-onto every span record.
+(the benchmark name, the submitting host); it rides the context but
+is *not* stamped onto every span record.
 
 The context never participates in cache keys or analysis fingerprints:
 two submissions of the same spec under different trace ids must share

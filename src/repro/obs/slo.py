@@ -26,11 +26,9 @@ Three objective kinds:
 * ``zero`` — any positive point in the window is a violation
   (burn jumps to infinity).  Degraded-mode and soundness style.
 
-Series names may contain a single ``*`` wildcard (``tenant.*.
-throttled_429``); each binding becomes its own alert instance labelled
-with the matched fragment.  ``load_slos`` reads TOML or JSON files
-whose entries override same-named defaults (``disabled = true``
-removes one).
+Each SLO names its series literally and drives one alert, keyed by
+the SLO's name.  ``load_slos`` reads TOML or JSON files whose entries
+override same-named defaults (``disabled = true`` removes one).
 """
 
 from __future__ import annotations
@@ -94,6 +92,11 @@ class SLO:
         if self.kind in ("level", "zero") and not self.series:
             raise SLOConfigError(
                 f"slo {self.name!r}: {self.kind} kind needs 'series'")
+        for name in (*self.bad, *self.good, *self.series):
+            if "*" in name:
+                raise SLOConfigError(
+                    f"slo {self.name!r}: series {name!r} has a '*'; "
+                    "series names are literal")
 
     @property
     def budget(self) -> float:
@@ -160,12 +163,6 @@ def default_slos() -> list[SLO]:
             series=("synth.fuzz.violations",
                     "chaos.invariant.violations"),
             fast_window=300.0, slow_window=300.0, resolve_after=300.0),
-        SLO(name="tenant-429-share", kind="ratio",
-            description="per-tenant throttled share of submissions",
-            bad=("tenant.*.throttled_429",),
-            good=("tenant.*.submitted",),
-            objective=0.90, fast_window=60.0, slow_window=300.0,
-            fast_burn=3.0, slow_burn=1.0, resolve_after=60.0),
     ]
 
 
@@ -212,14 +209,13 @@ def load_slos(path, defaults=None) -> list[SLO]:
 
 
 class Alert:
-    """Runtime alert state for one SLO instance (one wildcard binding)."""
+    """Runtime alert state for one SLO."""
 
-    __slots__ = ("slo", "label", "state", "since", "breached_at",
-                 "cleared_at", "burn_fast", "burn_slow", "history")
+    __slots__ = ("slo", "state", "since", "breached_at", "cleared_at",
+                 "burn_fast", "burn_slow", "history")
 
-    def __init__(self, slo: SLO, label: str = ""):
+    def __init__(self, slo: SLO):
         self.slo = slo
-        self.label = label
         self.state = "ok"
         self.since = None           # ts of the last state change
         self.breached_at = None     # breach onset (pending timer)
@@ -228,18 +224,12 @@ class Alert:
         self.burn_slow = 0.0
         self.history: deque = deque(maxlen=HISTORY)
 
-    @property
-    def key(self) -> str:
-        return f"{self.slo.name}[{self.label}]" if self.label \
-            else self.slo.name
-
     def budget_remaining(self) -> float:
         """Slow-window error budget left, 1.0 = untouched, 0 = spent."""
         return max(0.0, 1.0 - min(self.burn_slow, 1.0))
 
     def to_dict(self) -> dict:
-        return {"name": self.slo.name, "label": self.label,
-                "key": self.key, "state": self.state,
+        return {"name": self.slo.name, "state": self.state,
                 "kind": self.slo.kind,
                 "description": self.slo.description,
                 "since": self.since,
@@ -278,58 +268,22 @@ class SLOEngine:
             slos = default_slos()
         self.slos = [slo if isinstance(slo, SLO) else SLO.from_dict(slo)
                      for slo in slos]
-        self._alerts: dict[str, Alert] = {}
-        for slo in self.slos:
-            if not self._wildcards(slo):
-                self._alerts[slo.name] = Alert(slo)
-        # Per SLO, (label, bad, good, series) per binding, for a store
-        # of _bound_for series: names change only when it gains one
-        # (a SeriesStore never removes a series).
-        self._bound: list = []
-        self._bound_for = -1
-
-    # -- wildcard expansion --------------------------------------------
-    @staticmethod
-    def _wildcards(slo: SLO) -> bool:
-        return any("*" in name
-                   for name in (*slo.bad, *slo.good, *slo.series))
-
-    def _bindings(self, slo: SLO) -> list[str]:
-        """Distinct ``*`` matches across the SLO's series patterns."""
-        bound = set()
-        for pattern in (*slo.bad, *slo.good, *slo.series):
-            if "*" not in pattern:
-                continue
-            head, _, tail = pattern.partition("*")
-            for name in self.store.names(prefix=head):
-                rest = name[len(head):]
-                if tail and rest.endswith(tail):
-                    rest = rest[:-len(tail)]
-                elif tail:
-                    continue
-                if rest and "." not in rest:
-                    bound.add(rest)
-        return sorted(bound)
-
-    @staticmethod
-    def _bind(names, label: str) -> tuple:
-        return tuple(name.replace("*", label) for name in names)
+        self._alerts = {slo.name: Alert(slo) for slo in self.slos}
 
     # -- burn math -----------------------------------------------------
-    def _burn(self, slo: SLO, window: float, now: float, bad_names,
-              good_names, series) -> float:
+    def _burn(self, slo: SLO, window: float, now: float) -> float:
         if slo.kind == "ratio":
             bad = sum(self.store.window_total(n, window, now=now)
-                      for n in bad_names)
+                      for n in slo.bad)
             good = sum(self.store.window_total(n, window, now=now)
-                       for n in good_names)
+                       for n in slo.good)
             total = bad + good
             if total <= 0:
                 return 0.0
             return (bad / total) / slo.budget
         if slo.kind == "level":
             worst = 0.0
-            for name in series:
+            for name in slo.series:
                 points = self.store.window(name, window, now=now)
                 if not points:
                     continue
@@ -337,7 +291,7 @@ class SLOEngine:
                 worst = max(worst, over / len(points))
             return worst / slo.budget
         # zero: any positive point in the window is a violation.
-        for name in series:
+        for name in slo.series:
             if self.store.window_max(name, window, now=now) > 0:
                 return ZERO_VIOLATION_BURN
         return 0.0
@@ -349,33 +303,20 @@ class SLOEngine:
             now = self.clock()
         self.evaluations += 1
         transitions = []
-        size = len(self.store)
-        if size != self._bound_for:
-            self._bound_for, self._bound = size, [
-                [(label, *(self._bind(names, label) for names in
-                           (slo.bad, slo.good, slo.series)))
-                 for label in (self._bindings(slo) if self._wildcards(slo)
-                               else [""])]
-                for slo in self.slos]
-        for slo, bindings in zip(self.slos, self._bound):
-            for label, *names in bindings:
-                key = f"{slo.name}[{label}]" if label else slo.name
-                alert = self._alerts.get(key)
-                if alert is None:
-                    alert = self._alerts[key] = Alert(slo, label)
-                transition = self._step(alert, now, names)
-                if transition is not None:
-                    transitions.append(transition)
+        for alert in self._alerts.values():
+            transition = self._step(alert, now)
+            if transition is not None:
+                transitions.append(transition)
         if self.registry is not None:
             firing = sum(1 for a in self._alerts.values()
                          if a.state == "firing")
             self.registry.gauge("slo.alerts.firing").set(firing)
         return transitions
 
-    def _step(self, alert: Alert, now: float, names):
+    def _step(self, alert: Alert, now: float):
         slo = alert.slo
-        alert.burn_fast = self._burn(slo, slo.fast_window, now, *names)
-        alert.burn_slow = self._burn(slo, slo.slow_window, now, *names)
+        alert.burn_fast = self._burn(slo, slo.fast_window, now)
+        alert.burn_slow = self._burn(slo, slo.slow_window, now)
         breach = (alert.burn_fast >= slo.fast_burn
                   and alert.burn_slow >= slo.slow_burn)
         state = alert.state
@@ -420,8 +361,8 @@ class SLOEngine:
         if self.registry is not None:
             self.registry.counter(f"slo.transitions.{state}").inc()
         if self.bus is not None:
-            self.bus.publish(event, alert=alert.key, slo=alert.slo.name,
-                             label=alert.label, state=state,
+            self.bus.publish(event, alert=alert.slo.name,
+                             slo=alert.slo.name, state=state,
                              description=alert.slo.description,
                              burn_fast=payload["burn_fast"],
                              burn_slow=payload["burn_slow"],

@@ -24,8 +24,7 @@ CLI: ``repro serve`` / ``repro submit``.  See ``docs/service.md``.
 from .client import (ClientError, JobFailed, ServiceClient,
                      ServiceDegraded, ServiceSaturated,
                      ServiceTimeout, ServiceUnavailable)
-from .durable import (JobJournal, JournalError, JournalState, Tenant,
-                      TenantConfigError, TenantRegistry)
+from .durable import JobJournal, JournalError, JournalState
 from .protocol import BadRequest, JobRecord, JobSpec, STATES
 from .queue import JobQueue, QueueClosed, QueueSaturated
 from .scheduler import LATENCY_BUCKETS, Scheduler
@@ -35,9 +34,6 @@ __all__ = [
     "JobJournal",
     "JournalError",
     "JournalState",
-    "Tenant",
-    "TenantConfigError",
-    "TenantRegistry",
     "AnalysisService",
     "ServiceThread",
     "ServiceClient",

@@ -97,12 +97,10 @@ class ServiceClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 timeout: float = 30.0, api_key: str | None = None):
+                 timeout: float = 30.0):
         self.host = host
         self.port = port
         self.timeout = timeout
-        #: Sent as ``X-API-Key`` when the service enforces tenancy.
-        self.api_key = api_key
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -140,8 +138,6 @@ class ServiceClient:
         headers = {"Connection": "keep-alive"}
         if payload:
             headers["Content-Type"] = "application/json"
-        if self.api_key:
-            headers["X-API-Key"] = self.api_key
         if extra_headers:
             headers.update(extra_headers)
         for attempt in (0, 1):
@@ -289,7 +285,7 @@ class ServiceClient:
                     f"{timeout}s")
             time.sleep(poll)
 
-    def watch(self, job_id: str | None = None, since: int = 0,
+    def watch(self, job_id: str | None = None, since: int | None = None,
               reconnects: int = 3):
         """Yield live events from the service's SSE endpoints.
 
@@ -298,9 +294,16 @@ class ServiceClient:
         / a final ``state``); without, tails the ``/v1/events``
         firehose until the server goes away.  Runs on its own
         streaming connection (the per-thread request connection stays
-        usable).  A dropped connection reconnects up to `reconnects`
-        times with ``Last-Event-ID`` so ring-buffered events missed
-        during the gap are replayed.
+        usable).
+
+        `since` is sent as ``Last-Event-ID``: the stream first replays
+        the ring-buffered events newer than that sequence number, so
+        ``since=0`` replays the whole ring.  Left None, each endpoint
+        keeps its server default: a job stream replays its job's
+        history, the firehose tails live events only.  A dropped
+        connection reconnects up to `reconnects` times with
+        ``Last-Event-ID`` so events missed during the gap are
+        replayed.
         """
         path = (f"/v1/jobs/{job_id}/events" if job_id is not None
                 else "/v1/events")
@@ -312,7 +315,7 @@ class ServiceClient:
             ended = False
             try:
                 headers = {"Accept": "text/event-stream"}
-                if last_seq:
+                if last_seq is not None:
                     headers["Last-Event-ID"] = str(last_seq)
                 connection.request("GET", path, headers=headers)
                 response = connection.getresponse()
@@ -329,7 +332,7 @@ class ServiceClient:
                                       f"{path}")
                 failures = 0
                 for event in parse_sse_stream(response):
-                    last_seq = max(last_seq, event.get("seq", 0))
+                    last_seq = max(last_seq or 0, event.get("seq", 0))
                     yield event
                     if job_id is not None and event.get("type") in (
                             "job_done", "job_failed"):

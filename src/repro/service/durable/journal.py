@@ -98,7 +98,7 @@ class JournalState:
     """What replay recovered: per-job folded state plus diagnostics."""
 
     #: job id -> plain-dict job state (spec, state, status, error,
-    #: tenant, cache_hit, report).
+    #: cache_hit, report).
     jobs: dict = field(default_factory=dict)
     #: Frames applied (snapshot jobs count as one each).
     records: int = 0
@@ -167,7 +167,6 @@ def apply_record(jobs: dict, record: dict) -> bool:
     if kind == "submit":
         jobs.setdefault(job_id, {
             "spec": record.get("spec"),
-            "tenant": record.get("tenant"),
             "state": "queued",
         })
         return True

@@ -210,11 +210,6 @@ class JobRecord:
     cache_hit: bool = False
     #: The finished :class:`~repro.analysis.BoundReport`, if any.
     report: object = field(default=None, repr=False)
-    #: Owning tenant name (None when tenancy is disabled).
-    tenant: str | None = None
-    #: The tenant's fair-share pass: the queue orders by it within a
-    #: priority.
-    fair_pass: float = 0.0
     #: True when this record was restored from the journal.
     recovered: bool = False
     #: Flat span records of this job's execution (scheduler + pool
@@ -257,7 +252,6 @@ class JobRecord:
             "cache_hit": self.cache_hit,
             "priority": self.spec.priority,
             "deadline_seconds": self.spec.deadline_seconds,
-            "tenant": self.tenant,
             "recovered": self.recovered,
         }
         if self.spec.trace is not None:
@@ -277,7 +271,6 @@ class JobRecord:
         data = {
             "spec": self.spec.to_dict(),
             "state": self.state,
-            "tenant": self.tenant,
         }
         if self.state in ("done", "failed"):
             data["status"] = self.status
@@ -299,7 +292,7 @@ class JobRecord:
         original monotonic admission instant did not survive).
         """
         record = cls(id=job_id, spec=JobSpec.from_dict(data["spec"]),
-                     tenant=data.get("tenant"), recovered=True)
+                     recovered=True)
         state = data.get("state", "queued")
         if state in ("done", "failed"):
             record.state = state

@@ -9,11 +9,10 @@ Draining closes admission (:class:`QueueClosed` -> ``503``) while
 workers continue popping until the queue is empty.
 
 Ordering: higher ``priority`` pops first; within a priority, records
-order by their tenant's fair-share *pass* (0.0 when tenancy is off —
-see ``durable/tenants.py``), and ties break on a monotonically
-increasing push sequence number, so dispatch is FIFO-stable in push
-order and the heap never compares records.  Journal recovery pushes
-the restored jobs in job-id order, which is their admission order.
+order by a monotonically increasing push sequence number, so dispatch
+is FIFO-stable in push order and the heap never compares records.
+Journal recovery pushes the restored jobs in job-id order, which is
+their admission order.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class JobQueue:
 
     def __init__(self, maxsize: int = 0):
         self.maxsize = maxsize
-        self._heap: list = []     # (-priority, fair_pass, seq, record)
+        self._heap: list = []     # (-priority, seq, record)
         self._seq = 0
         self._closed = False
         self._waiters: list[asyncio.Future] = []
@@ -81,9 +80,7 @@ class JobQueue:
             raise QueueSaturated(len(self._heap), self.maxsize)
         self._seq += 1
         heapq.heappush(self._heap,
-                       (-record.spec.priority,
-                        getattr(record, "fair_pass", 0.0),
-                        self._seq, record))
+                       (-record.spec.priority, self._seq, record))
         self._wake_one()
 
     async def pop(self):
@@ -101,7 +98,7 @@ class JobQueue:
     def pop_nowait(self):
         """Next record if one is waiting, else None."""
         if self._heap:
-            return heapq.heappop(self._heap)[3]
+            return heapq.heappop(self._heap)[2]
         return None
 
     def remove(self, record) -> bool:
@@ -114,7 +111,7 @@ class JobQueue:
         path.  True if the record was found and removed.
         """
         for index, entry in enumerate(self._heap):
-            if entry[3] is record:
+            if entry[2] is record:
                 last = self._heap.pop()
                 if index < len(self._heap):
                     self._heap[index] = last

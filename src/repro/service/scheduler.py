@@ -94,7 +94,7 @@ class Scheduler:
                  default_set_timeout: float | None = None,
                  max_iterations: int | None = None,
                  registry: MetricsRegistry | None = None,
-                 bus=None, journal=None, tenants=None, tracer=None):
+                 bus=None, journal=None, tracer=None):
         if executor not in ("process", "thread"):
             raise ValueError(f"unknown executor kind {executor!r}")
         self.queue = queue
@@ -113,9 +113,6 @@ class Scheduler:
         #: records are logged before events are published, so a crash
         #: at any point replays to a consistent queue.
         self.journal = journal
-        #: Optional :class:`~.durable.TenantRegistry` for per-tenant
-        #: queued/running occupancy accounting.
-        self.tenants = tenants
         #: Optional service-level :class:`repro.obs.Tracer`; every
         #: finished job's spans (scheduler + workers) are absorbed into
         #: it, which also streams them over SSE when the tracer's bus
@@ -207,8 +204,6 @@ class Scheduler:
             record = await self.queue.pop()
             if record is None:
                 return
-            if self.tenants is not None:
-                self.tenants.note_dequeued(record.tenant)
             self.note_depth()
             await self._run_record(record)
 
@@ -222,8 +217,6 @@ class Scheduler:
             buckets=LATENCY_BUCKETS).observe(record.queue_seconds)
         if self.journal is not None:
             self.journal.append("start", id=record.id)
-        if self.tenants is not None:
-            self.tenants.note_running(record.tenant)
         if self.bus is not None:
             self.bus.publish("job_running", job=record.id,
                              name=record.spec.name,
@@ -253,8 +246,6 @@ class Scheduler:
             self._journal_terminal(record)
             self._publish_done(record)
         finally:
-            if self.tenants is not None:
-                self.tenants.note_done(record.tenant)
             record.run_seconds = time.monotonic() - started
             self.registry.histogram(
                 "service.run_seconds",
@@ -267,9 +258,6 @@ class Scheduler:
             self.completed += 1
             self.registry.counter(
                 f"service.jobs.done.{record.status or 'failed'}").inc()
-            if record.tenant:
-                self.registry.counter(
-                    f"tenant.{record.tenant}.completed").inc()
             self.note_depth()
 
     def _finish_spans(self, record, span_ts: float,

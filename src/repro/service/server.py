@@ -33,8 +33,8 @@ idle timeout lapses), JSON in and out.  Endpoints:
 ``GET /v1/alerts``                SLO engine state: objectives, burn
                                   rates, alert state machines
 ``GET /dashboard``                zero-dependency HTML ops console
-                                  (sparklines, tenants, alerts, SSE
-                                  event tail)
+                                  (sparklines, alerts, SSE event
+                                  tail)
 ================================  =====================================
 
 Both SSE endpoints honour ``Last-Event-ID`` (or ``?since=N``): events
@@ -55,7 +55,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import math
 import signal
 import threading
 import time
@@ -72,7 +71,7 @@ from ..obs.series import (DEFAULT_INTERVAL, DEFAULT_RETENTION,
 from ..obs.slo import SLOEngine, load_slos
 from ..obs.stream import EventBus, sse_comment, sse_format
 from ..obs.trace import Tracer
-from .durable import JobJournal, TenantRegistry
+from .durable import JobJournal
 from .protocol import BadRequest, JobRecord, JobSpec
 from .queue import JobQueue, QueueClosed, QueueSaturated
 from .scheduler import Scheduler
@@ -98,8 +97,7 @@ SERVICE_TRACE_MAXLEN = 16384
 FSYNC_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5)
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-            401: "Unauthorized", 404: "Not Found",
-            405: "Method Not Allowed", 409: "Conflict",
+            404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
@@ -124,7 +122,7 @@ class AnalysisService:
                  registry: MetricsRegistry | None = None,
                  keepalive_timeout: float = KEEPALIVE_TIMEOUT,
                  bus: EventBus | None = None,
-                 journal_dir=None, tenants=None,
+                 journal_dir=None,
                  profile_hz: float | None = None,
                  chaos: object = None,
                  slo=None, series: bool = True,
@@ -160,7 +158,7 @@ class AnalysisService:
         self.profiler = SamplingProfiler(hz=profile_hz) \
             if profile_hz else None
         for name in ("service.jobs.submitted", "service.jobs.rejected",
-                     "service.jobs.throttled", "service.jobs.recovered"):
+                     "service.jobs.recovered"):
             self.registry.counter(name)
         #: The job journal (WAL); None runs the service ephemerally.
         self.journal = JobJournal(journal_dir) if journal_dir else None
@@ -168,11 +166,6 @@ class AnalysisService:
             fsync_hist = self.registry.histogram(
                 "service.journal.fsync_seconds", buckets=FSYNC_BUCKETS)
             self.journal.fsync_observer = fsync_hist.observe
-        #: Tenant registry: a path (loaded), a TenantRegistry, or None.
-        if tenants is not None and not isinstance(tenants,
-                                                 TenantRegistry):
-            tenants = TenantRegistry.load(tenants)
-        self.tenants = tenants
         max_entries, max_bytes = cache_limits or (None, None)
         cache = ResultCache(cache_dir, max_entries=max_entries,
                             max_bytes=max_bytes) if cache_dir else None
@@ -182,8 +175,7 @@ class AnalysisService:
             executor=executor, runner=runner, retries=retries,
             backoff=backoff, default_set_timeout=set_timeout,
             max_iterations=max_iterations, registry=self.registry,
-            bus=self.bus, journal=self.journal, tenants=self.tenants,
-            tracer=self.tracer)
+            bus=self.bus, journal=self.journal, tracer=self.tracer)
         #: Time-series history + SLO alerting.  Pull-based: when
         #: disabled (``series=False`` / ``--no-series``) nothing is
         #: constructed and nothing samples — exactly zero cost on the
@@ -259,10 +251,6 @@ class AnalysisService:
             if record.state == "queued":
                 requeue.append(record)
         for record in requeue:
-            if self.tenants is not None:
-                record.fair_pass = self.tenants.next_pass(
-                    record.tenant)
-                self.tenants.note_queued(record.tenant)
             # force: recovered jobs were all admitted under the cap in
             # their first life, but running ones fold back to queued,
             # so the restored set can exceed queue_depth — and a
@@ -323,7 +311,6 @@ class AnalysisService:
             return
         self.scheduler.note_depth()
         self._journal_gauges()
-        self._tenant_gauges()
         self.registry.gauge("service.degraded").set(
             0 if self.degraded_reason is None else 1)
         sampler.sample()
@@ -673,7 +660,6 @@ class AnalysisService:
                 self.registry.gauge(
                     f"obs.stream.dropped.{name}").set(count)
             self._journal_gauges()
-            self._tenant_gauges()
             self.registry.gauge("service.degraded").set(
                 0 if self.degraded_reason is None else 1)
             cache = self.scheduler.cache
@@ -789,20 +775,6 @@ class AnalysisService:
             gauge("service.journal.replay.tail_dropped").set(
                 int(replay.tail_dropped))
 
-    def _tenant_gauges(self) -> None:
-        """Refresh per-tenant occupancy gauges (fair share made
-        visible: counters for submitted/completed/throttled_429 move
-        at their call sites; queue occupancy is a level read here)."""
-        if self.tenants is None:
-            return
-        for name in self.tenants.tenants:
-            self.registry.gauge(
-                f"tenant.{name}.queue_occupancy").set(
-                self.tenants.queued.get(name, 0))
-            self.registry.gauge(
-                f"tenant.{name}.running").set(
-                self.tenants.running.get(name, 0))
-
     def _health(self) -> dict:
         if self._draining:
             status = "draining"
@@ -824,32 +796,6 @@ class AnalysisService:
             health["degraded_reason"] = self.degraded_reason
         return health
 
-    def _authenticate(self, headers):
-        """(tenant, error response) for one submission's headers."""
-        key = headers.get("x-api-key")
-        if not key:
-            auth = headers.get("authorization", "")
-            if auth.lower().startswith("bearer "):
-                key = auth[len("bearer "):].strip()
-        tenant = self.tenants.authenticate(key)
-        if tenant is None:
-            self.registry.counter("service.jobs.rejected").inc()
-            return None, (401, {"error": "missing or unknown API key"},
-                          None)
-        admission = self.tenants.admit(
-            tenant, slot_hint=self.scheduler.retry_after())
-        if not admission.ok:
-            self.registry.counter("service.jobs.rejected").inc()
-            self.registry.counter("service.jobs.throttled").inc()
-            self.registry.counter(
-                f"tenant.{tenant.name}.throttled_429").inc()
-            header = max(1, math.ceil(admission.retry_after))
-            return None, (429,
-                          {"error": admission.reason,
-                           "retry_after": admission.retry_after},
-                          {"Retry-After": str(header)})
-        return tenant, None
-
     def _degraded_response(self):
         """503 + Retry-After for writes while in degraded mode.
 
@@ -869,11 +815,6 @@ class AnalysisService:
         if self.degraded_reason is not None:
             self.registry.counter("service.jobs.rejected").inc()
             return self._degraded_response()
-        tenant = None
-        if self.tenants is not None:
-            tenant, error = self._authenticate(headers)
-            if error is not None:
-                return error
         try:
             data = json.loads(body or b"{}")
         except json.JSONDecodeError as error:
@@ -881,10 +822,7 @@ class AnalysisService:
         spec = JobSpec.from_dict(data)
         spec = self._attach_trace(spec, headers)
         self._seq += 1
-        record = JobRecord(id=f"j{self._seq:06d}", spec=spec,
-                           tenant=tenant.name if tenant else None)
-        if tenant is not None:
-            record.fair_pass = self.tenants.next_pass(tenant.name)
+        record = JobRecord(id=f"j{self._seq:06d}", spec=spec)
         try:
             self.queue.push(record)
         except QueueSaturated as error:
@@ -897,16 +835,13 @@ class AnalysisService:
             self.registry.counter("service.jobs.rejected").inc()
             return 503, {"error": "service is draining"}, None
         self.records[record.id] = record
-        if self.tenants is not None:
-            self.tenants.note_queued(record.tenant)
         if self.journal is not None:
             # WAL before the 202: once acked, the job survives a
             # killed process (and a power loss, within the journal's
             # group-commit fsync window).
             frame = self.journal.append("submit", durable=True,
                                         id=record.id,
-                                        spec=spec.to_dict(),
-                                        tenant=record.tenant)
+                                        spec=spec.to_dict())
             if frame is None:
                 # The admission could not be journaled (ENOSPC, I/O
                 # error): undo it entirely — a 202 whose job the next
@@ -915,16 +850,11 @@ class AnalysisService:
                 # shows the journal writable again.
                 self.queue.remove(record)
                 self.records.pop(record.id, None)
-                if self.tenants is not None:
-                    self.tenants.note_dequeued(record.tenant)
                 self.registry.counter("service.jobs.rejected").inc()
                 self._enter_degraded(
                     f"journal write failed: {self.journal.last_error}")
                 return self._degraded_response()
         self.registry.counter("service.jobs.submitted").inc()
-        if record.tenant:
-            self.registry.counter(
-                f"tenant.{record.tenant}.submitted").inc()
         self.bus.publish("job_queued", job=record.id,
                          name=record.spec.name,
                          queue_depth=self.queue.depth)

@@ -237,7 +237,7 @@ class TestJournalUnderFaults:
         journal.open()
         inject.install("seed=1,journal.enospc=1")
         assert journal.append("submit", id="j000001",
-                              spec=_spec_dict("a"), tenant=None) is None
+                              spec=_spec_dict("a")) is None
         assert journal.last_error is not None
         assert journal.write_errors == 1
         journal.close()
@@ -249,11 +249,11 @@ class TestJournalUnderFaults:
         journal.open()
         inject.install("seed=1,journal.enospc=1")
         assert journal.append("submit", id="j000001",
-                              spec=_spec_dict("a"), tenant=None) is None
+                              spec=_spec_dict("a")) is None
         assert journal.probe() is True              # charge spent
         assert journal.last_error is None
         assert journal.append("submit", id="j000002",
-                              spec=_spec_dict("b"), tenant=None) is not None
+                              spec=_spec_dict("b")) is not None
         journal.close()
         state = JobJournal(tmp_path).open()
         assert sorted(state.jobs) == ["j000002"]
@@ -262,14 +262,14 @@ class TestJournalUnderFaults:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         inject.install("seed=1,journal.torn=1")
         assert journal.append("submit", id="j000002",
-                              spec=_spec_dict("b"), tenant=None) is None
+                              spec=_spec_dict("b")) is None
         # The half-written frame was truncated away: the next append
         # lands on a clean boundary and replay sees no torn tail.
         assert journal.append("submit", id="j000003",
-                              spec=_spec_dict("c"), tenant=None) is not None
+                              spec=_spec_dict("c")) is not None
         journal.close()
         state = JobJournal(tmp_path).open()
         assert not state.tail_dropped
@@ -279,9 +279,9 @@ class TestJournalUnderFaults:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         journal.append("submit", id="j000002",
-                       spec=_spec_dict("b"), tenant=None)
+                       spec=_spec_dict("b"))
         journal.close()
         wal = tmp_path / "journal.wal"
         intact = wal.stat().st_size
@@ -292,7 +292,7 @@ class TestJournalUnderFaults:
         # The torn bytes are gone from disk, not merely skipped: an
         # append after recovery extends a well-formed log.
         journal.append("submit", id="j000003",
-                       spec=_spec_dict("c"), tenant=None)
+                       spec=_spec_dict("c"))
         journal.close()
         assert wal.stat().st_size > intact
         state = JobJournal(tmp_path).open()
@@ -312,7 +312,7 @@ class TestJournalUnderFaults:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         real_replace = __import__("os").replace
 
         def boom(src, dst):
@@ -545,8 +545,7 @@ class TestInvariants:
 
     def test_clean_journal_passes(self, tmp_path):
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
             ("start", {"id": "j000001"}),
             ("fail", {"id": "j000001", "status": "failed",
                       "error": "boom"}),
@@ -557,8 +556,7 @@ class TestInvariants:
 
     def test_lost_job_is_flagged(self, tmp_path):
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
             ("start", {"id": "j000001"}),
         ])
         report = verify_journal(tmp_path)
@@ -568,10 +566,8 @@ class TestInvariants:
 
     def test_duplicate_submit_is_flagged(self, tmp_path):
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
             ("fail", {"id": "j000001", "status": "failed",
                       "error": "x"}),
         ])
@@ -587,8 +583,7 @@ class TestInvariants:
 
     def test_divergent_terminal_frames_are_flagged(self, tmp_path):
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
             ("complete", {"id": "j000001", "status": "ok",
                           "cache_hit": False, "report": None}),
             ("fail", {"id": "j000001", "status": "failed",
@@ -602,8 +597,7 @@ class TestInvariants:
         # expired and both replicas ran it) — with the bit-identical
         # result, thanks to the idempotent engine.
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
             ("complete", {"id": "j000001", "status": "ok",
                           "cache_hit": False, "report": None}),
             ("complete", {"id": "j000001", "status": "ok",
@@ -615,10 +609,8 @@ class TestInvariants:
 
     def test_lent_job_holds_no_queue_slot(self, tmp_path):
         # Earlier versions journaled a job lent to a peer replica as a
-        # ``lease`` frame; while lent it held no slot under the caps.
-        tenants = tmp_path / "tenants.json"
-        tenants.write_text(json.dumps(
-            {"ci": {"key": "s3cret", "max_queued": 1}}))
+        # ``lease`` frame, and stamped each submit with its tenant; such
+        # a journal audits clean.
         journal_dir = tmp_path / "journal"
         self._journal_with(journal_dir, [
             ("submit", {"id": "j000001", "spec": _spec_dict("a"),
@@ -632,25 +624,10 @@ class TestInvariants:
             ("fail", {"id": "j000002", "status": "failed",
                       "error": "boom"}),
         ])
-        report = verify_journal(journal_dir, tenants=tenants,
-                                serial=False, witnesses=False)
+        report = verify_journal(journal_dir, serial=False,
+                                witnesses=False)
         assert report.ok, report.render()
         assert report.frames == 6
-
-    def test_quota_breach_is_flagged(self, tmp_path):
-        tenants = tmp_path / "tenants.json"
-        tenants.write_text(json.dumps(
-            {"ci": {"key": "s3cret", "max_queued": 1}}))
-        journal_dir = tmp_path / "journal"
-        self._journal_with(journal_dir, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": "ci"}),
-            ("submit", {"id": "j000002", "spec": _spec_dict("b"),
-                        "tenant": "ci"}),
-        ])
-        report = verify_journal(journal_dir, tenants=tenants,
-                                require_terminal=False)
-        assert any(v.kind == "quota" for v in report.violations)
 
     def test_tampered_bound_is_caught_by_serial_resolve(self, tmp_path):
         # Produce a genuine journal, then forge the worst bound.
@@ -690,8 +667,7 @@ class TestInvariants:
 
     def test_report_renders_and_serializes(self, tmp_path):
         self._journal_with(tmp_path, [
-            ("submit", {"id": "j000001", "spec": _spec_dict("a"),
-                        "tenant": None}),
+            ("submit", {"id": "j000001", "spec": _spec_dict("a")}),
         ])
         report = verify_journal(tmp_path)
         text = report.render()
@@ -713,8 +689,7 @@ class TestReplayability:
             outcomes = []
             for n in range(5):
                 frame = journal.append("submit", id=f"j{n:06d}",
-                                       spec=_spec_dict(f"x{n}"),
-                                       tenant=None)
+                                       spec=_spec_dict(f"x{n}"))
                 outcomes.append(frame is not None)
             journal.close()
             counts = inject.active().counts()

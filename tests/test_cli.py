@@ -197,16 +197,27 @@ class TestServiceCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", [
-        ["--peers", "127.0.0.1:8788"],
-        ["--no-share"],
-        ["--cluster-key", "secret"],
-        ["--lease-seconds", "5"],
-    ], ids=lambda option: option[0])
-    def test_serve_has_no_replica_options(self, option, capsys):
-        # Rejected while parsing, before any port is bound.
+    SERVE = ["serve", "--port", "1"]
+
+    @pytest.mark.parametrize("command, option", [
+        pytest.param(SERVE, ["--peers", "127.0.0.1:8788"], id="--peers"),
+        pytest.param(SERVE, ["--no-share"], id="--no-share"),
+        pytest.param(SERVE, ["--cluster-key", "secret"],
+                     id="--cluster-key"),
+        pytest.param(SERVE, ["--lease-seconds", "5"],
+                     id="--lease-seconds"),
+        pytest.param(SERVE, ["--tenants", "tenants.toml"], id="--tenants"),
+        pytest.param(["submit", "check_data", "--port", "1"],
+                     ["--api-key", "secret"], id="submit--api-key"),
+        pytest.param(["chaos", "verify", "--journal", "journal"],
+                     ["--tenants", "tenants.toml"],
+                     id="chaos-verify--tenants"),
+    ])
+    def test_serve_has_no_replica_options(self, command, option, capsys):
+        # Replica and tenancy options are gone: each is rejected while
+        # parsing, before a port is bound or a journal read.
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--port", "1", *option])
+            main([*command, *option])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {option[0]}" \
             in capsys.readouterr().err

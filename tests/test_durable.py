@@ -1,8 +1,8 @@
-"""Durable layer: journal replay, recovery and tenancy.
+"""Durable layer: journal replay and recovery.
 
 Journal semantics are tested at the file level (torn tails, duplicate
 frames, crash-during-compaction) and end-to-end (a service restarted
-on a journal re-dispatches recovered jobs).  Tenancy uses the same
+on a journal re-dispatches recovered jobs), with the same
 deterministic gated-runner embedding as ``tests/test_service.py``.
 """
 
@@ -16,11 +16,9 @@ from repro.chaos import verify_journal
 from repro.engine.jobs import JobResult
 from repro.obs import MetricsRegistry
 from repro.programs import get_benchmark
-from repro.service import (ClientError, JobJournal, JobQueue, JobRecord,
-                           JobSpec, JournalError, ServiceClient,
-                           ServiceSaturated, ServiceThread,
-                           TenantConfigError, TenantRegistry)
-from repro.service.durable.journal import MAGIC, apply_record
+from repro.service import (JobJournal, JobRecord, JobSpec, JournalError,
+                           ServiceClient, ServiceSaturated, ServiceThread)
+from repro.service.durable.journal import MAGIC, apply_record, scan_wal
 
 
 class GatedRunner:
@@ -71,17 +69,17 @@ class TestJournalReplay:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         journal.append("start", id="j000001")
         journal.append("set_done", id="j000001", set=0,
                        worst=10, best=2, feasible=True)
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=False, report=None)
         journal.append("submit", id="j000002",
-                       spec=_spec_dict("b"), tenant="ci")
+                       spec=_spec_dict("b"))
         journal.append("start", id="j000002")
         journal.append("submit", id="j000003",
-                       spec=_spec_dict("c"), tenant=None)
+                       spec=_spec_dict("c"))
         journal.close()
 
         state = JobJournal(tmp_path).open()
@@ -91,7 +89,6 @@ class TestJournalReplay:
         assert jobs["j000001"]["state"] == "done"
         assert jobs["j000001"]["status"] == "ok"
         assert jobs["j000002"]["state"] == "running"
-        assert jobs["j000002"]["tenant"] == "ci"
         assert jobs["j000003"]["state"] == "queued"
 
     def test_complete_frame_without_refuted_flags_replays(self, tmp_path):
@@ -106,8 +103,7 @@ class TestJournalReplay:
             del entry["stats"]["refuted"]
         journal = JobJournal(tmp_path)
         journal.open()
-        journal.append("submit", id="j000001", spec=_spec_dict("a"),
-                       tenant=None)
+        journal.append("submit", id="j000001", spec=_spec_dict("a"))
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=False, report=older)
         journal.close()
@@ -121,7 +117,7 @@ class TestJournalReplay:
         journal.open()
         for n in range(4):
             journal.append("submit", id=f"j{n:06d}",
-                           spec=_spec_dict(f"job{n}"), tenant=None)
+                           spec=_spec_dict(f"job{n}"))
         journal.close()
         # Tear the last frame mid-payload, as a crash mid-append would.
         wal = tmp_path / "journal.wal"
@@ -135,9 +131,9 @@ class TestJournalReplay:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         journal.append("submit", id="j000002",
-                       spec=_spec_dict("b"), tenant=None)
+                       spec=_spec_dict("b"))
         journal.close()
         wal = tmp_path / "journal.wal"
         data = bytearray(wal.read_bytes())
@@ -153,7 +149,7 @@ class TestJournalReplay:
         journal.open()
         for _ in range(3):                     # replayed WAL segment
             journal.append("submit", id="j000001",
-                           spec=_spec_dict("a"), tenant=None)
+                           spec=_spec_dict("a"))
             journal.append("start", id="j000001")
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=True, report=None)
@@ -170,7 +166,7 @@ class TestJournalReplay:
     def test_terminal_state_is_monotonic(self):
         jobs = {}
         apply_record(jobs, {"type": "submit", "id": "j1",
-                            "spec": {}, "tenant": None})
+                            "spec": {}})
         apply_record(jobs, {"type": "fail", "id": "j1",
                             "status": "failed", "error": "boom"})
         apply_record(jobs, {"type": "start", "id": "j1"})
@@ -184,11 +180,11 @@ class TestJournalReplay:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=False, report=None)
         journal.append("submit", id="j000002",
-                       spec=_spec_dict("b"), tenant=None)
+                       spec=_spec_dict("b"))
         state = JobJournal(tmp_path).open().jobs
         # Crash window: snapshot renamed into place, WAL not yet
         # truncated — every WAL record is already folded into the
@@ -206,7 +202,7 @@ class TestJournalReplay:
         journal = JobJournal(tmp_path)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("a"), tenant=None)
+                       spec=_spec_dict("a"))
         journal.close()
         # Crash mid-snapshot-write: a torn temp file, never renamed.
         (tmp_path / "snapshot.json.tmp").write_text('{"schema": 1, "jo')
@@ -219,10 +215,10 @@ class TestJournalReplay:
         journal.open()
         for n in range(6):
             journal.append("submit", id=f"j{n:06d}",
-                           spec=_spec_dict(f"job{n}"), tenant=None)
+                           spec=_spec_dict(f"job{n}"))
         assert journal.should_compact()
         state = {f"j{n:06d}": {"spec": _spec_dict(f"job{n}"),
-                               "state": "queued", "tenant": None}
+                               "state": "queued"}
                  for n in range(6)}
         journal.compact(state)
         assert journal.wal_bytes == len(MAGIC)
@@ -249,7 +245,7 @@ class TestJournalReplay:
             job_id = f"j{n:06d}"
             apply_record(jobs, journal.append(
                 "submit", durable=True, id=job_id,
-                spec=_spec_dict(f"job{n}"), tenant=None))
+                spec=_spec_dict(f"job{n}")))
             apply_record(jobs, journal.append(
                 "complete", id=job_id, status="ok", cache_hit=False,
                 report=report))
@@ -285,16 +281,34 @@ class TestRecovery:
         journal = JobJournal(root)
         journal.open()
         journal.append("submit", id="j000001",
-                       spec=_spec_dict("finished"), tenant=None)
+                       spec=_spec_dict("finished"))
         journal.append("start", id="j000001")
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=False, report=None)
         journal.append("submit", id="j000002",
-                       spec=_spec_dict("queued"), tenant=None)
+                       spec=_spec_dict("queued"))
         journal.append("submit", id="j000003",
-                       spec=_spec_dict("inflight"), tenant=None)
+                       spec=_spec_dict("inflight"))
         journal.append("start", id="j000003")
         journal.close()
+
+    def test_new_frames_and_snapshot_entries_carry_no_tenant(self,
+                                                             tmp_path):
+        runner = GatedRunner()
+        runner.gate.set()
+        with _thread_service(workers=1, runner=runner,
+                             journal_dir=tmp_path) as handle:
+            client = ServiceClient(port=handle.port)
+            job = client.submit(_src("a"))["id"]
+            client.wait(job, timeout=30)
+            # Submit frames are flushed before the 202 goes out.
+            frames, _, _ = scan_wal(tmp_path / "journal.wal")
+        assert [frame["id"] for frame in frames
+                if frame["type"] == "submit"] == [job]
+        assert not [frame for frame in frames if "tenant" in frame]
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert list(snapshot["jobs"]) == [job]
+        assert "tenant" not in snapshot["jobs"][job]
 
     def test_restart_redispatches_queued_and_inflight(self, tmp_path):
         self._seed_journal(tmp_path)
@@ -324,7 +338,7 @@ class TestRecovery:
         journal.open()
         for n in (1, 2, 3):
             journal.append("submit", id=f"j{n:06d}",
-                           spec=_spec_dict(f"job{n}"), tenant=None)
+                           spec=_spec_dict(f"job{n}"))
         journal.close()
         runner = GatedRunner()
         runner.gate.set()
@@ -343,7 +357,7 @@ class TestRecovery:
         journal.open()
         for n in range(5):
             journal.append("submit", id=f"j{n:06d}",
-                           spec=_spec_dict(f"job{n}"), tenant=None)
+                           spec=_spec_dict(f"job{n}"))
         journal.append("start", id="j000004")   # running at crash
         journal.close()
         runner = GatedRunner()
@@ -373,7 +387,9 @@ class TestRecovery:
 class TestEarlierJournals:
     """Earlier versions lent queued jobs to peer replicas and journaled
     it: ``lease`` and ``release`` frames, and snapshot entries in state
-    ``leased``.  Replay folds each to ``queued``."""
+    ``leased``.  Replay folds each to ``queued``.  They also stamped
+    every ``submit`` frame and snapshot entry with a ``tenant``, which
+    replay ignores."""
 
     NAMES = {"j000001": "check_data", "j000002": "piksrt",
              "j000003": "circle"}
@@ -502,129 +518,38 @@ class TestEarlierJournals:
         assert report.ok, report.render()
         assert report.checked_bounds == len(self.NAMES)
 
-
-# ======================================================================
-# Tenancy: keys, quotas, rate limits, fair share
-# ======================================================================
-def _tenants_file(tmp_path, text):
-    path = tmp_path / "tenants.toml"
-    path.write_text(text)
-    return path
-
-
-class TestTenants:
-    def test_load_toml_and_json(self, tmp_path):
-        toml = _tenants_file(tmp_path, '[ci]\nkey = "s1"\nweight = 2.0\n')
-        registry = TenantRegistry.load(toml)
-        assert registry.authenticate("s1").name == "ci"
-        json_path = tmp_path / "tenants.json"
-        json_path.write_text('{"adhoc": {"key": "s2", "rate": 1.5}}')
-        registry = TenantRegistry.load(json_path)
-        assert registry.authenticate("s2").rate == 1.5
-        assert registry.authenticate("nope") is None
-
-    @pytest.mark.parametrize("text", [
-        "",                                       # empty
-        "[ci]\nweight = 1.0\n",                   # no key
-        '[ci]\nkey = "s"\nfrobnicate = 1\n',      # unknown setting
-        '[ci]\nkey = "s"\nweight = 0.0\n',        # bad weight
-        '[a]\nkey = "s"\n[b]\nkey = "s"\n',       # duplicate key
-    ])
-    def test_bad_tenant_files(self, tmp_path, text):
-        with pytest.raises(TenantConfigError):
-            TenantRegistry.load(_tenants_file(tmp_path, text))
-
-    def test_unknown_key_is_401(self, tmp_path):
-        tenants = _tenants_file(tmp_path, '[ci]\nkey = "secret"\n')
-        runner = GatedRunner()
-        runner.gate.set()
-        with _thread_service(workers=1, runner=runner,
-                             tenants=tenants) as handle:
-            with pytest.raises(ClientError, match="HTTP 401"):
-                ServiceClient(port=handle.port).submit(_src("anon"))
-            with pytest.raises(ClientError, match="HTTP 401"):
-                ServiceClient(port=handle.port,
-                              api_key="wrong").submit(_src("bad"))
-            client = ServiceClient(port=handle.port, api_key="secret")
-            record = client.wait(client.submit(_src("ok"))["id"],
-                                 timeout=30)
-            assert record["tenant"] == "ci"
-
-    def test_max_queued_quota_is_429(self, tmp_path):
-        tenants = _tenants_file(
-            tmp_path, '[ci]\nkey = "secret"\nmax_queued = 1\n')
-        runner = GatedRunner()
-        with _thread_service(workers=1, runner=runner,
-                             tenants=tenants) as handle:
-            client = ServiceClient(port=handle.port, api_key="secret")
-            client.submit(_src("inflight"))
-            assert runner.started.wait(timeout=10)
-            client.submit(_src("queued"))          # fills the quota
-            with pytest.raises(ServiceSaturated):
-                client.submit(_src("over-quota"))
-            runner.gate.set()
-            snapshot = client.metricz()
-        registry = MetricsRegistry.from_snapshot(snapshot)
-        assert registry.value("service.jobs.throttled") == 1
-        assert "over-quota" not in runner.names
-
-    def test_submit_rate_limit_is_429_with_retry_after(self, tmp_path):
-        tenants = _tenants_file(
-            tmp_path, '[ci]\nkey = "secret"\nrate = 0.5\nburst = 1\n')
-        runner = GatedRunner()
-        runner.gate.set()
-        with _thread_service(workers=1, runner=runner,
-                             tenants=tenants) as handle:
-            client = ServiceClient(port=handle.port, api_key="secret")
-            client.submit(_src("first"))
-            with pytest.raises(ServiceSaturated) as excinfo:
-                client.submit(_src("rate-limited"))
-            assert excinfo.value.retry_after >= 1
-
-    def test_quota_rejection_does_not_burn_a_rate_token(self):
-        from repro.service.durable.tenants import Tenant
-
-        registry = TenantRegistry([Tenant(
-            name="ci", key="k", max_queued=1, rate=0.001, burst=1.0)])
-        tenant = registry.tenants["ci"]
-        registry.note_queued("ci")              # at the queue cap
-        rejected = registry.admit(tenant)
-        assert not rejected.ok and "queued" in rejected.reason
-        registry.note_dequeued("ci")            # a slot frees up
-        # The quota bounce above must not have consumed the single
-        # token: this admission still succeeds on it...
-        assert registry.admit(tenant).ok
-        # ...and only now is the bucket empty.
-        throttled = registry.admit(tenant)
-        assert not throttled.ok and "rate" in throttled.reason
-        import asyncio
-
-        registry = TenantRegistry([
-            # heavy pays 1/2 pass per job, light pays 1.
-            __import__("repro.service.durable.tenants",
-                       fromlist=["Tenant"]).Tenant(
-                name="heavy", key="h", weight=2.0),
-            __import__("repro.service.durable.tenants",
-                       fromlist=["Tenant"]).Tenant(
-                name="light", key="l", weight=1.0),
-        ])
-
-        async def scenario():
-            queue = JobQueue()
-            for tenant, name in (("heavy", "h1"), ("light", "l1"),
-                                 ("heavy", "h2"), ("light", "l2"),
-                                 ("heavy", "h3"), ("light", "l3")):
-                record = JobRecord(
-                    id=name, spec=JobSpec(name=name, benchmark=name),
-                    tenant=tenant)
-                record.fair_pass = registry.next_pass(tenant)
-                queue.push(record)
-            return [(await queue.pop()).id for _ in range(6)]
-
-        order = asyncio.run(scenario())
-        # Strides: heavy 0.5/1.0/1.5, light 1.0/2.0/3.0 — under
-        # contention the weight-2 tenant drains twice as fast.
-        assert order == ["h1", "l1", "h2", "h3", "l2", "l3"]
+    def test_tenant_fields_are_ignored(self, tmp_path):
+        root = tmp_path / "journal"
+        root.mkdir()
+        specs = {job_id: JobSpec.from_dict({"benchmark": name}).to_dict()
+                 for job_id, name in self.NAMES.items()}
+        (root / "snapshot.json").write_text(json.dumps(
+            {"schema": 1,
+             "jobs": {"j000001": {"spec": specs["j000001"],
+                                  "state": "queued", "tenant": "ci"}}}))
+        journal = JobJournal(root)
+        journal.open()
+        for job_id in ("j000002", "j000003"):
+            journal.append("submit", id=job_id, spec=specs[job_id],
+                           tenant="ci")
+        journal.append("start", id="j000003")
+        journal.close()
+        with _thread_service(workers=1, journal_dir=root) as handle:
+            client = ServiceClient(port=handle.port)
+            records = {job_id: client.wait(job_id, timeout=60)
+                       for job_id in self.NAMES}
+        for job_id, name in self.NAMES.items():
+            serial = get_benchmark(name).make_analysis().estimate()
+            record = records[job_id]
+            assert record["state"] == "done" and record["recovered"]
+            assert "tenant" not in record
+            assert (record["best"], record["worst"]) == serial.interval
+        snapshot = json.loads((root / "snapshot.json").read_text())
+        assert not [job for job in snapshot["jobs"].values()
+                    if "tenant" in job]
+        report = verify_journal(root)
+        assert report.ok, report.render()
+        assert report.checked_bounds == len(self.NAMES)
 
 
 # ======================================================================

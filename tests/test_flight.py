@@ -12,13 +12,11 @@ The end-to-end half runs the *real* engine in a thread-executor
 service, so genuine solver spans join the job's trace.
 """
 
-import json
 import threading
 import time
 
 import pytest
 
-from repro.engine.jobs import JobResult
 from repro.obs import (EventBus, MetricsRegistry, SamplingProfiler,
                        TraceContext, Tracer, assemble_trees, build_tree,
                        collapse_frame, group_by_trace, orphan_spans,
@@ -43,7 +41,7 @@ def _src(name, **extra):
 # ======================================================================
 class TestTraceContext:
     def test_round_trips(self):
-        context = TraceContext.new(tenant="ci", benchmark="des")
+        context = TraceContext.new(host="ci", benchmark="des")
         assert TraceContext.from_header(context.to_header()) == context
         assert TraceContext.from_dict(context.to_dict()) == context
 
@@ -230,7 +228,7 @@ class TestJournalInspect:
         spec = JobSpec.from_dict(_src("a")).to_dict()
         journal = JobJournal(tmp_path)
         journal.open()
-        journal.append("submit", id="j000001", spec=spec, tenant=None)
+        journal.append("submit", id="j000001", spec=spec)
         journal.append("start", id="j000001")
         journal.append("start", id="j000001")      # duplicate frame
         journal.close()
@@ -266,29 +264,6 @@ class TestBusDropAccounting:
 # ======================================================================
 # End to end: traced service, profiler endpoint
 # ======================================================================
-class GatedRunner:
-    """A fake engine runner the test can hold and release."""
-
-    def __init__(self):
-        self.gate = threading.Event()
-        self.started = threading.Event()
-        self.payloads = []
-        self._lock = threading.Lock()
-
-    def __call__(self, payload):
-        with self._lock:
-            self.payloads.append(payload)
-        self.started.set()
-        if not self.gate.wait(timeout=30):
-            raise TimeoutError("test never released the gate")
-        return JobResult(payload[0].name, "ok")
-
-    @property
-    def names(self):
-        with self._lock:
-            return [payload[0].name for payload in self.payloads]
-
-
 def _traced_run(client, spec, context):
     ticket = client.submit(spec, trace=context)
     assert ticket["trace_id"] == context.trace_id
@@ -340,34 +315,6 @@ class TestServiceFlight:
             snapshot = client.metricz()
         registry = MetricsRegistry.from_snapshot(snapshot)
         assert registry.value("service.profiler.samples") > 0
-
-
-class TestTenantMetrics:
-    def test_submitted_completed_throttled_gauges(self, tmp_path):
-        tenants = tmp_path / "tenants.json"
-        tenants.write_text(json.dumps(
-            {"ci": {"key": "s3cret", "max_queued": 1}}))
-        runner = GatedRunner()
-        with _thread_service(workers=1, runner=runner,
-                             tenants=str(tenants)) as handle:
-            client = ServiceClient(port=handle.port, api_key="s3cret")
-            first = client.submit(_src("one"))
-            assert runner.started.wait(timeout=10)
-            second = client.submit(_src("two"))    # fills the quota
-            from repro.service import ServiceSaturated
-            with pytest.raises(ServiceSaturated):
-                client.submit(_src("three"))       # throttled
-            mid = MetricsRegistry.from_snapshot(client.metricz())
-            runner.gate.set()
-            client.wait(first["id"], timeout=60)
-            client.wait(second["id"], timeout=60)
-            done = MetricsRegistry.from_snapshot(client.metricz())
-
-        assert mid.value("tenant.ci.submitted") == 2
-        assert mid.value("tenant.ci.throttled_429") == 1
-        assert mid.value("tenant.ci.queue_occupancy") == 1
-        assert done.value("tenant.ci.completed") == 2
-        assert done.value("tenant.ci.queue_occupancy") == 0
 
 
 class TestJournalGauges:

@@ -336,15 +336,40 @@ class TestSLOConfig:
         assert slos["queue-latency-p99"].limit == 5.0
         assert slos["queue-saturation"].series == ("service.queue_depth",)
 
-    def test_disabling_a_removed_objective_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("removed", ["peer-breaker",
+                                         "tenant-429-share"])
+    def test_disabling_a_removed_objective_still_loads(self, tmp_path,
+                                                       removed):
         # Overlays written for earlier versions switched off the
-        # per-peer breaker objective; such a file loads unchanged.
+        # per-peer breaker or the per-tenant throttle objective; such a
+        # file loads unchanged.
         path = tmp_path / "slo.toml"
-        path.write_text('[[slo]]\nname = "peer-breaker"\n'
+        path.write_text(f'[[slo]]\nname = "{removed}"\n'
                         'disabled = true\n')
         names = [slo.name for slo in load_slos(path)]
         assert names == [slo.name for slo in default_slos()]
-        assert "peer-breaker" not in names
+        assert removed not in names
+
+    @pytest.mark.parametrize("field, names", [
+        pytest.param("bad", ["tenant.*.throttled_429"], id="bad"),
+        pytest.param("good", ["service.jobs.submitted",
+                              "tenant.*.submitted"], id="good"),
+        pytest.param("series", ["service.*"], id="series"),
+    ])
+    def test_wildcard_series_are_rejected(self, tmp_path, capsys, field,
+                                          names):
+        # A '*' names no series, so the objective could never fire.
+        from repro.cli import main
+
+        entry = {"name": "starred", "kind": "zero", "series": ["x"],
+                 "bad": ["y"], field: names}
+        with pytest.raises(SLOConfigError, match=r"'\*'"):
+            SLO.from_dict(entry)
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps({"slo": [entry]}))
+        assert main(["serve", "--port", "0", "--no-cache",
+                     "--slo", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 # ======================================================================
@@ -488,50 +513,26 @@ class TestAlertStateMachine:
         trans = engine.evaluate(now=4.0)
         assert [t["state"] for t in trans] == ["firing"]
 
-    def test_wildcard_expands_per_tenant(self):
+    def test_one_alert_per_objective_keyed_by_its_name(self):
+        # Per-tenant series an earlier version sampled bind to nothing:
+        # each objective drives exactly one alert, named after it.
         store = SeriesStore()
-        engine = SLOEngine(store, slos=[SLO(
-            name="throttle", kind="ratio",
-            bad=("tenant.*.throttled_429",),
-            good=("tenant.*.submitted",), objective=0.9,
-            fast_window=20.0, slow_window=20.0, fast_burn=1.0,
-            slow_burn=1.0)], clock=lambda: 0.0)
-        for i in range(10):
-            store.record("tenant.acme.throttled_429", 5.0,
-                         ts=float(i), kind="rate")
-            store.record("tenant.acme.submitted", 5.0, ts=float(i),
-                         kind="rate")
-            store.record("tenant.beta.throttled_429", 0.0,
-                         ts=float(i), kind="rate")
-            store.record("tenant.beta.submitted", 10.0, ts=float(i),
-                         kind="rate")
-        engine.evaluate(now=9.5)
-        by_key = {a["key"]: a for a in engine.alerts()}
-        assert by_key["throttle[acme]"]["state"] == "firing"
-        assert by_key["throttle[beta]"]["state"] == "ok"
-
-    def test_bindings_are_kept_until_a_series_appears(self, monkeypatch):
-        store = SeriesStore()
-        engine = SLOEngine(store, slos=[SLO(
-            name="throttle", kind="ratio",
-            bad=("tenant.*.throttled_429",),
-            good=("tenant.*.submitted",), objective=0.9)],
-            clock=lambda: 0.0)
-        expansions = []
-        bindings = engine._bindings
-        monkeypatch.setattr(engine, "_bindings", lambda slo: (
-            expansions.append(slo.name) or bindings(slo)))
-        store.record("tenant.acme.submitted", 1.0, ts=0.0, kind="rate")
-        for now in (1.0, 2.0):
-            store.record("tenant.acme.submitted", 1.0, ts=now, kind="rate")
-            engine.evaluate(now=now)
-        assert expansions == ["throttle"]
-        assert [a["key"] for a in engine.alerts()] == ["throttle[acme]"]
-        store.record("tenant.beta.submitted", 1.0, ts=3.0, kind="rate")
-        engine.evaluate(now=3.0)
-        assert expansions == ["throttle", "throttle"]
-        assert [a["key"] for a in engine.alerts()] == ["throttle[acme]",
-                                                       "throttle[beta]"]
+        bus = EventBus()
+        sub = bus.subscribe(name="test")
+        for name in ("tenant.ci.throttled_429", "tenant.ci.submitted",
+                     "synth.fuzz.violations"):
+            store.record(name, 1.0, ts=1.0)
+        engine = SLOEngine(store, bus=bus, clock=lambda: 0.0)
+        engine.evaluate(now=2.0)
+        alerts = engine.alerts()
+        assert [a["name"] for a in alerts] \
+            == sorted(slo.name for slo in default_slos())
+        assert not [a for a in alerts if "label" in a or "key" in a]
+        events = [e for e in sub.pop_all()
+                  if e["type"].startswith("alert_")]
+        assert [(e["type"], e["alert"], e["slo"]) for e in events] \
+            == [("alert_firing", "soundness", "soundness")]
+        assert "label" not in events[0]
 
     def test_transitions_publish_bus_events_and_webhook(self):
         store = SeriesStore()

@@ -249,6 +249,60 @@ class TestSingleReplica:
                     if name.startswith(("federation.", "service.peer."))]
 
 
+class TestSingleUser:
+    """The service serves one user and checks no credentials: a
+    submission is admitted with or without a key, and the queue-depth
+    cap is its only 429."""
+
+    @pytest.mark.parametrize("headers", [
+        pytest.param({}, id="none"),
+        pytest.param({"X-API-Key": "unknown"}, id="x-api-key"),
+        pytest.param({"Authorization": "Bearer unknown"}, id="bearer"),
+    ])
+    def test_credentials_are_neither_required_nor_checked(self, headers):
+        runner = GatedRunner()
+        runner.gate.set()
+        with _thread_service(workers=1, runner=runner) as handle:
+            client = ServiceClient(port=handle.port)
+            status, _, data = client._request(
+                "POST", "/v1/jobs", _src("a"), extra_headers=headers)
+            assert status == 202, data
+            record = client.wait(data["id"], timeout=30)
+        assert record["state"] == "done" and "tenant" not in record
+        assert runner.names == ["a"]
+
+    def test_one_set_of_counters_and_gauges(self):
+        # Submissions, completions, rejections and occupancy are counted
+        # service-wide; nothing is kept per key or per tenant.
+        runner = GatedRunner()
+        with _thread_service(workers=1, queue_depth=1,
+                             runner=runner) as handle:
+            client = ServiceClient(port=handle.port)
+            first = client.submit(_src("one"))
+            assert runner.started.wait(timeout=10)
+            second = client.submit(_src("two"))     # fills the queue
+            with pytest.raises(ServiceSaturated):
+                client.submit(_src("three"))
+            mid = client.metricz()
+            runner.gate.set()
+            client.wait(first["id"], timeout=30)
+            client.wait(second["id"], timeout=30)
+            done = client.metricz()
+        midway = MetricsRegistry.from_snapshot(mid)
+        assert midway.value("service.jobs.submitted") == 2
+        assert midway.value("service.jobs.rejected") == 1
+        assert midway.value("service.queue_depth") == 1
+        assert midway.value("service.running") == 1
+        finished = MetricsRegistry.from_snapshot(done)
+        assert finished.value("service.jobs.done.ok") == 2
+        assert finished.value("service.queue_depth") == 0
+        assert finished.value("service.running") == 0
+        for snapshot in (mid, done):
+            assert "service.jobs.throttled" not in snapshot
+            assert not [name for name in snapshot
+                        if name.startswith("tenant.")]
+
+
 class TestDeadlines:
     def test_deadline_becomes_solver_budget(self):
         runner = GatedRunner()

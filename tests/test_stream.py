@@ -296,22 +296,65 @@ class TestServiceStreaming:
                         done.set()
                         return
 
-            # The firehose tails live events only, so submit once the
-            # stream has subscribed to the bus.
-            bus = handle.service.bus
-            before = bus.subscribers
             tailer = threading.Thread(target=tail, daemon=True)
             tailer.start()
-            deadline = time.monotonic() + 10
-            while bus.subscribers == before \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])
             assert done.wait(timeout=30)
             tailer.join(timeout=5)
         kinds = {event["type"] for event in sub_events}
         assert "job_done" in kinds
+
+    def test_firehose_since_zero_replays_finished_jobs(self):
+        with _thread_service() as handle:
+            client = ServiceClient(port=handle.port)
+            job = client.submit({"benchmark": "check_data"})
+            client.wait(job["id"])
+            kinds = []
+            done = threading.Event()
+
+            def tail():
+                for event in client.watch(since=0):
+                    if event.get("job") == job["id"]:
+                        kinds.append(event["type"])
+                    if event.get("type") == "job_done":
+                        done.set()
+                        return
+
+            # Opened after the job finished: only the ring replay can
+            # carry its lifecycle.
+            threading.Thread(target=tail, daemon=True).start()
+            assert done.wait(timeout=10), kinds
+        assert kinds[0] == "job_queued" and kinds[-1] == "job_done"
+
+    def test_firehose_watch_without_since_tails_live_events(self):
+        with _thread_service() as handle:
+            client = ServiceClient(port=handle.port)
+            first = client.submit({"benchmark": "check_data"})["id"]
+            client.wait(first)
+            bus = handle.service.bus
+            subscribers = bus.subscribers
+            jobs = []
+            done = threading.Event()
+
+            def tail():
+                for event in client.watch():
+                    if "job" in event:
+                        jobs.append(event["job"])
+                    if event.get("type") == "job_done":
+                        done.set()
+                        return
+
+            threading.Thread(target=tail, daemon=True).start()
+            deadline = time.monotonic() + 10
+            while bus.subscribers == subscribers \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = client.submit({"benchmark": "check_data"})["id"]
+            assert done.wait(timeout=30), jobs
+        # No Last-Event-ID: the firehose replays nothing of the job
+        # that finished before the stream opened.
+        assert jobs and set(jobs) == {second}
 
     def test_sse_endpoint_404_for_unknown_job(self):
         with _thread_service() as handle:
