@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --corpus: submit at most N entries")
     submit.add_argument("--trace-out", metavar="PATH",
                         help="after the jobs finish, fetch each job's "
-                             "reassembled span tree from GET "
+                             "spans from GET "
                              "/v1/jobs/{id}/trace and write the Chrome "
                              "trace JSON here (several jobs: the name "
                              "is suffixed per benchmark)")
@@ -798,8 +798,7 @@ def _journal_stats(journal_dir: str) -> int:
         by_state[key] = by_state.get(key, 0) + 1
     print(f"journal: {journal.root}")
     print(f"wal bytes: {journal.wal_bytes:,}")
-    print(f"frames replayed: {state.records} "
-          f"({state.set_records} set_done)")
+    print(f"frames replayed: {state.records}")
     print(f"duplicates folded: {state.duplicates}")
     print(f"torn tail dropped: {'yes' if state.tail_dropped else 'no'}")
     jobs = ", ".join(f"{name}={count}" for name, count

@@ -100,6 +100,14 @@ class CacheStats:
     max_bytes: int | None = None
 
 
+def budget_key(set_timeout: float | None,
+               max_iterations: int | None) -> str:
+    """A job's solver budgets as the ``budget`` of
+    :meth:`ResultCache.job_key`.  ``repro engine run`` and ``repro
+    serve`` both key their entries with it, so they share a cache."""
+    return f"timeout={set_timeout!r}|max_iterations={max_iterations!r}"
+
+
 class ResultCache:
     """A content-addressed store of finished reports.
 
@@ -131,9 +139,10 @@ class ResultCache:
     def job_key(self, fingerprint: str, *, budget: str = "") -> str:
         """Key for a whole analysis job (see
         :meth:`repro.engine.jobs.AnalysisJob.fingerprint`).  `budget`
-        carries the job's solver budgets (set timeout, pivot cap): a
-        tighter budget can legitimately degrade a set to its (looser,
-        still sound) LP relaxation."""
+        carries the job's solver budgets (set timeout, pivot cap, as
+        :func:`budget_key` formats them): a tighter budget can
+        legitimately degrade a set to its (looser, still sound) LP
+        relaxation."""
         material = "\n".join([
             "kind=job",
             f"solver_version={SOLVER_VERSION}/{__version__}",

@@ -36,7 +36,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import ReproError
-from .cache import ResultCache
+from .cache import ResultCache, budget_key
 from .jobs import AnalysisJob, JobResult
 from .metrics import record
 
@@ -58,8 +58,7 @@ def execute_job(payload) -> JobResult:
     anonymously, and a :class:`~repro.obs.context.TraceContext` dict
     traces with every span stamped by that distributed context — the
     service ships the submitter's context here so pool-worker spans
-    reassemble under the job's trace id (see
-    :mod:`repro.obs.flight`).
+    carry the job's trace id.
     """
     job, set_timeout, max_iterations, trace = payload
     started = time.monotonic()
@@ -154,12 +153,6 @@ class AnalysisEngine:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.bus = bus
 
-    def _budget_key(self) -> str:
-        """Solver budgets as cache-key material (see
-        :meth:`repro.engine.cache.ResultCache.job_key`)."""
-        return (f"timeout={self.set_timeout!r}|"
-                f"max_iterations={self.max_iterations!r}")
-
     # ------------------------------------------------------------------
     def run(self, jobs: list[AnalysisJob]) -> list[JobResult]:
         """Run every job; results in submission order."""
@@ -174,7 +167,8 @@ class AnalysisEngine:
         for index, job in enumerate(jobs):
             if self.cache is not None:
                 keys[index] = self.cache.job_key(
-                    job.fingerprint(), budget=self._budget_key())
+                    job.fingerprint(), budget=budget_key(
+                        self.set_timeout, self.max_iterations))
                 report = self.cache.get_report(keys[index])
                 if report is not None:
                     results[index] = JobResult(

@@ -23,7 +23,7 @@ HTML ops console in :mod:`repro.obs.console` renders both.
 Exporters in :mod:`repro.obs.export` render traces as Chrome
 ``trace_event`` JSON (``chrome://tracing`` / Perfetto) or plain JSON.
 Live consumption happens through :mod:`repro.obs.stream` (the
-telemetry event bus both the tracer and registry can publish into),
+telemetry event bus the tracer, engine and service publish into),
 :mod:`repro.obs.dashboard` (terminal progress view) and
 :mod:`repro.obs.tracediff` (span-by-span regression localization).
 See ``docs/observability.md``.
@@ -39,8 +39,6 @@ from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       render_explanation, render_explanation_delta)
 from .export import (to_chrome, to_json, trace_skeleton,
                      write_chrome_trace)
-from .flight import (SpanNode, assemble_trees, build_tree,
-                     group_by_trace, orphan_spans, render_tree)
 from .profile import (DEFAULT_HZ, PROFILE_SCHEMA, SamplingProfiler,
                       collapse_frame, frame_label)
 from .console import CONSOLE_VERSION, render_console
@@ -63,8 +61,6 @@ __all__ = [
     "TraceContext", "new_trace_id", "new_span_id",
     "SamplingProfiler", "collapse_frame", "frame_label",
     "PROFILE_SCHEMA", "DEFAULT_HZ",
-    "SpanNode", "group_by_trace", "build_tree", "assemble_trees",
-    "orphan_spans", "render_tree",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "load_snapshot",
     "DEFAULT_BUCKETS", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMAS",
     "Series", "SeriesStore", "RegistrySampler", "SERIES_SCHEMA",

@@ -166,7 +166,6 @@ function firehose() {
   const source = new EventSource("/v1/events");
   source.onmessage = ev => {
     let data; try { data = JSON.parse(ev.data); } catch (e) { return; }
-    if (["counter", "gauge", "observe"].includes(data.type)) return;
     const line = document.createElement("div");
     if (String(data.type).startsWith("alert_")) line.className = "alert";
     line.textContent = `${new Date((data.ts || 0) * 1000)

@@ -79,12 +79,6 @@ class TraceContext:
                    baggage=tuple(sorted((str(k), str(v))
                                         for k, v in baggage.items())))
 
-    def child(self) -> "TraceContext":
-        """Same trace, fresh parent span id (a new hop in the chain)."""
-        return TraceContext(trace_id=self.trace_id,
-                            parent_span_id=new_span_id(),
-                            baggage=self.baggage)
-
     # ------------------------------------------------------------------
     # Wire forms
     # ------------------------------------------------------------------

@@ -82,8 +82,6 @@ class LiveDashboard:
         self._jobs: dict[str, _JobState] = {}
         self._order: list[str] = []
         self._active: str | None = None
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._quit = False
         self._stop = threading.Event()
         self._sub = None
@@ -184,13 +182,6 @@ class LiveDashboard:
                                f"/{state.sets_total or '?'})")
         elif kind == "span":
             self._apply_span(event)
-        elif kind == "counter":
-            name = event.get("name", "")
-            if ".cache.hits." in name or name.endswith("cache.hits"):
-                self._cache_hits += event.get("delta", 0)
-            elif ".cache.misses." in name or \
-                    name.endswith("cache.misses"):
-                self._cache_misses += event.get("delta", 0)
 
     def _apply_span(self, event: dict) -> None:
         # Solver spans carry the per-set effort counters; "set.best"
@@ -234,9 +225,10 @@ class LiveDashboard:
     def _summary(self) -> str:
         done = sum(1 for j in self._jobs.values()
                    if j.status != "running")
+        cached = sum(1 for j in self._jobs.values()
+                     if j.status.endswith("(cached)"))
         pivots = sum(j.pivots for j in self._jobs.values())
-        total = self._cache_hits + self._cache_misses
-        rate = 100.0 * self._cache_hits / total if total else 0.0
+        rate = 100.0 * cached / done if done else 0.0
         return (f"{done}/{len(self._jobs)} jobs done, "
                 f"{pivots:,} pivots, cache {rate:.0f}% hit, "
                 f"{time.perf_counter() - self._started:.1f}s")

@@ -48,9 +48,9 @@ def to_chrome(records: list[dict]) -> dict:
             "tid": record["tid"],
             "args": record["args"],
         }
-        # Distributed-trace stamps survive the round trip so
-        # repro.obs.flight can reassemble cross-process trees from an
-        # exported file (trace_skeleton ignores them by design).
+        # Distributed-trace stamps survive the round trip, so an
+        # exported file still shows which trace each span belongs to
+        # (trace_skeleton ignores them by design).
         for extra in ("trace", "parent"):
             if extra in record:
                 event[extra] = record[extra]

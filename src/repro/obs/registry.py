@@ -56,20 +56,16 @@ class Counter:
     """A monotonically increasing value."""
 
     kind = "counter"
-    __slots__ = ("name", "value", "_bus")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
-        self._bus = None
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
-        if self._bus is not None:
-            self._bus.publish("counter", name=self.name, delta=amount,
-                              value=self.value)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "value": self.value}
@@ -79,22 +75,17 @@ class Gauge:
     """A value that can be set or moved in either direction."""
 
     kind = "gauge"
-    __slots__ = ("name", "value", "_bus")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
-        self._bus = None
 
     def set(self, value: float) -> None:
         self.value = value
-        if self._bus is not None:
-            self._bus.publish("gauge", name=self.name, value=value)
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-        if self._bus is not None:
-            self._bus.publish("gauge", name=self.name, value=self.value)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "value": self.value}
@@ -108,7 +99,7 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "buckets", "counts", "sum", "count", "_bus")
+    __slots__ = ("name", "buckets", "counts", "sum", "count")
 
     def __init__(self, name: str, buckets=DEFAULT_BUCKETS):
         self.name = name
@@ -116,13 +107,10 @@ class Histogram:
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
-        self._bus = None
 
     def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        if self._bus is not None:
-            self._bus.publish("observe", name=self.name, value=value)
         for i, upper in enumerate(self.buckets):
             if value <= upper:
                 self.counts[i] += 1
@@ -169,7 +157,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._bus = None
 
     # -- creation / lookup --------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -182,7 +169,6 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Histogram(name, buckets)
-            metric._bus = self._bus
         elif not isinstance(metric, Histogram):
             raise TypeError(f"metric {name!r} is a {metric.kind}, "
                             "not a histogram")
@@ -192,20 +178,10 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = cls(name)
-            metric._bus = self._bus
         elif not isinstance(metric, cls):
             raise TypeError(f"metric {name!r} is a {metric.kind}, "
                             f"not a {cls.kind}")
         return metric
-
-    def attach_stream(self, bus) -> None:
-        """Publish metric updates into `bus` (None detaches).
-
-        Applies to existing metrics and to any created afterwards.
-        """
-        self._bus = bus
-        for metric in self._metrics.values():
-            metric._bus = bus
 
     def names(self, prefix: str = "") -> list[str]:
         return sorted(n for n in self._metrics if n.startswith(prefix))

@@ -5,9 +5,10 @@ The tracer (:mod:`repro.obs.trace`) and the metrics registry
 run.  This module adds the missing primitive for consuming telemetry
 *while* the run is happening: a dependency-free, thread-safe
 **event bus** that instrumented code publishes into incrementally —
-span open/close, counter deltas, job and constraint-set lifecycle —
-and that any number of consumers subscribe to without ever being able
-to stall a solve.
+finished spans, job and constraint-set lifecycle — and that any
+number of consumers subscribe to without ever being able to stall a
+solve.  Metric values are not echoed here: ``/metricz`` and the
+series store read the registry itself.
 
 Design points
 -------------
@@ -27,8 +28,10 @@ Design points
   history.
 * **Process-safe by merging.**  Pool workers don't publish across the
   process boundary; their span records travel home in picklable
-  results and the parent's :meth:`~repro.obs.trace.Tracer.absorb`
-  republishes them, so multiprocess runs stream through the same bus.
+  results and the parent republishes them (the engine through
+  :meth:`~repro.obs.trace.Tracer.absorb`, the service scheduler from
+  the job's record), so multiprocess runs stream through the same
+  bus.
 
 Event schema
 ------------
@@ -37,14 +40,9 @@ sequence number), ``ts`` (wall-clock seconds) and ``type``; the rest
 is per-type payload:
 
 ==============  ======================================================
-``span_open``   ``name``, ``cat`` — a tracer span started
 ``span``        ``name``, ``cat``, ``dur``, ``depth``, ``pid``,
                 ``args`` — a span finished (workers' spans arrive when
-                the parent absorbs them)
-``counter``     ``name``, ``delta``, ``value`` — a registry counter
-                moved
-``gauge``       ``name``, ``value`` — a registry gauge moved
-``observe``     ``name``, ``value`` — a histogram observation
+                the parent republishes them)
 ``run_start`` / ``run_done``        engine batch lifecycle
 ``job_start`` / ``job_done``        one job's lifecycle (engine or
                                     service; service events carry the

@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 
 #: Record keys, documented once: ``name`` (span label), ``cat``
 #: (coarse category: pipeline / solver / cache / ...), ``ts`` (wall
@@ -51,8 +50,7 @@ from collections import deque
 #: a :class:`~repro.obs.context.TraceContext` additionally stamp
 #: ``trace`` (the trace id) on every record and ``parent`` (the
 #: context's parent span id) on depth-0 records, which is how spans
-#: from different processes reassemble into one tree (see
-#: :mod:`repro.obs.flight`).
+#: from different processes join one trace.
 RECORD_KEYS = ("name", "cat", "ts", "dur", "pid", "tid", "depth", "args")
 
 
@@ -80,9 +78,6 @@ class _Span:
         stack = self._tracer._stack()
         self._depth = len(stack)
         stack.append(self)
-        bus = self._tracer.bus
-        if bus is not None:
-            bus.publish("span_open", name=self.name, cat=self.cat)
         self._ts = self._tracer._now()
         self._start = time.perf_counter()
         return self
@@ -157,21 +152,20 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, context=None, maxlen: int | None = None):
+    def __init__(self, context=None):
         """`context` is an optional
         :class:`~repro.obs.context.TraceContext`: when set, every
         record is stamped with its trace id (roots also carry the
         parent span id), tying this tracer's output to a distributed
-        trace.  `maxlen` bounds retained records (drop-oldest) for
-        long-lived tracers such as the service's."""
-        self._records: deque = deque(maxlen=maxlen)
+        trace."""
+        self._records: list[dict] = []
         self._lock = threading.Lock()
         self._local = threading.local()
         #: Optional :class:`~repro.obs.context.TraceContext` stamped
         #: onto every emitted record.
         self.context = context
         #: Optional :class:`~repro.obs.stream.EventBus`; when set,
-        #: spans are also published live as they open and close.
+        #: each span is also published live as it closes.
         self.bus = None
         # Anchor: wall-clock epoch + a monotonic reference, so every
         # span start is epoch-based (cross-process mergeable) while
@@ -199,9 +193,7 @@ class Tracer:
             self._records.append(record)
         bus = self.bus
         if bus is not None:
-            bus.publish("span", name=record["name"], cat=record["cat"],
-                        dur=record["dur"], depth=record["depth"],
-                        pid=record["pid"], args=record["args"])
+            publish_spans(bus, (record,))
 
     # -- public --------------------------------------------------------
     def span(self, name: str, cat: str = "pipeline", **attrs) -> _Span:
@@ -229,11 +221,7 @@ class Tracer:
             self._records.extend(records)
         bus = self.bus
         if bus is not None:
-            for record in records:
-                bus.publish("span", name=record["name"],
-                            cat=record["cat"], dur=record["dur"],
-                            depth=record["depth"], pid=record["pid"],
-                            args=record["args"])
+            publish_spans(bus, records)
 
     def records(self) -> list[dict]:
         """All finished span records, in completion order."""
@@ -248,6 +236,14 @@ class Tracer:
         # Truthy even when empty: ``len() == 0`` must never demote a
         # live tracer to "absent" in ``tracer or NULL_TRACER`` idioms.
         return True
+
+
+def publish_spans(bus, records) -> None:
+    """Publish finished span records into `bus` as ``span`` events."""
+    for record in records:
+        bus.publish("span", name=record["name"], cat=record["cat"],
+                    dur=record["dur"], depth=record["depth"],
+                    pid=record["pid"], args=record["args"])
 
 
 def counters_from_stats(span, stats) -> None:

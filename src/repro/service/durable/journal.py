@@ -1,8 +1,10 @@
 """The job journal: an append-only write-ahead log for the service.
 
 Every admission-changing step of a job's life — ``submit``, ``start``,
-per-set ``set_done`` progress, ``complete`` and ``fail`` — is appended
-as one framed JSON record before the service acts on it.  On startup
+then ``complete`` or ``fail`` — is appended as one framed JSON record
+before the service acts on it; a ``complete`` frame carries the whole
+report, every set's result included.  The only other frame written is
+``noop``, the degraded-mode write probe.  On startup
 the service replays the journal: terminal jobs come back queryable,
 queued jobs re-enter the queue in job-id order, and jobs that were
 *running* when the process died are re-dispatched — re-execution is
@@ -10,10 +12,12 @@ idempotent because the engine payload is pure and the
 content-addressed ``ResultCache`` answers repeats with bit-identical
 reports.
 
-Replay also reads ``lease``/``release`` frames and snapshot entries in
-state ``leased``, which earlier versions wrote when they lent queued
-jobs to a peer replica.  Nothing writes them any more; each folds to
-``queued``, so such a job goes back on the queue.
+Replay also reads frames that earlier versions wrote and nothing
+writes any more: per-set ``set_done`` progress frames, which fold to
+nothing (the ``complete`` frame after them holds the same sets), and
+the ``lease``/``release`` frames and snapshot entries in state
+``leased`` of a version that lent queued jobs to a peer replica; each
+of those folds to ``queued``, so such a job goes back on the queue.
 
 Frame format (schema-versioned)
 -------------------------------
@@ -32,7 +36,7 @@ WAL after a crash mid-compaction) cannot corrupt the restored state.
 Durability is **tiered**, because the engine makes re-execution free
 of side effects.  ``submit`` frames are flushed to the OS before the
 client sees the ``202`` — a killed process cannot lose an
-acknowledged admission.  Progress and terminal frames stay in the
+acknowledged admission.  ``start`` and terminal frames stay in the
 writer's buffer (losing one to a crash merely re-runs an idempotent
 job), and ``fsync`` is group-committed off the hot path: the
 service's housekeeping loop calls :meth:`JobJournal.maybe_sync`,
@@ -78,10 +82,10 @@ _FRAME_HEADER = struct.Struct("<II")
 #: this big is torn-write garbage, not a record.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Record types replay understands.  ``set_done`` frames are progress
-#: breadcrumbs (counted, not state-changing); ``noop`` frames are
-#: write-probes appended while degraded (see :meth:`JobJournal.probe`)
-#: and fold to nothing; ``lease``/``release`` are read, never written.
+#: Record types replay understands.  ``noop`` frames are write-probes
+#: appended while degraded (see :meth:`JobJournal.probe`) and fold to
+#: nothing; ``set_done``, ``lease`` and ``release`` are read from
+#: earlier versions' journals, never written.
 RECORD_TYPES = ("submit", "start", "set_done", "complete", "fail",
                 "lease", "release", "noop")
 
@@ -102,8 +106,6 @@ class JournalState:
     jobs: dict = field(default_factory=dict)
     #: Frames applied (snapshot jobs count as one each).
     records: int = 0
-    #: Progress frames seen (``set_done``).
-    set_records: int = 0
     #: Frames that changed nothing when folded (idempotent repeats —
     #: e.g. a WAL replayed on top of a snapshot that already holds
     #: those records after a crash mid-compaction).
@@ -321,17 +323,15 @@ class JobJournal:
         records, dropped, offset = scan_wal(self.wal_path)
         state.tail_dropped = dropped
         for record in records:
-            if record.get("type") == "set_done":
-                state.set_records += 1
-                apply_record(state.jobs, record)
-            else:
-                before = state.jobs.get(record.get("id"))
-                before = dict(before) if before is not None else None
-                apply_record(state.jobs, record)
-                after = state.jobs.get(record.get("id"))
-                if before is not None and after == before:
-                    state.duplicates += 1
             state.records += 1
+            if record.get("type") == "set_done":
+                continue            # an earlier version's progress frame
+            before = state.jobs.get(record.get("id"))
+            before = dict(before) if before is not None else None
+            apply_record(state.jobs, record)
+            after = state.jobs.get(record.get("id"))
+            if before is not None and after == before:
+                state.duplicates += 1
         return offset
 
     # ------------------------------------------------------------------

@@ -134,6 +134,12 @@ class JobSpec:
             raise BadRequest("a bound's function and a constraint's "
                              "function must be strings or null, and a "
                              "bound's line an integer or null")
+        auto_bounds = bool(data.get("auto_bounds", False))
+        if benchmark is not None and (bounds or constraints
+                                      or auto_bounds):
+            raise BadRequest("bounds, constraints and auto_bounds apply "
+                             "to source jobs only; a benchmark job "
+                             "runs with its own annotations")
         name = data.get("name") or benchmark \
             or f"{data.get('entry')}@source"
         max_iterations = data.get("max_iterations")
@@ -146,8 +152,7 @@ class JobSpec:
         return cls(
             name=str(name), benchmark=benchmark, source=source,
             entry=data.get("entry"), machine=machine, backend=backend,
-            auto_bounds=bool(data.get("auto_bounds", False)),
-            bounds=bounds, constraints=constraints,
+            auto_bounds=auto_bounds, bounds=bounds, constraints=constraints,
             priority=int(data.get("priority", 0)),
             deadline_seconds=data.get("deadline_seconds"),
             set_timeout=data.get("set_timeout"),

@@ -42,10 +42,12 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..chaos import inject
 from ..engine import metrics
+from ..engine.cache import budget_key
 from ..engine.core import execute_job
 from ..engine.jobs import JobResult
 from ..errors import ReproError
 from ..obs.registry import MetricsRegistry
+from ..obs.trace import publish_spans
 
 #: Buckets for queue-wait and run-time histograms (seconds).
 LATENCY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0)
@@ -80,12 +82,12 @@ class Scheduler:
         traffic, solver effort, stage seconds from its spans).
     bus:
         An optional :class:`repro.obs.EventBus`; job lifecycle
-        (``job_running``, per-set ``set_done``, ``job_done`` /
-        ``job_failed``) is published into it for the SSE endpoints.
-        Per-set events are synthesized from the finished report (the
-        executor boundary hides live solver progress), always *before*
-        the terminal job event, so followers see per-set effort ahead
-        of the final bound.
+        (``job_running``, per-set ``set_done``, the job's ``span``
+        records, ``job_done`` / ``job_failed``) is published into it
+        for the SSE endpoints.  Per-set events are synthesized from
+        the finished report (the executor boundary hides live solver
+        progress), always *before* the terminal job event, so
+        followers see per-set effort ahead of the final bound.
     """
 
     def __init__(self, queue, workers: int = 2, cache=None,
@@ -94,7 +96,7 @@ class Scheduler:
                  default_set_timeout: float | None = None,
                  max_iterations: int | None = None,
                  registry: MetricsRegistry | None = None,
-                 bus=None, journal=None, tracer=None):
+                 bus=None, journal=None):
         if executor not in ("process", "thread"):
             raise ValueError(f"unknown executor kind {executor!r}")
         self.queue = queue
@@ -113,11 +115,6 @@ class Scheduler:
         #: records are logged before events are published, so a crash
         #: at any point replays to a consistent queue.
         self.journal = journal
-        #: Optional service-level :class:`repro.obs.Tracer`; every
-        #: finished job's spans (scheduler + workers) are absorbed into
-        #: it, which also streams them over SSE when the tracer's bus
-        #: is attached.
-        self.tracer = tracer
         for status in ("ok", "partial", "failed"):
             self.registry.counter(f"service.jobs.done.{status}")
         self.registry.counter("service.jobs.deadline_expired")
@@ -182,19 +179,11 @@ class Scheduler:
         return max(1, math.ceil(backlog * per_job / self.workers))
 
     def note_depth(self) -> None:
+        """Refresh the queue-depth and running gauges; their readers
+        (``/metricz``, the series tick, the drain's metrics flush)
+        call this first."""
         self.registry.gauge("service.queue_depth").set(self.queue.depth)
         self.registry.gauge("service.running").set(self.running)
-
-    def _budget_key(self, spec) -> str:
-        """Spec-level budgets as cache-key material; matches
-        :meth:`repro.engine.AnalysisEngine._budget_key` so warm cache
-        entries are shared with ``repro engine run``."""
-        set_timeout = spec.set_timeout if spec.set_timeout is not None \
-            else self.default_set_timeout
-        max_iterations = spec.max_iterations \
-            if spec.max_iterations is not None else self.max_iterations
-        return (f"timeout={set_timeout!r}|"
-                f"max_iterations={max_iterations!r}")
 
     # ------------------------------------------------------------------
     # Workers
@@ -204,7 +193,6 @@ class Scheduler:
             record = await self.queue.pop()
             if record is None:
                 return
-            self.note_depth()
             await self._run_record(record)
 
     async def _run_record(self, record) -> None:
@@ -222,7 +210,6 @@ class Scheduler:
                              name=record.spec.name,
                              queue_seconds=record.queue_seconds)
         self.running += 1
-        self.note_depth()
         # Chaos seam: stall the job on its way to the executor,
         # consuming its deadline budget (the deadline check inside
         # _execute then fires exactly as it would for a genuinely
@@ -258,7 +245,6 @@ class Scheduler:
             self.completed += 1
             self.registry.counter(
                 f"service.jobs.done.{record.status or 'failed'}").inc()
-            self.note_depth()
 
     def _finish_spans(self, record, span_ts: float,
                       span_dur: float) -> None:
@@ -269,9 +255,10 @@ class Scheduler:
         would corrupt the tracer's thread-local depth stack when
         several jobs interleave on the event-loop thread.  The worker
         spans shipped back in the result were filled into
-        ``record.spans`` by ``_execute``; the service span fronts them
-        and the whole set is absorbed into the service tracer (which
-        republishes over SSE when a bus is attached).
+        ``record.spans`` by ``_execute``; the service span fronts them.
+        ``record.spans`` is the one store of a job's spans: ``GET
+        /v1/jobs/{id}/trace`` serves it and :meth:`_publish_done`
+        streams it.
         """
         span = {
             "name": "service.job", "cat": "service",
@@ -288,27 +275,19 @@ class Scheduler:
             if context.parent_span_id:
                 span["parent"] = context.parent_span_id
         record.spans = [span] + list(record.spans or [])
-        if self.tracer is not None:
-            self.tracer.absorb(record.spans)
 
     def _journal_terminal(self, record) -> None:
-        """Log per-set progress then the terminal frame for a record.
+        """Log the terminal frame for a record.
 
-        The ``complete`` frame carries the serialized report, so a
-        restarted service serves finished bounds straight from the
-        journal without re-running anything.
+        The ``complete`` frame carries the serialized report, every
+        set's result included, so a restarted service serves finished
+        bounds straight from the journal without re-running anything.
         """
         if self.journal is None:
             return
         from ..engine.cache import report_to_dict
 
         report = record.report
-        if report is not None:
-            for result in report.set_results:
-                self.journal.append(
-                    "set_done", id=record.id, set=result.index,
-                    worst=result.worst, best=result.best,
-                    feasible=result.feasible)
         if record.state == "failed":
             self.journal.append("fail", id=record.id,
                                 status=record.status,
@@ -321,13 +300,15 @@ class Scheduler:
                 else None)
 
     def _publish_done(self, record) -> None:
-        """Per-set progress then the terminal event for one record.
+        """Per-set progress, the job's spans, then its terminal event.
 
         The per-set ``set_done`` events come from the finished
         report's (canonically ordered) set results; publishing them
         ahead of ``job_done`` guarantees followers see solver effort
         per constraint set before the final bound, even for cache
-        hits and process executors.
+        hits and process executors.  The ``span`` events are
+        ``record.spans``: the ``service.job`` envelope, then the
+        worker's spans (a cache hit has none).
         """
         if self.bus is None:
             return
@@ -340,6 +321,7 @@ class Scheduler:
                     pivots=result.stats.simplex_iterations,
                     nodes=result.stats.nodes, wall=result.wall_time,
                     worst=result.worst, best=result.best)
+        publish_spans(self.bus, record.spans)
         payload = {"job": record.id, "name": record.spec.name,
                    "status": record.status,
                    "cache_hit": record.cache_hit}
@@ -366,10 +348,15 @@ class Scheduler:
             record.fail(str(error))
             return
 
+        set_timeout = spec.set_timeout if spec.set_timeout is not None \
+            else self.default_set_timeout
+        max_iterations = spec.max_iterations \
+            if spec.max_iterations is not None else self.max_iterations
         key = None
         if self.cache is not None:
-            key = self.cache.job_key(job.fingerprint(),
-                                     budget=self._budget_key(spec))
+            key = self.cache.job_key(
+                job.fingerprint(),
+                budget=budget_key(set_timeout, max_iterations))
             report = self.cache.get_report(key)
             if report is not None:
                 record.cache_hit = True
@@ -381,8 +368,6 @@ class Scheduler:
                                          cache_hit=True), cache=True)
                 return
 
-        set_timeout = spec.set_timeout if spec.set_timeout is not None \
-            else self.default_set_timeout
         if remaining is not None:
             set_timeout = remaining if set_timeout is None \
                 else min(set_timeout, remaining)
@@ -390,8 +375,6 @@ class Scheduler:
         # trips its deadline and degrades to the (sound) LP
         # relaxation — the "partial" path under injection.
         set_timeout = inject.budget("solver.budget", set_timeout)
-        max_iterations = spec.max_iterations \
-            if spec.max_iterations is not None else self.max_iterations
         # Ship the submitter's trace context across the pickle
         # boundary so pool-worker spans carry the job's trace id.
         trace = spec.trace.to_dict() if spec.trace is not None else False

@@ -19,8 +19,10 @@ idle timeout lapses), JSON in and out.  Endpoints:
                                   current state immediately, then
                                   queued/running/per-set/done events
                                   live; ends after the terminal event
-``GET /v1/events``                SSE firehose of the whole bus (every
-                                  job, metric deltas, spans)
+``GET /v1/events``                SSE firehose of the whole bus: every
+                                  job's lifecycle, per-set progress and
+                                  spans; alert, degraded-mode and chaos
+                                  events
 ``GET /healthz``                  liveness + queue depth (``draining``
                                   while shutting down)
 ``GET /metricz``                  the service's ``repro.obs`` registry
@@ -70,7 +72,6 @@ from ..obs.series import (DEFAULT_INTERVAL, DEFAULT_RETENTION,
                           RegistrySampler, SeriesStore)
 from ..obs.slo import SLOEngine, load_slos
 from ..obs.stream import EventBus, sse_comment, sse_format
-from ..obs.trace import Tracer
 from .durable import JobJournal
 from .protocol import BadRequest, JobRecord, JobSpec
 from .queue import JobQueue, QueueClosed, QueueSaturated
@@ -89,9 +90,6 @@ HEARTBEAT_SECONDS = 15.0
 #: How often the housekeeping task samples the series, syncs the
 #: journal and checks its compaction thresholds.
 HOUSEKEEPING_SECONDS = 0.25
-
-#: Retained span records on the service tracer (drop-oldest).
-SERVICE_TRACE_MAXLEN = 16384
 
 #: Buckets for the journal fsync latency histogram (seconds).
 FSYNC_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5)
@@ -146,13 +144,6 @@ class AnalysisService:
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.registry.attach_stream(self.bus)
-        #: The flight recorder's span sink: every finished job's spans
-        #: are absorbed here, which both retains them for ``GET
-        #: /v1/jobs/{id}/trace`` and republishes them as SSE ``span``
-        #: events.
-        self.tracer = Tracer(maxlen=SERVICE_TRACE_MAXLEN)
-        self.tracer.attach_stream(self.bus)
         #: Continuous statistical profiler (``serve
         #: --profile-sample-hz``); serves ``GET /v1/profilez``.
         self.profiler = SamplingProfiler(hz=profile_hz) \
@@ -175,7 +166,7 @@ class AnalysisService:
             executor=executor, runner=runner, retries=retries,
             backoff=backoff, default_set_timeout=set_timeout,
             max_iterations=max_iterations, registry=self.registry,
-            bus=self.bus, journal=self.journal, tracer=self.tracer)
+            bus=self.bus, journal=self.journal)
         #: Time-series history + SLO alerting.  Pull-based: when
         #: disabled (``series=False`` / ``--no-series``) nothing is
         #: constructed and nothing samples — exactly zero cost on the
@@ -371,6 +362,7 @@ class AnalysisService:
                       f"{error}", flush=True)
             self.journal.close()
         if self.metrics_path:
+            self.scheduler.note_depth()
             self.registry.dump(self.metrics_path)
         if self._server is not None:
             self._server.close()
@@ -549,7 +541,9 @@ class AnalysisService:
         filters to one job (events carrying ``job == id``), opens with
         a synthetic ``state`` event, and ends after the job's terminal
         event.  ``Last-Event-ID`` / ``?since`` replays newer ring-
-        buffered events first.
+        buffered events first.  A stream stops writing once its
+        transport is closing: the client has gone, and each further
+        write would only be counted and logged by asyncio.
         """
         job_id = None
         record = None
@@ -583,6 +577,8 @@ class AnalysisService:
                          b"Connection: close\r\n\r\n")
             if since is not None:
                 for event in self.bus.replay(since):
+                    if writer.is_closing():
+                        return
                     if self._sse_match(event, job_id):
                         writer.write(sse_format(event))
             terminal = False
@@ -596,6 +592,8 @@ class AnalysisService:
             heartbeat_at = time.monotonic() + HEARTBEAT_SECONDS
             while not terminal:
                 for event in sub.pop_all():
+                    if writer.is_closing():
+                        return
                     if not self._sse_match(event, job_id):
                         continue
                     writer.write(sse_format(event))
@@ -858,7 +856,6 @@ class AnalysisService:
         self.bus.publish("job_queued", job=record.id,
                          name=record.spec.name,
                          queue_depth=self.queue.depth)
-        self.scheduler.note_depth()
         return (202,
                 {"id": record.id, "state": record.state,
                  "trace_id": (spec.trace.trace_id
@@ -888,12 +885,11 @@ class AnalysisService:
         return dataclasses.replace(spec, trace=context)
 
     def _job_trace(self, job_id: str):
-        """``GET /v1/jobs/{id}/trace``: the job's reassembled spans.
+        """``GET /v1/jobs/{id}/trace``: the job's spans.
 
         A Chrome trace document of the record's span records —
-        scheduler + pool workers — plus a ``repro`` stanza carrying
-        the trace id so ``repro obs diff-trace`` and the flight
-        recorder can join files.
+        scheduler + pool workers, each stamped with the job's trace
+        id — plus a ``repro`` stanza carrying that trace id.
         """
         record = self.records.get(job_id)
         if record is None:

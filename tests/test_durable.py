@@ -16,8 +16,9 @@ from repro.chaos import verify_journal
 from repro.engine.jobs import JobResult
 from repro.obs import MetricsRegistry
 from repro.programs import get_benchmark
-from repro.service import (JobJournal, JobRecord, JobSpec, JournalError,
-                           ServiceClient, ServiceSaturated, ServiceThread)
+from repro.service import (JobFailed, JobJournal, JobRecord, JobSpec,
+                           JournalError, ServiceClient, ServiceSaturated,
+                           ServiceThread)
 from repro.service.durable.journal import MAGIC, apply_record, scan_wal
 
 
@@ -84,7 +85,7 @@ class TestJournalReplay:
 
         state = JobJournal(tmp_path).open()
         assert not state.tail_dropped
-        assert state.set_records == 1
+        assert state.records == 7 and state.duplicates == 0
         jobs = state.jobs
         assert jobs["j000001"]["state"] == "done"
         assert jobs["j000001"]["status"] == "ok"
@@ -382,6 +383,103 @@ class TestRecovery:
         assert (tmp_path / "journal.wal").stat().st_size == len(MAGIC)
         state = JobJournal(tmp_path).open()
         assert state.jobs["j000001"]["state"] == "done"
+
+
+class TestFramesWritten:
+    """A job's journal is ``submit``, ``start``, then ``complete`` (its
+    report holds every set) or ``fail``.  Earlier versions also wrote
+    a ``set_done`` frame per set ahead of ``complete``; replay folds
+    them to nothing."""
+
+    @staticmethod
+    def _frames(wal, job_ids, timeout=10.0):
+        """The WAL's frames once every job's terminal frame is on disk
+        (terminal frames reach it at the next group commit)."""
+        deadline = time.monotonic() + timeout
+        while True:
+            frames, _, _ = scan_wal(wal)
+            ended = {frame["id"] for frame in frames
+                     if frame["type"] in ("complete", "fail")}
+            if set(job_ids) <= ended or time.monotonic() > deadline:
+                return frames
+            time.sleep(0.05)
+
+    def _serve(self, root, cache):
+        """A miss, the same job as a hit, and a job that fails."""
+        with _thread_service(workers=1, journal_dir=root,
+                             cache_dir=cache) as handle:
+            client = ServiceClient(port=handle.port)
+            ids = [client.submit(spec)["id"] for spec in (
+                {"benchmark": "check_data"}, {"benchmark": "check_data"},
+                _src("broken", source="int f() { return }"))]
+            records = {}
+            for job_id in ids:
+                try:
+                    records[job_id] = client.wait(job_id, timeout=60)
+                except JobFailed as error:
+                    records[job_id] = error.record
+            frames = self._frames(root / "journal.wal", ids)
+        return ids, records, frames
+
+    def test_a_job_writes_submit_start_and_one_terminal_frame(
+            self, tmp_path):
+        ids, records, frames = self._serve(tmp_path / "journal",
+                                           tmp_path / "cache")
+        miss, hit, broken = ids
+        assert not records[miss]["cache_hit"] and records[hit]["cache_hit"]
+        assert records[broken]["state"] == "failed"
+        kinds = {job_id: [frame["type"] for frame in frames
+                          if frame.get("id") == job_id]
+                 for job_id in ids}
+        assert kinds == {miss: ["submit", "start", "complete"],
+                         hit: ["submit", "start", "complete"],
+                         broken: ["submit", "start", "fail"]}
+        (complete,) = [frame for frame in frames
+                       if frame["type"] == "complete"
+                       and frame["id"] == miss]
+        assert len(complete["report"]["set_results"]) == 2
+
+    def test_earlier_set_done_frames_replay_to_the_same_records(
+            self, tmp_path):
+        ids, _, frames = self._serve(tmp_path / "journal",
+                                     tmp_path / "cache")
+
+        def write(root, set_done):
+            """The served WAL; with `set_done`, as an earlier version
+            wrote it: one set_done frame per set ahead of complete."""
+            journal = JobJournal(root)
+            journal.open()
+            for frame in frames:
+                if set_done and frame["type"] == "complete":
+                    for result in frame["report"]["set_results"]:
+                        journal.append(
+                            "set_done", id=frame["id"],
+                            set=result["index"], worst=result["worst"],
+                            best=result["best"],
+                            feasible=result["status"] == "optimal")
+                journal.append(frame["type"], **{
+                    key: value for key, value in frame.items()
+                    if key not in ("type", "t")})
+            journal.close()
+            return JobJournal(root).inspect()
+
+        current = write(tmp_path / "current", set_done=False)
+        earlier = write(tmp_path / "earlier", set_done=True)
+        sets = sum(len(frame["report"]["set_results"]) for frame in frames
+                   if frame["type"] == "complete")
+        assert sets == 4
+        assert earlier.records == current.records + sets
+        assert earlier.duplicates == current.duplicates == 0
+        assert earlier.jobs == current.jobs
+
+        def rebuilt(state):
+            return {job_id: {key: value for key, value in JobRecord
+                             .from_journal(job_id, job).to_dict().items()
+                             if key != "submitted_at"}
+                    for job_id, job in state.jobs.items()}
+
+        assert sorted(rebuilt(earlier)) == ids
+        assert rebuilt(earlier) == rebuilt(current)
 
 
 class TestEarlierJournals:

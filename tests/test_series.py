@@ -228,7 +228,6 @@ class TestSamplerBusBackpressure:
     def test_drop_oldest_keeps_sampler_and_bus_alive(self):
         bus = EventBus()
         registry = MetricsRegistry()
-        registry.attach_stream(bus)
         store = SeriesStore()
         clock = [0.0]
         sampler = RegistrySampler(registry, store, interval=1.0,
@@ -239,6 +238,7 @@ class TestSamplerBusBackpressure:
             counter = registry.counter("hot")
             while not stop.is_set():
                 counter.inc()
+                bus.publish("set_done", set=0)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:

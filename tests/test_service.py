@@ -113,6 +113,10 @@ class TestJobSpec:
          "bounds": [["f", None, 1, math.inf]]},
         {"source": "int f(){}", "entry": "f", "bounds": [[["f"], 3, 1, 2]]},
         {"source": "int f(){}", "entry": "f", "constraints": [["x1=1", 5]]},
+        # Source-only fields, which a benchmark job would drop.
+        {"benchmark": "check_data", "bounds": [[None, 3, 0, 1]]},
+        {"benchmark": "check_data", "constraints": [["x1 = 0", None]]},
+        {"benchmark": "check_data", "auto_bounds": True},
     ])
     def test_rejects_bad_specs(self, body):
         with pytest.raises(BadRequest):
@@ -204,6 +208,13 @@ class TestAdmissionControl:
                                "machine": "vax"})
             with pytest.raises(ClientError, match="HTTP 404"):
                 client.job("j999999")
+            with pytest.raises(ClientError,
+                               match="HTTP 400: .* source jobs only"):
+                client.submit({"benchmark": "check_data",
+                               "constraints": [["x1 = 0", None]],
+                               "bounds": [[None, 3, 0, 1]],
+                               "auto_bounds": True})
+            assert client.healthz()["completed"] == 0
 
 
 class TestSingleReplica:
@@ -432,6 +443,22 @@ class TestEndToEnd:
         assert merged.value("service.jobs.submitted") == 4
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
+
+    def test_engine_cache_entry_is_a_service_hit(self, tmp_path):
+        # engine run and serve key a job's entry with one budget
+        # string, so either one answers the other's repeats.
+        from repro.engine import AnalysisEngine, AnalysisJob
+
+        (cold,) = AnalysisEngine(workers=1, cache_dir=tmp_path).run(
+            [AnalysisJob.from_benchmark("check_data")])
+        assert cold.ok and not cold.cache_hit
+        with _thread_service(workers=1, cache_dir=tmp_path) as handle:
+            client = ServiceClient(port=handle.port)
+            served = client.wait(
+                client.submit({"benchmark": "check_data"})["id"],
+                timeout=60)
+        assert served["cache_hit"]
+        assert (served["best"], served["worst"]) == cold.report.interval
 
     def test_engine_counters_track_finished_jobs(self):
         with _thread_service(workers=1) as handle:

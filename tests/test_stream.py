@@ -8,6 +8,7 @@ stall a publisher, because publishers sit inside the solver hot path.
 
 import io
 import json
+import logging
 import threading
 import time
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import SchemaMismatchError
+from repro.engine import execute_job
 from repro.obs import (EventBus, LiveDashboard, MetricsRegistry, Tracer,
                        aggregate_trace, diff_traces, load_trace_events,
                        parse_sse_stream, render_trace_diff, sse_comment,
@@ -169,10 +171,10 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# Publishers: tracer and registry
+# Publishers: tracer
 # ----------------------------------------------------------------------
 class TestPublishers:
-    def test_tracer_publishes_span_open_and_close(self):
+    def test_tracer_publishes_each_span_as_it_closes(self):
         bus = EventBus()
         tracer = Tracer()
         tracer.attach_stream(bus)
@@ -180,9 +182,8 @@ class TestPublishers:
             with tracer.span("solve", cat="solver", set=3) as span:
                 span.inc("pivots", 7)
             events = sub.pop_all()
-        kinds = [event["type"] for event in events]
-        assert kinds == ["span_open", "span"]
-        close = events[1]
+        assert [event["type"] for event in events] == ["span"]
+        close = events[0]
         assert close["name"] == "solve" and close["cat"] == "solver"
         assert close["args"]["pivots"] == 7
 
@@ -198,20 +199,6 @@ class TestPublishers:
             events = sub.pop_all()
         assert [event["type"] for event in events] == ["span"]
         assert events[0]["name"] == "set.worst"
-
-    def test_registry_publishes_counter_and_gauge(self):
-        bus = EventBus()
-        registry = MetricsRegistry()
-        registry.attach_stream(bus)
-        with bus.subscribe() as sub:
-            registry.counter("engine.lp_calls").inc(3)
-            registry.gauge("service.queue_depth").set(5)
-            events = sub.pop_all()
-        assert events[0]["type"] == "counter"
-        assert events[0]["name"] == "engine.lp_calls"
-        assert events[0]["delta"] == 3 and events[0]["value"] == 3
-        assert events[1]["type"] == "gauge"
-        assert events[1]["value"] == 5
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +343,76 @@ class TestServiceStreaming:
         # that finished before the stream opened.
         assert jobs and set(jobs) == {second}
 
+    def test_firehose_holds_one_event_per_fact(self, tmp_path):
+        # A job's firehose events are its lifecycle, one set_done per
+        # set and its spans; metric values live only in /metricz.
+        with _thread_service(workers=1, cache_dir=tmp_path,
+                             series=False) as handle:
+            client = ServiceClient(port=handle.port)
+            miss = client.wait(
+                client.submit({"benchmark": "check_data"})["id"])
+            hit = client.wait(
+                client.submit({"benchmark": "check_data"})["id"])
+            stream = client.watch(since=0)
+            events = []
+            for event in stream:
+                events.append(event)
+                if event["type"] == "job_done" \
+                        and event["job"] == hit["id"]:
+                    break
+            stream.close()
+        assert not miss["cache_hit"] and hit["cache_hit"]
+        sets = len(hit["report"]["set_results"])
+        split = [event["type"] for event in events].index("job_done") + 1
+        lifecycle = ["job_queued", "job_running"] + ["set_done"] * sets
+        for record, stream_events in ((miss, events[:split]),
+                                      (hit, events[split:])):
+            kinds = [event["type"] for event in stream_events]
+            assert kinds[:len(lifecycle)] == lifecycle
+            assert kinds[len(lifecycle)] == "span"
+            envelope = stream_events[len(lifecycle)]
+            assert envelope["name"] == "service.job"
+            assert envelope["args"]["job"] == record["id"]
+            assert kinds[-1] == "job_done"
+            assert all(event.get("job") == record["id"]
+                       for event in stream_events if event["type"]
+                       in ("job_queued", "job_running", "set_done",
+                           "job_done"))
+            worker_spans = kinds[len(lifecycle) + 1:-1]
+            if record["cache_hit"]:
+                assert worker_spans == []
+            else:
+                assert worker_spans and set(worker_spans) == {"span"}
+        assert not {event["type"] for event in events} \
+            & {"counter", "gauge", "observe", "span_open"}
+
+    def test_abandoned_firehose_streams_log_nothing(self, caplog):
+        # Streams whose clients went away stop writing: asyncio logs
+        # each write to a lost connection after the fifth.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        gate, running = threading.Event(), threading.Event()
+
+        def held(payload):
+            result = execute_job(payload)
+            running.set()
+            gate.wait(timeout=30)
+            return result
+
+        with _thread_service(workers=1, runner=held) as handle:
+            client = ServiceClient(port=handle.port)
+            job = client.submit({"benchmark": "check_data"})["id"]
+            assert running.wait(timeout=30)
+            for _ in range(5):
+                stream = client.watch(since=0)
+                assert next(stream)["type"] == "job_queued"
+                stream.close()
+            time.sleep(0.2)
+            gate.set()
+            record = client.wait(job)
+        assert record["state"] == "done"
+        assert [r.getMessage() for r in caplog.records
+                if "socket.send() raised" in r.getMessage()] == []
+
     def test_sse_endpoint_404_for_unknown_job(self):
         with _thread_service() as handle:
             client = ServiceClient(port=handle.port)
@@ -414,11 +471,14 @@ class TestLiveDashboard:
 
     def test_line_mode_counts_cache_hits(self):
         text = self._run([
-            ("counter", {"name": "engine.cache.hits.job", "delta": 1,
-                         "value": 1}),
-            ("counter", {"name": "engine.cache.misses.job", "delta": 1,
-                         "value": 1}),
+            ("job_start", {"name": "des", "cached": True}),
+            ("job_done", {"name": "des", "status": "ok",
+                          "cache_hit": True}),
+            ("job_start", {"name": "fft"}),
+            ("job_done", {"name": "fft", "status": "ok",
+                          "cache_hit": False}),
         ])
+        assert "job des: ok (cached)" in text
         assert "cache 50% hit" in text
 
     def test_live_capable_rejects_dumb_terminals(self, monkeypatch):
