@@ -25,7 +25,7 @@ import time
 
 from conftest import one_shot
 
-from repro.obs import EventBus, NULL_TRACER, Tracer, trace_skeleton
+from repro.obs import NULL_TRACER, Tracer, trace_skeleton
 from repro.programs import get_benchmark
 
 #: The guard threshold from the issue: traced estimate <= 1.05x plain.
@@ -125,30 +125,6 @@ def test_profiling_overhead_under_five_percent(benchmark):
           f"{profiler.samples} samples, self "
           f"{profiler.overhead_fraction:.2%})")
     assert overhead < MAX_OVERHEAD
-
-
-def test_streaming_overhead_under_five_percent(benchmark):
-    """A bus attached to the tracer but with no subscribers may add at
-    most 5% over the plain traced run: publish degenerates to a lock,
-    a ring append and an empty subscriber loop."""
-    def traced() -> float:
-        return _one_pass(Tracer())
-
-    def streaming() -> float:
-        tracer = Tracer()
-        tracer.attach_stream(EventBus())
-        return _one_pass(tracer)
-
-    overhead = _overhead(benchmark, traced, streaming)
-    print(f"streaming overhead {overhead:+.1%}")
-    assert overhead < MAX_OVERHEAD
-
-
-def test_null_tracer_stream_attach_is_inert():
-    """NULL_TRACER.attach_stream is a no-op: the disabled path stays
-    bus-free (and therefore exactly as cheap as before)."""
-    NULL_TRACER.attach_stream(EventBus())
-    assert NULL_TRACER.bus is None
 
 
 def _mission_control(interval=0.0):

@@ -760,10 +760,7 @@ def _cmd_engine(args) -> int:
     # Always traced: the stage rows are the jobs' pipeline spans;
     # --trace only decides whether they are also written out.
     tracer = Tracer()
-    bus = None
-    if args.live:
-        bus = EventBus()
-        tracer.attach_stream(bus)
+    bus = EventBus() if args.live else None
     engine = AnalysisEngine(workers=args.workers, cache_dir=cache_dir,
                             set_timeout=args.set_timeout,
                             cache_limits=_cache_limits(args),

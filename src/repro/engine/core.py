@@ -7,10 +7,11 @@ A job is the unit of dispatch: :func:`execute_job` compiles, builds
 the CFGs and solves every constraint-set ILP of one
 :class:`~repro.engine.jobs.AnalysisJob` in one process, through
 :meth:`repro.Analysis.estimate`.  ``AnalysisEngine.run`` calls it in
-the caller when one job needs solving or the engine has one worker,
-and otherwise gives each job its own pool task.  Workers only compute:
-the engine looks each job up in the :class:`ResultCache` before
-dispatch and stores its report after, in the calling process.
+the caller, with no event loop, when one job needs solving or the
+engine has one worker, and otherwise runs each job through the
+:class:`~repro.engine.pool.Pool` the service uses too.  Workers only
+compute: the engine looks each job up in the :class:`ResultCache`
+before dispatch and stores its report after, in the calling process.
 
 Failure semantics
 -----------------
@@ -19,9 +20,9 @@ Failure semantics
   only their own job; the batch continues.
 * A constraint set that exceeds ``set_timeout`` falls back to its LP
   relaxation — still a sound bound — and marks the job ``partial``.
-* Transient failures (a crashed worker, a broken pool, an OS error)
-  are retried up to ``retries`` times with exponential backoff before
-  the job is declared failed.
+* Transient failures of a pooled job (a crashed worker, a broken pool,
+  an OS error) are retried by the pool's policy
+  (:mod:`repro.engine.pool`) before the job is declared failed.
 
 Results always come back in submission order, and — because the DNF
 expansion is canonically ordered — a job's ``set_results`` are
@@ -32,17 +33,12 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import ReproError
-from .cache import ResultCache, budget_key
+from .cache import ResultCache
 from .jobs import AnalysisJob, JobResult
 from .metrics import record
-
-
-def _default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
+from .pool import Pool, lookup, publish_done, store
 
 
 def execute_job(payload) -> JobResult:
@@ -73,18 +69,14 @@ def execute_job(payload) -> JobResult:
             context = TraceContext.from_dict(trace)
         tracer = Tracer(context=context)
     try:
-        analysis = job.build_analysis(tracer=tracer)
-        report = analysis.estimate(set_timeout=set_timeout,
-                                   max_iterations=max_iterations)
+        report = job.build_analysis(tracer=tracer).estimate(
+            set_timeout=set_timeout, max_iterations=max_iterations)
     except ReproError as error:
-        failed = JobResult(job.name, "failed", error=str(error),
-                           wall_time=time.monotonic() - started)
-        if tracer is not None:
-            failed.spans = tracer.records()
-        return failed
-    result = JobResult(job.name,
-                       "partial" if report.partial else "ok",
-                       report, wall_time=time.monotonic() - started)
+        result = JobResult(job.name, "failed", error=str(error))
+    else:
+        result = JobResult(job.name,
+                           "partial" if report.partial else "ok", report)
+    result.wall_time = time.monotonic() - started
     if tracer is not None:
         result.spans = tracer.records()
     return result
@@ -107,10 +99,6 @@ class AnalysisEngine:
     cache_limits:
         Optional ``(max_entries, max_bytes)`` LRU caps for the cache
         (None in either slot: unlimited on that axis).
-    retries, backoff:
-        Transient-failure policy: each pooled job is retried up to
-        `retries` extra times, sleeping ``backoff * 2**attempt``
-        seconds between tries.
     tracer:
         A :class:`repro.obs.Tracer`; the run and every job's pipeline
         and solver work emit spans into it.  Each job traces into its
@@ -119,11 +107,10 @@ class AnalysisEngine:
         engine records no stage times.
     bus:
         An optional :class:`repro.obs.EventBus`; the engine publishes
-        run/job lifecycle events into it (``run_start``,
-        ``job_start``, ``job_done`` / ``job_failed``, ``run_done``)
-        for live consumers such as the ``--live`` dashboard.  Span
-        events additionally flow through the tracer when the caller
-        has also attached the bus there.
+        each job's lifecycle into it for live consumers such as the
+        ``--live`` dashboard: ``job_running`` at dispatch, then
+        :func:`~repro.engine.pool.publish_done`'s ``set_done``,
+        ``span`` and ``job_done`` / ``job_failed`` events.
     """
 
     def __init__(self, workers: int | None = None,
@@ -131,22 +118,18 @@ class AnalysisEngine:
                  set_timeout: float | None = None,
                  max_iterations: int | None = None,
                  cache_limits: tuple | None = None,
-                 retries: int = 2,
-                 backoff: float = 0.25,
                  tracer=None,
                  bus=None):
         from ..obs.registry import MetricsRegistry
         from ..obs.trace import NULL_TRACER
 
-        self.workers = workers or _default_workers()
+        self.workers = workers or max(1, os.cpu_count() or 1)
         max_entries, max_bytes = cache_limits or (None, None)
         self.cache = ResultCache(cache_dir, max_entries=max_entries,
                                  max_bytes=max_bytes) \
             if cache_dir else None
         self.set_timeout = set_timeout
         self.max_iterations = max_iterations
-        self.retries = retries
-        self.backoff = backoff
         #: Every run's ``engine.*`` metrics (see
         #: :mod:`repro.engine.metrics`).
         self.registry = MetricsRegistry()
@@ -157,69 +140,42 @@ class AnalysisEngine:
     def run(self, jobs: list[AnalysisJob]) -> list[JobResult]:
         """Run every job; results in submission order."""
         started = time.monotonic()
-        results: dict[int, JobResult] = {}
-        keys: dict[int, str] = {}
+        results: list = [None] * len(jobs)
+        keys: dict[int, str | None] = {}
         pending: list[tuple[int, AnalysisJob]] = []
-        bus = self.bus
-        if bus is not None:
-            bus.publish("run_start", jobs=len(jobs))
+
+        def finish(index: int, result: JobResult) -> None:
+            results[index] = result
+            self.tracer.absorb(result.spans)
+            if self.bus is not None:
+                publish_done(self.bus, result)
+            store(self.cache, keys[index], result)
 
         for index, job in enumerate(jobs):
-            if self.cache is not None:
-                keys[index] = self.cache.job_key(
-                    job.fingerprint(), budget=budget_key(
-                        self.set_timeout, self.max_iterations))
-                report = self.cache.get_report(keys[index])
-                if report is not None:
-                    results[index] = JobResult(
-                        job.name, "ok", report, cache_hit=True)
-                    if bus is not None:
-                        bus.publish("job_start", name=job.name,
-                                    cached=True)
-                        self._publish_result(results[index])
-                    continue
-            pending.append((index, job))
+            keys[index], hit = lookup(self.cache, job, self.set_timeout,
+                                      self.max_iterations)
+            if hit is None:
+                pending.append((index, job))
+            else:
+                self._running(job)
+                finish(index, hit)
 
         if pending:
             with self.tracer.span("engine.run", cat="engine",
                                   jobs=len(jobs), pending=len(pending)):
-                for index, result in self._dispatch(pending):
-                    results[index] = result
-                    self.tracer.absorb(result.spans)
-                    if bus is not None:
-                        self._publish_result(result)
-                    if (self.cache is not None
-                            and result.report is not None
-                            and not result.cache_hit):
-                        self.cache.put_report(keys[index], result.report)
+                self._dispatch(pending, finish)
 
-        ordered = [results[i] for i in range(len(jobs))]
         elapsed = time.monotonic() - started
-        self._record(ordered, elapsed)
-        if bus is not None:
-            bus.publish("run_done", jobs=len(jobs), seconds=elapsed)
-        return ordered
+        self._record(results, elapsed)
+        return results
 
-    def _publish_result(self, result: JobResult) -> None:
-        """One ``job_done`` / ``job_failed`` bus event per result."""
-        payload = {"name": result.name, "status": result.status,
-                   "wall": result.wall_time,
-                   "cache_hit": result.cache_hit}
-        if result.report is not None:
-            payload["sets"] = result.report.sets_solved
-            payload["worst"] = result.report.worst
-            payload["best"] = result.report.best
-        if result.error:
-            payload["error"] = result.error
-        kind = "job_failed" if result.status == "failed" else "job_done"
-        self.bus.publish(kind, **payload)
+    def _running(self, job: AnalysisJob) -> None:
+        if self.bus is not None:
+            self.bus.publish("job_running", name=job.name)
 
-    # ------------------------------------------------------------------
-    # Dispatch, with retry + backoff over the pool
-    # ------------------------------------------------------------------
-    def _dispatch(self, pending):
-        """Yield ``(index, JobResult)`` for every pending job: in the
-        caller for one job or one worker, else over the pool."""
+    def _dispatch(self, pending, finish) -> None:
+        """Run every pending job and `finish` it: in the caller for
+        one job or one worker, else over a :class:`Pool`."""
         context = getattr(self.tracer, "context", None)
         trace = context.to_dict() if context is not None \
             else self.tracer.enabled
@@ -228,59 +184,29 @@ class AnalysisEngine:
                     for index, job in pending}
         if self.workers <= 1 or len(pending) == 1:
             for index, job in pending:
-                if self.bus is not None:
-                    self.bus.publish("job_start", name=job.name)
-                yield index, execute_job(payloads[index])
+                self._running(job)
+                finish(index, execute_job(payloads[index]))
             return
-        if self.bus is not None:
-            for _, job in pending:
-                self.bus.publish("job_start", name=job.name)
-        yield from self._pooled(payloads)
+        import asyncio                # only the pooled path runs a loop
 
-    def _pooled(self, payloads: dict):
-        """Run :func:`execute_job` on every payload over a pool.
+        async def pooled() -> None:
+            pool = Pool(min(self.workers, len(pending)))
 
-        Yields ``(key, JobResult)``.  Transient failures (crashed
-        worker, broken pool, OSError) are retried with exponential
-        backoff in a fresh pool; once retries are exhausted the job
-        comes back failed.  ``attempts`` counts the tries made.
-        """
-        tries = {key: 0 for key in payloads}
-        remaining = dict(payloads)
-        workers = min(self.workers, len(remaining))
-        while remaining:
-            retry = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {key: pool.submit(execute_job, payload)
-                           for key, payload in remaining.items()}
-                for key, future in futures.items():
-                    tries[key] += 1
-                    try:
-                        result = future.result()
-                    except Exception as error:
-                        # A deterministic analysis failure (ReproError)
-                        # is never retried.
-                        if (isinstance(error, ReproError)
-                                or tries[key] > self.retries):
-                            yield key, _failure(payloads[key][0], error,
-                                                tries[key])
-                        else:
-                            retry[key] = remaining[key]
-                    else:
-                        result.attempts = tries[key]
-                        yield key, result
-            remaining = retry
-            if remaining:
-                time.sleep(self.backoff * (2 ** (max(tries.values()) - 1)))
+            async def one(index: int, job: AnalysisJob) -> None:
+                self._running(job)
+                finish(index, await pool.run(execute_job,
+                                             payloads[index]))
+
+            try:
+                await asyncio.gather(*(one(index, job)
+                                       for index, job in pending))
+            finally:
+                pool.shutdown()
+
+        asyncio.run(pooled())
 
     # ------------------------------------------------------------------
     def _record(self, results: list[JobResult], elapsed: float) -> None:
         self.registry.gauge("engine.total_seconds").inc(elapsed)
         for result in results:
             record(self.registry, result, cache=self.cache is not None)
-
-
-def _failure(job: AnalysisJob, error, attempts: int) -> JobResult:
-    """The failed :class:`JobResult` of a pooled job that raised."""
-    detail = "".join(traceback.format_exception_only(error)).strip()
-    return JobResult(job.name, "failed", error=detail, attempts=attempts)

@@ -82,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs import EventBus
 
         bus = EventBus()
-        tracer.attach_stream(bus)
     engine = None
     if args.workers or args.cache_dir or args.live:
         from ..engine import AnalysisEngine

@@ -23,7 +23,7 @@ HTML ops console in :mod:`repro.obs.console` renders both.
 Exporters in :mod:`repro.obs.export` render traces as Chrome
 ``trace_event`` JSON (``chrome://tracing`` / Perfetto) or plain JSON.
 Live consumption happens through :mod:`repro.obs.stream` (the
-telemetry event bus the tracer, engine and service publish into),
+telemetry event bus the engine and service publish job lifecycle into),
 :mod:`repro.obs.dashboard` (terminal progress view) and
 :mod:`repro.obs.tracediff` (span-by-span regression localization).
 See ``docs/observability.md``.

@@ -19,7 +19,7 @@ server stays a thin transport.
 from __future__ import annotations
 
 #: Bumped when the page changes enough that cached copies mislead.
-CONSOLE_VERSION = 1
+CONSOLE_VERSION = 2
 
 _PAGE = """<!DOCTYPE html>
 <html lang="en">
@@ -164,7 +164,7 @@ async function poll() {
 function firehose() {
   const log = $("log");
   const source = new EventSource("/v1/events");
-  source.onmessage = ev => {
+  const show = ev => {
     let data; try { data = JSON.parse(ev.data); } catch (e) { return; }
     const line = document.createElement("div");
     if (String(data.type).startsWith("alert_")) line.className = "alert";
@@ -175,6 +175,14 @@ function firehose() {
     log.prepend(line);
     while (log.childNodes.length > 60) log.removeChild(log.lastChild);
   };
+  // Every frame names its type (`event: <type>`), and an EventSource
+  // hands a named event only to the listeners of that name.
+  for (const type of ["job_queued", "job_running", "set_done", "span",
+                      "job_done", "job_failed", "job_recovered",
+                      "service_degraded", "service_recovered",
+                      "alert_pending", "alert_firing", "alert_resolved",
+                      "chaos_fault"])
+    source.addEventListener(type, show);
   source.onerror = () => setPill("origin", "stream lost", "warn");
 }
 

@@ -35,7 +35,7 @@ def live_capable(stream) -> bool:
 
 class _JobState:
     __slots__ = ("name", "sets_done", "sets_total", "pivots", "nodes",
-                 "lp_calls", "status", "bound", "started")
+                 "status", "bound")
 
     def __init__(self, name: str):
         self.name = name
@@ -43,10 +43,8 @@ class _JobState:
         self.sets_total = 0
         self.pivots = 0
         self.nodes = 0
-        self.lp_calls = 0
         self.status = "running"
         self.bound = None
-        self.started = time.perf_counter()
 
 
 class LiveDashboard:
@@ -55,9 +53,11 @@ class LiveDashboard:
     Use as a context manager around an engine/experiments run::
 
         bus = EventBus()
-        tracer.attach_stream(bus)
         with LiveDashboard(bus):
-            engine.run(jobs)
+            AnalysisEngine(bus=bus).run(jobs)
+
+    Every event it reads (``job_running``, ``set_done``, ``job_done``
+    / ``job_failed``) names its job, so concurrent jobs never mix.
 
     Parameters
     ----------
@@ -81,7 +81,6 @@ class LiveDashboard:
         self.interval = interval
         self._jobs: dict[str, _JobState] = {}
         self._order: list[str] = []
-        self._active: str | None = None
         self._quit = False
         self._stop = threading.Event()
         self._sub = None
@@ -140,17 +139,21 @@ class LiveDashboard:
 
     def _apply(self, event: dict) -> None:
         kind = event.get("type")
-        if kind in ("job_start", "job_running"):
-            name = event.get("name") or event.get("job") or "?"
-            state = self._job(name)
-            if event.get("sets"):
-                state.sets_total = event["sets"]
-            self._active = name
+        if kind not in ("job_running", "set_done", "job_done",
+                        "job_failed"):
+            return
+        name = event.get("name") or event.get("job") or "?"
+        state = self._job(name)
+        if kind == "job_running":
             if not self.live:
                 self._line(f"job {name}: started")
-        elif kind in ("job_done", "job_failed"):
-            name = event.get("name") or event.get("job") or "?"
-            state = self._job(name)
+        elif kind == "set_done":
+            state.sets_done += 1
+            state.pivots += event.get("pivots", 0)
+            state.nodes += event.get("nodes", 0)
+            if not self.live:
+                self._line(f"job {name}: set {event.get('set')} done")
+        else:
             state.status = event.get("status",
                                      "failed" if kind == "job_failed"
                                      else "ok")
@@ -161,52 +164,11 @@ class LiveDashboard:
                 state.bound = event["worst"]
             if event.get("cache_hit"):
                 state.status += " (cached)"
-            if self._active == name:
-                self._active = None
             if not self.live:
                 bound = f" worst={state.bound}" \
                     if state.bound is not None else ""
                 self._line(f"job {name}: {state.status}"
                            f" {state.sets_done} sets{bound}")
-        elif kind == "set_done":
-            name = event.get("job") or event.get("name") or self._active
-            if name:
-                state = self._job(name)
-                state.sets_done += 1
-                state.pivots += event.get("pivots", 0)
-                state.nodes += event.get("nodes", 0)
-                if not self.live and state.sets_done in (
-                        1, state.sets_total):
-                    self._line(f"job {name}: set {event.get('set')}"
-                               f" done ({state.sets_done}"
-                               f"/{state.sets_total or '?'})")
-        elif kind == "span":
-            self._apply_span(event)
-
-    def _apply_span(self, event: dict) -> None:
-        # Solver spans carry the per-set effort counters; "set.best"
-        # closes last for a set, so it marks the set as finished.
-        name = event.get("name", "")
-        args = event.get("args") or {}
-        if name == "expand" and self._active and args.get("sets"):
-            self._job(self._active).sets_total = args["sets"]
-        if event.get("cat") != "solver":
-            return
-        state = self._job(self._active) if self._active else None
-        if state is None:
-            return
-        if name in ("set.worst", "set.best"):
-            state.pivots += args.get("pivots", 0)
-            state.nodes += args.get("nodes", 0)
-            state.lp_calls += args.get("lp_calls", 0)
-            if name == "set.best":
-                state.sets_done += 1
-                if not self.live and state.sets_done in (
-                        1, state.sets_total):
-                    self._line(f"job {state.name}: "
-                               f"set {args.get('set')} done "
-                               f"({state.sets_done}"
-                               f"/{state.sets_total or '?'})")
 
     # -- rendering -----------------------------------------------------
     def _line(self, text: str) -> None:

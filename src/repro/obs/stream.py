@@ -17,21 +17,20 @@ Design points
   A slow consumer overflows its own queue — the oldest events are
   dropped and counted (:attr:`Subscription.dropped`), the publisher
   carries on at full speed.
-* **Near-zero cost unattached.**  Instrumented code holds no bus by
-  default (``tracer.bus is None`` is the whole disabled path), and a
-  bus with no subscribers costs one lock + one ring append per event
-  (guarded < 5% on a traced Table-I run by
-  ``benchmarks/bench_obs.py``).
+* **Off the solver path.**  No solver or tracer code publishes:
+  each job's events go out once, when the job is dispatched and when
+  it finishes, and a bus with no subscribers costs one lock and one
+  ring append per event.
 * **Replayable.**  Every event gets a monotonically increasing
   ``seq``; the ring buffer serves :meth:`EventBus.replay` so a late or
   reconnecting consumer (SSE ``Last-Event-ID``) can catch up on recent
   history.
 * **Process-safe by merging.**  Pool workers don't publish across the
   process boundary; their span records travel home in picklable
-  results and the parent republishes them (the engine through
-  :meth:`~repro.obs.trace.Tracer.absorb`, the service scheduler from
-  the job's record), so multiprocess runs stream through the same
-  bus.
+  results and the parent publishes them with the job's lifecycle
+  (:func:`repro.engine.pool.publish_done`, shared by the engine and
+  the service scheduler), so multiprocess runs stream through the
+  same bus.
 
 Event schema
 ------------
@@ -40,17 +39,18 @@ sequence number), ``ts`` (wall-clock seconds) and ``type``; the rest
 is per-type payload:
 
 ==============  ======================================================
+``job_queued``  the service admitted a job
+``job_running`` a job was dispatched (engine or service)
+``set_done``    per-constraint-set result: ``set``, ``pivots``,
+                ``nodes``, ``wall``, ``worst``, ``best``
 ``span``        ``name``, ``cat``, ``dur``, ``depth``, ``pid``,
-                ``args`` — a span finished (workers' spans arrive when
-                the parent republishes them)
-``run_start`` / ``run_done``        engine batch lifecycle
-``job_start`` / ``job_done``        one job's lifecycle (engine or
-                                    service; service events carry the
-                                    job id in ``job``)
-``job_queued`` / ``job_running`` / ``job_failed``   service lifecycle
-``set_done``    per-constraint-set progress: ``set``, ``pivots``,
-                ``nodes``, ``wall``, plus ``job`` in the service
+                ``args`` — one of the finished job's span records
+``job_done`` / ``job_failed``   the job's outcome
 ==============  ======================================================
+
+Job events carry the job's ``name``, and in the service its id in
+``job``.  A finished job's ``set_done``, ``span`` and terminal events
+come in that order.
 
 The SSE helpers at the bottom (:func:`sse_format`,
 :func:`parse_sse_stream`) define the wire framing the analysis

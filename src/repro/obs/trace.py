@@ -123,15 +123,11 @@ class NullTracer:
     """The disabled tracer: every operation is a cheap no-op."""
 
     enabled = False
-    bus = None
     context = None
     _NULL_SPAN = _NullSpan()
 
     def span(self, name: str, cat: str = "pipeline", **attrs) -> _NullSpan:
         return self._NULL_SPAN
-
-    def attach_stream(self, bus) -> None:
-        pass
 
     def absorb(self, records) -> None:
         pass
@@ -164,9 +160,6 @@ class Tracer:
         #: Optional :class:`~repro.obs.context.TraceContext` stamped
         #: onto every emitted record.
         self.context = context
-        #: Optional :class:`~repro.obs.stream.EventBus`; when set,
-        #: each span is also published live as it closes.
-        self.bus = None
         # Anchor: wall-clock epoch + a monotonic reference, so every
         # span start is epoch-based (cross-process mergeable) while
         # still measured with perf_counter resolution.
@@ -191,9 +184,6 @@ class Tracer:
                 record["parent"] = context.parent_span_id
         with self._lock:
             self._records.append(record)
-        bus = self.bus
-        if bus is not None:
-            publish_spans(bus, (record,))
 
     # -- public --------------------------------------------------------
     def span(self, name: str, cat: str = "pipeline", **attrs) -> _Span:
@@ -203,25 +193,10 @@ class Tracer:
         """
         return _Span(self, name, cat, dict(attrs))
 
-    def attach_stream(self, bus) -> None:
-        """Publish span events into `bus` from now on (None detaches)."""
-        self.bus = bus
-
     def absorb(self, records) -> None:
-        """Merge records captured elsewhere (another thread/process).
-
-        When a bus is attached the absorbed records are re-published as
-        ``span`` events — this is how pool workers' solver effort
-        reaches live consumers: the worker ships picklable records
-        home, the parent absorbs and streams them.
-        """
-        if not records:
-            return
+        """Merge records captured elsewhere (another thread/process)."""
         with self._lock:
             self._records.extend(records)
-        bus = self.bus
-        if bus is not None:
-            publish_spans(bus, records)
 
     def records(self) -> list[dict]:
         """All finished span records, in completion order."""
@@ -236,14 +211,6 @@ class Tracer:
         # Truthy even when empty: ``len() == 0`` must never demote a
         # live tracer to "absent" in ``tracer or NULL_TRACER`` idioms.
         return True
-
-
-def publish_spans(bus, records) -> None:
-    """Publish finished span records into `bus` as ``span`` events."""
-    for record in records:
-        bus.publish("span", name=record["name"], cat=record["cat"],
-                    dur=record["dur"], depth=record["depth"],
-                    pid=record["pid"], args=record["args"])
 
 
 def counters_from_stats(span, stats) -> None:

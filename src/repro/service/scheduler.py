@@ -1,12 +1,14 @@
-"""The scheduler: queue -> executor dispatch with budgets and retry.
+"""The scheduler: queue -> pool dispatch with budgets.
 
 ``workers`` asyncio worker tasks pop :class:`~.protocol.JobRecord`
-objects off the :class:`~.queue.JobQueue` and run each through an
-executor — a ``ProcessPoolExecutor`` in production (real parallelism,
-crash isolation) or a ``ThreadPoolExecutor`` for tests and
-low-overhead embedding.  The unit of work is the engine's
-:func:`repro.engine.execute_job` payload, so the service computes
-bounds on exactly the code path ``repro engine run`` uses.
+objects off the :class:`~.queue.JobQueue` and run each through the
+engine's :class:`~repro.engine.pool.Pool` — spawned worker processes
+in production (real parallelism, crash isolation) or threads for tests
+and low-overhead embedding.  The unit of work is the engine's
+:func:`repro.engine.execute_job` payload, and the pool, its retry
+policy, the cache step and the lifecycle publisher are the ones
+``repro engine run`` uses, so the service computes bounds on exactly
+the engine's code path.
 
 Deadline propagation
 --------------------
@@ -25,8 +27,8 @@ Failure semantics
 -----------------
 Deterministic analysis errors come back inside the ``JobResult``
 (status ``failed``) and are terminal.  Transient executor failures — a
-worker killed by the OOM killer, a broken pool — are retried with
-exponential backoff in a fresh pool up to ``retries`` times.
+worker killed by the OOM killer, a broken pool — are retried by the
+pool's policy (:mod:`repro.engine.pool`).
 """
 
 from __future__ import annotations
@@ -37,17 +39,14 @@ import os
 import threading
 import time
 import traceback
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..chaos import inject
 from ..engine import metrics
-from ..engine.cache import budget_key
 from ..engine.core import execute_job
 from ..engine.jobs import JobResult
+from ..engine.pool import Pool, lookup, publish_done, store
 from ..errors import ReproError
 from ..obs.registry import MetricsRegistry
-from ..obs.trace import publish_spans
 
 #: Buckets for queue-wait and run-time histograms (seconds).
 LATENCY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0)
@@ -71,7 +70,8 @@ class Scheduler:
         The scheduler looks each job up before dispatch and stores its
         report after; workers never touch it.
     executor:
-        ``"process"`` (default) or ``"thread"``.
+        The :class:`~repro.engine.pool.Pool` kind: ``"process"``
+        (default; spawned workers) or ``"thread"``.
     runner:
         The payload function run in the executor; defaults to
         :func:`repro.engine.execute_job`.  Injectable for tests.
@@ -82,30 +82,26 @@ class Scheduler:
         traffic, solver effort, stage seconds from its spans).
     bus:
         An optional :class:`repro.obs.EventBus`; job lifecycle
-        (``job_running``, per-set ``set_done``, the job's ``span``
-        records, ``job_done`` / ``job_failed``) is published into it
-        for the SSE endpoints.  Per-set events are synthesized from
-        the finished report (the executor boundary hides live solver
-        progress), always *before* the terminal job event, so
-        followers see per-set effort ahead of the final bound.
+        (``job_running`` at dispatch, then
+        :func:`~repro.engine.pool.publish_done`'s per-set
+        ``set_done``, the job's ``span`` records and ``job_done`` /
+        ``job_failed``) is published into it for the SSE endpoints.
     """
 
     def __init__(self, queue, workers: int = 2, cache=None,
                  executor: str = "process", runner=None,
-                 retries: int = 2, backoff: float = 0.25,
                  default_set_timeout: float | None = None,
                  max_iterations: int | None = None,
                  registry: MetricsRegistry | None = None,
                  bus=None, journal=None):
-        if executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor kind {executor!r}")
         self.queue = queue
         self.workers = max(1, workers)
         self.cache = cache
-        self.executor_kind = executor
+        # Spawned (not forked) workers: fork children inherit the
+        # service's listening socket and journal WAL descriptors.
+        self.pool = Pool(self.workers, kind=executor,
+                         start_method="spawn")
         self.runner = runner or execute_job
-        self.retries = retries
-        self.backoff = backoff
         self.default_set_timeout = default_set_timeout
         self.max_iterations = max_iterations
         self.registry = registry if registry is not None \
@@ -126,15 +122,13 @@ class Scheduler:
         self.running = 0
         self.completed = 0
         self.avg_run_seconds = 0.0
-        self._executor = None
         self._tasks: list[asyncio.Task] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Create the executor and spawn the worker tasks."""
-        self._executor = self._make_executor()
+        """Spawn the worker tasks (the pool starts with the first job)."""
         self._tasks = [asyncio.create_task(self._worker(),
                                            name=f"service-worker-{n}")
                        for n in range(self.workers)]
@@ -143,30 +137,6 @@ class Scheduler:
         """Wait for every worker to exit (queue closed and drained)."""
         if self._tasks:
             await asyncio.gather(*self._tasks)
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-    def _make_executor(self):
-        if self.executor_kind == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        # Spawned (not forked) workers: fork children inherit the
-        # service's listening socket and journal WAL descriptors, so
-        # pool processes orphaned by a SIGKILLed parent would keep
-        # the port bound and the WAL open — exactly what a crash
-        # recovery restart needs them not to do.
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"))
-
-    def _reset_executor(self) -> None:
-        """Replace a (possibly broken) pool before a retry."""
-        broken = self._executor
-        self._executor = self._make_executor()
-        if broken is not None:
-            broken.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Admission helpers (used by the HTTP layer)
@@ -196,7 +166,6 @@ class Scheduler:
             await self._run_record(record)
 
     async def _run_record(self, record) -> None:
-        loop = asyncio.get_running_loop()
         record.state = "running"
         record.queue_seconds = (time.monotonic()
                                 - record.admitted_monotonic)
@@ -222,7 +191,7 @@ class Scheduler:
         span_clock = time.perf_counter()
         try:
             try:
-                await self._execute(loop, record)
+                await self._execute(record)
             except Exception as error:
                 # A defect fails its own job, not the worker coroutine
                 # that serves this share of the queue.
@@ -231,7 +200,11 @@ class Scheduler:
             self._finish_spans(record, span_ts,
                                time.perf_counter() - span_clock)
             self._journal_terminal(record)
-            self._publish_done(record)
+            if self.bus is not None:
+                publish_done(self.bus, JobResult(
+                    record.spec.name, record.status, record.report,
+                    error=record.error, cache_hit=record.cache_hit,
+                    spans=record.spans), job=record.id)
         finally:
             record.run_seconds = time.monotonic() - started
             self.registry.histogram(
@@ -257,8 +230,8 @@ class Scheduler:
         spans shipped back in the result were filled into
         ``record.spans`` by ``_execute``; the service span fronts them.
         ``record.spans`` is the one store of a job's spans: ``GET
-        /v1/jobs/{id}/trace`` serves it and :meth:`_publish_done`
-        streams it.
+        /v1/jobs/{id}/trace`` serves it and
+        :func:`~repro.engine.pool.publish_done` streams it.
         """
         span = {
             "name": "service.job", "cat": "service",
@@ -299,43 +272,7 @@ class Scheduler:
                 report=report_to_dict(report) if report is not None
                 else None)
 
-    def _publish_done(self, record) -> None:
-        """Per-set progress, the job's spans, then its terminal event.
-
-        The per-set ``set_done`` events come from the finished
-        report's (canonically ordered) set results; publishing them
-        ahead of ``job_done`` guarantees followers see solver effort
-        per constraint set before the final bound, even for cache
-        hits and process executors.  The ``span`` events are
-        ``record.spans``: the ``service.job`` envelope, then the
-        worker's spans (a cache hit has none).
-        """
-        if self.bus is None:
-            return
-        report = record.report
-        if report is not None:
-            for result in report.set_results:
-                self.bus.publish(
-                    "set_done", job=record.id, name=record.spec.name,
-                    set=result.index, feasible=result.feasible,
-                    pivots=result.stats.simplex_iterations,
-                    nodes=result.stats.nodes, wall=result.wall_time,
-                    worst=result.worst, best=result.best)
-        publish_spans(self.bus, record.spans)
-        payload = {"job": record.id, "name": record.spec.name,
-                   "status": record.status,
-                   "cache_hit": record.cache_hit}
-        if report is not None:
-            payload["sets"] = report.sets_solved
-            payload["worst"] = report.worst
-            payload["best"] = report.best
-        if record.state == "failed":
-            payload["error"] = record.error
-            self.bus.publish("job_failed", **payload)
-        else:
-            self.bus.publish("job_done", **payload)
-
-    async def _execute(self, loop, record) -> None:
+    async def _execute(self, record) -> None:
         spec = record.spec
         remaining = record.deadline_remaining()
         if remaining is not None and remaining <= 0:
@@ -352,74 +289,26 @@ class Scheduler:
             else self.default_set_timeout
         max_iterations = spec.max_iterations \
             if spec.max_iterations is not None else self.max_iterations
-        key = None
-        if self.cache is not None:
-            key = self.cache.job_key(
-                job.fingerprint(),
-                budget=budget_key(set_timeout, max_iterations))
-            report = self.cache.get_report(key)
-            if report is not None:
-                record.cache_hit = True
-                record.state = "done"
-                record.status = "ok"
-                record.report = report
-                metrics.record(self.registry,
-                               JobResult(job.name, "ok", report,
-                                         cache_hit=True), cache=True)
-                return
-
-        if remaining is not None:
-            set_timeout = remaining if set_timeout is None \
-                else min(set_timeout, remaining)
-        # Chaos seam: collapse the solver budget so the set solver
-        # trips its deadline and degrades to the (sound) LP
-        # relaxation — the "partial" path under injection.
-        set_timeout = inject.budget("solver.budget", set_timeout)
-        # Ship the submitter's trace context across the pickle
-        # boundary so pool-worker spans carry the job's trace id.
-        trace = spec.trace.to_dict() if spec.trace is not None else False
-        payload = (job, set_timeout, max_iterations, trace)
-
-        result = await self._dispatch(loop, payload, record)
-        if result is None:           # retries exhausted; record failed
-            metrics.record(self.registry,
-                           JobResult(job.name, "failed",
-                                     error=record.error),
-                           cache=self.cache is not None)
-            return
+        key, result = lookup(self.cache, job, set_timeout, max_iterations)
+        if result is None:
+            if remaining is not None:
+                set_timeout = remaining if set_timeout is None \
+                    else min(set_timeout, remaining)
+            # Chaos seam: collapse the solver budget so the set solver
+            # trips its deadline and degrades to the (sound) LP
+            # relaxation — the "partial" path under injection.
+            set_timeout = inject.budget("solver.budget", set_timeout)
+            # Ship the submitter's trace context across the pickle
+            # boundary so pool-worker spans carry the job's trace id.
+            trace = spec.trace.to_dict() if spec.trace is not None \
+                else False
+            result = await self.pool.run(
+                self.runner, (job, set_timeout, max_iterations, trace))
+            record.attempts = result.attempts
+            self.registry.counter("service.retries").inc(
+                result.attempts - 1)
+            store(self.cache, key, result)
         record.finish(result)
         record.spans = list(result.spans)
         metrics.record(self.registry, result,
                        cache=self.cache is not None)
-        if (result.report is not None and self.cache is not None
-                and result.ok):
-            self.cache.put_report(key, result.report)
-
-    async def _dispatch(self, loop, payload, record):
-        """Run the payload in the executor with retry + backoff."""
-        attempt = 0
-        while True:
-            record.attempts += 1
-            try:
-                # Chaos seam: a dead worker, surfaced exactly where a
-                # real pool crash surfaces (exercises retry + pool
-                # reset below).
-                inject.fire("worker.kill")
-                return await loop.run_in_executor(
-                    self._executor, self.runner, payload)
-            except asyncio.CancelledError:
-                raise
-            except ReproError as error:
-                # Deterministic analysis failure escaping the runner.
-                record.fail(str(error))
-                return None
-            except Exception as error:
-                attempt += 1
-                self.registry.counter("service.retries").inc()
-                if attempt > self.retries:
-                    record.fail(
-                        f"worker failed after {attempt} attempts: "
-                        f"{error!r}")
-                    return None
-                self._reset_executor()
-                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))

@@ -115,7 +115,6 @@ class AnalysisService:
                  executor: str = "process", runner=None,
                  set_timeout: float | None = None,
                  max_iterations: int | None = None,
-                 retries: int = 2, backoff: float = 0.25,
                  metrics_path=None,
                  registry: MetricsRegistry | None = None,
                  keepalive_timeout: float = KEEPALIVE_TIMEOUT,
@@ -163,8 +162,8 @@ class AnalysisService:
         self.queue = JobQueue(maxsize=queue_depth)
         self.scheduler = Scheduler(
             self.queue, workers=workers, cache=cache,
-            executor=executor, runner=runner, retries=retries,
-            backoff=backoff, default_set_timeout=set_timeout,
+            executor=executor, runner=runner,
+            default_set_timeout=set_timeout,
             max_iterations=max_iterations, registry=self.registry,
             bus=self.bus, journal=self.journal)
         #: Time-series history + SLO alerting.  Pull-based: when
@@ -367,7 +366,7 @@ class AnalysisService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self.scheduler.shutdown()
+        self.scheduler.pool.shutdown()
         self._drained.set()
 
     async def wait_drained(self) -> None:
@@ -388,7 +387,7 @@ class AnalysisService:
               f"http://{self.host}:{self.port} "
               f"(workers={self.scheduler.workers}, "
               f"queue={self.queue.maxsize}, "
-              f"executor={self.scheduler.executor_kind})",
+              f"executor={self.scheduler.pool.kind})",
               flush=True)
         await self.wait_drained()
         print("analysis service drained; bye", flush=True)

@@ -4,11 +4,18 @@ import collections
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import Analysis
 from repro.engine import AnalysisEngine, AnalysisJob, ResultCache
+from repro.engine import pool as pool_module
 from repro.engine.cache import report_from_dict, report_to_dict
 from repro.engine.metrics import STAGES, render
 from repro.errors import ILPTimeoutError
@@ -358,26 +365,104 @@ class TestEngineRuns:
         assert worst[1000001] == alone.estimate().worst > worst[1000000]
 
 
+def _alive(pid: int) -> bool:
+    """True while `pid` runs; a zombie awaiting its reaper is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 class TestPoolRetry:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "BACKOFF", 0.0)
+
     def test_dead_worker_is_retried(self, tmp_path):
         dying = _DyingJob(name="dying", source=SOURCE, entry="tally",
                           auto_bounds=True,
                           marker=str(tmp_path / "died"))
-        engine = AnalysisEngine(workers=2, retries=2, backoff=0.0)
-        results = engine.run([dying, _job()])
+        results = AnalysisEngine(workers=2).run([dying, _job()])
         assert [r.status for r in results] == ["ok", "ok"]
         assert results[0].attempts == 2
         assert (tmp_path / "died").exists()
 
     @pytest.mark.parametrize("retries", [0, 1, 2])
-    def test_attempts_count_tries_when_retries_run_out(self, retries):
+    def test_attempts_count_tries_when_retries_run_out(self, retries,
+                                                       monkeypatch):
+        monkeypatch.setattr(pool_module, "RETRIES", retries)
         jobs = [_DyingJob(name=f"dying{n}", source=SOURCE, entry="tally",
                           auto_bounds=True) for n in range(2)]
-        engine = AnalysisEngine(workers=2, retries=retries, backoff=0.0)
-        results = engine.run(jobs)
+        results = AnalysisEngine(workers=2).run(jobs)
         assert [r.status for r in results] == ["failed", "failed"]
         assert [r.attempts for r in results] == [retries + 1] * 2
         assert "BrokenProcessPool" in results[0].error
+
+    def test_a_broken_pool_is_replaced_once(self, tmp_path, monkeypatch):
+        # Every job in flight on the pool the dying worker broke fails
+        # with it, but only the first to notice replaces the pool: a
+        # second replacement would tear down the pool the others were
+        # already resubmitted to.
+        made = []
+        new_executor = pool_module.new_executor
+
+        def counting(*args):
+            made.append(new_executor(*args))
+            return made[-1]
+
+        monkeypatch.setattr(pool_module, "new_executor", counting)
+        dying = _DyingJob(name="dying", source=SOURCE, entry="tally",
+                          auto_bounds=True,
+                          marker=str(tmp_path / "died"))
+        jobs = [dying] + [_job() for _ in range(4)]
+        results = AnalysisEngine(workers=2).run(jobs)
+        assert [r.status for r in results] == ["ok"] * len(jobs)
+        assert results[0].attempts == 2
+        assert len(made) == 2
+
+    def test_workers_exit_when_their_owner_is_killed(self):
+        # A SIGKILLed owner cannot shut its pool down: the spawned
+        # workers notice they were orphaned, and the resource tracker
+        # ends with them.
+        script = textwrap.dedent(f"""
+            import asyncio, time
+            from multiprocessing import resource_tracker
+            from repro.engine import AnalysisJob, execute_job
+            from repro.engine.pool import Pool
+
+            pool = Pool(2, start_method="spawn")
+            job = AnalysisJob(name="tally", source={SOURCE!r},
+                              entry="tally", auto_bounds=True)
+            result = asyncio.run(
+                pool.run(execute_job, (job, None, None, False)))
+            assert result.ok, result
+            pids = list(pool._executor._processes)
+            pids.append(resource_tracker._resource_tracker._pid)
+            print(*pids, flush=True)
+            time.sleep(60)
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-c", script],
+                              stdout=subprocess.PIPE, text=True,
+                              env=env) as owner:
+            try:
+                pids = [int(pid)
+                        for pid in owner.stdout.readline().split()]
+                assert len(pids) >= 2, pids
+                assert all(_alive(pid) for pid in pids)
+            finally:
+                owner.kill()                  # SIGKILL: no clean-up
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _alive(pid)]
 
 
 class TestTimeouts:

@@ -6,9 +6,11 @@ may lose events — counted, never silently — but must not be able to
 stall a publisher, because publishers sit inside the solver hot path.
 """
 
+import collections
 import io
 import json
 import logging
+import re
 import threading
 import time
 
@@ -16,11 +18,11 @@ import pytest
 
 from repro.cli import main
 from repro.errors import SchemaMismatchError
-from repro.engine import execute_job
+from repro.engine import AnalysisEngine, AnalysisJob, execute_job
 from repro.obs import (EventBus, LiveDashboard, MetricsRegistry, Tracer,
                        aggregate_trace, diff_traces, load_trace_events,
-                       parse_sse_stream, render_trace_diff, sse_comment,
-                       sse_format, span_key)
+                       parse_sse_stream, render_console, render_trace_diff,
+                       sse_comment, sse_format, span_key)
 from repro.service import ServiceClient, ServiceThread
 
 
@@ -36,9 +38,9 @@ def _thread_service(**kwargs):
 class TestEventBus:
     def test_publish_stamps_seq_ts_type(self):
         bus = EventBus()
-        first = bus.publish("job_start", name="a")
+        first = bus.publish("job_running", name="a")
         second = bus.publish("set_done", set=3)
-        assert first["type"] == "job_start" and first["name"] == "a"
+        assert first["type"] == "job_running" and first["name"] == "a"
         assert second["seq"] == first["seq"] + 1
         assert first["ts"] <= second["ts"]
 
@@ -171,43 +173,12 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# Publishers: tracer
-# ----------------------------------------------------------------------
-class TestPublishers:
-    def test_tracer_publishes_each_span_as_it_closes(self):
-        bus = EventBus()
-        tracer = Tracer()
-        tracer.attach_stream(bus)
-        with bus.subscribe() as sub:
-            with tracer.span("solve", cat="solver", set=3) as span:
-                span.inc("pivots", 7)
-            events = sub.pop_all()
-        assert [event["type"] for event in events] == ["span"]
-        close = events[0]
-        assert close["name"] == "solve" and close["cat"] == "solver"
-        assert close["args"]["pivots"] == 7
-
-    def test_absorb_republishes_worker_records(self):
-        worker = Tracer()
-        with worker.span("set.worst", cat="solver", set=1):
-            pass
-        bus = EventBus()
-        parent = Tracer()
-        parent.attach_stream(bus)
-        with bus.subscribe() as sub:
-            parent.absorb(worker.records())
-            events = sub.pop_all()
-        assert [event["type"] for event in events] == ["span"]
-        assert events[0]["name"] == "set.worst"
-
-
-# ----------------------------------------------------------------------
 # SSE framing
 # ----------------------------------------------------------------------
 class TestSseFraming:
     def test_format_and_parse_roundtrip_multi_event(self):
         bus = EventBus()
-        events = [bus.publish("job_start", name="a"),
+        events = [bus.publish("job_running", name="a"),
                   bus.publish("set_done", set=0, pivots=12),
                   bus.publish("job_done", name="a", worst=722)]
         wire = b"".join([sse_comment("hello")]
@@ -215,7 +186,7 @@ class TestSseFraming:
                         + [sse_comment()])
         parsed = list(parse_sse_stream(io.BytesIO(wire)))
         assert [event["type"] for event in parsed] == \
-            ["job_start", "set_done", "job_done"]
+            ["job_running", "set_done", "job_done"]
         assert [event["seq"] for event in parsed] == \
             [event["seq"] for event in events]
         assert parsed[1]["pivots"] == 12
@@ -386,6 +357,30 @@ class TestServiceStreaming:
         assert not {event["type"] for event in events} \
             & {"counter", "gauge", "observe", "span_open"}
 
+    def test_console_listens_for_every_firehose_event_type(self):
+        # An EventSource hands a named SSE event only to listeners of
+        # that name, so the console needs one per type it shows.
+        with _thread_service(workers=1, series=False) as handle:
+            client = ServiceClient(port=handle.port)
+            job = client.submit({"benchmark": "check_data"})["id"]
+            client.wait(job)
+            types = set()
+            stream = client.watch(since=0)
+            for event in stream:
+                types.add(event["type"])
+                if event["type"] == "job_done":
+                    break
+            stream.close()
+        page = render_console().decode()
+        listed = re.search(r"for \(const type of \[(.*?)\]\)\s*"
+                           r"source\.addEventListener\(type, show\);",
+                           page, re.S)
+        assert listed is not None
+        assert "onmessage" not in page
+        assert types >= {"job_queued", "job_running", "set_done", "span",
+                         "job_done"}
+        assert types <= set(re.findall(r'"(\w+)"', listed.group(1)))
+
     def test_abandoned_firehose_streams_log_nothing(self, caplog):
         # Streams whose clients went away stop writing: asyncio logs
         # each write to a lost connection after the fifth.
@@ -456,7 +451,7 @@ class TestLiveDashboard:
 
     def test_line_mode_logs_lifecycle(self):
         text = self._run([
-            ("job_start", {"name": "des"}),
+            ("job_running", {"name": "des"}),
             ("set_done", {"job": "j1", "name": "des", "set": 0,
                           "pivots": 40, "nodes": 2}),
             ("set_done", {"job": "j1", "name": "des", "set": 1,
@@ -471,15 +466,50 @@ class TestLiveDashboard:
 
     def test_line_mode_counts_cache_hits(self):
         text = self._run([
-            ("job_start", {"name": "des", "cached": True}),
+            ("job_running", {"name": "des"}),
             ("job_done", {"name": "des", "status": "ok",
                           "cache_hit": True}),
-            ("job_start", {"name": "fft"}),
+            ("job_running", {"name": "fft"}),
             ("job_done", {"name": "fft", "status": "ok",
                           "cache_hit": False}),
         ])
         assert "job des: ok (cached)" in text
         assert "cache 50% hit" in text
+
+    def test_pooled_jobs_keep_their_own_sets(self):
+        # Two jobs on two pool workers: each set_done names its job,
+        # so no job is credited with another's sets.
+        bus = EventBus()
+        out = io.StringIO()
+        engine = AnalysisEngine(workers=2, bus=bus)
+        with LiveDashboard(bus, stream=out, live=False, interval=0.01):
+            results = engine.run([AnalysisJob.from_benchmark(name)
+                                  for name in ("check_data", "piksrt")])
+        assert all(result.ok for result in results)
+        text = out.getvalue()
+        sets = collections.defaultdict(list)
+        for name, index in re.findall(r"job (\w+): set (\d+) done",
+                                      text):
+            sets[name].append(int(index))
+        assert dict(sets) == {"check_data": [0, 1], "piksrt": [0]}
+        assert "job check_data: ok 2 sets" in text
+        assert "job piksrt: ok 1 sets" in text
+
+    def test_pooled_engine_publishes_only_job_lifecycle(self):
+        bus = EventBus()
+        with bus.subscribe(maxlen=8192) as sub:
+            AnalysisEngine(workers=2, bus=bus, tracer=Tracer()).run(
+                [AnalysisJob.from_benchmark(name)
+                 for name in ("check_data", "piksrt")])
+            events = sub.pop_all()
+        for name, sets in (("check_data", 2), ("piksrt", 1)):
+            kinds = [event["type"] for event in events
+                     if event.get("name") == name
+                     and event["type"] != "span"]
+            assert kinds == ["job_running"] + ["set_done"] * sets \
+                + ["job_done"]
+        assert {event["type"] for event in events} \
+            == {"job_running", "set_done", "span", "job_done"}
 
     def test_live_capable_rejects_dumb_terminals(self, monkeypatch):
         from repro.obs.dashboard import live_capable
