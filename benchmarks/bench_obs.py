@@ -96,37 +96,6 @@ def test_tracing_overhead_under_five_percent(benchmark):
     assert overhead < MAX_OVERHEAD
 
 
-def test_profiling_overhead_under_five_percent(benchmark):
-    """The flight-recorder arm: tracing *plus* the continuous
-    statistical profiler sampling every thread may cost at most 5%
-    over the plain NULL_TRACER run, and the profiler's own
-    self-accounting must agree it stayed under the bound."""
-    from repro.obs import SamplingProfiler
-
-    # 50 Hz is the continuous-profiling rate CI serves at
-    # (`--profile-sample-hz 50`); the guard measures that deployment.
-    profiler = SamplingProfiler(hz=50.0)
-
-    def flight() -> float:
-        profiler.start()
-        try:
-            return _one_pass(Tracer())
-        finally:
-            profiler.stop()
-
-    overhead = _overhead(benchmark, _plain, flight)
-
-    # The profiler actually sampled the solver and kept its own
-    # overhead accounting under the same bound.
-    assert profiler.samples > 0
-    assert profiler.overhead_fraction < MAX_OVERHEAD
-
-    print(f"tracing+profiling overhead {overhead:+.1%} (profiler: "
-          f"{profiler.samples} samples, self "
-          f"{profiler.overhead_fraction:.2%})")
-    assert overhead < MAX_OVERHEAD
-
-
 def _mission_control(interval=0.0):
     """A representative mission-control stack: a registry shaped like
     a busy service's (counters, gauges, histograms), sampled into a

@@ -54,8 +54,8 @@ def test_service_replay_table1(benchmark, tmp_path, benchmarks,
                 for name in benchmarks}
 
     with ServiceThread(workers=2, queue_depth=64,
-                       cache_dir=tmp_path) as handle:
-        client = ServiceClient(port=handle.port)
+                       cache_dir=tmp_path) as handle, \
+            ServiceClient(port=handle.port) as client:
         client.wait_ready()
 
         cold: dict = {}
@@ -132,8 +132,8 @@ def test_journal_overhead_under_five_percent(benchmark, tmp_path,
 
     with ServiceThread(workers=2, queue_depth=64,
                        cache_dir=tmp_path / "cache",
-                       journal_dir=tmp_path / "journal") as handle:
-        client = ServiceClient(port=handle.port)
+                       journal_dir=tmp_path / "journal") as handle, \
+            ServiceClient(port=handle.port) as client:
         client.wait_ready()
 
         def replay_twice() -> tuple[dict, dict, float]:

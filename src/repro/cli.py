@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--trace", metavar="PATH",
                          help="write a Chrome trace_event JSON of the "
                               "analysis (chrome://tracing / Perfetto)")
-    analyze.add_argument("--profile", metavar="PATH",
-                         help="sample the analysis with the statistical "
-                              "profiler and write the result here "
-                              "(.txt: collapsed stacks; otherwise "
-                              "speedscope JSON)")
 
     explain = sub.add_parser(
         "explain", help="explain where a routine's bound comes from: "
@@ -265,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "write-ahead log under DIR; on restart, "
                             "queued and in-flight jobs are recovered "
                             "and re-dispatched")
-    serve.add_argument("--profile-sample-hz", type=float, default=None,
-                       metavar="HZ",
-                       help="run the continuous statistical profiler "
-                            "at HZ samples/second and serve the "
-                            "aggregate at GET /v1/profilez "
-                            "(speedscope or ?format=collapsed)")
     serve.add_argument("--chaos", metavar="SCHEDULE",
                        default=os.environ.get("REPRO_CHAOS"),
                        help="deterministic fault injection: "
@@ -337,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "/v1/jobs/{id}/trace and write the Chrome "
                              "trace JSON here (several jobs: the name "
                              "is suffixed per benchmark)")
-    submit.add_argument("--profile", metavar="PATH", nargs="?",
-                        const="-",
-                        help="after the jobs finish, fetch the "
-                             "server's continuous-profiler snapshot "
-                             "from GET /v1/profilez; with PATH write "
-                             "the speedscope JSON there, without it "
-                             "print the hottest collapsed stacks "
-                             "(needs serve --profile-sample-hz)")
 
     chaos = sub.add_parser(
         "chaos", help="deterministic fault injection: inspect "
@@ -503,32 +484,6 @@ def _make_tracer(path: str | None):
     return tracer, finish
 
 
-def _make_profiler(path: str | None):
-    """(profiler or None, finish callback writing the profile)."""
-    if not path:
-        return None, lambda: None
-    import json
-
-    from .obs import SamplingProfiler
-
-    profiler = SamplingProfiler().start()
-
-    def finish():
-        profiler.stop()
-        if path.endswith(".txt"):
-            payload = "\n".join(profiler.collapsed()) + "\n"
-        else:
-            payload = json.dumps(
-                profiler.to_speedscope(name=os.path.basename(path)),
-                indent=2) + "\n"
-        with open(path, "w") as handle:
-            handle.write(payload)
-        print(f"profile written to {path} ({profiler.samples} "
-              f"samples, {len(profiler.folds())} distinct stacks)")
-
-    return profiler, finish
-
-
 def _cmd_obs(args) -> int:
     import json
 
@@ -544,8 +499,8 @@ def _cmd_obs(args) -> int:
         else:
             from .service import ServiceClient
 
-            doc = ServiceClient(host=args.host,
-                                port=args.port).series()
+            with ServiceClient(host=args.host, port=args.port) as client:
+                doc = client.series()
         if args.json:
             print(json.dumps(doc, indent=2))
         else:
@@ -554,7 +509,8 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "alerts":
         from .service import ServiceClient
 
-        doc = ServiceClient(host=args.host, port=args.port).alerts()
+        with ServiceClient(host=args.host, port=args.port) as client:
+            doc = client.alerts()
         if args.json:
             print(json.dumps(doc, indent=2))
         else:
@@ -826,8 +782,7 @@ def _cmd_serve(args) -> int:
         set_timeout=args.set_timeout,
         max_iterations=args.max_iterations,
         metrics_path=args.metrics,
-        journal_dir=args.journal,
-        profile_hz=args.profile_sample_hz, chaos=chaos,
+        journal_dir=args.journal, chaos=chaos,
         slo=args.slo, series=not args.no_series,
         series_interval=args.series_interval,
         series_retention=args.series_retention,
@@ -915,7 +870,6 @@ def _follow_job(client, name: str, job_id: str) -> None:
 def _cmd_submit(args) -> int:
     import json
 
-    from .obs.context import TraceContext
     from .service import JobFailed, ServiceClient
 
     if args.corpus:
@@ -950,32 +904,25 @@ def _cmd_submit(args) -> int:
                         "priority": args.priority,
                         "deadline_seconds": args.deadline})
                 for name in names]
-    client = ServiceClient(host=args.host, port=args.port)
-    submitted = []
-    for name, spec in jobs:
-        # Mint the distributed trace identity client-side so every
-        # span — scheduler and pool worker — is joinable back to this
-        # submission.
-        context = TraceContext.new(benchmark=name)
-        response = client.submit_retry(spec, trace=context)
-        submitted.append((name, response["id"],
-                          response.get("trace_id")
-                          or context.trace_id))
-    if args.no_wait:
-        for name, job_id, trace_id in submitted:
-            print(f"{name}: submitted as {job_id} (trace {trace_id})")
-        return 0
-    records, failures = [], 0
-    for name, job_id, _trace_id in submitted:
-        if args.follow:
-            _follow_job(client, name, job_id)
-        try:
-            record = client.wait(job_id, timeout=args.timeout)
-        except JobFailed as error:
-            record = error.record
-            failures += 1
-        records.append(record)
-    _submit_flight_outputs(args, client, submitted)
+    with ServiceClient(host=args.host, port=args.port) as client:
+        submitted = [(name, client.submit_retry(spec)["id"])
+                     for name, spec in jobs]
+        if args.no_wait:
+            for name, job_id in submitted:
+                print(f"{name}: submitted as {job_id}")
+            return 0
+        records, failures = [], 0
+        for name, job_id in submitted:
+            if args.follow:
+                _follow_job(client, name, job_id)
+            try:
+                record = client.wait(job_id, timeout=args.timeout)
+            except JobFailed as error:
+                record = error.record
+                failures += 1
+            records.append(record)
+        if args.trace_out:
+            _write_job_traces(args.trace_out, client, submitted)
     if args.json:
         print(json.dumps(records, indent=2))
     else:
@@ -992,48 +939,28 @@ def _cmd_submit(args) -> int:
     return 0 if not failures else 1
 
 
-def _submit_flight_outputs(args, client, submitted) -> None:
-    """``submit --trace-out`` / ``--profile``: fetch the flight
-    recorder's view of the finished jobs."""
+def _write_job_traces(path: str, client, submitted) -> None:
+    """``submit --trace-out``: write each finished job's spans."""
     import json
 
     from .service import ClientError
 
-    if args.trace_out:
-        for name, job_id, _trace_id in submitted:
-            path = args.trace_out
-            if len(submitted) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}.{name}.{ext}" if dot \
-                    else f"{path}.{name}"
-            try:
-                doc = client.trace(job_id)
-            except ClientError as error:
-                print(f"{name}: trace unavailable ({error})",
-                      file=sys.stderr)
-                continue
-            with open(path, "w") as handle:
-                json.dump(doc, handle, indent=2)
-            spans = doc.get("repro", {}).get("spans", 0)
-            print(f"{name}: trace written to {path} ({spans} spans)",
-                  file=sys.stderr)
-    if args.profile:
+    for name, job_id in submitted:
+        out = path
+        if len(submitted) > 1:
+            stem, dot, ext = path.rpartition(".")
+            out = f"{stem}.{name}.{ext}" if dot else f"{path}.{name}"
         try:
-            if args.profile == "-":
-                doc = client.profilez(format="collapsed")
-                print(f"profiler: {doc.get('samples', 0)} samples, "
-                      f"{doc.get('distinct_stacks', 0)} distinct "
-                      "stacks")
-                for line in (doc.get("folds") or [])[:10]:
-                    print(f"  {line}")
-            else:
-                doc = client.profilez()
-                with open(args.profile, "w") as handle:
-                    json.dump(doc, handle, indent=2)
-                print(f"profile written to {args.profile}",
-                      file=sys.stderr)
+            doc = client.trace(job_id)
         except ClientError as error:
-            print(f"profiler unavailable ({error})", file=sys.stderr)
+            print(f"{name}: trace unavailable ({error})",
+                  file=sys.stderr)
+            continue
+        with open(out, "w") as handle:
+            json.dump(doc, handle, indent=2)
+        spans = doc.get("repro", {}).get("spans", 0)
+        print(f"{name}: trace written to {out} ({spans} spans)",
+              file=sys.stderr)
 
 
 def _cmd_synth(args) -> int:
@@ -1232,7 +1159,6 @@ def _dispatch(args) -> int:
     assert args.command == "analyze"
     machine = MACHINES[args.machine]()
     tracer, finish_trace = _make_tracer(args.trace)
-    _profiler, finish_profile = _make_profiler(args.profile)
     program = compile_source(source, optimize=args.optimize)
     analysis = Analysis(program, entry=args.entry, machine=machine,
                         context_sensitive=args.context,
@@ -1271,7 +1197,6 @@ def _dispatch(args) -> int:
             if value and "::x" in name:
                 print(f"  {name} = {value:g}")
     finish_trace(report.trace or None)
-    finish_profile()
     return 0
 
 

@@ -48,26 +48,15 @@ def execute_job(payload) -> JobResult:
     touches no cache: the caller looks the job up before dispatch and
     stores the report after.  Also the unit of work the analysis
     service dispatches — one HTTP job request becomes exactly one of
-    these payloads.
-
-    ``trace`` is polymorphic: falsy disables tracing, ``True`` traces
-    anonymously, and a :class:`~repro.obs.context.TraceContext` dict
-    traces with every span stamped by that distributed context — the
-    service ships the submitter's context here so pool-worker spans
-    carry the job's trace id.
+    these payloads.  With ``trace`` true, the job's spans come home
+    in :attr:`JobResult.spans`.
     """
     job, set_timeout, max_iterations, trace = payload
-    started = time.monotonic()
     tracer = None
     if trace:
         from ..obs.trace import Tracer
 
-        context = None
-        if isinstance(trace, dict):
-            from ..obs.context import TraceContext
-
-            context = TraceContext.from_dict(trace)
-        tracer = Tracer(context=context)
+        tracer = Tracer()
     try:
         report = job.build_analysis(tracer=tracer).estimate(
             set_timeout=set_timeout, max_iterations=max_iterations)
@@ -76,7 +65,6 @@ def execute_job(payload) -> JobResult:
     else:
         result = JobResult(job.name,
                            "partial" if report.partial else "ok", report)
-    result.wall_time = time.monotonic() - started
     if tracer is not None:
         result.spans = tracer.records()
     return result
@@ -176,11 +164,8 @@ class AnalysisEngine:
     def _dispatch(self, pending, finish) -> None:
         """Run every pending job and `finish` it: in the caller for
         one job or one worker, else over a :class:`Pool`."""
-        context = getattr(self.tracer, "context", None)
-        trace = context.to_dict() if context is not None \
-            else self.tracer.enabled
         payloads = {index: (job, self.set_timeout, self.max_iterations,
-                            trace)
+                            self.tracer.enabled)
                     for index, job in pending}
         if self.workers <= 1 or len(pending) == 1:
             for index, job in pending:

@@ -146,7 +146,6 @@ class JobResult:
     status: str
     report: BoundReport | None = None
     error: str | None = None
-    wall_time: float = 0.0
     cache_hit: bool = False
     attempts: int = 1
     #: Span records captured in the worker when the engine ran with a

@@ -7,7 +7,7 @@ Three cooperating layers, all dependency-free:
   workers for the engine to merge.  :data:`NULL_TRACER` makes the
   disabled path effectively free.
 * :mod:`repro.obs.registry` — counter/gauge/histogram metrics with
-  snapshot, diff and merge; the engine and the service record into
+  snapshot and diff; the engine and the service record into
   one, and :func:`load_snapshot` reads every metrics file.
 * :mod:`repro.obs.explain` — turns a solved
   :class:`~repro.analysis.BoundReport` into provenance: winning
@@ -20,8 +20,8 @@ series sampled from the registry and EventBus at a fixed interval) and
 a pending/firing/resolved alert state machine); the zero-dependency
 HTML ops console in :mod:`repro.obs.console` renders both.
 
-Exporters in :mod:`repro.obs.export` render traces as Chrome
-``trace_event`` JSON (``chrome://tracing`` / Perfetto) or plain JSON.
+The exporter in :mod:`repro.obs.export` renders traces as Chrome
+``trace_event`` JSON (``chrome://tracing`` / Perfetto).
 Live consumption happens through :mod:`repro.obs.stream` (the
 telemetry event bus the engine and service publish job lifecycle into),
 :mod:`repro.obs.dashboard` (terminal progress view) and
@@ -29,7 +29,6 @@ telemetry event bus the engine and service publish job lifecycle into),
 See ``docs/observability.md``.
 """
 
-from .context import TraceContext, new_span_id, new_trace_id
 from .dashboard import LiveDashboard, live_capable
 from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       DeltaRow, Explanation, ExplanationDelta,
@@ -37,10 +36,7 @@ from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       explain_bound, explain_set,
                       explanation_delta_to_dict, explanation_to_dict,
                       render_explanation, render_explanation_delta)
-from .export import (to_chrome, to_json, trace_skeleton,
-                     write_chrome_trace)
-from .profile import (DEFAULT_HZ, PROFILE_SCHEMA, SamplingProfiler,
-                      collapse_frame, frame_label)
+from .export import to_chrome, trace_skeleton, write_chrome_trace
 from .console import CONSOLE_VERSION, render_console
 from .registry import (DEFAULT_BUCKETS, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMAS,
                        Counter, Gauge, Histogram, MetricsRegistry,
@@ -58,9 +54,6 @@ from .tracediff import (SpanAggregate, TraceDelta, aggregate_trace,
 
 __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "counters_from_stats",
-    "TraceContext", "new_trace_id", "new_span_id",
-    "SamplingProfiler", "collapse_frame", "frame_label",
-    "PROFILE_SCHEMA", "DEFAULT_HZ",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "load_snapshot",
     "DEFAULT_BUCKETS", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMAS",
     "Series", "SeriesStore", "RegistrySampler", "SERIES_SCHEMA",
@@ -71,7 +64,7 @@ __all__ = [
     "EventBus", "Subscription", "sse_format", "sse_comment",
     "parse_sse_stream",
     "LiveDashboard", "live_capable",
-    "to_chrome", "to_json", "trace_skeleton", "write_chrome_trace",
+    "to_chrome", "trace_skeleton", "write_chrome_trace",
     "SpanAggregate", "TraceDelta", "span_key", "aggregate_trace",
     "diff_traces", "load_trace_events", "render_trace_diff",
     "Explanation", "ConstraintLine", "BreakdownRow",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and plain JSON.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format is the interchange point with real tooling: the file
 written by :func:`write_chrome_trace` loads directly into
@@ -38,7 +38,7 @@ def to_chrome(records: list[dict]) -> dict:
                 else f"repro worker {len(seen_pids) - 1}"
             events.append({"ph": "M", "name": "process_name", "pid": pid,
                            "tid": 0, "args": {"name": label}})
-        event = {
+        events.append({
             "ph": "X",
             "name": record["name"],
             "cat": record["cat"],
@@ -47,25 +47,13 @@ def to_chrome(records: list[dict]) -> dict:
             "pid": pid,
             "tid": record["tid"],
             "args": record["args"],
-        }
-        # Distributed-trace stamps survive the round trip, so an
-        # exported file still shows which trace each span belongs to
-        # (trace_skeleton ignores them by design).
-        for extra in ("trace", "parent"):
-            if extra in record:
-                event[extra] = record[extra]
-        events.append(event)
+        })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(records: list[dict], path) -> None:
     """Write a Perfetto/chrome://tracing loadable JSON file."""
     Path(path).write_text(json.dumps(to_chrome(records)) + "\n")
-
-
-def to_json(records: list[dict]) -> str:
-    """Plain-JSON dump of the raw span records."""
-    return json.dumps({"spans": records}, indent=2, sort_keys=True) + "\n"
 
 
 def trace_skeleton(records: list[dict]) -> list[str]:

@@ -153,7 +153,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of metrics with snapshot/diff/merge support."""
+    """A named collection of metrics with snapshot/diff support."""
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
@@ -350,25 +350,6 @@ class MetricsRegistry:
                     and not float(value).is_integer() else f"{value:,.0f}"
                 lines.append(f"{name:<38} {text:>14}")
         return "\n".join(lines)
-
-    # -- merge ---------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's totals into this one (for per-worker
-        registries merged by the engine)."""
-        for name, metric in other._metrics.items():
-            if isinstance(metric, Histogram):
-                mine = self.histogram(name, metric.buckets)
-                if mine.buckets != metric.buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket mismatch")
-                for i, count in enumerate(metric.counts):
-                    mine.counts[i] += count
-                mine.sum += metric.sum
-                mine.count += metric.count
-            elif isinstance(metric, Gauge):
-                self.gauge(name).inc(metric.value)
-            else:
-                self.counter(name).inc(metric.value)
 
 
 def load_snapshot(path) -> dict:

@@ -197,13 +197,6 @@ class SeriesStore:
                 return []
             return series.window(seconds, now=now)
 
-    def window_avg(self, name: str, seconds: float, now=None,
-                   default=0.0) -> float:
-        points = self.window(name, seconds, now=now)
-        if not points:
-            return default
-        return sum(v for _, v in points) / len(points)
-
     def window_max(self, name: str, seconds: float, now=None,
                    default=0.0) -> float:
         points = self.window(name, seconds, now=now)

@@ -24,7 +24,7 @@ Design points
   from ``time.perf_counter`` for resolution.
 * **Exportable.**  :mod:`repro.obs.export` renders the records as
   Chrome ``trace_event`` JSON (loadable in ``chrome://tracing`` and
-  Perfetto) or as plain JSON.
+  Perfetto).
 
 Example
 -------
@@ -46,11 +46,7 @@ import time
 #: (coarse category: pipeline / solver / cache / ...), ``ts`` (wall
 #: clock seconds at start), ``dur`` (seconds), ``pid`` / ``tid``
 #: (origin process and thread), ``depth`` (nesting level within its
-#: thread) and ``args`` (attributes and counters).  Tracers built with
-#: a :class:`~repro.obs.context.TraceContext` additionally stamp
-#: ``trace`` (the trace id) on every record and ``parent`` (the
-#: context's parent span id) on depth-0 records, which is how spans
-#: from different processes join one trace.
+#: thread) and ``args`` (attributes and counters).
 RECORD_KEYS = ("name", "cat", "ts", "dur", "pid", "tid", "depth", "args")
 
 
@@ -123,7 +119,6 @@ class NullTracer:
     """The disabled tracer: every operation is a cheap no-op."""
 
     enabled = False
-    context = None
     _NULL_SPAN = _NullSpan()
 
     def span(self, name: str, cat: str = "pipeline", **attrs) -> _NullSpan:
@@ -148,18 +143,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, context=None):
-        """`context` is an optional
-        :class:`~repro.obs.context.TraceContext`: when set, every
-        record is stamped with its trace id (roots also carry the
-        parent span id), tying this tracer's output to a distributed
-        trace."""
+    def __init__(self):
         self._records: list[dict] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: Optional :class:`~repro.obs.context.TraceContext` stamped
-        #: onto every emitted record.
-        self.context = context
         # Anchor: wall-clock epoch + a monotonic reference, so every
         # span start is epoch-based (cross-process mergeable) while
         # still measured with perf_counter resolution.
@@ -177,11 +164,6 @@ class Tracer:
         return stack
 
     def _emit(self, record: dict) -> None:
-        context = self.context
-        if context is not None:
-            record["trace"] = context.trace_id
-            if record["depth"] == 0 and context.parent_span_id:
-                record["parent"] = context.parent_span_id
         with self._lock:
             self._records.append(record)
 

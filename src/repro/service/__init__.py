@@ -11,8 +11,8 @@ before dispatch, so a repeated request skips parsing, CFG construction
 and every solve.
 
 >>> from repro.service import ServiceThread, ServiceClient
->>> with ServiceThread(workers=2, executor="thread") as handle:
-...     client = ServiceClient(port=handle.port)
+>>> with (ServiceThread(workers=2, executor="thread") as handle,
+...       ServiceClient(port=handle.port) as client):
 ...     job = client.submit({"benchmark": "check_data"})
 ...     record = client.wait(job["id"])
 ...     record["best"] <= record["worst"]

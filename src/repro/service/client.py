@@ -91,9 +91,8 @@ class ServiceClient:
 
     Connections are persistent and per-thread (a shared client is
     safe to use from several threads — each gets its own socket).
-    Use as a context manager, or call :meth:`close` when done, to
-    release the calling thread's connection eagerly; sockets are
-    otherwise reclaimed with the threads that own them.
+    Use as a context manager, or call :meth:`close` when done: it
+    closes the connection of every thread that used the client.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
@@ -101,30 +100,37 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._local = threading.local()
+        #: Thread id -> [connection, whether it served a request].
+        self._connections: dict[int, list] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connection(self):
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-            self._local.connection = connection
-            self._local.used = False
-        return connection
+    def _connection(self) -> list:
+        """The calling thread's ``[connection, used]`` entry."""
+        ident = threading.get_ident()
+        with self._lock:
+            entry = self._connections.get(ident)
+            if entry is None:
+                entry = self._connections[ident] = [
+                    http.client.HTTPConnection(self.host, self.port,
+                                               timeout=self.timeout),
+                    False]
+        return entry
 
     def _drop_connection(self) -> None:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-        self._local.connection = None
-        self._local.used = False
+        with self._lock:
+            entry = self._connections.pop(threading.get_ident(), None)
+        if entry is not None:
+            entry[0].close()
 
     def close(self) -> None:
-        """Close the calling thread's persistent connection."""
-        self._drop_connection()
+        """Close every thread's persistent connection."""
+        with self._lock:
+            connections, self._connections = self._connections, {}
+        for connection, _ in connections.values():
+            connection.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -141,8 +147,8 @@ class ServiceClient:
         if extra_headers:
             headers.update(extra_headers)
         for attempt in (0, 1):
-            connection = self._connection()
-            reused = getattr(self._local, "used", False)
+            entry = self._connection()
+            connection, reused = entry
             try:
                 connection.request(method, path, body=payload,
                                    headers=headers)
@@ -153,7 +159,7 @@ class ServiceClient:
                 if response.will_close:
                     self._drop_connection()
                 else:
-                    self._local.used = True
+                    entry[1] = True
                 try:
                     data = json.loads(raw) if raw else {}
                 except json.JSONDecodeError:
@@ -208,29 +214,19 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # API surface
     # ------------------------------------------------------------------
-    def submit(self, spec, trace=None) -> dict:
+    def submit(self, spec) -> dict:
         """POST one job; returns ``{"id": ..., "state": "queued"}``.
 
         ``spec`` is a dict (the wire schema) or anything with a
-        ``to_dict()`` (a :class:`~.protocol.JobSpec`).  `trace`
-        optionally carries the submitter's distributed trace identity
-        (a :class:`~repro.obs.context.TraceContext` or a pre-formatted
-        header string) as ``X-Repro-Trace``; a trace embedded in the
-        spec body wins over the header on the server side.
+        ``to_dict()`` (a :class:`~.protocol.JobSpec`).
         """
         body = spec.to_dict() if hasattr(spec, "to_dict") else spec
-        extra = None
-        if trace is not None:
-            header = (trace.to_header() if hasattr(trace, "to_header")
-                      else str(trace))
-            extra = {"X-Repro-Trace": header}
-        status, headers, data = self._request("POST", "/v1/jobs", body,
-                                              extra_headers=extra)
+        status, headers, data = self._request("POST", "/v1/jobs", body)
         self._raise_for(status, headers, data)
         return data
 
     def submit_retry(self, spec, attempts: int = 8,
-                     max_sleep: float = 10.0, trace=None,
+                     max_sleep: float = 10.0,
                      _sleep=time.sleep, _random=random.uniform) -> dict:
         """Submit with **full-jitter** backoff on 429 responses,
         request timeouts (:class:`ServiceTimeout` — a hung server)
@@ -246,12 +242,9 @@ class ServiceClient:
         queue again together.  ``_sleep``/``_random`` are injectable
         for tests.
         """
-        # Pass trace only when set: subclasses (and test doubles) that
-        # override submit(spec) without the kwarg keep working.
-        kwargs = {"trace": trace} if trace is not None else {}
         for attempt in range(attempts):
             try:
-                return self.submit(spec, **kwargs)
+                return self.submit(spec)
             except (ServiceSaturated, ServiceTimeout,
                     ServiceDegraded) as error:
                 if attempt == attempts - 1:
@@ -365,26 +358,11 @@ class ServiceClient:
     def trace(self, job_id: str) -> dict:
         """GET a finished job's span tree as a Chrome trace document.
 
-        The ``repro`` key of the response carries the job id, state,
-        span count and trace id.
+        The ``repro`` key of the response carries the job id, name,
+        state and span count.
         """
         status, headers, data = self._request(
             "GET", f"/v1/jobs/{job_id}/trace")
-        self._raise_for(status, headers, data)
-        return data
-
-    def profilez(self, format: str | None = None) -> dict:
-        """GET the server's continuous-profiler snapshot.
-
-        Default is a speedscope document; ``format="collapsed"``
-        returns collapsed-stack folds instead.  404s (as
-        :class:`ClientError`) when the server runs without
-        ``--profile-sample-hz``.
-        """
-        path = "/v1/profilez"
-        if format:
-            path += f"?format={format}"
-        status, headers, data = self._request("GET", path)
         self._raise_for(status, headers, data)
         return data
 

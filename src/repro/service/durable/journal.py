@@ -18,6 +18,8 @@ nothing (the ``complete`` frame after them holds the same sets), and
 the ``lease``/``release`` frames and snapshot entries in state
 ``leased`` of a version that lent queued jobs to a peer replica; each
 of those folds to ``queued``, so such a job goes back on the queue.
+An earlier version's ``submit`` frames and snapshot entries also carry
+a ``trace`` object in their spec; replay drops it (:func:`_spec`).
 
 Frame format (schema-versioned)
 -------------------------------
@@ -157,6 +159,15 @@ def scan_wal(path) -> tuple[list[dict], bool, int]:
             offset += _FRAME_HEADER.size + length
 
 
+def _spec(spec):
+    """A journaled spec without the ``trace`` key earlier versions
+    wrote; :class:`~repro.service.protocol.JobSpec` has no such
+    field."""
+    if isinstance(spec, dict) and "trace" in spec:
+        spec = {k: v for k, v in spec.items() if k != "trace"}
+    return spec
+
+
 def apply_record(jobs: dict, record: dict) -> bool:
     """Fold one journal record into ``jobs``; True if it applied.
 
@@ -168,7 +179,7 @@ def apply_record(jobs: dict, record: dict) -> bool:
     job_id = record.get("id")
     if kind == "submit":
         jobs.setdefault(job_id, {
-            "spec": record.get("spec"),
+            "spec": _spec(record.get("spec")),
             "state": "queued",
         })
         return True
@@ -312,6 +323,7 @@ class JobJournal:
         for job in jobs.values():
             if job.get("state") == "leased":
                 job["state"] = "queued"
+            job["spec"] = _spec(job.get("spec"))
         state.jobs.update(jobs)
         state.records += len(state.jobs)
 

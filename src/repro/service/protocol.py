@@ -25,7 +25,6 @@ from ..engine.cache import report_from_dict, report_to_dict
 from ..engine.jobs import AnalysisJob, JobResult
 from ..errors import ReproError
 from ..hw import MACHINES
-from ..obs.context import TraceContext
 
 
 class BadRequest(ReproError):
@@ -62,12 +61,6 @@ class JobSpec:
     set_timeout: float | None = None
     #: Cumulative simplex-pivot budget per ILP.
     max_iterations: int | None = None
-    #: Distributed trace identity (:class:`~repro.obs.context
-    #: .TraceContext`) — set by the submitter (or minted at admission)
-    #: and carried with the spec through the journal and into the pool
-    #: worker, so every span of this job reassembles under one trace id.
-    #: Deliberately excluded from cache keys and analysis fingerprints.
-    trace: TraceContext | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
@@ -143,25 +136,18 @@ class JobSpec:
         name = data.get("name") or benchmark \
             or f"{data.get('entry')}@source"
         max_iterations = data.get("max_iterations")
-        trace = data.get("trace")
-        if trace is not None:
-            try:
-                trace = TraceContext.from_dict(trace)
-            except ValueError as error:
-                raise BadRequest(f"bad trace context: {error}")
         return cls(
             name=str(name), benchmark=benchmark, source=source,
             entry=data.get("entry"), machine=machine, backend=backend,
             auto_bounds=auto_bounds, bounds=bounds, constraints=constraints,
-            priority=int(data.get("priority", 0)),
+            priority=int(data.get("priority") or 0),
             deadline_seconds=data.get("deadline_seconds"),
             set_timeout=data.get("set_timeout"),
             max_iterations=(int(max_iterations)
-                            if max_iterations is not None else None),
-            trace=trace)
+                            if max_iterations is not None else None))
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "name": self.name,
             "benchmark": self.benchmark,
             "source": self.source,
@@ -176,9 +162,6 @@ class JobSpec:
             "set_timeout": self.set_timeout,
             "max_iterations": self.max_iterations,
         }
-        if self.trace is not None:
-            data["trace"] = self.trace.to_dict()
-        return data
 
     def to_analysis_job(self) -> AnalysisJob:
         """Lower to the engine's job model (validates benchmarks)."""
@@ -218,8 +201,7 @@ class JobRecord:
     #: True when this record was restored from the journal.
     recovered: bool = False
     #: Flat span records of this job's execution (scheduler + pool
-    #: workers), all stamped with the spec's trace context; served by
-    #: ``GET /v1/jobs/{id}/trace``.
+    #: worker); served by ``GET /v1/jobs/{id}/trace``.
     spans: list = field(default_factory=list, repr=False)
 
     def deadline_remaining(self) -> float | None:
@@ -259,8 +241,6 @@ class JobRecord:
             "deadline_seconds": self.spec.deadline_seconds,
             "recovered": self.recovered,
         }
-        if self.spec.trace is not None:
-            payload["trace_id"] = self.spec.trace.trace_id
         if self.report is not None:
             payload["best"] = self.report.best
             payload["worst"] = self.report.worst

@@ -242,11 +242,6 @@ class Scheduler:
                      "status": record.status or "failed",
                      "cache_hit": record.cache_hit},
         }
-        context = record.spec.trace
-        if context is not None:
-            span["trace"] = context.trace_id
-            if context.parent_span_id:
-                span["parent"] = context.parent_span_id
         record.spans = [span] + list(record.spans or [])
 
     def _journal_terminal(self, record) -> None:
@@ -298,12 +293,8 @@ class Scheduler:
             # trips its deadline and degrades to the (sound) LP
             # relaxation — the "partial" path under injection.
             set_timeout = inject.budget("solver.budget", set_timeout)
-            # Ship the submitter's trace context across the pickle
-            # boundary so pool-worker spans carry the job's trace id.
-            trace = spec.trace.to_dict() if spec.trace is not None \
-                else False
             result = await self.pool.run(
-                self.runner, (job, set_timeout, max_iterations, trace))
+                self.runner, (job, set_timeout, max_iterations, True))
             record.attempts = result.attempts
             self.registry.counter("service.retries").inc(
                 result.attempts - 1)

@@ -15,6 +15,8 @@ idle timeout lapses), JSON in and out.  Endpoints:
 ``GET /v1/jobs/{id}/explain``     bound provenance (winning set,
                                   witness, binding constraints); takes
                                   ``?direction=worst|best``
+``GET /v1/jobs/{id}/trace``       the job's spans as a Chrome
+                                  ``trace_event`` document
 ``GET /v1/jobs/{id}/events``      **server-sent events** for one job:
                                   current state immediately, then
                                   queued/running/per-set/done events
@@ -26,8 +28,8 @@ idle timeout lapses), JSON in and out.  Endpoints:
 ``GET /healthz``                  liveness + queue depth (``draining``
                                   while shutting down)
 ``GET /metricz``                  the service's ``repro.obs`` registry
-                                  snapshot — mergeable JSON, same
-                                  schema as ``repro obs dump/diff``
+                                  snapshot — JSON, the same schema
+                                  as ``repro obs dump/diff``
 ``GET /v1/series``                bounded time-series history sampled
                                   from the registry (rates, levels,
                                   windowed percentiles); takes
@@ -55,7 +57,6 @@ listener and exits 0.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import signal
 import threading
@@ -65,8 +66,6 @@ from pathlib import Path
 from ..chaos import inject
 from ..engine.cache import ResultCache
 from ..obs.console import render_console
-from ..obs.context import TraceContext
-from ..obs.profile import SamplingProfiler
 from ..obs.registry import MetricsRegistry
 from ..obs.series import (DEFAULT_INTERVAL, DEFAULT_RETENTION,
                           RegistrySampler, SeriesStore)
@@ -120,7 +119,6 @@ class AnalysisService:
                  keepalive_timeout: float = KEEPALIVE_TIMEOUT,
                  bus: EventBus | None = None,
                  journal_dir=None,
-                 profile_hz: float | None = None,
                  chaos: object = None,
                  slo=None, series: bool = True,
                  series_interval: float = DEFAULT_INTERVAL,
@@ -143,10 +141,6 @@ class AnalysisService:
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        #: Continuous statistical profiler (``serve
-        #: --profile-sample-hz``); serves ``GET /v1/profilez``.
-        self.profiler = SamplingProfiler(hz=profile_hz) \
-            if profile_hz else None
         for name in ("service.jobs.submitted", "service.jobs.rejected",
                      "service.jobs.recovered"):
             self.registry.counter(name)
@@ -205,8 +199,6 @@ class AnalysisService:
                                       registry=self.registry)
             print(f"chaos: fault plan active "
                   f"({injector.plan.to_text()})", flush=True)
-        if self.profiler is not None:
-            self.profiler.start()
         if self.journal is not None:
             self._recover(self.journal.open())
         self.scheduler.start()
@@ -347,8 +339,6 @@ class AnalysisService:
             except asyncio.CancelledError:
                 pass
         await self.scheduler.join()
-        if self.profiler is not None:
-            self.profiler.stop()
         if self.sampler is not None:
             self.sampler.close()
         if self.journal is not None:
@@ -424,7 +414,7 @@ class AnalysisService:
                     break
                 try:
                     status, payload, extra = await self._route(
-                        method, path, query, body, headers)
+                        method, path, query, body)
                 except BadRequest as error:
                     status, payload, extra = 400, {"error": str(error)}, \
                         None
@@ -641,7 +631,7 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method, path, query, body, headers):
+    async def _route(self, method, path, query, body):
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "GET only"}, None
@@ -663,12 +653,6 @@ class AnalysisService:
             if cache is not None:
                 self.registry.gauge("engine.cache.quarantined").set(
                     cache.quarantined)
-            if self.profiler is not None:
-                self.registry.gauge("service.profiler.samples").set(
-                    self.profiler.samples)
-                self.registry.gauge(
-                    "service.profiler.overhead_fraction").set(
-                    self.profiler.overhead_fraction)
             if self.sampler is not None:
                 self.registry.gauge("series.samples").set(
                     self.sampler.samples)
@@ -706,23 +690,10 @@ class AnalysisService:
                 return 405, {"error": "GET only"}, None
             return 200, render_console(), \
                 {"Content-Type": "text/html; charset=utf-8"}
-        if path == "/v1/profilez":
-            if method != "GET":
-                return 405, {"error": "GET only"}, None
-            if self.profiler is None:
-                return (404,
-                        {"error": "profiler is off (serve "
-                                  "--profile-sample-hz)"},
-                        None)
-            fmt = "collapsed" if query.get("format") == "collapsed" \
-                else "speedscope"
-            return 200, self.profiler.to_dict(
-                name=f"repro serve {self.host}:{self.port}",
-                format=fmt), None
         if path == "/v1/jobs":
             if method != "POST":
                 return 405, {"error": "POST only"}, None
-            return self._submit(body, headers)
+            return self._submit(body)
         prefix = "/v1/jobs/"
         if path.startswith(prefix):
             rest = path[len(prefix):]
@@ -805,7 +776,7 @@ class AnalysisService:
                  "degraded": True, "retry_after": 2},
                 {"Retry-After": "2"})
 
-    def _submit(self, body: bytes, headers: dict):
+    def _submit(self, body: bytes):
         if self._draining:
             self.registry.counter("service.jobs.rejected").inc()
             return 503, {"error": "service is draining"}, None
@@ -817,7 +788,6 @@ class AnalysisService:
         except json.JSONDecodeError as error:
             raise BadRequest(f"body is not valid JSON: {error}")
         spec = JobSpec.from_dict(data)
-        spec = self._attach_trace(spec, headers)
         self._seq += 1
         record = JobRecord(id=f"j{self._seq:06d}", spec=spec)
         try:
@@ -857,38 +827,15 @@ class AnalysisService:
                          queue_depth=self.queue.depth)
         return (202,
                 {"id": record.id, "state": record.state,
-                 "trace_id": (spec.trace.trace_id
-                              if spec.trace is not None else None),
                  "queue_depth": self.queue.depth},
                 None)
-
-    @staticmethod
-    def _attach_trace(spec: JobSpec, headers: dict) -> JobSpec:
-        """Ensure the spec carries a trace context.
-
-        Precedence: an explicit ``trace`` in the body, then the
-        ``X-Repro-Trace`` header (a malformed header is a 400 — a
-        caller who asked for tracing should not silently lose it),
-        then a context minted at admission so every job is traceable.
-        """
-        if spec.trace is not None:
-            return spec
-        header = headers.get("x-repro-trace")
-        if header:
-            try:
-                context = TraceContext.from_header(header)
-            except ValueError as error:
-                raise BadRequest(f"bad X-Repro-Trace header: {error}")
-        else:
-            context = TraceContext.new()
-        return dataclasses.replace(spec, trace=context)
 
     def _job_trace(self, job_id: str):
         """``GET /v1/jobs/{id}/trace``: the job's spans.
 
-        A Chrome trace document of the record's span records —
-        scheduler + pool workers, each stamped with the job's trace
-        id — plus a ``repro`` stanza carrying that trace id.
+        A Chrome trace document of the record's span records (the
+        scheduler's ``service.job`` span and the pool worker's), plus
+        a ``repro`` stanza naming the job.
         """
         record = self.records.get(job_id)
         if record is None:
@@ -901,8 +848,6 @@ class AnalysisService:
             "name": record.spec.name,
             "state": record.state,
             "spans": len(record.spans),
-            "trace_id": (record.spec.trace.trace_id
-                         if record.spec.trace is not None else None),
         }
         return 200, doc, None
 
@@ -940,8 +885,8 @@ class ServiceThread:
     The embedding used by tests, the load-generator benchmark and any
     caller that wants a live server without owning an event loop::
 
-        with ServiceThread(workers=2, executor="thread") as handle:
-            client = ServiceClient(port=handle.port)
+        with (ServiceThread(workers=2, executor="thread") as handle,
+              ServiceClient(port=handle.port) as client):
             ...
 
     ``stop()`` (or leaving the ``with`` block) drains gracefully.

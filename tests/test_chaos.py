@@ -33,6 +33,15 @@ def _spec_dict(name):
     return JobSpec.from_dict(_src(name)).to_dict()
 
 
+def _reopen(root):
+    """Replay a journal as a restarting service does, then close its
+    WAL again; returns the replayed state."""
+    journal = JobJournal(root)
+    state = journal.open()
+    journal.close()
+    return state
+
+
 # ======================================================================
 # Schedule grammar
 # ======================================================================
@@ -242,7 +251,7 @@ class TestJournalUnderFaults:
         assert journal.write_errors == 1
         journal.close()
         # The failed frame left no trace: replay sees an empty log.
-        assert JobJournal(tmp_path).open().jobs == {}
+        assert _reopen(tmp_path).jobs == {}
 
     def test_probe_recovers_and_later_appends_survive(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -255,7 +264,7 @@ class TestJournalUnderFaults:
         assert journal.append("submit", id="j000002",
                               spec=_spec_dict("b")) is not None
         journal.close()
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert sorted(state.jobs) == ["j000002"]
 
     def test_torn_frame_is_repaired_in_place(self, tmp_path):
@@ -271,7 +280,7 @@ class TestJournalUnderFaults:
         assert journal.append("submit", id="j000003",
                               spec=_spec_dict("c")) is not None
         journal.close()
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert not state.tail_dropped
         assert sorted(state.jobs) == ["j000001", "j000003"]
 
@@ -295,7 +304,7 @@ class TestJournalUnderFaults:
                        spec=_spec_dict("c"))
         journal.close()
         assert wal.stat().st_size > intact
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert not state.tail_dropped
         assert sorted(state.jobs) == ["j000001", "j000002", "j000003"]
 
@@ -397,11 +406,11 @@ class TestServiceTimeout:
         server = _HungServer()
         server.start()
         try:
-            client = ServiceClient(port=server.port, timeout=0.2)
-            clock = time.monotonic()
-            with pytest.raises(ServiceTimeout) as excinfo:
-                client.healthz()
-            elapsed = time.monotonic() - clock
+            with ServiceClient(port=server.port, timeout=0.2) as client:
+                clock = time.monotonic()
+                with pytest.raises(ServiceTimeout) as excinfo:
+                    client.healthz()
+                elapsed = time.monotonic() - clock
             # One timeout, not two: no stale-reuse retry for a hang.
             assert elapsed < 1.0
             assert excinfo.value.retry_after > 0
@@ -413,7 +422,7 @@ class TestServiceTimeout:
         calls = []
 
         class FlakyClient(ServiceClient):
-            def submit(self, spec, **kwargs):
+            def submit(self, spec):
                 calls.append(spec)
                 if len(calls) < 3:
                     raise ServiceTimeout("hung")
@@ -431,7 +440,7 @@ class TestServiceTimeout:
 
     def test_submit_retry_exhaustion_reraises(self):
         class DeadClient(ServiceClient):
-            def submit(self, spec, **kwargs):
+            def submit(self, spec):
                 raise ServiceTimeout("hung")
 
         with pytest.raises(ServiceTimeout):
@@ -448,8 +457,8 @@ class TestDegradedMode:
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
                            cache_dir=tmp_path / "cache",
-                           chaos=plan) as handle:
-            client = ServiceClient(port=handle.port)
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
             # First charge fails the submit frame: 503 + rollback.
             with pytest.raises(ServiceUnavailable):
                 client.submit(_src("a"))
@@ -476,8 +485,8 @@ class TestDegradedMode:
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
                            cache_dir=tmp_path / "cache",
-                           chaos=plan) as handle:
-            client = ServiceClient(port=handle.port)
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
             with pytest.raises(ServiceUnavailable) as excinfo:
                 client.submit(_src("a"))
             assert "read-only" in str(excinfo.value)
@@ -493,8 +502,8 @@ class TestDegradedMode:
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
                            cache_dir=tmp_path / "cache",
-                           chaos=plan) as handle:
-            client = ServiceClient(port=handle.port)
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
             with pytest.raises(ServiceDegraded) as excinfo:
                 client.submit(_src("a"))
             # Retryable, with the server's Retry-After hint — unlike
@@ -506,8 +515,8 @@ class TestDegradedMode:
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
                            cache_dir=tmp_path / "cache",
-                           chaos=plan) as handle:
-            client = ServiceClient(port=handle.port)
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
             # First attempt eats the 503; housekeeping probes burn the
             # second charge (~0.25s cadence) and recover the journal,
             # so a later backoff attempt is admitted normally.
@@ -522,8 +531,8 @@ class TestDegradedMode:
         plan = FaultPlan.parse("seed=1,worker.kill=1")
         with ServiceThread(workers=1, executor="thread",
                            cache_dir=tmp_path / "cache",
-                           chaos=plan) as handle:
-            client = ServiceClient(port=handle.port)
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
             record = client.wait(client.submit(_src("a"))["id"],
                                  timeout=60)
             assert record["state"] == "done"
@@ -633,8 +642,8 @@ class TestInvariants:
         # Produce a genuine journal, then forge the worst bound.
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
-                           cache_dir=tmp_path / "cache") as handle:
-            client = ServiceClient(port=handle.port)
+                           cache_dir=tmp_path / "cache") as handle, \
+                ServiceClient(port=handle.port) as client:
             client.wait(client.submit(
                 {"benchmark": "check_data"})["id"], timeout=60)
         journal_dir = tmp_path / "journal"
@@ -650,8 +659,8 @@ class TestInvariants:
     def test_tampered_witness_is_caught(self, tmp_path):
         with ServiceThread(workers=1, executor="thread",
                            journal_dir=tmp_path / "journal",
-                           cache_dir=tmp_path / "cache") as handle:
-            client = ServiceClient(port=handle.port)
+                           cache_dir=tmp_path / "cache") as handle, \
+                ServiceClient(port=handle.port) as client:
             client.wait(client.submit(
                 {"benchmark": "check_data"})["id"], timeout=60)
         journal_dir = tmp_path / "journal"

@@ -212,10 +212,17 @@ class TestServiceCli:
         pytest.param(["chaos", "verify", "--journal", "journal"],
                      ["--tenants", "tenants.toml"],
                      id="chaos-verify--tenants"),
+        pytest.param(SERVE, ["--profile-sample-hz", "50"],
+                     id="--profile-sample-hz"),
+        pytest.param(["analyze", "prog.c", "--entry", "f"],
+                     ["--profile", "p.txt"], id="analyze--profile"),
+        pytest.param(["submit", "check_data", "--port", "1"],
+                     ["--profile"], id="submit--profile"),
     ])
     def test_serve_has_no_replica_options(self, command, option, capsys):
-        # Replica and tenancy options are gone: each is rejected while
-        # parsing, before a port is bound or a journal read.
+        # Replica, tenancy and profiler options are gone: each is
+        # rejected while parsing, before a port is bound, a journal
+        # read or a source file opened.
         with pytest.raises(SystemExit) as excinfo:
             main([*command, *option])
         assert excinfo.value.code == 2

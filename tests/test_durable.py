@@ -62,6 +62,15 @@ def _spec_dict(name):
     return JobSpec.from_dict(_src(name)).to_dict()
 
 
+def _reopen(root):
+    """Replay a journal as a restarting service does, then close its
+    WAL again; returns the replayed state."""
+    journal = JobJournal(root)
+    state = journal.open()
+    journal.close()
+    return state
+
+
 # ======================================================================
 # Journal: frames, replay, compaction
 # ======================================================================
@@ -83,7 +92,7 @@ class TestJournalReplay:
                        spec=_spec_dict("c"))
         journal.close()
 
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert not state.tail_dropped
         assert state.records == 7 and state.duplicates == 0
         jobs = state.jobs
@@ -108,7 +117,7 @@ class TestJournalReplay:
         journal.append("complete", id="j000001", status="ok",
                        cache_hit=False, report=older)
         journal.close()
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         record = JobRecord.from_journal("j000001", state.jobs["j000001"])
         assert record.report.interval == report.interval
         assert not any(r.stats.refuted for r in record.report.set_results)
@@ -124,7 +133,7 @@ class TestJournalReplay:
         wal = tmp_path / "journal.wal"
         wal.write_bytes(wal.read_bytes()[:-7])
 
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert state.tail_dropped
         assert sorted(state.jobs) == ["j000000", "j000001", "j000002"]
 
@@ -141,7 +150,7 @@ class TestJournalReplay:
         data[-1] ^= 0xFF                       # flip a payload byte
         wal.write_bytes(bytes(data))
 
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert state.tail_dropped
         assert sorted(state.jobs) == ["j000001"]
 
@@ -159,7 +168,7 @@ class TestJournalReplay:
                        cache_hit=True, report=None)
         journal.close()
 
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert list(state.jobs) == ["j000001"]
         job = state.jobs["j000001"]
         assert job["state"] == "done" and job["cache_hit"] is True
@@ -186,7 +195,7 @@ class TestJournalReplay:
                        cache_hit=False, report=None)
         journal.append("submit", id="j000002",
                        spec=_spec_dict("b"))
-        state = JobJournal(tmp_path).open().jobs
+        state = _reopen(tmp_path).jobs
         # Crash window: snapshot renamed into place, WAL not yet
         # truncated — every WAL record is already folded into the
         # snapshot.
@@ -194,7 +203,7 @@ class TestJournalReplay:
         journal.close()
         assert (tmp_path / "snapshot.json").exists()
 
-        replayed = JobJournal(tmp_path).open()
+        replayed = _reopen(tmp_path)
         assert replayed.jobs["j000001"]["state"] == "done"
         assert replayed.jobs["j000002"]["state"] == "queued"
         assert len(replayed.jobs) == 2
@@ -208,7 +217,7 @@ class TestJournalReplay:
         # Crash mid-snapshot-write: a torn temp file, never renamed.
         (tmp_path / "snapshot.json.tmp").write_text('{"schema": 1, "jo')
 
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert state.jobs["j000001"]["state"] == "queued"
 
     def test_compaction_resets_wal_and_preserves_state(self, tmp_path):
@@ -227,7 +236,7 @@ class TestJournalReplay:
                        cache_hit=False, report=None)
         journal.close()
 
-        replayed = JobJournal(tmp_path).open()
+        replayed = _reopen(tmp_path)
         assert len(replayed.jobs) == 6
         assert replayed.jobs["j000000"]["state"] == "done"
         assert replayed.jobs["j000005"]["state"] == "queued"
@@ -269,7 +278,7 @@ class TestJournalReplay:
     def test_foreign_magic_is_rejected(self, tmp_path):
         (tmp_path / "journal.wal").write_bytes(b"NOTAJRNL" + b"x" * 32)
         with pytest.raises(JournalError, match="magic"):
-            JobJournal(tmp_path).open()
+            _reopen(tmp_path)
 
 
 # ======================================================================
@@ -298,8 +307,8 @@ class TestRecovery:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit(_src("a"))["id"]
             client.wait(job, timeout=30)
             # Submit frames are flushed before the 202 goes out.
@@ -316,8 +325,8 @@ class TestRecovery:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             # Recovered jobs finish; the finished one is not re-run.
             queued = client.wait("j000002", timeout=30)
             inflight = client.wait("j000003", timeout=30)
@@ -344,8 +353,8 @@ class TestRecovery:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             for n in (1, 2, 3):
                 client.wait(f"j{n:06d}", timeout=30)
         assert runner.names == ["job1", "job2", "job3"]
@@ -364,8 +373,8 @@ class TestRecovery:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner, queue_depth=2,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             for n in range(5):
                 record = client.wait(f"j{n:06d}", timeout=30)
                 assert record["state"] == "done" and record["recovered"]
@@ -374,14 +383,14 @@ class TestRecovery:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             client.wait(client.submit(_src("one"))["id"], timeout=30)
         # Drain folded everything into the snapshot and reset the WAL.
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert snapshot["jobs"]["j000001"]["state"] == "done"
         assert (tmp_path / "journal.wal").stat().st_size == len(MAGIC)
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert state.jobs["j000001"]["state"] == "done"
 
 
@@ -407,8 +416,8 @@ class TestFramesWritten:
     def _serve(self, root, cache):
         """A miss, the same job as a hit, and a job that fails."""
         with _thread_service(workers=1, journal_dir=root,
-                             cache_dir=cache) as handle:
-            client = ServiceClient(port=handle.port)
+                             cache_dir=cache) as handle, \
+                ServiceClient(port=handle.port) as client:
             ids = [client.submit(spec)["id"] for spec in (
                 {"benchmark": "check_data"}, {"benchmark": "check_data"},
                 _src("broken", source="int f() { return }"))]
@@ -487,7 +496,8 @@ class TestEarlierJournals:
     it: ``lease`` and ``release`` frames, and snapshot entries in state
     ``leased``.  Replay folds each to ``queued``.  They also stamped
     every ``submit`` frame and snapshot entry with a ``tenant``, which
-    replay ignores."""
+    replay ignores, and every spec with a ``trace`` object, which
+    replay drops."""
 
     NAMES = {"j000001": "check_data", "j000002": "piksrt",
              "j000003": "circle"}
@@ -515,7 +525,7 @@ class TestEarlierJournals:
     def test_lease_frames_and_leased_entries_replay_queued(self,
                                                            tmp_path):
         self._write(tmp_path / "journal")
-        state = JobJournal(tmp_path / "journal").open()
+        state = _reopen(tmp_path / "journal")
         assert {job_id: job["state"]
                 for job_id, job in state.jobs.items()} == {
             "j000001": "queued", "j000002": "queued",
@@ -547,7 +557,7 @@ class TestEarlierJournals:
         for kind in kinds:
             journal.append(kind, id="j000001", **self.FRAMES[kind])
         journal.close()
-        replayed = JobJournal(tmp_path).open()
+        replayed = _reopen(tmp_path)
         assert replayed.jobs["j000001"]["state"] == state
         record = JobRecord.from_journal("j000001",
                                         replayed.jobs["j000001"])
@@ -568,7 +578,7 @@ class TestEarlierJournals:
         journal.append("complete", id="j000002",
                        **self.FRAMES["complete"])
         journal.close()
-        state = JobJournal(tmp_path).open()
+        state = _reopen(tmp_path)
         assert {job_id: job["state"]
                 for job_id, job in state.jobs.items()} == {
             "j000001": "queued", "j000002": "done",
@@ -592,8 +602,8 @@ class TestEarlierJournals:
         runner = GatedRunner()
         runner.gate.set()
         with _thread_service(workers=1, runner=runner,
-                             journal_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                             journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             for n in (1, 2, 3):
                 record = client.wait(f"j{n:06d}", timeout=30)
                 assert record["state"] == "done" and record["recovered"]
@@ -603,8 +613,8 @@ class TestEarlierJournals:
     def test_service_runs_them_to_the_serial_bound(self, tmp_path):
         root = tmp_path / "journal"
         self._write(root)
-        with _thread_service(workers=1, journal_dir=root) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, journal_dir=root) as handle, \
+                ServiceClient(port=handle.port) as client:
             records = {job_id: client.wait(job_id, timeout=60)
                        for job_id in self.NAMES}
         for job_id, name in self.NAMES.items():
@@ -632,8 +642,8 @@ class TestEarlierJournals:
                            tenant="ci")
         journal.append("start", id="j000003")
         journal.close()
-        with _thread_service(workers=1, journal_dir=root) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, journal_dir=root) as handle, \
+                ServiceClient(port=handle.port) as client:
             records = {job_id: client.wait(job_id, timeout=60)
                        for job_id in self.NAMES}
         for job_id, name in self.NAMES.items():
@@ -645,6 +655,67 @@ class TestEarlierJournals:
         snapshot = json.loads((root / "snapshot.json").read_text())
         assert not [job for job in snapshot["jobs"].values()
                     if "tenant" in job]
+        report = verify_journal(root)
+        assert report.ok, report.render()
+        assert report.checked_bounds == len(self.NAMES)
+
+
+    def test_trace_objects_in_specs_are_dropped(self, tmp_path):
+        from repro.engine.cache import report_to_dict
+
+        def spec(name):
+            """A spec as an earlier version journaled it."""
+            return {**JobSpec.from_dict({"benchmark": name}).to_dict(),
+                    "trace": {"trace_id": "ab" * 16,
+                              "parent_span_id": "cd" * 8,
+                              "baggage": {"benchmark": name}}}
+
+        serial = {name: get_benchmark(name).make_analysis().estimate()
+                  for name in self.NAMES.values()}
+        root = tmp_path / "journal"
+        root.mkdir()
+        (root / "snapshot.json").write_text(json.dumps(
+            {"schema": 1,
+             "jobs": {"j000001": {
+                 "spec": spec("check_data"), "state": "done",
+                 "status": "ok", "error": None, "cache_hit": False,
+                 "report": report_to_dict(serial["check_data"])}}}))
+        journal = JobJournal(root)
+        journal.open()
+        for job_id in ("j000002", "j000003"):
+            journal.append("submit", id=job_id,
+                           spec=spec(self.NAMES[job_id]))
+        journal.append("start", id="j000003")
+        journal.close()
+
+        state = JobJournal(root).inspect()
+        assert [job_id for job_id, job in state.jobs.items()
+                if "trace" in job["spec"]] == []
+        records = {job_id: JobRecord.from_journal(job_id, job)
+                   for job_id, job in state.jobs.items()}
+        assert {job_id: record.state
+                for job_id, record in records.items()} == {
+            "j000001": "done", "j000002": "queued", "j000003": "queued"}
+        assert records["j000001"].report.interval \
+            == serial["check_data"].interval
+        report = verify_journal(root, require_terminal=False)
+        assert report.ok, report.render()
+        assert report.checked_bounds == 1
+
+        with _thread_service(workers=1, journal_dir=root) as handle, \
+                ServiceClient(port=handle.port) as client:
+            served = {job_id: client.wait(job_id, timeout=60)
+                      for job_id in self.NAMES}
+        for job_id, name in self.NAMES.items():
+            record = served[job_id]
+            assert record["state"] == "done" and record["recovered"]
+            assert "trace_id" not in record
+            assert (record["best"], record["worst"]) \
+                == serial[name].interval
+        assert not served["j000001"]["cache_hit"]
+        snapshot = json.loads((root / "snapshot.json").read_text())
+        assert not [job for job in snapshot["jobs"].values()
+                    if "trace" in job["spec"]]
         report = verify_journal(root)
         assert report.ok, report.render()
         assert report.checked_bounds == len(self.NAMES)

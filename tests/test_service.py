@@ -73,6 +73,12 @@ class TestJobSpec:
         assert JobSpec.from_dict(spec.to_dict()) == spec
         assert spec.name == "f@source"
 
+    def test_null_priority_is_the_default(self):
+        # A null field takes its default, as the budgets' nulls do.
+        spec = JobSpec.from_dict({"benchmark": "check_data",
+                                  "priority": None})
+        assert spec.priority == 0
+
     def test_lowers_to_engine_job(self):
         spec = JobSpec.from_dict({"benchmark": "check_data"})
         job = spec.to_analysis_job()
@@ -170,8 +176,8 @@ class TestAdmissionControl:
     def test_saturated_queue_gets_429_with_retry_after(self):
         runner = GatedRunner()
         with _thread_service(workers=1, queue_depth=1,
-                             runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+                             runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             first = client.submit(_src("inflight"))
             assert runner.started.wait(timeout=10)
             client.submit(_src("queued"))
@@ -191,8 +197,8 @@ class TestAdmissionControl:
     def test_priority_orders_dispatch(self):
         runner = GatedRunner()
         with _thread_service(workers=1, queue_depth=8,
-                             runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+                             runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             client.submit(_src("blocker"))
             assert runner.started.wait(timeout=10)
             client.submit(_src("low", priority=0))
@@ -201,8 +207,8 @@ class TestAdmissionControl:
         assert runner.names == ["blocker", "high", "low"]
 
     def test_bad_submissions_are_400(self):
-        with _thread_service(workers=1) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
             with pytest.raises(ClientError, match="HTTP 400"):
                 client.submit({"benchmark": "check_data",
                                "machine": "vax"})
@@ -226,8 +232,8 @@ class TestSingleReplica:
                                       "/v1/peer/complete"])
     def test_peer_routes_are_404_and_take_nothing(self, path):
         runner = GatedRunner()
-        with _thread_service(workers=1, runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             client.submit(_src("inflight"))
             assert runner.started.wait(timeout=10)
             queued = client.submit(_src("queued"))["id"]
@@ -244,8 +250,8 @@ class TestSingleReplica:
     def test_health_records_and_metricz_are_local(self):
         runner = GatedRunner()
         runner.gate.set()
-        with _thread_service(workers=1, runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             record = client.wait(client.submit(_src("a"))["id"],
                                  timeout=30)
             health = client.healthz()
@@ -273,8 +279,8 @@ class TestSingleUser:
     def test_credentials_are_neither_required_nor_checked(self, headers):
         runner = GatedRunner()
         runner.gate.set()
-        with _thread_service(workers=1, runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             status, _, data = client._request(
                 "POST", "/v1/jobs", _src("a"), extra_headers=headers)
             assert status == 202, data
@@ -287,8 +293,8 @@ class TestSingleUser:
         # service-wide; nothing is kept per key or per tenant.
         runner = GatedRunner()
         with _thread_service(workers=1, queue_depth=1,
-                             runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+                             runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             first = client.submit(_src("one"))
             assert runner.started.wait(timeout=10)
             second = client.submit(_src("two"))     # fills the queue
@@ -314,12 +320,44 @@ class TestSingleUser:
                         if name.startswith("tenant.")]
 
 
+class TestOneIdentity:
+    """A job's one identity is its job id: a body has no ``trace``
+    field, an ``X-Repro-Trace`` header is ignored like any unknown
+    header, and there is no profiler endpoint."""
+
+    def test_trace_field_is_400_and_trace_header_is_ignored(self):
+        serial = get_benchmark("check_data").make_analysis().estimate()
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
+            with pytest.raises(ClientError, match="HTTP 400: unknown "
+                                                  "job fields: .'trace'."):
+                client.submit({"benchmark": "check_data",
+                               "trace": {"trace_id": "ab"}})
+            status, _, ticket = client._request(
+                "POST", "/v1/jobs", {"benchmark": "check_data"},
+                extra_headers={"X-Repro-Trace": "not-hex;;="})
+            assert status == 202, ticket
+            record = client.wait(ticket["id"], timeout=60)
+            doc = client.trace(ticket["id"])
+        assert sorted(ticket) == ["id", "queue_depth", "state"]
+        assert (record["best"], record["worst"]) == serial.interval
+        assert "trace_id" not in record
+        assert sorted(doc["repro"]) == ["job", "name", "spans", "state"]
+
+    def test_profilez_is_404(self):
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
+            status, _, data = client._request("GET", "/v1/profilez")
+        assert status == 404, data
+        assert data == {"error": "no route for /v1/profilez"}
+
+
 class TestDeadlines:
     def test_deadline_becomes_solver_budget(self):
         runner = GatedRunner()
         runner.gate.set()                         # run-through
-        with _thread_service(workers=1, runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             ticket = client.submit({"benchmark": "check_data",
                                     "deadline_seconds": 60.0})
             client.wait(ticket["id"], timeout=30)
@@ -336,8 +374,8 @@ class TestDeadlines:
 
     def test_expired_deadline_fails_without_running(self):
         runner = GatedRunner()
-        with _thread_service(workers=1, runner=runner) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=runner) as handle, \
+                ServiceClient(port=handle.port) as client:
             blocker = client.submit(_src("blocker"))
             assert runner.started.wait(timeout=10)
             doomed = client.submit(_src("doomed", deadline_seconds=0.05))
@@ -358,31 +396,31 @@ class TestDrain:
         metrics_path = tmp_path / "metrics.json"
         handle = _thread_service(workers=1, runner=runner,
                                  metrics_path=metrics_path).start()
-        client = ServiceClient(port=handle.port)
-        inflight = client.submit(_src("inflight"))
-        assert runner.started.wait(timeout=10)
-        queued = client.submit(_src("queued"))
+        with ServiceClient(port=handle.port) as client:
+            inflight = client.submit(_src("inflight"))
+            assert runner.started.wait(timeout=10)
+            queued = client.submit(_src("queued"))
 
-        drainer = threading.Thread(target=handle.drain)
-        drainer.start()
-        time.sleep(0.2)
-        assert client.healthz()["status"] == "draining"
-        with pytest.raises(ServiceUnavailable):
-            client.submit(_src("late"))
+            drainer = threading.Thread(target=handle.drain)
+            drainer.start()
+            time.sleep(0.2)
+            assert client.healthz()["status"] == "draining"
+            with pytest.raises(ServiceUnavailable):
+                client.submit(_src("late"))
 
-        runner.gate.set()
-        drainer.join(timeout=30)
-        assert not drainer.is_alive()
+            runner.gate.set()
+            drainer.join(timeout=30)
+            assert not drainer.is_alive()
 
-        # Both admitted jobs finished; the metrics snapshot was flushed
-        # and is a loadable registry.
-        records = handle.service.records
-        assert {records[t["id"]].state
-                for t in (inflight, queued)} == {"done"}
-        flushed = MetricsRegistry.load(metrics_path)
-        assert flushed.value("service.jobs.done.ok") == 2
-        with pytest.raises(ServiceUnavailable):
-            client.healthz()                      # listener is gone
+            # Both admitted jobs finished; the metrics snapshot was
+            # flushed and is a loadable registry.
+            records = handle.service.records
+            assert {records[t["id"]].state
+                    for t in (inflight, queued)} == {"done"}
+            flushed = MetricsRegistry.load(metrics_path)
+            assert flushed.value("service.jobs.done.ok") == 2
+            with pytest.raises(ServiceUnavailable):
+                client.healthz()                  # listener is gone
 
 
 class TestEndToEnd:
@@ -395,8 +433,8 @@ class TestEndToEnd:
             {"source": 123, "entry": "f"},
             {"source": "int f() { return 1; }", "entry": ["main"]},
         )
-        with ServiceThread(workers=2, executor="process") as handle:
-            client = ServiceClient(port=handle.port)
+        with ServiceThread(workers=2, executor="process") as handle, \
+                ServiceClient(port=handle.port) as client:
             for body in bodies:
                 with pytest.raises(ClientError, match="HTTP 400"):
                     client.submit(body)
@@ -411,8 +449,8 @@ class TestEndToEnd:
 
     def test_bounds_match_serial_and_cache_reuses(self, tmp_path):
         serial = get_benchmark("check_data").make_analysis().estimate()
-        with _thread_service(workers=2, cache_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=2, cache_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             cold = client.wait(
                 client.submit({"benchmark": "check_data"})["id"],
                 timeout=120)
@@ -433,14 +471,11 @@ class TestEndToEnd:
         assert explanation["bound"] == serial.worst
         assert explanation["consistent"] is True
 
-        # /metricz is a mergeable obs snapshot carrying both the
-        # service.* and folded engine.* families.
+        # /metricz is an obs snapshot carrying both the service.* and
+        # folded engine.* families.
         registry = MetricsRegistry.from_snapshot(snapshot)
         assert registry.value("service.jobs.submitted") == 2
         assert registry.value("engine.cache.hits.job") == 1
-        merged = MetricsRegistry.from_snapshot(snapshot)
-        merged.merge(registry)
-        assert merged.value("service.jobs.submitted") == 4
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
 
@@ -452,8 +487,8 @@ class TestEndToEnd:
         (cold,) = AnalysisEngine(workers=1, cache_dir=tmp_path).run(
             [AnalysisJob.from_benchmark("check_data")])
         assert cold.ok and not cold.cache_hit
-        with _thread_service(workers=1, cache_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, cache_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             served = client.wait(
                 client.submit({"benchmark": "check_data"})["id"],
                 timeout=60)
@@ -461,8 +496,8 @@ class TestEndToEnd:
         assert (served["best"], served["worst"]) == cold.report.interval
 
     def test_engine_counters_track_finished_jobs(self):
-        with _thread_service(workers=1) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
             for _ in range(2):
                 client.wait(client.submit({"benchmark": "check_data"})["id"],
                             timeout=120)
@@ -483,8 +518,8 @@ class TestEndToEnd:
 
     def test_process_workers_never_write_the_cache(self, tmp_path):
         with ServiceThread(workers=1, executor="process",
-                           cache_dir=tmp_path) as handle:
-            client = ServiceClient(port=handle.port)
+                           cache_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
             done = client.wait(
                 client.submit({"benchmark": "check_data"})["id"],
                 timeout=60)
@@ -502,8 +537,8 @@ class TestEndToEnd:
             return lower(spec)
 
         monkeypatch.setattr(JobSpec, "to_analysis_job", defective)
-        with _thread_service(workers=2) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=2) as handle, \
+                ServiceClient(port=handle.port) as client:
             for _ in range(2):
                 ticket = client.submit(_src("defective"))
                 with pytest.raises(JobFailed, match="internal error"):
@@ -514,8 +549,8 @@ class TestEndToEnd:
         assert (done["best"], done["worst"]) == (34, 722)
 
     def test_failed_job_surfaces_as_job_failed(self):
-        with _thread_service(workers=1) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
             ticket = client.submit({"source": "int f() { return 1; }",
                                     "entry": "no_such_routine"})
             with pytest.raises(JobFailed):

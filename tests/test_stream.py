@@ -203,8 +203,8 @@ class TestSseFraming:
 # ----------------------------------------------------------------------
 class TestServiceStreaming:
     def test_watch_streams_per_set_progress_before_bound(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})
             events = list(client.watch(job["id"]))
             record = client.wait(job["id"])
@@ -219,8 +219,8 @@ class TestServiceStreaming:
             assert done[0]["worst"] == record["worst"]
 
     def test_watch_replays_for_late_attacher(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])    # finish first, then attach
             events = list(client.watch(job["id"]))
@@ -228,8 +228,8 @@ class TestServiceStreaming:
         assert "set_done" in kinds    # ring replay, not just state
 
     def test_watch_reconnect_resumes_from_last_event_id(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])
             replayed = list(client.watch(job["id"]))
@@ -242,8 +242,8 @@ class TestServiceStreaming:
         assert len(resumed_data) < len(replayed)
 
     def test_firehose_carries_lifecycle_of_all_jobs(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             sub_events = []
             done = threading.Event()
 
@@ -264,8 +264,8 @@ class TestServiceStreaming:
         assert "job_done" in kinds
 
     def test_firehose_since_zero_replays_finished_jobs(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])
             kinds = []
@@ -286,8 +286,8 @@ class TestServiceStreaming:
         assert kinds[0] == "job_queued" and kinds[-1] == "job_done"
 
     def test_firehose_watch_without_since_tails_live_events(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             first = client.submit({"benchmark": "check_data"})["id"]
             client.wait(first)
             bus = handle.service.bus
@@ -318,8 +318,8 @@ class TestServiceStreaming:
         # A job's firehose events are its lifecycle, one set_done per
         # set and its spans; metric values live only in /metricz.
         with _thread_service(workers=1, cache_dir=tmp_path,
-                             series=False) as handle:
-            client = ServiceClient(port=handle.port)
+                             series=False) as handle, \
+                ServiceClient(port=handle.port) as client:
             miss = client.wait(
                 client.submit({"benchmark": "check_data"})["id"])
             hit = client.wait(
@@ -360,8 +360,8 @@ class TestServiceStreaming:
     def test_console_listens_for_every_firehose_event_type(self):
         # An EventSource hands a named SSE event only to listeners of
         # that name, so the console needs one per type it shows.
-        with _thread_service(workers=1, series=False) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, series=False) as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})["id"]
             client.wait(job)
             types = set()
@@ -393,8 +393,8 @@ class TestServiceStreaming:
             gate.wait(timeout=30)
             return result
 
-        with _thread_service(workers=1, runner=held) as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service(workers=1, runner=held) as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})["id"]
             assert running.wait(timeout=30)
             for _ in range(5):
@@ -409,26 +409,47 @@ class TestServiceStreaming:
                 if "socket.send() raised" in r.getMessage()] == []
 
     def test_sse_endpoint_404_for_unknown_job(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             with pytest.raises(Exception) as caught:
                 list(client.watch("nope"))
             assert "404" in str(caught.value)
 
     def test_keepalive_socket_reused_across_requests(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             client.healthz()
-            first = client._local.connection
-            assert client._local.used
+            ((first, used),) = client._connections.values()
+            assert used
             client.healthz()
-            assert client._local.connection is first
+            assert client._connection()[0] is first
             client.close()
-            assert client._local.connection is None
+            assert client._connections == {}
+
+    def test_close_releases_every_threads_connection(self):
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
+            both_done = threading.Barrier(2)
+
+            def probe():
+                client.healthz()
+                both_done.wait(timeout=10)  # two live threads, two ids
+
+            threads = [threading.Thread(target=probe) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            client.healthz()
+            connections = [connection for connection, _
+                           in client._connections.values()]
+            client.close()
+        assert len(connections) == 3
+        assert [c for c in connections if c.sock is not None] == []
 
     def test_metricz_counts_stream_drops_and_subscribers(self):
-        with _thread_service() as handle:
-            client = ServiceClient(port=handle.port)
+        with _thread_service() as handle, \
+                ServiceClient(port=handle.port) as client:
             job = client.submit({"benchmark": "check_data"})
             client.wait(job["id"])
             snapshot = client.metricz()

@@ -311,8 +311,8 @@ class TestServiceFeed:
         for prog in progs:
             corpus.add(prog)
         with ServiceThread(workers=1, executor="thread",
-                           cache_dir=tmp_path / "cache") as handle:
-            client = ServiceClient(port=handle.port)
+                           cache_dir=tmp_path / "cache") as handle, \
+                ServiceClient(port=handle.port) as client:
             records = submit_corpus(client, corpus)
         assert len(records) == 2
         by_digest = {r["digest"]: r for r in records}
@@ -329,8 +329,8 @@ class TestServiceFeed:
         digests = [corpus.add(p) for p in
                    generate_many(seed=9, count=3, grade="tiny")]
         with ServiceThread(workers=1, executor="thread",
-                           cache_dir=tmp_path / "cache") as handle:
-            client = ServiceClient(port=handle.port)
+                           cache_dir=tmp_path / "cache") as handle, \
+                ServiceClient(port=handle.port) as client:
             records = submit_corpus(client, corpus,
                                     ids=[digests[0]], limit=5)
         assert [r["digest"] for r in records] == [digests[0]]
