@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -138,8 +140,6 @@ class TestExplainAgainst:
         assert "worst-case bound:" in out
 
     def test_against_json_delta(self, tmp_path, capsys):
-        import json
-
         saved = self._save_explanation(tmp_path, capsys)
         code = main(["explain", "check_data", "--against", saved,
                      "--json"])
@@ -191,6 +191,39 @@ class TestServiceCli:
             out = capsys.readouterr().out
             assert code == 0
             assert "check_data: submitted as j" in out
+
+    def test_submit_trace_out_writes_the_jobs_spans(self, tmp_path,
+                                                    capsys):
+        from repro.service import ServiceThread
+
+        path = tmp_path / "job.json"
+        with ServiceThread(workers=1, executor="thread") as handle:
+            code = main(["submit", "check_data", "--trace-out", str(path),
+                         "--port", str(handle.port)])
+        assert code == 0
+        doc = json.loads(path.read_text())
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert doc["repro"]["spans"] == len(spans)
+        assert {"service.job", "solve", "set.worst"} \
+            <= {e["name"] for e in spans}
+        assert (f"check_data: trace written to {path} ({len(spans)} "
+                "spans)") in capsys.readouterr().err
+
+    def test_submit_trace_out_names_a_file_per_job(self, tmp_path):
+        from repro.service import ServiceThread
+
+        with ServiceThread(workers=1, executor="thread") as handle:
+            code = main(["submit", "check_data", "piksrt",
+                         "--trace-out", str(tmp_path / "t.json"),
+                         "--port", str(handle.port)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["t.check_data.json", "t.piksrt.json"]
+        for name in ("check_data", "piksrt"):
+            doc = json.loads((tmp_path / f"t.{name}.json").read_text())
+            assert doc["repro"]["name"] == name
+            assert doc["repro"]["state"] == "done"
+            assert doc["repro"]["spans"] > 0
 
     def test_submit_unreachable_service_fails_cleanly(self, capsys):
         code = main(["submit", "check_data", "--port", "1"])

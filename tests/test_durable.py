@@ -343,6 +343,25 @@ class TestRecovery:
         registry = MetricsRegistry.from_snapshot(snapshot)
         assert registry.value("service.jobs.recovered") == 2
 
+    def test_rerun_spans_go_to_the_recovered_record(self, tmp_path):
+        # A recovered job keeps its job id, and the spans of its re-run
+        # are that record's trace.  A job that finished before the
+        # restart has no span in this life.
+        self._seed_journal(tmp_path)
+        with _thread_service(workers=1, journal_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
+            client.wait("j000003", timeout=60)
+            rerun = client.trace("j000003")
+            finished = client.trace("j000001")
+        spans = [e for e in rerun["traceEvents"] if e["ph"] == "X"]
+        assert rerun["repro"]["job"] == "j000003"
+        assert rerun["repro"]["spans"] == len(spans)
+        assert {"service.job", "solve", "set.worst"} \
+            <= {e["name"] for e in spans}
+        assert finished["repro"] == {"job": "j000001", "name": "finished",
+                                     "state": "done", "spans": 0}
+        assert finished["traceEvents"] == []
+
     def test_recovered_queue_preserves_submission_order(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.open()
@@ -659,27 +678,25 @@ class TestEarlierJournals:
         assert report.ok, report.render()
         assert report.checked_bounds == len(self.NAMES)
 
-
-    def test_trace_objects_in_specs_are_dropped(self, tmp_path):
+    def _write_traced(self, root, serial):
+        """A finished snapshot entry, a queued job and one in flight,
+        each spec carrying the ``trace`` object an earlier version
+        journaled."""
         from repro.engine.cache import report_to_dict
 
         def spec(name):
-            """A spec as an earlier version journaled it."""
             return {**JobSpec.from_dict({"benchmark": name}).to_dict(),
                     "trace": {"trace_id": "ab" * 16,
                               "parent_span_id": "cd" * 8,
                               "baggage": {"benchmark": name}}}
 
-        serial = {name: get_benchmark(name).make_analysis().estimate()
-                  for name in self.NAMES.values()}
-        root = tmp_path / "journal"
         root.mkdir()
         (root / "snapshot.json").write_text(json.dumps(
             {"schema": 1,
              "jobs": {"j000001": {
                  "spec": spec("check_data"), "state": "done",
                  "status": "ok", "error": None, "cache_hit": False,
-                 "report": report_to_dict(serial["check_data"])}}}))
+                 "report": report_to_dict(serial)}}}))
         journal = JobJournal(root)
         journal.open()
         for job_id in ("j000002", "j000003"):
@@ -687,6 +704,12 @@ class TestEarlierJournals:
                            spec=spec(self.NAMES[job_id]))
         journal.append("start", id="j000003")
         journal.close()
+
+    def test_trace_objects_in_specs_are_dropped(self, tmp_path):
+        serial = {name: get_benchmark(name).make_analysis().estimate()
+                  for name in self.NAMES.values()}
+        root = tmp_path / "journal"
+        self._write_traced(root, serial["check_data"])
 
         state = JobJournal(root).inspect()
         assert [job_id for job_id, job in state.jobs.items()
@@ -719,6 +742,20 @@ class TestEarlierJournals:
         report = verify_journal(root)
         assert report.ok, report.render()
         assert report.checked_bounds == len(self.NAMES)
+
+    def test_chaos_verify_reads_trace_objects(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "journal"
+        self._write_traced(
+            root, get_benchmark("check_data").make_analysis().estimate())
+        code = main(["chaos", "verify", "--journal", str(root),
+                     "--allow-pending", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, report
+        assert report["ok"] and report["violations"] == []
+        assert report["jobs"] == len(self.NAMES)
+        assert report["checked_bounds"] == 1
 
 
 # ======================================================================

@@ -14,13 +14,14 @@ import pytest
 
 import repro
 from repro.analysis import Analysis
-from repro.engine import AnalysisEngine, AnalysisJob, ResultCache
+from repro.engine import AnalysisEngine, AnalysisJob, ResultCache, execute_job
 from repro.engine import pool as pool_module
 from repro.engine.cache import report_from_dict, report_to_dict
 from repro.engine.metrics import STAGES, render
 from repro.errors import ILPTimeoutError
 from repro.hw import i960kb
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.trace import RECORD_KEYS
 from repro.programs import get_benchmark
 
 SOURCE = """
@@ -310,6 +311,28 @@ class TestEngineRuns:
         assert names.pop("compile") == 1
         assert names == serial
         assert names["solve"] == 1 and names["set.worst"] == 2
+
+    def test_failed_job_is_timed_by_its_spans(self):
+        # A failed job's time is in the spans it closed before the
+        # error, and they reach the engine's tracer like any job's.
+        bad = AnalysisJob(name="bad", source="int f() { return 1; }",
+                          entry="missing")
+        tracer = Tracer()
+        result = AnalysisEngine(workers=2, tracer=tracer).run([bad])[0]
+        assert result.status == "failed"
+        assert [span["name"] for span in result.spans] == ["compile"]
+        assert result.spans[0]["dur"] > 0
+        assert result.spans[0] in tracer.records()
+
+    def test_execute_job_traces_only_when_asked(self):
+        # The payload's trace flag is a bool: spans or none, and each
+        # span holds only the record keys.
+        job = AnalysisJob.from_benchmark("check_data")
+        assert execute_job((job, None, None, False)).spans == []
+        spans = execute_job((job, None, None, True)).spans
+        assert "set.worst" in {span["name"] for span in spans}
+        assert [sorted(span) for span in spans] \
+            == [sorted(RECORD_KEYS)] * len(spans)
 
     def test_failed_job_does_not_poison_batch(self):
         bad = AnalysisJob(name="bad", source="int f() { return 1; }",

@@ -19,6 +19,7 @@ from repro.obs import (NULL_TRACER, Counter, Gauge, Histogram,
                        explanation_to_dict, render_explanation,
                        render_explanation_delta, to_chrome,
                        trace_skeleton, write_chrome_trace)
+from repro.obs.trace import RECORD_KEYS
 from repro.programs import get_benchmark
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +52,16 @@ class TestTracer:
         assert by_name["inner"]["depth"] == 1
         # Inner finishes (and is recorded) first.
         assert [r["name"] for r in tracer.records()] == ["inner", "outer"]
+
+    def test_records_hold_only_the_record_keys(self):
+        # A span at any depth is its record and nothing more: no trace
+        # id or parent link is stamped on it.
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert [sorted(r) for r in tracer.records()] \
+            == [sorted(RECORD_KEYS)] * 2
 
     def test_exception_tags_span_and_propagates(self):
         tracer = Tracer()
@@ -386,6 +397,12 @@ class TestChromeExport:
         names = [e["args"]["name"] for e in document["traceEvents"]
                  if e["ph"] == "M"]
         assert names == ["repro", "repro worker 1"]
+
+    def test_span_events_carry_only_the_chrome_fields(self):
+        spans = [e for e in to_chrome(self.make_records())["traceEvents"]
+                 if e["ph"] == "X"]
+        assert [sorted(e) for e in spans] == [sorted(
+            ("ph", "name", "cat", "ts", "dur", "pid", "tid", "args"))] * 2
 
     def test_write_chrome_trace_is_loadable_json(self, tmp_path):
         path = tmp_path / "trace.json"

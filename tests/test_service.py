@@ -79,6 +79,17 @@ class TestJobSpec:
                                   "priority": None})
         assert spec.priority == 0
 
+    def test_wire_form_has_no_trace(self):
+        # The job id is a job's identity, not a field of its spec: the
+        # wire form carries no trace, and a body that sends one is
+        # refused like any unknown field.
+        spec = JobSpec.from_dict({"benchmark": "check_data"})
+        assert "trace" not in spec.to_dict()
+        with pytest.raises(BadRequest,
+                           match=r"unknown job fields: \['trace'\]"):
+            JobSpec.from_dict({**spec.to_dict(),
+                               "trace": {"trace_id": "ab" * 16}})
+
     def test_lowers_to_engine_job(self):
         spec = JobSpec.from_dict({"benchmark": "check_data"})
         job = spec.to_analysis_job()
