@@ -20,7 +20,6 @@ records.
 """
 
 import statistics
-import threading
 import time
 
 from conftest import one_shot
@@ -94,90 +93,6 @@ def test_tracing_overhead_under_five_percent(benchmark):
 
     print(f"tracing overhead {overhead:+.1%}")
     assert overhead < MAX_OVERHEAD
-
-
-def _mission_control(interval=0.0):
-    """A representative mission-control stack: a registry shaped like
-    a busy service's (counters, gauges, histograms), sampled into a
-    series store and judged against the default SLOs."""
-    from repro.obs import (MetricsRegistry, RegistrySampler, SeriesStore,
-                           SLOEngine, default_slos)
-
-    registry = MetricsRegistry()
-    for i in range(24):
-        registry.counter(f"service.jobs.kind_{i}").inc(i)
-    for tenant in ("acme", "beta", "gamma"):
-        registry.counter(f"tenant.{tenant}.submitted").inc(5)
-        registry.counter(f"tenant.{tenant}.throttled_429")
-    for i in range(8):
-        registry.gauge(f"service.depth_{i}").set(i)
-    for name in ("service.queue_seconds", "service.run_seconds"):
-        hist = registry.histogram(name)
-        for value in (0.01, 0.1, 1.0, 3.0):
-            hist.observe(value)
-    store = SeriesStore()
-    sampler = RegistrySampler(registry, store, interval=interval)
-    engine = SLOEngine(store, slos=default_slos(), registry=registry)
-    return registry, sampler, engine
-
-
-def test_series_sampling_overhead_under_five_percent(benchmark):
-    """The tentpole's overhead guard: estimates running next to a
-    sampler + SLO evaluator ticking at 100x the production cadence
-    (every 10 ms instead of every 1 s) may cost at most 5% over
-    running alone."""
-    registry, sampler, engine = _mission_control()
-    stop = threading.Event()
-
-    def tick():
-        hot = registry.counter("service.jobs.submitted")
-        while not stop.is_set():
-            hot.inc()
-            sampler.sample()
-            engine.evaluate()
-            time.sleep(0.01)
-
-    def sampled() -> float:
-        ticker = threading.Thread(target=tick)
-        stop.clear()
-        ticker.start()
-        try:
-            return _plain()
-        finally:
-            stop.set()
-            ticker.join()
-
-    overhead = _overhead(benchmark, _plain, sampled)
-
-    # The guard arm really did the mission-control work.
-    assert sampler.samples > 0
-    assert engine.evaluations > 0
-    assert sampler.store.latest("service.jobs.submitted") is not None
-
-    print(f"series sampling overhead {overhead:+.1%} ({sampler.samples} "
-          f"samples, {engine.evaluations} evaluations)")
-    assert overhead < MAX_OVERHEAD
-
-
-def test_series_disabled_is_zero_cost():
-    """``--no-series`` constructs nothing: no store, no sampler, no
-    SLO engine, and — because sampling is pull-based — no hook on any
-    metric mutator, so a counter increment costs the same with the
-    subsystem compiled in as it ever did."""
-    from repro.obs import MetricsRegistry
-    from repro.service.server import AnalysisService
-
-    service = AnalysisService(series=False)
-    assert service.series_store is None
-    assert service.sampler is None
-    assert service.slo is None
-
-    counter = MetricsRegistry().counter("hot")
-    clock = time.perf_counter()
-    for _ in range(10_000):
-        counter.inc()
-    per_inc = (time.perf_counter() - clock) / 10_000
-    assert per_inc < 5e-6
 
 
 def test_null_tracer_disabled_path_is_free():

@@ -123,26 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     otrace.add_argument("after", metavar="AFTER")
     otrace.add_argument("--all", action="store_true",
                         help="include unchanged span groups")
-    oseries = osub.add_parser(
-        "series", help="time-series history from a running service "
-                       "(or a saved /v1/series dump): ASCII "
-                       "sparklines per series")
-    oseries.add_argument("target", nargs="?", metavar="PATH",
-                         help="saved /v1/series JSON; omit to fetch "
-                              "from --host/--port")
-    oseries.add_argument("--host", default="127.0.0.1")
-    oseries.add_argument("--port", type=int, default=8787)
-    oseries.add_argument("--prefix", default="",
-                         help="only series whose name starts with this")
-    oseries.add_argument("--json", action="store_true",
-                         help="print the raw document instead")
-    oalerts = osub.add_parser(
-        "alerts", help="SLO/alert state from a running service: "
-                       "objectives, burn rates, firing alerts")
-    oalerts.add_argument("--host", default="127.0.0.1")
-    oalerts.add_argument("--port", type=int, default=8787)
-    oalerts.add_argument("--json", action="store_true",
-                         help="print the raw document instead")
 
     run = sub.add_parser("run", help="execute a routine on the simulator")
     run.add_argument("file")
@@ -266,26 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'seed=N,POINT=COUNT[@PROB][~SECONDS],"
                             "...' (default $REPRO_CHAOS; see "
                             "'repro chaos points' and docs/chaos.md)")
-    serve.add_argument("--slo", metavar="FILE",
-                       help="TOML/JSON SLO file overlaying the "
-                            "built-in objectives (see "
-                            "docs/observability.md and "
-                            "examples/slo.toml)")
-    serve.add_argument("--alert-webhook", metavar="URL",
-                       help="POST every alert transition (JSON) to "
-                            "this URL")
-    serve.add_argument("--series-interval", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="seconds between time-series samples "
-                            "(default 1)")
-    serve.add_argument("--series-retention", type=int, default=512,
-                       metavar="N",
-                       help="points kept per series ring (default "
-                            "512)")
-    serve.add_argument("--no-series", action="store_true",
-                       help="disable time-series sampling, the SLO "
-                            "engine and /v1/series|/v1/alerts "
-                            "(zero-cost)")
 
     submit = sub.add_parser(
         "submit", help="submit benchmark jobs to a running service")
@@ -485,36 +445,10 @@ def _make_tracer(path: str | None):
 
 
 def _cmd_obs(args) -> int:
-    import json
-
     from .obs import MetricsRegistry, load_snapshot
 
     if args.obs_command == "dump":
         print(MetricsRegistry.load(args.snapshot).render())
-        return 0
-    if args.obs_command == "series":
-        if args.target:
-            with open(args.target) as handle:
-                doc = json.load(handle)
-        else:
-            from .service import ServiceClient
-
-            with ServiceClient(host=args.host, port=args.port) as client:
-                doc = client.series()
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        else:
-            print(_render_series(doc, prefix=args.prefix))
-        return 0
-    if args.obs_command == "alerts":
-        from .service import ServiceClient
-
-        with ServiceClient(host=args.host, port=args.port) as client:
-            doc = client.alerts()
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        else:
-            print(_render_alerts(doc))
         return 0
     if args.obs_command == "diff-trace":
         from .obs import diff_traces, load_trace_events, \
@@ -531,70 +465,6 @@ def _cmd_obs(args) -> int:
     print(MetricsRegistry.render_diff(MetricsRegistry.diff(before,
                                                            after)))
     return 0
-
-
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def _sparkline(points, width: int = 32) -> str:
-    """Block-character sparkline of a series' most recent points."""
-    values = [v for _, v in points][-width:]
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    top = len(_SPARK_BLOCKS) - 1
-    return "".join(_SPARK_BLOCKS[round((v - lo) / span * top)]
-                   for v in values)
-
-
-def _render_series(doc: dict, prefix: str = "") -> str:
-    series = doc.get("series", {})
-    lines = []
-    origin = doc.get("origin")
-    if origin:
-        lines.append(f"origin {origin}  "
-                     f"(interval {doc.get('interval')}s, "
-                     f"{doc.get('samples')} samples)")
-    lines.append(f"{'series':<44} {'last':>12}  trend")
-    lines.append("-" * 96)
-    shown = 0
-    for name in sorted(series):
-        if prefix and not name.startswith(prefix):
-            continue
-        payload = series[name]
-        points = payload.get("points", [])
-        last = points[-1][1] if points else None
-        unit = "/s" if payload.get("kind") == "rate" else ""
-        text = "-" if last is None else f"{last:,.3f}".rstrip("0") \
-            .rstrip(".")
-        lines.append(f"{name:<44} {text + unit:>12}  "
-                     f"{_sparkline(points)}")
-        shown += 1
-    if not shown:
-        lines.append("(no series)")
-    return "\n".join(lines)
-
-
-def _render_alerts(doc: dict) -> str:
-    lines = [f"{'alert':<34} {'state':<9} {'burn f/s':>13} "
-             f"{'budget':>7}  description", "-" * 96]
-    for alert in doc.get("alerts", []):
-        burn = (f"{alert.get('burn_fast', 0):.2f}/"
-                f"{alert.get('burn_slow', 0):.2f}")
-        budget = f"{alert.get('budget_remaining', 1.0):.0%}"
-        lines.append(f"{alert.get('name', '?'):<34} "
-                     f"{alert.get('state', '?'):<9} {burn:>13} "
-                     f"{budget:>7}  {alert.get('description', '')}")
-    if len(lines) == 2:
-        lines.append("(no objectives declared)")
-    firing = [a for a in doc.get("alerts", [])
-              if a.get("state") == "firing"]
-    lines.append("")
-    lines.append(f"{len(firing)} firing / "
-                 f"{len(doc.get('alerts', []))} objectives "
-                 f"({doc.get('evaluations', 0)} evaluations)")
-    return "\n".join(lines)
 
 
 def _cmd_explain(args) -> int:
@@ -782,11 +652,7 @@ def _cmd_serve(args) -> int:
         set_timeout=args.set_timeout,
         max_iterations=args.max_iterations,
         metrics_path=args.metrics,
-        journal_dir=args.journal, chaos=chaos,
-        slo=args.slo, series=not args.no_series,
-        series_interval=args.series_interval,
-        series_retention=args.series_retention,
-        alert_webhook=args.alert_webhook)
+        journal_dir=args.journal, chaos=chaos)
     return service.run()
 
 
@@ -852,16 +718,6 @@ def _follow_job(client, name: str, job_id: str) -> None:
                     or kind.removeprefix("job_")
                 cached = " [cached]" if event.get("cache_hit") else ""
                 print(f"{name}: {status}{cached}", file=sys.stderr)
-            elif kind and kind.startswith("alert_"):
-                # SLO transitions ride every job stream: a follower
-                # learns the service is burning budget before their
-                # own job times out.
-                state = kind.removeprefix("alert_").upper()
-                print(f"ALERT {state}: {event.get('alert')} "
-                      f"(burn {event.get('burn_fast')}x fast / "
-                      f"{event.get('burn_slow')}x slow) — "
-                      f"{event.get('description', '')}",
-                      file=sys.stderr)
     except ClientError as error:
         print(f"{name}: live follow unavailable ({error}); "
               "falling back to polling", file=sys.stderr)

@@ -14,12 +14,6 @@ Three cooperating layers, all dependency-free:
   constraint set, execution-count witness, binding constraints and a
   per-block cycle breakdown summing to the bound.
 
-History and alerting live in :mod:`repro.obs.series` (bounded time
-series sampled from the registry and EventBus at a fixed interval) and
-:mod:`repro.obs.slo` (error budgets, multi-window burn-rate rules and
-a pending/firing/resolved alert state machine); the zero-dependency
-HTML ops console in :mod:`repro.obs.console` renders both.
-
 The exporter in :mod:`repro.obs.export` renders traces as Chrome
 ``trace_event`` JSON (``chrome://tracing`` / Perfetto).
 Live consumption happens through :mod:`repro.obs.stream` (the
@@ -37,14 +31,9 @@ from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       explanation_delta_to_dict, explanation_to_dict,
                       render_explanation, render_explanation_delta)
 from .export import to_chrome, trace_skeleton, write_chrome_trace
-from .console import CONSOLE_VERSION, render_console
 from .registry import (DEFAULT_BUCKETS, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMAS,
                        Counter, Gauge, Histogram, MetricsRegistry,
                        load_snapshot)
-from .series import (DEFAULT_INTERVAL, DEFAULT_RETENTION, SERIES_SCHEMA,
-                     RegistrySampler, Series, SeriesStore)
-from .slo import (ALERTS_SCHEMA, SLO, Alert, SLOConfigError, SLOEngine,
-                  default_slos, load_slos)
 from .stream import (EventBus, Subscription, parse_sse_stream,
                      sse_comment, sse_format)
 from .trace import (NULL_TRACER, NullTracer, Tracer, counters_from_stats)
@@ -56,11 +45,6 @@ __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "counters_from_stats",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "load_snapshot",
     "DEFAULT_BUCKETS", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMAS",
-    "Series", "SeriesStore", "RegistrySampler", "SERIES_SCHEMA",
-    "DEFAULT_INTERVAL", "DEFAULT_RETENTION",
-    "SLO", "SLOEngine", "Alert", "SLOConfigError", "default_slos",
-    "load_slos", "ALERTS_SCHEMA",
-    "render_console", "CONSOLE_VERSION",
     "EventBus", "Subscription", "sse_format", "sse_comment",
     "parse_sse_stream",
     "LiveDashboard", "live_capable",

@@ -7,8 +7,8 @@ run.  This module adds the missing primitive for consuming telemetry
 **event bus** that instrumented code publishes into incrementally —
 finished spans, job and constraint-set lifecycle — and that any
 number of consumers subscribe to without ever being able to stall a
-solve.  Metric values are not echoed here: ``/metricz`` and the
-series store read the registry itself.
+solve.  Metric values are not echoed here: ``/metricz`` reads the
+registry itself.
 
 Design points
 -------------

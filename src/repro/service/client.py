@@ -382,32 +382,6 @@ class ServiceClient:
         self._raise_for(status, headers, data)
         return data
 
-    def series(self, prefix: str | None = None,
-               since: float | None = None) -> dict:
-        """GET the server's time-series history (``/v1/series``).
-
-        ``prefix`` filters series names; ``since`` (a wall-clock
-        timestamp) returns only newer points — the incremental-poll
-        idiom the ops console uses.  404s (as :class:`ClientError`)
-        when the server runs with ``--no-series``.
-        """
-        params = []
-        if prefix:
-            params.append(f"prefix={prefix}")
-        if since is not None:
-            params.append(f"since={since}")
-        path = "/v1/series" + ("?" + "&".join(params) if params else "")
-        status, headers, data = self._request("GET", path)
-        self._raise_for(status, headers, data)
-        return data
-
-    def alerts(self) -> dict:
-        """GET SLO/alert state (``/v1/alerts``): declared objectives,
-        current burn rates and each alert's state machine."""
-        status, headers, data = self._request("GET", "/v1/alerts")
-        self._raise_for(status, headers, data)
-        return data
-
     def wait_ready(self, timeout: float = 30.0,
                    poll: float = 0.05) -> dict:
         """Block until ``/healthz`` answers (server start-up)."""

@@ -150,8 +150,7 @@ class Scheduler:
 
     def note_depth(self) -> None:
         """Refresh the queue-depth and running gauges; their readers
-        (``/metricz``, the series tick, the drain's metrics flush)
-        call this first."""
+        (``/metricz`` and the drain's metrics flush) call this first."""
         self.registry.gauge("service.queue_depth").set(self.queue.depth)
         self.registry.gauge("service.running").set(self.running)
 

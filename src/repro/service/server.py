@@ -23,22 +23,13 @@ idle timeout lapses), JSON in and out.  Endpoints:
                                   live; ends after the terminal event
 ``GET /v1/events``                SSE firehose of the whole bus: every
                                   job's lifecycle, per-set progress and
-                                  spans; alert, degraded-mode and chaos
-                                  events
-``GET /healthz``                  liveness + queue depth (``draining``
-                                  while shutting down)
+                                  spans; degraded-mode and chaos events
+``GET /healthz``                  liveness + queue depth (``degraded``
+                                  while the journal fails writes,
+                                  ``draining`` while shutting down)
 ``GET /metricz``                  the service's ``repro.obs`` registry
                                   snapshot — JSON, the same schema
                                   as ``repro obs dump/diff``
-``GET /v1/series``                bounded time-series history sampled
-                                  from the registry (rates, levels,
-                                  windowed percentiles); takes
-                                  ``?prefix=`` and ``?since=ts``
-``GET /v1/alerts``                SLO engine state: objectives, burn
-                                  rates, alert state machines
-``GET /dashboard``                zero-dependency HTML ops console
-                                  (sparklines, alerts, SSE event
-                                  tail)
 ================================  =====================================
 
 Both SSE endpoints honour ``Last-Event-ID`` (or ``?since=N``): events
@@ -61,15 +52,10 @@ import json
 import signal
 import threading
 import time
-from pathlib import Path
 
 from ..chaos import inject
 from ..engine.cache import ResultCache
-from ..obs.console import render_console
 from ..obs.registry import MetricsRegistry
-from ..obs.series import (DEFAULT_INTERVAL, DEFAULT_RETENTION,
-                          RegistrySampler, SeriesStore)
-from ..obs.slo import SLOEngine, load_slos
 from ..obs.stream import EventBus, sse_comment, sse_format
 from .durable import JobJournal
 from .protocol import BadRequest, JobRecord, JobSpec
@@ -86,8 +72,8 @@ KEEPALIVE_TIMEOUT = 5.0
 #: SSE comment-heartbeat period (seconds).
 HEARTBEAT_SECONDS = 15.0
 
-#: How often the housekeeping task samples the series, syncs the
-#: journal and checks its compaction thresholds.
+#: How often the housekeeping task syncs the journal and checks its
+#: compaction thresholds.
 HOUSEKEEPING_SECONDS = 0.25
 
 #: Buckets for the journal fsync latency histogram (seconds).
@@ -119,11 +105,7 @@ class AnalysisService:
                  keepalive_timeout: float = KEEPALIVE_TIMEOUT,
                  bus: EventBus | None = None,
                  journal_dir=None,
-                 chaos: object = None,
-                 slo=None, series: bool = True,
-                 series_interval: float = DEFAULT_INTERVAL,
-                 series_retention: int = DEFAULT_RETENTION,
-                 alert_webhook=None):
+                 chaos: object = None):
         self.host = host
         self.port = port
         #: A chaos schedule (text or :class:`repro.chaos.FaultPlan`);
@@ -160,23 +142,6 @@ class AnalysisService:
             default_set_timeout=set_timeout,
             max_iterations=max_iterations, registry=self.registry,
             bus=self.bus, journal=self.journal)
-        #: Time-series history + SLO alerting.  Pull-based: when
-        #: disabled (``series=False`` / ``--no-series``) nothing is
-        #: constructed and nothing samples — exactly zero cost on the
-        #: metric hot paths, not a cheap no-op check.
-        self.series_store: SeriesStore | None = None
-        self.sampler: RegistrySampler | None = None
-        self.slo: SLOEngine | None = None
-        if series and series_interval > 0:
-            self.series_store = SeriesStore(retention=series_retention)
-            self.sampler = RegistrySampler(
-                self.registry, self.series_store,
-                interval=series_interval, bus=self.bus)
-            slos = load_slos(slo) if isinstance(slo, (str, Path)) \
-                else slo
-            self.slo = SLOEngine(self.series_store, slos=slos,
-                                 bus=self.bus, registry=self.registry,
-                                 webhook=alert_webhook)
         self.records: dict[str, JobRecord] = {}
         self._seq = 0
         self._server: asyncio.AbstractServer | None = None
@@ -205,8 +170,10 @@ class AnalysisService:
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._housekeeper = asyncio.create_task(
-            self._housekeeping(), name="service-housekeeping")
+        if self.journal is not None:
+            self._housekeeper = asyncio.create_task(
+                self._housekeeping(self.journal),
+                name="service-housekeeping")
 
     def _recover(self, state) -> None:
         """Restore records from replayed journal state.
@@ -249,16 +216,11 @@ class AnalysisService:
             print(f"journal: restored {len(state.jobs)} jobs "
                   f"({len(requeue)} re-queued{torn})", flush=True)
 
-    async def _housekeeping(self) -> None:
-        """Sample the series; sync and compact the journal; run the
-        degraded-mode state machine (enter on journal write failure,
-        probe, recover)."""
+    async def _housekeeping(self, journal: JobJournal) -> None:
+        """Sync and compact the journal; run the degraded-mode state
+        machine (enter on journal write failure, probe, recover)."""
         while not self._draining:
             await asyncio.sleep(HOUSEKEEPING_SECONDS)
-            self._series_tick()
-            journal = self.journal
-            if journal is None:
-                continue
             if self.degraded_reason is None \
                     and journal.last_error is not None:
                 # A buffered frame (start/terminal) failed since
@@ -279,25 +241,6 @@ class AnalysisService:
                 except OSError as error:
                     self._enter_degraded(
                         f"journal compaction failed: {error}")
-
-    def _series_tick(self) -> None:
-        """Sample the registry into the series store, evaluate SLOs.
-
-        Driven by housekeeping sweeps; the sampler's own interval
-        gating decides whether this sweep is a sample tick.  Gauges
-        that are normally refreshed lazily on ``/metricz`` are
-        refreshed here first so the history sees them move.
-        """
-        sampler = self.sampler
-        if sampler is None or not sampler.due():
-            return
-        self.scheduler.note_depth()
-        self._journal_gauges()
-        self.registry.gauge("service.degraded").set(
-            0 if self.degraded_reason is None else 1)
-        sampler.sample()
-        if self.slo is not None:
-            self.slo.evaluate()
 
     def _enter_degraded(self, reason: str) -> None:
         """Flip into read-only degraded mode.
@@ -339,8 +282,6 @@ class AnalysisService:
             except asyncio.CancelledError:
                 pass
         await self.scheduler.join()
-        if self.sampler is not None:
-            self.sampler.close()
         if self.journal is not None:
             try:
                 self.journal.compact(self._journal_jobs())
@@ -351,7 +292,7 @@ class AnalysisService:
                       f"{error}", flush=True)
             self.journal.close()
         if self.metrics_path:
-            self.scheduler.note_depth()
+            self._refresh_gauges()
             self.registry.dump(self.metrics_path)
         if self._server is not None:
             self._server.close()
@@ -619,14 +560,7 @@ class AnalysisService:
 
     @staticmethod
     def _sse_match(event: dict, job_id: str | None) -> bool:
-        if job_id is None:
-            return True
-        if str(event.get("type", "")).startswith("alert_"):
-            # SLO transitions are an ops-wide signal: job followers
-            # (``submit --follow``) surface them inline rather than
-            # discovering an outage from their own timeout.
-            return True
-        return event.get("job") == job_id
+        return job_id is None or event.get("job") == job_id
 
     # ------------------------------------------------------------------
     # Routing
@@ -639,57 +573,8 @@ class AnalysisService:
         if path == "/metricz":
             if method != "GET":
                 return 405, {"error": "GET only"}, None
-            self.scheduler.note_depth()
-            self.registry.gauge("stream.dropped").set(self.bus.dropped)
-            self.registry.gauge("stream.subscribers").set(
-                self.bus.subscribers)
-            for name, count in self.bus.drop_counts().items():
-                self.registry.gauge(
-                    f"obs.stream.dropped.{name}").set(count)
-            self._journal_gauges()
-            self.registry.gauge("service.degraded").set(
-                0 if self.degraded_reason is None else 1)
-            cache = self.scheduler.cache
-            if cache is not None:
-                self.registry.gauge("engine.cache.quarantined").set(
-                    cache.quarantined)
-            if self.sampler is not None:
-                self.registry.gauge("series.samples").set(
-                    self.sampler.samples)
-                self.registry.gauge("series.points").set(
-                    self.series_store.point_count())
+            self._refresh_gauges()
             return 200, self.registry.snapshot(), None
-        if path == "/v1/series":
-            if method != "GET":
-                return 405, {"error": "GET only"}, None
-            if self.series_store is None:
-                return 404, {"error": "series disabled "
-                                      "(serve without --no-series)"}, \
-                    None
-            try:
-                since = float(query.get("since") or 0.0)
-            except ValueError:
-                raise BadRequest(f"bad since={query.get('since')!r}")
-            doc = self.series_store.to_dict(
-                prefix=query.get("prefix", ""), since=since)
-            doc.update(origin=f"{self.host}:{self.port}",
-                       interval=self.sampler.interval,
-                       samples=self.sampler.samples)
-            return 200, doc, None
-        if path == "/v1/alerts":
-            if method != "GET":
-                return 405, {"error": "GET only"}, None
-            if self.slo is None:
-                return 404, {"error": "SLO engine disabled "
-                                      "(serve without --no-series)"}, \
-                    None
-            return 200, {**self.slo.to_dict(),
-                         "origin": f"{self.host}:{self.port}"}, None
-        if path in ("/dashboard", "/dashboard/"):
-            if method != "GET":
-                return 405, {"error": "GET only"}, None
-            return 200, render_console(), \
-                {"Content-Type": "text/html; charset=utf-8"}
         if path == "/v1/jobs":
             if method != "POST":
                 return 405, {"error": "POST only"}, None
@@ -715,12 +600,25 @@ class AnalysisService:
             return 200, record.to_dict(), None
         return 404, {"error": f"no route for {path}"}, None
 
-    def _journal_gauges(self) -> None:
-        """Refresh the journal-health gauges in the registry."""
+    def _refresh_gauges(self) -> None:
+        """Set the gauges that mirror live state: queue, streams,
+        degraded mode, cache quarantine and journal health.
+        ``/metricz`` and the drain's metrics flush call this before
+        they read the registry."""
+        self.scheduler.note_depth()
+        gauge = self.registry.gauge
+        gauge("stream.dropped").set(self.bus.dropped)
+        gauge("stream.subscribers").set(self.bus.subscribers)
+        for name, count in self.bus.drop_counts().items():
+            gauge(f"obs.stream.dropped.{name}").set(count)
+        gauge("service.degraded").set(
+            0 if self.degraded_reason is None else 1)
+        cache = self.scheduler.cache
+        if cache is not None:
+            gauge("engine.cache.quarantined").set(cache.quarantined)
         journal = self.journal
         if journal is None:
             return
-        gauge = self.registry.gauge
         gauge("service.journal.wal_bytes").set(journal.wal_bytes)
         gauge("service.journal.records").set(journal.appended)
         gauge("service.journal.compactions").set(journal.compactions)
@@ -758,8 +656,6 @@ class AnalysisService:
             "workers": self.scheduler.workers,
             "journal": self.journal is not None,
         }
-        if self.slo is not None:
-            health["alerts_firing"] = len(self.slo.firing())
         if self.degraded_reason is not None:
             health["degraded_reason"] = self.degraded_reason
         return health

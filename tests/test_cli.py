@@ -251,16 +251,68 @@ class TestServiceCli:
                      ["--profile", "p.txt"], id="analyze--profile"),
         pytest.param(["submit", "check_data", "--port", "1"],
                      ["--profile"], id="submit--profile"),
+        pytest.param(SERVE, ["--slo", "slo.toml"], id="--slo"),
+        pytest.param(SERVE, ["--alert-webhook", "http://127.0.0.1:9"],
+                     id="--alert-webhook"),
+        pytest.param(SERVE, ["--series-interval", "0.25"],
+                     id="--series-interval"),
+        pytest.param(SERVE, ["--series-retention", "64"],
+                     id="--series-retention"),
+        pytest.param(SERVE, ["--no-series"], id="--no-series"),
     ])
-    def test_serve_has_no_replica_options(self, command, option, capsys):
-        # Replica, tenancy and profiler options are gone: each is
-        # rejected while parsing, before a port is bound, a journal
-        # read or a source file opened.
+    def test_serve_has_no_replica_options(self, command, option, capsys,
+                                          monkeypatch):
+        # Replica, tenancy, profiler, time-series and SLO options are
+        # gone: each is rejected while parsing, before a port is
+        # bound, a journal read or a source file opened.  A server
+        # that got as far as starting fails the test instead of
+        # serving on --port 1, which a privileged user can bind.
+        from repro.service import AnalysisService
+
+        def started(self):
+            pytest.fail("serve accepted the option and started")
+
+        monkeypatch.setattr(AnalysisService, "run", started)
         with pytest.raises(SystemExit) as excinfo:
             main([*command, *option])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {option[0]}" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["series", "alerts"])
+    def test_obs_has_no_series_or_alerts(self, command, capsys):
+        # /metricz is the one metrics surface: `obs series` and
+        # `obs alerts` are unknown commands, rejected before any
+        # connection is made.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", command, "--port", "1"])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_obs_diff_of_two_metricz_scrapes_prints_rates(self, tmp_path,
+                                                          capsys):
+        # Rates over a window: scrape /metricz, submit a job, scrape
+        # again; the diff prints the elapsed time and per-second rates.
+        from repro.service import ServiceClient, ServiceThread
+
+        with ServiceThread(workers=1, executor="thread") as handle, \
+                ServiceClient(port=handle.port) as client:
+            before = client.metricz()
+            client.wait(client.submit({"benchmark": "check_data"})["id"])
+            after = client.metricz()
+        for name, snapshot in (("a.json", before), ("b.json", after)):
+            (tmp_path / name).write_text(json.dumps(snapshot))
+        code = main(["obs", "diff", str(tmp_path / "a.json"),
+                     str(tmp_path / "b.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        elapsed = after["_ts"]["monotonic"] - before["_ts"]["monotonic"]
+        assert elapsed > 0
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines() if line.strip()}
+        assert rows["elapsed"] == [f"{elapsed:.3f}s"]
+        assert rows["service.jobs.submitted"] \
+            == ["+1", f"({1 / elapsed:,.2f}/s)"]
 
 
 class TestOtherCommands:
