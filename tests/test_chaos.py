@@ -480,6 +480,36 @@ class TestDegradedMode:
         report = verify_journal(tmp_path / "journal")
         assert report.ok, report.render()
 
+    def test_recovery_is_published_and_clears_the_gauge(self, tmp_path):
+        # The degraded-mode signals: one bus event on entry and one on
+        # recovery, the entered counter, the level gauge back at 0 and
+        # no degraded_reason on /healthz once writes succeed.
+        plan = FaultPlan.parse("seed=1,journal.enospc=2")
+        with ServiceThread(workers=1, executor="thread",
+                           journal_dir=tmp_path / "journal",
+                           cache_dir=tmp_path / "cache",
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
+            with pytest.raises(ServiceDegraded):
+                client.submit(_src("a"))
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                health = client.healthz()
+                if health["status"] == "ok":
+                    break
+                time.sleep(0.05)
+            snapshot = client.metricz()
+            events = [event for event in handle.service.bus.replay(0)
+                      if event["type"] in ("service_degraded",
+                                           "service_recovered")]
+        assert health["status"] == "ok"
+        assert "degraded_reason" not in health
+        assert [event["type"] for event in events] \
+            == ["service_degraded", "service_recovered"]
+        assert "journal" in events[0]["reason"]
+        assert snapshot["service.degraded"]["value"] == 0
+        assert snapshot["service.degraded.entered"]["value"] == 1
+
     def test_degraded_serves_finished_bounds_read_only(self, tmp_path):
         plan = FaultPlan.parse("seed=1,journal.enospc=1000000")
         with ServiceThread(workers=1, executor="thread",

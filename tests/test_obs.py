@@ -4,6 +4,7 @@ files, the bound explainer's witness properties, per-direction
 relaxation flags, and budget-aware cache keys."""
 
 import json
+import random
 import threading
 from pathlib import Path
 
@@ -198,6 +199,198 @@ class TestRegistry:
         path = tmp_path / "metrics.json"
         registry.dump(path)
         assert MetricsRegistry.load(path).value("n") == 4
+
+
+def _stamp(snapshot: dict, **clocks) -> dict:
+    """`snapshot` with its ``_ts`` stamp replaced by `clocks`."""
+    snapshot["_ts"] = {"type": "meta", **clocks}
+    return snapshot
+
+
+def _diff_rows(text: str) -> dict[str, str]:
+    """``{first column: rest of the row}`` of a ``render_diff`` table."""
+    rows = {}
+    for line in text.splitlines()[1:]:
+        if line.startswith("-") or not line.strip():
+            continue
+        name, _, rest = line.partition(" ")
+        rows[name] = rest.strip()
+    return rows
+
+
+def _number(text: str) -> float:
+    return float(text.replace(",", ""))
+
+
+class TestRatesOverAWindow:
+    """Two stamped snapshots diffed by ``render_diff`` are the rates
+    over a window that ``repro obs diff`` prints for two ``/metricz``
+    scrapes: every counter's delta and per-second rate, every gauge's
+    change, every histogram's count, sum and rate."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_diff_and_rates_match_a_direct_computation(self, seed):
+        """Seeds cycle through the stamp's cases: both clocks (the
+        monotonic one wins), a stamp with only a wall clock, a
+        monotonic clock that ran backwards (snapshots from two boots:
+        the wall clock wins), and a side with no stamp (no rates)."""
+        rng = random.Random(seed)
+        registry = MetricsRegistry()
+        kinds = {f"m{i}": rng.choice(("counter", "gauge", "histogram"))
+                 for i in range(rng.randint(1, 12))}
+
+        def touch(name):
+            if kinds[name] == "counter":
+                registry.counter(name).inc(
+                    rng.choice((0, rng.randint(1, 100_000))))
+            elif kinds[name] == "gauge":
+                registry.gauge(name).set(rng.choice(
+                    (rng.randint(-50, 50), rng.uniform(-5.0, 5.0))))
+            else:
+                histogram = registry.histogram(name, buckets=(0.1, 1.0))
+                for _ in range(rng.randint(0, 4)):
+                    histogram.observe(rng.uniform(0.0, 2.0))
+
+        # Some metrics exist at the first scrape; the rest are born
+        # between the scrapes and diff against zero.
+        for name in kinds:
+            if rng.random() < 0.6:
+                touch(name)
+        mono, wall = rng.uniform(0.0, 1e4), rng.uniform(1e9, 2e9)
+        window = rng.uniform(0.001, 600.0)
+        before = _stamp(registry.snapshot(), monotonic=mono, wall=wall)
+        for name in kinds:
+            if rng.random() < 0.7:
+                touch(name)
+        case = seed % 4
+        if case == 0:
+            after = _stamp(registry.snapshot(), monotonic=mono + window,
+                           wall=wall + 2 * window)
+            elapsed = (mono + window) - mono
+        elif case == 1:
+            before["_ts"].pop("monotonic")
+            after = _stamp(registry.snapshot(), monotonic=mono,
+                           wall=wall + window)
+            elapsed = (wall + window) - wall
+        elif case == 2:
+            after = _stamp(registry.snapshot(), monotonic=mono - window,
+                           wall=wall + window)
+            elapsed = (wall + window) - wall
+        else:
+            del before["_ts"]
+            after = registry.snapshot()
+            elapsed = None
+
+        delta = MetricsRegistry.diff(before, after)
+        if elapsed is None:
+            assert "_ts" not in delta
+        else:
+            assert delta["_ts"] == {"type": "meta", "elapsed": elapsed}
+        rows = _diff_rows(MetricsRegistry.render_diff(delta))
+        if elapsed is None:
+            assert "elapsed" not in rows
+        else:
+            assert _number(rows.pop("elapsed").rstrip("s")) \
+                == pytest.approx(elapsed, abs=5e-4)
+
+        shown = {}
+        for name, kind in kinds.items():
+            if name not in after:
+                assert name not in delta
+                continue
+            a, b = before.get(name, {}), after[name]
+            if kind == "histogram":
+                count = b["count"] - a.get("count", 0)
+                total = b["sum"] - a.get("sum", 0.0)
+                assert delta[name] == {"type": kind, "count": count,
+                                       "sum": total}
+                if count or total:
+                    shown[name] = (count, total)
+            else:
+                change = b["value"] - a.get("value", 0)
+                assert delta[name] == {"type": kind, "value": change}
+                if change:
+                    shown[name] = change
+        if not shown:
+            assert rows == {"(no": "differences)"}
+            return
+        assert set(rows) == set(shown)
+        for name, expected in shown.items():
+            words = rows[name].split()
+            rate = None
+            if words[-1].endswith("/s)"):
+                rate = _number(words.pop()[1:-3])
+            if kinds[name] == "histogram":
+                count, total = expected
+                assert words[0] == f"{count:+,}"
+                assert words[1:] == ["(sum", f"{total:+.3f})"]
+                rated = count
+            else:
+                assert words == [words[0]]
+                assert _number(words[0]) \
+                    == pytest.approx(expected, abs=5e-4)
+                rated = expected if kinds[name] == "counter" else None
+            if elapsed and rated is not None:
+                assert rate == pytest.approx(rated / elapsed, abs=6e-3)
+            else:
+                assert rate is None
+
+    def test_zero_elapsed_prints_rows_without_rates(self):
+        registry = MetricsRegistry()
+        before = _stamp(registry.snapshot(), monotonic=5.0, wall=9.0)
+        registry.counter("jobs").inc(3)
+        after = _stamp(registry.snapshot(), monotonic=5.0, wall=9.0)
+        delta = MetricsRegistry.diff(before, after)
+        assert delta["_ts"]["elapsed"] == 0.0
+        rows = _diff_rows(MetricsRegistry.render_diff(delta))
+        assert rows == {"elapsed": "0.000s", "jobs": "+3"}
+
+    def test_clocks_that_both_run_backwards_give_no_elapsed(self):
+        registry = MetricsRegistry()
+        before = _stamp(registry.snapshot(), monotonic=5.0, wall=9.0)
+        registry.counter("jobs").inc(3)
+        after = _stamp(registry.snapshot(), monotonic=4.0, wall=8.0)
+        delta = MetricsRegistry.diff(before, after)
+        assert "_ts" not in delta
+        rows = _diff_rows(MetricsRegistry.render_diff(delta))
+        assert rows == {"jobs": "+3"}
+
+    def test_schema_marker_and_stamp_are_not_rows(self):
+        registry = MetricsRegistry()
+        registry.counter("jobs").inc(1)
+        before = {"schema": 1, **_stamp(registry.snapshot(), wall=1.0)}
+        registry.counter("jobs").inc(1)
+        after = {"schema": 2, **_stamp(registry.snapshot(), wall=3.0)}
+        delta = MetricsRegistry.diff(before, after)
+        assert set(delta) == {"_ts", "jobs"}
+        rows = _diff_rows(MetricsRegistry.render_diff(delta))
+        assert rows == {"elapsed": "2.000s", "jobs": "+1 (0.50/s)"}
+
+    def test_obs_diff_reads_the_stamps_of_two_dumps(self, tmp_path,
+                                                   capsys):
+        registry = MetricsRegistry()
+        registry.counter("service.jobs.submitted").inc(4)
+        registry.gauge("service.queue_depth").set(2)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        registry.dump(paths[0])
+        registry.counter("service.jobs.submitted").inc(40)
+        registry.gauge("service.queue_depth").set(0)
+        for seconds in (0.25, 0.5):
+            registry.histogram("service.run_seconds",
+                               buckets=(1.0,)).observe(seconds)
+        registry.dump(paths[1])
+        for path, mono in zip(paths, (100.0, 108.0)):
+            data = json.loads(path.read_text())
+            data["_ts"]["monotonic"] = mono
+            path.write_text(json.dumps(data))
+        assert main(["obs", "diff", *map(str, paths)]) == 0
+        rows = _diff_rows(capsys.readouterr().out)
+        assert rows == {
+            "elapsed": "8.000s",
+            "service.jobs.submitted": "+40 (5.00/s)",
+            "service.queue_depth": "-2",
+            "service.run_seconds": "+2 (sum +0.750) (0.25/s)",
+        }
 
 
 class TestHistogramPercentiles:
