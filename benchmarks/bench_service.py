@@ -93,9 +93,9 @@ def test_service_replay_table1(benchmark, tmp_path, benchmarks,
           f"({len(benchmarks) / cold_seconds:.1f} jobs/s), "
           f"warm wave {warm_seconds:.2f}s "
           f"({len(benchmarks) / warm_seconds:.1f} jobs/s)")
-    print(f"queue latency p50 {queue.percentile(0.5):.3f}s, "
-          f"p95 {queue.percentile(0.95):.3f}s, "
-          f"p99 {queue.percentile(0.99):.3f}s over {queue.count} jobs")
+    print(f"queue latency p50 ≤ {queue.percentile(0.5):.3f}s, "
+          f"p95 ≤ {queue.percentile(0.95):.3f}s, "
+          f"p99 ≤ {queue.percentile(0.99):.3f}s over {queue.count} jobs")
     print(f"job cache hit rate {hit_rate:.2f}")
 
 

@@ -188,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write a Chrome trace_event JSON of the "
                            "whole run (pipeline + per-set solver "
                            "spans, workers included)")
-    erun.add_argument("--live", action="store_true",
-                      help="live terminal dashboard (per-job progress "
-                           "bars, pivot/node counts, cache hit rate); "
-                           "falls back to plain log lines when the "
-                           "terminal cannot host it")
     estats = esub.add_parser(
         "stats", help="inspect the result cache / a saved metrics file")
     estats.add_argument("--cache-dir", metavar="DIR")
@@ -268,10 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="client-side wait budget per job")
     submit.add_argument("--no-wait", action="store_true",
                         help="submit and print ids without waiting")
-    submit.add_argument("--follow", action="store_true",
-                        help="stream live progress (queue position, "
-                             "per-set solver effort) over the "
-                             "service's SSE endpoint while waiting")
     submit.add_argument("--json", action="store_true",
                         help="emit the final job records as JSON")
     submit.add_argument("--corpus", metavar="DIR",
@@ -544,11 +535,12 @@ def _cache_limits(args) -> tuple:
 
 
 def _cmd_engine(args) -> int:
+    from pathlib import Path
+
     from .engine import (AnalysisEngine, AnalysisJob, ResultCache,
                          default_cache_dir)
     from .engine.metrics import render
-    from .obs import (EventBus, LiveDashboard, MetricsRegistry, Tracer,
-                      write_chrome_trace)
+    from .obs import MetricsRegistry, Tracer, write_chrome_trace
 
     if args.engine_command == "stats":
         if args.journal:
@@ -556,7 +548,10 @@ def _cmd_engine(args) -> int:
         if args.metrics:
             print(render(MetricsRegistry.load(args.metrics)))
             return 0
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+        root = Path(args.cache_dir or default_cache_dir()).expanduser()
+        if not root.is_dir():
+            raise ReproError(f"no cache at {root}")
+        cache = ResultCache(root)
         if args.clear:
             print(f"removed {cache.clear()} entries")
             return 0
@@ -586,16 +581,11 @@ def _cmd_engine(args) -> int:
     # Always traced: the stage rows are the jobs' pipeline spans;
     # --trace only decides whether they are also written out.
     tracer = Tracer()
-    bus = EventBus() if args.live else None
     engine = AnalysisEngine(workers=args.workers, cache_dir=cache_dir,
                             set_timeout=args.set_timeout,
                             cache_limits=_cache_limits(args),
-                            tracer=tracer, bus=bus)
-    if bus is not None:
-        with LiveDashboard(bus):
-            results = engine.run(jobs)
-    else:
-        results = engine.run(jobs)
+                            tracer=tracer)
+    results = engine.run(jobs)
     for result in results:
         print(result)
     print()
@@ -691,38 +681,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _follow_job(client, name: str, job_id: str) -> None:
-    """Print one job's live SSE progress to stderr until it ends."""
-    from .service import ClientError
-
-    try:
-        for event in client.watch(job_id):
-            kind = event.get("type")
-            if kind == "job_running":
-                queued = event.get("queue_seconds")
-                extra = f" after {queued:.2f}s queued" \
-                    if isinstance(queued, (int, float)) else ""
-                print(f"{name}: running{extra}", file=sys.stderr)
-            elif kind == "set_done":
-                if event.get("feasible", True):
-                    detail = (f"[{event.get('best')}, "
-                              f"{event.get('worst')}]  "
-                              f"pivots={event.get('pivots')} "
-                              f"nodes={event.get('nodes')}")
-                else:
-                    detail = "infeasible"
-                print(f"{name}: set {event.get('set')}: {detail}",
-                      file=sys.stderr)
-            elif kind in ("job_done", "job_failed"):
-                status = event.get("status") \
-                    or kind.removeprefix("job_")
-                cached = " [cached]" if event.get("cache_hit") else ""
-                print(f"{name}: {status}{cached}", file=sys.stderr)
-    except ClientError as error:
-        print(f"{name}: live follow unavailable ({error}); "
-              "falling back to polling", file=sys.stderr)
-
-
 def _cmd_submit(args) -> int:
     import json
 
@@ -768,9 +726,7 @@ def _cmd_submit(args) -> int:
                 print(f"{name}: submitted as {job_id}")
             return 0
         records, failures = [], 0
-        for name, job_id in submitted:
-            if args.follow:
-                _follow_job(client, name, job_id)
+        for _, job_id in submitted:
             try:
                 record = client.wait(job_id, timeout=args.timeout)
             except JobFailed as error:

@@ -38,7 +38,7 @@ from ..errors import ReproError
 from .cache import ResultCache
 from .jobs import AnalysisJob, JobResult
 from .metrics import record
-from .pool import Pool, lookup, publish_done, store
+from .pool import Pool, lookup, store
 
 
 def execute_job(payload) -> JobResult:
@@ -93,12 +93,6 @@ class AnalysisEngine:
         own tracer, in the caller or a pool worker, and its records
         come home in :attr:`JobResult.spans`.  Without one, the
         engine records no stage times.
-    bus:
-        An optional :class:`repro.obs.EventBus`; the engine publishes
-        each job's lifecycle into it for live consumers such as the
-        ``--live`` dashboard: ``job_running`` at dispatch, then
-        :func:`~repro.engine.pool.publish_done`'s ``set_done``,
-        ``span`` and ``job_done`` / ``job_failed`` events.
     """
 
     def __init__(self, workers: int | None = None,
@@ -106,8 +100,7 @@ class AnalysisEngine:
                  set_timeout: float | None = None,
                  max_iterations: int | None = None,
                  cache_limits: tuple | None = None,
-                 tracer=None,
-                 bus=None):
+                 tracer=None):
         from ..obs.registry import MetricsRegistry
         from ..obs.trace import NULL_TRACER
 
@@ -122,7 +115,6 @@ class AnalysisEngine:
         #: :mod:`repro.engine.metrics`).
         self.registry = MetricsRegistry()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.bus = bus
 
     # ------------------------------------------------------------------
     def run(self, jobs: list[AnalysisJob]) -> list[JobResult]:
@@ -135,8 +127,6 @@ class AnalysisEngine:
         def finish(index: int, result: JobResult) -> None:
             results[index] = result
             self.tracer.absorb(result.spans)
-            if self.bus is not None:
-                publish_done(self.bus, result)
             store(self.cache, keys[index], result)
 
         for index, job in enumerate(jobs):
@@ -145,7 +135,6 @@ class AnalysisEngine:
             if hit is None:
                 pending.append((index, job))
             else:
-                self._running(job)
                 finish(index, hit)
 
         if pending:
@@ -157,34 +146,27 @@ class AnalysisEngine:
         self._record(results, elapsed)
         return results
 
-    def _running(self, job: AnalysisJob) -> None:
-        if self.bus is not None:
-            self.bus.publish("job_running", name=job.name)
-
     def _dispatch(self, pending, finish) -> None:
         """Run every pending job and `finish` it: in the caller for
         one job or one worker, else over a :class:`Pool`."""
         payloads = {index: (job, self.set_timeout, self.max_iterations,
                             self.tracer.enabled)
                     for index, job in pending}
-        if self.workers <= 1 or len(pending) == 1:
-            for index, job in pending:
-                self._running(job)
-                finish(index, execute_job(payloads[index]))
+        if self.workers <= 1 or len(payloads) == 1:
+            for index, payload in payloads.items():
+                finish(index, execute_job(payload))
             return
         import asyncio                # only the pooled path runs a loop
 
         async def pooled() -> None:
-            pool = Pool(min(self.workers, len(pending)))
+            pool = Pool(min(self.workers, len(payloads)))
 
-            async def one(index: int, job: AnalysisJob) -> None:
-                self._running(job)
-                finish(index, await pool.run(execute_job,
-                                             payloads[index]))
+            async def one(index: int, payload) -> None:
+                finish(index, await pool.run(execute_job, payload))
 
             try:
-                await asyncio.gather(*(one(index, job)
-                                       for index, job in pending))
+                await asyncio.gather(*(one(index, payload) for index, payload
+                                       in payloads.items()))
             finally:
                 pool.shutdown()
 

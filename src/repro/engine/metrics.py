@@ -95,9 +95,9 @@ def render(registry) -> str:
         histogram = registry.histogram("engine.set_wall_seconds")
         lines.append(
             f"set solve seconds: "
-            f"p50 {histogram.percentile(0.50):.4g}, "
-            f"p95 {histogram.percentile(0.95):.4g}, "
-            f"p99 {histogram.percentile(0.99):.4g} "
+            f"p50 ≤ {histogram.percentile(0.50):.4g}, "
+            f"p95 ≤ {histogram.percentile(0.95):.4g}, "
+            f"p99 ≤ {histogram.percentile(0.99):.4g} "
             f"(mean {histogram.mean:.4g} over "
             f"{histogram.count} sets)")
     hits = value("engine.cache.hits.job")

@@ -1,11 +1,10 @@
-"""The one job path: a worker pool with one retry policy, the job-cache
-step and the job-lifecycle publisher.
+"""The one job path: a worker pool with one retry policy and the
+job-cache step.
 
 ``repro engine run`` (more than one job to solve on more than one
 worker) and ``repro serve`` (every job) run :func:`execute_job`
-payloads through a :class:`Pool`, look jobs up and store them with
-:func:`lookup` and :func:`store`, and publish each finished job with
-:func:`publish_done`.
+payloads through a :class:`Pool`, and look jobs up and store them with
+:func:`lookup` and :func:`store`.
 
 Retry policy: a :class:`~repro.errors.ReproError` escaping the runner
 is deterministic and never retried.  Any other exception (a worker
@@ -144,31 +143,3 @@ def store(cache, key, result: JobResult) -> None:
             and not result.cache_hit:
         cache.put_report(key, result.report)
 
-
-def publish_done(bus, result: JobResult, **ids) -> None:
-    """Publish a finished job: one ``set_done`` per set (from the report,
-    so cache hits and process workers report per-set effort too), its
-    ``span`` records, then ``job_done`` or ``job_failed``.  Its
-    ``job_running`` went out at dispatch.  `ids` (the service's
-    ``job``) ride on the set and terminal events, next to ``name``."""
-    report = result.report
-    if report is not None:
-        for solved in report.set_results:
-            bus.publish("set_done", **ids, name=result.name,
-                        set=solved.index, feasible=solved.feasible,
-                        pivots=solved.stats.simplex_iterations,
-                        nodes=solved.stats.nodes, wall=solved.wall_time,
-                        worst=solved.worst, best=solved.best)
-    for span in result.spans:
-        bus.publish("span", name=span["name"], cat=span["cat"],
-                    dur=span["dur"], depth=span["depth"],
-                    pid=span["pid"], args=span["args"])
-    payload = {**ids, "name": result.name, "status": result.status,
-               "cache_hit": result.cache_hit}
-    if report is not None:
-        payload.update(sets=report.sets_solved, worst=report.worst,
-                       best=report.best)
-    if result.status == "failed":
-        bus.publish("job_failed", **payload, error=result.error)
-    else:
-        bus.publish("job_done", **payload)

@@ -66,40 +66,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace_event JSON of every "
                              "estimate (pipeline + solver spans)")
-    parser.add_argument("--live", action="store_true",
-                        help="live terminal progress dashboard while "
-                             "the suite is estimated (plain log lines "
-                             "on dumb terminals; implies the engine)")
     args = parser.parse_args(argv)
 
     tracer = None
-    if args.trace or args.live:
+    if args.trace:
         from ..obs import Tracer
 
         tracer = Tracer()
-    bus = None
-    if args.live:
-        from ..obs import EventBus
-
-        bus = EventBus()
     engine = None
-    if args.workers or args.cache_dir or args.live:
+    if args.workers or args.cache_dir:
         from ..engine import AnalysisEngine
 
         engine = AnalysisEngine(workers=args.workers,
                                 cache_dir=args.cache_dir,
-                                tracer=tracer, bus=bus)
+                                tracer=tracer)
     experiments = Experiments(engine=engine, tracer=tracer)
     if engine is not None:
-        if bus is not None:
-            from ..obs import LiveDashboard
-
-            # Estimate the whole suite under the dashboard, then
-            # print the (memoized) tables with the terminal back.
-            with LiveDashboard(bus):
-                experiments.prefetch()
-        else:
-            experiments.prefetch()
+        experiments.prefetch()
     if args.what in ("table1", "all"):
         print("TABLE I: SET OF BENCHMARK EXAMPLES")
         print(render_table1(experiments.table1()))

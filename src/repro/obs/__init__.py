@@ -16,14 +16,12 @@ Three cooperating layers, all dependency-free:
 
 The exporter in :mod:`repro.obs.export` renders traces as Chrome
 ``trace_event`` JSON (``chrome://tracing`` / Perfetto).
-Live consumption happens through :mod:`repro.obs.stream` (the
-telemetry event bus the engine and service publish job lifecycle into),
-:mod:`repro.obs.dashboard` (terminal progress view) and
-:mod:`repro.obs.tracediff` (span-by-span regression localization).
+:mod:`repro.obs.stream` is the event bus the service publishes job
+lifecycle into, and :mod:`repro.obs.tracediff` localizes regressions
+span by span.
 See ``docs/observability.md``.
 """
 
-from .dashboard import LiveDashboard, live_capable
 from .explain import (EXPLANATION_SCHEMA, BreakdownRow, ConstraintLine,
                       DeltaRow, Explanation, ExplanationDelta,
                       check_explanation_schema, diff_explanations,
@@ -47,7 +45,6 @@ __all__ = [
     "DEFAULT_BUCKETS", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMAS",
     "EventBus", "Subscription", "sse_format", "sse_comment",
     "parse_sse_stream",
-    "LiveDashboard", "live_capable",
     "to_chrome", "trace_skeleton", "write_chrome_trace",
     "SpanAggregate", "TraceDelta", "span_key", "aggregate_trace",
     "diff_traces", "load_trace_events", "render_trace_diff",

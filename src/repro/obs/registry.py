@@ -122,29 +122,25 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Estimated value at quantile ``q`` (0 < q <= 1).
+        """An upper bound on the value at quantile ``q`` (0 < q <= 1).
 
-        Linear interpolation inside the bucket holding the target rank
-        (Prometheus ``histogram_quantile`` style), so the answer is an
-        estimate bounded by the bucket edges, not an exact order
-        statistic.  Ranks landing in the final ``+inf`` bucket clamp to
-        the largest finite bucket edge.
+        The upper edge of the bucket holding the q-th order statistic
+        (the smallest observation with at least a share ``q`` of all
+        observations at or below it), or ``inf`` when that is past the
+        last edge.  So every answer is a bucket edge, the smallest one
+        at or above the true order statistic; no interpolation invents
+        a value between edges.
         """
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile {q!r} not in (0, 1]")
         if not self.count:
             return 0.0
-        target = q * self.count
         cumulative = 0
-        lower = 0.0
-        for i, upper in enumerate(self.buckets):
-            count = self.counts[i]
-            if count and cumulative + count >= target:
-                fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
+        for upper, count in zip(self.buckets, self.counts):
             cumulative += count
-            lower = upper
-        return self.buckets[-1] if self.buckets else self.mean
+            if cumulative / self.count >= q:
+                return upper
+        return float("inf")
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "buckets": list(self.buckets),

@@ -2,13 +2,13 @@
 
 The tracer (:mod:`repro.obs.trace`) and the metrics registry
 (:mod:`repro.obs.registry`) record evidence you can export *after* a
-run.  This module adds the missing primitive for consuming telemetry
-*while* the run is happening: a dependency-free, thread-safe
-**event bus** that instrumented code publishes into incrementally —
-finished spans, job and constraint-set lifecycle — and that any
-number of consumers subscribe to without ever being able to stall a
-solve.  Metric values are not echoed here: ``/metricz`` reads the
-registry itself.
+run.  This module carries the service's job lifecycle *while* it
+runs: a dependency-free, thread-safe **event bus** that the service
+publishes into and that the ``/v1/events`` stream subscribes to,
+without ever being able to stall a publisher.  Metric values are not
+echoed here (``/metricz`` reads the registry), and neither are a
+job's per-set results or spans (``GET /v1/jobs/{id}`` and ``/trace``
+serve the job's record).
 
 Design points
 -------------
@@ -17,20 +17,14 @@ Design points
   A slow consumer overflows its own queue — the oldest events are
   dropped and counted (:attr:`Subscription.dropped`), the publisher
   carries on at full speed.
-* **Off the solver path.**  No solver or tracer code publishes:
-  each job's events go out once, when the job is dispatched and when
-  it finishes, and a bus with no subscribers costs one lock and one
-  ring append per event.
+* **Off the solver path.**  No solver, tracer or pool worker
+  publishes: the service publishes a job's events when it admits,
+  dispatches and finishes it, and a bus with no subscribers costs one
+  lock and one ring append per event.
 * **Replayable.**  Every event gets a monotonically increasing
   ``seq``; the ring buffer serves :meth:`EventBus.replay` so a late or
   reconnecting consumer (SSE ``Last-Event-ID``) can catch up on recent
   history.
-* **Process-safe by merging.**  Pool workers don't publish across the
-  process boundary; their span records travel home in picklable
-  results and the parent publishes them with the job's lifecycle
-  (:func:`repro.engine.pool.publish_done`, shared by the engine and
-  the service scheduler), so multiprocess runs stream through the
-  same bus.
 
 Event schema
 ------------
@@ -38,23 +32,24 @@ Events are plain JSON-safe dicts.  Every event carries ``seq`` (bus
 sequence number), ``ts`` (wall-clock seconds) and ``type``; the rest
 is per-type payload:
 
-==============  ======================================================
-``job_queued``  the service admitted a job
-``job_running`` a job was dispatched (engine or service)
-``set_done``    per-constraint-set result: ``set``, ``pivots``,
-                ``nodes``, ``wall``, ``worst``, ``best``
-``span``        ``name``, ``cat``, ``dur``, ``depth``, ``pid``,
-                ``args`` — one of the finished job's span records
-``job_done`` / ``job_failed``   the job's outcome
-==============  ======================================================
+=====================================  ================================
+``job_queued``                         the service admitted a job
+``job_running``                        a job was dispatched
+``job_done`` / ``job_failed``          the job's outcome: ``status``,
+                                       ``cache_hit``, with a report
+                                       ``sets``, ``worst``, ``best``;
+                                       a failure ``error``
+``job_recovered``                      a restart re-queued a job
+``service_degraded`` /                 journal writes failed / succeed
+``service_recovered``                  again
+``chaos_fault``                        an injected fault fired
+=====================================  ================================
 
-Job events carry the job's ``name``, and in the service its id in
-``job``.  A finished job's ``set_done``, ``span`` and terminal events
-come in that order.
+Job events carry the job's id in ``job`` and its ``name``.
 
 The SSE helpers at the bottom (:func:`sse_format`,
-:func:`parse_sse_stream`) define the wire framing the analysis
-service's ``/v1/events`` endpoints and ``ServiceClient.watch`` share.
+:func:`parse_sse_stream`) define the wire framing the service's
+``/v1/events`` endpoint and ``ServiceClient.watch`` share.
 """
 
 from __future__ import annotations
@@ -77,54 +72,32 @@ class Subscription:
     Obtain via :meth:`EventBus.subscribe`; use as a context manager or
     call :meth:`close` so the bus forgets the queue.  Events overflow
     oldest-first: the queue always holds the *most recent* ``maxlen``
-    events and :attr:`dropped` counts what was lost.
+    events and :attr:`dropped` counts what was lost.  The queue is
+    guarded by the bus's lock.
     """
 
-    def __init__(self, bus: "EventBus", maxlen: int,
-                 wakeup=None, name: str | None = None):
+    def __init__(self, bus: "EventBus", maxlen: int, wakeup=None):
         self._bus = bus
         self._queue: deque = deque(maxlen=maxlen)
-        self._cond = threading.Condition()
         self._wakeup = wakeup
-        #: Stable label for drop accounting (``obs.stream.dropped.<name>``).
-        self.name = name or "anonymous"
         self.dropped = 0
         self.closed = False
 
     # Called by the bus under its lock; must never block.
     def _offer(self, event: dict) -> None:
-        with self._cond:
-            if len(self._queue) == self._queue.maxlen:
-                self._queue.popleft()
-                self.dropped += 1
-            self._queue.append(event)
-            self._cond.notify()
-        if self._wakeup is not None:
-            try:
-                self._wakeup()
-            except Exception:      # a consumer's bug must not stall us
-                pass
-
-    def get(self, timeout: float | None = None) -> dict | None:
-        """Next event, blocking up to `timeout`; None on timeout."""
-        with self._cond:
-            if not self._queue:
-                self._cond.wait(timeout)
-            if self._queue:
-                return self._queue.popleft()
-            return None
+        if len(self._queue) == self._queue.maxlen:
+            self.dropped += 1          # append evicts the oldest
+        self._queue.append(event)
 
     def pop_all(self) -> list[dict]:
         """Drain everything buffered right now (non-blocking)."""
-        with self._cond:
+        with self._bus._lock:
             events = list(self._queue)
             self._queue.clear()
             return events
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._bus._forget(self)
+        self._bus._forget(self)
 
     def __enter__(self) -> "Subscription":
         return self
@@ -139,8 +112,8 @@ class EventBus:
     >>> bus = EventBus()
     >>> with bus.subscribe() as sub:
     ...     _ = bus.publish("job_done", job="j1", status="ok")
-    ...     sub.get(timeout=1)["type"]
-    'job_done'
+    ...     [event["type"] for event in sub.pop_all()]
+    ['job_done']
     """
 
     def __init__(self, ring_size: int = RING_SIZE):
@@ -148,9 +121,8 @@ class EventBus:
         self._ring: deque = deque(maxlen=ring_size)
         self._subs: list[Subscription] = []
         self._seq = 0
-        # Per-name drop totals of closed subscriptions; live
-        # subscriptions are summed in on top (drop_counts/dropped).
-        self._closed_drops: dict[str, int] = {}
+        # Drops of closed subscriptions; live ones are summed on top.
+        self._closed_drops = 0
 
     # ------------------------------------------------------------------
     def publish(self, type: str, **payload) -> dict:
@@ -162,42 +134,39 @@ class EventBus:
             payload["seq"] = self._seq
             self._ring.append(payload)
             subs = self._subs
-            if subs:
-                for sub in subs:
-                    sub._offer(payload)
+            for sub in subs:
+                sub._offer(payload)
+        for sub in subs:
+            if sub._wakeup is not None:
+                try:
+                    sub._wakeup()
+                except Exception:  # a consumer's bug must not stall us
+                    pass
         return payload
 
     def subscribe(self, maxlen: int = SUBSCRIBER_QUEUE,
-                  wakeup=None, name: str | None = None) -> Subscription:
+                  wakeup=None) -> Subscription:
         """Attach a consumer.
 
-        ``wakeup``, if given, is called (from the publisher's thread)
-        after each delivery — the hook an asyncio consumer uses to poke
-        its event loop via ``call_soon_threadsafe``.  ``name`` labels
-        the consumer for drop accounting (:meth:`drop_counts`);
-        several subscriptions may share one name and their drops sum.
+        ``wakeup``, if given, is called (from the publisher's thread,
+        outside the bus's lock) after each delivery — the hook an
+        asyncio consumer uses to poke its event loop via
+        ``call_soon_threadsafe``.
         """
-        with self._lock:
-            label = name or f"sub{len(self._subs) + 1}"
-        sub = Subscription(self, maxlen, wakeup=wakeup, name=label)
+        sub = Subscription(self, maxlen, wakeup=wakeup)
         with self._lock:
             self._subs = self._subs + [sub]
         return sub
 
     def _forget(self, sub: Subscription) -> None:
         with self._lock:
-            if sub.dropped:
-                self._closed_drops[sub.name] = \
-                    self._closed_drops.get(sub.name, 0) + sub.dropped
+            if sub.closed:
+                return
+            sub.closed = True
+            self._closed_drops += sub.dropped
             self._subs = [s for s in self._subs if s is not sub]
 
     # ------------------------------------------------------------------
-    @property
-    def seq(self) -> int:
-        """Sequence number of the most recent event."""
-        with self._lock:
-            return self._seq
-
     @property
     def subscribers(self) -> int:
         return len(self._subs)
@@ -205,24 +174,9 @@ class EventBus:
     @property
     def dropped(self) -> int:
         """Total events dropped across all (live and past) consumers."""
-        return sum(self.drop_counts().values())
-
-    def drop_counts(self) -> dict[str, int]:
-        """``{subscriber name: events dropped}``, live + closed merged.
-
-        This is the export surface the drop counters were always
-        missing: ``/metricz`` publishes each entry as an
-        ``obs.stream.dropped.<name>`` gauge and the live dashboard
-        shows the sum in its footer.  Names with zero drops are
-        omitted — a healthy bus reports an empty dict.
-        """
         with self._lock:
-            counts = dict(self._closed_drops)
-            for sub in self._subs:
-                if sub.dropped:
-                    counts[sub.name] = counts.get(sub.name, 0) \
-                        + sub.dropped
-            return counts
+            return self._closed_drops + sum(sub.dropped
+                                            for sub in self._subs)
 
     def replay(self, since: int = 0) -> list[dict]:
         """Ring-buffered events with ``seq > since``, oldest first.

@@ -5,10 +5,9 @@ and the service tests.  Stdlib only (:mod:`http.client`), with
 HTTP/1.1 **keep-alive**: each thread keeps one persistent connection
 and reuses it across requests, matching the server's keep-alive loop;
 a stale reused socket (server idle-timed it out between requests) is
-retried once on a fresh connection.  :meth:`ServiceClient.watch`
-consumes the server-sent-events endpoints on a dedicated streaming
-connection, reconnecting with ``Last-Event-ID`` so no events are lost
-across a dropped connection.
+retried once on a fresh connection.  :meth:`ServiceClient.watch` tails
+the ``/v1/events`` stream on a dedicated connection, reconnecting with
+``Last-Event-ID`` so no events are lost across a dropped connection.
 
 Backpressure shows up as typed exceptions: a saturated queue raises
 :class:`ServiceSaturated` carrying the server's ``Retry-After`` hint,
@@ -278,28 +277,18 @@ class ServiceClient:
                     f"{timeout}s")
             time.sleep(poll)
 
-    def watch(self, job_id: str | None = None, since: int | None = None,
-              reconnects: int = 3):
-        """Yield live events from the service's SSE endpoints.
-
-        With `job_id`, follows ``/v1/jobs/{id}/events`` and returns
-        after the job's terminal event (``job_done`` / ``job_failed``
-        / a final ``state``); without, tails the ``/v1/events``
-        firehose until the server goes away.  Runs on its own
-        streaming connection (the per-thread request connection stays
-        usable).
+    def watch(self, *, since: int | None = None, reconnects: int = 3):
+        """Yield the service's events from ``/v1/events`` until the
+        server goes away.  Runs on its own streaming connection (the
+        per-thread request connection stays usable).
 
         `since` is sent as ``Last-Event-ID``: the stream first replays
         the ring-buffered events newer than that sequence number, so
-        ``since=0`` replays the whole ring.  Left None, each endpoint
-        keeps its server default: a job stream replays its job's
-        history, the firehose tails live events only.  A dropped
-        connection reconnects up to `reconnects` times with
-        ``Last-Event-ID`` so events missed during the gap are
-        replayed.
+        ``since=0`` replays the whole ring; left None, the stream
+        tails live events only.  A dropped connection reconnects up to
+        `reconnects` times with ``Last-Event-ID`` so events missed
+        during the gap are replayed.
         """
-        path = (f"/v1/jobs/{job_id}/events" if job_id is not None
-                else "/v1/events")
         last_seq = since
         failures = 0
         while True:
@@ -310,7 +299,7 @@ class ServiceClient:
                 headers = {"Accept": "text/event-stream"}
                 if last_seq is not None:
                     headers["Last-Event-ID"] = str(last_seq)
-                connection.request("GET", path, headers=headers)
+                connection.request("GET", "/v1/events", headers=headers)
                 response = connection.getresponse()
                 if response.status != 200:
                     raw = response.read()
@@ -322,19 +311,11 @@ class ServiceClient:
                                     {k.lower(): v for k, v
                                      in response.getheaders()}, data)
                     raise ClientError(f"HTTP {response.status} from "
-                                      f"{path}")
+                                      "/v1/events")
                 failures = 0
                 for event in parse_sse_stream(response):
                     last_seq = max(last_seq or 0, event.get("seq", 0))
                     yield event
-                    if job_id is not None and event.get("type") in (
-                            "job_done", "job_failed"):
-                        return
-                    if (job_id is not None
-                            and event.get("type") == "state"
-                            and event.get("state") in ("done",
-                                                       "failed")):
-                        return
                 ended = True        # server closed the stream cleanly
             except (ConnectionError, OSError,
                     http.client.HTTPException) as error:
@@ -346,14 +327,10 @@ class ServiceClient:
             finally:
                 connection.close()
             if ended:
-                if job_id is not None:
-                    return          # job stream over (e.g. drain)
-                time.sleep(0.2)     # firehose: server restarting?
-                failures += 1
+                failures += 1       # drained, or restarting?
                 if failures > reconnects:
                     return
-            else:
-                time.sleep(0.2)
+            time.sleep(0.2)
 
     def trace(self, job_id: str) -> dict:
         """GET a finished job's span tree as a Chrome trace document.

@@ -242,7 +242,7 @@ class JobJournal:
         self._since_compact = 0
         #: Optional callable(seconds) invoked with each fsync's
         #: duration — the service hooks a latency histogram here
-        #: (``service.journal.fsync_seconds`` p50/p95/p99).
+        #: (``service.journal.fsync_seconds``).
         self.fsync_observer = None
         #: The last write/fsync :class:`OSError`, or None when healthy.
         #: The service's housekeeping loop watches this to enter

@@ -224,7 +224,7 @@ class JobRecord:
         self.status = status
         self.error = error
 
-    def to_dict(self, include_report: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """The ``GET /v1/jobs/{id}`` response body."""
         payload = {
             "id": self.id,
@@ -244,8 +244,7 @@ class JobRecord:
         if self.report is not None:
             payload["best"] = self.report.best
             payload["worst"] = self.report.worst
-            if include_report:
-                payload["report"] = report_to_dict(self.report)
+            payload["report"] = report_to_dict(self.report)
         return payload
 
     # ------------------------------------------------------------------

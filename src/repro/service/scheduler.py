@@ -6,9 +6,8 @@ engine's :class:`~repro.engine.pool.Pool` — spawned worker processes
 in production (real parallelism, crash isolation) or threads for tests
 and low-overhead embedding.  The unit of work is the engine's
 :func:`repro.engine.execute_job` payload, and the pool, its retry
-policy, the cache step and the lifecycle publisher are the ones
-``repro engine run`` uses, so the service computes bounds on exactly
-the engine's code path.
+policy and the cache step are the ones ``repro engine run`` uses, so
+the service computes bounds on exactly the engine's code path.
 
 Deadline propagation
 --------------------
@@ -43,8 +42,7 @@ import traceback
 from ..chaos import inject
 from ..engine import metrics
 from ..engine.core import execute_job
-from ..engine.jobs import JobResult
-from ..engine.pool import Pool, lookup, publish_done, store
+from ..engine.pool import Pool, lookup, store
 from ..errors import ReproError
 from ..obs.registry import MetricsRegistry
 
@@ -81,11 +79,10 @@ class Scheduler:
         :func:`repro.engine.metrics.record` (job status, cache
         traffic, solver effort, stage seconds from its spans).
     bus:
-        An optional :class:`repro.obs.EventBus`; job lifecycle
-        (``job_running`` at dispatch, then
-        :func:`~repro.engine.pool.publish_done`'s per-set
-        ``set_done``, the job's ``span`` records and ``job_done`` /
-        ``job_failed``) is published into it for the SSE endpoints.
+        An optional :class:`repro.obs.EventBus`; each job's
+        ``job_running`` (at dispatch) and ``job_done`` /
+        ``job_failed`` (see :meth:`_publish_done`) go into it for the
+        ``/v1/events`` firehose.
     """
 
     def __init__(self, queue, workers: int = 2, cache=None,
@@ -178,17 +175,18 @@ class Scheduler:
                              name=record.spec.name,
                              queue_seconds=record.queue_seconds)
         self.running += 1
-        # Chaos seam: stall the job on its way to the executor,
-        # consuming its deadline budget (the deadline check inside
-        # _execute then fires exactly as it would for a genuinely
-        # overloaded pool).
-        hang = inject.delay("worker.hang")
-        if hang > 0:
-            await asyncio.sleep(hang)
         started = time.monotonic()
         span_ts = time.time()
         span_clock = time.perf_counter()
         try:
+            # Chaos seam: stall the job on its way to the executor,
+            # consuming its deadline budget (the deadline check inside
+            # _execute then fires exactly as it would for a genuinely
+            # overloaded pool).  The stall is run time: the job has
+            # left the queue.
+            hang = inject.delay("worker.hang")
+            if hang > 0:
+                await asyncio.sleep(hang)
             try:
                 await self._execute(record)
             except Exception as error:
@@ -199,11 +197,7 @@ class Scheduler:
             self._finish_spans(record, span_ts,
                                time.perf_counter() - span_clock)
             self._journal_terminal(record)
-            if self.bus is not None:
-                publish_done(self.bus, JobResult(
-                    record.spec.name, record.status, record.report,
-                    error=record.error, cache_hit=record.cache_hit,
-                    spans=record.spans), job=record.id)
+            self._publish_done(record)
         finally:
             record.run_seconds = time.monotonic() - started
             self.registry.histogram(
@@ -229,8 +223,7 @@ class Scheduler:
         spans shipped back in the result were filled into
         ``record.spans`` by ``_execute``; the service span fronts them.
         ``record.spans`` is the one store of a job's spans: ``GET
-        /v1/jobs/{id}/trace`` serves it and
-        :func:`~repro.engine.pool.publish_done` streams it.
+        /v1/jobs/{id}/trace`` serves it.
         """
         span = {
             "name": "service.job", "cat": "service",
@@ -242,6 +235,25 @@ class Scheduler:
                      "cache_hit": record.cache_hit},
         }
         record.spans = [span] + list(record.spans or [])
+
+    def _publish_done(self, record) -> None:
+        """Publish the record's ``job_done`` or ``job_failed``: its
+        outcome and, with a report, its set count and bounds.  The
+        per-set results and spans stay in the record, which ``GET
+        /v1/jobs/{id}`` and ``/trace`` serve."""
+        if self.bus is None:
+            return
+        payload = {"job": record.id, "name": record.spec.name,
+                   "status": record.status,
+                   "cache_hit": record.cache_hit}
+        report = record.report
+        if report is not None:
+            payload.update(sets=report.sets_solved, worst=report.worst,
+                           best=report.best)
+        if record.state == "failed":
+            self.bus.publish("job_failed", **payload, error=record.error)
+        else:
+            self.bus.publish("job_done", **payload)
 
     def _journal_terminal(self, record) -> None:
         """Log the terminal frame for a record.

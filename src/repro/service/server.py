@@ -17,13 +17,10 @@ idle timeout lapses), JSON in and out.  Endpoints:
                                   ``?direction=worst|best``
 ``GET /v1/jobs/{id}/trace``       the job's spans as a Chrome
                                   ``trace_event`` document
-``GET /v1/jobs/{id}/events``      **server-sent events** for one job:
-                                  current state immediately, then
-                                  queued/running/per-set/done events
-                                  live; ends after the terminal event
-``GET /v1/events``                SSE firehose of the whole bus: every
-                                  job's lifecycle, per-set progress and
-                                  spans; degraded-mode and chaos events
+``GET /v1/events``                **server-sent events**: every job's
+                                  lifecycle (queued, running, done or
+                                  failed, recovered), degraded-mode and
+                                  chaos events
 ``GET /healthz``                  liveness + queue depth (``degraded``
                                   while the journal fails writes,
                                   ``draining`` while shutting down)
@@ -32,7 +29,7 @@ idle timeout lapses), JSON in and out.  Endpoints:
                                   as ``repro obs dump/diff``
 ================================  =====================================
 
-Both SSE endpoints honour ``Last-Event-ID`` (or ``?since=N``): events
+The event stream honours ``Last-Event-ID`` (or ``?since=N``): events
 newer than that sequence number are replayed from the bus ring buffer
 before the live tail begins, so a dropped connection resumes without a
 gap (up to the ring's capacity).  A comment heartbeat keeps idle
@@ -347,11 +344,8 @@ class AnalysisService:
                                                keep=False)
                     break
                 method, path, query, body, headers = request
-                if method == "GET" and (
-                        path == "/v1/events"
-                        or (path.startswith("/v1/jobs/")
-                            and path.endswith("/events"))):
-                    await self._serve_sse(writer, path, query, headers)
+                if method == "GET" and path == "/v1/events":
+                    await self._serve_sse(writer, query, headers)
                     break
                 try:
                     status, payload, extra = await self._route(
@@ -464,84 +458,44 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # Server-sent events
     # ------------------------------------------------------------------
-    async def _serve_sse(self, writer, path, query, headers) -> None:
-        """Stream bus events over one connection until terminal/drain.
+    async def _serve_sse(self, writer, query, headers) -> None:
+        """Stream bus events over one connection until drain.
 
-        ``/v1/events`` streams everything; ``/v1/jobs/{id}/events``
-        filters to one job (events carrying ``job == id``), opens with
-        a synthetic ``state`` event, and ends after the job's terminal
-        event.  ``Last-Event-ID`` / ``?since`` replays newer ring-
-        buffered events first.  A stream stops writing once its
-        transport is closing: the client has gone, and each further
-        write would only be counted and logged by asyncio.
+        ``Last-Event-ID`` / ``?since`` replays newer ring-buffered
+        events first; without either the stream tails live events
+        only.  The subscription is taken before the response head is
+        written, so a client that has read the head misses no later
+        event, and an event both replayed and delivered is written
+        once.  A stream stops writing once its transport is closing:
+        the client has gone, and each further write would only be
+        counted and logged by asyncio.
         """
-        job_id = None
-        record = None
-        if path != "/v1/events":
-            job_id = path[len("/v1/jobs/"):-len("/events")]
-            record = self.records.get(job_id)
-            if record is None:
-                await self._write_response(
-                    writer, 404, {"error": f"unknown job {job_id!r}"},
-                    None, keep=False)
-                return
-        since_text = headers.get("last-event-id", query.get("since"))
         try:
-            since = int(since_text)
+            since = int(headers.get("last-event-id", query.get("since")))
         except (TypeError, ValueError):
-            # Job streams default to a full ring replay so a follower
-            # that attaches late still sees the job's per-set history;
-            # the firehose defaults to live tail only.
-            since = 0 if job_id is not None else None
-
+            since = None
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
         sub = self.bus.subscribe(
             maxlen=4096,
-            wakeup=lambda: loop.call_soon_threadsafe(wake.set),
-            name="sse.job" if job_id is not None else "sse.firehose")
+            wakeup=lambda: loop.call_soon_threadsafe(wake.set))
         try:
             writer.write(b"HTTP/1.1 200 OK\r\n"
                          b"Content-Type: text/event-stream\r\n"
                          b"Cache-Control: no-cache\r\n"
                          b"Connection: close\r\n\r\n")
-            if since is not None:
-                for event in self.bus.replay(since):
-                    if writer.is_closing():
-                        return
-                    if self._sse_match(event, job_id):
-                        writer.write(sse_format(event))
-            terminal = False
-            if record is not None:
-                state = {"type": "state", "seq": self.bus.seq,
-                         "job": record.id,
-                         **record.to_dict(include_report=False)}
-                writer.write(sse_format(state))
-                terminal = record.state in ("done", "failed")
-            await writer.drain()
+            backlog = [] if since is None else self.bus.replay(since)
+            last = 0
             heartbeat_at = time.monotonic() + HEARTBEAT_SECONDS
-            while not terminal:
-                for event in sub.pop_all():
+            while True:
+                for event in backlog + sub.pop_all():
                     if writer.is_closing():
                         return
-                    if not self._sse_match(event, job_id):
-                        continue
-                    writer.write(sse_format(event))
-                    if job_id is not None and event.get("type") in (
-                            "job_done", "job_failed"):
-                        terminal = True
-                if terminal or self._draining:
-                    break
-                # Belt and braces: a record that finished while its
-                # lifecycle events overflowed the queue still ends the
-                # stream with a final state event.
-                if record is not None and record.state in ("done",
-                                                           "failed"):
-                    writer.write(sse_format(
-                        {"type": "state", "seq": self.bus.seq,
-                         "job": record.id,
-                         **record.to_dict(include_report=False)}))
-                    terminal = True
+                    if event["seq"] > last:
+                        writer.write(sse_format(event))
+                        last = event["seq"]
+                backlog = []
+                if self._draining:
                     break
                 if time.monotonic() >= heartbeat_at:
                     writer.write(sse_comment())
@@ -557,10 +511,6 @@ class AnalysisService:
             pass
         finally:
             sub.close()
-
-    @staticmethod
-    def _sse_match(event: dict, job_id: str | None) -> bool:
-        return job_id is None or event.get("job") == job_id
 
     # ------------------------------------------------------------------
     # Routing
@@ -580,23 +530,17 @@ class AnalysisService:
                 return 405, {"error": "POST only"}, None
             return self._submit(body)
         prefix = "/v1/jobs/"
-        if path.startswith(prefix):
-            rest = path[len(prefix):]
-            if rest.endswith("/explain"):
-                job_id = rest[: -len("/explain")]
-                if method != "GET":
-                    return 405, {"error": "GET only"}, None
-                return await self._explain(job_id, query)
-            if rest.endswith("/trace"):
-                job_id = rest[: -len("/trace")]
-                if method != "GET":
-                    return 405, {"error": "GET only"}, None
-                return self._job_trace(job_id)
+        job_id, _, view = path[len(prefix):].partition("/")
+        if path.startswith(prefix) and view in ("", "explain", "trace"):
             if method != "GET":
                 return 405, {"error": "GET only"}, None
-            record = self.records.get(rest)
+            if view == "explain":
+                return await self._explain(job_id, query)
+            if view == "trace":
+                return self._job_trace(job_id)
+            record = self.records.get(job_id)
             if record is None:
-                return 404, {"error": f"unknown job {rest!r}"}, None
+                return 404, {"error": f"unknown job {job_id!r}"}, None
             return 200, record.to_dict(), None
         return 404, {"error": f"no route for {path}"}, None
 
@@ -609,8 +553,6 @@ class AnalysisService:
         gauge = self.registry.gauge
         gauge("stream.dropped").set(self.bus.dropped)
         gauge("stream.subscribers").set(self.bus.subscribers)
-        for name, count in self.bus.drop_counts().items():
-            gauge(f"obs.stream.dropped.{name}").set(count)
         gauge("service.degraded").set(
             0 if self.degraded_reason is None else 1)
         cache = self.scheduler.cache
@@ -628,11 +570,6 @@ class AnalysisService:
             journal.frames_since_compaction)
         gauge("service.journal.write_errors").set(
             journal.write_errors)
-        fsync = self.registry.histogram(
-            "service.journal.fsync_seconds", buckets=FSYNC_BUCKETS)
-        for q in (50, 95, 99):
-            gauge(f"service.journal.fsync_seconds.p{q}").set(
-                fsync.percentile(q / 100.0))
         replay = journal.last_replay
         if replay is not None:
             gauge("service.journal.replay.records").set(replay.records)

@@ -557,6 +557,26 @@ class TestDegradedMode:
         report = verify_journal(tmp_path / "journal")
         assert report.ok, report.render()
 
+    def test_worker_hang_is_run_time(self):
+        # A stalled dispatch has left the queue: the stall shows in the
+        # record's run time, the run-time histogram and the job's
+        # service.job span.
+        plan = FaultPlan.parse("seed=1,worker.hang=1~0.3")
+        with ServiceThread(workers=1, executor="thread",
+                           chaos=plan) as handle, \
+                ServiceClient(port=handle.port) as client:
+            job = client.submit(_src("a"))["id"]
+            record = client.wait(job, timeout=60)
+            doc = client.trace(job)
+            snapshot = client.metricz()
+        assert snapshot["chaos.worker.hang"]["value"] == 1
+        assert record["run_seconds"] >= 0.3
+        assert record["queue_seconds"] < 0.3
+        assert snapshot["service.run_seconds"]["sum"] >= 0.3
+        (envelope,) = [event for event in doc["traceEvents"]
+                       if event["name"] == "service.job"]
+        assert envelope["dur"] >= 0.3e6          # microseconds
+
     def test_worker_kill_is_retried_transparently(self, tmp_path):
         plan = FaultPlan.parse("seed=1,worker.kill=1")
         with ServiceThread(workers=1, executor="thread",

@@ -172,6 +172,19 @@ class TestServiceCli:
         assert code == 0
         assert "evictions: 0 (lifetime)" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--clear"]],
+                             ids=["stats", "clear"])
+    def test_engine_stats_on_a_missing_cache_creates_nothing(
+            self, tmp_path, capsys, extra):
+        missing = tmp_path / "typo" / "x"
+        code = main(["engine", "stats", "--cache-dir", str(missing),
+                     *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: no cache at {missing}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_submit_round_trip(self, capsys):
         from repro.service import ServiceThread
 

@@ -394,23 +394,53 @@ class TestRatesOverAWindow:
 
 
 class TestHistogramPercentiles:
-    def test_interpolates_within_bucket(self):
+    def test_answer_is_the_upper_edge_of_the_rank_bucket(self):
         histogram = Histogram("h", buckets=(1.0, 2.0, 4.0))
         for value in (0.5, 1.5, 1.6, 3.0):
             histogram.observe(value)
-        # Rank 2 of 4 sits at the end of the (1.0, 2.0] bucket's first
-        # observation: 1.0 + (2/4*4 - 1)/2 * (2.0 - 1.0) = 1.5.
-        assert histogram.percentile(0.5) == pytest.approx(1.5)
-        assert histogram.percentile(1.0) == pytest.approx(4.0)
-        # Quantiles are monotone in q.
-        quantiles = [histogram.percentile(q)
-                     for q in (0.1, 0.3, 0.5, 0.8, 1.0)]
-        assert quantiles == sorted(quantiles)
+        # Ranks 1, 2, 3 and 4 of 4 sit in buckets (, 1], (1, 2],
+        # (1, 2] and (2, 4]: each answer is that bucket's edge.
+        assert [histogram.percentile(q)
+                for q in (0.25, 0.5, 0.75, 1.0)] == [1.0, 2.0, 2.0, 4.0]
+        assert histogram.percentile(0.26) == 2.0
+        assert histogram.percentile(0.01) == 1.0
 
-    def test_overflow_bucket_clamps_to_last_edge(self):
+    def test_rank_past_the_last_edge_is_inf(self):
         histogram = Histogram("h", buckets=(1.0, 2.0))
+        histogram.observe(0.5)
         histogram.observe(100.0)
-        assert histogram.percentile(0.99) == 2.0
+        assert histogram.percentile(0.5) == 1.0
+        assert histogram.percentile(0.51) == float("inf")
+        assert histogram.percentile(1.0) == float("inf")
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_smallest_edge_at_or_above_the_order_statistic(self, seed):
+        """Over seeded samples, ``percentile(q)`` is the smallest
+        bucket edge at or above the q-th order statistic (the smallest
+        sample with a share of at least q of the samples at or below
+        it), or inf when no edge is; so it never reads below a sample
+        that the rank reaches."""
+        rng = random.Random(seed)
+        buckets = sorted(rng.sample([0.001 * 2 ** k for k in range(14)],
+                                    rng.randint(1, 8)))
+        samples = [rng.choice((rng.expovariate(200.0),
+                               rng.choice(buckets),
+                               rng.uniform(0, 0.02)))
+                   for _ in range(rng.randint(1, 60))]
+        histogram = Histogram("h", buckets=buckets)
+        for value in samples:
+            histogram.observe(value)
+        ordered = sorted(samples)
+        quantiles = [0.5, 0.9, 0.95, 0.99, 1.0, rng.uniform(0.001, 1)]
+        for q in quantiles:
+            rank = next(k for k in range(1, len(ordered) + 1)
+                        if k / len(ordered) >= q)
+            statistic = ordered[rank - 1]
+            edge = min((edge for edge in buckets if edge >= statistic),
+                       default=float("inf"))
+            assert histogram.percentile(q) == edge, (q, statistic)
+        answers = [histogram.percentile(q) for q in sorted(quantiles)]
+        assert answers == sorted(answers)
 
     def test_empty_and_bad_quantile(self):
         histogram = Histogram("h", buckets=(1.0,))
@@ -427,8 +457,9 @@ class TestHistogramPercentiles:
         for value in (0.01, 0.02, 0.4):
             histogram.observe(value)
         text = render(registry)
-        assert "set solve seconds: p50" in text
-        assert "p95" in text and "p99" in text and "over 3 sets" in text
+        # Upper bounds read as such: the 0.02 s set is in (0.01, 0.1].
+        assert "set solve seconds: p50 ≤ 0.1, p95 ≤ 1, p99 ≤ 1 " in text
+        assert "over 3 sets" in text
 
     def test_engine_report_omits_percentiles_when_empty(self):
         assert "set solve seconds" not in render(MetricsRegistry())

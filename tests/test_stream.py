@@ -1,9 +1,9 @@
-"""Telemetry streaming: event bus, SSE framing and endpoints, live
-dashboard, keep-alive and trace diffing.
+"""Telemetry streaming: event bus, SSE framing, the ``/v1/events``
+stream, keep-alive and trace diffing.
 
 Backpressure is the load-bearing property: a slow (or dead) subscriber
 may lose events — counted, never silently — but must not be able to
-stall a publisher, because publishers sit inside the solver hot path.
+stall a publisher, because the service publishes from its event loop.
 """
 
 import collections
@@ -11,7 +11,7 @@ import io
 import json
 import logging
 import random
-import re
+import sys
 import threading
 import time
 
@@ -19,9 +19,9 @@ import pytest
 
 from repro.cli import main
 from repro.errors import SchemaMismatchError
-from repro.engine import AnalysisEngine, AnalysisJob, execute_job
-from repro.obs import (EventBus, LiveDashboard, MetricsRegistry, Tracer,
-                       aggregate_trace, diff_traces, load_trace_events,
+from repro.engine import execute_job
+from repro.obs import (EventBus, MetricsRegistry, aggregate_trace,
+                       diff_traces, load_trace_events,
                        parse_sse_stream, render_trace_diff,
                        sse_comment, sse_format, span_key)
 from repro.service import ServiceClient, ServiceThread
@@ -33,6 +33,18 @@ def _thread_service(**kwargs):
     return ServiceThread(**kwargs)
 
 
+def _until_done(stream, job_id):
+    """A firehose stream's events up to `job_id`'s ``job_done``; the
+    stream is closed after it."""
+    events = []
+    for event in stream:
+        events.append(event)
+        if event["type"] == "job_done" and event["job"] == job_id:
+            break
+    stream.close()
+    return events
+
+
 # ----------------------------------------------------------------------
 # EventBus core
 # ----------------------------------------------------------------------
@@ -40,7 +52,7 @@ class TestEventBus:
     def test_publish_stamps_seq_ts_type(self):
         bus = EventBus()
         first = bus.publish("job_running", name="a")
-        second = bus.publish("set_done", set=3)
+        second = bus.publish("job_done", name="a")
         assert first["type"] == "job_running" and first["name"] == "a"
         assert second["seq"] == first["seq"] + 1
         assert first["ts"] <= second["ts"]
@@ -88,12 +100,11 @@ class TestEventBus:
 
     def test_ring_replay_since(self):
         bus = EventBus(ring_size=8)
-        for n in range(12):
-            bus.publish("counter", n=n)
+        published = [bus.publish("counter", n=n) for n in range(12)]
         replayed = bus.replay(0)
         assert len(replayed) == 8          # ring capacity
         assert replayed[-1]["n"] == 11
-        newest = bus.replay(bus.seq - 2)
+        newest = bus.replay(published[-1]["seq"] - 2)
         assert [event["n"] for event in newest] == [10, 11]
 
     def test_wakeup_callback_fires_and_errors_are_swallowed(self):
@@ -108,35 +119,28 @@ class TestEventBus:
         bus.publish("tick")            # must not raise
         assert fired
 
-    def test_drop_counts_attribute_losses_per_consumer(self):
+    def test_dropped_totals_live_and_closed_consumers(self):
         bus = EventBus()
-        slow = bus.subscribe(maxlen=2, name="sse")
-        other = bus.subscribe(maxlen=2, name="dashboard")
-        fast = bus.subscribe(name="logger")
+        slow = bus.subscribe(maxlen=2)
+        other = bus.subscribe(maxlen=3)
+        fast = bus.subscribe()
         for n in range(8):
             bus.publish("counter", n=n)
-        counts = bus.drop_counts()
-        assert counts["sse"] == 6
-        assert counts["dashboard"] == 6
-        assert counts.get("logger", 0) == 0
-        # Closing keeps the blame on the books: a leaky consumer that
-        # disconnects must not launder its losses.
+        assert (slow.dropped, other.dropped, fast.dropped) == (6, 5, 0)
+        assert bus.dropped == 11
+        # Closing keeps the losses on the books: a leaky consumer that
+        # disconnects must not launder them.
         slow.close()
-        assert bus.drop_counts()["sse"] == 6
-        # Two subscriptions sharing a name sum their drops: the full
-        # first subscription sheds 2 more, the new maxlen-1 one sheds 1.
-        second = bus.subscribe(maxlen=1, name="dashboard")
         bus.publish("counter", n=8)
-        bus.publish("counter", n=9)
-        assert bus.drop_counts()["dashboard"] == 6 + 2 + 1
+        assert bus.dropped == 11 + 1
         other.close()
-        second.close()
         fast.close()
+        assert bus.dropped == 12
 
     def test_concurrent_publishers_never_block_on_slow_consumers(self):
         bus = EventBus()
-        for n in range(4):
-            bus.subscribe(maxlen=2, name=f"stuck{n}")  # never drained
+        for _ in range(4):
+            bus.subscribe(maxlen=2)     # never drained
         errors = []
 
         def hammer(worker):
@@ -159,26 +163,72 @@ class TestEventBus:
         # Every event not sitting in a queue was counted dropped.
         assert bus.dropped == 4 * (4 * 2_000 - 2)
 
+    def test_concurrent_drains_lose_and_repeat_nothing(self):
+        # Publishers and a draining consumer share the bus's lock:
+        # every event offered is drained exactly once or counted
+        # dropped, and a closed subscription's drops count once.
+        bus = EventBus()
+        sub = bus.subscribe(maxlen=64)
+        drained, stop = [], threading.Event()
+
+        def drain():
+            while not stop.is_set():
+                drained.extend(sub.pop_all())
+
+        def hammer(worker):
+            for n in range(2_000):
+                bus.publish("counter", worker=worker, n=n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            drainer = threading.Thread(target=drain)
+            publishers = [threading.Thread(target=hammer, args=(w,))
+                          for w in range(4)]
+            drainer.start()
+            for thread in publishers:
+                thread.start()
+            for thread in publishers:
+                thread.join(timeout=60)
+            stop.set()
+            drainer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive()
+                       for thread in [drainer, *publishers])
+        drained.extend(sub.pop_all())
+        assert len(drained) + sub.dropped == 4 * 2_000
+        assert len({event["seq"] for event in drained}) == len(drained)
+        for worker in range(4):
+            mine = [event["n"] for event in drained
+                    if event["worker"] == worker]
+            assert mine == sorted(mine)
+        closers = [threading.Thread(target=sub.close) for _ in range(4)]
+        for thread in closers:
+            thread.start()
+        for thread in closers:
+            thread.join(timeout=10)
+        assert sub.closed and bus.subscribers == 0
+        assert bus.dropped == sub.dropped
+
     @pytest.mark.parametrize("seed", range(24))
     def test_drop_oldest_matches_a_bounded_queue_model(self, seed):
-        """Under any interleaving of publishes, reads, subscribes and
+        """Under any interleaving of publishes, drains, subscribes and
         closes, each queue holds the newest ``maxlen`` events it was
-        offered, ``dropped`` counts the rest, ``drop_counts`` keeps a
-        closed consumer's losses under its name, and the ring keeps
-        the newest ``ring_size`` events."""
+        offered, ``dropped`` counts the rest, the bus's total keeps a
+        closed consumer's losses, and the ring keeps the newest
+        ``ring_size`` events."""
         rng = random.Random(seed)
         ring_size = rng.randint(1, 64)
         bus = EventBus(ring_size=ring_size)
         live = {}                       # subscription -> model queue
         dropped = collections.Counter()  # subscription -> model drops
-        lost = collections.Counter()    # name -> model drops
         published = []
         for step in range(rng.randint(50, 400)):
             action = rng.random()
             if action < 0.1 and len(live) < 6:
                 maxlen = rng.randint(1, 12)
-                sub = bus.subscribe(maxlen=maxlen, name=rng.choice(
-                    ("sse", "dashboard", None)))
+                sub = bus.subscribe(maxlen=maxlen)
                 live[sub] = collections.deque(maxlen=maxlen)
             elif action < 0.15 and live:
                 sub = rng.choice(list(live))
@@ -187,29 +237,22 @@ class TestEventBus:
                 assert sub.closed
             elif action < 0.3 and live:
                 sub = rng.choice(list(live))
-                model = live[sub]
-                if rng.random() < 0.5:
-                    assert sub.pop_all() == list(model)
-                    model.clear()
-                else:
-                    expected = model.popleft() if model else None
-                    assert sub.get(timeout=0) == expected
+                assert sub.pop_all() == list(live[sub])
+                live[sub].clear()
             else:
                 published.append(bus.publish("counter", n=step))
                 for sub, model in live.items():
                     if len(model) == model.maxlen:
                         dropped[sub] += 1
-                        lost[sub.name] += 1
                     model.append(published[-1])
             assert bus.subscribers == len(live)
+            assert bus.dropped == sum(dropped.values())
         for sub, model in live.items():
             assert sub.pop_all() == list(model)
             assert sub.dropped == dropped[sub]
-        assert bus.drop_counts() == {name: count
-                                     for name, count in lost.items()
-                                     if count}
-        assert bus.dropped == sum(lost.values())
-        assert bus.seq == len(published)
+        assert bus.dropped == sum(dropped.values())
+        assert [event["seq"] for event in published] \
+            == list(range(1, len(published) + 1))
         assert bus.replay(0) == published[-ring_size:]
         since = rng.randint(0, len(published))
         assert bus.replay(since) \
@@ -218,20 +261,19 @@ class TestEventBus:
         for sub in live:
             sub.close()
         assert bus.subscribers == 0
-        assert bus.dropped == sum(lost.values())
+        assert bus.dropped == sum(dropped.values())
 
-    def test_get_blocks_until_event(self):
+    def test_wakeup_runs_after_the_event_is_queued(self):
+        # The SSE writer drains its queue when woken: the event that
+        # woke it must already be there.
         bus = EventBus()
-        sub = bus.subscribe()
-        results = []
-        waiter = threading.Thread(
-            target=lambda: results.append(sub.get(timeout=5)))
-        waiter.start()
-        time.sleep(0.05)
-        bus.publish("ping")
-        waiter.join(timeout=5)
-        assert results and results[0]["type"] == "ping"
-        assert sub.get(timeout=0.01) is None   # drained: times out
+        seen = []
+        sub = bus.subscribe(wakeup=lambda: seen.append(sub.pop_all()))
+        bus.publish("job_queued", job="j1")
+        bus.publish("job_running", job="j1")
+        sub.close()
+        assert [[event["type"] for event in batch] for batch in seen] \
+            == [["job_queued"], ["job_running"]]
 
 
 # ----------------------------------------------------------------------
@@ -241,17 +283,17 @@ class TestSseFraming:
     def test_format_and_parse_roundtrip_multi_event(self):
         bus = EventBus()
         events = [bus.publish("job_running", name="a"),
-                  bus.publish("set_done", set=0, pivots=12),
+                  bus.publish("chaos_fault", point="worker.hang", n=12),
                   bus.publish("job_done", name="a", worst=722)]
         wire = b"".join([sse_comment("hello")]
                         + [sse_format(event) for event in events]
                         + [sse_comment()])
         parsed = list(parse_sse_stream(io.BytesIO(wire)))
         assert [event["type"] for event in parsed] == \
-            ["job_running", "set_done", "job_done"]
+            ["job_running", "chaos_fault", "job_done"]
         assert [event["seq"] for event in parsed] == \
             [event["seq"] for event in events]
-        assert parsed[1]["pivots"] == 12
+        assert parsed[1]["n"] == 12
 
     def test_parse_tolerates_partial_trailing_event(self):
         wire = sse_format({"type": "a", "seq": 1}) \
@@ -263,9 +305,9 @@ class TestSseFraming:
         pytest.param(b'id: 7\nevent: job_done\ndata: {"job": "j1"}\n\n',
                      [{"job": "j1", "type": "job_done", "seq": 7}],
                      id="id-and-event-fill-the-payload"),
-        pytest.param(b'id: 3\nevent: set_done\n'
-                     b'data: {"type": "span", "seq": 9}\n\n',
-                     [{"type": "span", "seq": 9}],
+        pytest.param(b'id: 3\nevent: job_done\n'
+                     b'data: {"type": "job_failed", "seq": 9}\n\n',
+                     [{"type": "job_failed", "seq": 9}],
                      id="payload-fields-win"),
         pytest.param(b'id: x7\ndata: {"n": 1}\n\n', [{"n": 1}],
                      id="non-integer-id-is-ignored"),
@@ -288,44 +330,48 @@ class TestSseFraming:
 # Service: SSE endpoints, keep-alive
 # ----------------------------------------------------------------------
 class TestServiceStreaming:
-    def test_watch_streams_per_set_progress_before_bound(self):
+    def test_firehose_watch_since_resumes_after_that_event(self):
+        # A reconnecting client sends the last seq it saw: the stream
+        # yields only the newer events, each once.
         with _thread_service() as handle, \
                 ServiceClient(port=handle.port) as client:
-            job = client.submit({"benchmark": "check_data"})
-            events = list(client.watch(job["id"]))
-            record = client.wait(job["id"])
-        kinds = [event["type"] for event in events]
-        assert "set_done" in kinds
-        terminal = kinds.index("job_done") if "job_done" in kinds \
-            else len(kinds)
-        assert any(kind == "set_done" for kind in kinds[:terminal])
-        done = [event for event in events
-                if event["type"] == "job_done"]
-        if done:                      # else the stream ended on state
-            assert done[0]["worst"] == record["worst"]
-
-    def test_watch_replays_for_late_attacher(self):
-        with _thread_service() as handle, \
-                ServiceClient(port=handle.port) as client:
-            job = client.submit({"benchmark": "check_data"})
-            client.wait(job["id"])    # finish first, then attach
-            events = list(client.watch(job["id"]))
-        kinds = [event["type"] for event in events]
-        assert "set_done" in kinds    # ring replay, not just state
-
-    def test_watch_reconnect_resumes_from_last_event_id(self):
-        with _thread_service() as handle, \
-                ServiceClient(port=handle.port) as client:
-            job = client.submit({"benchmark": "check_data"})
-            client.wait(job["id"])
-            replayed = list(client.watch(job["id"]))
-            assert replayed
+            for name in ("check_data", "piksrt"):
+                last = client.wait(
+                    client.submit({"benchmark": name})["id"])
+            replayed = _until_done(client.watch(since=0), last["id"])
             midpoint = replayed[len(replayed) // 2]["seq"]
-            resumed = list(client.watch(job["id"], since=midpoint))
-        resumed_data = [event for event in resumed
-                        if event["type"] != "state"]
-        assert all(event["seq"] > midpoint for event in resumed_data)
-        assert len(resumed_data) < len(replayed)
+            resumed = _until_done(client.watch(since=midpoint),
+                                  last["id"])
+        seqs = [event["seq"] for event in resumed]
+        assert seqs == [event["seq"] for event in replayed
+                        if event["seq"] > midpoint]
+        assert seqs and len(set(seqs)) == len(seqs)
+        assert seqs[0] == midpoint + 1
+
+    def test_event_published_during_replay_is_written_once(
+            self, monkeypatch):
+        # An event published between a stream's subscribe and its ring
+        # replay is in both; the stream writes it once.
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
+            bus = handle.service.bus
+            replay = bus.replay
+
+            def racing_replay(since):
+                bus.publish("chaos_fault", point="race", n=1, seed=0)
+                return replay(since)
+
+            monkeypatch.setattr(bus, "replay", racing_replay)
+            stream = client.watch(since=0)
+            events = [next(stream)]
+            bus.publish("service_recovered")
+            for event in stream:
+                events.append(event)
+                if event["type"] == "service_recovered":
+                    break
+            stream.close()
+        assert [event["type"] for event in events] \
+            == ["chaos_fault", "service_recovered"]
 
     def test_firehose_carries_lifecycle_of_all_jobs(self):
         with _thread_service() as handle, \
@@ -401,46 +447,76 @@ class TestServiceStreaming:
         assert jobs and set(jobs) == {second}
 
     def test_firehose_holds_one_event_per_fact(self, tmp_path):
-        # A job's firehose events are its lifecycle, one set_done per
-        # set and its spans; metric values live only in /metricz.
+        # Each job's firehose events are its lifecycle, nothing else:
+        # its per-set results and spans stay in its record, and metric
+        # values in /metricz.
         with _thread_service(workers=1, cache_dir=tmp_path) as handle, \
                 ServiceClient(port=handle.port) as client:
             miss = client.wait(
                 client.submit({"benchmark": "check_data"})["id"])
             hit = client.wait(
                 client.submit({"benchmark": "check_data"})["id"])
-            stream = client.watch(since=0)
-            events = []
-            for event in stream:
-                events.append(event)
-                if event["type"] == "job_done" \
-                        and event["job"] == hit["id"]:
-                    break
-            stream.close()
+            events = _until_done(client.watch(since=0), hit["id"])
         assert not miss["cache_hit"] and hit["cache_hit"]
-        sets = len(hit["report"]["set_results"])
-        split = [event["type"] for event in events].index("job_done") + 1
-        lifecycle = ["job_queued", "job_running"] + ["set_done"] * sets
-        for record, stream_events in ((miss, events[:split]),
-                                      (hit, events[split:])):
-            kinds = [event["type"] for event in stream_events]
-            assert kinds[:len(lifecycle)] == lifecycle
-            assert kinds[len(lifecycle)] == "span"
-            envelope = stream_events[len(lifecycle)]
-            assert envelope["name"] == "service.job"
-            assert envelope["args"]["job"] == record["id"]
-            assert kinds[-1] == "job_done"
-            assert all(event.get("job") == record["id"]
-                       for event in stream_events if event["type"]
-                       in ("job_queued", "job_running", "set_done",
-                           "job_done"))
-            worker_spans = kinds[len(lifecycle) + 1:-1]
-            if record["cache_hit"]:
-                assert worker_spans == []
-            else:
-                assert worker_spans and set(worker_spans) == {"span"}
-        assert not {event["type"] for event in events} \
-            & {"counter", "gauge", "observe", "span_open"}
+        for record in (miss, hit):
+            mine = [event for event in events
+                    if event.get("job") == record["id"]]
+            assert [event["type"] for event in mine] \
+                == ["job_queued", "job_running", "job_done"]
+            done = mine[-1]
+            assert done["name"] == "check_data"
+            assert done["status"] == "ok"
+            assert done["cache_hit"] == record["cache_hit"]
+            assert (done["best"], done["worst"]) \
+                == (record["best"], record["worst"])
+            assert done["sets"] == len(record["report"]["set_results"])
+        assert {event["type"] for event in events} \
+            == {"job_queued", "job_running", "job_done"}
+
+    def test_record_holds_what_set_and_span_events_carried(self):
+        # The bus no longer copies a finished job's sets and spans: GET
+        # /v1/jobs/{id} holds every field a set event carried, and
+        # /trace every span record.
+        with _thread_service(workers=1) as handle, \
+                ServiceClient(port=handle.port) as client:
+            job = client.submit({"benchmark": "dhry"})["id"]
+            record = client.wait(job)
+            doc = client.trace(job)
+            stored = handle.service.records[job]
+        sets = record["report"]["set_results"]
+        assert len(sets) == len(stored.report.set_results) > 1
+        for wire, solved in zip(sets, stored.report.set_results):
+            removed = {"set": solved.index, "feasible": solved.feasible,
+                       "pivots": solved.stats.simplex_iterations,
+                       "nodes": solved.stats.nodes,
+                       "wall": solved.wall_time, "worst": solved.worst,
+                       "best": solved.best}
+            assert removed == {
+                "set": wire["index"],
+                "feasible": wire["status"] == "optimal",
+                "pivots": wire["stats"]["simplex_iterations"],
+                "nodes": wire["stats"]["nodes"],
+                "wall": wire["wall_time"], "worst": wire["worst"],
+                "best": wire["best"]}
+        assert {wire["status"] for wire in sets} \
+            == {"optimal", "infeasible"}
+        events = [event for event in doc["traceEvents"]
+                  if event["ph"] == "X"]
+        assert len(events) == len(stored.spans) > 1
+        for span, event in zip(stored.spans, events):
+            # A span event's fields; its depth is the trace's nesting.
+            assert (event["name"], event["cat"], event["pid"],
+                    event["args"]) \
+                == (span["name"], span["cat"], span["pid"], span["args"])
+            assert event["dur"] == round(span["dur"] * 1e6, 3)
+            if span["depth"]:
+                end = event["ts"] + event["dur"]
+                assert any(
+                    outer["tid"] == event["tid"]
+                    and outer["ts"] <= event["ts"] + 1e-3
+                    and end <= outer["ts"] + outer["dur"] + 1e-3
+                    for outer, parent in zip(events, stored.spans)
+                    if parent["depth"] == span["depth"] - 1)
 
     def test_abandoned_firehose_streams_log_nothing(self, caplog):
         # Streams whose clients went away stop writing: asyncio logs
@@ -469,12 +545,19 @@ class TestServiceStreaming:
         assert [r.getMessage() for r in caplog.records
                 if "socket.send() raised" in r.getMessage()] == []
 
-    def test_sse_endpoint_404_for_unknown_job(self):
-        with _thread_service() as handle, \
+    def test_per_job_event_stream_is_gone(self):
+        # A job's lifecycle is in its record: there is no per-job
+        # stream, for a known job or an unknown one.
+        with _thread_service(workers=1) as handle, \
                 ServiceClient(port=handle.port) as client:
-            with pytest.raises(Exception) as caught:
-                list(client.watch("nope"))
-            assert "404" in str(caught.value)
+            job = client.submit({"benchmark": "check_data"})["id"]
+            client.wait(job)
+            answers = [client._request("GET", f"/v1/jobs/{job_id}/events")
+                       for job_id in (job, "nope")]
+        for (status, _, data), job_id in zip(answers, (job, "nope")):
+            assert status == 404, data
+            assert data == {"error":
+                            f"no route for /v1/jobs/{job_id}/events"}
 
     def test_keepalive_socket_reused_across_requests(self):
         with _thread_service() as handle, \
@@ -516,90 +599,46 @@ class TestServiceStreaming:
             snapshot = client.metricz()
         assert snapshot["stream.dropped"]["type"] == "gauge"
         assert snapshot["stream.subscribers"]["type"] == "gauge"
+        assert [name for name in snapshot
+                if name.startswith("obs.stream.")] == []
 
 
 # ----------------------------------------------------------------------
-# Live dashboard (line mode; the ANSI path needs a real terminal)
+# Removed surfaces
 # ----------------------------------------------------------------------
-class TestLiveDashboard:
-    def _run(self, events):
-        bus = EventBus()
-        out = io.StringIO()
-        with LiveDashboard(bus, stream=out, live=False, interval=0.01):
-            for kind, payload in events:
-                bus.publish(kind, **payload)
-            time.sleep(0.1)
-        return out.getvalue()
+class TestNoLiveViews:
+    """The live dashboard and per-job following are gone: their flags
+    are usage errors, and the engine publishes nothing."""
 
-    def test_line_mode_logs_lifecycle(self):
-        text = self._run([
-            ("job_running", {"name": "des"}),
-            ("set_done", {"job": "j1", "name": "des", "set": 0,
-                          "pivots": 40, "nodes": 2}),
-            ("set_done", {"job": "j1", "name": "des", "set": 1,
-                          "pivots": 41, "nodes": 2}),
-            ("job_done", {"name": "des", "status": "ok", "sets": 2,
-                          "worst": 722}),
-        ])
-        assert "job des: started" in text
-        assert "set 0 done" in text
-        assert "job des: ok 2 sets worst=722" in text
-        assert "jobs done" in text            # final summary line
+    @pytest.mark.parametrize("argv", [
+        ["engine", "run", "check_data", "--live"],
+        ["submit", "check_data", "--follow"],
+    ], ids=["engine-run-live", "submit-follow"])
+    def test_cli_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_line_mode_counts_cache_hits(self):
-        text = self._run([
-            ("job_running", {"name": "des"}),
-            ("job_done", {"name": "des", "status": "ok",
-                          "cache_hit": True}),
-            ("job_running", {"name": "fft"}),
-            ("job_done", {"name": "fft", "status": "ok",
-                          "cache_hit": False}),
-        ])
-        assert "job des: ok (cached)" in text
-        assert "cache 50% hit" in text
+    def test_experiments_live_is_a_usage_error(self, capsys):
+        from repro.experiments.__main__ import main as experiments
 
-    def test_pooled_jobs_keep_their_own_sets(self):
-        # Two jobs on two pool workers: each set_done names its job,
-        # so no job is credited with another's sets.
-        bus = EventBus()
-        out = io.StringIO()
-        engine = AnalysisEngine(workers=2, bus=bus)
-        with LiveDashboard(bus, stream=out, live=False, interval=0.01):
-            results = engine.run([AnalysisJob.from_benchmark(name)
-                                  for name in ("check_data", "piksrt")])
-        assert all(result.ok for result in results)
-        text = out.getvalue()
-        sets = collections.defaultdict(list)
-        for name, index in re.findall(r"job (\w+): set (\d+) done",
-                                      text):
-            sets[name].append(int(index))
-        assert dict(sets) == {"check_data": [0, 1], "piksrt": [0]}
-        assert "job check_data: ok 2 sets" in text
-        assert "job piksrt: ok 1 sets" in text
+        with pytest.raises(SystemExit) as caught:
+            experiments(["table1", "--live"])
+        assert caught.value.code == 2
+        assert "--live" in capsys.readouterr().err
 
-    def test_pooled_engine_publishes_only_job_lifecycle(self):
-        bus = EventBus()
-        with bus.subscribe(maxlen=8192) as sub:
-            AnalysisEngine(workers=2, bus=bus, tracer=Tracer()).run(
-                [AnalysisJob.from_benchmark(name)
-                 for name in ("check_data", "piksrt")])
-            events = sub.pop_all()
-        for name, sets in (("check_data", 2), ("piksrt", 1)):
-            kinds = [event["type"] for event in events
-                     if event.get("name") == name
-                     and event["type"] != "span"]
-            assert kinds == ["job_running"] + ["set_done"] * sets \
-                + ["job_done"]
-        assert {event["type"] for event in events} \
-            == {"job_running", "set_done", "span", "job_done"}
+    def test_engine_takes_no_bus(self):
+        from repro.engine import AnalysisEngine
 
-    def test_live_capable_rejects_dumb_terminals(self, monkeypatch):
-        from repro.obs.dashboard import live_capable
+        with pytest.raises(TypeError):
+            AnalysisEngine(workers=1, bus=EventBus())
 
-        monkeypatch.setenv("TERM", "dumb")
-        assert not live_capable(io.StringIO())
-        monkeypatch.setenv("TERM", "xterm-256color")
-        assert not live_capable(io.StringIO())   # not a tty either
+    def test_watch_takes_no_job_id(self):
+        # A job id where `since` used to follow it is refused, not
+        # read as a sequence number.
+        with ServiceClient(port=1) as client, pytest.raises(TypeError):
+            client.watch("j000001")
 
 
 # ----------------------------------------------------------------------
