@@ -68,7 +68,8 @@ POINT_HELP = {
     "journal.enospc": "ENOSPC from the WAL frame write",
     "journal.fsync": "EIO from the group-commit fsync",
     "journal.torn": "half a frame hits the file, then EIO",
-    "cache.read": "one byte of the cache entry flips before parse",
+    "cache.read": "one byte of a cache entry read from disk flips "
+                  "before parse",
     "worker.kill": "dispatch raises (exercises retry + pool reset)",
     "worker.hang": "job stalls before dispatch (eats its deadline)",
     "solver.budget": "set timeout collapses (forces LP relaxation)",

@@ -599,11 +599,22 @@ def _cmd_engine(args) -> int:
     return 0 if all(result.ok for result in results) else 1
 
 
-def _journal_stats(journal_dir: str) -> int:
-    """``engine stats --journal DIR``: read-only journal health."""
+def _journal(journal_dir: str):
+    """The journal in `journal_dir`, unopened.  A path holding neither
+    a WAL nor a snapshot is an error, so a mistyped one never reads as
+    an empty journal (every journal a service opened has a WAL)."""
     from .service.durable.journal import JobJournal
 
     journal = JobJournal(journal_dir)
+    if not (journal.wal_path.is_file()
+            or journal.snapshot_path.is_file()):
+        raise ReproError(f"no journal at {journal.root}")
+    return journal
+
+
+def _journal_stats(journal_dir: str) -> int:
+    """``engine stats --journal DIR``: read-only journal health."""
+    journal = _journal(journal_dir)
     state = journal.inspect()
     by_state: dict = {}
     for data in state.jobs.values():
@@ -671,7 +682,7 @@ def _cmd_chaos(args) -> int:
     from .chaos import verify_journal
 
     report = verify_journal(
-        args.journal, serial=not args.no_serial,
+        _journal(args.journal).root, serial=not args.no_serial,
         witnesses=not args.no_witness,
         require_terminal=not args.allow_pending)
     if args.json:

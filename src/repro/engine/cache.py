@@ -22,6 +22,17 @@ them), and ``repro engine stats --clear`` removes them.
 Timed-out (``partial``) results are never cached — a re-run with a
 longer budget should get the chance to do better.
 
+Memory tier
+-----------
+Each cache object also holds the job reports it has read from disk
+and verified, up to :data:`MEMORY_BYTES` of entry text (least recently
+used out first), and answers a repeat hit from there: no read, parse,
+seal check or rebuild, only the ``os.utime`` that keeps the on-disk
+LRU recency.  Writes never fill it, so a corrupted entry is still
+quarantined on its first read.  An entry another process evicts or
+clears on disk stays held here until this object goes; it is the same
+content-addressed answer, never a wrong bound.
+
 Size caps (LRU eviction)
 ------------------------
 A cache constructed with ``max_entries`` and/or ``max_bytes`` evicts
@@ -39,6 +50,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +70,9 @@ from ..ilp import SolveStats, Status
 #: 5: the sparse-row simplex sums ``c_B . b`` in row order (last-ulp
 #: objectives only).
 SOLVER_VERSION = 5
+
+#: Entry-text bytes a cache object's memory tier holds at most.
+MEMORY_BYTES = 2 * 1024 * 1024
 
 
 def default_cache_dir() -> Path:
@@ -128,6 +143,11 @@ class ResultCache:
         #: Corrupt entries this cache object quarantined on read
         #: (lifetime total lives in the meta file).
         self.quarantined = 0
+        #: The memory tier: key -> (report, entry text bytes), least
+        #: recently used first, and the bytes it holds.
+        self._memory: OrderedDict[str, tuple[BoundReport, int]] = \
+            OrderedDict()
+        self._memory_bytes = 0
 
     # ------------------------------------------------------------------
     # Keys
@@ -157,7 +177,9 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _read(self, key: str) -> dict | None:
+    def _read(self, key: str) -> tuple[dict, int] | None:
+        """The verified payload of `key`'s entry file and its text
+        length; None for a missing or (now quarantined) corrupt one."""
         path = self._path(key)
         try:
             text = path.read_text()
@@ -179,11 +201,15 @@ class ResultCache:
                 json.dumps(payload, sort_keys=True)):
             self._quarantine(path)
             return None
+        self._touch(path)
+        return payload, len(text)
+
+    @staticmethod
+    def _touch(path: Path) -> None:
         try:
             os.utime(path)           # mark recently used for the LRU
         except OSError:  # pragma: no cover - racing eviction
             pass
-        return payload
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry to ``root/quarantine/`` and count it.
@@ -202,29 +228,58 @@ class ResultCache:
         self._bump_meta("quarantined", 1)
 
     def _write(self, key: str, payload: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Seal the entry with its own content hash; _read verifies it
         # so on-disk corruption surfaces as a quarantined miss, never
-        # as a wrong bound.  "kind" still sorts first, which the
+        # as a wrong bound.  A job payload's keys ("kind", "report")
+        # sort before "sha256", so splicing the seal in last writes
+        # json.dumps(dict(payload, sha256=digest), sort_keys=True)
+        # from one serialization; "kind" still leads, which the
         # _is_job() head sniff relies on.
-        payload = dict(payload, sha256=self._digest(
-            json.dumps(payload, sort_keys=True)))
         text = json.dumps(payload, sort_keys=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False)
+        text = f'{text[:-1]}, "sha256": "{self._digest(text)}"}}'
+        self._forget(key)
+        self._replace(self._path(key), text)
+        self._evict_if_needed()
+
+    @staticmethod
+    def _replace(path: Path, text: str) -> None:
+        """Write `text` to `path` atomically (temp file +
+        :func:`os.replace`), making its directory only when the temp
+        file cannot be opened for lack of one."""
         try:
-            handle.write(text)
-            handle.close()
-            os.replace(handle.name, path)
+            fd, temp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(temp, path)
         except BaseException:  # pragma: no cover - cleanup path
-            handle.close()
             try:
-                os.unlink(handle.name)
+                os.unlink(temp)
             except OSError:
                 pass
             raise
-        self._evict_if_needed()
+
+    # ------------------------------------------------------------------
+    # Memory tier
+    # ------------------------------------------------------------------
+    def _hold(self, key: str, report: BoundReport, size: int) -> None:
+        """Keep a verified report, dropping the least recently used
+        until the tier fits in :data:`MEMORY_BYTES` again."""
+        if size > MEMORY_BYTES:
+            return
+        self._memory[key] = (report, size)
+        self._memory_bytes += size
+        while self._memory_bytes > MEMORY_BYTES:
+            _, (_, dropped) = self._memory.popitem(last=False)
+            self._memory_bytes -= dropped
+
+    def _forget(self, key: str) -> None:
+        held = self._memory.pop(key, None)
+        if held is not None:
+            self._memory_bytes -= held[1]
 
     # ------------------------------------------------------------------
     # LRU eviction
@@ -263,6 +318,7 @@ class ResultCache:
                 path.unlink()
             except OSError:  # pragma: no cover - racing eviction
                 continue
+            self._forget(path.stem)
             count -= 1
             total -= size
             evicted += 1
@@ -289,28 +345,27 @@ class ResultCache:
         # counter.  The write itself is atomic.
         meta = self._load_meta()
         meta[field] = meta.get(field, 0) + amount
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.root, suffix=".tmp", delete=False)
-        try:
-            handle.write(json.dumps(meta, sort_keys=True))
-            handle.close()
-            os.replace(handle.name, self._meta_path())
-        except BaseException:  # pragma: no cover - cleanup path
-            handle.close()
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        self._replace(self._meta_path(), json.dumps(meta, sort_keys=True))
 
     # ------------------------------------------------------------------
     # Job layer
     # ------------------------------------------------------------------
     def get_report(self, key: str) -> BoundReport | None:
-        payload = self._read(key)
-        if payload is None or payload.get("kind") != "job":
+        """The report stored under `key`, or None.  A report this
+        object verified before comes from memory; callers share it
+        and must not mutate it."""
+        held = self._memory.get(key)
+        if held is not None:
+            self._memory.move_to_end(key)
+            self._touch(self._path(key))
+            return held[0]
+        read = self._read(key)
+        if read is None or read[0].get("kind") != "job":
             return None
-        return report_from_dict(payload["report"])
+        payload, size = read
+        report = report_from_dict(payload["report"])
+        self._hold(key, report, size)
+        return report
 
     def put_report(self, key: str, report: BoundReport) -> None:
         if report.partial:
@@ -348,6 +403,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        self._memory.clear()
+        self._memory_bytes = 0
         removed = 0
         for path in self.root.glob("??/*.json"):
             try:

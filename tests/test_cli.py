@@ -185,6 +185,42 @@ class TestServiceCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["engine", "stats"],
+                                         ["chaos", "verify"]],
+                             ids=["engine-stats", "chaos-verify"])
+    @pytest.mark.parametrize("exists", [False, True],
+                             ids=["missing", "not-a-journal"])
+    def test_a_missing_journal_is_an_error_and_creates_nothing(
+            self, tmp_path, capsys, command, exists):
+        # A mistyped --journal must not read as a healthy empty journal
+        # (engine stats) or pass the audit (chaos verify), whether the
+        # path names nothing or a directory that holds no journal.
+        typo = tmp_path / "typo" / "journal"
+        if exists:
+            typo.mkdir(parents=True)
+        code = main([*command, "--journal", str(typo)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: no journal at {typo}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) \
+            == ([typo.parent, typo] if exists else [])
+
+    def test_engine_stats_reads_an_existing_journal(self, tmp_path,
+                                                    capsys):
+        from repro.service import JobJournal, JobSpec
+
+        journal = JobJournal(tmp_path)
+        journal.open()
+        journal.append("submit", id="j000001", spec=JobSpec.from_dict(
+            {"benchmark": "check_data"}).to_dict())
+        journal.close()
+        code = main(["engine", "stats", "--journal", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"journal: {tmp_path}\n" in out
+        assert "jobs: 1 (queued=1)\n" in out
+
     def test_submit_round_trip(self, capsys):
         from repro.service import ServiceThread
 

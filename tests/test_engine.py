@@ -195,6 +195,197 @@ class TestResultCache:
         assert cache.stats().entries == 0
 
 
+def _reads(cache) -> list:
+    """Count `cache`'s disk reads: the keys its ``_read`` is asked
+    for, in order."""
+    keys = []
+    read = cache._read
+
+    def counted(key):
+        keys.append(key)
+        return read(key)
+
+    cache._read = counted
+    return keys
+
+
+def _canonical(report) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True)
+
+
+def _flip_byte(path, at: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[at % len(data)] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+class TestMemoryTier:
+    @pytest.fixture(autouse=True)
+    def _pristine_injector(self):
+        from repro.chaos import inject
+
+        yield
+        inject.reset()
+
+    def test_repeat_gets_read_the_file_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.job_key(_job().fingerprint())
+        cache.put_report(key, _analysis().estimate())
+        reads = _reads(cache)
+        disk = report_from_dict(
+            json.loads(cache._path(key).read_text())["report"])
+        got = [cache.get_report(key) for _ in range(3)]
+        assert reads == [key]
+        assert [_canonical(report) for report in got] \
+            == [_canonical(disk)] * 3
+
+    def test_corrupt_entry_is_quarantined_never_held(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        cache.put_report("k1", report)
+        _flip_byte(cache._path("k1"), 100)
+        reads = _reads(cache)
+        assert cache.get_report("k1") is None
+        assert cache.quarantined == 1
+        assert "k1" not in cache._memory
+        # The recompute's write fills nothing in memory either: the
+        # next get verifies the new file, and only then is it held.
+        cache.put_report("k1", report)
+        assert cache.get_report("k1") == report
+        assert cache.get_report("k1") == report
+        assert reads == ["k1", "k1"]
+        # A write over a held report drops it: the next get is the file.
+        rerun = dataclasses.replace(report, worst=report.worst + 1)
+        cache.put_report("k1", rerun)
+        assert cache.get_report("k1") == rerun
+        assert reads == ["k1", "k1", "k1"]
+
+    def test_read_fault_fires_on_disk_reads_only(self, tmp_path):
+        from repro.chaos import inject
+
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        cache.put_report("k1", report)
+        assert cache.get_report("k1") == report        # verified read
+        inject.install("seed=1,cache.read=1")
+        assert cache.get_report("k1") == report        # from memory
+        assert inject.active().counts() == {}
+        assert cache.quarantined == 0
+        # A restarted process reads the disk, so the fault fires there.
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_report("k1") is None
+        assert inject.active().counts() == {"cache.read": 1}
+        assert fresh.quarantined == 1
+        assert not cache._path("k1").exists()
+        assert list((tmp_path / "quarantine").iterdir())
+
+    def test_byte_bound_drops_least_recently_used(self, tmp_path,
+                                                   monkeypatch):
+        from repro.engine import cache as cache_module
+
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        keys = [f"k{n}" for n in range(4)]
+        for key in keys:
+            cache.put_report(key, report)
+        size = len(cache._path(keys[0]).read_text())
+        assert cache_module.MEMORY_BYTES > 100 * size
+        # Room for two entries: a third read drops the least recently
+        # used, and a memory hit counts as a use.
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 2 * size + 1)
+        for key in (keys[0], keys[1], keys[0], keys[2]):
+            assert cache.get_report(key) == report
+            assert cache._memory_bytes \
+                == sum(held for _, held in cache._memory.values()) \
+                <= cache_module.MEMORY_BYTES
+        assert list(cache._memory) == [keys[0], keys[2]]
+        reads = _reads(cache)
+        assert cache.get_report(keys[1]) == report     # back from disk
+        assert reads == [keys[1]]
+        assert list(cache._memory) == [keys[2], keys[1]]
+        # An entry larger than the whole tier is served but not held.
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", size - 1)
+        assert cache.get_report(keys[3]) == report
+        assert keys[3] not in cache._memory
+        assert cache.clear() == 4
+        assert not cache._memory and cache._memory_bytes == 0
+        assert cache.get_report(keys[2]) is None
+
+    def test_matches_a_dict_model(self, tmp_path):
+        # 200 seeded operations on 12 keys.  The model is the stored
+        # report per key plus the keys this object has verified: a
+        # corrupt or dropped file loses an entry unless it is held.
+        import random
+
+        rng = random.Random(31)
+        cache = ResultCache(tmp_path)
+        base = _analysis().estimate()
+        keys = [f"k{n:02d}" for n in range(12)]
+        stored, held = {}, set()
+        for step in range(200):
+            op = rng.choice(["put", "put", "get", "get", "get",
+                             "corrupt", "drop", "evict", "clear"]
+                            if step % 50 else ["clear"])
+            key = rng.choice(keys)
+            path = cache._path(key)
+            if op == "put":
+                report = dataclasses.replace(base, worst=base.worst + step)
+                cache.put_report(key, report)
+                stored[key] = report
+                held.discard(key)
+            elif op == "get":
+                got = cache.get_report(key)
+                assert got == stored.get(key), (step, key)
+                if got is not None:
+                    held.add(key)
+            elif op == "corrupt" and path.exists():
+                _flip_byte(path, rng.randrange(1 << 16))
+                if key not in held:
+                    del stored[key]
+            elif op == "drop" and path.exists():
+                # Another process evicts or clears the file.
+                path.unlink()
+                if key not in held:
+                    del stored[key]
+            elif op == "evict" and path.exists():
+                # This object's own LRU eviction, with `key` oldest.
+                os.utime(path, ns=(0, 0))
+                cache.max_entries = len(cache._entries()) - 1
+                assert cache._evict_if_needed() == 1
+                cache.max_entries = None
+                stored.pop(key, None)
+                held.discard(key)
+            elif op == "clear":
+                cache.clear()
+                stored.clear()
+                held.clear()
+            assert set(cache._memory) == held, (step, op, key)
+            assert cache._memory_bytes \
+                == sum(size for _, size in cache._memory.values())
+
+    def test_writer_output_is_the_sorted_sealed_payload(self, tmp_path):
+        import hashlib
+
+        cache = ResultCache(tmp_path)
+        reports = [_analysis().estimate(),
+                   get_benchmark("dhry").make_analysis().estimate()]
+        for n, report in enumerate(reports):
+            payload = {"kind": "job", "report": report_to_dict(report)}
+            digest = hashlib.sha256(json.dumps(
+                payload, sort_keys=True).encode()).hexdigest()
+            sealed = json.dumps(dict(payload, sha256=digest),
+                                sort_keys=True)
+            cache.put_report(f"new{n}", report)
+            assert cache._path(f"new{n}").read_text() == sealed
+            # An entry written that way by an earlier version reads
+            # back unchanged, through a fresh object as after a restart.
+            older = cache._path(f"old{n}")
+            older.parent.mkdir(exist_ok=True)
+            older.write_text(sealed)
+            assert _canonical(ResultCache(tmp_path).get_report(
+                f"old{n}")) == _canonical(report)
+
+
 class TestEviction:
     @staticmethod
     def _fill(cache, report, count, start=0):
@@ -235,6 +426,17 @@ class TestEviction:
         # ...so the LRU victim is keys[1], not the touched keys[0].
         assert capped.get_report(keys[0]) is not None
         assert capped.get_report(keys[1]) is None
+        # A second read of keys[0] comes from memory and still touches
+        # the file: made oldest again, it outlives keys[2].
+        tick = 1_000_000_000 // 2
+        os.utime(capped._path(keys[0]), ns=(tick, tick))
+        reads = _reads(capped)
+        assert capped.get_report(keys[0]) is not None
+        assert reads == []
+        self._fill(capped, report, 1, start=30)
+        assert capped.get_report(keys[2]) is None
+        assert capped.get_report(keys[0]) is not None
+        assert reads == [keys[2]]
 
     def test_max_bytes_cap(self, tmp_path):
         report = _analysis().estimate()

@@ -562,6 +562,40 @@ class TestEndToEnd:
         queue_hist = registry.histogram("service.queue_seconds")
         assert queue_hist.count == 2
 
+    def test_repeat_hits_are_served_from_memory(self, tmp_path):
+        # The first hit verifies the entry file; the second is answered
+        # from the cache's memory tier with the very same report, which
+        # the records, the journal and the explainer only read.
+        from repro.engine.cache import report_to_dict
+
+        with _thread_service(workers=1, cache_dir=tmp_path) as handle, \
+                ServiceClient(port=handle.port) as client:
+            cache = handle.service.scheduler.cache
+            reads = []
+            read = cache._read
+            cache._read = lambda key: reads.append(key) or read(key)
+            records = [client.wait(
+                client.submit({"benchmark": "check_data"})["id"],
+                timeout=120) for _ in range(3)]
+            explanation = client.explain(records[2]["id"])
+            snapshot = client.metricz()
+            (held, _), = cache._memory.values()
+
+        assert [r["cache_hit"] for r in records] == [False, True, True]
+        assert len(reads) == 2          # the cold miss, the first hit
+        timing = ("id", "submitted_at", "queue_seconds", "run_seconds")
+
+        def canonical(record):
+            return json.dumps({k: v for k, v in record.items()
+                               if k not in timing}, sort_keys=True)
+
+        assert canonical(records[1]) == canonical(records[2])
+        assert records[2]["report"] == report_to_dict(held)
+        assert explanation["bound"] == held.worst == 722
+        registry = MetricsRegistry.from_snapshot(snapshot)
+        assert registry.value("engine.cache.hits.job") == 2
+        assert registry.value("engine.cache.quarantined", None) == 0
+
     def test_engine_cache_entry_is_a_service_hit(self, tmp_path):
         # engine run and serve key a job's entry with one budget
         # string, so either one answers the other's repeats.
