@@ -173,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     erun.add_argument("--cache-dir", metavar="DIR",
                       help="result cache location (default: "
                            "$REPRO_CACHE_DIR or ~/.cache/repro/engine)")
-    erun.add_argument("--cache-max-entries", type=int, metavar="N",
-                      help="LRU cap on cache entries (default: "
-                           "$REPRO_CACHE_MAX_ENTRIES or unlimited)")
-    erun.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
-                      help="LRU cap on cache size (default: "
-                           "$REPRO_CACHE_MAX_BYTES or unlimited)")
     erun.add_argument("--no-cache", action="store_true",
                       help="disable the result cache")
     erun.add_argument("--metrics", metavar="PATH",
@@ -223,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", metavar="DIR",
                        help="result cache location (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro/engine)")
-    serve.add_argument("--cache-max-entries", type=int, metavar="N")
-    serve.add_argument("--cache-max-bytes", type=int, metavar="BYTES")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the result cache")
     serve.add_argument("--metrics", metavar="PATH",
@@ -523,17 +515,6 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cache_limits(args) -> tuple:
-    """(max_entries, max_bytes) from flags, falling back to env."""
-    from .engine import cache_limits_from_env
-
-    env_entries, env_bytes = cache_limits_from_env()
-    entries = getattr(args, "cache_max_entries", None)
-    size = getattr(args, "cache_max_bytes", None)
-    return (entries if entries is not None else env_entries,
-            size if size is not None else env_bytes)
-
-
 def _cmd_engine(args) -> int:
     from pathlib import Path
 
@@ -557,12 +538,8 @@ def _cmd_engine(args) -> int:
             return 0
         stats = cache.stats()
         print(f"cache: {stats.root}")
-        print(f"entries: {stats.entries} "
-              f"({stats.job_entries} jobs), "
-              f"{stats.total_bytes:,} bytes")
-        print(f"evictions: {stats.evictions} (lifetime)")
-        print(f"quarantined: {stats.quarantined} (lifetime, "
-              f"corrupt entries moved aside and recomputed)")
+        print(f"entries: {stats.entries}, {stats.total_bytes:,} bytes")
+        print(f"quarantined: {stats.quarantined}")
         return 0
 
     assert args.engine_command == "run"
@@ -583,7 +560,6 @@ def _cmd_engine(args) -> int:
     tracer = Tracer()
     engine = AnalysisEngine(workers=args.workers, cache_dir=cache_dir,
                             set_timeout=args.set_timeout,
-                            cache_limits=_cache_limits(args),
                             tracer=tracer)
     results = engine.run(jobs)
     for result in results:
@@ -649,8 +625,7 @@ def _cmd_serve(args) -> int:
     service = AnalysisService(
         host=args.host, port=args.port, workers=workers,
         queue_depth=args.queue_depth, executor=args.executor,
-        cache_dir=cache_dir, cache_limits=_cache_limits(args),
-        set_timeout=args.set_timeout,
+        cache_dir=cache_dir, set_timeout=args.set_timeout,
         max_iterations=args.max_iterations,
         metrics_path=args.metrics,
         journal_dir=args.journal, chaos=chaos)

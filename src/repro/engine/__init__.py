@@ -13,7 +13,7 @@ semantics and metrics schema.
 """
 
 from .cache import (CacheStats, ResultCache, SOLVER_VERSION,
-                    cache_limits_from_env, default_cache_dir)
+                    default_cache_dir)
 from .core import AnalysisEngine, execute_job
 from .jobs import AnalysisJob, JobResult
 from .metrics import STAGES
@@ -25,7 +25,6 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "default_cache_dir",
-    "cache_limits_from_env",
     "execute_job",
     "SOLVER_VERSION",
     "STAGES",

@@ -12,12 +12,14 @@ Entries are JSON files under ``root/<k[:2]>/<k>.json``, written
 atomically (temp file + :func:`os.replace`) so concurrent processes
 can share one cache directory without locking: the worst race is two
 writers storing the same value and one overwrite winning, which is
-harmless for a content-addressed store.
+harmless for a content-addressed store.  An entry never goes stale,
+so the store has no size cap: deleting the directory, or ``repro
+engine stats --clear``, is always safe and loses only warm results.
 
 A store written by an older version may also hold ``"kind": "set"``
-entries, one per solved constraint set.  Nothing reads them again;
-they count as entries, the LRU caps evict them first (nothing touches
-them), and ``repro engine stats --clear`` removes them.
+entries, one per solved constraint set, and a ``_meta.json`` counter
+file.  Nothing reads either again; set entries count as entries, and
+``repro engine stats --clear`` removes them.
 
 Timed-out (``partial``) results are never cached — a re-run with a
 longer budget should get the chance to do better.
@@ -26,22 +28,12 @@ Memory tier
 -----------
 Each cache object also holds the job reports it has read from disk
 and verified, up to :data:`MEMORY_BYTES` of entry text (least recently
-used out first), and answers a repeat hit from there: no read, parse,
-seal check or rebuild, only the ``os.utime`` that keeps the on-disk
-LRU recency.  Writes never fill it, so a corrupted entry is still
-quarantined on its first read.  An entry another process evicts or
-clears on disk stays held here until this object goes; it is the same
-content-addressed answer, never a wrong bound.
-
-Size caps (LRU eviction)
-------------------------
-A cache constructed with ``max_entries`` and/or ``max_bytes`` evicts
-least-recently-used entries after every write until it fits again.
-Recency is the entry file's mtime: reads touch it, writes set it, so
-the file system itself is the LRU bookkeeping and concurrent processes
-need no shared state.  Lifetime eviction totals persist in
-``root/_meta.json`` (best effort under races; the counter may
-undercount, never overcount) and surface in ``repro engine stats``.
+used out first), and answers a repeat hit from there: a dict lookup,
+with no system call, read, parse, seal check or rebuild.  Writes never
+fill it, so a corrupted entry is still quarantined on its first read.
+An entry another process clears on disk stays held here until this
+object goes; it is the same content-addressed answer, never a wrong
+bound.
 """
 
 from __future__ import annotations
@@ -83,21 +75,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "engine"
 
 
-def cache_limits_from_env() -> tuple[int | None, int | None]:
-    """``($REPRO_CACHE_MAX_ENTRIES, $REPRO_CACHE_MAX_BYTES)``; None
-    where unset or unparsable (unlimited)."""
-
-    def read(name: str) -> int | None:
-        raw = os.environ.get(name)
-        try:
-            return int(raw) if raw else None
-        except ValueError:
-            return None
-
-    return (read("REPRO_CACHE_MAX_ENTRIES"),
-            read("REPRO_CACHE_MAX_BYTES"))
-
-
 @dataclass
 class CacheStats:
     """What ``repro engine stats`` reports about a cache directory."""
@@ -105,14 +82,10 @@ class CacheStats:
     root: str
     #: Every entry file, including set entries an older version left.
     entries: int
-    job_entries: int
     total_bytes: int
-    #: Lifetime LRU evictions recorded in the cache's meta file.
-    evictions: int = 0
-    #: Lifetime corrupt entries moved to ``quarantine/`` on read.
-    quarantined: int = 0
-    max_entries: int | None = None
-    max_bytes: int | None = None
+    #: Files in ``quarantine/``: corrupt entries moved aside on read,
+    #: one per key however often that key was quarantined.
+    quarantined: int
 
 
 def budget_key(set_timeout: float | None,
@@ -124,24 +97,12 @@ def budget_key(set_timeout: float | None,
 
 
 class ResultCache:
-    """A content-addressed store of finished reports.
+    """A content-addressed store of finished reports."""
 
-    ``max_entries`` / ``max_bytes`` cap the store; ``None`` means
-    unlimited.  Eviction is LRU (see the module docstring).
-    """
-
-    def __init__(self, root: str | Path,
-                 max_entries: int | None = None,
-                 max_bytes: int | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        #: Evictions performed by *this* cache object (the meta file
-        #: keeps the lifetime total across processes).
-        self.evictions = 0
-        #: Corrupt entries this cache object quarantined on read
-        #: (lifetime total lives in the meta file).
+        #: Corrupt entries this cache object quarantined on read.
         self.quarantined = 0
         #: The memory tier: key -> (report, entry text bytes), least
         #: recently used first, and the bytes it holds.
@@ -201,15 +162,7 @@ class ResultCache:
                 json.dumps(payload, sort_keys=True)):
             self._quarantine(path)
             return None
-        self._touch(path)
         return payload, len(text)
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        try:
-            os.utime(path)           # mark recently used for the LRU
-        except OSError:  # pragma: no cover - racing eviction
-            pass
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry to ``root/quarantine/`` and count it.
@@ -222,10 +175,9 @@ class ResultCache:
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
             os.replace(path, target)
-        except OSError:  # pragma: no cover - racing eviction
+        except OSError:  # pragma: no cover - racing clear
             return
         self.quarantined += 1
-        self._bump_meta("quarantined", 1)
 
     def _write(self, key: str, payload: dict) -> None:
         # Seal the entry with its own content hash; _read verifies it
@@ -233,13 +185,11 @@ class ResultCache:
         # as a wrong bound.  A job payload's keys ("kind", "report")
         # sort before "sha256", so splicing the seal in last writes
         # json.dumps(dict(payload, sha256=digest), sort_keys=True)
-        # from one serialization; "kind" still leads, which the
-        # _is_job() head sniff relies on.
+        # from one serialization.
         text = json.dumps(payload, sort_keys=True)
         text = f'{text[:-1]}, "sha256": "{self._digest(text)}"}}'
         self._forget(key)
         self._replace(self._path(key), text)
-        self._evict_if_needed()
 
     @staticmethod
     def _replace(path: Path, text: str) -> None:
@@ -282,72 +232,6 @@ class ResultCache:
             self._memory_bytes -= held[1]
 
     # ------------------------------------------------------------------
-    # LRU eviction
-    # ------------------------------------------------------------------
-    def _entries(self) -> list[tuple[float, int, Path]]:
-        """Every entry as (mtime_ns, size, path), oldest first."""
-        entries = []
-        # Entry shards are two hex characters; the glob deliberately
-        # misses quarantine/ so quarantined files are neither counted
-        # nor evicted as live entries.
-        for path in self.root.glob("??/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - racing eviction
-                continue
-            entries.append((stat.st_mtime_ns, stat.st_size, path))
-        entries.sort()
-        return entries
-
-    def _evict_if_needed(self) -> int:
-        """Drop least-recently-used entries until under the caps."""
-        if self.max_entries is None and self.max_bytes is None:
-            return 0
-        entries = self._entries()
-        count = len(entries)
-        total = sum(size for _, size, _ in entries)
-        evicted = 0
-        for _, size, path in entries:
-            over_entries = (self.max_entries is not None
-                            and count > self.max_entries)
-            over_bytes = (self.max_bytes is not None
-                          and total > self.max_bytes)
-            if not over_entries and not over_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing eviction
-                continue
-            self._forget(path.stem)
-            count -= 1
-            total -= size
-            evicted += 1
-        if evicted:
-            self.evictions += evicted
-            self._bump_meta("evictions", evicted)
-        return evicted
-
-    # ------------------------------------------------------------------
-    # Meta file (lifetime counters shared across processes)
-    # ------------------------------------------------------------------
-    def _meta_path(self) -> Path:
-        return self.root / "_meta.json"
-
-    def _load_meta(self) -> dict:
-        try:
-            return json.loads(self._meta_path().read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return {}
-
-    def _bump_meta(self, field: str, amount: int) -> None:
-        # Read-modify-write without locking: a concurrent bump can be
-        # lost (undercount), which is acceptable for a statistics
-        # counter.  The write itself is atomic.
-        meta = self._load_meta()
-        meta[field] = meta.get(field, 0) + amount
-        self._replace(self._meta_path(), json.dumps(meta, sort_keys=True))
-
-    # ------------------------------------------------------------------
     # Job layer
     # ------------------------------------------------------------------
     def get_report(self, key: str) -> BoundReport | None:
@@ -357,7 +241,6 @@ class ResultCache:
         held = self._memory.get(key)
         if held is not None:
             self._memory.move_to_end(key)
-            self._touch(self._path(key))
             return held[0]
         read = self._read(key)
         if read is None or read[0].get("kind") != "job":
@@ -376,41 +259,27 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def stats(self) -> CacheStats:
-        entries = job_entries = 0
-        total_bytes = 0
-        for path in self.root.glob("??/*.json"):
-            entries += 1
-            total_bytes += path.stat().st_size
-            job_entries += self._is_job(path)
-        meta = self._load_meta()
-        return CacheStats(str(self.root), entries, job_entries,
-                          total_bytes,
-                          evictions=meta.get("evictions", 0),
-                          quarantined=meta.get("quarantined", 0),
-                          max_entries=self.max_entries,
-                          max_bytes=self.max_bytes)
+    def _entry_files(self):
+        # Entry shards are two hex characters; the glob deliberately
+        # misses quarantine/ and an older version's _meta.json.
+        return self.root.glob("??/*.json")
 
-    @staticmethod
-    def _is_job(path: Path) -> bool:
-        try:
-            with open(path) as handle:
-                head = handle.read(32)
-        except OSError:  # pragma: no cover - racing eviction
-            return False
-        # Keys are sorted in the JSON, so "kind" leads the object.
-        return '"kind": "job"' in head
+    def stats(self) -> CacheStats:
+        sizes = [path.stat().st_size for path in self._entry_files()]
+        quarantined = len(list((self.root / "quarantine").glob("*.json")))
+        return CacheStats(str(self.root), len(sizes), sum(sizes),
+                          quarantined)
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
         self._memory.clear()
         self._memory_bytes = 0
         removed = 0
-        for path in self.root.glob("??/*.json"):
+        for path in self._entry_files():
             try:
                 path.unlink()
                 removed += 1
-            except OSError:  # pragma: no cover - racing eviction
+            except OSError:  # pragma: no cover - racing clear
                 pass
         return removed
 

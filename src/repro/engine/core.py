@@ -84,9 +84,6 @@ class AnalysisEngine:
     max_iterations:
         Cumulative simplex-pivot budget per ILP (None: no limit);
         exceeding it degrades that direction to its LP relaxation.
-    cache_limits:
-        Optional ``(max_entries, max_bytes)`` LRU caps for the cache
-        (None in either slot: unlimited on that axis).
     tracer:
         A :class:`repro.obs.Tracer`; the run and every job's pipeline
         and solver work emit spans into it.  Each job traces into its
@@ -99,16 +96,12 @@ class AnalysisEngine:
                  cache_dir=None,
                  set_timeout: float | None = None,
                  max_iterations: int | None = None,
-                 cache_limits: tuple | None = None,
                  tracer=None):
         from ..obs.registry import MetricsRegistry
         from ..obs.trace import NULL_TRACER
 
         self.workers = workers or max(1, os.cpu_count() or 1)
-        max_entries, max_bytes = cache_limits or (None, None)
-        self.cache = ResultCache(cache_dir, max_entries=max_entries,
-                                 max_bytes=max_bytes) \
-            if cache_dir else None
+        self.cache = ResultCache(cache_dir) if cache_dir else None
         self.set_timeout = set_timeout
         self.max_iterations = max_iterations
         #: Every run's ``engine.*`` metrics (see

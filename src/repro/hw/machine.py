@@ -85,9 +85,11 @@ class Machine:
         Used by the analysis engine's on-disk result cache, so results
         computed for one machine are never served for another.
         """
-        issue = ";".join(f"{op.name}={cycles}" for op, cycles in
-                         sorted(self.issue_cycles.items(),
-                                key=lambda item: item[0].name))
+        # Every cache key derives this string, so read each opcode's
+        # name once, from the plain ``_name_`` attribute (the ``name``
+        # property costs a descriptor call per read).
+        issue = ";".join(f"{name}={cycles}" for name, cycles in sorted(
+            (op._name_, cycles) for op, cycles in self.issue_cycles.items()))
         return (f"icache={self.icache_bytes}/{self.line_bytes}"
                 f"/{self.miss_penalty}"
                 f"|dcache={self.dcache_words}/{self.dcache_line_words}"

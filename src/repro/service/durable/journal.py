@@ -231,7 +231,6 @@ class JobJournal:
         self._unsynced = 0
         #: Counters mirrored into /metricz by the service.
         self.appended = 0
-        self.synced = 0
         self.compactions = 0
         #: Size of the current snapshot file; the WAL must reach it
         #: before the next compaction.
@@ -473,7 +472,6 @@ class JobJournal:
                 self._last_sync = time.monotonic()
                 return
             elapsed = time.perf_counter() - clock
-            self.synced += 1
             self._unsynced = 0
             self.write_seconds += elapsed
             if self.fsync_observer is not None:

@@ -62,8 +62,8 @@ from .scheduler import Scheduler
 #: Largest accepted request body (a job spec with inline source).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Default keep-alive idle timeout (seconds a connection may sit
-#: between requests before the server closes it).
+#: Keep-alive idle timeout (seconds a connection may sit between
+#: requests before the server closes it).
 KEEPALIVE_TIMEOUT = 5.0
 
 #: SSE comment-heartbeat period (seconds).
@@ -93,15 +93,10 @@ class AnalysisService:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 2, queue_depth: int = 64,
-                 cache_dir=None, cache_limits: tuple | None = None,
-                 executor: str = "process", runner=None,
+                 cache_dir=None, executor: str = "process", runner=None,
                  set_timeout: float | None = None,
                  max_iterations: int | None = None,
-                 metrics_path=None,
-                 registry: MetricsRegistry | None = None,
-                 keepalive_timeout: float = KEEPALIVE_TIMEOUT,
-                 bus: EventBus | None = None,
-                 journal_dir=None,
+                 metrics_path=None, journal_dir=None,
                  chaos: object = None):
         self.host = host
         self.port = port
@@ -116,10 +111,8 @@ class AnalysisService:
         #: journal and clears this automatically once writes succeed.
         self.degraded_reason: str | None = None
         self.metrics_path = metrics_path
-        self.keepalive_timeout = keepalive_timeout
-        self.bus = bus if bus is not None else EventBus()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.bus = EventBus()
+        self.registry = MetricsRegistry()
         for name in ("service.jobs.submitted", "service.jobs.rejected",
                      "service.jobs.recovered"):
             self.registry.counter(name)
@@ -129,9 +122,7 @@ class AnalysisService:
             fsync_hist = self.registry.histogram(
                 "service.journal.fsync_seconds", buckets=FSYNC_BUCKETS)
             self.journal.fsync_observer = fsync_hist.observe
-        max_entries, max_bytes = cache_limits or (None, None)
-        cache = ResultCache(cache_dir, max_entries=max_entries,
-                            max_bytes=max_bytes) if cache_dir else None
+        cache = ResultCache(cache_dir) if cache_dir else None
         self.queue = JobQueue(maxsize=queue_depth)
         self.scheduler = Scheduler(
             self.queue, workers=workers, cache=cache,
@@ -391,7 +382,7 @@ class AnalysisService:
         if keep:
             head.append("Connection: keep-alive")
             head.append("Keep-Alive: timeout="
-                        f"{int(self.keepalive_timeout)}")
+                        f"{int(KEEPALIVE_TIMEOUT)}")
         else:
             head.append("Connection: close")
         head += [f"{k}: {v}" for k, v in headers.items()]
@@ -405,7 +396,7 @@ class AnalysisService:
         closes idle connections promptly instead of after the full
         idle timeout.
         """
-        deadline = time.monotonic() + self.keepalive_timeout
+        deadline = time.monotonic() + KEEPALIVE_TIMEOUT
         task = asyncio.ensure_future(self._read_request(reader))
         try:
             while True:

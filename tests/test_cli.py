@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 PROGRAM = """
 const int N = 8;
@@ -166,11 +166,38 @@ class TestExplainAgainst:
 
 
 class TestServiceCli:
-    def test_engine_stats_reports_evictions(self, tmp_path, capsys):
+    def test_engine_stats_prints_entries_and_quarantine(self, tmp_path,
+                                                        capsys):
+        from repro.engine import ResultCache
+        from repro.programs import get_benchmark
+
+        cache = ResultCache(tmp_path)
+        report = get_benchmark("check_data").make_analysis().estimate()
+        for key in ("k1", "k2"):
+            cache.put_report(key, report)
+        torn = cache._path("k1")
+        torn.write_text(torn.read_text()[:-2])
+        assert cache.get_report("k1") is None
+        size = cache._path("k2").stat().st_size
         code = main(["engine", "stats", "--cache-dir", str(tmp_path)])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "evictions: 0 (lifetime)" in out
+        assert capsys.readouterr().out.splitlines() == [
+            f"cache: {tmp_path}",
+            f"entries: 1, {size:,} bytes",
+            "quarantined: 1",
+        ]
+
+    @pytest.mark.parametrize("flag", ["--cache-max-entries",
+                                      "--cache-max-bytes"])
+    @pytest.mark.parametrize("command", [["engine", "run", "check_data"],
+                                         ["serve"]],
+                             ids=["engine-run", "serve"])
+    def test_cache_caps_are_usage_errors(self, command, flag, capsys):
+        # Parse only: `serve` given a flag it accepted would serve.
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args([*command, flag, "1"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--clear"]],
                              ids=["stats", "clear"])

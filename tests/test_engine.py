@@ -189,10 +189,73 @@ class TestResultCache:
                                      sort_keys=True))
         stats = cache.stats()
         assert stats.entries == 2
-        assert stats.job_entries == 1
-        assert stats.total_bytes > 0
+        assert stats.total_bytes == sum(
+            path.stat().st_size for path in tmp_path.glob("??/*.json"))
+        assert cache.get_report(legacy.stem) is None
         assert cache.clear() == 2
+        assert not legacy.exists()
         assert cache.stats().entries == 0
+
+    def test_stats_count_the_quarantine_files(self, tmp_path):
+        # The count is the files in quarantine/, whatever object or
+        # process moved them there.  A key quarantined twice leaves one
+        # file (the second move replaces the first), so it counts once.
+        report = _analysis().estimate()
+        first = ResultCache(tmp_path)
+        for key in ("k1", "k2"):
+            first.put_report(key, report)
+        _flip_byte(first._path("k1"), 100)
+        assert first.get_report("k1") is None
+        first.put_report("k1", report)
+        second = ResultCache(tmp_path)
+        for key in ("k1", "k2"):
+            _flip_byte(second._path(key), 100)
+            assert second.get_report(key) is None
+        assert (first.quarantined, second.quarantined) == (1, 2)
+        assert sorted(path.name for path in
+                      (tmp_path / "quarantine").iterdir()) \
+            == ["k1.json", "k2.json"]
+        fresh = ResultCache(tmp_path)
+        assert fresh.stats().quarantined == 2
+        assert fresh.quarantined == 0
+        assert fresh.stats().entries == 0
+
+    def test_reads_a_store_an_earlier_version_wrote(self, tmp_path):
+        # An earlier version kept lifetime counters in _meta.json and
+        # may have left set entries.  Both are ignored, never rewritten,
+        # and clear() removes the set entry but not the counter file.
+        import hashlib
+
+        report = _analysis().estimate()
+        key = hashlib.sha256(b"an earlier version's job").hexdigest()
+        payload = {"kind": "job", "report": report_to_dict(report)}
+        digest = hashlib.sha256(json.dumps(
+            payload, sort_keys=True).encode()).hexdigest()
+        entry = tmp_path / key[:2] / f"{key}.json"
+        legacy = tmp_path / "ab" / f"ab{'0' * 62}.json"
+        for path, data in ((entry, dict(payload, sha256=digest)),
+                           (legacy, {"kind": "set", "result": {}})):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(data, sort_keys=True))
+        meta = tmp_path / "_meta.json"
+        meta.write_text(json.dumps({"evictions": 3, "quarantined": 1},
+                                   sort_keys=True))
+        os.utime(meta, ns=(10**9, 10**9))
+        written = meta.read_bytes()
+
+        cache = ResultCache(tmp_path)
+        assert _canonical(cache.get_report(key)) == _canonical(report)
+        stats = cache.stats()
+        assert (stats.entries, stats.quarantined) == (2, 0)
+        cache.put_report("k1", report)
+        _flip_byte(cache._path("k1"), 100)
+        assert ResultCache(tmp_path).get_report("k1") is None
+        assert cache.stats().quarantined == 1
+        assert cache.clear() == 2
+        assert meta.read_bytes() == written
+        assert meta.stat().st_mtime_ns == 10**9
+        assert [path.name for path in tmp_path.iterdir()
+                if path.is_file()] == ["_meta.json"]
 
 
 def _reads(cache) -> list:
@@ -238,6 +301,32 @@ class TestMemoryTier:
         assert reads == [key]
         assert [_canonical(report) for report in got] \
             == [_canonical(disk)] * 3
+
+    def test_memory_hit_makes_no_file_system_call(self, tmp_path,
+                                                   monkeypatch):
+        import builtins
+        import io
+
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        cache.put_report("k1", report)
+        assert cache.get_report("k1") == report        # verified read
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                # Not an OSError, which the cache would swallow.
+                raise AssertionError(f"{name} on a memory hit")
+            return call
+
+        # Undone before pytest, which needs the file system, reports.
+        with monkeypatch.context() as patch:
+            for module, name in ((os, "utime"), (os, "stat"),
+                                 (os, "open"), (builtins, "open"),
+                                 (io, "open")):
+                patch.setattr(module, name,
+                              refuse(f"{module.__name__}.{name}"))
+            got = [cache.get_report("k1") for _ in range(3)]
+        assert got == [report] * 3
 
     def test_corrupt_entry_is_quarantined_never_held(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -324,7 +413,7 @@ class TestMemoryTier:
         stored, held = {}, set()
         for step in range(200):
             op = rng.choice(["put", "put", "get", "get", "get",
-                             "corrupt", "drop", "evict", "clear"]
+                             "corrupt", "drop", "clear"]
                             if step % 50 else ["clear"])
             key = rng.choice(keys)
             path = cache._path(key)
@@ -343,18 +432,10 @@ class TestMemoryTier:
                 if key not in held:
                     del stored[key]
             elif op == "drop" and path.exists():
-                # Another process evicts or clears the file.
+                # Another process clears the file.
                 path.unlink()
                 if key not in held:
                     del stored[key]
-            elif op == "evict" and path.exists():
-                # This object's own LRU eviction, with `key` oldest.
-                os.utime(path, ns=(0, 0))
-                cache.max_entries = len(cache._entries()) - 1
-                assert cache._evict_if_needed() == 1
-                cache.max_entries = None
-                stored.pop(key, None)
-                held.discard(key)
             elif op == "clear":
                 cache.clear()
                 stored.clear()
@@ -386,87 +467,18 @@ class TestMemoryTier:
                 f"old{n}")) == _canonical(report)
 
 
-class TestEviction:
-    @staticmethod
-    def _fill(cache, report, count, start=0):
-        """Put `count` reports under distinct keys with deterministic
-        mtimes (oldest first), bypassing wall-clock granularity."""
-        import os
+class TestNoSizeCaps:
+    """An entry never goes stale, so the store takes no size cap."""
 
-        keys = [cache.job_key(f"job-{start + i}") for i in range(count)]
-        for i, key in enumerate(keys):
-            cache.put_report(key, report)
-            tick = (start + i + 1) * 1_000_000_000
-            os.utime(cache._path(key), ns=(tick, tick))
-        return keys
+    @pytest.mark.parametrize("keyword", ["max_entries", "max_bytes"])
+    def test_cache_takes_no_cap(self, tmp_path, keyword):
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path, **{keyword: 1})
 
-    def test_max_entries_evicts_oldest(self, tmp_path):
-        report = _analysis().estimate()
-        keys = self._fill(ResultCache(tmp_path), report, 4)
-        capped = ResultCache(tmp_path, max_entries=3)
-        newest = self._fill(capped, report, 1, start=4)[0]
-        assert capped.evictions == 2               # 5 entries -> 3
-        assert capped.stats().entries == 3
-        assert capped.get_report(keys[0]) is None  # oldest two gone
-        assert capped.get_report(keys[1]) is None
-        assert capped.get_report(keys[3]) is not None
-        assert capped.get_report(newest) is not None
-
-    def test_read_touch_protects_entry(self, tmp_path):
-        import os
-
-        report = _analysis().estimate()
-        keys = self._fill(ResultCache(tmp_path), report, 3)
-        capped = ResultCache(tmp_path, max_entries=3)
-        # Reading keys[0] marks it recently used...
-        assert capped.get_report(keys[0]) is not None
-        tick = 10 * 1_000_000_000
-        os.utime(capped._path(keys[0]), ns=(tick, tick))
-        self._fill(capped, report, 1, start=20)
-        # ...so the LRU victim is keys[1], not the touched keys[0].
-        assert capped.get_report(keys[0]) is not None
-        assert capped.get_report(keys[1]) is None
-        # A second read of keys[0] comes from memory and still touches
-        # the file: made oldest again, it outlives keys[2].
-        tick = 1_000_000_000 // 2
-        os.utime(capped._path(keys[0]), ns=(tick, tick))
-        reads = _reads(capped)
-        assert capped.get_report(keys[0]) is not None
-        assert reads == []
-        self._fill(capped, report, 1, start=30)
-        assert capped.get_report(keys[2]) is None
-        assert capped.get_report(keys[0]) is not None
-        assert reads == [keys[2]]
-
-    def test_max_bytes_cap(self, tmp_path):
-        report = _analysis().estimate()
-        probe = ResultCache(tmp_path)
-        self._fill(probe, report, 1)
-        entry_bytes = probe.stats().total_bytes
-        capped = ResultCache(tmp_path, max_bytes=2 * entry_bytes)
-        self._fill(capped, report, 3, start=1)
-        stats = capped.stats()
-        assert stats.total_bytes <= 2 * entry_bytes
-        assert stats.entries == 2
-        assert capped.evictions == 2
-
-    def test_lifetime_evictions_persist_in_stats(self, tmp_path):
-        report = _analysis().estimate()
-        capped = ResultCache(tmp_path, max_entries=1)
-        self._fill(capped, report, 3)
-        assert capped.evictions == 2
-        # A fresh cache object on the same root sees the lifetime total.
-        fresh = ResultCache(tmp_path)
-        stats = fresh.stats()
-        assert stats.evictions == 2
-        assert fresh.evictions == 0                # this object's own
-
-    def test_uncapped_cache_never_evicts(self, tmp_path):
-        report = _analysis().estimate()
-        cache = ResultCache(tmp_path)
-        self._fill(cache, report, 4)
-        assert cache.evictions == 0
-        assert cache.stats().entries == 4
+    def test_engine_takes_no_cache_limits(self, tmp_path):
+        with pytest.raises(TypeError):
+            AnalysisEngine(workers=1, cache_dir=tmp_path,
+                           cache_limits=(1, None))
 
 
 class TestEngineRuns:

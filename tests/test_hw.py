@@ -6,8 +6,9 @@ import pytest
 from repro.cfg import build_cfg, build_cfgs
 from repro.codegen import compile_source
 from repro.codegen.isa import Op
-from repro.hw import (ICache, Machine, block_cost, cost_table, i960kb,
-                      lines_touched, no_cache, perfect_cache, pipeline_cycles)
+from repro.hw import (MACHINES, ICache, Machine, block_cost, cost_table,
+                      i960kb, i960kb_dcache, lines_touched, no_cache,
+                      perfect_cache, pipeline_cycles)
 from repro.sim import CycleModel, Dataset, Interpreter, measure_bounds
 
 
@@ -29,6 +30,23 @@ class TestMachine:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             Machine(icache_bytes=100, line_bytes=16)
+
+    @pytest.mark.parametrize("make", [*MACHINES.values(), i960kb_dcache],
+                             ids=[*MACHINES, "i960kb_dcache"])
+    def test_fingerprint_issue_table_is_sorted_by_opcode_name(self, make):
+        # The string names every result-cache entry, so it must stay
+        # byte for byte this reference: the issue table sorted by name.
+        machine = make()
+        issue = ";".join(f"{op.name}={cycles}" for op, cycles in
+                         sorted(machine.issue_cycles.items(),
+                                key=lambda item: item[0].name))
+        assert machine.fingerprint() == (
+            f"icache={machine.icache_bytes}/{machine.line_bytes}"
+            f"/{machine.miss_penalty}"
+            f"|dcache={machine.dcache_words}/{machine.dcache_line_words}"
+            f"/{machine.dcache_miss_penalty}"
+            f"|stall={machine.load_use_stall}"
+            f"|clock={machine.clock_mhz!r}|issue={issue}")
 
 
 class TestICache:

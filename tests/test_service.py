@@ -17,11 +17,11 @@ import pytest
 
 from repro.engine.jobs import JobResult
 from repro.engine.metrics import STAGES
-from repro.obs import MetricsRegistry
+from repro.obs import EventBus, MetricsRegistry
 from repro.programs import get_benchmark
-from repro.service import (BadRequest, ClientError, JobFailed, JobQueue,
-                           JobSpec, QueueClosed, QueueSaturated,
-                           ServiceClient, ServiceSaturated,
+from repro.service import (AnalysisService, BadRequest, ClientError,
+                           JobFailed, JobQueue, JobSpec, QueueClosed,
+                           QueueSaturated, ServiceClient, ServiceSaturated,
                            ServiceThread, ServiceUnavailable)
 
 
@@ -275,6 +275,21 @@ class TestSingleReplica:
         assert merged["service.jobs.submitted"]["value"] == 1
         assert not [name for name in merged
                     if name.startswith(("federation.", "service.peer."))]
+
+
+class TestNoUnusedSettings:
+    """The service takes no cache caps, and its keep-alive timeout,
+    event bus and metrics registry are its own."""
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("cache_limits", lambda: (1, None)),
+        ("keepalive_timeout", lambda: 1.0),
+        ("bus", EventBus),
+        ("registry", MetricsRegistry),
+    ], ids=["cache_limits", "keepalive_timeout", "bus", "registry"])
+    def test_service_takes_no(self, keyword, value):
+        with pytest.raises(TypeError):
+            AnalysisService(**{keyword: value()})
 
 
 class TestSingleUser:
