@@ -29,7 +29,7 @@ point                   kind     effect at the seam
 ``journal.fsync``       error    ``EIO`` from the group-commit fsync
 ``journal.torn``        flag     half a frame hits the file, then ``EIO``
 ``cache.read``          corrupt  one byte of the entry flips before parse
-``worker.kill``         error    dispatch raises (exercises retry/reset)
+``worker.kill``         error    dispatch raises (exercises retry + worker replacement)
 ``worker.hang``         delay    job stalls before dispatch (eats deadline)
 ``solver.budget``       budget   set timeout collapses (forces relaxation)
 ======================  =======  ==========================================
@@ -70,7 +70,7 @@ POINT_HELP = {
     "journal.torn": "half a frame hits the file, then EIO",
     "cache.read": "one byte of a cache entry read from disk flips "
                   "before parse",
-    "worker.kill": "dispatch raises (exercises retry + pool reset)",
+    "worker.kill": "dispatch raises (exercises retry + worker replacement)",
     "worker.hang": "job stalls before dispatch (eats its deadline)",
     "solver.budget": "set timeout collapses (forces LP relaxation)",
 }

@@ -27,9 +27,12 @@ longer budget should get the chance to do better.
 Memory tier
 -----------
 Each cache object also holds the job reports it has read from disk
-and verified, up to :data:`MEMORY_BYTES` of entry text (least recently
-used out first), and answers a repeat hit from there: a dict lookup,
-with no system call, read, parse, seal check or rebuild.  Writes never
+and verified, each with its JSON text, up to :data:`MEMORY_BYTES` of
+entry text (least recently used out first), and answers a repeat hit
+from there: a dict lookup, with no system call, read, parse, seal
+check or rebuild.  The text (:meth:`ResultCache.get_report_text`) is
+what the service's journal splices into a hit's ``complete`` frame,
+so a held report is never encoded again.  Writes never
 fill it, so a corrupted entry is still quarantined on its first read.
 An entry another process clears on disk stays held here until this
 object goes; it is the same content-addressed answer, never a wrong
@@ -104,10 +107,11 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         #: Corrupt entries this cache object quarantined on read.
         self.quarantined = 0
-        #: The memory tier: key -> (report, entry text bytes), least
-        #: recently used first, and the bytes it holds.
-        self._memory: OrderedDict[str, tuple[BoundReport, int]] = \
-            OrderedDict()
+        #: The memory tier: key -> ((report, its JSON text), entry
+        #: text bytes), least recently used first, and the bytes it
+        #: holds.
+        self._memory: OrderedDict[
+            str, tuple[tuple[BoundReport, str], int]] = OrderedDict()
         self._memory_bytes = 0
 
     # ------------------------------------------------------------------
@@ -179,14 +183,16 @@ class ResultCache:
             return
         self.quarantined += 1
 
-    def _write(self, key: str, payload: dict) -> None:
+    def _write(self, key: str, report_text: str) -> None:
+        """Write the entry whose ``"report"`` member is `report_text`
+        (sorted JSON, as :func:`report_json` encodes it)."""
         # Seal the entry with its own content hash; _read verifies it
         # so on-disk corruption surfaces as a quarantined miss, never
-        # as a wrong bound.  A job payload's keys ("kind", "report")
-        # sort before "sha256", so splicing the seal in last writes
-        # json.dumps(dict(payload, sha256=digest), sort_keys=True)
-        # from one serialization.
-        text = json.dumps(payload, sort_keys=True)
+        # as a wrong bound.  The keys ("kind", "report") sort before
+        # "sha256", so splicing the seal in last writes
+        # json.dumps({"kind": "job", "report": ..., "sha256": digest},
+        # sort_keys=True) from one serialization of the report.
+        text = f'{{"kind": "job", "report": {report_text}}}'
         text = f'{text[:-1]}, "sha256": "{self._digest(text)}"}}'
         self._forget(key)
         self._replace(self._path(key), text)
@@ -216,11 +222,12 @@ class ResultCache:
     # Memory tier
     # ------------------------------------------------------------------
     def _hold(self, key: str, report: BoundReport, size: int) -> None:
-        """Keep a verified report, dropping the least recently used
-        until the tier fits in :data:`MEMORY_BYTES` again."""
+        """Keep a verified report and its text, dropping the least
+        recently used until the tier fits in :data:`MEMORY_BYTES`
+        again."""
         if size > MEMORY_BYTES:
             return
-        self._memory[key] = (report, size)
+        self._memory[key] = ((report, report_json(report)), size)
         self._memory_bytes += size
         while self._memory_bytes > MEMORY_BYTES:
             _, (_, dropped) = self._memory.popitem(last=False)
@@ -241,7 +248,7 @@ class ResultCache:
         held = self._memory.get(key)
         if held is not None:
             self._memory.move_to_end(key)
-            return held[0]
+            return held[0][0]
         read = self._read(key)
         if read is None or read[0].get("kind") != "job":
             return None
@@ -250,11 +257,20 @@ class ResultCache:
         self._hold(key, report, size)
         return report
 
-    def put_report(self, key: str, report: BoundReport) -> None:
+    def get_report_text(self, key: str) -> str | None:
+        """The JSON text of the report held in memory under `key` (as
+        :func:`report_json` encodes it), or None when none is held."""
+        held = self._memory.get(key)
+        return None if held is None else held[0][1]
+
+    def put_report(self, key: str, report: BoundReport) -> str | None:
+        """Store `report` and return its JSON text, the entry's
+        ``"report"`` member; a partial report is not stored (None)."""
         if report.partial:
-            return
-        self._write(key, {"kind": "job",
-                          "report": report_to_dict(report)})
+            return None
+        text = report_json(report)
+        self._write(key, text)
+        return text
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -340,6 +356,12 @@ def report_to_dict(report: BoundReport) -> dict:
         "best_counts": dict(report.best_counts),
         "partial": report.partial,
     }
+
+
+def report_json(report: BoundReport) -> str:
+    """:func:`report_to_dict` as sorted JSON text: a cache entry's
+    ``"report"`` member and a journal ``complete`` frame's."""
+    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 def report_from_dict(data: dict) -> BoundReport:

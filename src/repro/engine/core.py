@@ -20,9 +20,9 @@ Failure semantics
   only their own job; the batch continues.
 * A constraint set that exceeds ``set_timeout`` falls back to its LP
   relaxation — still a sound bound — and marks the job ``partial``.
-* Transient failures of a pooled job (a crashed worker, a broken pool,
-  an OS error) are retried by the pool's policy
-  (:mod:`repro.engine.pool`) before the job is declared failed.
+* Transient failures of a pooled job (a crashed worker, an OS error)
+  are retried by the pool's policy (:mod:`repro.engine.pool`) before
+  the job is declared failed; a dead worker is replaced alone.
 
 Results always come back in submission order, and — because the DNF
 expansion is canonically ordered — a job's ``set_results`` are

@@ -349,8 +349,13 @@ class JobJournal:
     # Append path
     # ------------------------------------------------------------------
     def append(self, type: str, durable: bool = False,
-               **payload) -> dict | None:
+               encoded: dict | None = None, **payload) -> dict | None:
         """Frame and append one record; ``None`` if the write failed.
+
+        ``encoded`` maps further member names to JSON text that is
+        encoded already (a ``complete`` frame's report, as the cache
+        wrote it); each is spliced in after ``payload``'s members as
+        it is.  The record returned holds ``payload`` only.
 
         ``durable=True`` (submit frames: the caller is about to
         acknowledge the admission) pushes the buffer to the OS so a
@@ -371,7 +376,12 @@ class JobJournal:
             return None
         clock = time.perf_counter()
         record = {"type": type, "t": time.time(), **payload}
-        data = json.dumps(record, separators=(",", ":")).encode()
+        text = json.dumps(record, separators=(",", ":"))
+        if encoded:
+            text = text[:-1] + "".join(
+                f",{json.dumps(name)}:{value}"
+                for name, value in encoded.items()) + "}"
+        data = text.encode()
         frame = _FRAME_HEADER.pack(len(data), zlib.crc32(data)) + data
         try:
             if inject.trip("journal.torn"):

@@ -26,8 +26,8 @@ Failure semantics
 -----------------
 Deterministic analysis errors come back inside the ``JobResult``
 (status ``failed``) and are terminal.  Transient executor failures — a
-worker killed by the OOM killer, a broken pool — are retried by the
-pool's policy (:mod:`repro.engine.pool`).
+worker killed by the OOM killer — are retried by the pool's policy
+(:mod:`repro.engine.pool`), which replaces the dead worker alone.
 """
 
 from __future__ import annotations
@@ -187,8 +187,9 @@ class Scheduler:
             hang = inject.delay("worker.hang")
             if hang > 0:
                 await asyncio.sleep(hang)
+            report_text = None
             try:
-                await self._execute(record)
+                report_text = await self._execute(record)
             except Exception as error:
                 # A defect fails its own job, not the worker coroutine
                 # that serves this share of the queue.
@@ -196,7 +197,7 @@ class Scheduler:
                 record.fail(f"internal error: {error!r}")
             self._finish_spans(record, span_ts,
                                time.perf_counter() - span_clock)
-            self._journal_terminal(record)
+            self._journal_terminal(record, report_text)
             self._publish_done(record)
         finally:
             record.run_seconds = time.monotonic() - started
@@ -255,41 +256,46 @@ class Scheduler:
         else:
             self.bus.publish("job_done", **payload)
 
-    def _journal_terminal(self, record) -> None:
+    def _journal_terminal(self, record, report_text) -> None:
         """Log the terminal frame for a record.
 
         The ``complete`` frame carries the serialized report, every
         set's result included, so a restarted service serves finished
         bounds straight from the journal without re-running anything.
+        `report_text` is the report's JSON text when the cache step
+        has it (a stored miss, a held hit); it is spliced in as it is,
+        and only a report without one is encoded here.
         """
         if self.journal is None:
             return
-        from ..engine.cache import report_to_dict
+        from ..engine.cache import report_json
 
-        report = record.report
         if record.state == "failed":
             self.journal.append("fail", id=record.id,
                                 status=record.status,
                                 error=record.error)
-        else:
-            self.journal.append(
-                "complete", id=record.id, status=record.status,
-                cache_hit=record.cache_hit,
-                report=report_to_dict(report) if report is not None
-                else None)
+            return
+        if report_text is None:
+            report_text = "null" if record.report is None \
+                else report_json(record.report)
+        self.journal.append(
+            "complete", id=record.id, status=record.status,
+            cache_hit=record.cache_hit, encoded={"report": report_text})
 
-    async def _execute(self, record) -> None:
+    async def _execute(self, record) -> str | None:
+        """Run one record to its result; returns its report's JSON
+        text when the cache step has it, else None."""
         spec = record.spec
         remaining = record.deadline_remaining()
         if remaining is not None and remaining <= 0:
             self.registry.counter("service.jobs.deadline_expired").inc()
             record.fail("deadline exceeded while queued")
-            return
+            return None
         try:
             job = spec.to_analysis_job()
         except (ReproError, KeyError) as error:
             record.fail(str(error))
-            return
+            return None
 
         set_timeout = spec.set_timeout if spec.set_timeout is not None \
             else self.default_set_timeout
@@ -309,8 +315,11 @@ class Scheduler:
             record.attempts = result.attempts
             self.registry.counter("service.retries").inc(
                 result.attempts - 1)
-            store(self.cache, key, result)
+            report_text = store(self.cache, key, result)
+        else:
+            report_text = self.cache.get_report_text(key)
         record.finish(result)
         record.spans = list(result.spans)
         metrics.record(self.registry, result,
                        cache=self.cache is not None)
+        return report_text

@@ -467,6 +467,20 @@ class TestFramesWritten:
                        and frame["id"] == miss]
         assert len(complete["report"]["set_results"]) == 2
 
+    def test_complete_frames_hold_the_served_report(self, tmp_path):
+        # A miss's frame splices the text its cache entry was written
+        # with, a hit's the text held beside the cached report; both
+        # decode to the report the service serves.
+        ids, records, frames = self._serve(tmp_path / "journal",
+                                           tmp_path / "cache")
+        reports = {frame["id"]: frame["report"] for frame in frames
+                   if frame["type"] == "complete"}
+        miss, hit, _ = ids
+        assert reports == {miss: records[miss]["report"],
+                           hit: records[hit]["report"]}
+        (entry,) = (tmp_path / "cache").glob("??/*.json")
+        assert json.loads(entry.read_text())["report"] == reports[miss]
+
     def test_earlier_set_done_frames_replay_to_the_same_records(
             self, tmp_path):
         ids, _, frames = self._serve(tmp_path / "journal",

@@ -1,9 +1,12 @@
 """Batch analysis engine: cache keys, caching, pool dispatch, timeouts."""
 
+import asyncio
 import collections
 import dataclasses
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -17,8 +20,10 @@ from repro.analysis import Analysis
 from repro.engine import AnalysisEngine, AnalysisJob, ResultCache, execute_job
 from repro.engine import pool as pool_module
 from repro.engine.cache import report_from_dict, report_to_dict
+from repro.engine.jobs import JobResult
 from repro.engine.metrics import STAGES, render
-from repro.errors import ILPTimeoutError
+from repro.engine.pool import Pool
+from repro.errors import AnalysisError, ILPTimeoutError
 from repro.hw import i960kb
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import RECORD_KEYS
@@ -155,7 +160,7 @@ class TestResultCache:
         older = dict(report_to_dict(report),
                      timings={"compile": 0.004, "solve": 0.002})
         assert "timings" not in report_to_dict(report)
-        cache._write(key, {"kind": "job", "report": older})
+        cache._write(key, json.dumps(older, sort_keys=True))
         for loaded in (cache.get_report(key), report_from_dict(older)):
             assert loaded.interval == report.interval
             assert loaded.set_results == report.set_results
@@ -170,7 +175,7 @@ class TestResultCache:
         for entry in older["set_results"]:
             del entry["stats"]["refuted"]
         key = cache.job_key("older")
-        cache._write(key, {"kind": "job", "report": older})
+        cache._write(key, json.dumps(older, sort_keys=True))
         loaded = cache.get_report(key)
         assert loaded.interval == report.interval
         assert [r.status for r in loaded.set_results] == \
@@ -631,29 +636,29 @@ class TestPoolRetry:
         results = AnalysisEngine(workers=2).run(jobs)
         assert [r.status for r in results] == ["failed", "failed"]
         assert [r.attempts for r in results] == [retries + 1] * 2
-        assert "BrokenProcessPool" in results[0].error
+        assert re.search(r"WorkerGone\('pool worker \d+ is gone'\)",
+                         results[0].error), results[0].error
 
-    def test_a_broken_pool_is_replaced_once(self, tmp_path, monkeypatch):
-        # Every job in flight on the pool the dying worker broke fails
-        # with it, but only the first to notice replaces the pool: a
-        # second replacement would tear down the pool the others were
-        # already resubmitted to.
-        made = []
-        new_executor = pool_module.new_executor
+    def test_a_dead_worker_fails_only_its_own_job(self, tmp_path,
+                                                  monkeypatch):
+        # The dying job's worker is replaced, once; the jobs on the
+        # other worker, and those after it, run on their first try.
+        started = []
 
-        def counting(*args):
-            made.append(new_executor(*args))
-            return made[-1]
+        class Counted(pool_module._Worker):
+            def __init__(self, context):
+                super().__init__(context)
+                started.append(self.process.pid)
 
-        monkeypatch.setattr(pool_module, "new_executor", counting)
+        monkeypatch.setattr(pool_module, "_Worker", Counted)
         dying = _DyingJob(name="dying", source=SOURCE, entry="tally",
                           auto_bounds=True,
                           marker=str(tmp_path / "died"))
         jobs = [dying] + [_job() for _ in range(4)]
         results = AnalysisEngine(workers=2).run(jobs)
         assert [r.status for r in results] == ["ok"] * len(jobs)
-        assert results[0].attempts == 2
-        assert len(made) == 2
+        assert [r.attempts for r in results] == [2, 1, 1, 1, 1]
+        assert len(started) == 3
 
     def test_workers_exit_when_their_owner_is_killed(self):
         # A SIGKILLed owner cannot shut its pool down: the spawned
@@ -671,7 +676,7 @@ class TestPoolRetry:
             result = asyncio.run(
                 pool.run(execute_job, (job, None, None, False)))
             assert result.ok, result
-            pids = list(pool._executor._processes)
+            pids = [worker.process.pid for worker in pool._workers]
             pids.append(resource_tracker._resource_tracker._pid)
             print(*pids, flush=True)
             time.sleep(60)
@@ -693,6 +698,110 @@ class TestPoolRetry:
                 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not [pid for pid in pids if _alive(pid)]
+
+
+def _named(payload):
+    """A pool runner: sleep ``payload[1]`` seconds, then answer with a
+    result named after the job ``payload[0]``."""
+    job, seconds = payload
+    time.sleep(seconds)
+    return JobResult(job.name, "ok")
+
+
+def _refuse(payload):
+    raise AnalysisError(f"{payload[0].name} refused")
+
+
+def _call(name: str, seconds: float = 0.0):
+    return (AnalysisJob(name=name), seconds)
+
+
+class TestProcessWorkers:
+    """Each process worker owns one pipe: a dead or cancelled worker
+    is replaced alone, and its late reply answers nobody."""
+
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "BACKOFF", 0.0)
+
+    def test_a_killed_idle_worker_is_replaced(self):
+        job = AnalysisJob.from_benchmark("check_data")
+        serial = get_benchmark("check_data").make_analysis().estimate()
+
+        async def scenario():
+            pool = Pool(1)
+            try:
+                first = await pool.run(execute_job,
+                                       (job, None, None, False))
+                (worker,) = pool._workers
+                os.kill(worker.process.pid, signal.SIGKILL)
+                worker.process.join(5)
+                assert worker.process.exitcode == -signal.SIGKILL
+                second = await pool.run(execute_job,
+                                        (job, None, None, False))
+                return first, second, worker, set(pool._workers)
+            finally:
+                pool.shutdown()
+
+        first, second, dead, live = asyncio.run(scenario())
+        assert first.attempts == 1
+        assert second.report.interval == serial.interval
+        assert second.attempts == 2
+        assert len(live) == 1 and dead not in live
+
+    def test_a_cancelled_call_never_answers_the_next(self):
+        async def scenario():
+            pool = Pool(1)
+            try:
+                slow = asyncio.ensure_future(
+                    pool.run(_named, _call("slow", 3.0)))
+                await asyncio.sleep(0.2)        # sent, being computed
+                slow.cancel()
+                results = [await pool.run(_named, _call(name))
+                           for name in ("first", "second")]
+                return slow, results
+            finally:
+                pool.shutdown()
+
+        slow, results = asyncio.run(scenario())
+        assert slow.cancelled()
+        assert [(r.name, r.attempts) for r in results] \
+            == [("first", 1), ("second", 1)]
+
+    def test_a_repro_error_fails_at_once_on_the_same_worker(self):
+        async def scenario():
+            pool = Pool(1)
+            try:
+                await pool.run(_named, _call("warm"))
+                before = [w.process.pid for w in pool._workers]
+                result = await pool.run(_refuse, _call("bad"))
+                after = [w.process.pid for w in pool._workers]
+                return result, before, after
+            finally:
+                pool.shutdown()
+
+        result, before, after = asyncio.run(scenario())
+        assert (result.status, result.attempts) == ("failed", 1)
+        assert result.error == "bad refused"
+        assert after == before and len(before) == 1
+
+    def test_shutdown_stops_every_worker_and_cancels_its_calls(self):
+        async def scenario():
+            pool = Pool(2)
+            calls = [asyncio.ensure_future(pool.run(_named, _call(n, 30)))
+                     for n in ("busy0", "busy1", "waiting")]
+            await asyncio.sleep(0.2)
+            pids = [w.process.pid for w in pool._workers]
+            pool.shutdown()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*calls, return_exceptions=True), 5)
+            return pids, outcomes
+
+        pids, outcomes = asyncio.run(scenario())
+        assert len(pids) == 2
+        assert not [pid for pid in pids if _alive(pid)]
+        assert all(isinstance(outcome, asyncio.CancelledError)
+                   for outcome in outcomes), outcomes
 
 
 class TestTimeouts:

@@ -594,7 +594,7 @@ class TestEndToEnd:
                 timeout=120) for _ in range(3)]
             explanation = client.explain(records[2]["id"])
             snapshot = client.metricz()
-            (held, _), = cache._memory.values()
+            ((held, text), _), = cache._memory.values()
 
         assert [r["cache_hit"] for r in records] == [False, True, True]
         assert len(reads) == 2          # the cold miss, the first hit
@@ -605,7 +605,8 @@ class TestEndToEnd:
                                if k not in timing}, sort_keys=True)
 
         assert canonical(records[1]) == canonical(records[2])
-        assert records[2]["report"] == report_to_dict(held)
+        assert records[2]["report"] == report_to_dict(held) \
+            == json.loads(text)
         assert explanation["bound"] == held.worst == 722
         registry = MetricsRegistry.from_snapshot(snapshot)
         assert registry.value("engine.cache.hits.job") == 2
@@ -658,6 +659,21 @@ class TestEndToEnd:
         assert not done["cache_hit"]
         (entry,) = tmp_path.glob("??/*.json")
         assert json.loads(entry.read_text())["kind"] == "job"
+
+    def test_process_pool_runs_no_helper_thread(self):
+        # The event-loop thread talks to each worker over its pipe:
+        # no executor manager thread or queue feeder thread in between.
+        with ServiceThread(workers=2, executor="process") as handle, \
+                ServiceClient(port=handle.port) as client:
+            done = client.wait(
+                client.submit({"benchmark": "check_data"})["id"],
+                timeout=60)
+            threads = {(type(thread).__name__, thread.name)
+                       for thread in threading.enumerate()}
+        assert done["state"] == "done"
+        assert not [(kind, name) for kind, name in threads
+                    if kind == "_ExecutorManagerThread"
+                    or name == "QueueFeederThread"], threads
 
     def test_unexpected_error_fails_the_job_not_the_worker(
             self, monkeypatch):
