@@ -27,13 +27,15 @@ longer budget should get the chance to do better.
 Memory tier
 -----------
 Each cache object also holds the job reports it has read from disk
-and verified, each with its JSON text, up to :data:`MEMORY_BYTES` of
-entry text (least recently used out first), and answers a repeat hit
-from there: a dict lookup, with no system call, read, parse, seal
-check or rebuild.  The text (:meth:`ResultCache.get_report_text`) is
-what the service's journal splices into a hit's ``complete`` frame,
-so a held report is never encoded again.  Writes never
-fill it, so a corrupted entry is still quarantined on its first read.
+and verified, up to :data:`MEMORY_BYTES` of entry text (least
+recently used out first), and answers a repeat hit from there: a dict
+lookup, with no system call, read, parse, seal check or rebuild.  The
+first :meth:`ResultCache.get_report_text` call for a held report
+encodes it and holds that text too (counted against the same bound):
+the service's journal splices it into each hit's ``complete`` frame,
+so a held report is encoded once, and only where a journal asks.
+Writes never fill the tier, so a corrupted entry is still quarantined
+on its first read.
 An entry another process clears on disk stays held here until this
 object goes; it is the same content-addressed answer, never a wrong
 bound.
@@ -107,11 +109,12 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         #: Corrupt entries this cache object quarantined on read.
         self.quarantined = 0
-        #: The memory tier: key -> ((report, its JSON text), entry
-        #: text bytes), least recently used first, and the bytes it
-        #: holds.
+        #: The memory tier: key -> ((report, its JSON text or None
+        #: until asked for), bytes of entry and report text), least
+        #: recently used first, and the bytes it holds.
         self._memory: OrderedDict[
-            str, tuple[tuple[BoundReport, str], int]] = OrderedDict()
+            str, tuple[tuple[BoundReport, str | None], int]] = \
+            OrderedDict()
         self._memory_bytes = 0
 
     # ------------------------------------------------------------------
@@ -221,13 +224,15 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Memory tier
     # ------------------------------------------------------------------
-    def _hold(self, key: str, report: BoundReport, size: int) -> None:
-        """Keep a verified report and its text, dropping the least
-        recently used until the tier fits in :data:`MEMORY_BYTES`
-        again."""
+    def _hold(self, key: str, report: BoundReport, text: str | None,
+              size: int) -> None:
+        """Keep a verified report (and its text, once encoded) as
+        `size` bytes, dropping the least recently used until the tier
+        fits in :data:`MEMORY_BYTES` again."""
+        self._forget(key)
         if size > MEMORY_BYTES:
             return
-        self._memory[key] = ((report, report_json(report)), size)
+        self._memory[key] = ((report, text), size)
         self._memory_bytes += size
         while self._memory_bytes > MEMORY_BYTES:
             _, (_, dropped) = self._memory.popitem(last=False)
@@ -254,14 +259,21 @@ class ResultCache:
             return None
         payload, size = read
         report = report_from_dict(payload["report"])
-        self._hold(key, report, size)
+        self._hold(key, report, None, size)
         return report
 
     def get_report_text(self, key: str) -> str | None:
         """The JSON text of the report held in memory under `key` (as
-        :func:`report_json` encodes it), or None when none is held."""
+        :func:`report_json` encodes it), or None when none is held.
+        The first call for a report encodes it and holds the text."""
         held = self._memory.get(key)
-        return None if held is None else held[0][1]
+        if held is None:
+            return None
+        (report, text), size = held
+        if text is None:
+            text = report_json(report)
+            self._hold(key, report, text, size + len(text))
+        return text
 
     def put_report(self, key: str, report: BoundReport) -> str | None:
         """Store `report` and return its JSON text, the entry's

@@ -22,9 +22,11 @@ killed mid-job, an OSError) is retried after ``BACKOFF * 2**(attempt
 - 1)`` seconds, up to :data:`RETRIES` times; then the job comes back
 failed, with its ``attempts`` and the last error.  A process worker is
 gone when a send to it fails or its reply ends at end of file; that
-worker alone is replaced, and the jobs on the others carry on.  A call
-cancelled while its worker computes replaces that worker too, so its
-late reply can never answer the next job.
+worker alone is replaced, and the jobs on the others carry on.  A send
+that fails reached no worker, so it spends no try: the call goes to
+the next idle worker at once, up to once per worker.  A call cancelled
+while its worker computes replaces that worker too, so its late reply
+can never answer the next job.
 
 Process workers exit once the process that started the pool is gone
 (a SIGKILLed ``repro serve``), and the resource tracker with them.
@@ -103,15 +105,20 @@ class _Worker:
         #: The future of the call waiting for this worker's reply.
         self.reply = None
 
-    async def call(self, runner, payload):
-        """Send one call and wait for its ``(ok, value)`` reply."""
+    def send(self, runner, payload) -> bool:
+        """Send one call; False when the worker is gone and the call
+        reached nobody."""
+        try:
+            self.conn.send((runner, payload))
+        except OSError:
+            return False
+        return True
+
+    async def receive(self):
+        """Wait for the ``(ok, value)`` reply to the call sent last."""
         import asyncio
 
         loop = asyncio.get_running_loop()
-        try:
-            self.conn.send((runner, payload))
-        except OSError as error:
-            raise self._gone() from error
         reply = self.reply = loop.create_future()
         loop.add_reader(self.conn.fileno(), self._readable)
         try:
@@ -127,7 +134,7 @@ class _Worker:
         try:
             reply.set_result(self.conn.recv())
         except (EOFError, OSError):
-            reply.set_exception(self._gone())
+            reply.set_exception(self.gone())
         except Exception as error:    # a reply that does not unpickle
             reply.set_exception(error)
 
@@ -136,7 +143,7 @@ class _Worker:
             self.reply.get_loop().remove_reader(self.conn.fileno())
             self.reply = None
 
-    def _gone(self) -> WorkerGone:
+    def gone(self) -> WorkerGone:
         return WorkerGone(f"pool worker {self.process.pid} is gone")
 
     def stop(self) -> None:
@@ -217,7 +224,18 @@ class Pool:
         try:
             # Chaos seam: a dead worker, surfaced before dispatch.
             inject.fire("worker.kill")
-            ok, value = await worker.call(runner, payload)
+            # A send that fails reached no worker, so it spends no try:
+            # replace that worker and send to the next idle one.  Each
+            # dead worker's replacement is live, so a resend per worker
+            # gets past every worker that died idle.
+            resends = self.workers
+            while not worker.send(runner, payload):
+                if not resends:
+                    raise worker.gone()
+                resends -= 1
+                self._retire(worker)
+                worker = await self._take()
+            ok, value = await worker.receive()
         except BaseException:
             self._retire(worker)
             raise

@@ -316,8 +316,10 @@ class Scheduler:
             self.registry.counter("service.retries").inc(
                 result.attempts - 1)
             report_text = store(self.cache, key, result)
-        else:
+        elif self.journal is not None:
             report_text = self.cache.get_report_text(key)
+        else:
+            report_text = None
         record.finish(result)
         record.spans = list(result.spans)
         metrics.record(self.registry, result,

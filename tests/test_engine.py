@@ -405,6 +405,31 @@ class TestMemoryTier:
         assert not cache._memory and cache._memory_bytes == 0
         assert cache.get_report(keys[2]) is None
 
+    def test_report_text_is_encoded_once_when_asked_for(self, tmp_path,
+                                                       monkeypatch):
+        # A hit encodes nothing; the first get_report_text encodes the
+        # held report, holds the text and counts it against the bound.
+        from repro.engine import cache as cache_module
+
+        cache = ResultCache(tmp_path)
+        report = _analysis().estimate()
+        written = cache.put_report("k1", report)
+        assert cache.get_report_text("k1") is None     # writes hold none
+        encodes = []
+        encode = cache_module.report_json
+        monkeypatch.setattr(cache_module, "report_json",
+                            lambda held: encodes.append(held)
+                            or encode(held))
+        assert [cache.get_report("k1") for _ in range(2)] == [report] * 2
+        assert encodes == []
+        size = cache._memory_bytes
+        assert [cache.get_report_text("k1") for _ in range(3)] \
+            == [written] * 3
+        assert len(encodes) == 1
+        assert cache._memory_bytes == size + len(written) \
+            == sum(held for _, held in cache._memory.values())
+        assert cache.get_report("k1") == report
+
     def test_matches_a_dict_model(self, tmp_path):
         # 200 seeded operations on 12 keys.  The model is the stored
         # report per key plus the keys this object has verified: a
@@ -724,30 +749,38 @@ class TestProcessWorkers:
     def _no_backoff(self, monkeypatch):
         monkeypatch.setattr(pool_module, "BACKOFF", 0.0)
 
-    def test_a_killed_idle_worker_is_replaced(self):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_killed_idle_workers_cost_no_try(self, workers):
+        # A send to a worker that died idle reaches nobody: the pool
+        # replaces that worker and sends to the next, so the job runs
+        # on its first try however many idle workers died.
         job = AnalysisJob.from_benchmark("check_data")
         serial = get_benchmark("check_data").make_analysis().estimate()
+        payload = (job, None, None, False)
 
         async def scenario():
-            pool = Pool(1)
+            pool = Pool(workers)
             try:
-                first = await pool.run(execute_job,
-                                       (job, None, None, False))
-                (worker,) = pool._workers
-                os.kill(worker.process.pid, signal.SIGKILL)
-                worker.process.join(5)
-                assert worker.process.exitcode == -signal.SIGKILL
-                second = await pool.run(execute_job,
-                                        (job, None, None, False))
-                return first, second, worker, set(pool._workers)
+                first = await asyncio.gather(*(
+                    pool.run(execute_job, payload)
+                    for _ in range(workers)))
+                dead = set(pool._workers)
+                for worker in dead:
+                    os.kill(worker.process.pid, signal.SIGKILL)
+                for worker in dead:
+                    worker.process.join(5)
+                    assert worker.process.exitcode == -signal.SIGKILL
+                after = await pool.run(execute_job, payload)
+                return first, after, dead, set(pool._workers)
             finally:
                 pool.shutdown()
 
-        first, second, dead, live = asyncio.run(scenario())
-        assert first.attempts == 1
-        assert second.report.interval == serial.interval
-        assert second.attempts == 2
-        assert len(live) == 1 and dead not in live
+        first, after, dead, live = asyncio.run(scenario())
+        assert [r.attempts for r in first] == [1] * workers
+        assert len(dead) == workers
+        assert (after.status, after.attempts) == ("ok", 1)
+        assert after.report.interval == serial.interval
+        assert len(live) == workers and not live & dead
 
     def test_a_cancelled_call_never_answers_the_next(self):
         async def scenario():
